@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 
 import mpmath as mp
 
-from . import cache as cache_mod
+from . import __version__, cache as cache_mod
 from .conjecture import FormulaSingular, compare
 from .dortho import (DegenerateSpectrum, DenominatorCollision, WeightSingular,
                      naive_weight_demo, verify_orthogonality)
@@ -29,11 +29,8 @@ from .identities import (check_prefactor_ratio_identity, check_chain_identity,
 from .miop import (DegenerateIndexSet, IndexSet, PoleAtSample, PrefactorResidue,
                    build_miop, hermiticity_check)
 from .numkernel import DEFAULT_BITS, TolerancePolicy, workbits
-from .polycore import SymmetryViolation
 from .report import canonical_json, num_str, ortho_report_json, poly_json, real_str
 from .zeros import MultipleRootSuspected, find_zeros
-
-VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -41,7 +38,7 @@ EXIT_DEGENERATE = 3
 
 DEGENERACY_ERRORS = (DegenerateSpectrum, DegenerateIndexSet, WeightSingular,
                      DenominatorCollision, MultipleRootSuspected, PoleAtSample,
-                     SymmetryViolation, PrefactorResidue, FormulaSingular)
+                     PrefactorResidue, FormulaSingular)
 
 
 def _tolerances(bits: int) -> dict:
@@ -99,7 +96,7 @@ def _manifest(args, lam: ParamSet, D: IndexSet | None, N: int | None, checks: di
         "precision_ladder": [args.prec, 2 * args.prec],
         "backend": args.backend,
         "seed": args.seed,
-        "version": VERSION,
+        "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat() if args.timestamps else "",
         "checks": checks,
     }
@@ -180,7 +177,8 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _grid_index_sets(dmax: int, mmax: int, family: str, mode: str):
+def grid_index_sets(dmax: int, mmax: int, even_ell_only: bool = False):
+    """Index sets with M <= mmax (1 or 2), d_j <= dmax and ell_D >= 1, in sweep order."""
     out = []
     degs = list(range(dmax + 1))
     for d in degs:
@@ -200,7 +198,7 @@ def _grid_index_sets(dmax: int, mmax: int, family: str, mode: str):
                 D = IndexSet.make([(di, "I"), (dj, "II")])
                 if D.ell >= 1:
                     out.append(D)
-    if family == "ch" and mode == "physical":
+    if even_ell_only:
         out = [D for D in out if D.ell % 2 == 0]
     return out
 
@@ -212,7 +210,9 @@ def cmd_sweep(args) -> int:
     for fam in families:
         for mode in modes:
             for draw in range(args.draws):
-                for D in _grid_index_sets(args.dmax, args.M, fam, mode):
+                # continuous Hahn in physical mode needs even ell_D
+                even = fam == "ch" and mode == "physical"
+                for D in grid_index_sets(args.dmax, args.M, even_ell_only=even):
                     for N in range(2, args.N_max + 1):
                         jobs.append((fam, mode, draw, D, N))
     jobs.sort(key=lambda j: (j[0], j[1], j[2], j[3].key(), j[4]))

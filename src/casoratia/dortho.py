@@ -139,18 +139,12 @@ def pa_difference_equation_defect(lam: ParamSet, D: IndexSet, bundle: MiopBundle
     worst = mp.mpf(0)
     for entry in basis.entries:
         for xj in zs.x:
-            u = _arg_of_x(fam, xj, lam)
+            u = fam.arg_of_x(xj)
             h = apply_htilde(b, bundle.lam_D, bundle.xi, bundle.xi_shift, entry.poly, u)
             ref = entry.energy * entry.poly(fam.eta_at(u, lam))
             h, ref = mp.mpc(h), mp.mpc(ref)
             worst = max(worst, abs(h - ref) / (abs(h) + abs(ref) + 1))
     return worst
-
-
-def _arg_of_x(fam, x, lam):
-    if fam.var_kind == "z":
-        return mp.exp(1j * mp.mpc(x))
-    return mp.mpc(x)
 
 
 def compute_F(lam: ParamSet, D: IndexSet, bundle: MiopBundle, zs: ZeroSet,
@@ -162,7 +156,7 @@ def compute_F(lam: ParamSet, D: IndexSet, bundle: MiopBundle, zs: ZeroSet,
     F = []
     cross_worst = mp.mpf(0)
     for xj in zs.x:
-        u = _arg_of_x(fam, xj, lam)
+        u = fam.arg_of_x(xj)
         um, up = fam.shift_arg(u, -1, lam), fam.shift_arg(u, 1, lam)
         umh, uph = fam.shift_arg(u, -HALF_FRAC, lam), fam.shift_arg(u, HALF_FRAC, lam)
         eta_m, eta_p = fam.eta_at(um, lam), fam.eta_at(up, lam)
@@ -200,7 +194,7 @@ def build_M(lam: ParamSet, D: IndexSet, bundle: MiopBundle, zs: ZeroSet, F,
     Mt = [[mp.mpc(0)] * n_t for _ in range(n_t)]
     eta_pm = []
     for xj in zs.x:
-        u = _arg_of_x(fam, xj, lam)
+        u = fam.arg_of_x(xj)
         um, up = fam.shift_arg(u, -1, lam), fam.shift_arg(u, 1, lam)
         eta_pm.append((mp.mpc(fam.eta_at(um, lam)), mp.mpc(fam.eta_at(up, lam))))
     scale_eta = max(max(abs(e) for e in etas), mp.mpf(1))
@@ -217,7 +211,7 @@ def build_M(lam: ParamSet, D: IndexSet, bundle: MiopBundle, zs: ZeroSet, F,
     for j in range(n_t):
         em, ep = eta_pm[j]
         xj = zs.x[j]
-        u = _arg_of_x(fam, xj, lam)
+        u = fam.arg_of_x(xj)
         umh, uph = fam.shift_arg(u, -HALF_FRAC, lam), fam.shift_arg(u, HALF_FRAC, lam)
         xi_m = mp.mpc(bundle.xi(fam.eta_at(umh, lam)))
         xi_p = mp.mpc(bundle.xi(fam.eta_at(uph, lam)))
@@ -260,7 +254,7 @@ def _diag_from_definition_defect(lam, bundle, zs, j, closed_value, bits) -> mp.m
         if l != j:
             lag = lag * Poly([-eta_l, sc.one], sc)
     denom = lag(zs.eta[j])
-    u = _arg_of_x(fam, zs.x[j], lam)
+    u = fam.arg_of_x(zs.x[j])
     val = mp.mpc(apply_htilde(b, bundle.lam_D, bundle.xi, bundle.xi_shift, lag, u)) / mp.mpc(denom)
     return abs(val - closed_value) / max(abs(closed_value), mp.mpf(1))
 

@@ -14,7 +14,8 @@ from typing import Union
 
 import mpmath as mp
 
-_F0 = Fraction(0)
+from .polycore import solve_dense
+
 _F1 = Fraction(1)
 
 IntoFraction = Union[int, Fraction]
@@ -232,9 +233,15 @@ class SqrtExt:
 
 
 class ExactScalars:
-    """Scalar backend over Q(i) (q=None) or Q(i, sqrt(q))."""
+    """Scalar backend over Q(i) (q=None) or Q(i, sqrt(q)).
+
+    Mirrors the construction hooks of ``numkernel.MPScalars``: every pivot,
+    trim, residual gate and pole test here asks for an exact zero, and a fit
+    solves through exactly as many sample points as there are unknowns.
+    """
 
     name = "exact"
+    extract_extra = pairing_extra = 4   # samples beyond the unknowns, all held out
 
     def __init__(self, q: Fraction | None = None):
         self.q = Fraction(q) if q is not None else None
@@ -267,8 +274,8 @@ class ExactScalars:
             raise ValueError("no q adjoined")
         return SqrtExt(QQi(0), QQi(1), self.q)
 
-    def q_power(self, t: Fraction):
-        """q**t for integer or half-integer t."""
+    def q_power(self, t: Fraction, q=None):
+        """q**t for integer or half-integer t (q is the adjoined one; the argument is ignored)."""
         if self.q is None:
             raise ValueError("no q adjoined")
         t = Fraction(t)
@@ -279,11 +286,14 @@ class ExactScalars:
         raise ValueError(f"q**{t} is outside Q(i, sqrt(q))")
 
     @staticmethod
+    def sample_args(fam, count: int, lam, salt: str):
+        return fam.exact_sample_args(count, lam)
+
+    @staticmethod
     def is_zero(x) -> bool:
         return x.is_zero()
 
-    def is_negligible(self, x, scale) -> bool:
-        return x.is_zero()
+    skippable = is_zero  # exact zero factors contribute nothing
 
     @staticmethod
     def conj(x):
@@ -292,6 +302,59 @@ class ExactScalars:
     @staticmethod
     def to_mpc(x) -> mp.mpc:
         return x.to_mpc()
+
+    # -- elimination and trimming ------------------------------------------------
+
+    @staticmethod
+    def pivot_row(a, col: int):
+        """First row r >= col with a nonzero a[r][col], None if all vanish."""
+        return next((r for r in range(col, len(a)) if not a[r][col].is_zero()), None)
+
+    @staticmethod
+    def scale(coeffs) -> mp.mpf:
+        """1 for a nonzero coefficient list, 0 otherwise."""
+        return mp.mpf(0) if all(c.is_zero() for c in coeffs) else mp.mpf(1)
+
+    @staticmethod
+    def trim(coeffs):
+        while len(coeffs) > 1 and coeffs[-1].is_zero():
+            coeffs = coeffs[:-1]
+        return coeffs
+
+    # -- fits and gates ----------------------------------------------------------
+
+    def fit(self, rows, rhs, nunk: int, equilibrate: bool = False):
+        """Exact solve through the first nunk rows; the others stay for checks."""
+        return solve_dense(rows[:nunk], rhs[:nunk], self)
+
+    @staticmethod
+    def fit_rows(nunk: int, available: int) -> int:
+        return nunk
+
+    @staticmethod
+    def nonvanishing(values, bits: int):
+        return [not v.is_zero() for v in values]
+
+    @staticmethod
+    def vanishes(x, bound) -> bool:
+        return x.is_zero()
+
+    @staticmethod
+    def held_out_residual(pred, val, eta, deg: int, scale, tol):
+        return _exact_gap(pred - val), mp.mpf(0)
+
+    @staticmethod
+    def relative_gap(x, y) -> mp.mpf:
+        return _exact_gap(x - y)
+
+    @staticmethod
+    def defect(d, scale) -> mp.mpf:
+        return _exact_gap(d)
+
+
+def _exact_gap(d) -> mp.mpf:
+    """0 for an exact zero, infinity otherwise: exact gates pass only on equality."""
+    return mp.mpf(0) if d.is_zero() else mp.inf
 
 
 def fraction_from_decimal(s: str) -> Fraction:

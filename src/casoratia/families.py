@@ -2,8 +2,13 @@
 
 Carries the per-family data the construction needs: potential numerators and
 denominators, sinusoidal coordinate, energies, base polynomials from the
-terminating hypergeometric series, virtual-state parameter twists with their
-alpha constants and energies, and the parameter shifts delta / delta-tilde.
+terminating hypergeometric series (at the twisted parameters they are the
+virtual-state polynomials), virtual-state parameter twists with their alpha
+constants and energies, the parameter shifts delta / delta-tilde, the h_n
+ratios and the ground-state weight phi_0^2 of the quadrature control.
+
+Exact and float parameter sets run the same code: where the two differ (AW's
+q**t, the sample points) the scalar backend answers.
 
 Every transcribed item is gated: base polynomials and energies by the
 difference-equation eigenrelation, virtual twists by the potential functional
@@ -137,14 +142,26 @@ class Family:
 
     delta_vec = (HALF, HALF, HALF, HALF)
 
+    @staticmethod
+    def _dtilde_vec(u, w):
+        """Shift vector with u on the pair (a1, a2) and w on (a3, a4)."""
+        return (u, u, w, w)
+
     def dtilde_candidates(self, vtype: str):
-        raise NotImplementedError
+        """delta-tilde candidates: the calibrated vector first, then u, w in {0, +-1/2, +-1}."""
+        vals = [Fraction(0), HALF, -HALF, Fraction(1), Fraction(-1)]
+        cands = [self._dtilde_vec(-HALF, HALF) if vtype == "I" else self._dtilde_vec(HALF, -HALF)]
+        for u in vals:
+            for w in vals:
+                vec = self._dtilde_vec(u, w)
+                if vec not in cands:
+                    cands.append(vec)
+        return cands
 
     def apply_shift_vec(self, lam: ParamSet, vec) -> ParamSet:
-        raise NotImplementedError
-
-    def shift_lam(self, lam: ParamSet, vec) -> ParamSet:
-        return self.apply_shift_vec(lam, vec)
+        """lambda + vec (additive parameters; AW shifts multiplicatively)."""
+        sc = lam.scalars
+        return lam.with_a(tuple(ai + sc.from_fraction(f) for ai, f in zip(lam.a, vec)))
 
     # -- ranges (float path) -------------------------------------------------------
 
@@ -157,17 +174,23 @@ class Family:
     def recover_x(self, eta):
         raise NotImplementedError
 
-    def arg_of_x(self, x, lam: ParamSet):
-        """Working variable u for a given complex x (float path)."""
-        return x
-
-    def x_of_arg(self, u, lam: ParamSet):
-        return u
+    def arg_of_x(self, x):
+        """Working variable u for a complex x: x itself, or z = e^{ix} for AW (float path)."""
+        return mp.exp(1j * mp.mpc(x)) if self.var_kind == "z" else mp.mpc(x)
 
     def sample_args(self, count: int, lam: ParamSet, salt: str):
         raise NotImplementedError
 
     def exact_sample_args(self, count: int, lam: ParamSet):
+        raise NotImplementedError
+
+    # -- norms ----------------------------------------------------------------------
+
+    def h_ratio_base(self, n, m, lam: ParamSet):
+        """h_n / h_m of the base family."""
+        return self._h_over_h0(n, lam) / self._h_over_h0(m, lam)
+
+    def _h_over_h0(self, n, lam: ParamSet):
         raise NotImplementedError
 
 
@@ -239,20 +262,10 @@ class ContinuousHahn(Family):
     def alpha(self, vtype, lam):
         return lam.scalars.one
 
-    def dtilde_candidates(self, vtype):
-        vals = [Fraction(0), HALF, -HALF, Fraction(1), Fraction(-1)]
-        best_first = [(-HALF, HALF, -HALF, HALF)] if vtype == "I" else [(HALF, -HALF, HALF, -HALF)]
-        cands = list(best_first)
-        for u in vals:
-            for w in vals:
-                vec = (u, w, u, w)
-                if vec not in cands:
-                    cands.append(vec)
-        return cands
-
-    def apply_shift_vec(self, lam, vec):
-        sc = lam.scalars
-        return lam.with_a(tuple(ai + sc.from_fraction(f) for ai, f in zip(lam.a, vec)))
+    @staticmethod
+    def _dtilde_vec(u, w):
+        """u on the pair (a1, a3), w on (a2, a4): the conjugate pairs of the twists."""
+        return (u, w, u, w)
 
     def x_bounds(self, lam):
         return (mp.mpf("-inf"), mp.mpf("+inf"))
@@ -291,9 +304,6 @@ class ContinuousHahn(Family):
             fact = fact * sc.from_int(k)
         return acc.scale(pref / fact).trim()
 
-    def h_ratio_base(self, n, m, lam):
-        return self._h_over_h0(n, lam) / self._h_over_h0(m, lam)
-
     def _h_over_h0(self, n, lam):
         a1, a2, a3, a4 = lam.a
         sc = lam.scalars
@@ -302,13 +312,6 @@ class ContinuousHahn(Family):
                * pochhammer(a2 + a3, n) * pochhammer(a2 + a4, n) * (b1 - sc.one))
         den = pochhammer(sc.one, n) * pochhammer(b1 - sc.one, n) * (b1 + sc.from_int(2 * n - 1))
         return num / den
-
-    def h_abs(self, n, lam):
-        a1, a2, a3, a4 = (mp.mpc(x) for x in lam.a)
-        b1 = a1 + a2 + a3 + a4
-        num = mp.gamma(n + a1 + a3) * mp.gamma(n + a1 + a4) * mp.gamma(n + a2 + a3) * mp.gamma(n + a2 + a4)
-        den = mp.factorial(n) * (2 * n + b1 - 1) * mp.gamma(n + b1 - 1)
-        return 2 * mp.pi * num / den
 
     def phi0_sq(self, x, lam):
         a1, a2, a3, a4 = (mp.mpc(v) for v in lam.a)
@@ -366,21 +369,6 @@ class Wilson(Family):
     def alpha(self, vtype, lam):
         return lam.scalars.one
 
-    def dtilde_candidates(self, vtype):
-        vals = [Fraction(0), HALF, -HALF, Fraction(1), Fraction(-1)]
-        best_first = [(-HALF, -HALF, HALF, HALF)] if vtype == "I" else [(HALF, HALF, -HALF, -HALF)]
-        cands = list(best_first)
-        for u in vals:
-            for w in vals:
-                vec = (u, u, w, w)
-                if vec not in cands:
-                    cands.append(vec)
-        return cands
-
-    def apply_shift_vec(self, lam, vec):
-        sc = lam.scalars
-        return lam.with_a(tuple(ai + sc.from_fraction(f) for ai, f in zip(lam.a, vec)))
-
     def x_bounds(self, lam):
         return (mp.mpf(0), mp.mpf("+inf"))
 
@@ -419,9 +407,6 @@ class Wilson(Family):
         pref = pochhammer(a1 + a2, n) * pochhammer(a1 + a3, n) * pochhammer(a1 + a4, n)
         return acc.scale(pref).trim()
 
-    def h_ratio_base(self, n, m, lam):
-        return self._h_over_h0(n, lam) / self._h_over_h0(m, lam)
-
     def _h_over_h0(self, n, lam):
         a = lam.a
         sc = lam.scalars
@@ -431,15 +416,6 @@ class Wilson(Family):
             for j in range(i + 1, 4):
                 num = num * pochhammer(a[i] + a[j], n)
         return num / pochhammer(b1, 2 * n)
-
-    def h_abs(self, n, lam):
-        a = [mp.mpc(x) for x in lam.a]
-        b1 = sum(a)
-        num = mp.factorial(n) * mp.rf(b1 + n - 1, n)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                num *= mp.gamma(n + a[i] + a[j])
-        return 2 * mp.pi * num / mp.gamma(2 * n + b1)
 
     def phi0_sq(self, x, lam):
         a = [mp.mpc(v) for v in lam.a]
@@ -459,11 +435,7 @@ class AskeyWilson(Family):
 
     def shift_arg(self, u, t, lam):
         """x -> x + i t gamma is z -> z q^{-t} (gamma = log q)."""
-        t = Fraction(t)
-        sc = lam.scalars
-        if sc.name == "exact":
-            return u * sc.q_power(-t)
-        return u * mp.power(mp.mpc(lam.q), -mp.mpf(t.numerator) / t.denominator)
+        return u * lam.scalars.q_power(-Fraction(t), lam.q)
 
     def gamma_value(self, lam):
         return mp.log(mp.mpf(mp.re(mp.mpc(lam.q))))
@@ -511,24 +483,9 @@ class AskeyWilson(Family):
             return lam.a[0] * lam.a[1] / lam.q
         return lam.a[2] * lam.a[3] / lam.q
 
-    def dtilde_candidates(self, vtype):
-        vals = [Fraction(0), HALF, -HALF, Fraction(1), Fraction(-1)]
-        best_first = [(-HALF, -HALF, HALF, HALF)] if vtype == "I" else [(HALF, HALF, -HALF, -HALF)]
-        cands = list(best_first)
-        for u in vals:
-            for w in vals:
-                vec = (u, u, w, w)
-                if vec not in cands:
-                    cands.append(vec)
-        return cands
-
     def apply_shift_vec(self, lam, vec):
         sc = lam.scalars
-        if sc.name == "exact":
-            return lam.with_a(tuple(ai * sc.q_power(f) for ai, f in zip(lam.a, vec)))
-        qm = mp.mpc(lam.q)
-        return lam.with_a(tuple(ai * mp.power(qm, mp.mpf(Fraction(f).numerator) / Fraction(f).denominator)
-                                for ai, f in zip(lam.a, vec)))
+        return lam.with_a(tuple(ai * sc.q_power(f, lam.q) for ai, f in zip(lam.a, vec)))
 
     def x_bounds(self, lam):
         return (mp.mpf(0), mp.pi)
@@ -571,9 +528,6 @@ class AskeyWilson(Family):
         pref = pref / (a1 ** n)
         return acc.scale(pref).trim()
 
-    def h_ratio_base(self, n, m, lam):
-        return self._h_over_h0(n, lam) / self._h_over_h0(m, lam)
-
     def _h_over_h0(self, n, lam):
         a = lam.a
         sc = lam.scalars
@@ -584,17 +538,6 @@ class AskeyWilson(Family):
             for j in range(i + 1, 4):
                 num = num * q_pochhammer(a[i] * a[j], q, n)
         return num / q_pochhammer(b4, q, 2 * n)
-
-    def h_abs(self, n, lam):
-        a = [mp.mpc(x) for x in lam.a]
-        q = mp.mpc(lam.q)
-        b4 = a[0] * a[1] * a[2] * a[3]
-        num = q_pochhammer(b4 * q ** (n - 1), q, n) * mp.qp(b4 * q ** (2 * n), q)
-        den = mp.qp(q ** (n + 1), q)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                den *= mp.qp(a[i] * a[j] * q ** n, q)
-        return 2 * mp.pi * num / den
 
     def phi0_sq(self, x, lam):
         a = [mp.mpc(v) for v in lam.a]
@@ -689,25 +632,6 @@ def draw_params(family: str, mode: str, seed: int, bits: int = 256, dmax: int = 
         a = tuple(mp.mpc(u(0.55, 0.95), u(-0.25, 0.25)) for _ in range(4))
         return ParamSet("aw", a, mp.mpc(q, u(-0.04, 0.04)), mode, sc)
     raise ValueError(f"unknown family {family!r}")
-
-
-def virtual_poly(lam: ParamSet, vtype: str, v: int):
-    """Virtual-state polynomial xi_v: the base polynomial at twisted parameters."""
-    fam = lam.fam
-    return fam.base_poly(v, lam, a=fam.twist_a(vtype, lam))
-
-
-def virtual_energy(lam: ParamSet, vtype: str, v: int):
-    """Closed-form virtual-state energy (negative in admissible physical mode)."""
-    return lam.fam.etilde(vtype, v, lam)
-
-
-def eval_eta_shifted(p, x, t, lam: ParamSet):
-    """p(eta(x + i t gamma)) for an eta polynomial p (float path)."""
-    fam = lam.fam
-    u = mp.exp(1j * mp.mpc(x)) if fam.var_kind == "z" else mp.mpc(x)
-    u = fam.shift_arg(u, Fraction(t), lam)
-    return p(fam.eta_at(u, lam))
 
 
 # -- twist calibration: alpha fitted from the potential identities --------------

@@ -2,9 +2,10 @@
 
 Covers the sinusoidal-coordinate identity, the two forward/backward relations
 between multi-indexed polynomials with one or two extra virtual states (whose
-mixed-type constant doubles as the alpha-product calibration), the prefactor-ratio check
-intermediate identity, classical discrete orthogonality of the base families,
-and the slow-path quadrature checks.
+mixed-type constant doubles as the alpha-product calibration), the
+prefactor-ratio intermediate identity, classical discrete orthogonality of the
+base families, and the slow-path partial-fraction quadrature (the negative
+control: the naive integral does not vanish once D is nonempty).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ HALF = Fraction(1, 2)
 # -- Lemma: sinusoidal coordinate identity ---------------------------------------
 
 
-def check_eta_identity(family_tag: str, a, b, c, scalars=None):
+def check_eta_identity(family_tag: str, a, b, c):
     """|LHS - RHS| of (eta(a-c)-eta(b))(eta(a+c)-eta(b)) = (a <-> b) for the family's eta."""
     if family_tag == "ch":
         def eta(x):
@@ -48,7 +49,6 @@ def check_eta_identity(family_tag: str, a, b, c, scalars=None):
 def eta_identity_residual(family_tag: str, a, b, c) -> mp.mpf:
     d = check_eta_identity(family_tag, a, b, c)
     if isinstance(d, (mp.mpf, mp.mpc)):
-        lhs_scale = abs(d) * 0 + 1
         return abs(d) / (1 + abs(mp.mpc(a)) + abs(mp.mpc(b)) + abs(mp.mpc(c))) ** 4
     return d  # exact backend: caller checks is_zero
 
@@ -160,9 +160,8 @@ def check_chain_identity(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int,
     E_n = fam.energy(n, lam)
     ev_p = fam.etilde(tp, dp, lam)
     ev_pp = fam.etilde(tpp, dpp, lam)
-    us = []
-    cand = fam.sample_args(samples * 3, lam, f"chain|{D.key()}|{dp}{tp}|{dpp}{tpp}|{n}") \
-        if lam.scalars.name == "float" else fam.exact_sample_args(samples * 2, lam)
+    cand = lam.scalars.sample_args(fam, samples * 3, lam,
+                                   f"chain|{D.key()}|{dp}{tp}|{dpp}{tpp}|{n}")
     if tp == tpp:
         Dp = IndexSet.make(list(D.entries) + [(dp, tp)])
         Dpp = IndexSet.make(list(D.entries) + [(dpp, tpp)])
@@ -411,7 +410,7 @@ def psi_d_squared(lam: ParamSet, D: IndexSet, bundle, x):
     base = fam.phi0_sq(x, bundle.lam_D)
     if D.M == 0:
         return base
-    u = mp.exp(1j * mp.mpc(x)) if fam.var_kind == "z" else mp.mpc(x)
+    u = fam.arg_of_x(x)
     um = fam.shift_arg(u, -HALF, lam)
     up = fam.shift_arg(u, HALF, lam)
     xm = mp.mpc(bundle.xi(fam.eta_at(um, lam)))
@@ -445,7 +444,7 @@ def partial_fraction_integral_check(lam: ParamSet, D: IndexSet, N: int, j: int, 
 
     def make_f(qa, qb):
         def f(x):
-            e = fam.eta_at(mp.exp(1j * mp.mpc(x)) if fam.var_kind == "z" else mp.mpc(x), lam)
+            e = fam.eta_at(fam.arg_of_x(x), lam)
             return psi_d_squared(lam, D, bundle, x) * mp.mpc(qa(e)) * mp.mpc(qb(e))
         return f
 
@@ -458,28 +457,3 @@ def partial_fraction_integral_check(lam: ParamSet, D: IndexSet, N: int, j: int, 
         dkk = mp.quad(make_f(qk, qk), iv, maxdegree=maxdegree, method=method)
         scale = mp.sqrt(abs(djj) * abs(dkk))
     return {"value": val, "scale": scale, "rel": abs(val) / scale}
-
-
-def quadrature_h_check(lam: ParamSet, nmax: int = 4, maxdegree: int = 7,
-                       quad_bits: int = 110) -> mp.mpf:
-    """Quadrature of the base orthogonality against the closed-form h_n."""
-    from .numkernel import workbits
-    fam = lam.fam
-    polys = [fam.base_poly(n, lam) for n in range(nmax + 1)]
-    iv = _quad_interval(lam)
-    worst = mp.mpf(0)
-    for n in range(nmax + 1):
-        for m in range(n, nmax + 1):
-            def f(x):
-                e = fam.eta_at(mp.exp(1j * mp.mpc(x)) if fam.var_kind == "z" else mp.mpc(x), lam)
-                return fam.phi0_sq(x, lam) * mp.mpc(polys[n](e)) * mp.mpc(polys[m](e))
-            method = "gauss-legendre" if lam.family == "aw" else "tanh-sinh"
-            with workbits(quad_bits):
-                got = mp.quad(f, iv, maxdegree=maxdegree, method=method)
-            if n == m:
-                ref = fam.h_abs(n, lam)
-                worst = max(worst, abs(got - ref) / abs(ref))
-            else:
-                ref = mp.sqrt(abs(fam.h_abs(n, lam)) * abs(fam.h_abs(m, lam)))
-                worst = max(worst, abs(got) / ref)
-    return worst

@@ -24,7 +24,7 @@ import mpmath as mp
 
 from .families import FAMILIES, ParamSet, CalibrationFailure, draw_params
 from .numkernel import TolerancePolicy, workbits
-from .polycore import Poly, ladder_points, lstsq_dense, solve_dense, det_dense
+from .polycore import Poly, det_dense, ladder_points
 
 HALF = Fraction(1, 2)
 
@@ -184,9 +184,7 @@ class Builder:
     # .. sampling / fitting ......................................................
 
     def _samples(self, count: int, salt: str):
-        if self.sc.name == "exact":
-            return self.fam.exact_sample_args(count, self.lam)
-        return self.fam.sample_args(count, self.lam, salt + "|" + self.lam.digest())
+        return self.sc.sample_args(self.fam, count, self.lam, salt + "|" + self.lam.digest())
 
     def _fit_eta_poly(self, etas, vals, deg: int) -> Poly:
         sc = self.sc
@@ -197,11 +195,7 @@ class Builder:
                 row.append(p)
                 p = p * e
             rows.append(row)
-        if sc.name == "exact":
-            sol = solve_dense(rows[: deg + 1], vals[: deg + 1], sc)
-        else:
-            sol = lstsq_dense(rows, vals, sc)
-        return Poly(sol, sc)
+        return Poly(sc.fit(rows, vals, deg + 1), sc)
 
     def _tolerance(self) -> mp.mpf:
         return mp.mpf(2) ** (-self.bits + 48)
@@ -209,40 +203,24 @@ class Builder:
     def _extract(self, cols, deg: int, ref_cols, ref_poly: Poly, salt: str) -> Poly:
         """Interpolate the eta polynomial of detPoly(cols) against a class reference."""
         sc = self.sc
-        need = deg + 1 + (4 if sc.name == "exact" else 10)
-        us = self._samples(need + 6, salt)
+        us = self._samples(deg + 1 + sc.extract_extra + 6, salt)
         vals = self.det_values(cols, us)
         refs = self.det_values(ref_cols, us)
         etas = [self.fam.eta_at(u, self.lam) for u in us]
-        keep = []
-        if sc.name == "exact":
-            for u, e, v, r in zip(us, etas, vals, refs):
-                if not sc.is_zero(r) and not sc.is_zero(ref_poly(e)):
-                    keep.append((e, v * ref_poly(e) / r))
-        else:
-            mags = sorted(abs(r) for r in refs)
-            floor = mags[len(mags) // 2] * mp.mpf(2) ** (-self.bits // 2)
-            for e, v, r in zip(etas, vals, refs):
-                if abs(r) > floor:
-                    keep.append((e, v * ref_poly(e) / r))
+        keep = [(e, v * ref_poly(e) / r)
+                for e, v, r, ok in zip(etas, vals, refs, sc.nonvanishing(refs, self.bits)) if ok]
         if len(keep) < deg + 4:
             raise DegenerateIndexSet("too many degenerate samples in extraction")
-        fit_n = deg + 1 if sc.name == "exact" else min(deg + 9, len(keep) - 2)
+        fit_n = sc.fit_rows(deg + 1, len(keep))
         fit_pts = keep[:fit_n]
         hold = keep[fit_n:]
         poly = self._fit_eta_poly([e for e, _ in fit_pts], [v for _, v in fit_pts], deg)
-        scale = _poly_scale(poly, sc)
+        scale = sc.scale(poly.coeffs)
         if scale == 0:
             raise DegenerateIndexSet("zero Casoratian polynomial part")
         for e, v in hold:
-            pred = poly(e)
-            err = abs(sc.to_mpc(pred) - sc.to_mpc(v))
-            lim = (0 if sc.name == "exact"
-                   else self._tolerance() * max(abs(sc.to_mpc(v)), scale * max(1, abs(sc.to_mpc(e))) ** deg))
-            if sc.name == "exact":
-                if not sc.is_zero(pred - v):
-                    raise PrefactorResidue("exact extraction failed held-out equality")
-            elif err > lim:
+            err, lim = sc.held_out_residual(poly(e), v, e, deg, scale, self._tolerance())
+            if err > lim:
                 raise PrefactorResidue(
                     f"extraction held-out residual {mp.nstr(err, 5)} exceeds {mp.nstr(lim, 5)}")
         return poly
@@ -269,8 +247,7 @@ class Builder:
         sc = self.sc
         dB, dA = D0.ell, D1.ell
         nunk = (dA + 1) + dB
-        count = nunk + (4 if sc.name == "exact" else 12)
-        us = self._samples(count, f"pair|{D0.key()}|{D1.key()}")
+        us = self._samples(nunk + sc.pairing_extra, f"pair|{D0.key()}|{D1.key()}")
         etas = [self.fam.eta_at(u, self.lam) for u in us]
         v0 = self.det_values(_xi_cols(D0), us)
         v1 = self.det_values(_xi_cols(D1), us)
@@ -283,28 +260,13 @@ class Builder:
             row += [-(a_s) * pw[k] for k in range(dB)]
             rows.append(row)
             rhs.append(a_s * pw[dB])
-        if sc.name == "exact":
-            sol = solve_dense(rows[:nunk], rhs[:nunk], sc)
-        else:
-            scaled = []
-            srhs = []
-            for row, r in zip(rows, rhs):
-                m = max(max(abs(x) for x in row), abs(r), mp.mpf(1) * 0 + mp.mpf("1e-300"))
-                scaled.append([x / m for x in row])
-                srhs.append(r / m)
-            sol = lstsq_dense(scaled, srhs, sc)
+        sol = sc.fit(rows, rhs, nunk, equilibrate=True)
         b_coeffs = list(sol[dA + 1:]) + [sc.one]
         xi0 = Poly(b_coeffs, sc)
         a_poly = Poly(sol[: dA + 1], sc)
         for e, a_s, b_s in list(zip(etas, v1, v0))[nunk:]:
-            resid = a_s * xi0(e) - b_s * a_poly(e)
-            if sc.name == "exact":
-                if not sc.is_zero(resid):
-                    raise PrefactorResidue("exact pairing bootstrap failed verification")
-            else:
-                scale = abs(a_s * xi0(e)) + abs(b_s * a_poly(e)) + mp.mpf("1e-300")
-                if abs(resid) / scale > self._tolerance():
-                    raise PrefactorResidue("pairing bootstrap residual above tolerance")
+            if sc.relative_gap(a_s * xi0(e), b_s * a_poly(e)) > self._tolerance():
+                raise PrefactorResidue("pairing bootstrap residual above tolerance")
         return xi0
 
     def shift_builder(self) -> "Builder":
@@ -445,14 +407,11 @@ def apply_htilde(builder: Builder, lam_D: ParamSet, xi_l: Poly, xi_ld: Poly,
     xi_ph = xi_l(fam.eta_at(u_ph, lam))
     xi_mh = xi_l(fam.eta_at(u_mh, lam))
     xi0 = xi_ld(eta)
-    scale = _poly_scale(xi_l, sc)
-    scale_d = _poly_scale(xi_ld, sc)
-    if sc.name != "exact":
-        tiny = mp.mpf(2) ** (-builder.bits // 2)
-        if abs(xi_ph) < tiny * scale or abs(xi_mh) < tiny * scale or abs(xi0) < tiny * scale_d:
-            raise PoleAtSample("Xi_D vanished near sample point")
-    elif sc.is_zero(xi_ph) or sc.is_zero(xi_mh) or sc.is_zero(xi0):
-        raise PoleAtSample("Xi_D vanished at exact sample point")
+    tiny = mp.mpf(2) ** (-builder.bits // 2)
+    bound = tiny * sc.scale(xi_l.coeffs)
+    if (sc.vanishes(xi_ph, bound) or sc.vanishes(xi_mh, bound)
+            or sc.vanishes(xi0, tiny * sc.scale(xi_ld.coeffs))):
+        raise PoleAtSample("Xi_D vanished near sample point")
     v = fam.v_at(lam_D.a, u, lam)
     vs = fam.v_star_at(lam_D.a, u, lam)
     pu = p(eta)
@@ -468,12 +427,6 @@ def _eigen_residual(builder: Builder, lam_D: ParamSet, xi_l, xi_ld, p, E, u) -> 
     ref = sc.to_mpc(E * p(builder.fam.eta_at(u, builder.lam)))
     scale = abs(val) + abs(ref) + 1
     return abs(val - ref) / scale
-
-
-def _poly_scale(p: Poly, sc) -> mp.mpf:
-    if sc.name == "exact":
-        return mp.mpf(1) if not all(sc.is_zero(c) for c in p.coeffs) else mp.mpf(0)
-    return max((abs(c) for c in p.coeffs), default=mp.mpf(0))
 
 
 # -- bundles and gates ----------------------------------------------------------------
@@ -545,15 +498,10 @@ def _shape_invariance_defect(bundle: MiopBundle) -> mp.mpf:
     if p0.degree != xs.degree:
         return mp.mpf("inf")
     ratio = p0.lead() / xs.lead()
+    scale = sc.scale(p0.coeffs)
     worst = mp.mpf(0)
-    scale = _poly_scale(p0, sc) if sc.name != "exact" else None
     for c_p, c_x in zip(p0.coeffs, xs.coeffs):
-        d = c_p - ratio * c_x
-        if sc.name == "exact":
-            if not sc.is_zero(d):
-                return mp.mpf("inf")
-        else:
-            worst = max(worst, abs(d) / scale)
+        worst = max(worst, sc.defect(c_p - ratio * c_x, scale))
     return worst
 
 

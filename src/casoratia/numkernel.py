@@ -2,17 +2,21 @@
 
 All floating computation runs on mpmath at an explicit bit precision; the
 escalation ladder doubles bits when a certificate fails.  Scalars are plain
-``mpmath.mpc`` values under an active precision context (``workbits``); exact
-Gaussian-rational scalars from :mod:`casoratia.exact` flow through the same
-generic routines via operator overloading.
+``mpmath.mpc`` values under an active precision context (``workbits``), handled
+by the ``MPScalars`` backend; exact Gaussian-rational scalars from
+:mod:`casoratia.exact` flow through the same generic routines via operator
+overloading and the ``ExactScalars`` backend.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import mpmath as mp
+
+from .polycore import lstsq_dense
 
 DEFAULT_BITS = 256
 PRECISION_LADDER = (256, 512, 1024)
@@ -54,21 +58,6 @@ class TolerancePolicy:
         return TolerancePolicy(self.precision_bits * 2)
 
 
-def to_mpc(re, im=0) -> mp.mpc:
-    """Build an mpc from numbers, decimal strings or Fractions at current precision."""
-    def conv(v):
-        if isinstance(v, str):
-            return mp.mpf(v)
-        try:
-            from fractions import Fraction
-            if isinstance(v, Fraction):
-                return mp.mpf(v.numerator) / v.denominator
-        except ImportError:  # pragma: no cover
-            pass
-        return mp.mpf(v)
-    return mp.mpc(conv(re), conv(im))
-
-
 def pochhammer(a, n: int):
     """Shifted factorial (a)_n = a (a+1) ... (a+n-1); (a)_0 = 1."""
     if n < 0:
@@ -106,41 +95,43 @@ def approx_equal(x, y, pol: TolerancePolicy) -> bool:
     return d <= pol.rel_tol * max(abs(mp.mpc(x)), abs(mp.mpc(y))) + pol.abs_floor
 
 
-def rel_residual(x, y) -> mp.mpf:
-    """|x - y| / max(|x|, |y|, 1e-300) -- scale-free residual."""
-    xs, ys = abs(mp.mpc(x)), abs(mp.mpc(y))
-    s = max(xs, ys)
-    if s == 0:
-        return mp.mpf(0)
-    return abs(mp.mpc(x) - mp.mpc(y)) / s
+_ZERO, _ONE, _I = mp.mpc(0), mp.mpc(1), mp.mpc(0, 1)
 
 
 class MPScalars:
-    """mpmath scalar backend; elements are mpc under the ambient precision."""
+    """mpmath scalar backend; elements are mpc under the ambient precision.
+
+    Besides the field constants and conversions, this backend and
+    ``exact.ExactScalars`` answer every question on which the construction
+    differs between them: pivot choice and zero skipping in elimination,
+    negligible trailing coefficients, the interpolation fit, the residual
+    gates, the pole test, sample points and q**t.  Here each answer is relative
+    to a tolerance; the exact backend asks for exact zeros instead.
+    """
 
     name = "float"
+    extract_extra = 10   # samples beyond deg + 1 drawn for an extraction fit
+    pairing_extra = 12   # samples beyond the unknowns of a pairing bootstrap
 
     def __init__(self, bits: int = DEFAULT_BITS):
         self.bits = bits
-        self.q = None  # set by AW parameter sets
 
     @property
     def zero(self):
-        return mp.mpc(0)
+        return _ZERO
 
     @property
     def one(self):
-        return mp.mpc(1)
+        return _ONE
 
     @property
     def i(self):
-        return mp.mpc(0, 1)
+        return _I
 
     def from_int(self, n: int):
         return mp.mpc(n)
 
     def from_fraction(self, re, im=0):
-        from fractions import Fraction
         def conv(v):
             v = Fraction(v)
             return mp.mpf(v.numerator) / v.denominator
@@ -150,10 +141,6 @@ class MPScalars:
     def is_zero(x) -> bool:
         return x == 0
 
-    def is_negligible(self, x, scale) -> bool:
-        eps = mp.mpf(2) ** (-self.bits + 16)
-        return abs(x) <= eps * abs(scale)
-
     @staticmethod
     def conj(x):
         return mp.conj(x)
@@ -161,3 +148,85 @@ class MPScalars:
     @staticmethod
     def to_mpc(x):
         return mp.mpc(x)
+
+    def q_power(self, t, q):
+        """q**t for rational t, at the working precision."""
+        t = Fraction(t)
+        return mp.power(mp.mpc(q), mp.mpf(t.numerator) / t.denominator)
+
+    @staticmethod
+    def sample_args(fam, count: int, lam, salt: str):
+        return fam.sample_args(count, lam, salt)
+
+    # -- elimination and trimming ------------------------------------------------
+
+    @staticmethod
+    def pivot_row(a, col: int):
+        """Row r >= col with the largest |a[r][col]| (partial pivoting), None if all vanish."""
+        best, piv = mp.mpf(-1), None
+        for r in range(col, len(a)):
+            m = abs(a[r][col])
+            if m > best:
+                best, piv = m, r
+        return None if best == 0 else piv
+
+    @staticmethod
+    def skippable(x) -> bool:
+        """Never skip a product: the float path keeps every operation in order."""
+        return False
+
+    @staticmethod
+    def scale(coeffs) -> mp.mpf:
+        """Largest coefficient magnitude, 0 for none."""
+        return max((abs(c) for c in coeffs), default=mp.mpf(0))
+
+    def trim(self, coeffs):
+        """coeffs without trailing entries below 2^(16 - bits) times the largest one."""
+        eps = mp.mpf(2) ** (-self.bits + 16)
+        m = self.scale(coeffs)
+        while len(coeffs) > 1 and abs(coeffs[-1]) <= eps * m:
+            coeffs = coeffs[:-1]
+        return coeffs
+
+    # -- fits and gates ----------------------------------------------------------
+
+    def fit(self, rows, rhs, nunk: int, equilibrate: bool = False):
+        """Least squares over every row; equilibrate first scales each row to unit size."""
+        if equilibrate:
+            sizes = [max(max(abs(x) for x in row), abs(r), mp.mpf("1e-300"))
+                     for row, r in zip(rows, rhs)]
+            rows = [[x / m for x in row] for row, m in zip(rows, sizes)]
+            rhs = [r / m for r, m in zip(rhs, sizes)]
+        return lstsq_dense(rows, rhs, self)
+
+    @staticmethod
+    def fit_rows(nunk: int, available: int) -> int:
+        """Kept samples an extraction fits on (the rest are held out)."""
+        return min(nunk + 8, available - 2)
+
+    @staticmethod
+    def nonvanishing(values, bits: int):
+        """Flags: |v| above 2^(-bits/2) times the median magnitude."""
+        mags = sorted(abs(v) for v in values)
+        floor = mags[len(mags) // 2] * mp.mpf(2) ** (-bits // 2)
+        return [abs(v) > floor for v in values]
+
+    @staticmethod
+    def vanishes(x, bound) -> bool:
+        """|x| below bound: too close to a pole to sample."""
+        return abs(x) < bound
+
+    @staticmethod
+    def held_out_residual(pred, val, eta, deg: int, scale, tol):
+        """(|pred - val|, limit): tol relative to |val| and to the fit's size at eta."""
+        return abs(pred - val), tol * max(abs(val), scale * max(1, abs(eta)) ** deg)
+
+    @staticmethod
+    def relative_gap(x, y) -> mp.mpf:
+        """|x - y| / (|x| + |y|)."""
+        return abs(x - y) / (abs(x) + abs(y) + mp.mpf("1e-300"))
+
+    @staticmethod
+    def defect(d, scale) -> mp.mpf:
+        """|d| relative to scale."""
+        return abs(d) / scale

@@ -1,23 +1,16 @@
-"""Dense univariate polynomial algebra over generic scalar backends.
+"""Dense univariate polynomial algebra and linear algebra over scalar backends.
 
-Two representations cover the three families: ``Poly`` for polynomials in x
-(continuous Hahn, Wilson) and in the sinusoidal coordinate eta, and
-``Laurent`` for Laurent polynomials in z = e^{ix} (Askey-Wilson).  Imaginary
-shifts x -> x + i t gamma act as Taylor shifts on x-kind polynomials and as
-scalings z -> z q^{-t} on z-kind ones.  The Casoratian determinant and the
-conversions to the eta basis live here; coefficients may be mpmath complex
-numbers or exact Gaussian rationals (with sqrt(q) adjoined for AW).
+``Poly`` holds a polynomial in the sinusoidal coordinate eta; the dense
+solvers (determinant, square solve, least squares) act on scalar matrices.
+Coefficients are mpmath complex numbers (``numkernel.MPScalars``) or exact
+Gaussian rationals, with sqrt(q) adjoined for AW (``exact.ExactScalars``).
+Where the two differ (pivot choice, skipping exact zero factors, what counts
+as a negligible trailing coefficient), the code asks the backend.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import mpmath as mp
-
-
-class SymmetryViolation(ValueError):
-    """Raised when a var-kind polynomial is not eta-symmetric within tolerance."""
 
 
 class Poly:
@@ -29,44 +22,19 @@ class Poly:
         self.coeffs = list(coeffs) if coeffs else [scalars.zero]
         self.scalars = scalars
 
-    # -- construction helpers -------------------------------------------------
-
     @classmethod
     def const(cls, c, scalars):
         return cls([c], scalars)
 
-    @classmethod
-    def monomial(cls, k, scalars, c=None):
-        c = scalars.one if c is None else c
-        return cls([scalars.zero] * k + [c], scalars)
-
-    def copy(self):
-        return Poly(list(self.coeffs), self.scalars)
-
     # -- structure -------------------------------------------------------------
 
     def trim(self):
-        """Drop trailing coefficients negligible against the max magnitude."""
-        sc = self.scalars
-        if sc.name == "exact":
-            c = self.coeffs
-            while len(c) > 1 and sc.is_zero(c[-1]):
-                c = c[:-1]
-            return Poly(c, sc)
-        mags = [abs(x) for x in self.coeffs]
-        m = max(mags) if mags else mp.mpf(0)
-        c = self.coeffs
-        while len(c) > 1 and sc.is_negligible(c[-1], m):
-            c = c[:-1]
-        return Poly(c, sc)
+        """Drop trailing coefficients the backend deems negligible."""
+        return Poly(self.scalars.trim(self.coeffs), self.scalars)
 
     @property
     def degree(self) -> int:
         return len(self.trim().coeffs) - 1
-
-    def is_zero(self) -> bool:
-        t = self.trim()
-        return len(t.coeffs) == 1 and self.scalars.is_zero(t.coeffs[0])
 
     def lead(self):
         return self.trim().coeffs[-1]
@@ -96,7 +64,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         out = [sc.zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if sc.name == "exact" and sc.is_zero(ai):
+            if sc.skippable(ai):
                 continue
             for j, bj in enumerate(b):
                 out[i + j] = out[i + j] + ai * bj
@@ -115,17 +83,6 @@ class Poly:
         if len(self.coeffs) == 1:
             return Poly([self.scalars.zero], self.scalars)
         return Poly([self.coeffs[k] * k for k in range(1, len(self.coeffs))], self.scalars)
-
-    def shift_var(self, c) -> "Poly":
-        """Taylor shift: returns p(v + c), by Horner in (v + c)."""
-        sc = self.scalars
-        n = len(self.coeffs)
-        out = [sc.zero] * n
-        for a in reversed(self.coeffs):
-            for k in range(n - 1, 0, -1):
-                out[k] = out[k - 1] + out[k] * c
-            out[0] = out[0] * c + a
-        return Poly(out, sc)
 
     def divmod(self, other: "Poly"):
         """Polynomial division; exact over exact scalars, thresholded over floats."""
@@ -147,276 +104,29 @@ class Poly:
                 a = [sc.zero]
         return Poly(q, sc).trim(), Poly(a, sc).trim()
 
-    def monic(self) -> "Poly":
-        t = self.trim()
-        return t.scale(self.scalars.one / t.coeffs[-1])
-
-    def conj_coeffs(self) -> "Poly":
-        sc = self.scalars
-        return Poly([sc.conj(c) for c in self.coeffs], sc)
-
-
-class Laurent:
-    """Laurent polynomial sum_k c[k] z**(offset+k)."""
-
-    __slots__ = ("offset", "coeffs", "scalars")
-
-    def __init__(self, offset: int, coeffs, scalars):
-        self.offset = offset
-        self.coeffs = list(coeffs) if coeffs else [scalars.zero]
-        self.scalars = scalars
-
-    @classmethod
-    def const(cls, c, scalars):
-        return cls(0, [c], scalars)
-
-    def trim(self):
-        sc = self.scalars
-        c, off = list(self.coeffs), self.offset
-        if sc.name == "exact":
-            def neg(x):
-                return sc.is_zero(x)
-        else:
-            m = max((abs(x) for x in c), default=mp.mpf(0))
-            def neg(x):
-                return sc.is_negligible(x, m)
-        while len(c) > 1 and neg(c[-1]):
-            c.pop()
-        while len(c) > 1 and neg(c[0]):
-            c.pop(0)
-            off += 1
-        return Laurent(off, c, sc)
-
-    def __add__(self, other):
-        sc = self.scalars
-        lo = min(self.offset, other.offset)
-        hi = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
-        out = [sc.zero] * (hi - lo)
-        for k, c in enumerate(self.coeffs):
-            out[self.offset - lo + k] = out[self.offset - lo + k] + c
-        for k, c in enumerate(other.coeffs):
-            out[other.offset - lo + k] = out[other.offset - lo + k] + c
-        return Laurent(lo, out, sc)
-
-    def __neg__(self):
-        return Laurent(self.offset, [-c for c in self.coeffs], self.scalars)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        sc = self.scalars
-        if not isinstance(other, Laurent):
-            return Laurent(self.offset, [c * other for c in self.coeffs], sc)
-        out = [sc.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ai in enumerate(self.coeffs):
-            if sc.name == "exact" and sc.is_zero(ai):
-                continue
-            for j, bj in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + ai * bj
-        return Laurent(self.offset + other.offset, out, sc)
-
-    def scale(self, c):
-        return Laurent(self.offset, [x * c for x in self.coeffs], self.scalars)
-
-    def scale_var(self, c) -> "Laurent":
-        """Returns p(c*z): coefficient of z^m picks up c^m."""
-        sc = self.scalars
-        out = []
-        cp = c ** self.offset if self.offset >= 0 else (sc.one / c) ** (-self.offset)
-        for x in self.coeffs:
-            out.append(x * cp)
-            cp = cp * c
-        return Laurent(self.offset, out, sc)
-
-    def __call__(self, z):
-        out = self.scalars.zero
-        for c in reversed(self.coeffs):
-            out = out * z + c
-        if self.offset:
-            out = out * (z ** self.offset if self.offset > 0 else (self.scalars.one / z) ** (-self.offset))
-        return out
-
-
-# -- imaginary-shift substitution ------------------------------------------------
-
-
-def shift_substitute(p, t, scalars, q=None, gamma: Fraction = Fraction(1)):
-    """Substitute x -> x + i*t*gamma.
-
-    For x-kind polynomials this is the Taylor shift by i*t*gamma (gamma a real
-    rational, 1 for cH/W).  For z-kind (Laurent) polynomials with
-    gamma = log q it is the scaling z -> z * q**(-t); non-imaginary shifts have
-    no Laurent counterpart and are rejected by construction (t is the shift in
-    units of gamma).
-    """
-    t = Fraction(t)
-    if isinstance(p, Laurent):
-        if q is None:
-            raise ValueError("z-kind shift needs q")
-        if scalars.name == "exact":
-            factor = scalars.q_power(-t)
-        else:
-            factor = mp.power(mp.mpc(q), -mp.mpf(t.numerator) / t.denominator)
-        return p.scale_var(factor)
-    c = _imag_rational(t * gamma, scalars)
-    return p.shift_var(c)
-
-
-def _imag_rational(t: Fraction, scalars):
-    return scalars.i * scalars.from_fraction(t)
-
 
 def ladder_points(n: int):
     """Shift multipliers t_j, j=1..n, with x_j = x + i t_j gamma (t = (n+1)/2 - j)."""
     return [Fraction(n + 1, 2) - j for j in range(1, n + 1)]
 
 
-def casoratian(fs, scalars, q=None, gamma: Fraction = Fraction(1)):
-    """Casoratian W_gamma[f1..fn](x) = i^{n(n-1)/2} det f_k(x_j^{(n)}).
-
-    Entries are var-kind polynomials (all Poly or all Laurent); the result is
-    a polynomial of the same kind.  The empty Casoratian is the constant 1.
-    """
-    n = len(fs)
-    if n == 0:
-        return Poly.const(scalars.one, scalars)
-    rows = []
-    for t in ladder_points(n):
-        rows.append([shift_substitute(f, t, scalars, q=q, gamma=gamma) for f in fs])
-    d = _poly_det(rows, scalars)
-    phase = scalars.i ** ((n * (n - 1)) // 2)
-    return d.scale(phase) if hasattr(d, "scale") else d * phase
-
-
-def _poly_det(rows, scalars):
-    """Determinant of a small matrix of polynomials by cofactor expansion."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    out = None
-    for k in range(n):
-        minor = [[rows[i][j] for j in range(n) if j != k] for i in range(1, n)]
-        term = rows[0][k] * _poly_det(minor, scalars)
-        if k % 2 == 1:
-            term = -term
-        out = term if out is None else out + term
-    return out
-
-
-# -- eta-basis conversion -----------------------------------------------------
-
-
-def to_eta_basis(p, family_tag: str, scalars) -> Poly:
-    """Rewrite an eta-symmetric var-kind polynomial as a polynomial in eta.
-
-    cH: eta = x, identity.  W: eta = x^2, even polynomials only.  AW:
-    eta = (z + 1/z)/2, z <-> 1/z symmetric Laurent polynomials only.  An
-    asymmetric part above tolerance raises SymmetryViolation.
-    """
-    if family_tag == "ch":
-        return p.trim()
-    if family_tag == "w":
-        p = p.trim()
-        coeffs = p.coeffs
-        scale = _max_mag(coeffs, scalars)
-        even, odd_bad = [], False
-        for k, c in enumerate(coeffs):
-            if k % 2 == 0:
-                even.append(c)
-            elif not scalars.is_negligible(c, scale):
-                odd_bad = True
-        if odd_bad:
-            raise SymmetryViolation("odd part above tolerance in eta=x^2 conversion")
-        return Poly(even, scalars).trim()
-    if family_tag == "aw":
-        p = p.trim()
-        lo = p.offset
-        hi = p.offset + len(p.coeffs) - 1
-        m = max(-lo, hi, 0)
-        scale = _max_mag(p.coeffs, scalars)
-
-        def coeff(k):
-            if lo <= k <= hi:
-                return p.coeffs[k - lo]
-            return scalars.zero
-
-        for k in range(1, m + 1):
-            d = coeff(k) - coeff(-k)
-            if not scalars.is_negligible(d, scale):
-                raise SymmetryViolation("z <-> 1/z asymmetry above tolerance")
-        # u_k(eta) = z^k + z^-k: u_0 = 2, u_1 = 2 eta, u_{k+1} = 2 eta u_k - u_{k-1}
-        out = Poly.const(coeff(0), scalars)
-        if m == 0:
-            return out.trim()
-        two_eta = Poly([scalars.zero, scalars.from_int(2)], scalars)
-        u_prev = Poly.const(scalars.from_int(2), scalars)
-        u_cur = two_eta
-        for k in range(1, m + 1):
-            sym = (coeff(k) + coeff(-k)) * (scalars.one / scalars.from_int(2))
-            out = out + u_cur.scale(sym)
-            u_next = two_eta * u_cur - u_prev
-            u_prev, u_cur = u_cur, u_next
-        return out.trim()
-    raise ValueError(f"unknown family tag {family_tag!r}")
-
-
-def eta_to_var(p_eta: Poly, family_tag: str, scalars):
-    """Compose an eta polynomial with eta(x), returning the var-kind polynomial."""
-    if family_tag == "ch":
-        return p_eta.copy()
-    if family_tag == "w":
-        out = [scalars.zero] * (2 * len(p_eta.coeffs) - 1)
-        for k, c in enumerate(p_eta.coeffs):
-            out[2 * k] = c
-        return Poly(out, scalars)
-    if family_tag == "aw":
-        half = scalars.one / scalars.from_int(2)
-        eta_z = Laurent(-1, [half, scalars.zero, half], scalars)
-        out = Laurent.const(p_eta.coeffs[-1], scalars)
-        for c in reversed(p_eta.coeffs[:-1]):
-            out = out * eta_z + Laurent.const(c, scalars)
-        return out
-    raise ValueError(f"unknown family tag {family_tag!r}")
-
-
-def _max_mag(coeffs, scalars):
-    if scalars.name == "exact":
-        return None
-    return max((abs(c) for c in coeffs), default=mp.mpf(0))
-
-
 # -- dense linear algebra over generic scalars ---------------------------------
 
 
 def solve_dense(rows, rhs, scalars):
-    """Solve A x = b by Gaussian elimination with (float) partial pivoting."""
+    """Solve A x = b by Gaussian elimination with the backend's pivot choice."""
     n = len(rows)
     a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
+    one = scalars.one
     for col in range(n):
-        piv = None
-        if scalars.name == "exact":
-            for r in range(col, n):
-                if not scalars.is_zero(a[r][col]):
-                    piv = r
-                    break
-        else:
-            best = mp.mpf(-1)
-            for r in range(col, n):
-                m = abs(a[r][col])
-                if m > best:
-                    best, piv = m, r
-            if best == 0:
-                piv = None
+        piv = scalars.pivot_row(a, col)
         if piv is None:
             raise ZeroDivisionError("singular linear system")
         a[col], a[piv] = a[piv], a[col]
-        inv = scalars.one / a[col][col]
+        inv = one / a[col][col]
         for r in range(col + 1, n):
             f = a[r][col] * inv
-            if scalars.name == "exact" and scalars.is_zero(f):
+            if scalars.skippable(f):
                 continue
             for c in range(col, n + 1):
                 a[r][c] = a[r][c] - f * a[col][c]
@@ -433,33 +143,21 @@ def det_dense(rows, scalars):
     """Determinant of a scalar matrix by elimination."""
     n = len(rows)
     a = [list(r) for r in rows]
-    det = scalars.one
+    one = scalars.one
+    det = one
     sign = 1
     for col in range(n):
-        piv = None
-        if scalars.name == "exact":
-            for r in range(col, n):
-                if not scalars.is_zero(a[r][col]):
-                    piv = r
-                    break
-        else:
-            best = mp.mpf(-1)
-            for r in range(col, n):
-                m = abs(a[r][col])
-                if m > best:
-                    best, piv = m, r
-            if best == 0:
-                piv = None
+        piv = scalars.pivot_row(a, col)
         if piv is None:
             return scalars.zero
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             sign = -sign
         det = det * a[col][col]
-        inv = scalars.one / a[col][col]
+        inv = one / a[col][col]
         for r in range(col + 1, n):
             f = a[r][col] * inv
-            if scalars.name == "exact" and scalars.is_zero(f):
+            if scalars.skippable(f):
                 continue
             for c in range(col + 1, n):
                 a[r][c] = a[r][c] - f * a[col][c]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import mpmath as mp
 import numpy as np
 
-from .numkernel import TolerancePolicy, workbits
+from .numkernel import MPScalars, TolerancePolicy, workbits
 from .polycore import Poly
 
 
@@ -51,7 +51,7 @@ def _seed_roots(coeffs):
 def _aberth(coeffs, seeds, bits):
     """Aberth-Ehrlich simultaneous refinement at the working precision."""
     n = len(coeffs) - 1
-    p = Poly(coeffs, _MP)
+    p = Poly(coeffs, MPScalars(bits))
     dp = p.derivative()
     roots = [mp.mpc(r) + mp.mpc(0) for r in seeds]
     target = mp.mpf(2) ** (-bits + 24)
@@ -88,35 +88,6 @@ def _aberth(coeffs, seeds, bits):
     return roots, p, dp, norm
 
 
-class _MPBackend:
-    name = "float"
-    zero = mp.mpc(0)
-    one = mp.mpc(1)
-
-    @staticmethod
-    def is_zero(x):
-        return x == 0
-
-    @staticmethod
-    def is_negligible(x, scale):
-        return abs(x) <= mp.mpf(2) ** (-mp.mp.prec + 12) * abs(scale)
-
-    @staticmethod
-    def conj(x):
-        return mp.conj(x)
-
-    @staticmethod
-    def to_mpc(x):
-        return mp.mpc(x)
-
-    @staticmethod
-    def from_int(n):
-        return mp.mpc(n)
-
-
-_MP = _MPBackend()
-
-
 def find_zeros(p: Poly, pol: TolerancePolicy, family=None, _escalated=False) -> ZeroSet:
     """All roots of the eta polynomial p, certified simple, sorted canonically."""
     bits = pol.precision_bits
@@ -151,11 +122,6 @@ def find_zeros(p: Poly, pol: TolerancePolicy, family=None, _escalated=False) -> 
         if family is not None:
             zs.x = [family.recover_x(e) for e in roots]
         return zs
-
-
-def recover_x(eta, fam):
-    """Strip representative x with x1 <= Re x <= x2 (family branch rules)."""
-    return fam.recover_x(eta)
 
 
 def conjugation_closure_defect(zs: ZeroSet) -> mp.mpf:

@@ -17,6 +17,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from casoratia.cli import grid_index_sets
 from casoratia.conjecture import compare, predicted_k, zeta_constant
 from casoratia.dortho import DegenerateSpectrum, naive_weight_demo, verify_orthogonality
 from casoratia.exact import QQi
@@ -49,28 +50,6 @@ NAIVE_WITNESS = {"ch": [(2, "I")], "w": [(3, "I")], "aw": [(3, "I")]}
 PF_WITNESS = {"ch": ([(2, "I")], 1, 2), "w": ([(3, "I")], 1, 2), "aw": ([(3, "I")], 2, 3)}
 
 
-def grid_index_sets(dmax=DMAX, even_ell_only=False):
-    out = []
-    degs = list(range(dmax + 1))
-    for d in degs:
-        for t in ("I", "II"):
-            D = IndexSet.make([(d, t)])
-            if D.ell >= 1:
-                out.append(D)
-    for i in range(len(degs)):
-        for j in range(i + 1, len(degs)):
-            for t in ("I", "II"):
-                D = IndexSet.make([(degs[i], t), (degs[j], t)])
-                if D.ell >= 1:
-                    out.append(D)
-    for di in degs:
-        for dj in degs:
-            out.append(IndexSet.make([(di, "I"), (dj, "II")]))
-    if even_ell_only:
-        out = [D for D in out if D.ell % 2 == 0]
-    return out
-
-
 def _passline(num, name, detail):
     print(f"ACCEPTANCE {num:02d} {name}: PASS ({detail})")
 
@@ -85,7 +64,7 @@ def test_criterion_01_eigenrelation_suite():
         for tag in TAGS:
             for draw in range(DRAWS):
                 lam = draw_params(tag, "physical", seed=100 + draw)
-                for D in grid_index_sets():
+                for D in grid_index_sets(DMAX, 2):
                     bun = build_miop(lam, D, n_max=4, samples=20)
                     worst = max(worst, bun.gates["eigen_residual"])
                     count += 1
@@ -104,7 +83,7 @@ def test_criterion_02_degree_laws_exact():
         cfg = EXACT_PARAMS[tag]
         lam = params_from_values(tag, cfg["a_vals"], cfg.get("q_val"),
                                  mode="physical", backend="exact")
-        ds = grid_index_sets(dmax=2 if (SMALL or tag == "aw") else 3)
+        ds = grid_index_sets(2 if (SMALL or tag == "aw") else 3, 2)
         for D in ds:
             bun = build_miop(lam, D, n_max=2 if SMALL else 3, check=False)
             assert bun.xi.degree == D.ell
@@ -128,7 +107,8 @@ def _grid_reports():
         for tag in TAGS:
             for mode in ("physical", "generic"):
                 seed = 1
-                for D in grid_index_sets(even_ell_only=(tag == "ch" and mode == "physical")):
+                even = tag == "ch" and mode == "physical"
+                for D in grid_index_sets(DMAX, 2, even_ell_only=even):
                     for N in NS:
                         for attempt in range(3):
                             lam = draw_params(tag, mode, seed=seed + 100 * attempt)

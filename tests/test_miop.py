@@ -176,20 +176,30 @@ def test_exact_backend_degree_laws():
         assert b.P(D, 2).degree == D.ell + 2
 
 
+EXACT_PARAMS = {
+    "ch": ([("5/2", "1/2"), ("9/4", "1/3"), ("5/2", "-1/2"), ("9/4", "-1/3")], None),
+    "w": ([("5/2", "0"), ("11/4", "0"), ("9/4", "1/2"), ("9/4", "-1/2")], None),
+    "aw": ([("1/10", "0"), ("2/15", "0"), ("1/8", "1/16"), ("1/8", "-1/16")], "2/5"),
+}
+
+
 def test_exact_and_float_construction_agree():
-    """Xi_D from the exact backend matches the float build to tolerance."""
-    a_vals = [("5/2", "0"), ("11/4", "0"), ("9/4", "1/2"), ("9/4", "-1/2")]
-    lam_e = params_from_values("w", a_vals, mode="physical", backend="exact")
-    lam_f = params_from_values("w", a_vals, mode="physical", backend="float", bits=256)
+    """Xi_D and P_{D,n} from the exact backend match the float build, on every family."""
+    D = IndexSet.make([(1, "I"), (1, "II")])
     with workbits(256):
-        D = IndexSet.make([(1, "I"), (1, "II")])
-        xi_e = get_builder(lam_e).xi(D)
-        xi_f = get_builder(lam_f, 256).xi(D)
-        # normalize both by their leading coefficient before comparing
-        ce = [(c / xi_e.lead()).to_mpc() for c in xi_e.coeffs]
-        cf = [c / xi_f.lead() for c in xi_f.coeffs]
-        for a, b in zip(ce, cf):
-            assert abs(a - b) <= mp.mpf(2) ** -200 * (1 + abs(a))
+        for tag, (a_vals, q_val) in EXACT_PARAMS.items():
+            lam_e = params_from_values(tag, a_vals, q_val, mode="physical", backend="exact")
+            lam_f = params_from_values(tag, a_vals, q_val, mode="physical", backend="float",
+                                       bits=256)
+            b_e, b_f = get_builder(lam_e), get_builder(lam_f, 256)
+            pairs = [(b_e.xi(D), b_f.xi(D))] + [(b_e.P(D, n), b_f.P(D, n)) for n in range(3)]
+            for p_e, p_f in pairs:
+                # normalize both by their leading coefficient before comparing
+                ce = [(c / p_e.lead()).to_mpc() for c in p_e.coeffs]
+                cf = [c / p_f.lead() for c in p_f.coeffs]
+                assert len(ce) == len(cf), tag
+                for a, b in zip(ce, cf):
+                    assert abs(a - b) <= mp.mpf(2) ** -200 * (1 + abs(a)), tag
 
 
 def test_verify_report_invariant_under_d_reordering():

@@ -1,142 +1,117 @@
-"""Polynomial algebra: shifts, Casoratians, eta-basis conversion."""
+"""Polynomial layer, dense solvers and the scalar-backend interface under them."""
 
+import ast
+import pathlib
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from casoratia.exact import ExactScalars
-from casoratia.families import FAMILIES, draw_params, eval_eta_shifted
-from casoratia.numkernel import MPScalars, TolerancePolicy, workbits
-from casoratia.polycore import (Laurent, Poly, SymmetryViolation, casoratian,
-                                eta_to_var, ladder_points, shift_substitute,
-                                to_eta_basis)
+import casoratia
+from casoratia.families import FAMILIES, draw_params, params_from_values
+from casoratia.numkernel import workbits
+from casoratia.polycore import Poly, det_dense, ladder_points, lstsq_dense, solve_dense
 
-EX = ExactScalars()
+AW_EXACT = [("1/10", "0"), ("2/15", "0"), ("1/8", "1/16"), ("1/8", "-1/16")]
 
 
-def _x2():
-    return Poly([EX.zero, EX.zero, EX.one], EX)
+def _aw_params(backend):
+    """AW parameters, so the exact backend runs in Q(i, sqrt(q))."""
+    if backend == "exact":
+        return params_from_values("aw", AW_EXACT, "2/5", mode="physical", backend="exact")
+    return draw_params("aw", "physical", seed=3, bits=192)
 
 
-def test_shift_substitute_square():
-    # p(x) = x^2 shifted by i*gamma: x^2 + 2i gamma x - gamma^2
-    p = shift_substitute(_x2(), 1, EX)
-    assert p.coeffs == [EX.from_int(-1), EX.from_int(2) * EX.i, EX.one]
-
-
-def test_shift_substitute_constant():
-    p = Poly([EX.from_fraction(Fraction(5, 3))], EX)
-    q = shift_substitute(p, Fraction(7, 2), EX)
-    assert q.coeffs == p.coeffs
-
-
-def test_shift_substitute_laurent():
-    sc = ExactScalars(Fraction(2, 5))
-    p = Laurent(-1, [sc.one, sc.zero, sc.one], sc)  # z + 1/z
-    q = shift_substitute(p, 1, sc, q=Fraction(2, 5))
-    # z -> z q^{-1}: q^{-1} z + q z^{-1}
-    assert q(sc.from_int(3)) == sc.from_fraction(Fraction(5, 2)) * 3 + sc.from_fraction(Fraction(2, 5)) / 3
-
-
-def test_shift_round_trip_float():
-    sc = MPScalars(192)
+@pytest.mark.parametrize("backend", ["float", "exact"])
+def test_backend_interface_and_dense_routines(backend):
+    exact = backend == "exact"
     with workbits(192):
-        p = Poly([mp.mpc(1, 2), mp.mpc(-3), mp.mpc(0, 1), mp.mpc(2, 2)], sc)
-        c = mp.mpc(0, "0.625")
-        q = p.shift_var(c).shift_var(-c)
-        for a, b in zip(p.coeffs, q.coeffs):
-            assert abs(a - b) < mp.mpf(2) ** -150
-
-
-def test_casoratian_empty_and_single():
-    f = Poly([EX.from_int(2), EX.one], EX)
-    w0 = casoratian([], EX)
-    assert w0.coeffs == [EX.one]
-    w1 = casoratian([f], EX)
-    assert w1.coeffs == f.coeffs
-
-
-def test_casoratian_two_entry_formula():
-    f = Poly([EX.from_int(1), EX.from_int(0), EX.one], EX)
-    g = Poly([EX.from_int(-2), EX.one], EX)
-    w = casoratian([f, g], EX)
-    # i (f(x+i/2) g(x-i/2) - g(x+i/2) f(x-i/2))
-    half = Fraction(1, 2)
-    fp, fm = shift_substitute(f, half, EX), shift_substitute(f, -half, EX)
-    gp, gm = shift_substitute(g, half, EX), shift_substitute(g, -half, EX)
-    ref = (fp * gm - gp * fm).scale(EX.i)
-    assert all((a - b).is_zero() for a, b in zip(w.coeffs, ref.coeffs))
-
-
-def test_casoratian_antisymmetry_exact():
-    f = Poly([EX.from_int(1), EX.i, EX.one], EX)
-    g = Poly([EX.from_int(3), EX.from_int(-1)], EX)
-    h = Poly([EX.zero, EX.zero, EX.zero, EX.one], EX)
-    w1 = casoratian([f, g, h], EX)
-    w2 = casoratian([g, f, h], EX)
-    assert all((a + b).is_zero() for a, b in zip(w1.coeffs, w2.coeffs))
-
-
-def test_to_eta_basis_examples():
-    # W: x^4 - 2 x^2 -> eta^2 - 2 eta
-    p = Poly([EX.zero, EX.zero, EX.from_int(-2), EX.zero, EX.one], EX)
-    q = to_eta_basis(p, "w", EX)
-    assert q.coeffs == [EX.zero, EX.from_int(-2), EX.one]
-    # AW: z + 1/z -> 2 eta
-    sc = ExactScalars(Fraction(1, 2))
-    l = Laurent(-1, [sc.one, sc.zero, sc.one], sc)
-    q = to_eta_basis(l, "aw", sc)
-    assert q.coeffs == [sc.zero, sc.from_int(2)]
-    # cH: identity
-    p = Poly([EX.from_int(4), EX.i], EX)
-    q = to_eta_basis(p, "ch", EX)
-    assert q.coeffs == p.coeffs
-
-
-def test_to_eta_basis_symmetry_violation():
-    p = Poly([EX.zero, EX.one, EX.one], EX)  # x + x^2: odd part present
-    with pytest.raises(SymmetryViolation):
-        to_eta_basis(p, "w", EX)
-
-
-@pytest.mark.parametrize("tag", ["ch", "w", "aw"])
-def test_eta_roundtrip_high_degree(tag):
-    sc = ExactScalars(Fraction(2, 5)) if tag == "aw" else EX
-    coeffs = [sc.from_fraction(Fraction((k * 7) % 11 - 5, k + 2), Fraction(k % 3, 5))
-              for k in range(51)]
-    p_eta = Poly(coeffs, sc)
-    back = to_eta_basis(eta_to_var(p_eta, tag, sc), tag, sc)
-    assert len(back.coeffs) == len(p_eta.coeffs)
-    assert all((a - b).is_zero() for a, b in zip(back.coeffs, p_eta.coeffs))
-
-
-def test_exact_float_backend_agreement():
-    with workbits(192):
-        scf = MPScalars(192)
-        pe = Poly([EX.from_fraction(Fraction(k - 2, 3), Fraction(1, k + 1)) for k in range(6)], EX)
-        pf = Poly([c.to_mpc() for c in pe.coeffs], scf)
-        we = casoratian([pe, pe * pe], EX)
-        wf = casoratian([pf, pf * pf], scf)
-        for a, b in zip(we.coeffs, wf.coeffs):
-            assert abs(a.to_mpc() - b) < mp.mpf(2) ** -140
-
-
-def test_eval_eta_shifted_examples():
-    with workbits(192):
-        lam = draw_params("w", "physical", seed=3, bits=192)
+        lam = _aw_params(backend)
         sc = lam.scalars
-        one = Poly([sc.one], sc)
-        x = mp.mpc("0.7", "0.1")
-        assert eval_eta_shifted(one, x, Fraction(3, 2), lam) == 1
-        eta = Poly([sc.zero, sc.one], sc)
-        got = eval_eta_shifted(eta, x, 1, lam)
-        assert abs(got - (x + 1j) ** 2) < mp.mpf(2) ** -150
-        lam_aw = draw_params("aw", "physical", seed=3, bits=192)
-        q = mp.re(mp.mpc(lam_aw.q))
-        eta = Poly([lam_aw.scalars.zero, lam_aw.scalars.one], lam_aw.scalars)
-        got = eval_eta_shifted(eta, mp.mpc(0), 1, lam_aw)
-        assert abs(got - (q + 1 / q) / 2) < mp.mpf(2) ** -140
+        tol = mp.mpf(2) ** -150
+
+        def num(k):
+            return sc.from_fraction(Fraction(k))
+
+        def poly(*cs):
+            return Poly([num(c) for c in cs], sc)
+
+        def same(x, y):
+            if exact:
+                return (x - y).is_zero()
+            return abs(x - y) <= tol * (1 + abs(y))
+
+        def same_poly(p, r):
+            return len(p.coeffs) == len(r.coeffs) and all(map(same, p.coeffs, r.coeffs))
+
+        # Poly arithmetic, evaluation, derivative
+        p, r = poly(1, 2), poly(-3, 1)
+        assert same_poly(p * r, poly(-3, -5, 2))
+        assert same_poly(p + r, poly(-2, 3)) and same_poly(p - r, poly(4, 1))
+        assert same_poly(-p, poly(-1, -2)) and same_poly(p.scale(num(3)), poly(3, 6))
+        assert same(p(num(2)), num(5)) and same_poly((p * r).derivative(), poly(-5, 4))
+        # trim: exact zeros go on both backends; a tiny coefficient only on the float one
+        assert poly(1, 2, 0, 0).degree == 1 and poly(0, 0).degree == 0
+        tiny = poly(1, 2, Fraction(1, 2 ** 190))
+        assert tiny.degree == (2 if exact else 1)
+        assert same(tiny.lead(), num(Fraction(1, 2 ** 190)) if exact else num(2))
+        # divmod
+        quo, rem = (p * r + poly(7)).divmod(r)
+        assert same_poly(quo, p) and same_poly(rem, poly(7))
+        with pytest.raises(ZeroDivisionError):
+            p.divmod(poly(0))
+
+        # pivot choice and zero skipping
+        col = [[num(0)], [num(1)], [num(-3)]]
+        assert sc.pivot_row(col, 0) == (1 if exact else 2)
+        assert sc.pivot_row([[num(0)], [num(0)]], 0) is None
+        assert sc.skippable(num(0)) is exact and not sc.skippable(num(1))
+        # dense routines: the first pivot must move a row
+        a = [[num(v) for v in row] for row in ([0, 1, 2], [1, 0, 3], [4, -3, 8])]
+        assert same(det_dense(a, sc), num(-2))
+        assert sc.is_zero(det_dense([[num(1), num(2)], [num(2), num(4)]], sc))
+        x = [num(1), sc.i, num(Fraction(-1, 3))]
+        b = [sum((ai * xi for ai, xi in zip(row, x)), sc.zero) for row in a]
+        assert all(map(same, solve_dense(a, b, sc), x))
+        with pytest.raises(ZeroDivisionError):
+            solve_dense([[num(1), num(2)], [num(2), num(4)]], [num(1), num(1)], sc)
+        tall = a + [[num(1), num(1), num(1)]]
+        assert all(map(same, lstsq_dense(tall, b + [sum(x, sc.zero)], sc), x))
+
+        # interpolation fit: 3 unknowns from 3 + extract_extra samples of 1 + 2e + e^2
+        etas = [num(Fraction(k + 1, 3)) for k in range(3 + sc.extract_extra)]
+        rows = [[sc.one, e, e * e] for e in etas]
+        vals = [poly(1, 2, 1)(e) for e in etas]
+        assert all(map(same, sc.fit(rows, vals, 3), [num(1), num(2), num(1)]))
+        assert all(map(same, sc.fit(rows, vals, 3, equilibrate=True), [num(1), num(2), num(1)]))
+        assert sc.fit_rows(3, 20) == (3 if exact else 11)
+        # magnitude, negligibility and residual gates
+        gate = mp.mpf(2) ** -144
+        assert sc.scale([num(0), num(0)]) == 0 and sc.scale([num(0), num(-4)]) > 0
+        assert sc.nonvanishing([num(1), num(0), num(2), num(3)], 192) == [True, False, True, True]
+        assert sc.vanishes(num(0), gate) and not sc.vanishes(num(1), gate)
+        err, lim = sc.held_out_residual(num(5), num(5), num(2), 2, 1, gate)
+        assert err <= lim
+        err, lim = sc.held_out_residual(num(5), num(Fraction(5001, 1000)), num(2), 2, 1, gate)
+        assert err > lim
+        assert sc.relative_gap(num(3), num(3)) <= gate < sc.relative_gap(num(3), num(4))
+        assert sc.defect(num(0), 1) == 0 and sc.defect(num(1), 1) > gate
+        # AW's q**t and the sample points
+        half = sc.q_power(Fraction(1, 2), lam.q)
+        assert same(half * half, lam.q) and same(sc.q_power(-1, lam.q) * lam.q, sc.one)
+        us = sc.sample_args(FAMILIES["aw"], 4, lam, "salt")
+        assert len(us) == 4 and all(not sc.is_zero(u - v) for u, v in zip(us, us[1:]))
+
+
+def test_construction_path_has_no_backend_name_test():
+    """miop, polycore and families ask the scalar backend instead of testing its name."""
+    root = pathlib.Path(casoratia.__file__).parent
+    for mod in ("miop.py", "polycore.py", "families.py"):
+        tree = ast.parse((root / mod).read_text())
+        hits = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and any(isinstance(x, ast.Attribute) and x.attr == "name"
+                        for x in [node.left, *node.comparators])]
+        assert not hits, f"{mod} compares a backend name at lines {hits}"
 
 
 def test_ladder_points():

@@ -9,7 +9,7 @@ from casoratia.miop import IndexSet, build_miop, hermiticity_check
 from casoratia.numkernel import MPScalars, TolerancePolicy, workbits
 from casoratia.polycore import Poly
 from casoratia.zeros import (conjugation_closure_defect, find_zeros, interlace,
-                             physical_interval_zeros, recover_x)
+                             physical_interval_zeros)
 
 
 def _poly(coeffs, bits=256):
@@ -47,14 +47,14 @@ def test_companion_matrix_oracle():
 
 def test_recover_x_branches():
     with workbits(256):
-        assert abs(recover_x(mp.mpf(1), FAMILIES["aw"])) == 0
-        x = recover_x(mp.mpf(-1), FAMILIES["w"])
+        assert abs(FAMILIES["aw"].recover_x(mp.mpf(1))) == 0
+        x = FAMILIES["w"].recover_x(mp.mpf(-1))
         assert abs(x - mp.mpc(0, 1)) < mp.mpf("1e-50")
         z = mp.mpc("2", "3")
-        assert recover_x(z, FAMILIES["ch"]) == z
+        assert FAMILIES["ch"].recover_x(z) == z
         # AW branch: Re x within [0, pi]
         for eta in (mp.mpc("0.3", "0.7"), mp.mpc(-2), mp.mpc("1.4")):
-            x = recover_x(eta, FAMILIES["aw"])
+            x = FAMILIES["aw"].recover_x(eta)
             assert -mp.mpf("1e-20") <= mp.re(x) <= mp.pi + mp.mpf("1e-20")
             assert abs(mp.cos(x) - eta) < mp.mpf("1e-60")
 
