@@ -374,11 +374,13 @@ def cmd_construct(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    """Each subcommand declares exactly the flags it reads."""
     ap = argparse.ArgumentParser(prog="casoratia",
                                  description="multi-indexed cH/W/AW discrete-orthogonality verifier")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def instance(p):
+        """Flags naming one instance (parameters, D, N) and where its output goes."""
         p.add_argument("--family", choices=["ch", "w", "aw"])
         p.add_argument("--params", help="JSON parameter file")
         p.add_argument("--mode", choices=["physical", "generic"], default="physical")
@@ -386,18 +388,22 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--dII", help="type-II degrees")
         p.add_argument("--N", type=int, default=3)
         p.add_argument("--prec", type=int, default=DEFAULT_BITS)
-        p.add_argument("--backend", choices=["float", "exact"], default="float")
-        p.add_argument("--out")
-        p.add_argument("--cache")
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--quadrature", action="store_true")
-        p.add_argument("--timestamps", action="store_true")
+        p.add_argument("--out")
+
+    def backend(p):
+        p.add_argument("--backend", choices=["float", "exact"], default="float")
 
     p = sub.add_parser("verify", help="full discrete-orthogonality + conjecture run")
-    common(p)
+    instance(p)
+    p.add_argument("--quadrature", action="store_true")
+    p.add_argument("--timestamps", action="store_true")
+    p.set_defaults(backend="float")  # the pipeline is float-only; the manifest says so
     p = sub.add_parser("sweep", help="grid of instances, aggregate CSV")
-    common(p)
+    p.add_argument("--prec", type=int, default=DEFAULT_BITS)
+    p.add_argument("--out")
+    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--quadrature", action="store_true")
     p.add_argument("--families")
     p.add_argument("--modes")
     p.add_argument("--draws", type=int, default=1)
@@ -405,7 +411,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, default=2)
     p.add_argument("--N-max", dest="N_max", type=int, default=4)
     p = sub.add_parser("identities", help="supporting identity checks")
-    common(p)
+    instance(p)
+    backend(p)
     p.add_argument("--lemma-eta", action="store_true")
     p.add_argument("--classical", action="store_true")
     p.add_argument("--chain", action="store_true")
@@ -417,9 +424,14 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--dprime2", type=int, default=2)
     p.add_argument("--tprime2", choices=["I", "II"], default="I")
     p = sub.add_parser("roots", help="zero set of P_{D,N}")
-    common(p)
+    instance(p)
+    backend(p)
+    p.add_argument("--timestamps", action="store_true")
     p = sub.add_parser("construct", help="build and emit (and cache) a bundle")
-    common(p)
+    instance(p)
+    backend(p)
+    p.add_argument("--cache")
+    p.add_argument("--timestamps", action="store_true")
     return ap
 
 

@@ -92,6 +92,19 @@ def _case0_const(lam: ParamSet, N: int):
     return q ** (N + 1) / _guard((1 - q ** 2) * (1 - b4 * q ** (2 * N - 1)))
 
 
+def _case12_members(val, v: _View, d: int, eps: int, j: int, bp):
+    """val times the cH/W case-(1) factors of the other members of the view's D."""
+    for i, di in enumerate(v.primary, start=1):
+        if i == j:
+            continue
+        val *= mp.mpf(di - eps) / _guard(mp.mpf(di - d))
+        val *= (-bp + di + eps + 1) / _guard(-bp + di + d + 1)
+    for ei in v.secondary:
+        val *= mp.mpf(ei + eps + 1) / (ei + d + 1)
+        val *= (bp + ei - eps) / _guard(bp + ei - d)
+    return val
+
+
 def _case12_product(v: _View, d: int, eps: int, j: int, reading: str):
     """The case-(1) closed-form product (case (2) goes through the swapped view)."""
     delta = d - eps
@@ -103,15 +116,7 @@ def _case12_product(v: _View, d: int, eps: int, j: int, reading: str):
         val /= _guard(poch(a1 + a3 - d - 1, delta) * poch(a2 + a4 + eps, delta))
         val /= _guard(poch(a1 - a2 - d, delta) * poch(a3 - a4 - d, delta))
         val *= poch(bp - rstar, delta) / _guard(-bp + 1 + 2 * eps)
-        for i, di in enumerate(v.primary, start=1):
-            if i == j:
-                continue
-            val *= mp.mpf(di - eps) / _guard(mp.mpf(di - d))
-            val *= (-bp + di + eps + 1) / _guard(-bp + di + d + 1)
-        for ei in v.secondary:
-            val *= mp.mpf(ei + eps + 1) / (ei + d + 1)
-            val *= (bp + ei - eps) / _guard(bp + ei - d)
-        return val
+        return _case12_members(val, v, d, eps, j, bp)
     if v.family == "w":
         bp = v.bprime
         val = 1 / _guard(2 * poch(mp.mpc(eps + 1), delta))
@@ -120,15 +125,7 @@ def _case12_product(v: _View, d: int, eps: int, j: int, reading: str):
             for m in (a3, a4):
                 val /= _guard(poch(l - m - d, delta))
         val *= poch(bp - rstar, delta) / _guard(-bp + 1 + 2 * eps)
-        for i, di in enumerate(v.primary, start=1):
-            if i == j:
-                continue
-            val *= mp.mpf(di - eps) / _guard(mp.mpf(di - d))
-            val *= (-bp + di + eps + 1) / _guard(-bp + di + d + 1)
-        for ei in v.secondary:
-            val *= mp.mpf(ei + eps + 1) / (ei + d + 1)
-            val *= (bp + ei - eps) / _guard(bp + ei - d)
-        return val
+        return _case12_members(val, v, d, eps, j, bp)
     q = v.q
     bp = v.bprime
     A, B = a1 * a2, a3 * a4
@@ -150,6 +147,19 @@ def _case12_product(v: _View, d: int, eps: int, j: int, reading: str):
     return val
 
 
+def _case3_members(val, D: IndexSet, d: int, e: int, j: int, k: int, bp):
+    """val over the cH/W case-(3) factors of the other members of D."""
+    for i, di in enumerate(D.d1, start=1):
+        if i == j:
+            continue
+        val /= _guard(mp.mpf(di - d) * (di + e + 1) * (-bp + di + d + 1) * (-bp + di - e))
+    for i, ei in enumerate(D.d2, start=1):
+        if i == k:
+            continue
+        val /= _guard(mp.mpf(ei - e) * (ei + d + 1) * (bp + ei + e + 1) * (bp + ei - d))
+    return val
+
+
 def _case3_product(lam: ParamSet, D: IndexSet, d: int, e: int, j: int, k: int):
     a = [mp.mpc(lam.scalars.to_mpc(x)) for x in lam.a]
     a1, a2, a3, a4 = a
@@ -161,15 +171,7 @@ def _case3_product(lam: ParamSet, D: IndexSet, d: int, e: int, j: int, k: int):
         val /= _guard(poch(a1 + a3 - d - 1, d + e + 1) * poch(a2 + a4 - e - 1, d + e + 1))
         val *= poch(-bp - e, d) * poch(bp - d, e)
         val /= _guard(poch(a1 - a2 - d, d + e + 1) * poch(a3 - a4 - d, d + e + 1))
-        for i, di in enumerate(d1, start=1):
-            if i == j:
-                continue
-            val /= _guard(mp.mpf(di - d) * (di + e + 1) * (-bp + di + d + 1) * (-bp + di - e))
-        for i, ei in enumerate(d2, start=1):
-            if i == k:
-                continue
-            val /= _guard(mp.mpf(ei - e) * (ei + d + 1) * (bp + ei + e + 1) * (bp + ei - d))
-        return val
+        return _case3_members(val, D, d, e, j, k, bp)
     if lam.family == "w":
         bp = a1 + a2 - a3 - a4
         val = sgn / (2 * (d + e + 1) * mp.factorial(d) * mp.factorial(e))
@@ -178,15 +180,7 @@ def _case3_product(lam: ParamSet, D: IndexSet, d: int, e: int, j: int, k: int):
         for l in (a1, a2):
             for m in (a3, a4):
                 val /= _guard(poch(l - m - d, d + e + 1))
-        for i, di in enumerate(d1, start=1):
-            if i == j:
-                continue
-            val /= _guard(mp.mpf(di - d) * (di + e + 1) * (-bp + di + d + 1) * (-bp + di - e))
-        for i, ei in enumerate(d2, start=1):
-            if i == k:
-                continue
-            val /= _guard(mp.mpf(ei - e) * (ei + d + 1) * (bp + ei + e + 1) * (bp + ei - d))
-        return val
+        return _case3_members(val, D, d, e, j, k, bp)
     q = mp.mpc(lam.scalars.to_mpc(lam.q))
     A, B = a1 * a2, a3 * a4
     bp = A / B

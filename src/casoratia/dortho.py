@@ -151,7 +151,8 @@ def compute_F(lam: ParamSet, D: IndexSet, bundle: MiopBundle, zs: ZeroSet,
               bits: int = 256):
     """Weights F_j by the symmetric two-term form, cross-checked by the one-term form."""
     fam = lam.fam
-    dP = bundle.P[_top_n(bundle)].derivative()
+    pN = bundle.P[bundle.n_max]
+    dP = pN.derivative()
     tol = mp.mpf(2) ** (-bits // 2 + 16)
     F = []
     cross_worst = mp.mpf(0)
@@ -166,7 +167,6 @@ def compute_F(lam: ParamSet, D: IndexSet, bundle: MiopBundle, zs: ZeroSet,
         v = fam.v_at(bundle.lam_D.a, u, lam)
         vs = fam.v_star_at(bundle.lam_D.a, u, lam)
         dpj = dP(fam.eta_at(u, lam))
-        pN = bundle.P[_top_n(bundle)]
         two_term = -(eta_m * v * (xi_p / xi_m) * pN(eta_m)
                      + eta_p * vs * (xi_m / xi_p) * pN(eta_p)) / dpj
         one_term = (eta_p - eta_m) / dpj * v * (xi_p / xi_m) * pN(eta_m)
@@ -185,7 +185,7 @@ def compute_F(lam: ParamSet, D: IndexSet, bundle: MiopBundle, zs: ZeroSet,
 
 
 def build_M(lam: ParamSet, D: IndexSet, bundle: MiopBundle, zs: ZeroSet, F,
-            bits: int = 256, cross_check_diag: bool = True):
+            bits: int = 256):
     """M-tilde per the closed forms, M = G^-1 M-tilde G with g_j = sqrt(F_j)."""
     fam = lam.fam
     n_t = len(zs.eta)
@@ -224,10 +224,8 @@ def build_M(lam: ParamSet, D: IndexSet, bundle: MiopBundle, zs: ZeroSet, F,
         Mt[j][j] = (mp.mpc(F[j]) / ((em - etas[j]) * (ep - etas[j]))
                     - v * (xi_p / xi_m) * (xid_m / xid_0)
                     - vs * (xi_m / xi_p) * (xid_p / xid_0))
-    diag_defect = mp.mpf(0)
-    if cross_check_diag:
-        j = _deterministic_index(lam, D, n_t)
-        diag_defect = _diag_from_definition_defect(lam, bundle, zs, j, Mt[j][j], bits)
+    j = _deterministic_index(lam, D, n_t)
+    diag_defect = _diag_from_definition_defect(lam, bundle, zs, j, Mt[j][j], bits)
     g = [mp.sqrt(mp.mpc(f)) for f in F]
     M = [[Mt[j][k] * g[k] / g[j] for k in range(n_t)] for j in range(n_t)]
     mmax = max(max(abs(M[j][k]) for k in range(n_t)) for j in range(n_t))
@@ -259,10 +257,6 @@ def _diag_from_definition_defect(lam, bundle, zs, j, closed_value, bits) -> mp.m
     return abs(val - closed_value) / max(abs(closed_value), mp.mpf(1))
 
 
-def _top_n(bundle: MiopBundle) -> int:
-    return max(bundle.P.keys())
-
-
 @dataclass
 class OrthoReport:
     family: str
@@ -283,19 +277,19 @@ class OrthoReport:
 
 
 def verify_orthogonality(lam: ParamSet, D: IndexSet, N: int, bits: int = 256,
-                         check_pa: bool = True, n_max: int | None = None) -> OrthoReport:
+                         check_pa: bool = True) -> OrthoReport:
     """Run the full discrete-orthogonality pipeline at the given precision."""
     if lam.scalars.name != "float":
         raise ValueError("the orthogonality pipeline requires the float backend")
     fam = lam.fam
-    bundle = build_miop(lam, D, max(N, n_max if n_max is not None else N), bits)
+    bundle = build_miop(lam, D, N, bits)
     if bundle.P[N].degree != N + D.ell:
         raise AssertionError("degree law violated for P_{D,N}")
     pol = TolerancePolicy(bits)
     zs = find_zeros(bundle.P[N], pol, fam)
     basis = build_pa_basis(lam, D, N, bits)
-    F, f_cross = compute_F(lam, D, _sliced(bundle, N), zs, bits)
-    Mt, M, sym, diagd = build_M(lam, D, _sliced(bundle, N), zs, F, bits)
+    F, f_cross = compute_F(lam, D, bundle, zs, bits)
+    Mt, M, sym, diagd = build_M(lam, D, bundle, zs, F, bits)
     n_t = len(zs.eta)
     dP = bundle.P[N].derivative()
     dpj = [mp.mpc(dP(e)) for e in zs.eta]
@@ -311,19 +305,7 @@ def verify_orthogonality(lam: ParamSet, D: IndexSet, N: int, bits: int = 256,
             s = sum(Mt[j][k] * vt[k] for k in range(n_t))
             worst = max(worst, abs(s - ev * vt[j]) / scale)
         eigres.append(worst)
-    gram = [[mp.mpc(0)] * len(basis.entries) for _ in basis.entries]
-    for a in range(len(basis.entries)):
-        for b_ in range(a, len(basis.entries)):
-            s = mp.mpc(0)
-            for j in range(n_t):
-                s += (1 / mp.mpc(F[j])) * vals[a][j] * vals[b_][j] / (dpj[j] ** 2)
-            gram[a][b_] = s
-            gram[b_][a] = s
-    offd = mp.mpf(0)
-    for a in range(len(basis.entries)):
-        for b_ in range(a + 1, len(basis.entries)):
-            denom = mp.sqrt(abs(gram[a][a]) * abs(gram[b_][b_]))
-            offd = max(offd, abs(gram[a][b_]) / denom)
+    gram, offd = zero_grid_gram([1 / mp.mpc(f) for f in F], vals, dpj)
     rep = OrthoReport(
         family=lam.family, D=D, N=N, precision_bits=bits,
         F=[mp.mpc(f) for f in F], symmetry_defect=sym, diag_defect=diagd,
@@ -343,12 +325,25 @@ def verify_orthogonality(lam: ParamSet, D: IndexSet, N: int, bits: int = 256,
     return rep
 
 
-def _sliced(bundle: MiopBundle, N: int) -> MiopBundle:
-    if _top_n(bundle) == N:
-        return bundle
-    return MiopBundle(bundle.lam, bundle.D, N, bundle.xi, bundle.xi_shift,
-                      {n: p for n, p in bundle.P.items() if n <= N},
-                      bundle.lam_D, bundle.gates)
+def zero_grid_gram(w, vals, dpj):
+    """(G, max off-diagonal ratio) of G_ab = sum_j w_j P_a(eta_j) P_b(eta_j) / P'_N(eta_j)^2.
+
+    vals[a][j] = P_a(eta_j) and dpj[j] = P'_N(eta_j) at the zeros eta_j of P_N;
+    the ratio is max over a < b of |G_ab| / sqrt(|G_aa| |G_bb|).  G is filled
+    for a <= b and mirrored.
+    """
+    n = len(vals)
+    gram = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            gram[a][b] = gram[b][a] = sum(
+                (wj * va * vb / dp ** 2 for wj, va, vb, dp in zip(w, vals[a], vals[b], dpj)),
+                mp.mpc(0))
+    offd = mp.mpf(0)
+    for a in range(n):
+        for b in range(a + 1, n):
+            offd = max(offd, abs(gram[a][b]) / mp.sqrt(abs(gram[a][a]) * abs(gram[b][b])))
+    return gram, offd
 
 
 def naive_weight_demo(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) -> mp.mpf:
@@ -357,16 +352,7 @@ def naive_weight_demo(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) -> mp
     pol = TolerancePolicy(bits)
     zs = find_zeros(bundle.P[N], pol, lam.fam)
     dP = bundle.P[N].derivative()
-    w = []
-    for e in zs.eta:
-        pm1 = mp.mpc(bundle.P[N - 1](e))
-        w.append(mp.mpc(dP(e)) / pm1)
-    vals = [[mp.mpc(bundle.P[n](e)) for e in zs.eta] for n in range(N)]
     dpj = [mp.mpc(dP(e)) for e in zs.eta]
-    gram = [[sum(w[j] * vals[a][j] * vals[b][j] / dpj[j] ** 2 for j in range(len(w)))
-             for b in range(N)] for a in range(N)]
-    offd = mp.mpf(0)
-    for a in range(N):
-        for b in range(a + 1, N):
-            offd = max(offd, abs(gram[a][b]) / mp.sqrt(abs(gram[a][a]) * abs(gram[b][b])))
-    return offd
+    w = [dp / mp.mpc(bundle.P[N - 1](e)) for dp, e in zip(dpj, zs.eta)]
+    vals = [[mp.mpc(bundle.P[n](e)) for e in zs.eta] for n in range(N)]
+    return zero_grid_gram(w, vals, dpj)[1]

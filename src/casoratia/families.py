@@ -13,8 +13,9 @@ q**t, the sample points) the scalar backend answers.
 Every transcribed item is gated: base polynomials and energies by the
 difference-equation eigenrelation, virtual twists by the potential functional
 identities plus the closed-form virtual energies, h_n ratios by the
-three-term-recurrence route, and the delta-tilde shifts by calibration against
-the deformed eigenrelation (see miop.delta_tilde).
+three-term-recurrence route.  The delta-tilde shifts are a fixed table
+(Family.dtilde); every checked build gates them through the deformed
+eigenrelation at lambda_D (miop.build_miop).
 
 Extension point (not built): the Meixner-Pollaczek family arises from cH by a
 parameter limit and has a single virtual-state type; a fourth Family subclass
@@ -141,22 +142,9 @@ class Family:
     # -- shifts -------------------------------------------------------------------
 
     delta_vec = (HALF, HALF, HALF, HALF)
-
-    @staticmethod
-    def _dtilde_vec(u, w):
-        """Shift vector with u on the pair (a1, a2) and w on (a3, a4)."""
-        return (u, u, w, w)
-
-    def dtilde_candidates(self, vtype: str):
-        """delta-tilde candidates: the calibrated vector first, then u, w in {0, +-1/2, +-1}."""
-        vals = [Fraction(0), HALF, -HALF, Fraction(1), Fraction(-1)]
-        cands = [self._dtilde_vec(-HALF, HALF) if vtype == "I" else self._dtilde_vec(HALF, -HALF)]
-        for u in vals:
-            for w in vals:
-                vec = self._dtilde_vec(u, w)
-                if vec not in cands:
-                    cands.append(vec)
-        return cands
+    # delta-tilde^I and ^II: lambda_D = lambda + M_I dtilde["I"] + M_II dtilde["II"];
+    # -1/2 and +1/2 on the pairs (a1, a2) and (a3, a4) that the twists act on
+    dtilde = {"I": (-HALF, -HALF, HALF, HALF), "II": (HALF, HALF, -HALF, -HALF)}
 
     def apply_shift_vec(self, lam: ParamSet, vec) -> ParamSet:
         """lambda + vec (additive parameters; AW shifts multiplicatively)."""
@@ -262,10 +250,8 @@ class ContinuousHahn(Family):
     def alpha(self, vtype, lam):
         return lam.scalars.one
 
-    @staticmethod
-    def _dtilde_vec(u, w):
-        """u on the pair (a1, a3), w on (a2, a4): the conjugate pairs of the twists."""
-        return (u, w, u, w)
+    # the twists act on the conjugate pairs (a1, a3) and (a2, a4)
+    dtilde = {"I": (-HALF, HALF, -HALF, HALF), "II": (HALF, -HALF, HALF, -HALF)}
 
     def x_bounds(self, lam):
         return (mp.mpf("-inf"), mp.mpf("+inf"))

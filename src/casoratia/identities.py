@@ -15,10 +15,11 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from .dortho import zero_grid_gram
 from .families import ParamSet
 from .miop import (IndexSet, apply_htilde, build_miop, get_builder,
                    reference_index_set, shifted_params, PoleAtSample)
-from .numkernel import TolerancePolicy
+from .numkernel import TolerancePolicy, workbits
 from .polycore import Poly
 from .zeros import find_zeros
 
@@ -103,18 +104,10 @@ def classical_discrete_ortho(lam: ParamSet, N: int, bits: int = 256) -> dict:
     dP = polys[N].derivative()
     c_N = mp.mpc(lam.scalars.to_mpc(rec.C[N]))
     sgn = mp.sign(mp.re(c_N)) if abs(mp.im(c_N)) < abs(c_N) * mp.mpf("1e-10") else c_N / abs(c_N)
-    n_pts = len(zs.eta)
-    w = []
-    for e in zs.eta:
-        w.append(sgn * mp.mpc(dP(e)) / mp.mpc(polys[N - 1](e)))
-    vals = [[mp.mpc(polys[n](e)) for e in zs.eta] for n in range(N)]
     dpj = [mp.mpc(dP(e)) for e in zs.eta]
-    gram = [[sum(w[j] * vals[a][j] * vals[b][j] / dpj[j] ** 2 for j in range(n_pts))
-             for b in range(N)] for a in range(N)]
-    offd = mp.mpf(0)
-    for a in range(N):
-        for b in range(a + 1, N):
-            offd = max(offd, abs(gram[a][b]) / mp.sqrt(abs(gram[a][a]) * abs(gram[b][b])))
+    w = [sgn * dp / mp.mpc(polys[N - 1](e)) for dp, e in zip(dpj, zs.eta)]
+    vals = [[mp.mpc(polys[n](e)) for e in zs.eta] for n in range(N)]
+    gram, offd = zero_grid_gram(w, vals, dpj)
     diag_err = mp.mpf(0)
     for n in range(N):
         pred = abs(c_N) * mp.mpc(lam.scalars.to_mpc(fam.h_ratio_base(n, N, lam)))
@@ -142,14 +135,20 @@ def _xi_half_ratio_sum(builder, xi_num: Poly, xi_den: Poly, u):
     return xi_num(em) / den_m + xi_num(ep) / den_p
 
 
-def check_chain_identity(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int,
-                 samples: int = 10, bits: int = 256, constant=None) -> dict:
-    """Residuals of the one- or two-step polynomial identities at sample points.
+def _chain_pairs(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int, count: int,
+                 bits: int = 256, constant=None):
+    """Yield (lhs, rhs, constant) of a chain identity at the admissible samples.
 
-    dprime / dprime2 are (degree, type); same types route to the first
-    identity, mixed types to the second whose constant is solved from the
-    first sample when not supplied (that solve is the alpha-product
-    calibration).
+    dprime / dprime2 are (degree, type); `count` candidate points are drawn
+    and those at a pole are skipped.  Same types, with D' = D + d' and
+    D'' = D + d'':
+        lhs = (E_n - Et') (Xi_D' ratio sum over Xi_D'') P_{D'',n},
+        rhs = (H~_{D''} + E_n - Et' - Et'') P_{D',n},
+    and constant is None.  Mixed types, with D3 = D + d' + d'':
+        lhs = C (Xi_D ratio sum over Xi_D3) P_{D3,n},
+        rhs = (H~_{D3} + E_n - Et' - Et'') P_{D,n},
+    where C is solved from the first pair when not supplied (that solve is the
+    alpha-product calibration).
     """
     fam = lam.fam
     b = get_builder(lam, bits)
@@ -160,63 +159,57 @@ def check_chain_identity(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int,
     E_n = fam.energy(n, lam)
     ev_p = fam.etilde(tp, dp, lam)
     ev_pp = fam.etilde(tpp, dpp, lam)
-    cand = lam.scalars.sample_args(fam, samples * 3, lam,
-                                   f"chain|{D.key()}|{dp}{tp}|{dpp}{tpp}|{n}")
     if tp == tpp:
-        Dp = IndexSet.make(list(D.entries) + [(dp, tp)])
-        Dpp = IndexSet.make(list(D.entries) + [(dpp, tpp)])
-        bun_pp = build_miop(lam, Dpp, n, bits, check=False)
-        xi_p = b.xi(Dp)
-        p_p = b.P(Dp, n)
-        p_pp = b.P(Dpp, n)
-        lam_pp = shifted_params(lam, Dpp)
-        worst = mp.mpf(0)
-        got = 0
-        for u in cand:
-            if got >= samples:
-                break
-            try:
-                ratio = _xi_half_ratio_sum(b, xi_p, bun_pp.xi, u)
-                lhs = (E_n - ev_p) * ratio * p_pp(fam.eta_at(u, lam))
-                rhs = (apply_htilde(b, lam_pp, bun_pp.xi, bun_pp.xi_shift, p_p, u)
-                       + (E_n - ev_p - ev_pp) * p_p(fam.eta_at(u, lam)))
-            except PoleAtSample:
-                continue
-            got += 1
-            lhs_m, rhs_m = mp.mpc(lam.scalars.to_mpc(lhs)), mp.mpc(lam.scalars.to_mpc(rhs))
-            worst = max(worst, abs(lhs_m - rhs_m) / (abs(lhs_m) + abs(rhs_m) + 1))
-        return {"case": "same-type", "max_residual": worst, "samples": got}
-    # mixed types: constant kappa^{2M+3/2} sqrt(alpha^I alpha^II) in this repo's units
-    Dppp = IndexSet.make(list(D.entries) + [(dp, tp), (dpp, tpp)])
-    bun3 = build_miop(lam, Dppp, n, bits, check=False)
-    xi_D = b.xi(D)
-    p_D = b.P(D, n)
-    p_3 = b.P(Dppp, n)
-    lam_3 = shifted_params(lam, Dppp)
-    pairs = []
+        D_small = IndexSet.make(list(D.entries) + [(dp, tp)])
+        D_big = IndexSet.make(list(D.entries) + [(dpp, tpp)])
+    else:
+        # constant kappa^{2M+3/2} sqrt(alpha^I alpha^II) in this repo's units
+        D_small = D
+        D_big = IndexSet.make(list(D.entries) + [(dp, tp), (dpp, tpp)])
+    big = build_miop(lam, D_big, n, bits, check=False)
+    xi_small = b.xi(D_small)
+    p_small = b.P(D_small, n)
+    p_big = b.P(D_big, n)
+    lam_big = shifted_params(lam, D_big)
+    for u in lam.scalars.sample_args(fam, count, lam,
+                                     f"chain|{D.key()}|{dp}{tp}|{dpp}{tpp}|{n}"):
+        try:
+            ratio = _xi_half_ratio_sum(b, xi_small, big.xi, u)
+            if tp == tpp:
+                ratio = (E_n - ev_p) * ratio
+            lhs = ratio * p_big(fam.eta_at(u, lam))
+            rhs = (apply_htilde(b, lam_big, big.xi, big.xi_shift, p_small, u)
+                   + (E_n - ev_p - ev_pp) * p_small(fam.eta_at(u, lam)))
+        except (PoleAtSample, ZeroDivisionError):
+            continue
+        if tp != tpp:
+            if constant is None:
+                constant = rhs / lhs
+            lhs = constant * lhs
+        yield lhs, rhs, constant
+
+
+def check_chain_identity(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int,
+                 samples: int = 10, bits: int = 256, constant=None) -> dict:
+    """Worst relative residual of a chain identity over `samples` admissible points.
+
+    Same types route to the first identity, mixed types to the second, whose
+    constant is solved from the first sample when not supplied (_chain_pairs).
+    """
+    to = lam.scalars.to_mpc
+    worst = mp.mpf(0)
     got = 0
-    for u in cand:
+    for lhs, rhs, constant in _chain_pairs(lam, D, dprime, dprime2, n, samples * 3, bits,
+                                           constant):
+        lhs_m, rhs_m = mp.mpc(to(lhs)), mp.mpc(to(rhs))
+        worst = max(worst, abs(lhs_m - rhs_m) / (abs(lhs_m) + abs(rhs_m) + 1))
+        got += 1
         if got >= samples:
             break
-        try:
-            ratio = _xi_half_ratio_sum(b, xi_D, bun3.xi, u)
-            lhs_core = ratio * p_3(fam.eta_at(u, lam))
-            rhs = (apply_htilde(b, lam_3, bun3.xi, bun3.xi_shift, p_D, u)
-                   + (E_n - ev_p - ev_pp) * p_D(fam.eta_at(u, lam)))
-        except PoleAtSample:
-            continue
-        got += 1
-        pairs.append((lhs_core, rhs))
-    if not pairs:
+    if dprime[1] == dprime2[1]:
+        return {"case": "same-type", "max_residual": worst, "samples": got}
+    if not got:
         raise PoleAtSample("no admissible samples for the mixed identity")
-    if constant is None:
-        l0, r0 = pairs[0]
-        constant = r0 / l0
-    worst = mp.mpf(0)
-    for l, r in pairs:
-        lhs_m = mp.mpc(lam.scalars.to_mpc(constant * l))
-        rhs_m = mp.mpc(lam.scalars.to_mpc(r))
-        worst = max(worst, abs(lhs_m - rhs_m) / (abs(lhs_m) + abs(rhs_m) + 1))
     return {"case": "mixed-type", "max_residual": worst, "constant": constant,
             "samples": got}
 
@@ -231,59 +224,17 @@ def chain_identity_exact(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int) ->
     """
     if lam.scalars.name != "exact":
         raise ValueError("chain_identity_exact requires the exact backend")
-    fam = lam.fam
-    dp, tp = dprime
-    dpp, tpp = dprime2
-    lmax = D.ell + dp + dpp + 2 * (D.M + 2) + 4
+    lmax = D.ell + dprime[0] + dprime2[0] + 2 * (D.M + 2) + 4
     dx = 1 if lam.family == "ch" else 2
     bound = dx * (8 * lmax + 2 * n) + 48
-    b = get_builder(lam)
-    E_n = fam.energy(n, lam)
-    ev_p = fam.etilde(tp, dp, lam)
-    ev_pp = fam.etilde(tpp, dpp, lam)
-    us = fam.exact_sample_args(bound + 40, lam)
     checked = 0
     constant = None
-    if tp == tpp:
-        Dp = IndexSet.make(list(D.entries) + [(dp, tp)])
-        Dpp = IndexSet.make(list(D.entries) + [(dpp, tpp)])
-        bun_pp = build_miop(lam, Dpp, n, check=False)
-        xi_p = b.xi(Dp)
-        p_p, p_pp = b.P(Dp, n), b.P(Dpp, n)
-        lam_pp = shifted_params(lam, Dpp)
-        for u in us:
-            try:
-                lhs = ((E_n - ev_p) * _xi_half_ratio_sum(b, xi_p, bun_pp.xi, u)
-                       * p_pp(fam.eta_at(u, lam)))
-                rhs = (apply_htilde(b, lam_pp, bun_pp.xi, bun_pp.xi_shift, p_p, u)
-                       + (E_n - ev_p - ev_pp) * p_p(fam.eta_at(u, lam)))
-            except (PoleAtSample, ZeroDivisionError):
-                continue
-            if not (lhs - rhs).is_zero():
-                return {"exact": False, "points": checked, "bound": bound}
-            checked += 1
-            if checked > bound:
-                break
-    else:
-        Dppp = IndexSet.make(list(D.entries) + [(dp, tp), (dpp, tpp)])
-        bun3 = build_miop(lam, Dppp, n, check=False)
-        xi_D = b.xi(D)
-        p_D, p_3 = b.P(D, n), b.P(Dppp, n)
-        lam_3 = shifted_params(lam, Dppp)
-        for u in us:
-            try:
-                lhs = _xi_half_ratio_sum(b, xi_D, bun3.xi, u) * p_3(fam.eta_at(u, lam))
-                rhs = (apply_htilde(b, lam_3, bun3.xi, bun3.xi_shift, p_D, u)
-                       + (E_n - ev_p - ev_pp) * p_D(fam.eta_at(u, lam)))
-            except (PoleAtSample, ZeroDivisionError):
-                continue
-            if constant is None:
-                constant = rhs / lhs
-            if not (constant * lhs - rhs).is_zero():
-                return {"exact": False, "points": checked, "bound": bound}
-            checked += 1
-            if checked > bound:
-                break
+    for lhs, rhs, constant in _chain_pairs(lam, D, dprime, dprime2, n, bound + 40):
+        if not (lhs - rhs).is_zero():
+            return {"exact": False, "points": checked, "bound": bound}
+        checked += 1
+        if checked > bound:
+            break
     return {"exact": checked > bound, "points": checked, "bound": bound,
             "constant": constant}
 
@@ -396,7 +347,6 @@ def check_prefactor_ratio_identity(lam: ParamSet, D: IndexSet, dprime, dprime2, 
 
 
 def _quad_interval(lam: ParamSet):
-    fam = lam.fam
     if lam.family == "ch":
         return [-mp.inf, mp.inf]
     if lam.family == "w":
@@ -419,13 +369,12 @@ def psi_d_squared(lam: ParamSet, D: IndexSet, bundle, x):
 
 
 def partial_fraction_integral_check(lam: ParamSet, D: IndexSet, N: int, j: int, k: int,
-                                    bits: int = 192, maxdegree: int = 7,
-                                    quad_bits: int = 110) -> dict:
+                                    bits: int = 192) -> dict:
     """The naive partial-fraction integral: ~0 for D = empty, nonzero otherwise.
 
-    Construction runs at `bits`; the quadrature itself at `quad_bits` (the
-    1e-8 / 1e-3 split thresholds need ~1e-10 accuracy, and the adaptive rule
-    targets the working epsilon).
+    Construction runs at `bits`; the quadrature itself at 110 bits with
+    maxdegree 7 (the 1e-8 / 1e-3 split thresholds need ~1e-10 accuracy, and
+    the adaptive rule targets the working epsilon).
     """
     if j == k:
         raise ValueError("needs j != k (the diagonal is trivially positive)")
@@ -441,19 +390,15 @@ def partial_fraction_integral_check(lam: ParamSet, D: IndexSet, N: int, j: int, 
         return q
 
     qj, qk = deflate(j), deflate(k)
+    method = "gauss-legendre" if lam.family == "aw" else "tanh-sinh"
 
-    def make_f(qa, qb):
+    def integral(qa, qb):
         def f(x):
             e = fam.eta_at(fam.arg_of_x(x), lam)
             return psi_d_squared(lam, D, bundle, x) * mp.mpc(qa(e)) * mp.mpc(qb(e))
-        return f
+        return mp.quad(f, _quad_interval(lam), maxdegree=7, method=method)
 
-    iv = _quad_interval(lam)
-    method = "gauss-legendre" if lam.family == "aw" else "tanh-sinh"
-    from .numkernel import workbits
-    with workbits(quad_bits):
-        val = mp.quad(make_f(qj, qk), iv, maxdegree=maxdegree, method=method)
-        djj = mp.quad(make_f(qj, qj), iv, maxdegree=maxdegree, method=method)
-        dkk = mp.quad(make_f(qk, qk), iv, maxdegree=maxdegree, method=method)
-        scale = mp.sqrt(abs(djj) * abs(dkk))
+    with workbits(110):
+        val = integral(qj, qk)
+        scale = mp.sqrt(abs(integral(qj, qj)) * abs(integral(qk, qk)))
     return {"value": val, "scale": scale, "rel": abs(val) / scale}

@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .families import FAMILIES, ParamSet, CalibrationFailure, draw_params
-from .numkernel import TolerancePolicy, workbits
+from .families import FAMILIES, ParamSet
+from .numkernel import TolerancePolicy
 from .polycore import Poly, det_dense, ladder_points
 
 HALF = Fraction(1, 2)
@@ -336,47 +336,12 @@ def get_builder(lam: ParamSet, bits: int = 256) -> Builder:
     return _BUILDERS[key]
 
 
-# -- delta-tilde calibration ------------------------------------------------------
-
-
-_DTILDE = {}
+# -- delta-tilde shifts ---------------------------------------------------------------
 
 
 def delta_tilde(family_tag: str, vtype: str):
-    """Calibrated parameter shift entering lambda_D, unique over the candidate grid."""
-    key = (family_tag, vtype)
-    if key not in _DTILDE:
-        _DTILDE[key] = _calibrate_delta_tilde(family_tag, vtype)
-    return _DTILDE[key]
-
-
-def _calibrate_delta_tilde(family_tag: str, vtype: str):
-    fam = FAMILIES[family_tag]
-    with workbits(192):
-        lam = draw_params(family_tag, "generic", seed=1009, bits=192)
-        b = Builder(lam, bits=192)
-        D = IndexSet.make([(1, vtype)])
-        xi_l = b.xi(D)
-        xi_ld = b.shift_builder().xi(D)
-        polys = {n: b.P(D, n) for n in range(3)}
-        hits = []
-        for vec in fam.dtilde_candidates(vtype):
-            lam_d = fam.apply_shift_vec(lam, vec)
-            worst = mp.mpf(0)
-            try:
-                for n, p in polys.items():
-                    E = fam.energy(n, lam)
-                    for u in fam.sample_args(5, lam, f"dt|{n}"):
-                        r = _eigen_residual(b, lam_d, xi_l, xi_ld, p, E, u)
-                        worst = max(worst, r)
-            except PoleAtSample:
-                continue
-            if worst < mp.mpf(2) ** (-60):
-                hits.append((vec, worst))
-        if len(hits) != 1:
-            raise CalibrationFailure(
-                f"delta-tilde calibration for {family_tag}/{vtype} found {len(hits)} candidates: {hits}")
-        return hits[0][0]
+    """The parameter shift delta-tilde^vtype entering lambda_D (the table Family.dtilde)."""
+    return FAMILIES[family_tag].dtilde[vtype]
 
 
 def shifted_params(lam: ParamSet, D: IndexSet) -> ParamSet:

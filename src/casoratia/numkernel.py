@@ -19,7 +19,6 @@ import mpmath as mp
 from .polycore import lstsq_dense
 
 DEFAULT_BITS = 256
-PRECISION_LADDER = (256, 512, 1024)
 
 
 @contextlib.contextmanager

@@ -136,3 +136,19 @@ def test_verify_rejects_large_index_sets():
     r = run(["verify", "--family", "w", "--dI", "0,1,2,3", "--N", "2"])
     assert r.returncode == 3
     assert "out of scope" in r.stderr
+
+
+def test_flags_a_command_does_not_read_are_rejected(tmp_path):
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({
+        "family": "w",
+        "a": [["5/2", "0"], ["11/4", "0"], ["9/4", "1/2"], ["9/4", "-1/2"]],
+        "mode": "physical",
+    }))
+    for argv in (["sweep", "--family", "w", "--draws", "0"],
+                 ["verify", "--params", str(pfile), "--dI", "2", "--N", "2",
+                  "--backend", "exact"]):
+        r = run(argv)
+        assert r.returncode == 2
+        assert "unrecognized arguments" in r.stderr
+        assert "Traceback" not in r.stderr

@@ -5,10 +5,11 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from casoratia import miop
 from casoratia.families import FAMILIES, draw_params, params_from_values
-from casoratia.miop import (IndexSet, apply_htilde, build_miop, delta_tilde,
-                            ell_degree, get_builder, hermiticity_check, h_ratio,
-                            shifted_params)
+from casoratia.miop import (Builder, IndexSet, PoleAtSample, _eigen_residual, apply_htilde,
+                            build_miop, delta_tilde, ell_degree, get_builder,
+                            hermiticity_check, h_ratio, shifted_params)
 from casoratia.numkernel import workbits
 from casoratia.polycore import Poly
 
@@ -128,6 +129,59 @@ def test_shifted_params_counts_only():
         l3 = shifted_params(lam, IndexSet.make([(2, "I")]))
         want = FAMILIES["w"].apply_shift_vec(lam, dt)
         assert all(abs(x - y) == 0 for x, y in zip(l3.a, want.a))
+
+
+def _shift_in_pattern(tag, u, w):
+    """u on the first pair a twist acts on, w on the second: (u, u, w, w), cH (u, w, u, w)."""
+    return (u, w, u, w) if tag == "ch" else (u, u, w, w)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("vtype", ["I", "II"])
+def test_delta_tilde_table_rederived(tag, vtype):
+    """Of the 25 shifts with u, w in {0, +-1/2, +-1}, only the pinned one passes.
+
+    The test is the deformed eigenrelation of P_{D,0..2}, D = {1^vtype}, at
+    lambda + shift on a generic draw, 5 samples per n, gate 2^-60.
+    """
+    fam = FAMILIES[tag]
+    vals = [Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1)]
+    with workbits(192):
+        lam = draw_params(tag, "generic", seed=1009, bits=192)
+        b = Builder(lam, bits=192)
+        D = IndexSet.make([(1, vtype)])
+        xi_l, xi_ld = b.xi(D), b.shift_builder().xi(D)
+        polys = {n: b.P(D, n) for n in range(3)}
+        hits = []
+        for u in vals:
+            for w in vals:
+                vec = _shift_in_pattern(tag, u, w)
+                lam_d = fam.apply_shift_vec(lam, vec)
+                try:
+                    worst = max(_eigen_residual(b, lam_d, xi_l, xi_ld, p, fam.energy(n, lam), x)
+                                for n, p in polys.items()
+                                for x in fam.sample_args(5, lam, f"dt|{n}"))
+                except PoleAtSample:
+                    continue
+                if worst < mp.mpf(2) ** -60:
+                    hits.append(vec)
+    assert hits == [delta_tilde(tag, vtype)]
+
+
+def test_delta_tilde_is_a_lookup(monkeypatch):
+    """delta_tilde answers without building anything and keeps no cache."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("delta_tilde built a Builder")
+
+    monkeypatch.setattr(miop, "Builder", refuse)
+    h = Fraction(1, 2)
+    want = {("ch", "I"): (-h, h, -h, h), ("ch", "II"): (h, -h, h, -h),
+            ("w", "I"): (-h, -h, h, h), ("w", "II"): (h, h, -h, -h),
+            ("aw", "I"): (-h, -h, h, h), ("aw", "II"): (h, h, -h, -h)}
+    for (tag, vtype), vec in want.items():
+        got = delta_tilde(tag, vtype)
+        assert got == vec and all(type(x) is Fraction for x in got)
+    assert not getattr(miop, "_DTILDE", None)
 
 
 def test_hermiticity_check():
