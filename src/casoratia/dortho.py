@@ -103,7 +103,7 @@ def build_pa_basis(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) -> PaBas
     EN = fam.energy(N, lam)
     entries = []
     for n in range(N):
-        entries.append(PaEntry(f"case0(n={n})", 0, b.P(D, n), fam.energy(n, lam), n=n))
+        entries.append(PaEntry(f"case0(n={n})", 0, b.P(D, n, top=N), fam.energy(n, lam), n=n))
     out1, out2, out3 = derived_index_sets(D)
     for ds in out1:
         e = fam.etilde("I", ds.removed[0], lam) + fam.etilde("I", ds.added[0], lam) - EN
@@ -140,7 +140,7 @@ def pa_difference_equation_defect(lam: ParamSet, D: IndexSet, bundle: MiopBundle
     for entry in basis.entries:
         for xj in zs.x:
             u = fam.arg_of_x(xj)
-            h = apply_htilde(b, bundle.lam_D, bundle.xi, bundle.xi_shift, entry.poly, u)
+            h = apply_htilde(b, bundle, entry.poly, u)
             ref = entry.energy * entry.poly(fam.eta_at(u, lam))
             h, ref = mp.mpc(h), mp.mpc(ref)
             worst = max(worst, abs(h - ref) / (abs(h) + abs(ref) + 1))
@@ -253,7 +253,7 @@ def _diag_from_definition_defect(lam, bundle, zs, j, closed_value, bits) -> mp.m
             lag = lag * Poly([-eta_l, sc.one], sc)
     denom = lag(zs.eta[j])
     u = fam.arg_of_x(zs.x[j])
-    val = mp.mpc(apply_htilde(b, bundle.lam_D, bundle.xi, bundle.xi_shift, lag, u)) / mp.mpc(denom)
+    val = mp.mpc(apply_htilde(b, bundle, lag, u)) / mp.mpc(denom)
     return abs(val - closed_value) / max(abs(closed_value), mp.mpf(1))
 
 

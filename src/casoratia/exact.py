@@ -246,6 +246,10 @@ class ExactScalars:
     def __init__(self, q: Fraction | None = None):
         self.q = Fraction(q) if q is not None else None
 
+    def at_bits(self, bits: int) -> "ExactScalars":
+        """Exact arithmetic has no working precision: the backend itself."""
+        return self
+
     def _wrap(self, a: QQi):
         if self.q is None:
             return a

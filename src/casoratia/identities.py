@@ -18,7 +18,7 @@ import mpmath as mp
 from .dortho import zero_grid_gram
 from .families import ParamSet
 from .miop import (IndexSet, apply_htilde, build_miop, get_builder,
-                   reference_index_set, shifted_params, PoleAtSample)
+                   reference_index_set, PoleAtSample)
 from .numkernel import TolerancePolicy, workbits
 from .polycore import Poly
 from .zeros import find_zeros
@@ -170,7 +170,6 @@ def _chain_pairs(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int, count: int
     xi_small = b.xi(D_small)
     p_small = b.P(D_small, n)
     p_big = b.P(D_big, n)
-    lam_big = shifted_params(lam, D_big)
     for u in lam.scalars.sample_args(fam, count, lam,
                                      f"chain|{D.key()}|{dp}{tp}|{dpp}{tpp}|{n}"):
         try:
@@ -178,7 +177,7 @@ def _chain_pairs(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int, count: int
             if tp == tpp:
                 ratio = (E_n - ev_p) * ratio
             lhs = ratio * p_big(fam.eta_at(u, lam))
-            rhs = (apply_htilde(b, lam_big, big.xi, big.xi_shift, p_small, u)
+            rhs = (apply_htilde(b, big, p_small, u)
                    + (E_n - ev_p - ev_pp) * p_small(fam.eta_at(u, lam)))
         except (PoleAtSample, ZeroDivisionError):
             continue

@@ -10,9 +10,10 @@ carries a rational prefactor that depends only on the type counts
 or n.  Xi_D and P_{D,n} are therefore recovered by interpolating the ratio of
 detPoly against a canonical reference instance of the same class; mixed
 classes bootstrap the reference denominator polynomial from a two-instance
-pairing solve.  Every build is gated: degree law, nonzero leading
-coefficient, held-out sample residuals, the deformed eigenrelation and shape
-invariance.
+pairing solve.  P_{D,0..N} share one sample set: detPoly is linear in its P
+column, so one cofactor vector per sample serves every n.  Every build is
+gated: degree law, nonzero leading coefficient, held-out sample residuals,
+the deformed eigenrelation and shape invariance.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import mpmath as mp
 
 from .families import FAMILIES, ParamSet
 from .numkernel import TolerancePolicy
-from .polycore import Poly, det_dense, ladder_points
+from .polycore import Poly, det_dense, ladder_points, last_column_cofactors
 
 HALF = Fraction(1, 2)
 
@@ -117,18 +118,22 @@ def _bumped_reference(counts) -> IndexSet:
 
 
 class Builder:
-    """Per-parameter-set construction engine with caches."""
+    """Per-parameter-set construction engine with caches.
+
+    Its scalars carry the builder's own precision, so trimming follows it.
+    """
 
     def __init__(self, lam: ParamSet, bits: int = 256):
         self.lam = lam
         self.fam = lam.fam
-        self.sc = lam.scalars
+        self.sc = lam.scalars.at_bits(bits)
         self.bits = bits
         self._polys = {}        # ('I'|'II'|'P', deg) -> eta Poly
         self._weights = {}      # class tag -> twisted a tuple, alpha
         self._xi_ref = {}       # counts -> Poly (monic Xi_{D0})
         self._xi_cache = {}     # IndexSet.key -> Poly
-        self._p_cache = {}      # (IndexSet.key, n) -> Poly
+        self._p_cache = {}      # (IndexSet.key, n, top) -> Poly
+        self._p_batches = {}    # (IndexSet.key, top) -> _p_batch, until P_{D,top} is fitted
         self._shift_builder = None
 
     # .. column polynomials ......................................................
@@ -137,10 +142,10 @@ class Builder:
         key = (kind, deg)
         if key not in self._polys:
             if kind == "P":
-                self._polys[key] = self.fam.base_poly(deg, self.lam)
+                poly = self.fam.base_poly(deg, self.lam)
             else:
-                ta = self.fam.twist_a(kind, self.lam)
-                self._polys[key] = self.fam.base_poly(deg, self.lam, a=ta)
+                poly = self.fam.base_poly(deg, self.lam, a=self.fam.twist_a(kind, self.lam))
+            self._polys[key] = Poly(poly.coeffs, self.sc)
         return self._polys[key]
 
     def _class_weight_params(self, kind: str):
@@ -154,32 +159,53 @@ class Builder:
 
     # .. determinant values ......................................................
 
-    def det_values(self, cols, us):
-        """detPoly values at the sample arguments us."""
+    def frames(self, us, R: int, kinds):
+        """Per sample u: the etas of its R ladder points and, per column kind, the
+        row weights prod_{m<j} alpha N(x_m), shared by every determinant at u."""
         fam, lam, sc = self.fam, self.lam, self.sc
-        R = len(cols)
-        if R == 0:
-            return [sc.one for _ in us]
         ts = ladder_points(R)
-        kinds = sorted({k for k, _ in cols})
-        polys = [self.col_poly(k, d) for k, d in cols]
-        phase = sc.i ** ((R * (R - 1)) // 2)
+        params = {k: self._class_weight_params(k) for k in sorted(kinds)}
         out = []
         for u in us:
             pts = [fam.shift_arg(u, t, lam) for t in ts]
-            etas = [fam.eta_at(p, lam) for p in pts]
             cum = {}
-            for k in kinds:
-                a, alpha = self._class_weight_params(k)
+            for k, (a, alpha) in params.items():
                 w = [sc.one]
                 for m in range(R - 1):
                     w.append(w[-1] * (alpha * fam.v_numer_at(a, pts[m], lam)))
                 cum[k] = w
-            rows = []
-            for j in range(R):
-                rows.append([cum[k][j] * polys[c](etas[j]) for c, (k, _) in enumerate(cols)])
-            out.append(det_dense(rows, sc) * phase)
+            out.append(([fam.eta_at(p, lam) for p in pts], cum))
         return out
+
+    def _block(self, cols, etas, cum):
+        """The rows of the determinant matrix of cols at one frame."""
+        polys = [self.col_poly(k, d) for k, d in cols]
+        return [[cum[k][j] * polys[c](etas[j]) for c, (k, _) in enumerate(cols)]
+                for j in range(len(etas))]
+
+    def det_values(self, cols, us, frames=None):
+        """detPoly values at the sample arguments us (frames: their frames, if made)."""
+        sc = self.sc
+        R = len(cols)
+        if R == 0:
+            return [sc.one for _ in us]
+        if frames is None:
+            frames = self.frames(us, R, {k for k, _ in cols})
+        phase = sc.i ** ((R * (R - 1)) // 2)
+        return [det_dense(self._block(cols, *fr), sc) * phase for fr in frames]
+
+    def p_cofactors(self, cols, frames):
+        """Per frame, c_j with detPoly(cols + [("P", n)]) = sum_j c_j p_n(eta_j) for every n.
+
+        detPoly is linear in its last column: one cofactor vector of the cols
+        block, with the phase and the P-column weights folded in, serves every n.
+        """
+        sc = self.sc
+        R = len(cols) + 1
+        phase = sc.i ** ((R * (R - 1)) // 2)
+        return [[c * phase * w for c, w in
+                 zip(last_column_cofactors(self._block(cols, etas, cum), sc), cum["P"])]
+                for etas, cum in frames]
 
     # .. sampling / fitting ......................................................
 
@@ -200,15 +226,9 @@ class Builder:
     def _tolerance(self) -> mp.mpf:
         return mp.mpf(2) ** (-self.bits + 48)
 
-    def _extract(self, cols, deg: int, ref_cols, ref_poly: Poly, salt: str) -> Poly:
-        """Interpolate the eta polynomial of detPoly(cols) against a class reference."""
+    def _fit_held_out(self, keep, deg: int) -> Poly:
+        """Fit the eta polynomial of degree deg to (eta, value) pairs; gate the held-out ones."""
         sc = self.sc
-        us = self._samples(deg + 1 + sc.extract_extra + 6, salt)
-        vals = self.det_values(cols, us)
-        refs = self.det_values(ref_cols, us)
-        etas = [self.fam.eta_at(u, self.lam) for u in us]
-        keep = [(e, v * ref_poly(e) / r)
-                for e, v, r, ok in zip(etas, vals, refs, sc.nonvanishing(refs, self.bits)) if ok]
         if len(keep) < deg + 4:
             raise DegenerateIndexSet("too many degenerate samples in extraction")
         fit_n = sc.fit_rows(deg + 1, len(keep))
@@ -224,6 +244,39 @@ class Builder:
                 raise PrefactorResidue(
                     f"extraction held-out residual {mp.nstr(err, 5)} exceeds {mp.nstr(lim, 5)}")
         return poly
+
+    def _extract(self, cols, deg: int, ref_cols, ref_poly: Poly, salt: str) -> Poly:
+        """Interpolate the eta polynomial of detPoly(cols) against a class reference."""
+        sc = self.sc
+        us = self._samples(deg + 1 + sc.extract_extra + 6, salt)
+        frames = self.frames(us, len(cols), {k for k, _ in cols + ref_cols})
+        vals = self.det_values(cols, us, frames)
+        refs = self.det_values(ref_cols, us, frames)
+        etas = [self.fam.eta_at(u, self.lam) for u in us]
+        return self._fit_held_out(
+            [(e, v * ref_poly(e) / r)
+             for e, v, r, ok in zip(etas, vals, refs, sc.nonvanishing(refs, self.bits)) if ok],
+            deg)
+
+    def _p_batch(self, D: IndexSet, top: int):
+        """What P_{D,n<=top} is fitted from: per kept sample, its eta, the etas of its
+        ladder and the cofactor weights, scaled by the reference ratio Xi_{D0}/detPoly_{D0}."""
+        sc = self.sc
+        D0 = reference_index_set(D.counts)
+        ref_poly = self.shift_builder().xi(D0)
+        cols = _xi_cols(D)
+        us = self._samples(D.ell + top + 1 + sc.extract_extra + 6, f"p|{D.key()}|{top}")
+        frames = self.frames(us, len(cols) + 1, {k for k, _ in cols} | {"P"})
+        refs = self.det_values(_p_cols(D0, 0), us, frames)
+        cofs = self.p_cofactors(cols, frames)
+        batch = []
+        for u, (etas, _), r, cof, ok in zip(us, frames, refs, cofs,
+                                            sc.nonvanishing(refs, self.bits)):
+            if ok:
+                e = self.fam.eta_at(u, self.lam)
+                k = ref_poly(e) / r
+                batch.append((e, etas, [c * k for c in cof]))
+        return batch
 
     # .. class references ..........................................................
 
@@ -249,8 +302,10 @@ class Builder:
         nunk = (dA + 1) + dB
         us = self._samples(nunk + sc.pairing_extra, f"pair|{D0.key()}|{D1.key()}")
         etas = [self.fam.eta_at(u, self.lam) for u in us]
-        v0 = self.det_values(_xi_cols(D0), us)
-        v1 = self.det_values(_xi_cols(D1), us)
+        c0, c1 = _xi_cols(D0), _xi_cols(D1)
+        frames = self.frames(us, D0.M, {k for k, _ in c0 + c1})
+        v0 = self.det_values(c0, us, frames)
+        v1 = self.det_values(c1, us, frames)
         rows, rhs = [], []
         for e, a_s, b_s in zip(etas, v1, v0):
             pw = [sc.one]
@@ -298,18 +353,34 @@ class Builder:
         self._xi_cache[key] = poly
         return poly
 
-    def P(self, D: IndexSet, n: int) -> Poly:
-        key = (D.key(), n)
+    def P(self, D: IndexSet, n: int, top: int | None = None) -> Poly:
+        """P_{D,n}, fitted with every P_{D,n'<=top} from one sample set (top defaults to n).
+
+        The result depends on (D, n, top) only, never on the order of calls.
+        """
+        top = n if top is None else top
+        if top < n:
+            raise ValueError(f"top = {top} is below n = {n}")
+        key = (D.key(), n, top)
         if key in self._p_cache:
             return self._p_cache[key]
         if D.M == 0:
             poly = self.col_poly("P", n)
         else:
-            counts = D.counts
-            D0 = reference_index_set(counts)
-            ref = self.shift_builder().xi(D0)
-            poly = self._extract(_p_cols(D, n), D.ell + n, _p_cols(D0, 0), ref,
-                                 f"p|{D.key()}|{n}")
+            bkey = (D.key(), top)
+            batch = self._p_batches.pop(bkey, None)
+            if batch is None:
+                batch = self._p_batch(D, top)
+            if n < top and (D.key(), top, top) not in self._p_cache:
+                self._p_batches[bkey] = batch
+            base = self.col_poly("P", n)
+            keep = []
+            for e, etas, cof in batch:
+                val = self.sc.zero
+                for c, x in zip(cof, etas):
+                    val = val + c * base(x)
+                keep.append((e, val))
+            poly = self._fit_held_out(keep, D.ell + n)
         poly = poly.trim()
         if poly.degree != D.ell + n:
             raise DegenerateIndexSet(
@@ -360,10 +431,10 @@ def shifted_params(lam: ParamSet, D: IndexSet) -> ParamSet:
 # -- deformed operator -------------------------------------------------------------
 
 
-def apply_htilde(builder: Builder, lam_D: ParamSet, xi_l: Poly, xi_ld: Poly,
-                 p: Poly, u):
-    """(H~_D p-check)(x) per the deformed similarity-transformed Hamiltonian."""
+def apply_htilde(builder: Builder, bundle: "MiopBundle", p: Poly, u):
+    """(H~_D p-check)(x) per the deformed similarity-transformed Hamiltonian of a bundle."""
     fam, lam, sc = builder.fam, builder.lam, builder.sc
+    xi_l, xi_ld = bundle.xi, bundle.xi_shift
     u_m = fam.shift_arg(u, -1, lam)
     u_p = fam.shift_arg(u, 1, lam)
     u_mh = fam.shift_arg(u, -HALF, lam)
@@ -372,22 +443,21 @@ def apply_htilde(builder: Builder, lam_D: ParamSet, xi_l: Poly, xi_ld: Poly,
     xi_ph = xi_l(fam.eta_at(u_ph, lam))
     xi_mh = xi_l(fam.eta_at(u_mh, lam))
     xi0 = xi_ld(eta)
-    tiny = mp.mpf(2) ** (-builder.bits // 2)
-    bound = tiny * sc.scale(xi_l.coeffs)
+    bound, shift_bound = bundle.pole_bounds
     if (sc.vanishes(xi_ph, bound) or sc.vanishes(xi_mh, bound)
-            or sc.vanishes(xi0, tiny * sc.scale(xi_ld.coeffs))):
+            or sc.vanishes(xi0, shift_bound)):
         raise PoleAtSample("Xi_D vanished near sample point")
-    v = fam.v_at(lam_D.a, u, lam)
-    vs = fam.v_star_at(lam_D.a, u, lam)
+    v = fam.v_at(bundle.lam_D.a, u, lam)
+    vs = fam.v_star_at(bundle.lam_D.a, u, lam)
     pu = p(eta)
     t1 = v * (xi_ph / xi_mh) * (p(fam.eta_at(u_m, lam)) - (xi_ld(fam.eta_at(u_m, lam)) / xi0) * pu)
     t2 = vs * (xi_mh / xi_ph) * (p(fam.eta_at(u_p, lam)) - (xi_ld(fam.eta_at(u_p, lam)) / xi0) * pu)
     return t1 + t2
 
 
-def _eigen_residual(builder: Builder, lam_D: ParamSet, xi_l, xi_ld, p, E, u) -> mp.mpf:
+def _eigen_residual(builder: Builder, bundle: "MiopBundle", p, E, u) -> mp.mpf:
     sc = builder.sc
-    h = apply_htilde(builder, lam_D, xi_l, xi_ld, p, u)
+    h = apply_htilde(builder, bundle, p, u)
     val = sc.to_mpc(h)
     ref = sc.to_mpc(E * p(builder.fam.eta_at(u, builder.lam)))
     scale = abs(val) + abs(ref) + 1
@@ -408,6 +478,7 @@ class MiopBundle:
     xi_shift: Poly
     P: dict
     lam_D: ParamSet
+    pole_bounds: tuple      # |Xi_D|, |Xi_D(lambda+delta)| below these: a pole (apply_htilde)
     gates: dict = field(default_factory=dict)
 
     @property
@@ -425,21 +496,22 @@ def build_miop(lam: ParamSet, D: IndexSet, n_max: int = 8, bits: int = 256,
     fam = lam.fam
     xi = b.xi(D)
     xi_shift = b.shift_builder().xi(D)
-    polys = {n: b.P(D, n) for n in range(n_max + 1)}
+    polys = {n: b.P(D, n, top=n_max) for n in range(n_max + 1)}
     lam_D = shifted_params(lam, D)
-    bundle = MiopBundle(lam, D, n_max, xi, xi_shift, polys, lam_D)
+    tolerance = mp.mpf(2) ** (-bits // 2)
+    bounds = (tolerance * b.sc.scale(xi.coeffs), tolerance * b.sc.scale(xi_shift.coeffs))
+    bundle = MiopBundle(lam, D, n_max, xi, xi_shift, polys, lam_D, bounds)
     if not check:
         return bundle
-    tolerance = mp.mpf(2) ** (-bits // 2)
     worst = mp.mpf(0)
     for n, p in polys.items():
         E = fam.energy(n, lam)
         got = 0
-        for u in fam.sample_args(samples + 6, lam, f"gate|{D.key()}|{n}"):
+        for u in lam.scalars.sample_args(fam, samples + 6, lam, f"gate|{D.key()}|{n}"):
             if got >= samples:
                 break
             try:
-                worst = max(worst, _eigen_residual(b, lam_D, xi, xi_shift, p, E, u))
+                worst = max(worst, _eigen_residual(b, bundle, p, E, u))
                 got += 1
             except PoleAtSample:
                 continue

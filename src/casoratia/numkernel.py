@@ -115,6 +115,10 @@ class MPScalars:
     def __init__(self, bits: int = DEFAULT_BITS):
         self.bits = bits
 
+    def at_bits(self, bits: int) -> "MPScalars":
+        """This backend at a working precision of bits (trimming follows it)."""
+        return self if bits == self.bits else MPScalars(bits)
+
     @property
     def zero(self):
         return _ZERO

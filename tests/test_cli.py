@@ -152,3 +152,23 @@ def test_flags_a_command_does_not_read_are_rejected(tmp_path):
         assert r.returncode == 2
         assert "unrecognized arguments" in r.stderr
         assert "Traceback" not in r.stderr
+
+
+def test_exact_construct_and_roots(tmp_path):
+    """Exact parameters build, pass their gates exactly and give the roots of P_{D,N}."""
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({
+        "family": "w",
+        "a": [["5/2", "0"], ["11/4", "0"], ["9/4", "1/2"], ["9/4", "-1/2"]],
+        "mode": "physical",
+    }))
+    for cmd in ("construct", "roots"):
+        r = run([cmd, "--params", str(pfile), "--backend", "exact", "--dI", "1", "--N", "2",
+                 "--out", str(tmp_path / f"{cmd}.json")])
+        assert r.returncode == 0, r.stderr
+    doc = json.loads((tmp_path / "construct.json").read_text())
+    assert doc["gates"] == {"eigen_residual": "0.0", "shape_invariance": "0.0"}
+    assert doc["manifest"]["backend"] == "exact"
+    assert len(doc["P"]["2"]) == 1 + 2 + 1   # deg P_{D,2} = ell_D + 2 = 3
+    roots = json.loads((tmp_path / "roots.json").read_text())
+    assert len(roots["eta"]) == 3

@@ -1,5 +1,6 @@
 """Multi-index construction: degree laws, gates, operator, hermiticity, norms."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -105,14 +106,13 @@ def test_apply_htilde_on_constants_and_linearity():
         bun = build_miop(lam, D, 1, check=False)
         one = Poly([sc.one], sc)
         u = FAMILIES["aw"].sample_args(3, lam, "lin")[1]
-        assert abs(apply_htilde(b, bun.lam_D, bun.xi, bun.xi_shift, one, u)) <= mp.mpf(2) ** -180
+        assert abs(apply_htilde(b, bun, one, u)) <= mp.mpf(2) ** -180
         p = bun.P[1]
         r = Poly([sc.from_int(2), sc.one, sc.one], sc)
         al, be = mp.mpc("1.5", "-0.5"), mp.mpc("0.25", "2")
         combo = p.scale(al) + r.scale(be)
-        lhs = apply_htilde(b, bun.lam_D, bun.xi, bun.xi_shift, combo, u)
-        rhs = (al * apply_htilde(b, bun.lam_D, bun.xi, bun.xi_shift, p, u)
-               + be * apply_htilde(b, bun.lam_D, bun.xi, bun.xi_shift, r, u))
+        lhs = apply_htilde(b, bun, combo, u)
+        rhs = (al * apply_htilde(b, bun, p, u) + be * apply_htilde(b, bun, r, u))
         assert abs(lhs - rhs) <= mp.mpf(2) ** -180 * (1 + abs(lhs))
 
 
@@ -148,18 +148,17 @@ def test_delta_tilde_table_rederived(tag, vtype):
     vals = [Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1)]
     with workbits(192):
         lam = draw_params(tag, "generic", seed=1009, bits=192)
-        b = Builder(lam, bits=192)
         D = IndexSet.make([(1, vtype)])
-        xi_l, xi_ld = b.xi(D), b.shift_builder().xi(D)
-        polys = {n: b.P(D, n) for n in range(3)}
+        bun = build_miop(lam, D, 2, bits=192, check=False)
+        b = get_builder(lam, 192)
         hits = []
         for u in vals:
             for w in vals:
                 vec = _shift_in_pattern(tag, u, w)
-                lam_d = fam.apply_shift_vec(lam, vec)
+                shifted = replace(bun, lam_D=fam.apply_shift_vec(lam, vec))
                 try:
-                    worst = max(_eigen_residual(b, lam_d, xi_l, xi_ld, p, fam.energy(n, lam), x)
-                                for n, p in polys.items()
+                    worst = max(_eigen_residual(b, shifted, p, fam.energy(n, lam), x)
+                                for n, p in bun.P.items()
                                 for x in fam.sample_args(5, lam, f"dt|{n}"))
                 except PoleAtSample:
                     continue
@@ -266,3 +265,108 @@ def test_verify_report_invariant_under_d_reordering():
                                   check_pa=False)
         for k1, k2 in zip(r1.k, r2.k):
             assert k1 == k2
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+def test_p_cofactors_match_det_values(backend):
+    """sum_j c_j p_n(eta_j) is detPoly with the P_n column, for every n; exact on exact."""
+    a_vals, _ = EXACT_PARAMS["w"]
+    with workbits(256):
+        lam = params_from_values("w", a_vals, mode="physical", backend=backend, bits=256)
+        b = Builder(lam)
+        us = lam.scalars.sample_args(lam.fam, 3, lam, "cofactors")
+        for D in (IndexSet.make([(1, "I")]), IndexSet.make([(1, "I"), (2, "II")]),
+                  IndexSet.make([(0, "I"), (2, "I"), (1, "II")])):
+            frames = b.frames(us, D.M + 1, {"I", "II", "P"})
+            cofs = b.p_cofactors(miop._xi_cols(D), frames)
+            for n in range(3):
+                base = b.col_poly("P", n)
+                want = b.det_values(miop._p_cols(D, n), us)
+                for (etas, _), cof, w in zip(frames, cofs, want):
+                    got = b.sc.zero
+                    for c, x in zip(cof, etas):
+                        got = got + c * base(x)
+                    if backend == "exact":
+                        assert got == w
+                    else:
+                        assert abs(got - w) <= mp.mpf(2) ** -220 * abs(w)
+
+
+def test_exact_P_is_independent_of_top():
+    """One sample set serves every n <= top: the exact P_{D,n} is the same for every top."""
+    a_vals, _ = EXACT_PARAMS["w"]
+    lam = params_from_values("w", a_vals, mode="physical", backend="exact")
+    b = Builder(lam)
+    D = IndexSet.make([(1, "I"), (1, "II")])
+    for n in range(3):
+        want = b.P(D, n).coeffs
+        for top in range(n + 1, 4):
+            assert b.P(D, n, top=top).coeffs == want
+    with pytest.raises(ValueError):
+        b.P(D, 2, top=1)
+
+
+def test_P_is_independent_of_call_order():
+    """A cold builder and a warm one give the same float P_{D',N}, bit for bit."""
+    N = 2
+    D = IndexSet.make([(1, "I"), (2, "II")])
+    Dp = IndexSet.make([(1, "I"), (0, "II")])   # a case-(2) derived set of D
+    with workbits(288):
+        lam = draw_params("aw", "generic", seed=23)
+        cold = Builder(lam).P(Dp, N)
+        warm = Builder(lam)
+        for n in range(N + 1):
+            warm.P(D, n, top=N)
+        warm.P(Dp, 0, top=N)
+        warm.P(Dp, 1, top=N + 1)
+        assert set(warm._p_batches) == {(Dp.key(), N), (Dp.key(), N + 1)}
+        assert warm.P(Dp, N).coeffs == cold.coeffs
+        # the batch is dropped once its top degree is fitted
+        assert set(warm._p_batches) == {(Dp.key(), N + 1)}
+        bun = build_miop(lam, Dp, N, check=False)
+        assert bun.P[N].coeffs == cold.coeffs
+
+
+def test_builder_owns_its_trimming_precision():
+    """A 512-bit builder of a 256-bit draw trims at 2^-496, not at the draw's 2^-240."""
+    with workbits(544):
+        lam = draw_params("aw", "generic", 1, bits=256)
+        b = get_builder(lam, 512)
+        assert lam.scalars.bits == 256 and b.sc.bits == 512
+        assert b.shift_builder().sc.bits == 512
+        D = IndexSet.make([(1, "I")])
+        assert b.xi(D).scalars.bits == 512 and b.P(D, 1).scalars.bits == 512
+        tail = Poly([b.sc.one, mp.mpf(2) ** -300], b.sc)
+        assert tail.degree == 1
+        assert Poly(tail.coeffs, lam.scalars).degree == 0
+    exact = params_from_values("w", EXACT_PARAMS["w"][0], mode="physical", backend="exact")
+    assert get_builder(exact, 512).sc is exact.scalars
+
+
+def test_benchmark_tracer_records_builder_spans():
+    """perfbench/tracing.py wraps Builder.det_values, .xi and .P and puts them back."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    originals = {k: Builder.__dict__[k] for k in ("det_values", "xi", "P")}
+    build = miop.build_miop
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with workbits(256):
+            lam = draw_params("w", "generic", seed=4243)
+            miop.build_miop(lam, IndexSet.make([(2, "I")]), 1)
+    finally:
+        tracer.restore()
+    summary = tracer.summary()
+    spans = summary["spans"]
+    assert spans["miop.build_miop"]["calls"] == 1
+    assert spans["miop.Builder.P"]["calls"] == 2
+    assert spans["miop.det_values"]["calls"] >= 2
+    assert summary["counts"]["miop.det_values.points"] > 0
+    assert {k: Builder.__dict__[k] for k in originals} == originals
+    assert miop.build_miop is build

@@ -10,7 +10,8 @@ import pytest
 import casoratia
 from casoratia.families import FAMILIES, draw_params, params_from_values
 from casoratia.numkernel import workbits
-from casoratia.polycore import Poly, det_dense, ladder_points, lstsq_dense, solve_dense
+from casoratia.polycore import (Poly, det_dense, ladder_points, last_column_cofactors,
+                                lstsq_dense, solve_dense)
 
 AW_EXACT = [("1/10", "0"), ("2/15", "0"), ("1/8", "1/16"), ("1/8", "-1/16")]
 
@@ -20,6 +21,32 @@ def _aw_params(backend):
     if backend == "exact":
         return params_from_values("aw", AW_EXACT, "2/5", mode="physical", backend="exact")
     return draw_params("aw", "physical", seed=3, bits=192)
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+def test_last_column_cofactors(backend):
+    """sum_j C_j y_j is det[block | y] for n = 1..4, including a singular block."""
+    with workbits(192):
+        sc = _aw_params(backend).scalars
+        vals = [sc.from_fraction(Fraction(3 * k * k % 11 - 5, k + 2), Fraction(k % 3 - 1, 7))
+                for k in range(40)]
+        for n in range(1, 5):
+            block = [[vals[(n * 7 + 5 * j + 3 * c) % 40] for c in range(n - 1)] for j in range(n)]
+            if n == 4:
+                cases = [block, [row[:2] + [row[0] + row[1]] for row in block]]
+            else:
+                cases = [block]
+            for blk in cases:
+                cof = last_column_cofactors(blk, sc)
+                for y in ([vals[(n + j) % 40] for j in range(n)], [sc.one] * n):
+                    got = sc.zero
+                    for c, yj in zip(cof, y):
+                        got = got + c * yj
+                    want = det_dense([row + [yj] for row, yj in zip(blk, y)], sc)
+                    if backend == "exact":
+                        assert got == want
+                    else:
+                        assert abs(got - want) <= mp.mpf(2) ** -170 * (1 + abs(want))
 
 
 @pytest.mark.parametrize("backend", ["float", "exact"])
