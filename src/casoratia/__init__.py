@@ -2,13 +2,13 @@
 
 from .families import FAMILIES, ParamSet, draw_params, params_from_values
 from .miop import IndexSet, build_miop, ell_degree, shifted_params
-from .numkernel import DEFAULT_BITS, TolerancePolicy, approx_equal, pochhammer, q_pochhammer
+from .numkernel import DEFAULT_BITS, pochhammer, q_pochhammer
 
 __version__ = "0.1.0"
 
 __all__ = [
     "FAMILIES", "ParamSet", "draw_params", "params_from_values",
     "IndexSet", "build_miop", "ell_degree", "shifted_params",
-    "DEFAULT_BITS", "TolerancePolicy", "approx_equal", "pochhammer", "q_pochhammer",
+    "DEFAULT_BITS", "pochhammer", "q_pochhammer",
     "__version__",
 ]

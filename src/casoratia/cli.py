@@ -28,7 +28,7 @@ from .identities import (check_prefactor_ratio_identity, check_chain_identity,
                          partial_fraction_integral_check, chain_identity_exact)
 from .miop import (DegenerateIndexSet, IndexSet, PoleAtSample, PrefactorResidue,
                    build_miop, hermiticity_check)
-from .numkernel import DEFAULT_BITS, TolerancePolicy, workbits
+from .numkernel import DEFAULT_BITS, workbits
 from .report import canonical_json, num_str, ortho_report_json, poly_json, real_str
 from .zeros import MultipleRootSuspected, find_zeros
 
@@ -131,9 +131,12 @@ def _verify_once(lam: ParamSet, D: IndexSet, N: int, bits: int, quadrature: bool
             rep.extras["hermitian"] = bool(ok)
             rep.extras["hermiticity_witness"] = len(offenders)
         if quadrature and N >= 2:
-            naive = naive_weight_demo(lam, D, N, bits)
+            # the naive control needs N >= 3: at N = 2 its one Gram entry,
+            # sum_j P_{D,0}(eta_j) / P'_{D,2}(eta_j), vanishes identically
+            if N >= 3:
+                naive = naive_weight_demo(lam, D, N, bits)
+                checks["naive_weight_fails"] = bool(naive >= mp.mpf("1e-3"))
             pf = partial_fraction_integral_check(lam, D, N, 0, 1, bits=min(bits, 192))
-            checks["naive_weight_fails"] = bool(naive >= mp.mpf("1e-3"))
             checks["partial_fraction_nonzero"] = bool(pf["rel"] >= mp.mpf("1e-3"))
         return rep, conj, checks
 
@@ -328,7 +331,7 @@ def cmd_roots(args) -> int:
     with workbits(args.prec + 32):
         try:
             bundle = build_miop(lam, D, args.N, args.prec)
-            zs = find_zeros(bundle.P[args.N], TolerancePolicy(args.prec), lam.fam)
+            zs = find_zeros(bundle.P[args.N], args.prec, lam.fam)
         except DEGENERACY_ERRORS as exc:
             print(f"degenerate instance: {exc}", file=sys.stderr)
             return EXIT_DEGENERATE
@@ -373,6 +376,14 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _prec(text: str) -> int:
+    """--prec: working precision in bits, at least 64."""
+    bits = int(text)
+    if bits < 64:
+        raise argparse.ArgumentTypeError(f"precision must be >= 64 bits, got {bits}")
+    return bits
+
+
 def make_parser() -> argparse.ArgumentParser:
     """Each subcommand declares exactly the flags it reads."""
     ap = argparse.ArgumentParser(prog="casoratia",
@@ -387,7 +398,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--dI", help="type-I degrees, e.g. '1,2'")
         p.add_argument("--dII", help="type-II degrees")
         p.add_argument("--N", type=int, default=3)
-        p.add_argument("--prec", type=int, default=DEFAULT_BITS)
+        p.add_argument("--prec", type=_prec, default=DEFAULT_BITS)
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--out")
 
@@ -400,7 +411,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--timestamps", action="store_true")
     p.set_defaults(backend="float")  # the pipeline is float-only; the manifest says so
     p = sub.add_parser("sweep", help="grid of instances, aggregate CSV")
-    p.add_argument("--prec", type=int, default=DEFAULT_BITS)
+    p.add_argument("--prec", type=_prec, default=DEFAULT_BITS)
     p.add_argument("--out")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--quadrature", action="store_true")

@@ -10,17 +10,13 @@ decay is the discrete orthogonality relation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import mpmath as mp
 
 from .families import ParamSet
-from .miop import (IndexSet, MiopBundle, apply_htilde, build_miop, get_builder)
-from .numkernel import TolerancePolicy
+from .miop import IndexSet, MiopBundle, apply_htilde, build_miop, get_builder, htilde_frame
 from .polycore import Poly
 from .zeros import ZeroSet, find_zeros
-
-HALF_FRAC = Fraction(1, 2)
 
 
 class DegenerateSpectrum(RuntimeError):
@@ -131,51 +127,37 @@ def build_pa_basis(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) -> PaBas
     return PaBasis(entries)
 
 
-def pa_difference_equation_defect(lam: ParamSet, D: IndexSet, bundle: MiopBundle,
-                                  basis: PaBasis, zs: ZeroSet, bits: int = 256) -> mp.mpf:
-    """Worst residual of (H~_D P_a)(x_j) = E^P_a P_a(eta_j) over the basis and zeros."""
-    b = get_builder(lam, bits)
-    fam = lam.fam
+def pa_difference_equation_defect(basis: PaBasis, frames) -> mp.mpf:
+    """Worst residual of (H~_D P_a)(x_j) = E^P_a P_a(eta_j) over the basis and zero frames."""
     worst = mp.mpf(0)
     for entry in basis.entries:
-        for xj in zs.x:
-            u = fam.arg_of_x(xj)
-            h = apply_htilde(b, bundle, entry.poly, u)
-            ref = entry.energy * entry.poly(fam.eta_at(u, lam))
+        for fr in frames:
+            h = apply_htilde(fr, entry.poly)
+            ref = entry.energy * entry.poly(fr.eta)
             h, ref = mp.mpc(h), mp.mpc(ref)
             worst = max(worst, abs(h - ref) / (abs(h) + abs(ref) + 1))
     return worst
 
 
-def compute_F(lam: ParamSet, D: IndexSet, bundle: MiopBundle, zs: ZeroSet,
-              bits: int = 256):
+def compute_F(bundle: MiopBundle, frames, bits: int = 256):
     """Weights F_j by the symmetric two-term form, cross-checked by the one-term form."""
-    fam = lam.fam
     pN = bundle.P[bundle.n_max]
     dP = pN.derivative()
     tol = mp.mpf(2) ** (-bits // 2 + 16)
     F = []
     cross_worst = mp.mpf(0)
-    for xj in zs.x:
-        u = fam.arg_of_x(xj)
-        um, up = fam.shift_arg(u, -1, lam), fam.shift_arg(u, 1, lam)
-        umh, uph = fam.shift_arg(u, -HALF_FRAC, lam), fam.shift_arg(u, HALF_FRAC, lam)
-        eta_m, eta_p = fam.eta_at(um, lam), fam.eta_at(up, lam)
-        xi_m, xi_p = bundle.xi(fam.eta_at(umh, lam)), bundle.xi(fam.eta_at(uph, lam))
-        if abs(mp.mpc(xi_m)) == 0 or abs(mp.mpc(xi_p)) == 0:
-            raise WeightSingular("Xi_D vanished at a zero's half-shifted points")
-        v = fam.v_at(bundle.lam_D.a, u, lam)
-        vs = fam.v_star_at(bundle.lam_D.a, u, lam)
-        dpj = dP(fam.eta_at(u, lam))
-        two_term = -(eta_m * v * (xi_p / xi_m) * pN(eta_m)
-                     + eta_p * vs * (xi_m / xi_p) * pN(eta_p)) / dpj
-        one_term = (eta_p - eta_m) / dpj * v * (xi_p / xi_m) * pN(eta_m)
+    for fr in frames:
+        eta_m, eta_p = fr.eta_m, fr.eta_p
+        dpj = dP(fr.eta)
+        two_term = -(eta_m * fr.v * fr.half_m * pN(eta_m)
+                     + eta_p * fr.vs * fr.half_p * pN(eta_p)) / dpj
+        one_term = (eta_p - eta_m) / dpj * fr.v * fr.half_m * pN(eta_m)
         fj, fj2 = mp.mpc(two_term), mp.mpc(one_term)
         rel = abs(fj - fj2) / max(abs(fj), abs(fj2), mp.mpf("1e-300"))
         cross_worst = max(cross_worst, rel)
         if rel > tol:
             raise WeightSingular(
-                f"F_j dual-form disagreement {mp.nstr(rel, 5)} at zero {mp.nstr(mp.mpc(xj), 8)}")
+                f"F_j dual-form disagreement {mp.nstr(rel, 5)} at eta_j = {mp.nstr(fr.eta, 8)}")
         F.append(two_term)
     scale = max(abs(mp.mpc(f)) for f in F)
     for f in F:
@@ -184,22 +166,15 @@ def compute_F(lam: ParamSet, D: IndexSet, bundle: MiopBundle, zs: ZeroSet,
     return F, cross_worst
 
 
-def build_M(lam: ParamSet, D: IndexSet, bundle: MiopBundle, zs: ZeroSet, F,
-            bits: int = 256):
+def build_M(lam: ParamSet, D: IndexSet, zs: ZeroSet, frames, F, bits: int = 256):
     """M-tilde per the closed forms, M = G^-1 M-tilde G with g_j = sqrt(F_j)."""
-    fam = lam.fam
     n_t = len(zs.eta)
     etas = zs.eta
     tol = mp.mpf(2) ** (-bits + 40)
     Mt = [[mp.mpc(0)] * n_t for _ in range(n_t)]
-    eta_pm = []
-    for xj in zs.x:
-        u = fam.arg_of_x(xj)
-        um, up = fam.shift_arg(u, -1, lam), fam.shift_arg(u, 1, lam)
-        eta_pm.append((mp.mpc(fam.eta_at(um, lam)), mp.mpc(fam.eta_at(up, lam))))
     scale_eta = max(max(abs(e) for e in etas), mp.mpf(1))
-    for j in range(n_t):
-        em, ep = eta_pm[j]
+    for j, fr in enumerate(frames):
+        em, ep = fr.eta_m, fr.eta_p
         for k in range(n_t):
             if k == j:
                 continue
@@ -208,24 +183,12 @@ def build_M(lam: ParamSet, D: IndexSet, bundle: MiopBundle, zs: ZeroSet, F,
                 raise DenominatorCollision(
                     f"eta(x_{j} -+ i gamma) collides with eta_{k}")
             Mt[j][k] = mp.mpc(F[j]) / (d1 * d2)
-    for j in range(n_t):
-        em, ep = eta_pm[j]
-        xj = zs.x[j]
-        u = fam.arg_of_x(xj)
-        umh, uph = fam.shift_arg(u, -HALF_FRAC, lam), fam.shift_arg(u, HALF_FRAC, lam)
-        xi_m = mp.mpc(bundle.xi(fam.eta_at(umh, lam)))
-        xi_p = mp.mpc(bundle.xi(fam.eta_at(uph, lam)))
-        um, up = fam.shift_arg(u, -1, lam), fam.shift_arg(u, 1, lam)
-        xid_0 = mp.mpc(bundle.xi_shift(fam.eta_at(u, lam)))
-        xid_m = mp.mpc(bundle.xi_shift(fam.eta_at(um, lam)))
-        xid_p = mp.mpc(bundle.xi_shift(fam.eta_at(up, lam)))
-        v = mp.mpc(fam.v_at(bundle.lam_D.a, u, lam))
-        vs = mp.mpc(fam.v_star_at(bundle.lam_D.a, u, lam))
-        Mt[j][j] = (mp.mpc(F[j]) / ((em - etas[j]) * (ep - etas[j]))
-                    - v * (xi_p / xi_m) * (xid_m / xid_0)
-                    - vs * (xi_m / xi_p) * (xid_p / xid_0))
+    for j, fr in enumerate(frames):
+        Mt[j][j] = (mp.mpc(F[j]) / ((fr.eta_m - etas[j]) * (fr.eta_p - etas[j]))
+                    - fr.v * fr.half_m * fr.r_m
+                    - fr.vs * fr.half_p * fr.r_p)
     j = _deterministic_index(lam, D, n_t)
-    diag_defect = _diag_from_definition_defect(lam, bundle, zs, j, Mt[j][j], bits)
+    diag_defect = _diag_from_definition_defect(lam, zs, frames[j], j, Mt[j][j])
     g = [mp.sqrt(mp.mpc(f)) for f in F]
     M = [[Mt[j][k] * g[k] / g[j] for k in range(n_t)] for j in range(n_t)]
     mmax = max(max(abs(M[j][k]) for k in range(n_t)) for j in range(n_t))
@@ -242,18 +205,14 @@ def _deterministic_index(lam, D, n) -> int:
     return h[0] % n
 
 
-def _diag_from_definition_defect(lam, bundle, zs, j, closed_value, bits) -> mp.mpf:
-    """M~_jj from the definition: H~_D applied to the Lagrange numerator at x_j."""
-    b = get_builder(lam, bits)
-    fam = lam.fam
+def _diag_from_definition_defect(lam, zs, fr, j, closed_value) -> mp.mpf:
+    """M~_jj from the definition: H~_D applied to the Lagrange numerator at x_j (frame fr)."""
     sc = lam.scalars
     lag = Poly([sc.one], sc)
     for l, eta_l in enumerate(zs.eta):
         if l != j:
             lag = lag * Poly([-eta_l, sc.one], sc)
-    denom = lag(zs.eta[j])
-    u = fam.arg_of_x(zs.x[j])
-    val = mp.mpc(apply_htilde(b, bundle, lag, u)) / mp.mpc(denom)
+    val = mp.mpc(apply_htilde(fr, lag)) / mp.mpc(lag(zs.eta[j]))
     return abs(val - closed_value) / max(abs(closed_value), mp.mpf(1))
 
 
@@ -285,11 +244,12 @@ def verify_orthogonality(lam: ParamSet, D: IndexSet, N: int, bits: int = 256,
     bundle = build_miop(lam, D, N, bits)
     if bundle.P[N].degree != N + D.ell:
         raise AssertionError("degree law violated for P_{D,N}")
-    pol = TolerancePolicy(bits)
-    zs = find_zeros(bundle.P[N], pol, fam)
+    zs = find_zeros(bundle.P[N], bits, fam)
     basis = build_pa_basis(lam, D, N, bits)
-    F, f_cross = compute_F(lam, D, bundle, zs, bits)
-    Mt, M, sym, diagd = build_M(lam, D, bundle, zs, F, bits)
+    b = get_builder(lam, bits)
+    frames = [htilde_frame(b, bundle, fam.arg_of_x(x)) for x in zs.x]
+    F, f_cross = compute_F(bundle, frames, bits)
+    Mt, M, sym, diagd = build_M(lam, D, zs, frames, F, bits)
     n_t = len(zs.eta)
     dP = bundle.P[N].derivative()
     dpj = [mp.mpc(dP(e)) for e in zs.eta]
@@ -321,7 +281,7 @@ def verify_orthogonality(lam: ParamSet, D: IndexSet, N: int, bits: int = 256,
     rep.extras["Mtilde"] = Mt
     rep.extras["M"] = M
     if check_pa:
-        rep.extras["pa_defect"] = pa_difference_equation_defect(lam, D, bundle, basis, zs, bits)
+        rep.extras["pa_defect"] = pa_difference_equation_defect(basis, frames)
     return rep
 
 
@@ -349,8 +309,7 @@ def zero_grid_gram(w, vals, dpj):
 def naive_weight_demo(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) -> mp.mpf:
     """Gram off-diagonal with the naive weight P'_{D,N}/P_{D,N-1} (failure witness)."""
     bundle = build_miop(lam, D, N, bits)
-    pol = TolerancePolicy(bits)
-    zs = find_zeros(bundle.P[N], pol, lam.fam)
+    zs = find_zeros(bundle.P[N], bits, lam.fam)
     dP = bundle.P[N].derivative()
     dpj = [mp.mpc(dP(e)) for e in zs.eta]
     w = [dp / mp.mpc(bundle.P[N - 1](e)) for dp, e in zip(dpj, zs.eta)]

@@ -103,12 +103,12 @@ class Family:
         raise NotImplementedError
 
     def shift_arg(self, u, t, lam: ParamSet):
-        """Working-variable image of x -> x + i t gamma (t rational)."""
-        raise NotImplementedError
+        """Working-variable image of x -> x + i t gamma (t rational); gamma = 1 here."""
+        return u + lam.scalars.i * lam.scalars.from_fraction(Fraction(t))
 
     def gamma_value(self, lam: ParamSet) -> mp.mpf:
         """Numeric gamma (float path only)."""
-        raise NotImplementedError
+        return mp.mpf(1)
 
     # -- potential --------------------------------------------------------------
 
@@ -128,7 +128,8 @@ class Family:
     # -- spectra ----------------------------------------------------------------
 
     def energy(self, n: int, lam: ParamSet):
-        raise NotImplementedError
+        sc = lam.scalars
+        return sc.from_int(n) * (lam.b1() + sc.from_int(n - 1))
 
     def etilde(self, vtype: str, v: int, lam: ParamSet):
         raise NotImplementedError
@@ -137,7 +138,7 @@ class Family:
         raise NotImplementedError
 
     def alpha(self, vtype: str, lam: ParamSet):
-        raise NotImplementedError
+        return lam.scalars.one
 
     # -- shifts -------------------------------------------------------------------
 
@@ -208,13 +209,6 @@ class ContinuousHahn(Family):
     def eta_at(self, u, lam):
         return u
 
-    def shift_arg(self, u, t, lam):
-        t = Fraction(t)
-        return u + lam.scalars.i * lam.scalars.from_fraction(t)
-
-    def gamma_value(self, lam):
-        return mp.mpf(1)
-
     def v_numer_at(self, a, u, lam):
         i = lam.scalars.i
         return (a[0] + i * u) * (a[1] + i * u)
@@ -225,10 +219,6 @@ class ContinuousHahn(Family):
     def v_star_at(self, a, u, lam):
         i = lam.scalars.i
         return (a[2] - i * u) * (a[3] - i * u)
-
-    def energy(self, n, lam):
-        sc = lam.scalars
-        return sc.from_int(n) * (lam.b1() + sc.from_int(n - 1))
 
     def etilde(self, vtype, v, lam):
         a1, a2, a3, a4 = lam.a
@@ -246,9 +236,6 @@ class ContinuousHahn(Family):
         if vtype == "I":
             return (one - a3, a2, one - a1, a4)
         return (a1, one - a4, a3, one - a2)
-
-    def alpha(self, vtype, lam):
-        return lam.scalars.one
 
     # the twists act on the conjugate pairs (a1, a3) and (a2, a4)
     dtilde = {"I": (-HALF, HALF, -HALF, HALF), "II": (HALF, -HALF, HALF, -HALF)}
@@ -312,12 +299,6 @@ class Wilson(Family):
     def eta_at(self, u, lam):
         return u * u
 
-    def shift_arg(self, u, t, lam):
-        return u + lam.scalars.i * lam.scalars.from_fraction(Fraction(t))
-
-    def gamma_value(self, lam):
-        return mp.mpf(1)
-
     def v_numer_at(self, a, u, lam):
         i = lam.scalars.i
         out = lam.scalars.one
@@ -333,10 +314,6 @@ class Wilson(Family):
     def v_star_at(self, a, u, lam):
         return self.v_numer_at(a, -u, lam) / self.v_denom_at(-u, lam)
 
-    def energy(self, n, lam):
-        sc = lam.scalars
-        return sc.from_int(n) * (lam.b1() + sc.from_int(n - 1))
-
     def etilde(self, vtype, v, lam):
         a1, a2, a3, a4 = lam.a
         sc = lam.scalars
@@ -351,9 +328,6 @@ class Wilson(Family):
         if vtype == "I":
             return (one - a1, one - a2, a3, a4)
         return (a1, a2, one - a3, one - a4)
-
-    def alpha(self, vtype, lam):
-        return lam.scalars.one
 
     def x_bounds(self, lam):
         return (mp.mpf(0), mp.mpf("+inf"))

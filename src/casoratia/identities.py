@@ -17,9 +17,9 @@ import mpmath as mp
 
 from .dortho import zero_grid_gram
 from .families import ParamSet
-from .miop import (IndexSet, apply_htilde, build_miop, get_builder,
+from .miop import (IndexSet, apply_htilde, build_miop, get_builder, htilde_frame,
                    reference_index_set, PoleAtSample)
-from .numkernel import TolerancePolicy, workbits
+from .numkernel import MPScalars, workbits
 from .polycore import Poly
 from .zeros import find_zeros
 
@@ -98,11 +98,13 @@ def classical_discrete_ortho(lam: ParamSet, N: int, bits: int = 256) -> dict:
     """Verify the classical zero-grid orthogonality for the base family."""
     fam = lam.fam
     rec = recurrence_coeffs(lam, N + 1, bits)  # need C_N, the n = N relation
-    polys = [fam.base_poly(n, lam) for n in range(N + 1)]
-    pol = TolerancePolicy(bits)
-    zs = find_zeros(polys[N], pol, fam)
+    # the zero grid is float: exact base polynomials are evaluated through float copies
+    sc, fsc = lam.scalars, MPScalars(bits)
+    polys = [Poly([sc.to_mpc(c) for c in fam.base_poly(n, lam).coeffs], fsc)
+             for n in range(N + 1)]
+    zs = find_zeros(polys[N], bits, fam)
     dP = polys[N].derivative()
-    c_N = mp.mpc(lam.scalars.to_mpc(rec.C[N]))
+    c_N = mp.mpc(sc.to_mpc(rec.C[N]))
     sgn = mp.sign(mp.re(c_N)) if abs(mp.im(c_N)) < abs(c_N) * mp.mpf("1e-10") else c_N / abs(c_N)
     dpj = [mp.mpc(dP(e)) for e in zs.eta]
     w = [sgn * dp / mp.mpc(polys[N - 1](e)) for dp, e in zip(dpj, zs.eta)]
@@ -110,7 +112,7 @@ def classical_discrete_ortho(lam: ParamSet, N: int, bits: int = 256) -> dict:
     gram, offd = zero_grid_gram(w, vals, dpj)
     diag_err = mp.mpf(0)
     for n in range(N):
-        pred = abs(c_N) * mp.mpc(lam.scalars.to_mpc(fam.h_ratio_base(n, N, lam)))
+        pred = abs(c_N) * mp.mpc(sc.to_mpc(fam.h_ratio_base(n, N, lam)))
         diag_err = max(diag_err, abs(gram[n][n] - pred) / abs(pred))
     return {
         "recurrence_residual": rec.residual,
@@ -122,17 +124,6 @@ def classical_discrete_ortho(lam: ParamSet, N: int, bits: int = 256) -> dict:
 
 
 # -- forward/backward identities (two extra virtual states) ------------------------
-
-
-def _xi_half_ratio_sum(builder, xi_num: Poly, xi_den: Poly, u):
-    fam, lam = builder.fam, builder.lam
-    um = fam.shift_arg(u, -HALF, lam)
-    up = fam.shift_arg(u, HALF, lam)
-    em, ep = fam.eta_at(um, lam), fam.eta_at(up, lam)
-    den_m, den_p = xi_den(em), xi_den(ep)
-    if mp.mpc(builder.sc.to_mpc(den_m)) == 0 or mp.mpc(builder.sc.to_mpc(den_p)) == 0:
-        raise PoleAtSample("Xi denominator vanished")
-    return xi_num(em) / den_m + xi_num(ep) / den_p
 
 
 def _chain_pairs(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int, count: int,
@@ -173,12 +164,12 @@ def _chain_pairs(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int, count: int
     for u in lam.scalars.sample_args(fam, count, lam,
                                      f"chain|{D.key()}|{dp}{tp}|{dpp}{tpp}|{n}"):
         try:
-            ratio = _xi_half_ratio_sum(b, xi_small, big.xi, u)
+            fr = htilde_frame(b, big, u)
+            ratio = xi_small(fr.eta_mh) / fr.xi_mh + xi_small(fr.eta_ph) / fr.xi_ph
             if tp == tpp:
                 ratio = (E_n - ev_p) * ratio
-            lhs = ratio * p_big(fam.eta_at(u, lam))
-            rhs = (apply_htilde(b, big, p_small, u)
-                   + (E_n - ev_p - ev_pp) * p_small(fam.eta_at(u, lam)))
+            lhs = ratio * p_big(fr.eta)
+            rhs = apply_htilde(fr, p_small) + (E_n - ev_p - ev_pp) * p_small(fr.eta)
         except (PoleAtSample, ZeroDivisionError):
             continue
         if tp != tpp:
@@ -379,8 +370,7 @@ def partial_fraction_integral_check(lam: ParamSet, D: IndexSet, N: int, j: int, 
         raise ValueError("needs j != k (the diagonal is trivially positive)")
     fam = lam.fam
     bundle = build_miop(lam, D, N, bits)
-    pol = TolerancePolicy(bits)
-    zs = find_zeros(bundle.P[N], pol, fam)
+    zs = find_zeros(bundle.P[N], bits, fam)
     sc = lam.scalars
     pN = bundle.P[N]
 

@@ -24,7 +24,6 @@ from fractions import Fraction
 import mpmath as mp
 
 from .families import FAMILIES, ParamSet
-from .numkernel import TolerancePolicy
 from .polycore import Poly, det_dense, ladder_points, last_column_cofactors
 
 HALF = Fraction(1, 2)
@@ -431,35 +430,61 @@ def shifted_params(lam: ParamSet, D: IndexSet) -> ParamSet:
 # -- deformed operator -------------------------------------------------------------
 
 
-def apply_htilde(builder: Builder, bundle: "MiopBundle", p: Poly, u):
-    """(H~_D p-check)(x) per the deformed similarity-transformed Hamiltonian of a bundle."""
+@dataclass(frozen=True)
+class HtildeFrame:
+    """What H~_D needs at one point x, computed once and shared by every p.
+
+    eta at x, x -+ i gamma (eta_m, eta_p) and x -+ i gamma/2 (eta_mh, eta_ph);
+    Xi_D at x -+ i gamma/2 and their ratios xi_ph/xi_mh (half_m) and xi_mh/xi_ph
+    (half_p); V and V* at lambda_D; Xi_D(lambda+delta) at x -+ i gamma over its
+    value at x (r_m, r_p).
+    """
+
+    eta: object
+    eta_m: object
+    eta_p: object
+    eta_mh: object
+    eta_ph: object
+    xi_mh: object
+    xi_ph: object
+    half_m: object
+    half_p: object
+    v: object
+    vs: object
+    r_m: object
+    r_p: object
+
+
+def htilde_frame(builder: Builder, bundle: "MiopBundle", u) -> HtildeFrame:
+    """The frame of H~_D (bundle) at the sample argument u; PoleAtSample near a pole."""
     fam, lam, sc = builder.fam, builder.lam, builder.sc
-    xi_l, xi_ld = bundle.xi, bundle.xi_shift
-    u_m = fam.shift_arg(u, -1, lam)
-    u_p = fam.shift_arg(u, 1, lam)
-    u_mh = fam.shift_arg(u, -HALF, lam)
-    u_ph = fam.shift_arg(u, HALF, lam)
+    eta_m, eta_p, eta_mh, eta_ph = (fam.eta_at(fam.shift_arg(u, t, lam), lam)
+                                    for t in (-1, 1, -HALF, HALF))
     eta = fam.eta_at(u, lam)
-    xi_ph = xi_l(fam.eta_at(u_ph, lam))
-    xi_mh = xi_l(fam.eta_at(u_mh, lam))
-    xi0 = xi_ld(eta)
+    xi_ph = bundle.xi(eta_ph)
+    xi_mh = bundle.xi(eta_mh)
+    xi0 = bundle.xi_shift(eta)
     bound, shift_bound = bundle.pole_bounds
     if (sc.vanishes(xi_ph, bound) or sc.vanishes(xi_mh, bound)
             or sc.vanishes(xi0, shift_bound)):
         raise PoleAtSample("Xi_D vanished near sample point")
-    v = fam.v_at(bundle.lam_D.a, u, lam)
-    vs = fam.v_star_at(bundle.lam_D.a, u, lam)
-    pu = p(eta)
-    t1 = v * (xi_ph / xi_mh) * (p(fam.eta_at(u_m, lam)) - (xi_ld(fam.eta_at(u_m, lam)) / xi0) * pu)
-    t2 = vs * (xi_mh / xi_ph) * (p(fam.eta_at(u_p, lam)) - (xi_ld(fam.eta_at(u_p, lam)) / xi0) * pu)
+    return HtildeFrame(
+        eta, eta_m, eta_p, eta_mh, eta_ph, xi_mh, xi_ph, xi_ph / xi_mh, xi_mh / xi_ph,
+        fam.v_at(bundle.lam_D.a, u, lam), fam.v_star_at(bundle.lam_D.a, u, lam),
+        bundle.xi_shift(eta_m) / xi0, bundle.xi_shift(eta_p) / xi0)
+
+
+def apply_htilde(fr: HtildeFrame, p: Poly):
+    """(H~_D p-check)(x) at the frame's point."""
+    pu = p(fr.eta)
+    t1 = fr.v * fr.half_m * (p(fr.eta_m) - fr.r_m * pu)
+    t2 = fr.vs * fr.half_p * (p(fr.eta_p) - fr.r_p * pu)
     return t1 + t2
 
 
-def _eigen_residual(builder: Builder, bundle: "MiopBundle", p, E, u) -> mp.mpf:
-    sc = builder.sc
-    h = apply_htilde(builder, bundle, p, u)
-    val = sc.to_mpc(h)
-    ref = sc.to_mpc(E * p(builder.fam.eta_at(u, builder.lam)))
+def _eigen_residual(fr: HtildeFrame, p, E, sc) -> mp.mpf:
+    val = sc.to_mpc(apply_htilde(fr, p))
+    ref = sc.to_mpc(E * p(fr.eta))
     scale = abs(val) + abs(ref) + 1
     return abs(val - ref) / scale
 
@@ -478,15 +503,8 @@ class MiopBundle:
     xi_shift: Poly
     P: dict
     lam_D: ParamSet
-    pole_bounds: tuple      # |Xi_D|, |Xi_D(lambda+delta)| below these: a pole (apply_htilde)
+    pole_bounds: tuple      # |Xi_D|, |Xi_D(lambda+delta)| below these: a pole (htilde_frame)
     gates: dict = field(default_factory=dict)
-
-    @property
-    def c_xi(self):
-        return self.xi.lead()
-
-    def c_P(self, n):
-        return self.P[n].lead()
 
 
 def build_miop(lam: ParamSet, D: IndexSet, n_max: int = 8, bits: int = 256,
@@ -511,7 +529,7 @@ def build_miop(lam: ParamSet, D: IndexSet, n_max: int = 8, bits: int = 256,
             if got >= samples:
                 break
             try:
-                worst = max(worst, _eigen_residual(b, bundle, p, E, u))
+                worst = max(worst, _eigen_residual(htilde_frame(b, bundle, u), p, E, b.sc))
                 got += 1
             except PoleAtSample:
                 continue
@@ -552,8 +570,7 @@ def hermiticity_check(lam: ParamSet, D: IndexSet, bundle: MiopBundle, bits: int 
     fam = lam.fam
     if bundle.xi.degree == 0:
         return True, []
-    pol = TolerancePolicy(bits)
-    zs = find_zeros(bundle.xi, pol)
+    zs = find_zeros(bundle.xi, bits)
     x1, x2 = fam.x_bounds(lam)
     half = abs(fam.gamma_value(lam)) / 2
     margin = mp.mpf(2) ** (-40)

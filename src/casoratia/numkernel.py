@@ -1,4 +1,4 @@
-"""Precision policy, shifted factorials and comparison helpers.
+"""Working precision, shifted factorials and the mpmath scalar backend.
 
 All floating computation runs on mpmath at an explicit bit precision; the
 escalation ladder doubles bits when a certificate fails.  Scalars are plain
@@ -11,7 +11,6 @@ overloading and the ``ExactScalars`` backend.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
@@ -30,31 +29,6 @@ def workbits(bits: int):
         yield
     finally:
         mp.mp.prec = old
-
-
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Relative/absolute tolerance derived from the working precision.
-
-    The default relative tolerance 2**(-bits/2) halves its exponent relative
-    to full precision, leaving headroom for cancellation in the residuals it
-    judges; abs_floor guards comparisons around zero.
-    """
-
-    precision_bits: int = DEFAULT_BITS
-    rel_tol: mp.mpf = field(default=None)
-    abs_floor: mp.mpf = field(default=None)
-
-    def __post_init__(self):
-        if self.precision_bits < 64:
-            raise ValueError("precision_bits must be >= 64")
-        if self.rel_tol is None:
-            object.__setattr__(self, "rel_tol", mp.mpf(2) ** (-self.precision_bits // 2))
-        if self.abs_floor is None:
-            object.__setattr__(self, "abs_floor", mp.mpf(2) ** (-2 * self.precision_bits))
-
-    def escalate(self) -> "TolerancePolicy":
-        return TolerancePolicy(self.precision_bits * 2)
 
 
 def pochhammer(a, n: int):
@@ -86,12 +60,6 @@ def _one_like(a):
         return mp.mpc(1)
     # exact scalars: x/x would be unsafe for zero; use 0*a + 1 via operator overloads
     return a * 0 + 1
-
-
-def approx_equal(x, y, pol: TolerancePolicy) -> bool:
-    """|x - y| <= rel_tol * max(|x|, |y|) + abs_floor."""
-    d = abs(mp.mpc(x) - mp.mpc(y))
-    return d <= pol.rel_tol * max(abs(mp.mpc(x)), abs(mp.mpc(y))) + pol.abs_floor
 
 
 _ZERO, _ONE, _I = mp.mpc(0), mp.mpc(1), mp.mpc(0, 1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import mpmath as mp
 import numpy as np
 
-from .numkernel import MPScalars, TolerancePolicy, workbits
+from .numkernel import MPScalars, workbits
 from .polycore import Poly
 
 
@@ -88,17 +88,33 @@ def _aberth(coeffs, seeds, bits):
     return roots, p, dp, norm
 
 
-def find_zeros(p: Poly, pol: TolerancePolicy, family=None, _escalated=False) -> ZeroSet:
-    """All roots of the eta polynomial p, certified simple, sorted canonically."""
-    bits = pol.precision_bits
+def _canonical_order(roots, tie):
+    """Roots by Re; a run of Re within tie of each other counts as one Re, ordered by Im.
+
+    So the order of a complex-conjugate pair does not rest on the noise digits of
+    their equal real parts (distinct roots are >= 2^(-bits/4) apart, far above tie).
+    """
+    out, run = [], []
+    for z in sorted(roots, key=mp.re):
+        if run and mp.re(z) - mp.re(run[-1]) > tie:
+            out += sorted(run, key=mp.im)
+            run = []
+        run.append(z)
+    return out + sorted(run, key=mp.im)
+
+
+def find_zeros(p: Poly, bits: int, family=None, _escalated=False) -> ZeroSet:
+    """All roots of the eta polynomial p at bits >= 64, certified simple, sorted canonically."""
+    if bits < 64:
+        raise ValueError("precision bits must be >= 64")
     with workbits(bits + 32):
         coeffs = [mp.mpc(p.scalars.to_mpc(c)) for c in p.trim().coeffs]
         if len(coeffs) < 2:
             raise ValueError("need degree >= 1 to locate zeros")
         seeds = _seed_roots(coeffs)
         roots, poly, dpoly, norm = _aberth(coeffs, seeds, bits)
-        roots.sort(key=lambda z: (mp.re(z), mp.im(z)))
         scale = max(max(abs(r) for r in roots), mp.mpf(1))
+        roots = _canonical_order(roots, mp.mpf(2) ** (-bits // 2) * scale)
         minpair = mp.mpf("+inf")
         n = len(roots)
         for i in range(n):
@@ -109,7 +125,7 @@ def find_zeros(p: Poly, pol: TolerancePolicy, family=None, _escalated=False) -> 
             if _escalated:
                 raise MultipleRootSuspected(
                     f"min pair distance {mp.nstr(minpair, 5)} below {mp.nstr(threshold, 5)}")
-            return find_zeros(p, pol.escalate(), family, _escalated=True)
+            return find_zeros(p, 2 * bits, family, _escalated=True)
         minder = min(abs(dpoly(z)) for z in roots)
         resid = max(abs(poly(z)) for z in roots)
         zs = ZeroSet(

@@ -27,7 +27,7 @@ from casoratia.identities import (check_prefactor_ratio_identity, check_eta_iden
                                   eta_identity_residual,
                                   partial_fraction_integral_check, chain_identity_exact)
 from casoratia.miop import IndexSet, build_miop, hermiticity_check
-from casoratia.numkernel import TolerancePolicy, workbits
+from casoratia.numkernel import workbits
 from casoratia.zeros import (conjugation_closure_defect, find_zeros, interlace,
                              physical_interval_zeros)
 
@@ -299,7 +299,6 @@ def test_criterion_10_negative_controls():
 
 @pytest.mark.acceptance
 def test_criterion_11_zero_structure():
-    pol = TolerancePolicy(256)
     with workbits(288):
         for tag in TAGS:
             fam = FAMILIES[tag]
@@ -315,7 +314,7 @@ def test_criterion_11_zero_structure():
             for D, bun in admissible:
                 prev = None
                 for n in range(1, 5):
-                    zs = find_zeros(bun.P[n], pol, fam)
+                    zs = find_zeros(bun.P[n], 256, fam)
                     assert conjugation_closure_defect(zs) <= mp.mpf("1e-30")
                     phys = physical_interval_zeros(zs, fam, lam)
                     assert len(phys) == n

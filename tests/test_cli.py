@@ -172,3 +172,36 @@ def test_exact_construct_and_roots(tmp_path):
     assert len(doc["P"]["2"]) == 1 + 2 + 1   # deg P_{D,2} = ell_D + 2 = 3
     roots = json.loads((tmp_path / "roots.json").read_text())
     assert len(roots["eta"]) == 3
+
+
+def test_prec_below_64_rejected():
+    for cmd in ("verify", "sweep", "identities", "roots", "construct"):
+        r = run([cmd, "--prec", "32"])
+        assert r.returncode == 2
+        assert "precision must be >= 64 bits" in r.stderr
+        assert "Traceback" not in r.stderr
+
+
+def test_identities_classical_exact(tmp_path):
+    """Exact recurrence and h ratios, float zero grid: both numbers within the float gates."""
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({
+        "family": "w",
+        "a": [["5/2", "0"], ["11/4", "0"], ["9/4", "1/2"], ["9/4", "-1/2"]],
+        "mode": "physical",
+    }))
+    out = tmp_path / "id.json"
+    r = run(["identities", "--params", str(pfile), "--backend", "exact", "--classical",
+             "--N", "3", "--out", str(out)])
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(out.read_text())["identities"]["classical"]
+    assert float(doc["max_offdiag_rel"]) <= 1e-25
+    assert float(doc["diag_rel_err"]) <= 1e-20
+
+
+def test_verify_quadrature_at_n2():
+    """At N = 2 only the partial-fraction control runs; the naive one needs N >= 3."""
+    r = run(["verify", "--family", "w", "--dI", "2", "--N", "2", "--quadrature"])
+    assert r.returncode == 0, r.stderr
+    checks = json.loads(r.stdout)["manifest"]["checks"]
+    assert checks["partial_fraction_nonzero"] and "naive_weight_fails" not in checks

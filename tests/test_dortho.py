@@ -1,16 +1,19 @@
 """Discrete orthogonality pipeline: derived sets, F weights, M matrices, Gram."""
 
+import ast
+import pathlib
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+import casoratia
 from casoratia.dortho import (build_pa_basis, compute_F, derived_index_sets,
                               naive_weight_demo, verify_orthogonality)
 from casoratia.families import FAMILIES, draw_params
 from casoratia.identities import classical_discrete_ortho
-from casoratia.miop import IndexSet, build_miop
-from casoratia.numkernel import TolerancePolicy, workbits
+from casoratia.miop import IndexSet, build_miop, get_builder, htilde_frame
+from casoratia.numkernel import workbits
 from casoratia.zeros import find_zeros
 
 HALF = Fraction(1, 2)
@@ -70,9 +73,9 @@ def test_f_weight_parity_and_conjugation():
                 a, b = f_check(u), f_check(u_neg)
                 assert abs(a - b) <= mp.mpf(2) ** -180 * (abs(a) + 1)
             # conjugate zeros carry conjugate weights in physical mode
-            pol = TolerancePolicy(256)
-            zs = find_zeros(bun.P[N], pol, fam)
-            F, _ = compute_F(lam, D, bun, zs)
+            zs = find_zeros(bun.P[N], 256, fam)
+            bld = get_builder(lam)
+            F, _ = compute_F(bun, [htilde_frame(bld, bun, fam.arg_of_x(x)) for x in zs.x])
             for j, ej in enumerate(zs.eta):
                 tgt = mp.conj(ej)
                 jbar = min(range(len(zs.eta)), key=lambda k: abs(zs.eta[k] - tgt))
@@ -99,8 +102,7 @@ def test_lemma_guard_in_matrix_denominators():
         lam = draw_params("aw", "physical", seed=7)
         D = IndexSet.make([(1, "I")])
         bun = build_miop(lam, D, 2)
-        pol = TolerancePolicy(256)
-        zs = find_zeros(bun.P[2], pol, fam)
+        zs = find_zeros(bun.P[2], 256, fam)
         g = fam.gamma_value(lam)
         for j in (0, 1):
             for k in (1, 2):
@@ -152,3 +154,30 @@ def test_naive_weight_split():
             assert bad >= mp.mpf("1e-3")
             rep = verify_orthogonality(lam, D, 3, check_pa=False)
             assert rep.max_offdiag_rel <= mp.mpf("1e-25")
+
+
+def test_naive_weight_vanishes_at_n2():
+    """At N = 2 the naive Gram has one off-diagonal entry, sum_j P_{D,0}(eta_j) / P'_{D,2}(eta_j),
+    which vanishes identically because deg P_{D,0} = deg P_{D,2} - 2."""
+    with workbits(288):
+        for tag in ("ch", "w", "aw"):
+            lam = draw_params(tag, "physical", seed=11)
+            D = IndexSet.make(NAIVE_WITNESS[tag])
+            assert naive_weight_demo(lam, D, 2) <= mp.mpf(2) ** -200
+
+
+def test_htilde_formula_has_one_home():
+    """dortho and identities._chain_pairs take shifts, V and Xi_D values from miop.htilde_frame."""
+    root = pathlib.Path(casoratia.__file__).parent
+    banned = {"shift_arg", "eta_at", "v_at", "v_star_at"}
+
+    def called(tree):
+        return {node.func.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+
+    dortho = ast.parse((root / "dortho.py").read_text())
+    assert called(dortho) & (banned | {"xi", "xi_shift"}) == set()
+    identities = ast.parse((root / "identities.py").read_text())
+    chain = next(f for f in identities.body
+                 if isinstance(f, ast.FunctionDef) and f.name == "_chain_pairs")
+    assert called(chain) & banned == set()

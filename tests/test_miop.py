@@ -10,7 +10,7 @@ from casoratia import miop
 from casoratia.families import FAMILIES, draw_params, params_from_values
 from casoratia.miop import (Builder, IndexSet, PoleAtSample, _eigen_residual, apply_htilde,
                             build_miop, delta_tilde, ell_degree, get_builder,
-                            hermiticity_check, h_ratio, shifted_params)
+                            hermiticity_check, h_ratio, htilde_frame, shifted_params)
 from casoratia.numkernel import workbits
 from casoratia.polycore import Poly
 
@@ -106,13 +106,14 @@ def test_apply_htilde_on_constants_and_linearity():
         bun = build_miop(lam, D, 1, check=False)
         one = Poly([sc.one], sc)
         u = FAMILIES["aw"].sample_args(3, lam, "lin")[1]
-        assert abs(apply_htilde(b, bun, one, u)) <= mp.mpf(2) ** -180
+        fr = htilde_frame(b, bun, u)
+        assert abs(apply_htilde(fr, one)) <= mp.mpf(2) ** -180
         p = bun.P[1]
         r = Poly([sc.from_int(2), sc.one, sc.one], sc)
         al, be = mp.mpc("1.5", "-0.5"), mp.mpc("0.25", "2")
         combo = p.scale(al) + r.scale(be)
-        lhs = apply_htilde(b, bun, combo, u)
-        rhs = (al * apply_htilde(b, bun, p, u) + be * apply_htilde(b, bun, r, u))
+        lhs = apply_htilde(fr, combo)
+        rhs = (al * apply_htilde(fr, p) + be * apply_htilde(fr, r))
         assert abs(lhs - rhs) <= mp.mpf(2) ** -180 * (1 + abs(lhs))
 
 
@@ -157,7 +158,8 @@ def test_delta_tilde_table_rederived(tag, vtype):
                 vec = _shift_in_pattern(tag, u, w)
                 shifted = replace(bun, lam_D=fam.apply_shift_vec(lam, vec))
                 try:
-                    worst = max(_eigen_residual(b, shifted, p, fam.energy(n, lam), x)
+                    worst = max(_eigen_residual(htilde_frame(b, shifted, x), p,
+                                                fam.energy(n, lam), b.sc)
                                 for n, p in bun.P.items()
                                 for x in fam.sample_args(5, lam, f"dt|{n}"))
                 except PoleAtSample:

@@ -1,14 +1,12 @@
-"""Shifted factorials, tolerance policy, comparison helpers."""
+"""Shifted factorials and precision reruns."""
 
 from fractions import Fraction
 
 import mpmath as mp
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from casoratia.exact import ExactScalars, QQi
-from casoratia.numkernel import (DEFAULT_BITS, TolerancePolicy, approx_equal,
-                                 pochhammer, q_pochhammer, workbits)
+from casoratia.numkernel import pochhammer, q_pochhammer, workbits
 
 
 def test_pochhammer_trivial():
@@ -52,23 +50,6 @@ def test_q_pochhammer_functional_equation(ar, m, n):
     assert (lhs - rhs).is_zero()
 
 
-def test_tolerance_policy_monotone():
-    pols = [TolerancePolicy(b) for b in (128, 256, 512)]
-    for lo, hi in zip(pols, pols[1:]):
-        assert hi.rel_tol < lo.rel_tol
-    with pytest.raises(ValueError):
-        TolerancePolicy(32)
-
-
-def test_approx_equal_examples():
-    with workbits(256):
-        pol = TolerancePolicy(256)
-        z = mp.mpc("1.25", "-3.5")
-        assert approx_equal(z, z, pol)
-        assert approx_equal(mp.mpc(0), pol.abs_floor / 2, pol)
-        assert not approx_equal(mp.mpc(1), 1 + 2 * pol.rel_tol, pol)
-
-
 def test_precision_rerun_consistency():
     a = ("1.375", "-0.625")
     vals = {}
@@ -77,4 +58,4 @@ def test_precision_rerun_consistency():
             vals[bits] = pochhammer(mp.mpc(mp.mpf(a[0]), mp.mpf(a[1])), 17)
     with workbits(512):
         diff = abs(mp.mpc(vals[128]) - mp.mpc(vals[256])) / abs(mp.mpc(vals[256]))
-        assert diff < TolerancePolicy(128).rel_tol
+        assert diff < mp.mpf(2) ** -64

@@ -6,7 +6,7 @@ import pytest
 
 from casoratia.families import FAMILIES, draw_params
 from casoratia.miop import IndexSet, build_miop, hermiticity_check
-from casoratia.numkernel import MPScalars, TolerancePolicy, workbits
+from casoratia.numkernel import MPScalars, workbits
 from casoratia.polycore import Poly
 from casoratia.zeros import (conjugation_closure_defect, find_zeros, interlace,
                              physical_interval_zeros)
@@ -19,10 +19,9 @@ def _poly(coeffs, bits=256):
 
 def test_simple_quadratics():
     with workbits(256):
-        pol = TolerancePolicy(256)
-        zs = find_zeros(_poly([-1, 0, 1]), pol)
+        zs = find_zeros(_poly([-1, 0, 1]), 256)
         assert abs(zs.eta[0] + 1) < mp.mpf(2) ** -200 and abs(zs.eta[1] - 1) < mp.mpf(2) ** -200
-        zs = find_zeros(_poly([1, 0, 1]), pol)
+        zs = find_zeros(_poly([1, 0, 1]), 256)
         got = sorted(zs.eta, key=lambda z: mp.im(z))
         assert abs(got[0] + 1j) < mp.mpf(2) ** -200 and abs(got[1] - 1j) < mp.mpf(2) ** -200
 
@@ -33,8 +32,7 @@ def test_companion_matrix_oracle():
         lam = draw_params("w", "physical", seed=41)
         bun = build_miop(lam, IndexSet.make([(2, "I")]), 3, check=False)
         p = bun.P[3]
-        pol = TolerancePolicy(256)
-        zs = find_zeros(p, pol, FAMILIES["w"])
+        zs = find_zeros(p, 256, FAMILIES["w"])
         arr = np.array([complex(c) for c in reversed(p.coeffs)], dtype=complex)
         arr /= np.abs(arr).max()
         seeds = list(np.roots(arr))
@@ -69,10 +67,9 @@ def test_zero_structure_physical(tag):
         bun = build_miop(lam, D, 4, check=False)
         ok, _ = hermiticity_check(lam, D, bun)
         assert ok, "draw should give an admissible instance"
-        pol = TolerancePolicy(256)
         prev = None
         for n in range(1, 5):
-            zs = find_zeros(bun.P[n], pol, fam)
+            zs = find_zeros(bun.P[n], 256, fam)
             assert conjugation_closure_defect(zs) <= mp.mpf("1e-30")
             phys = physical_interval_zeros(zs, fam, lam)
             assert len(phys) == n
@@ -80,3 +77,19 @@ def test_zero_structure_physical(tag):
             if prev is not None:
                 assert interlace(prev, phys)
             prev = phys
+
+
+def test_find_zeros_rejects_low_precision():
+    with pytest.raises(ValueError):
+        find_zeros(_poly([-1, 0, 1]), 32)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_conjugate_pair_order_ignores_noise_digits(sign):
+    """Roots whose Re agree to far below 2^-128 are ordered by Im, whichever Re is larger."""
+    with workbits(256):
+        z1 = mp.mpc(1, -2)
+        z2 = mp.mpc(1 + sign * mp.mpf(2) ** -200, 2)
+        p = _poly([z1 * z2, -(z1 + z2), 1])
+        zs = find_zeros(p, 256)
+        assert [int(mp.nint(mp.im(e))) for e in zs.eta] == [-2, 2]
