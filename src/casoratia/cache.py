@@ -1,4 +1,10 @@
-"""Content-addressed bundle cache: JSON files keyed by the construction inputs."""
+"""Content-addressed bundle cache: JSON files keyed by the construction inputs.
+
+Every key also covers the package version and the report schema, so a new
+release never serves an entry an older one wrote.  A cache file that cannot
+be read or parsed as a JSON object counts as a miss, and the next store
+rewrites it.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,8 @@ import os
 import tempfile
 from pathlib import Path
 
-from .report import canonical_json
+from . import __version__
+from .report import SCHEMA_VERSION, canonical_json
 
 ENV_VAR = "CASORATIA_CACHE"
 
@@ -23,17 +30,18 @@ def cache_dir(explicit: str | None = None) -> Path | None:
 
 
 def cache_key(**fields) -> str:
-    blob = canonical_json(fields)
+    blob = canonical_json({**fields, "version": __version__, "schema": SCHEMA_VERSION})
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def load(directory: Path | None, key: str):
     if directory is None:
         return None
-    f = directory / f"{key}.json"
-    if not f.exists():
+    try:
+        doc = json.loads((directory / f"{key}.json").read_text())
+    except (OSError, ValueError):   # missing, unreadable, not UTF-8 or not JSON
         return None
-    return json.loads(f.read_text())
+    return doc if isinstance(doc, dict) else None
 
 
 def store(directory: Path | None, key: str, payload: dict) -> None:

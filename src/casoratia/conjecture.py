@@ -192,16 +192,18 @@ def _case3_product(lam: ParamSet, D: IndexSet, d: int, e: int, j: int, k: int):
     for l in (a1, a2):
         for m in (a3, a4):
             val /= _guard(qpoch(l / m * q ** (-d), q, d + e + 1))
+    # the q-power of each other member takes its position in D'_{3,jk}: one less
+    # for the members after the removed one
     for i, di in enumerate(d1, start=1):
         if i == j:
             continue
-        val *= q ** (2 * (di - i - D.M2) - 1) / bp
+        val *= q ** (2 * (di - (i - (i > j)) - D.M2) - 1) / bp
         val /= _guard((1 - q ** (di - d)) * (1 - q ** (di + e + 1))
                       * (1 - q ** (di + d + 1) / bp) * (1 - q ** (di - e) / bp))
     for i, ei in enumerate(d2, start=1):
         if i == k:
             continue
-        val *= bp * q ** (2 * (ei - i - D.M1) - 1)
+        val *= bp * q ** (2 * (ei - (i - (i > k)) - D.M1) - 1)
         val /= _guard((1 - q ** (ei - e)) * (1 - q ** (ei + d + 1))
                       * (1 - bp * q ** (ei + e + 1)) * (1 - bp * q ** (ei - d)))
     return val

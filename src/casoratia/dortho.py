@@ -15,6 +15,7 @@ import mpmath as mp
 
 from .families import ParamSet
 from .miop import IndexSet, MiopBundle, apply_htilde, build_miop, get_builder, htilde_frame
+from .numkernel import workbits
 from .polycore import Poly
 from .zeros import ZeroSet, find_zeros
 
@@ -237,52 +238,54 @@ class OrthoReport:
 
 def verify_orthogonality(lam: ParamSet, D: IndexSet, N: int, bits: int = 256,
                          check_pa: bool = True) -> OrthoReport:
-    """Run the full discrete-orthogonality pipeline at the given precision."""
+    """Run the full discrete-orthogonality pipeline at bits (bits + 32 working bits,
+    whatever the caller's precision)."""
     if lam.scalars.name != "float":
         raise ValueError("the orthogonality pipeline requires the float backend")
-    fam = lam.fam
-    bundle = build_miop(lam, D, N, bits)
-    if bundle.P[N].degree != N + D.ell:
-        raise AssertionError("degree law violated for P_{D,N}")
-    zs = find_zeros(bundle.P[N], bits, fam)
-    basis = build_pa_basis(lam, D, N, bits)
-    b = get_builder(lam, bits)
-    frames = [htilde_frame(b, bundle, fam.arg_of_x(x)) for x in zs.x]
-    F, f_cross = compute_F(bundle, frames, bits)
-    Mt, M, sym, diagd = build_M(lam, D, zs, frames, F, bits)
-    n_t = len(zs.eta)
-    dP = bundle.P[N].derivative()
-    dpj = [mp.mpc(dP(e)) for e in zs.eta]
-    vals = [[mp.mpc(e.poly(zs.eta[j])) for j in range(n_t)] for e in basis.entries]
-    eigres = []
-    cP = mp.mpc(lam.scalars.to_mpc(bundle.P[N].lead()))
-    for a, entry in enumerate(basis.entries):
-        vt = [cP * vals[a][j] / dpj[j] for j in range(n_t)]
-        ev = mp.mpc(lam.scalars.to_mpc(entry.energy))
-        worst = mp.mpf(0)
-        scale = max(max(abs(x) for x in vt), mp.mpf("1e-300")) * (abs(ev) + 1)
-        for j in range(n_t):
-            s = sum(Mt[j][k] * vt[k] for k in range(n_t))
-            worst = max(worst, abs(s - ev * vt[j]) / scale)
-        eigres.append(worst)
-    gram, offd = zero_grid_gram([1 / mp.mpc(f) for f in F], vals, dpj)
-    rep = OrthoReport(
-        family=lam.family, D=D, N=N, precision_bits=bits,
-        F=[mp.mpc(f) for f in F], symmetry_defect=sym, diag_defect=diagd,
-        f_cross_defect=f_cross, gram=gram, max_offdiag_rel=offd,
-        k=[gram[a][a] for a in range(len(basis.entries))],
-        origins=[e.origin for e in basis.entries],
-        eigen_residuals=eigres,
-        pa_energy=[mp.mpc(lam.scalars.to_mpc(e.energy)) for e in basis.entries],
-    )
-    rep.extras["zeros"] = zs
-    rep.extras["bundle"] = bundle
-    rep.extras["basis"] = basis
-    rep.extras["Mtilde"] = Mt
-    rep.extras["M"] = M
-    if check_pa:
-        rep.extras["pa_defect"] = pa_difference_equation_defect(basis, frames)
-    return rep
+    with workbits(bits + 32):
+        fam = lam.fam
+        bundle = build_miop(lam, D, N, bits)
+        if bundle.P[N].degree != N + D.ell:
+            raise AssertionError("degree law violated for P_{D,N}")
+        zs = find_zeros(bundle.P[N], bits, fam)
+        basis = build_pa_basis(lam, D, N, bits)
+        b = get_builder(lam, bits)
+        frames = [htilde_frame(b, bundle, fam.arg_of_x(x)) for x in zs.x]
+        F, f_cross = compute_F(bundle, frames, bits)
+        Mt, M, sym, diagd = build_M(lam, D, zs, frames, F, bits)
+        n_t = len(zs.eta)
+        dP = bundle.P[N].derivative()
+        dpj = [mp.mpc(dP(e)) for e in zs.eta]
+        vals = [[mp.mpc(e.poly(zs.eta[j])) for j in range(n_t)] for e in basis.entries]
+        eigres = []
+        cP = mp.mpc(lam.scalars.to_mpc(bundle.P[N].lead()))
+        for a, entry in enumerate(basis.entries):
+            vt = [cP * vals[a][j] / dpj[j] for j in range(n_t)]
+            ev = mp.mpc(lam.scalars.to_mpc(entry.energy))
+            worst = mp.mpf(0)
+            scale = max(max(abs(x) for x in vt), mp.mpf("1e-300")) * (abs(ev) + 1)
+            for j in range(n_t):
+                s = sum(Mt[j][k] * vt[k] for k in range(n_t))
+                worst = max(worst, abs(s - ev * vt[j]) / scale)
+            eigres.append(worst)
+        gram, offd = zero_grid_gram([1 / mp.mpc(f) for f in F], vals, dpj)
+        rep = OrthoReport(
+            family=lam.family, D=D, N=N, precision_bits=bits,
+            F=[mp.mpc(f) for f in F], symmetry_defect=sym, diag_defect=diagd,
+            f_cross_defect=f_cross, gram=gram, max_offdiag_rel=offd,
+            k=[gram[a][a] for a in range(len(basis.entries))],
+            origins=[e.origin for e in basis.entries],
+            eigen_residuals=eigres,
+            pa_energy=[mp.mpc(lam.scalars.to_mpc(e.energy)) for e in basis.entries],
+        )
+        rep.extras["zeros"] = zs
+        rep.extras["bundle"] = bundle
+        rep.extras["basis"] = basis
+        rep.extras["Mtilde"] = Mt
+        rep.extras["M"] = M
+        if check_pa:
+            rep.extras["pa_defect"] = pa_difference_equation_defect(basis, frames)
+        return rep
 
 
 def zero_grid_gram(w, vals, dpj):

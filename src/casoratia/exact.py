@@ -237,11 +237,12 @@ class ExactScalars:
 
     Mirrors the construction hooks of ``numkernel.MPScalars``: every pivot,
     trim, residual gate and pole test here asks for an exact zero, and a fit
-    solves through exactly as many sample points as there are unknowns.
+    or an interpolation solves through exactly as many sample points as there
+    are unknowns.
     """
 
     name = "exact"
-    extract_extra = pairing_extra = 4   # samples beyond the unknowns, all held out
+    pairing_extra = 4   # samples beyond the unknowns, all held out
 
     def __init__(self, q: Fraction | None = None):
         self.q = Fraction(q) if q is not None else None
@@ -294,6 +295,20 @@ class ExactScalars:
         return fam.exact_sample_args(count, lam)
 
     @staticmethod
+    def extraction_nodes(fam, lam, fit: int, held: int, salt: str, attempt: int):
+        """(sample args, etas): fit + held rational points, the next ones at each attempt."""
+        count = fit + held
+        us = fam.exact_sample_args(count * (attempt + 1), lam)[count * attempt:]
+        return us, [fam.eta_at(u, lam) for u in us]
+
+    def interpolator(self, etas):
+        """coeffs(vals, deg): the polynomial through the first deg + 1 nodes, solved exactly."""
+        def coeffs(vals, deg):
+            rows = [[e ** m for m in range(deg + 1)] for e in etas[:deg + 1]]
+            return solve_dense(rows, vals[:deg + 1], self)
+        return coeffs
+
+    @staticmethod
     def is_zero(x) -> bool:
         return x.is_zero()
 
@@ -330,10 +345,6 @@ class ExactScalars:
     def fit(self, rows, rhs, nunk: int, equilibrate: bool = False):
         """Exact solve through the first nunk rows; the others stay for checks."""
         return solve_dense(rows[:nunk], rhs[:nunk], self)
-
-    @staticmethod
-    def fit_rows(nunk: int, available: int) -> int:
-        return nunk
 
     @staticmethod
     def nonvanishing(values, bits: int):

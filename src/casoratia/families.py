@@ -32,7 +32,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .exact import ExactScalars, QQi, SqrtExt, fraction_from_decimal
-from .numkernel import MPScalars, pochhammer, q_pochhammer
+from .numkernel import MPScalars, jitter, pochhammer, q_pochhammer
 from .polycore import Poly
 
 HALF = Fraction(1, 2)
@@ -197,11 +197,6 @@ def _qp_inf(a, q):
     return out
 
 
-def _jitter(salt: str) -> float:
-    h = hashlib.sha256(salt.encode()).digest()
-    return int.from_bytes(h[:4], "big") / 2**32
-
-
 class ContinuousHahn(Family):
     tag = "ch"
     var_kind = "x"
@@ -250,7 +245,7 @@ class ContinuousHahn(Family):
         return mp.mpc(eta)
 
     def sample_args(self, count, lam, salt):
-        j = _jitter(salt)
+        j = jitter(salt)
         lo, hi = mp.mpf("-2.4"), mp.mpf("2.6")
         return [lo + (hi - lo) * (s + mp.mpf(0.35) + mp.mpf(0.3) * j) / count for s in range(count)]
 
@@ -342,7 +337,7 @@ class Wilson(Family):
         return x
 
     def sample_args(self, count, lam, salt):
-        j = _jitter(salt)
+        j = jitter(salt)
         lo, hi = mp.mpf("0.37"), mp.mpf("3.9")
         return [lo + (hi - lo) * (s + mp.mpf(0.3) + mp.mpf(0.4) * j) / count for s in range(count)]
 
@@ -457,7 +452,7 @@ class AskeyWilson(Family):
         return mp.acos(mp.mpc(eta))
 
     def sample_args(self, count, lam, salt):
-        j = _jitter(salt)
+        j = jitter(salt)
         lo, hi = mp.mpf("0.17"), mp.pi - mp.mpf("0.19")
         return [mp.exp(1j * (lo + (hi - lo) * (s + mp.mpf(0.3) + mp.mpf(0.4) * j) / count))
                 for s in range(count)]

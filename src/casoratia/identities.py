@@ -18,12 +18,10 @@ import mpmath as mp
 from .dortho import zero_grid_gram
 from .families import ParamSet
 from .miop import (IndexSet, apply_htilde, build_miop, get_builder, htilde_frame,
-                   reference_index_set, PoleAtSample)
+                   reference_index_set, xi_half_shifts, PoleAtSample)
 from .numkernel import MPScalars, workbits
 from .polycore import Poly
 from .zeros import find_zeros
-
-HALF = Fraction(1, 2)
 
 
 # -- Lemma: sinusoidal coordinate identity ---------------------------------------
@@ -345,17 +343,14 @@ def _quad_interval(lam: ParamSet):
 
 
 def psi_d_squared(lam: ParamSet, D: IndexSet, bundle, x):
-    """psi_D(x)^2 = phi_0(x; lambda_D)^2 / (Xi(x - i g/2) Xi(x + i g/2))."""
+    """psi_D(x)^2 = phi_0(x; lambda_D)^2 / (Xi(x - i g/2) Xi(x + i g/2)); PoleAtSample
+    when x -+ i g/2 is at a zero of Xi_D."""
     fam = lam.fam
     base = fam.phi0_sq(x, bundle.lam_D)
     if D.M == 0:
         return base
-    u = fam.arg_of_x(x)
-    um = fam.shift_arg(u, -HALF, lam)
-    up = fam.shift_arg(u, HALF, lam)
-    xm = mp.mpc(bundle.xi(fam.eta_at(um, lam)))
-    xp = mp.mpc(bundle.xi(fam.eta_at(up, lam)))
-    return base / (xm * xp)
+    _, _, xm, xp = xi_half_shifts(bundle, fam.arg_of_x(x))
+    return base / (mp.mpc(xm) * mp.mpc(xp))
 
 
 def partial_fraction_integral_check(lam: ParamSet, D: IndexSet, N: int, j: int, k: int,

@@ -10,10 +10,13 @@ carries a rational prefactor that depends only on the type counts
 or n.  Xi_D and P_{D,n} are therefore recovered by interpolating the ratio of
 detPoly against a canonical reference instance of the same class; mixed
 classes bootstrap the reference denominator polynomial from a two-instance
-pairing solve.  P_{D,0..N} share one sample set: detPoly is linear in its P
-column, so one cofactor vector per sample serves every n.  Every build is
-gated: degree law, nonzero leading coefficient, held-out sample residuals,
-the deformed eigenrelation and shape invariance.
+pairing solve.  The interpolation nodes and the solve are the scalar
+backend's: roots-of-unity nodes on a circle in eta with an inverse DFT in
+floats, rational points with an exact solve otherwise.  P_{D,0..N} share one
+node set and one interpolation: detPoly is linear in its P column, so one
+cofactor vector per node serves every n.  Every build is gated: degree law,
+nonzero leading coefficient, held-out node residuals, the deformed
+eigenrelation (on one set of frames for every n) and shape invariance.
 """
 
 from __future__ import annotations
@@ -24,9 +27,12 @@ from fractions import Fraction
 import mpmath as mp
 
 from .families import FAMILIES, ParamSet
+from .numkernel import workbits
 from .polycore import Poly, det_dense, ladder_points, last_column_cofactors
 
 HALF = Fraction(1, 2)
+HELD_OUT = 4    # held-out nodes per extraction, gated against the fitted polynomial
+ROTATIONS = 4   # node sets an extraction tries before its reference counts as vanishing
 
 
 class DegenerateIndexSet(RuntimeError):
@@ -211,33 +217,31 @@ class Builder:
     def _samples(self, count: int, salt: str):
         return self.sc.sample_args(self.fam, count, self.lam, salt + "|" + self.lam.digest())
 
-    def _fit_eta_poly(self, etas, vals, deg: int) -> Poly:
-        sc = self.sc
-        rows = []
-        for e in etas:
-            row, p = [], sc.one
-            for _ in range(deg + 1):
-                row.append(p)
-                p = p * e
-            rows.append(row)
-        return Poly(sc.fit(rows, vals, deg + 1), sc)
-
     def _tolerance(self) -> mp.mpf:
         return mp.mpf(2) ** (-self.bits + 48)
 
-    def _fit_held_out(self, keep, deg: int) -> Poly:
-        """Fit the eta polynomial of degree deg to (eta, value) pairs; gate the held-out ones."""
+    def _nodes(self, fit: int, salt: str, R: int, kinds, ref_cols):
+        """Extraction nodes (fit of them, then HELD_OUT), their frames and the reference
+        detPoly(ref_cols) there, at the first rotation where no reference value vanishes."""
         sc = self.sc
-        if len(keep) < deg + 4:
-            raise DegenerateIndexSet("too many degenerate samples in extraction")
-        fit_n = sc.fit_rows(deg + 1, len(keep))
-        fit_pts = keep[:fit_n]
-        hold = keep[fit_n:]
-        poly = self._fit_eta_poly([e for e, _ in fit_pts], [v for _, v in fit_pts], deg)
+        for attempt in range(ROTATIONS):
+            us, etas = sc.extraction_nodes(self.fam, self.lam, fit, HELD_OUT,
+                                           salt + "|" + self.lam.digest(), attempt)
+            frames = self.frames(us, R, kinds)
+            refs = self.det_values(ref_cols, us, frames)
+            if all(sc.nonvanishing(refs, self.bits)):
+                return us, etas, frames, refs
+        raise DegenerateIndexSet(f"reference Casoratian vanished at {ROTATIONS} node rotations")
+
+    def _fit_held_out(self, etas, vals, coeffs, deg: int) -> Poly:
+        """The eta polynomial of degree deg from the fit nodes; gate the HELD_OUT last ones."""
+        sc = self.sc
+        fit = len(etas) - HELD_OUT
+        poly = Poly(coeffs(vals[:fit], deg), sc)
         scale = sc.scale(poly.coeffs)
         if scale == 0:
             raise DegenerateIndexSet("zero Casoratian polynomial part")
-        for e, v in hold:
+        for e, v in zip(etas[fit:], vals[fit:]):
             err, lim = sc.held_out_residual(poly(e), v, e, deg, scale, self._tolerance())
             if err > lim:
                 raise PrefactorResidue(
@@ -246,36 +250,27 @@ class Builder:
 
     def _extract(self, cols, deg: int, ref_cols, ref_poly: Poly, salt: str) -> Poly:
         """Interpolate the eta polynomial of detPoly(cols) against a class reference."""
-        sc = self.sc
-        us = self._samples(deg + 1 + sc.extract_extra + 6, salt)
-        frames = self.frames(us, len(cols), {k for k, _ in cols + ref_cols})
+        us, etas, frames, refs = self._nodes(deg + 1, salt, len(cols),
+                                             {k for k, _ in cols + ref_cols}, ref_cols)
         vals = self.det_values(cols, us, frames)
-        refs = self.det_values(ref_cols, us, frames)
-        etas = [self.fam.eta_at(u, self.lam) for u in us]
-        return self._fit_held_out(
-            [(e, v * ref_poly(e) / r)
-             for e, v, r, ok in zip(etas, vals, refs, sc.nonvanishing(refs, self.bits)) if ok],
-            deg)
+        return self._fit_held_out(etas, [v * ref_poly(e) / r for e, v, r in zip(etas, vals, refs)],
+                                  self.sc.interpolator(etas[:deg + 1]), deg)
 
     def _p_batch(self, D: IndexSet, top: int):
-        """What P_{D,n<=top} is fitted from: per kept sample, its eta, the etas of its
-        ladder and the cofactor weights, scaled by the reference ratio Xi_{D0}/detPoly_{D0}."""
-        sc = self.sc
+        """What P_{D,n<=top} is fitted from: the node etas, per node the etas of its
+        ladder and the cofactor weights scaled by the reference ratio
+        Xi_{D0}/detPoly_{D0}, and the interpolation of the ell_D + top + 1 fit nodes."""
         D0 = reference_index_set(D.counts)
         ref_poly = self.shift_builder().xi(D0)
         cols = _xi_cols(D)
-        us = self._samples(D.ell + top + 1 + sc.extract_extra + 6, f"p|{D.key()}|{top}")
-        frames = self.frames(us, len(cols) + 1, {k for k, _ in cols} | {"P"})
-        refs = self.det_values(_p_cols(D0, 0), us, frames)
-        cofs = self.p_cofactors(cols, frames)
-        batch = []
-        for u, (etas, _), r, cof, ok in zip(us, frames, refs, cofs,
-                                            sc.nonvanishing(refs, self.bits)):
-            if ok:
-                e = self.fam.eta_at(u, self.lam)
-                k = ref_poly(e) / r
-                batch.append((e, etas, [c * k for c in cof]))
-        return batch
+        fit = D.ell + top + 1
+        us, etas, frames, refs = self._nodes(fit, f"p|{D.key()}|{top}", len(cols) + 1,
+                                             {k for k, _ in cols} | {"P"}, _p_cols(D0, 0))
+        rows = []
+        for e, (ladder, _), r, cof in zip(etas, frames, refs, self.p_cofactors(cols, frames)):
+            k = ref_poly(e) / r
+            rows.append((ladder, [c * k for c in cof]))
+        return etas, rows, self.sc.interpolator(etas[:fit])
 
     # .. class references ..........................................................
 
@@ -372,14 +367,15 @@ class Builder:
                 batch = self._p_batch(D, top)
             if n < top and (D.key(), top, top) not in self._p_cache:
                 self._p_batches[bkey] = batch
+            etas, rows, coeffs = batch
             base = self.col_poly("P", n)
-            keep = []
-            for e, etas, cof in batch:
+            vals = []
+            for ladder, cof in rows:
                 val = self.sc.zero
-                for c, x in zip(cof, etas):
+                for c, x in zip(cof, ladder):
                     val = val + c * base(x)
-                keep.append((e, val))
-            poly = self._fit_held_out(keep, D.ell + n)
+                vals.append(val)
+            poly = self._fit_held_out(etas, vals, coeffs, D.ell + n)
         poly = poly.trim()
         if poly.degree != D.ell + n:
             raise DegenerateIndexSet(
@@ -455,18 +451,26 @@ class HtildeFrame:
     r_p: object
 
 
+def xi_half_shifts(bundle: "MiopBundle", u):
+    """eta and Xi_D at x -+ i gamma/2 of the sample argument u: (eta_mh, eta_ph, xi_mh,
+    xi_ph); PoleAtSample when Xi_D nearly vanishes at either point."""
+    lam = bundle.lam
+    fam, sc = lam.fam, lam.scalars
+    eta_mh, eta_ph = (fam.eta_at(fam.shift_arg(u, t, lam), lam) for t in (-HALF, HALF))
+    xi_mh, xi_ph = bundle.xi(eta_mh), bundle.xi(eta_ph)
+    if sc.vanishes(xi_mh, bundle.pole_bounds[0]) or sc.vanishes(xi_ph, bundle.pole_bounds[0]):
+        raise PoleAtSample("Xi_D vanished near sample point")
+    return eta_mh, eta_ph, xi_mh, xi_ph
+
+
 def htilde_frame(builder: Builder, bundle: "MiopBundle", u) -> HtildeFrame:
     """The frame of H~_D (bundle) at the sample argument u; PoleAtSample near a pole."""
     fam, lam, sc = builder.fam, builder.lam, builder.sc
-    eta_m, eta_p, eta_mh, eta_ph = (fam.eta_at(fam.shift_arg(u, t, lam), lam)
-                                    for t in (-1, 1, -HALF, HALF))
+    eta_mh, eta_ph, xi_mh, xi_ph = xi_half_shifts(bundle, u)
+    eta_m, eta_p = (fam.eta_at(fam.shift_arg(u, t, lam), lam) for t in (-1, 1))
     eta = fam.eta_at(u, lam)
-    xi_ph = bundle.xi(eta_ph)
-    xi_mh = bundle.xi(eta_mh)
     xi0 = bundle.xi_shift(eta)
-    bound, shift_bound = bundle.pole_bounds
-    if (sc.vanishes(xi_ph, bound) or sc.vanishes(xi_mh, bound)
-            or sc.vanishes(xi0, shift_bound)):
+    if sc.vanishes(xi0, bundle.pole_bounds[1]):
         raise PoleAtSample("Xi_D vanished near sample point")
     return HtildeFrame(
         eta, eta_m, eta_p, eta_mh, eta_ph, xi_mh, xi_ph, xi_ph / xi_mh, xi_mh / xi_ph,
@@ -509,40 +513,42 @@ class MiopBundle:
 
 def build_miop(lam: ParamSet, D: IndexSet, n_max: int = 8, bits: int = 256,
                check: bool = True, samples: int = 12) -> MiopBundle:
-    """Construct Xi_D and P_{D,0..n_max} and run the structural gates."""
-    b = get_builder(lam, bits)
-    fam = lam.fam
-    xi = b.xi(D)
-    xi_shift = b.shift_builder().xi(D)
-    polys = {n: b.P(D, n, top=n_max) for n in range(n_max + 1)}
-    lam_D = shifted_params(lam, D)
-    tolerance = mp.mpf(2) ** (-bits // 2)
-    bounds = (tolerance * b.sc.scale(xi.coeffs), tolerance * b.sc.scale(xi_shift.coeffs))
-    bundle = MiopBundle(lam, D, n_max, xi, xi_shift, polys, lam_D, bounds)
-    if not check:
-        return bundle
-    worst = mp.mpf(0)
-    for n, p in polys.items():
-        E = fam.energy(n, lam)
-        got = 0
-        for u in lam.scalars.sample_args(fam, samples + 6, lam, f"gate|{D.key()}|{n}"):
-            if got >= samples:
+    """Construct Xi_D and P_{D,0..n_max} and run the structural gates.
+
+    Runs at bits + 32 working bits, whatever the caller's precision.
+    """
+    with workbits(bits + 32):
+        b = get_builder(lam, bits)
+        fam = lam.fam
+        xi = b.xi(D)
+        xi_shift = b.shift_builder().xi(D)
+        polys = {n: b.P(D, n, top=n_max) for n in range(n_max + 1)}
+        lam_D = shifted_params(lam, D)
+        tolerance = mp.mpf(2) ** (-bits // 2)
+        bounds = (tolerance * b.sc.scale(xi.coeffs), tolerance * b.sc.scale(xi_shift.coeffs))
+        bundle = MiopBundle(lam, D, n_max, xi, xi_shift, polys, lam_D, bounds)
+        if not check:
+            return bundle
+        frames = []
+        for u in lam.scalars.sample_args(fam, samples + 6, lam, f"gate|{D.key()}"):
+            if len(frames) >= samples:
                 break
             try:
-                worst = max(worst, _eigen_residual(htilde_frame(b, bundle, u), p, E, b.sc))
-                got += 1
+                frames.append(htilde_frame(b, bundle, u))
             except PoleAtSample:
                 continue
-        if got < samples // 2:
+        if len(frames) < samples // 2:
             raise PoleAtSample("could not find enough pole-free gate samples")
-    bundle.gates["eigen_residual"] = worst
-    if worst > tolerance:
-        raise PrefactorResidue(
-            f"deformed eigenrelation residual {mp.nstr(worst, 5)} above tolerance for D={D}")
-    bundle.gates["shape_invariance"] = _shape_invariance_defect(bundle)
-    if bundle.gates["shape_invariance"] > tolerance:
-        raise PrefactorResidue("shape invariance P_D,0 ~ Xi_D(lambda+delta) failed")
-    return bundle
+        worst = max((_eigen_residual(fr, p, fam.energy(n, lam), b.sc)
+                     for n, p in polys.items() for fr in frames), default=mp.mpf(0))
+        bundle.gates["eigen_residual"] = worst
+        if worst > tolerance:
+            raise PrefactorResidue(
+                f"deformed eigenrelation residual {mp.nstr(worst, 5)} above tolerance for D={D}")
+        bundle.gates["shape_invariance"] = _shape_invariance_defect(bundle)
+        if bundle.gates["shape_invariance"] > tolerance:
+            raise PrefactorResidue("shape invariance P_D,0 ~ Xi_D(lambda+delta) failed")
+        return bundle
 
 
 def _shape_invariance_defect(bundle: MiopBundle) -> mp.mpf:

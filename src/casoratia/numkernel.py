@@ -11,6 +11,7 @@ overloading and the ``ExactScalars`` backend.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 from fractions import Fraction
 
 import mpmath as mp
@@ -18,6 +19,8 @@ import mpmath as mp
 from .polycore import lstsq_dense
 
 DEFAULT_BITS = 256
+# radius of the eta circle the float extraction nodes lie on (cH, W and AW alike)
+NODE_RADIUS = 2
 
 
 @contextlib.contextmanager
@@ -29,6 +32,12 @@ def workbits(bits: int):
         yield
     finally:
         mp.mp.prec = old
+
+
+def jitter(salt: str) -> float:
+    """A fraction in [0, 1) fixed by the salt."""
+    h = hashlib.sha256(salt.encode()).digest()
+    return int.from_bytes(h[:4], "big") / 2**32
 
 
 def pochhammer(a, n: int):
@@ -72,12 +81,12 @@ class MPScalars:
     ``exact.ExactScalars`` answer every question on which the construction
     differs between them: pivot choice and zero skipping in elimination,
     negligible trailing coefficients, the interpolation fit, the residual
-    gates, the pole test, sample points and q**t.  Here each answer is relative
-    to a tolerance; the exact backend asks for exact zeros instead.
+    gates, the pole test, sample points and extraction nodes, interpolation and
+    q**t.  Here each answer is relative to a tolerance; the exact backend asks
+    for exact zeros instead.
     """
 
     name = "float"
-    extract_extra = 10   # samples beyond deg + 1 drawn for an extraction fit
     pairing_extra = 12   # samples beyond the unknowns of a pairing bootstrap
 
     def __init__(self, bits: int = DEFAULT_BITS):
@@ -129,6 +138,40 @@ class MPScalars:
     def sample_args(fam, count: int, lam, salt: str):
         return fam.sample_args(count, lam, salt)
 
+    @staticmethod
+    def extraction_nodes(fam, lam, fit: int, held: int, salt: str, attempt: int):
+        """(sample args, etas) of fit interpolation nodes, then held <= 4 held-out ones.
+
+        The fit nodes are eta_k = rho e^{2 pi i (theta + k) / fit} on the circle
+        |eta| = rho = NODE_RADIUS, with theta in [0, 1) salted by salt and the
+        rotation attempt.  The held-out nodes lie on the same circle, at the
+        mid-angles theta + k + 1/2 for k = j fit // 4 (fit >= 4), else at odd
+        eighths of a turn, which no fit node reaches when fit < 4.
+        """
+        theta = mp.mpf(jitter(f"{salt}|{attempt}"))
+        if fit >= 4:
+            held_at = [j * fit // 4 + mp.mpf(0.5) for j in range(held)]
+        else:
+            held_at = [mp.mpf(2 * j + 1) * fit / 8 for j in range(held)]
+        etas = [NODE_RADIUS * mp.expjpi(2 * (theta + t) / fit) for t in [*range(fit), *held_at]]
+        return [fam.arg_of_x(fam.recover_x(e)) for e in etas], etas
+
+    @staticmethod
+    def interpolator(etas):
+        """coeffs(vals, deg): the eta coefficients 0..deg of the polynomial with the
+        values vals at the fit nodes etas, by the inverse DFT
+        c_m = (1/K) sum_k v_k eta_k^{-m} (K = len(etas) > deg, nodes from
+        extraction_nodes).  The powers eta_k^{-m} are made once and shared."""
+        K = len(etas)
+        inv = [1 / e for e in etas]
+        rows = [[mp.mpc(1) / K] * K]
+        for _ in range(K - 1):
+            rows.append([w * i for w, i in zip(rows[-1], inv)])
+
+        def coeffs(vals, deg):
+            return [sum((w * v for w, v in zip(row, vals)), _ZERO) for row in rows[:deg + 1]]
+        return coeffs
+
     # -- elimination and trimming ------------------------------------------------
 
     @staticmethod
@@ -169,11 +212,6 @@ class MPScalars:
             rows = [[x / m for x in row] for row, m in zip(rows, sizes)]
             rhs = [r / m for r, m in zip(rhs, sizes)]
         return lstsq_dense(rows, rhs, self)
-
-    @staticmethod
-    def fit_rows(nunk: int, available: int) -> int:
-        """Kept samples an extraction fits on (the rest are held out)."""
-        return min(nunk + 8, available - 2)
 
     @staticmethod
     def nonvanishing(values, bits: int):

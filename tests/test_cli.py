@@ -205,3 +205,40 @@ def test_verify_quadrature_at_n2():
     assert r.returncode == 0, r.stderr
     checks = json.loads(r.stdout)["manifest"]["checks"]
     assert checks["partial_fraction_nonzero"] and "naive_weight_fails" not in checks
+
+
+def test_verify_orthogonality_owns_its_precision(tmp_path):
+    """At mpmath's default 53 bits, verify_orthogonality(..., bits=256) gives the CLI's numbers."""
+    import mpmath as mp
+
+    from casoratia.dortho import verify_orthogonality
+    from casoratia.families import draw_params
+    from casoratia.miop import IndexSet
+    from casoratia.report import ortho_report_json
+
+    out = tmp_path / "rep.json"
+    r = run(["verify", "--family", "w", "--mode", "generic", "--seed", "57", "--dI", "2",
+             "--N", "2", "--out", str(out)])
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(out.read_text())
+    assert mp.mp.prec == 53
+    rep = verify_orthogonality(draw_params("w", "generic", 57), IndexSet.make([(2, "I")]), 2,
+                               bits=256)
+    assert mp.mp.prec == 53
+    got = ortho_report_json(rep)
+    assert got == {k: doc[k] for k in got}
+
+
+@pytest.mark.parametrize("damage", [b'{"xi": [', b"\xff\xfe not text", b"[1, 2]"],
+                         ids=["truncated", "not-utf8", "not-an-object"])
+def test_construct_cache_damaged_entry_is_a_miss(tmp_path, damage):
+    """A corrupt, undecodable or non-object cache file is rebuilt and rewritten."""
+    from casoratia import cli
+    cache = tmp_path / "cache"
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["construct", "--family", "ch", "--dI", "2", "--N", "2", "--cache", str(cache)]
+    assert cli.main(argv + ["--out", str(a)]) == 0
+    (entry,) = cache.glob("*.json")
+    entry.write_bytes(damage)
+    assert cli.main(argv + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes() == entry.read_bytes()

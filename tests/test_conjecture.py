@@ -94,3 +94,23 @@ def test_predicted_invariant_under_input_order():
         k1 = predicted_k(lam, D1, 2, entry, mixed_C=C, zeta=1)
         k2 = predicted_k(lam, D2, 2, entry, mixed_C=C, zeta=1)
         assert k1 == k2
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("mode", ["physical", "generic"])
+def test_mixed_m3_index_sets_pass(tag, mode, tmp_path):
+    """M = 3 mixed sets of both count classes, (2,1) and (1,2), pass every check at 256
+    bits, case (3) included: the per-member factors of a derived set D'_{3,jk} take
+    each member's position in D'_{3,jk}."""
+    import json
+
+    from casoratia import cli
+    out = tmp_path / "rep.json"
+    for dI, dII in (("1,2", "0"), ("0", "1,2")):   # ell_D = 4, even for cH physical
+        argv = ["verify", "--family", tag, "--mode", mode, "--dI", dI, "--dII", dII,
+                "--N", "2", "--out", str(out)]
+        assert cli.main(argv) == 0, argv
+        doc = json.loads(out.read_text())
+        assert [a["precision_bits"] for a in doc["attempts"]] == [256]
+        assert doc["manifest"]["checks"]["conjecture"]
+        assert any(e["case"] == 3 for e in doc["conjecture"]["entries"])

@@ -167,7 +167,8 @@ def test_naive_weight_vanishes_at_n2():
 
 
 def test_htilde_formula_has_one_home():
-    """dortho and identities._chain_pairs take shifts, V and Xi_D values from miop.htilde_frame."""
+    """dortho and identities._chain_pairs take shifts, V and Xi_D values from miop.htilde_frame,
+    and identities.psi_d_squared its Xi_D half shifts from miop.xi_half_shifts."""
     root = pathlib.Path(casoratia.__file__).parent
     banned = {"shift_arg", "eta_at", "v_at", "v_star_at"}
 
@@ -181,3 +182,6 @@ def test_htilde_formula_has_one_home():
     chain = next(f for f in identities.body
                  if isinstance(f, ast.FunctionDef) and f.name == "_chain_pairs")
     assert called(chain) & banned == set()
+    psi = next(f for f in identities.body
+               if isinstance(f, ast.FunctionDef) and f.name == "psi_d_squared")
+    assert called(psi) & {"shift_arg", "eta_at"} == set()

@@ -117,6 +117,21 @@ def test_classical_discrete_orthogonality(tag):
             assert mp.re(dval) > 0 and abs(mp.im(dval)) <= mp.mpf("1e-40") * mp.re(dval)
 
 
+def test_quadrature_integrand_stops_at_a_pole():
+    """psi_D^2 at x with x + i gamma/2 on a zero of Xi_D raises PoleAtSample."""
+    from casoratia.identities import psi_d_squared
+    from casoratia.miop import PoleAtSample, build_miop
+    from casoratia.zeros import find_zeros
+    D = IndexSet.make([(2, "I")])
+    with workbits(288):
+        lam = draw_params("w", "physical", seed=11)
+        bundle = build_miop(lam, D, 1, check=False)
+        x0 = lam.fam.recover_x(find_zeros(bundle.xi, 256, lam.fam).eta[0])
+        assert abs(psi_d_squared(lam, D, bundle, x0 - mp.mpc(0, "0.25"))) > 0
+        with pytest.raises(PoleAtSample):
+            psi_d_squared(lam, D, bundle, x0 - mp.mpc(0, "0.5"))
+
+
 @pytest.mark.slow
 def test_partial_fraction_split_wilson():
     from casoratia.identities import partial_fraction_integral_check

@@ -8,9 +8,10 @@ import pytest
 
 from casoratia import miop
 from casoratia.families import FAMILIES, draw_params, params_from_values
-from casoratia.miop import (Builder, IndexSet, PoleAtSample, _eigen_residual, apply_htilde,
-                            build_miop, delta_tilde, ell_degree, get_builder,
-                            hermiticity_check, h_ratio, htilde_frame, shifted_params)
+from casoratia.miop import (Builder, DegenerateIndexSet, IndexSet, PoleAtSample,
+                            _eigen_residual, apply_htilde, build_miop, delta_tilde,
+                            ell_degree, get_builder, hermiticity_check, h_ratio,
+                            htilde_frame, shifted_params)
 from casoratia.numkernel import workbits
 from casoratia.polycore import Poly
 
@@ -327,6 +328,60 @@ def test_P_is_independent_of_call_order():
         assert set(warm._p_batches) == {(Dp.key(), N + 1)}
         bun = build_miop(lam, Dp, N, check=False)
         assert bun.P[N].coeffs == cold.coeffs
+
+
+def test_vanishing_reference_takes_the_next_rotation(monkeypatch):
+    """A flagged reference value moves the extraction to the next node rotation; after
+    ROTATIONS flagged rotations the index set counts as degenerate."""
+    D = IndexSet.make([(2, "I")])
+    with workbits(288):
+        lam = draw_params("w", "generic", seed=41)
+        want = Builder(lam).xi(D)
+        sc = lam.scalars
+        nodes, flags = sc.extraction_nodes, sc.nonvanishing
+        attempts = []
+
+        def spy(fam, lam_, fit, held, salt, attempt):
+            attempts.append(attempt)
+            return nodes(fam, lam_, fit, held, salt, attempt)
+
+        def flag_first_rotation(values, bits):
+            return [ok and attempts[-1] > 0 for ok in flags(values, bits)]
+
+        monkeypatch.setattr(sc, "extraction_nodes", spy)
+        monkeypatch.setattr(sc, "nonvanishing", flag_first_rotation)
+        got = Builder(lam).xi(D)
+        assert attempts == [0, 1]
+        assert got.degree == want.degree == D.ell
+        for c1, c2 in zip(got.coeffs, want.coeffs):
+            assert abs(c1 - c2) <= mp.mpf(2) ** -200 * abs(want.lead())
+        attempts.clear()
+        monkeypatch.setattr(sc, "nonvanishing", lambda values, bits: [False] * len(values))
+        with pytest.raises(DegenerateIndexSet):
+            Builder(lam).xi(D)
+        assert attempts == list(range(miop.ROTATIONS))
+
+
+def test_eigen_gate_builds_one_frame_set(monkeypatch):
+    """The eigen gate builds `samples` pole-free frames for all n, not one set per n."""
+    made = []
+    frame = miop.htilde_frame
+
+    def counting(b, bundle, u):
+        try:
+            fr = frame(b, bundle, u)
+        except PoleAtSample:
+            made.append(False)
+            raise
+        made.append(True)
+        return fr
+
+    monkeypatch.setattr(miop, "htilde_frame", counting)
+    with workbits(288):
+        lam = draw_params("ch", "generic", seed=3)
+        bun = build_miop(lam, IndexSet.make([(1, "I"), (1, "II")]), n_max=3, samples=8)
+    assert made.count(True) == 8 and len(made) <= 8 + 6
+    assert bun.gates["eigen_residual"] <= mp.mpf(2) ** -128
 
 
 def test_builder_owns_its_trimming_precision():

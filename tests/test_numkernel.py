@@ -59,3 +59,34 @@ def test_precision_rerun_consistency():
     with workbits(512):
         diff = abs(mp.mpc(vals[128]) - mp.mpc(vals[256])) / abs(mp.mpc(vals[256]))
         assert diff < mp.mpf(2) ** -64
+
+
+def test_float_inverse_dft_recovers_a_polynomial():
+    """A random degree-15 polynomial comes back from its 16 circle nodes to 2^-(bits-16)."""
+    import random
+
+    from casoratia.families import FAMILIES, draw_params
+    from casoratia.numkernel import NODE_RADIUS
+    from casoratia.polycore import Poly
+
+    bits = 256
+    rng = random.Random(15)
+    with workbits(bits + 32):
+        for tag in ("ch", "w", "aw"):
+            lam = draw_params(tag, "generic", seed=5, bits=bits)
+            sc, fam = lam.scalars, FAMILIES[tag]
+            want = [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(16)]
+            p = Poly(want, sc)
+            us, etas = sc.extraction_nodes(fam, lam, 16, 4, "dft", 0)
+            # the nodes lie on the circle and the sample args map back onto them
+            for u, e in zip(us, etas):
+                assert abs(abs(e) - NODE_RADIUS) <= mp.mpf(2) ** -bits
+                assert abs(fam.eta_at(u, lam) - e) <= mp.mpf(2) ** -bits
+            got = sc.interpolator(etas[:16])([p(e) for e in etas[:16]], 15)
+            err = max(abs(g - w) for g, w in zip(got, want))
+            assert err <= mp.mpf(2) ** -(bits - 16) * max(abs(w) for w in want), tag
+            # fewer than 4 fit nodes: the held-out ones still avoid them and each other
+            for fit in (1, 2, 3):
+                _, etas = sc.extraction_nodes(fam, lam, fit, 4, "few", 0)
+                gaps = [abs(e - f) for i, e in enumerate(etas) for f in etas[:i]]
+                assert min(gaps) > mp.mpf("0.1")

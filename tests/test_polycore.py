@@ -105,13 +105,21 @@ def test_backend_interface_and_dense_routines(backend):
         tall = a + [[num(1), num(1), num(1)]]
         assert all(map(same, lstsq_dense(tall, b + [sum(x, sc.zero)], sc), x))
 
-        # interpolation fit: 3 unknowns from 3 + extract_extra samples of 1 + 2e + e^2
-        etas = [num(Fraction(k + 1, 3)) for k in range(3 + sc.extract_extra)]
+        # extraction: 5 fit and 4 held-out nodes, all distinct; 1 + 2e + e^2 back from
+        # the fit nodes, at degree 2 and as the low coefficients at degree 4
+        us, etas = sc.extraction_nodes(FAMILIES["aw"], lam, 5, 4, "salt", 0)
+        assert len(us) == len(etas) == 9
+        assert all(not sc.is_zero(e - f) for i, e in enumerate(etas) for f in etas[:i])
+        coeffs = sc.interpolator(etas[:5])
+        vals = [poly(1, 2, 1)(e) for e in etas[:5]]
+        assert all(map(same, coeffs(vals, 2), [num(1), num(2), num(1)]))
+        assert all(map(same, coeffs(vals, 4), [num(1), num(2), num(1), num(0), num(0)]))
+        # pairing fit: 3 unknowns from 3 + pairing_extra samples of 1 + 2e + e^2
+        etas = [num(Fraction(k + 1, 3)) for k in range(3 + sc.pairing_extra)]
         rows = [[sc.one, e, e * e] for e in etas]
         vals = [poly(1, 2, 1)(e) for e in etas]
         assert all(map(same, sc.fit(rows, vals, 3), [num(1), num(2), num(1)]))
         assert all(map(same, sc.fit(rows, vals, 3, equilibrate=True), [num(1), num(2), num(1)]))
-        assert sc.fit_rows(3, 20) == (3 if exact else 11)
         # magnitude, negligibility and residual gates
         gate = mp.mpf(2) ** -144
         assert sc.scale([num(0), num(0)]) == 0 and sc.scale([num(0), num(-4)]) > 0

@@ -35,3 +35,14 @@ def test_cache_key_stable():
     k1 = cache_key(kind="bundle", family="w", D="2I", prec=256)
     k2 = cache_key(prec=256, D="2I", family="w", kind="bundle")
     assert k1 == k2 and len(k1) == 64
+
+
+def test_cache_key_covers_version_and_schema(monkeypatch):
+    """An entry written by another release or report schema is never served."""
+    from casoratia import cache
+    k = cache_key(kind="bundle", family="w")
+    monkeypatch.setattr(cache, "__version__", "0.0.0")
+    assert cache_key(kind="bundle", family="w") != k
+    monkeypatch.undo()
+    monkeypatch.setattr(cache, "SCHEMA_VERSION", 0)
+    assert cache_key(kind="bundle", family="w") != k
