@@ -14,6 +14,7 @@ from typing import Union
 
 import mpmath as mp
 
+from .numkernel import HELD_OUT
 from .polycore import solve_dense
 
 _F1 = Fraction(1)
@@ -295,9 +296,9 @@ class ExactScalars:
         return fam.exact_sample_args(count, lam)
 
     @staticmethod
-    def extraction_nodes(fam, lam, fit: int, held: int, salt: str, attempt: int):
-        """(sample args, etas): fit + held rational points, the next ones at each attempt."""
-        count = fit + held
+    def extraction_nodes(fam, lam, fit: int, salt: str, attempt: int):
+        """(sample args, etas): fit + HELD_OUT rational points, the next ones at each attempt."""
+        count = fit + HELD_OUT
         us = fam.exact_sample_args(count * (attempt + 1), lam)[count * attempt:]
         return us, [fam.eta_at(u, lam) for u in us]
 
@@ -342,7 +343,7 @@ class ExactScalars:
 
     # -- fits and gates ----------------------------------------------------------
 
-    def fit(self, rows, rhs, nunk: int, equilibrate: bool = False):
+    def fit(self, rows, rhs, nunk: int):
         """Exact solve through the first nunk rows; the others stay for checks."""
         return solve_dense(rows[:nunk], rhs[:nunk], self)
 

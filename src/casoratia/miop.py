@@ -27,11 +27,10 @@ from fractions import Fraction
 import mpmath as mp
 
 from .families import FAMILIES, ParamSet
-from .numkernel import workbits
+from .numkernel import HELD_OUT, workbits
 from .polycore import Poly, det_dense, ladder_points, last_column_cofactors
 
 HALF = Fraction(1, 2)
-HELD_OUT = 4    # held-out nodes per extraction, gated against the fitted polynomial
 ROTATIONS = 4   # node sets an extraction tries before its reference counts as vanishing
 
 
@@ -225,7 +224,7 @@ class Builder:
         detPoly(ref_cols) there, at the first rotation where no reference value vanishes."""
         sc = self.sc
         for attempt in range(ROTATIONS):
-            us, etas = sc.extraction_nodes(self.fam, self.lam, fit, HELD_OUT,
+            us, etas = sc.extraction_nodes(self.fam, self.lam, fit,
                                            salt + "|" + self.lam.digest(), attempt)
             frames = self.frames(us, R, kinds)
             refs = self.det_values(ref_cols, us, frames)
@@ -309,7 +308,7 @@ class Builder:
             row += [-(a_s) * pw[k] for k in range(dB)]
             rows.append(row)
             rhs.append(a_s * pw[dB])
-        sol = sc.fit(rows, rhs, nunk, equilibrate=True)
+        sol = sc.fit(rows, rhs, nunk)
         b_coeffs = list(sol[dA + 1:]) + [sc.one]
         xi0 = Poly(b_coeffs, sc)
         a_poly = Poly(sol[: dA + 1], sc)

@@ -21,6 +21,10 @@ from .polycore import lstsq_dense
 DEFAULT_BITS = 256
 # radius of the eta circle the float extraction nodes lie on (cH, W and AW alike)
 NODE_RADIUS = 2
+# radius of the circle the held-out nodes lie on: off the fit circle, so an error that
+# aliases onto the fit coefficients shows at every held-out node
+HELD_RADIUS = 5 * NODE_RADIUS / 4
+HELD_OUT = 4    # held-out nodes per extraction, gated against the fitted polynomial
 
 
 @contextlib.contextmanager
@@ -139,21 +143,18 @@ class MPScalars:
         return fam.sample_args(count, lam, salt)
 
     @staticmethod
-    def extraction_nodes(fam, lam, fit: int, held: int, salt: str, attempt: int):
-        """(sample args, etas) of fit interpolation nodes, then held <= 4 held-out ones.
+    def extraction_nodes(fam, lam, fit: int, salt: str, attempt: int):
+        """(sample args, etas) of fit interpolation nodes, then HELD_OUT held-out ones.
 
         The fit nodes are eta_k = rho e^{2 pi i (theta + k) / fit} on the circle
         |eta| = rho = NODE_RADIUS, with theta in [0, 1) salted by salt and the
-        rotation attempt.  The held-out nodes lie on the same circle, at the
-        mid-angles theta + k + 1/2 for k = j fit // 4 (fit >= 4), else at odd
-        eighths of a turn, which no fit node reaches when fit < 4.
+        rotation attempt.  The held-out nodes are HELD_OUT equally spaced points
+        e^{2 pi i (theta + j + 1/2) / HELD_OUT} on the circle |eta| = HELD_RADIUS.
         """
         theta = mp.mpf(jitter(f"{salt}|{attempt}"))
-        if fit >= 4:
-            held_at = [j * fit // 4 + mp.mpf(0.5) for j in range(held)]
-        else:
-            held_at = [mp.mpf(2 * j + 1) * fit / 8 for j in range(held)]
-        etas = [NODE_RADIUS * mp.expjpi(2 * (theta + t) / fit) for t in [*range(fit), *held_at]]
+        etas = [NODE_RADIUS * mp.expjpi(2 * (theta + k) / fit) for k in range(fit)]
+        etas += [HELD_RADIUS * mp.expjpi(2 * (theta + j + mp.mpf(0.5)) / HELD_OUT)
+                 for j in range(HELD_OUT)]
         return [fam.arg_of_x(fam.recover_x(e)) for e in etas], etas
 
     @staticmethod
@@ -204,13 +205,12 @@ class MPScalars:
 
     # -- fits and gates ----------------------------------------------------------
 
-    def fit(self, rows, rhs, nunk: int, equilibrate: bool = False):
-        """Least squares over every row; equilibrate first scales each row to unit size."""
-        if equilibrate:
-            sizes = [max(max(abs(x) for x in row), abs(r), mp.mpf("1e-300"))
-                     for row, r in zip(rows, rhs)]
-            rows = [[x / m for x in row] for row, m in zip(rows, sizes)]
-            rhs = [r / m for r, m in zip(rhs, sizes)]
+    def fit(self, rows, rhs, nunk: int):
+        """Least squares over every row, each first scaled to unit size."""
+        sizes = [max(max(abs(x) for x in row), abs(r), mp.mpf("1e-300"))
+                 for row, r in zip(rows, rhs)]
+        rows = [[x / m for x in row] for row, m in zip(rows, sizes)]
+        rhs = [r / m for r, m in zip(rhs, sizes)]
         return lstsq_dense(rows, rhs, self)
 
     @staticmethod

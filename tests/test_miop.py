@@ -341,9 +341,9 @@ def test_vanishing_reference_takes_the_next_rotation(monkeypatch):
         nodes, flags = sc.extraction_nodes, sc.nonvanishing
         attempts = []
 
-        def spy(fam, lam_, fit, held, salt, attempt):
+        def spy(fam, lam_, fit, salt, attempt):
             attempts.append(attempt)
-            return nodes(fam, lam_, fit, held, salt, attempt)
+            return nodes(fam, lam_, fit, salt, attempt)
 
         def flag_first_rotation(values, bits):
             return [ok and attempts[-1] > 0 for ok in flags(values, bits)]

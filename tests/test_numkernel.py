@@ -66,7 +66,7 @@ def test_float_inverse_dft_recovers_a_polynomial():
     import random
 
     from casoratia.families import FAMILIES, draw_params
-    from casoratia.numkernel import NODE_RADIUS
+    from casoratia.numkernel import HELD_OUT, HELD_RADIUS, NODE_RADIUS
     from casoratia.polycore import Poly
 
     bits = 256
@@ -77,16 +77,25 @@ def test_float_inverse_dft_recovers_a_polynomial():
             sc, fam = lam.scalars, FAMILIES[tag]
             want = [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(16)]
             p = Poly(want, sc)
-            us, etas = sc.extraction_nodes(fam, lam, 16, 4, "dft", 0)
-            # the nodes lie on the circle and the sample args map back onto them
-            for u, e in zip(us, etas):
-                assert abs(abs(e) - NODE_RADIUS) <= mp.mpf(2) ** -bits
+            us, etas = sc.extraction_nodes(fam, lam, 16, "dft", 0)
+            # the fit nodes lie on the fit circle, the held-out ones on theirs, and the
+            # sample args map back onto them
+            assert len(etas) == 16 + HELD_OUT
+            for k, (u, e) in enumerate(zip(us, etas)):
+                radius = NODE_RADIUS if k < 16 else HELD_RADIUS
+                assert abs(abs(e) - radius) <= mp.mpf(2) ** -bits
                 assert abs(fam.eta_at(u, lam) - e) <= mp.mpf(2) ** -bits
             got = sc.interpolator(etas[:16])([p(e) for e in etas[:16]], 15)
             err = max(abs(g - w) for g, w in zip(got, want))
             assert err <= mp.mpf(2) ** -(bits - 16) * max(abs(w) for w in want), tag
-            # fewer than 4 fit nodes: the held-out ones still avoid them and each other
+            # eta^32 is constant on the 16 fit nodes and aliases onto the constant
+            # coefficient; every held-out node still sees it
+            bad = [p(e) + e ** 32 for e in etas]
+            fitted = Poly(sc.interpolator(etas[:16])(bad[:16], 15), sc)
+            for e, v in zip(etas[16:], bad[16:]):
+                assert abs(fitted(e) - v) > abs(e) ** 31
+            # few fit nodes: all nodes stay apart
             for fit in (1, 2, 3):
-                _, etas = sc.extraction_nodes(fam, lam, fit, 4, "few", 0)
+                _, etas = sc.extraction_nodes(fam, lam, fit, "few", 0)
                 gaps = [abs(e - f) for i, e in enumerate(etas) for f in etas[:i]]
                 assert min(gaps) > mp.mpf("0.1")
