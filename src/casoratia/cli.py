@@ -2,9 +2,12 @@
 
 Exit codes: 0 all enabled checks passed, 2 a check failed (after one
 precision escalation), 3 numerical degeneracy or a guard rejected the
-instance.  Reports are canonical JSON certificates; sweeps emit a CSV
-summary.  All randomness is seeded and worker merges are sorted, so repeated
-runs are byte-identical.
+instance.  A failed construction gate (``PrefactorResidue``) is the failed
+check ``construction_gates``, never a degeneracy.  The negative controls of
+``verify --quadrature`` are reported beside the checks: one that does not fire
+is inconclusive and leaves the exit code alone.  Reports are canonical JSON
+certificates; sweeps emit a CSV summary.  All randomness is seeded and worker
+merges are sorted, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from .identities import (check_prefactor_ratio_identity, check_chain_identity,
 from .miop import (DegenerateIndexSet, IndexSet, PoleAtSample, PrefactorResidue,
                    build_miop, hermiticity_check)
 from .numkernel import DEFAULT_BITS, workbits
-from .report import canonical_json, num_str, ortho_report_json, poly_json, real_str
+from .report import (SCHEMA_VERSION, canonical_json, num_str, ortho_report_json, poly_json,
+                     real_str)
 from .zeros import MultipleRootSuspected, find_zeros
 
 EXIT_OK = 0
@@ -38,7 +42,8 @@ EXIT_DEGENERATE = 3
 
 DEGENERACY_ERRORS = (DegenerateSpectrum, DegenerateIndexSet, WeightSingular,
                      DenominatorCollision, MultipleRootSuspected, PoleAtSample,
-                     PrefactorResidue, FormulaSingular)
+                     FormulaSingular)
+CONTROL_THRESHOLD = "1e-3"   # a negative control fires when its value reaches this
 
 
 def _tolerances(bits: int) -> dict:
@@ -111,7 +116,13 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
+def _control(value, bits: int) -> dict:
+    return {"value": real_str(value, bits), "threshold": CONTROL_THRESHOLD,
+            "fired": bool(value >= mp.mpf(CONTROL_THRESHOLD))}
+
+
 def _verify_once(lam: ParamSet, D: IndexSet, N: int, bits: int, quadrature: bool):
+    """(report, conjecture comparison, checks, negative controls) at bits."""
     tol = _tolerances(bits)
     with workbits(bits + 32):
         rep = verify_orthogonality(lam, D, N, bits)
@@ -130,15 +141,24 @@ def _verify_once(lam: ParamSet, D: IndexSet, N: int, bits: int, quadrature: bool
             ok, offenders = hermiticity_check(lam, D, rep.extras["bundle"], bits)
             rep.extras["hermitian"] = bool(ok)
             rep.extras["hermiticity_witness"] = len(offenders)
+        controls = {}
         if quadrature and N >= 2:
             # the naive control needs N >= 3: at N = 2 its one Gram entry,
             # sum_j P_{D,0}(eta_j) / P'_{D,2}(eta_j), vanishes identically
             if N >= 3:
-                naive = naive_weight_demo(lam, D, N, bits)
-                checks["naive_weight_fails"] = bool(naive >= mp.mpf("1e-3"))
+                controls["naive_weight"] = _control(naive_weight_demo(lam, D, N, bits), bits)
             pf = partial_fraction_integral_check(lam, D, N, 0, 1, bits=min(bits, 192))
-            checks["partial_fraction_nonzero"] = bool(pf["rel"] >= mp.mpf("1e-3"))
-        return rep, conj, checks
+            controls["partial_fraction"] = _control(pf["rel"], bits)
+        return rep, conj, checks, controls
+
+
+def _attempt(lam: ParamSet, D: IndexSet, N: int, bits: int, quadrature: bool):
+    """_verify_once plus an error text; a failed construction gate is the failed check
+    construction_gates (no report), and a degenerate instance raises."""
+    try:
+        return (*_verify_once(lam, D, N, bits, quadrature), None)
+    except PrefactorResidue as exc:
+        return None, None, {"construction_gates": False}, {}, f"{type(exc).__name__}: {exc}"
 
 
 def cmd_verify(args) -> int:
@@ -162,17 +182,28 @@ def cmd_verify(args) -> int:
     attempts = []
     for bits in (args.prec, 2 * args.prec):
         try:
-            rep, conj, checks = _verify_once(lam, D, N, bits, args.quadrature)
+            rep, conj, checks, controls, error = _attempt(lam, D, N, bits, args.quadrature)
         except DEGENERACY_ERRORS as exc:
             print(f"degenerate instance: {exc}", file=sys.stderr)
             return EXIT_DEGENERATE
-        attempts.append((bits, rep, conj, checks))
+        attempts.append({"precision_bits": bits, "checks": checks})
+        if error is not None:
+            attempts[-1]["error"] = error
+            print(f"construction gate failed at {bits} bits: {error}", file=sys.stderr)
         if all(checks.values()):
             break
-    bits, rep, conj, checks = attempts[-1]
-    payload = ortho_report_json(rep, conj, _manifest(args, lam, D, N, checks))
-    payload["attempts"] = [{"precision_bits": b, "checks": c} for b, _, _, c in attempts]
+    manifest = _manifest(args, lam, D, N, checks)
+    manifest["controls"] = controls
+    if rep is None:
+        payload = {"schema_version": SCHEMA_VERSION, "manifest": manifest}
+    else:
+        payload = ortho_report_json(rep, conj, manifest)
+    payload["attempts"] = attempts
     _emit(args, payload)
+    for name, ctl in controls.items():
+        if not ctl["fired"]:
+            print(f"control inconclusive: {name} = {mp.nstr(mp.mpf(ctl['value']), 3)} "
+                  f"below {CONTROL_THRESHOLD}", file=sys.stderr)
     failed = [k for k, v in checks.items() if not v]
     if failed:
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
@@ -244,26 +275,26 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep_one(job_args):
-    """One sweep instance; degenerate draws retry with shifted seeds."""
+    """One sweep instance; degenerate draws retry with shifted seeds, failed checks never."""
     fam, mode, draw, D, N, prec, quadrature = job_args
     last = None
     for attempt in range(3):
         lam = draw_params(fam, mode, draw + 1000 * attempt, bits=prec)
+        failed = None
         for bits in (prec, 2 * prec):
             try:
-                rep, conj, checks = _verify_once(lam, D, N, bits, quadrature)
+                rep, conj, checks, _, _ = _attempt(lam, D, N, bits, quadrature)
             except DEGENERACY_ERRORS as exc:
                 last = (False, "", "", f"degenerate: {exc}")
-                rep = None
                 break
+            offdiag = "" if rep is None else real_str(rep.max_offdiag_rel, bits)
+            conj_err = "" if rep is None else real_str(conj.max_rel_err, bits)
             if all(checks.values()):
-                return (True, real_str(rep.max_offdiag_rel, bits),
-                        real_str(conj.max_rel_err, bits),
-                        "" if attempt == 0 else f"redrawn:{attempt}")
-        if rep is not None:
-            failed = [k for k, v in checks.items() if not v]
-            return (False, real_str(rep.max_offdiag_rel, bits),
-                    real_str(conj.max_rel_err, bits), f"failed:{','.join(failed)}")
+                return True, offdiag, conj_err, "" if attempt == 0 else f"redrawn:{attempt}"
+            failed = (False, offdiag, conj_err,
+                      "failed:" + ",".join(k for k, v in checks.items() if not v))
+        if failed is not None:
+            return failed
     return last
 
 
@@ -332,6 +363,9 @@ def cmd_roots(args) -> int:
         try:
             bundle = build_miop(lam, D, args.N, args.prec)
             zs = find_zeros(bundle.P[args.N], args.prec, lam.fam)
+        except PrefactorResidue as exc:
+            print(f"construction gate failed: {exc}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
         except DEGENERACY_ERRORS as exc:
             print(f"degenerate instance: {exc}", file=sys.stderr)
             return EXIT_DEGENERATE
@@ -360,6 +394,9 @@ def cmd_construct(args) -> int:
     with workbits(args.prec + 32):
         try:
             bundle = build_miop(lam, D, args.N, args.prec)
+        except PrefactorResidue as exc:
+            print(f"construction gate failed: {exc}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
         except DEGENERACY_ERRORS as exc:
             print(f"degenerate instance: {exc}", file=sys.stderr)
             return EXIT_DEGENERATE

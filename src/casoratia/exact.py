@@ -15,7 +15,7 @@ from typing import Union
 import mpmath as mp
 
 from .numkernel import HELD_OUT
-from .polycore import solve_dense
+from .polycore import last_column_cofactors, solve_dense
 
 _F1 = Fraction(1)
 
@@ -237,9 +237,10 @@ class ExactScalars:
     """Scalar backend over Q(i) (q=None) or Q(i, sqrt(q)).
 
     Mirrors the construction hooks of ``numkernel.MPScalars``: every pivot,
-    trim, residual gate and pole test here asks for an exact zero, and a fit
-    or an interpolation solves through exactly as many sample points as there
-    are unknowns.
+    trim, residual gate and pole test here asks for an exact zero, a fit or an
+    interpolation solves through exactly as many sample points as there are
+    unknowns, and Horner evaluation and the Casoratian cofactors are the generic
+    routines in exact arithmetic.
     """
 
     name = "exact"
@@ -308,6 +309,21 @@ class ExactScalars:
             rows = [[e ** m for m in range(deg + 1)] for e in etas[:deg + 1]]
             return solve_dense(rows, vals[:deg + 1], self)
         return coeffs
+
+    def horner(self, coeffs):
+        """The evaluator v -> sum_k coeffs[k] v^k, by Horner's rule in exact arithmetic."""
+        zero = self.zero
+
+        def value(v):
+            out = zero
+            for c in reversed(coeffs):
+                out = out * v + c
+            return out
+        return value
+
+    def cofactors(self, block):
+        """Cofactors of the last column of [block | y] (polycore.last_column_cofactors)."""
+        return last_column_cofactors(block, self)
 
     @staticmethod
     def is_zero(x) -> bool:

@@ -84,13 +84,15 @@ class ParamSet:
 
 
 def _render_scalar(v) -> str:
+    """Exact text of a scalar: Fractions for exact ones, the (sign, mantissa,
+    exponent) of both parts for mpmath ones, so distinct values never collide."""
     if v is None:
         return "-"
     if isinstance(v, QQi):
         return f"{v.re},{v.im}"
     if isinstance(v, SqrtExt):
         return f"{v.a.re},{v.a.im}+s({v.q})*{v.b.re},{v.b.im}"
-    return mp.nstr(mp.mpc(v), 40)
+    return ";".join(f"{sign},{man:x},{exp}" for sign, man, exp, _ in mp.mpc(v)._mpc_)
 
 
 class Family:

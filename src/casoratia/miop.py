@@ -28,7 +28,7 @@ import mpmath as mp
 
 from .families import FAMILIES, ParamSet
 from .numkernel import HELD_OUT, workbits
-from .polycore import Poly, det_dense, ladder_points, last_column_cofactors
+from .polycore import Poly, ladder_points
 
 HALF = Fraction(1, 2)
 ROTATIONS = 4   # node sets an extraction tries before its reference counts as vanishing
@@ -188,7 +188,11 @@ class Builder:
                 for j in range(len(etas))]
 
     def det_values(self, cols, us, frames=None):
-        """detPoly values at the sample arguments us (frames: their frames, if made)."""
+        """detPoly values at the sample arguments us (frames: their frames, if made).
+
+        Each determinant is sum_j C_j y_j over the backend's last-column cofactors
+        of the block and its last column y.
+        """
         sc = self.sc
         R = len(cols)
         if R == 0:
@@ -196,7 +200,14 @@ class Builder:
         if frames is None:
             frames = self.frames(us, R, {k for k, _ in cols})
         phase = sc.i ** ((R * (R - 1)) // 2)
-        return [det_dense(self._block(cols, *fr), sc) * phase for fr in frames]
+        out = []
+        for fr in frames:
+            block = self._block(cols, *fr)
+            det = sc.zero
+            for c, row in zip(sc.cofactors([row[:-1] for row in block]), block):
+                det = det + c * row[-1]
+            out.append(det * phase)
+        return out
 
     def p_cofactors(self, cols, frames):
         """Per frame, c_j with detPoly(cols + [("P", n)]) = sum_j c_j p_n(eta_j) for every n.
@@ -207,8 +218,8 @@ class Builder:
         sc = self.sc
         R = len(cols) + 1
         phase = sc.i ** ((R * (R - 1)) // 2)
-        return [[c * phase * w for c, w in
-                 zip(last_column_cofactors(self._block(cols, etas, cum), sc), cum["P"])]
+        return [[c * phase * w
+                 for c, w in zip(sc.cofactors(self._block(cols, etas, cum)), cum["P"])]
                 for etas, cum in frames]
 
     # .. sampling / fitting ......................................................

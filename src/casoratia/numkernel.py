@@ -6,15 +6,26 @@ escalation ladder doubles bits when a certificate fails.  Scalars are plain
 by the ``MPScalars`` backend; exact Gaussian-rational scalars from
 :mod:`casoratia.exact` flow through the same generic routines via operator
 overloading and the ``ExactScalars`` backend.
+
+The two hot loops of the float backend, Horner evaluation and the cofactors
+of a Casoratian block, run in Gaussian fixed point: Python int pairs holding
+real and imaginary parts scaled by a power of two, with the exponent managed
+per point (Horner) or per row and column (cofactors), as ``mpmath.libmp``
+does underneath each ``mpf`` (Brent & Zimmermann, *Modern Computer
+Arithmetic*, ch. 3).  Values convert from and to ``mpc`` only at the kernel
+boundary; the results are rounded to nearest at the ambient precision.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 from fractions import Fraction
+from itertools import combinations
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp
 
 from .polycore import lstsq_dense
 
@@ -25,6 +36,7 @@ NODE_RADIUS = 2
 # aliases onto the fit coefficients shows at every held-out node
 HELD_RADIUS = 5 * NODE_RADIUS / 4
 HELD_OUT = 4    # held-out nodes per extraction, gated against the fitted polynomial
+GUARD_BITS = 32  # fraction bits the fixed-point kernels carry beyond mp.mp.prec
 
 
 @contextlib.contextmanager
@@ -78,6 +90,46 @@ def _one_like(a):
 _ZERO, _ONE, _I = mp.mpc(0), mp.mpc(1), mp.mpc(0, 1)
 
 
+def _parts(z):
+    """(re mantissa, re exponent, im mantissa, im exponent, top) of a finite complex z.
+
+    The mantissas are signed ints, z = (mr 2^er) + i (mi 2^ei) exactly, and both
+    parts are below 2^top in magnitude (top None for z = 0).  ValueError for an
+    infinite or nan part: its mantissa is 0, and it must not pass for zero.
+    """
+    if type(z) is not mp.mpc:
+        z = mp.mpc(z)
+    (sr, mr, er, br), (si, mi, ei, bi) = z._mpc_
+    if (not mr and er) or (not mi and ei):
+        raise ValueError(f"non-finite value {z} in a fixed-point kernel")
+    top = er + br if mr else None
+    if mi and (top is None or ei + bi > top):
+        top = ei + bi
+    return -mr if sr else mr, er, -mi if si else mi, ei, top
+
+
+def _shift(m: int, sh: int) -> int:
+    """m 2^sh, rounded down."""
+    return m << sh if sh >= 0 else m >> -sh
+
+
+@functools.cache
+def _laplace_plan(n: int) -> tuple:
+    """The Laplace recursion of polycore.last_column_cofactors for n rows, as bit masks:
+    per column k, each row subset of size k + 1 with its expansion terms
+    (row, the subset without it, whether the term is subtracted)."""
+    return tuple(tuple((sum(1 << r for r in rows),
+                        tuple((r, sum(1 << q for q in rows if q != r), (i + k) % 2 == 1)
+                              for i, r in enumerate(rows)))
+                       for rows in combinations(range(n), k + 1))
+                 for k in range(n - 1))
+
+
+def _to_mpc(re: int, im: int, exp: int, prec: int):
+    """(re + i im) 2^exp rounded to nearest at prec bits."""
+    return mp.make_mpc((from_man_exp(re, exp, prec, "n"), from_man_exp(im, exp, prec, "n")))
+
+
 class MPScalars:
     """mpmath scalar backend; elements are mpc under the ambient precision.
 
@@ -85,9 +137,10 @@ class MPScalars:
     ``exact.ExactScalars`` answer every question on which the construction
     differs between them: pivot choice and zero skipping in elimination,
     negligible trailing coefficients, the interpolation fit, the residual
-    gates, the pole test, sample points and extraction nodes, interpolation and
-    q**t.  Here each answer is relative to a tolerance; the exact backend asks
-    for exact zeros instead.
+    gates, the pole test, sample points and extraction nodes, interpolation,
+    q**t, Horner evaluation and the Casoratian cofactors.  Here each answer is
+    relative to a tolerance and the last two run in fixed point; the exact
+    backend asks for exact zeros and runs the generic routines instead.
     """
 
     name = "float"
@@ -172,6 +225,95 @@ class MPScalars:
         def coeffs(vals, deg):
             return [sum((w * v for w, v in zip(row, vals)), _ZERO) for row in rows[:deg + 1]]
         return coeffs
+
+    # -- fixed-point kernels -----------------------------------------------------
+
+    @staticmethod
+    def horner(coeffs):
+        """The evaluator v -> sum_k coeffs[k] v^k, in Gaussian fixed point.
+
+        The coefficients are converted once.  A point v is rescaled to
+        v' = v 2^-s, s the top bit of v, and the loop runs on the coefficients
+        c_k 2^(k s) with mp.mp.prec + GUARD_BITS fraction bits relative to 2^E,
+        E = max_k (top(c_k) + k s): the error is bounded relative to
+        max_k |c_k v^k|, as for mpc Horner.  The aligned coefficients of the last
+        point are kept: consecutive points mostly share s.
+        """
+        cs = [_parts(c) for c in coeffs]
+        c0 = mp.mpc(coeffs[0])
+        last = [None, None]   # (s, fraction bits) of the last point, its alignment
+
+        def align(s: int, w: int):
+            tops = [t + k * s for k, (*_, t) in enumerate(cs) if t is not None]
+            if not tops:
+                return None
+            e = max(tops)
+            fixed = [(_shift(mr, er + k * s + w - e), _shift(mi, ei + k * s + w - e))
+                     for k, (mr, er, mi, ei, _) in enumerate(cs)]
+            return e, fixed[::-1]
+
+        def value(v):
+            prec = mp.mp.prec
+            vr, er, vi, ei, s = _parts(v)
+            if s is None:
+                return +c0
+            w = prec + GUARD_BITS
+            if last[0] != (s, w):
+                last[:] = (s, w), align(s, w)
+            if last[1] is None:
+                return _ZERO
+            e, fixed = last[1]
+            xr, xi = _shift(vr, er - s + w), _shift(vi, ei - s + w)
+            ar, ai = fixed[0]
+            if xi:
+                for dr, di in fixed[1:]:
+                    ar, ai = ((ar * xr - ai * xi) >> w) + dr, ((ar * xi + ai * xr) >> w) + di
+            else:
+                for dr, di in fixed[1:]:
+                    ar, ai = ((ar * xr) >> w) + dr, ((ai * xr) >> w) + di
+            return _to_mpc(ar, ai, e - w, prec)
+        return value
+
+    @staticmethod
+    def cofactors(block):
+        """Cofactors C_j of the last column of [block | y], block n x (n-1), in Gaussian
+        fixed point: det[block | y] = sum_j C_j y_j.
+
+        Every row, then every column, is scaled by an exact power of two that puts
+        its largest part in [1/2, 1).  The division-free Laplace recursion of
+        polycore.last_column_cofactors then runs on ints with mp.mp.prec +
+        GUARD_BITS fraction bits, and the scalings come back exactly in the exponent.
+        """
+        n, prec = len(block), mp.mp.prec
+        f = prec + GUARD_BITS
+        parts = [[_parts(x) for x in row] for row in block]
+        rexp = [max((p[4] for p in row if p[4] is not None), default=0) for row in parts]
+        cexp = [max((row[k][4] - r for row, r in zip(parts, rexp) if row[k][4] is not None),
+                    default=0) for k in range(n - 1)]
+        a = [[(_shift(mr, er - r - c + f), _shift(mi, ei - r - c + f))
+              for (mr, er, mi, ei, _), c in zip(row, cexp)] for row, r in zip(parts, rexp)]
+        minors = {0: (1 << f, 0)}   # row mask -> minor on those rows and the first columns
+        for k, step in enumerate(_laplace_plan(n)):
+            grown = {}
+            for rows, terms in step:
+                sr = si = 0
+                for r, sub, negate in terms:
+                    xr, xi = a[r][k]
+                    mr, mi = minors[sub]
+                    if negate:
+                        xr, xi = -xr, -xi
+                    sr += xr * mr - xi * mi
+                    si += xr * mi + xi * mr
+                grown[rows] = (sr >> f, si >> f)
+            minors = grown
+        exp = sum(rexp) + sum(cexp) - f
+        out = []
+        for j in range(n):
+            mr, mi = minors[(1 << n) - 1 - (1 << j)]
+            if (n - 1 - j) % 2:
+                mr, mi = -mr, -mi
+            out.append(_to_mpc(mr, mi, exp - rexp[j], prec))
+        return out
 
     # -- elimination and trimming ------------------------------------------------
 

@@ -17,11 +17,12 @@ from itertools import combinations
 class Poly:
     """Dense polynomial sum_k c[k] v**k with backend-agnostic coefficients."""
 
-    __slots__ = ("coeffs", "scalars")
+    __slots__ = ("coeffs", "scalars", "_value")
 
     def __init__(self, coeffs, scalars):
         self.coeffs = list(coeffs) if coeffs else [scalars.zero]
         self.scalars = scalars
+        self._value = None   # the backend's Horner evaluator, made at the first call
 
     @classmethod
     def const(cls, c, scalars):
@@ -75,10 +76,9 @@ class Poly:
         return Poly([x * c for x in self.coeffs], self.scalars)
 
     def __call__(self, v):
-        out = self.scalars.zero
-        for c in reversed(self.coeffs):
-            out = out * v + c
-        return out
+        if self._value is None:
+            self._value = self.scalars.horner(self.coeffs)
+        return self._value(v)
 
     def derivative(self) -> "Poly":
         if len(self.coeffs) == 1:

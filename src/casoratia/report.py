@@ -13,7 +13,7 @@ import mpmath as mp
 
 from .exact import QQi, SqrtExt
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2   # 2: verify manifests carry the negative controls apart from the checks
 
 
 def digits_for(bits: int) -> int:

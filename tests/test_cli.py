@@ -18,8 +18,12 @@ def test_verify_pass_and_report_shape(tmp_path):
     r = run(["verify", "--family", "w", "--dI", "2", "--N", "3", "--out", str(out)])
     assert r.returncode == 0, r.stderr
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["family"] == "w" and doc["N"] == 3
+    assert sorted(doc["manifest"]["checks"]) == [
+        "conjecture", "eigen_relation", "f_cross_form", "matrix_symmetry", "orthogonality",
+        "pa_difference_equation"]
+    assert doc["manifest"]["controls"] == {}
     assert doc["manifest"]["checks"]["orthogonality"]
     assert doc["manifest"]["checks"]["conjecture"]
     assert doc["manifest"]["timestamp"] == ""
@@ -203,8 +207,48 @@ def test_verify_quadrature_at_n2():
     """At N = 2 only the partial-fraction control runs; the naive one needs N >= 3."""
     r = run(["verify", "--family", "w", "--dI", "2", "--N", "2", "--quadrature"])
     assert r.returncode == 0, r.stderr
-    checks = json.loads(r.stdout)["manifest"]["checks"]
-    assert checks["partial_fraction_nonzero"] and "naive_weight_fails" not in checks
+    manifest = json.loads(r.stdout)["manifest"]
+    controls = manifest["controls"]
+    assert controls["partial_fraction"]["fired"] and "naive_weight" not in controls
+    assert controls["partial_fraction"]["threshold"] == "1e-3"
+    assert len(manifest["checks"]) == 6 and all(manifest["checks"].values())
+
+
+@pytest.mark.slow
+def test_unfired_control_is_inconclusive_not_a_failure(tmp_path):
+    """AW dI = 2, N = 4: the naive-weight control stays below 1e-3 on a correct instance;
+    it is reported as inconclusive and the run exits 0."""
+    out = tmp_path / "rep.json"
+    r = run(["verify", "--family", "aw", "--dI", "2", "--N", "4", "--quadrature",
+             "--out", str(out)])
+    assert r.returncode == 0, r.stderr
+    manifest = json.loads(out.read_text())["manifest"]
+    assert all(manifest["checks"].values()) and len(manifest["checks"]) == 6
+    naive = manifest["controls"]["naive_weight"]
+    assert not naive["fired"] and float(naive["value"]) < 1e-3
+    assert "control inconclusive: naive_weight" in r.stderr
+
+
+def test_failed_construction_gate_is_a_failed_check(tmp_path, monkeypatch):
+    """A construction gate that fails at both precisions exits 2 with both attempts
+    recorded; a sweep reports the failed check and does not redraw."""
+    import mpmath as mp
+
+    from casoratia import cli, miop
+
+    monkeypatch.setattr(miop, "_shape_invariance_defect", lambda bundle: mp.inf)
+    out = tmp_path / "rep.json"
+    assert cli.main(["verify", "--family", "w", "--dI", "2", "--N", "2", "--prec", "128",
+                     "--out", str(out)]) == 2
+    doc = json.loads(out.read_text())
+    assert doc["manifest"]["checks"] == {"construction_gates": False}
+    assert [a["precision_bits"] for a in doc["attempts"]] == [128, 256]
+    for a in doc["attempts"]:
+        assert a["checks"] == {"construction_gates": False}
+        assert a["error"].startswith("PrefactorResidue: shape invariance")
+    ok, offdiag, conj_err, note = cli._sweep_one(("w", "physical", 0, miop.IndexSet.make(
+        [(2, "I")]), 2, 128, False))
+    assert (ok, offdiag, conj_err, note) == (False, "", "", "failed:construction_gates")
 
 
 def test_verify_orthogonality_owns_its_precision(tmp_path):

@@ -151,3 +151,19 @@ def test_params_file_roundtrip(tmp_path):
     assert lam.digest() == params_from_values(
         "aw", [("0.85", "0"), ("0.8", "0"), ("0.6", "0.2"), ("0.6", "-0.2")],
         q_val="0.4", mode="physical").digest()
+
+
+def test_digest_separates_draws_that_differ_past_digit_60():
+    """Two 256-bit draws equal to 60 digits get different digests, so the _BUILDERS,
+    _ZETA and _MIXED_CONST keys, which start with the digest, differ too."""
+    from casoratia.miop import get_builder
+
+    with workbits(288):
+        lam = draw_params("w", "generic", seed=5, bits=256)
+        a = list(lam.a)
+        a[1] = a[1] * (1 + mp.mpf(10) ** -65)
+        near = lam.with_a(a)
+        assert mp.nstr(mp.mpc(a[1]), 60) == mp.nstr(mp.mpc(lam.a[1]), 60)
+        assert near.digest() != lam.digest()
+        assert get_builder(near) is not get_builder(lam)
+        assert lam.with_a(lam.a).digest() == lam.digest()

@@ -99,3 +99,114 @@ def test_float_inverse_dft_recovers_a_polynomial():
                 _, etas = sc.extraction_nodes(fam, lam, fit, "few", 0)
                 gaps = [abs(e - f) for i, e in enumerate(etas) for f in etas[:i]]
                 assert min(gaps) > mp.mpf("0.1")
+
+
+# -- the fixed-point kernels against the mpc oracle ---------------------------------------
+
+
+def _full(rng, bits):
+    """A real in [-1, 1) with a full bits-bit mantissa (no exact short products)."""
+    return mp.mpf(rng.getrandbits(bits) - 2 ** (bits - 1)) / 2 ** (bits - 1)
+
+
+def _mpc_horner(coeffs, v):
+    out = mp.mpc(0)
+    for c in reversed(coeffs):
+        out = out * v + c
+    return out
+
+
+def test_horner_kernel_matches_mpc_oracle():
+    """Degrees 0-20, coefficients spread over 2^+-200, |v| from 2^-60 to 2^60 and v = 0,
+    int, mpf and mpc points: within 2^(-bits+16) of sum_k |c_k| |v|^k."""
+    import random
+
+    from casoratia.numkernel import MPScalars
+
+    bits = 288
+    rng = random.Random(7)
+    sc = MPScalars(bits)
+    with workbits(bits):
+        for deg in range(21):
+            coeffs = [mp.mpc(_full(rng, bits), _full(rng, bits)) * mp.mpf(2) ** rng.randint(-200, 200)
+                      for _ in range(deg + 1)]
+            value = sc.horner(coeffs)
+            points = [0, mp.mpf(0), 3, -1, mp.mpf(-5) / 7]
+            for e in (-60, -31, -1, 0, 1, 17, 60):
+                points.append(mp.mpc(_full(rng, bits), _full(rng, bits)) * mp.mpf(2) ** e)
+                points.append(_full(rng, bits) * mp.mpf(2) ** e)
+                points.append(mp.mpc(0, _full(rng, bits)) * mp.mpf(2) ** e)
+            for v in points:
+                got = value(v)
+                assert isinstance(got, mp.mpc)
+                with workbits(4 * bits):
+                    want = _mpc_horner(coeffs, v)
+                    size = sum(abs(c) * abs(mp.mpc(v)) ** k for k, c in enumerate(coeffs))
+                    assert abs(got - want) <= mp.mpf(2) ** (-bits + 16) * size, (deg, v)
+
+
+def test_horner_kernel_rejects_non_finite_values():
+    """An inf or nan coefficient or point raises ValueError; it never reads as 0."""
+    import pytest
+
+    from casoratia.numkernel import MPScalars
+
+    sc = MPScalars(256)
+    with workbits(256):
+        for bad in (mp.inf, -mp.inf, mp.nan, mp.mpc(1, mp.inf)):
+            with pytest.raises(ValueError):
+                sc.horner([mp.mpc(1), bad, mp.mpc(2)])(mp.mpc(1, 1))
+            with pytest.raises(ValueError):
+                sc.horner([mp.mpc(1), mp.mpc(2)])(bad)
+            with pytest.raises(ValueError):
+                sc.cofactors([[mp.mpc(1)], [bad]])
+
+
+def test_cofactor_kernel_matches_mpc_oracle():
+    """n = 1..5, rows and columns scaled by 2^+-200, a zero row and a singular block:
+    within 2^(-bits+16) of the largest cofactor of last_column_cofactors, and
+    sum_j C_j y_j within as much of det_dense."""
+    import random
+
+    from casoratia.numkernel import MPScalars
+    from casoratia.polycore import det_dense, last_column_cofactors
+
+    bits = 288
+    rng = random.Random(11)
+    sc = MPScalars(bits)
+    tol = mp.mpf(2) ** (-bits + 16)
+
+    def entry():
+        return mp.mpc(_full(rng, bits), _full(rng, bits))
+
+    with workbits(bits):
+        for n in range(1, 6):
+            for trial in range(4):
+                rows = [rng.randint(-200, 200) for _ in range(n)]
+                cols = [rng.randint(-200, 200) for _ in range(n - 1)]
+                block = [[entry() * mp.mpf(2) ** (r + c) for c in cols] for r in rows]
+                y = [entry() * mp.mpf(2) ** r for r in rows]
+                if trial == 1 and n > 1:
+                    block[n // 2] = [mp.mpc(0)] * (n - 1)
+                got = sc.cofactors(block)
+                with workbits(4 * bits):
+                    want = last_column_cofactors(block, sc)
+                    top = max(abs(w) for w in want)
+                    assert all(abs(g - w) <= tol * top for g, w in zip(got, want)), (n, trial)
+                    det = sum((g * yj for g, yj in zip(got, y)), mp.mpc(0))
+                    size = sum(abs(w) * abs(yj) for w, yj in zip(want, y))
+                    want_det = det_dense([row + [yj] for row, yj in zip(block, y)], sc)
+                    assert abs(det - want_det) <= tol * size, (n, trial)
+            if n >= 3:
+                # a singular block: the last column is a combination of the others, so
+                # every cofactor vanishes to within the Hadamard bound of its minors
+                block = [[entry() * mp.mpf(2) ** c for c in cols] for _ in range(n)]
+                w = [entry() for _ in range(n - 2)]
+                for row in block:
+                    row[-1] = sum((x * wk for x, wk in zip(row, w)), mp.mpc(0))
+                got = sc.cofactors(block)
+                with workbits(4 * bits):
+                    hadamard = 1
+                    for k in range(n - 1):
+                        hadamard *= mp.sqrt(sum(abs(row[k]) ** 2 for row in block))
+                    assert max(abs(g) for g in got) <= tol * hadamard
