@@ -234,36 +234,29 @@ class MPScalars:
 
         The coefficients are converted once.  A point v is rescaled to
         v' = v 2^-s, s the top bit of v, and the loop runs on the coefficients
-        c_k 2^(k s) with mp.mp.prec + GUARD_BITS fraction bits relative to 2^E,
-        E = max_k (top(c_k) + k s): the error is bounded relative to
-        max_k |c_k v^k|, as for mpc Horner.  The aligned coefficients of the last
-        point are kept: consecutive points mostly share s.
+        c_k 2^(k s), aligned per point, with w fraction bits relative to 2^E,
+        E = max_k (top(c_k) + k s).  As |v'| may be as small as 1/2, 2^E can
+        exceed the largest term |c_k v^k| by 2^(deg + 1), so w is mp.mp.prec +
+        GUARD_BITS + len(coeffs): the error is then a small multiple of
+        2^-(mp.mp.prec + GUARD_BITS) sum_k |c_k v^k|, as for mpc Horner.
         """
         cs = [_parts(c) for c in coeffs]
+        tops = [(k, t) for k, (*_, t) in enumerate(cs) if t is not None]
         c0 = mp.mpc(coeffs[0])
-        last = [None, None]   # (s, fraction bits) of the last point, its alignment
-
-        def align(s: int, w: int):
-            tops = [t + k * s for k, (*_, t) in enumerate(cs) if t is not None]
-            if not tops:
-                return None
-            e = max(tops)
-            fixed = [(_shift(mr, er + k * s + w - e), _shift(mi, ei + k * s + w - e))
-                     for k, (mr, er, mi, ei, _) in enumerate(cs)]
-            return e, fixed[::-1]
 
         def value(v):
             prec = mp.mp.prec
-            vr, er, vi, ei, s = _parts(v)
+            vr, vre, vi, vie, s = _parts(v)
             if s is None:
                 return +c0
-            w = prec + GUARD_BITS
-            if last[0] != (s, w):
-                last[:] = (s, w), align(s, w)
-            if last[1] is None:
+            if not tops:
                 return _ZERO
-            e, fixed = last[1]
-            xr, xi = _shift(vr, er - s + w), _shift(vi, ei - s + w)
+            e = max(t + k * s for k, t in tops)
+            w = prec + GUARD_BITS + len(cs)
+            fixed = [(_shift(mr, er + k * s + w - e), _shift(mi, ei + k * s + w - e))
+                     for k, (mr, er, mi, ei, _) in enumerate(cs)]
+            fixed.reverse()
+            xr, xi = _shift(vr, vre - s + w), _shift(vi, vie - s + w)
             ar, ai = fixed[0]
             if xi:
                 for dr, di in fixed[1:]:

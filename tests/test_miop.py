@@ -13,7 +13,7 @@ from casoratia.miop import (Builder, DegenerateIndexSet, IndexSet, PoleAtSample,
                             ell_degree, get_builder, hermiticity_check, h_ratio,
                             htilde_frame, shifted_params)
 from casoratia.numkernel import workbits
-from casoratia.polycore import Poly
+from casoratia.polycore import Poly, det_dense
 
 TAGS = ["ch", "w", "aw"]
 
@@ -272,7 +272,8 @@ def test_verify_report_invariant_under_d_reordering():
 
 @pytest.mark.parametrize("backend", ["float", "exact"])
 def test_p_cofactors_match_det_values(backend):
-    """sum_j c_j p_n(eta_j) is detPoly with the P_n column, for every n; exact on exact."""
+    """sum_j c_j p_n(eta_j) is detPoly with the P_n column, for every n, and both agree
+    with det_dense on the same block; exact on exact."""
     a_vals, _ = EXACT_PARAMS["w"]
     with workbits(256):
         lam = params_from_values("w", a_vals, mode="physical", backend=backend, bits=256)
@@ -284,15 +285,19 @@ def test_p_cofactors_match_det_values(backend):
             cofs = b.p_cofactors(miop._xi_cols(D), frames)
             for n in range(3):
                 base = b.col_poly("P", n)
-                want = b.det_values(miop._p_cols(D, n), us)
-                for (etas, _), cof, w in zip(frames, cofs, want):
+                cols = miop._p_cols(D, n)
+                want = b.det_values(cols, us)
+                phase = b.sc.i ** ((len(cols) * (len(cols) - 1)) // 2)
+                for fr, cof, w in zip(frames, cofs, want):
                     got = b.sc.zero
-                    for c, x in zip(cof, etas):
+                    for c, x in zip(cof, fr[0]):
                         got = got + c * base(x)
+                    dense = det_dense(b._block(cols, *fr), b.sc) * phase
                     if backend == "exact":
-                        assert got == w
+                        assert got == w == dense
                     else:
                         assert abs(got - w) <= mp.mpf(2) ** -220 * abs(w)
+                        assert abs(dense - w) <= mp.mpf(2) ** -220 * abs(w)
 
 
 def test_exact_P_is_independent_of_top():

@@ -118,7 +118,9 @@ def _mpc_horner(coeffs, v):
 
 def test_horner_kernel_matches_mpc_oracle():
     """Degrees 0-20, coefficients spread over 2^+-200, |v| from 2^-60 to 2^60 and v = 0,
-    int, mpf and mpc points: within 2^(-bits+16) of sum_k |c_k| |v|^k."""
+    int, mpf and mpc points, and degrees 40 and 64 at |v| = 1, where the rescaled point
+    is 1/2 and 2^E exceeds every term by 2^deg: within 2^(-bits+16) of
+    sum_k |c_k| |v|^k."""
     import random
 
     from casoratia.numkernel import MPScalars
@@ -126,23 +128,29 @@ def test_horner_kernel_matches_mpc_oracle():
     bits = 288
     rng = random.Random(7)
     sc = MPScalars(bits)
+    cases = []
     with workbits(bits):
         for deg in range(21):
             coeffs = [mp.mpc(_full(rng, bits), _full(rng, bits)) * mp.mpf(2) ** rng.randint(-200, 200)
                       for _ in range(deg + 1)]
-            value = sc.horner(coeffs)
             points = [0, mp.mpf(0), 3, -1, mp.mpf(-5) / 7]
             for e in (-60, -31, -1, 0, 1, 17, 60):
                 points.append(mp.mpc(_full(rng, bits), _full(rng, bits)) * mp.mpf(2) ** e)
                 points.append(_full(rng, bits) * mp.mpf(2) ** e)
                 points.append(mp.mpc(0, _full(rng, bits)) * mp.mpf(2) ** e)
+            cases.append((coeffs, points))
+        for deg in (40, 64):
+            coeffs = [mp.mpc(_full(rng, bits), _full(rng, bits)) for _ in range(deg + 1)]
+            cases.append((coeffs, [1, -1, mp.mpf(-1), mp.mpc(0, 1), mp.mpc(0, -1)]))
+        for coeffs, points in cases:
+            value = sc.horner(coeffs)
             for v in points:
                 got = value(v)
                 assert isinstance(got, mp.mpc)
                 with workbits(4 * bits):
                     want = _mpc_horner(coeffs, v)
                     size = sum(abs(c) * abs(mp.mpc(v)) ** k for k, c in enumerate(coeffs))
-                    assert abs(got - want) <= mp.mpf(2) ** (-bits + 16) * size, (deg, v)
+                    assert abs(got - want) <= mp.mpf(2) ** (-bits + 16) * size, (len(coeffs), v)
 
 
 def test_horner_kernel_rejects_non_finite_values():
