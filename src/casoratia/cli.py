@@ -54,7 +54,6 @@ def _tolerances(bits: int) -> dict:
         "symmetry": mp.mpf(10) ** (-30 * s),
         "conjecture": mp.mpf(10) ** (-20 * s),
         "eigen": mp.mpf(2) ** (-int(128 * s)),
-        "pairing": mp.mpf(10) ** (-30 * s),
     }
 
 
@@ -421,6 +420,28 @@ def _prec(text: str) -> int:
     return bits
 
 
+def _nonnegative(text: str) -> int:
+    """A degree: an int >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
+def _identities_usage_error(args) -> str | None:
+    """The message for identities flags that contradict each other, else None."""
+    D = ([(d, "I") for d in _parse_degrees(args.dI)]
+         + [(d, "II") for d in _parse_degrees(args.dII)])
+    dp, dpp = (args.dprime, args.tprime), (args.dprime2, args.tprime2)
+    if args.classical and args.N < 1:
+        return "--classical needs --N >= 1"
+    if args.prefactor_ratio and args.tprime == args.tprime2:
+        return "--prefactor-ratio needs mixed types: --tprime and --tprime2 must differ"
+    if (args.chain or args.prefactor_ratio) and (dp == dpp or dp in D or dpp in D):
+        return "d' and d'' (--dprime/--tprime, --dprime2/--tprime2) must be distinct and not in D"
+    return None
+
+
 def make_parser() -> argparse.ArgumentParser:
     """Each subcommand declares exactly the flags it reads."""
     ap = argparse.ArgumentParser(prog="casoratia",
@@ -434,7 +455,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=["physical", "generic"], default="physical")
         p.add_argument("--dI", help="type-I degrees, e.g. '1,2'")
         p.add_argument("--dII", help="type-II degrees")
-        p.add_argument("--N", type=int, default=3)
+        p.add_argument("--N", type=_nonnegative, default=3)
         p.add_argument("--prec", type=_prec, default=DEFAULT_BITS)
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--out")
@@ -456,7 +477,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes")
     p.add_argument("--draws", type=int, default=1)
     p.add_argument("--dmax", type=int, default=3)
-    p.add_argument("--M", type=int, default=2)
+    p.add_argument("--M", type=int, choices=[1, 2], default=2)
     p.add_argument("--N-max", dest="N_max", type=int, default=4)
     p = sub.add_parser("identities", help="supporting identity checks")
     instance(p)
@@ -466,10 +487,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain", action="store_true")
     p.add_argument("--prefactor-ratio", action="store_true")
     p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--dprime", type=int, default=0)
+    p.add_argument("--n", type=_nonnegative, default=1)
+    p.add_argument("--dprime", type=_nonnegative, default=0)
     p.add_argument("--tprime", choices=["I", "II"], default="I")
-    p.add_argument("--dprime2", type=int, default=2)
+    p.add_argument("--dprime2", type=_nonnegative, default=2)
     p.add_argument("--tprime2", choices=["I", "II"], default="I")
     p = sub.add_parser("roots", help="zero set of P_{D,N}")
     instance(p)
@@ -484,7 +505,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    ap = make_parser()
+    args = ap.parse_args(argv)
+    if args.command == "identities":
+        problem = _identities_usage_error(args)
+        if problem:
+            ap.error(problem)
     handlers = {
         "verify": cmd_verify,
         "sweep": cmd_sweep,

@@ -237,14 +237,13 @@ class ExactScalars:
     """Scalar backend over Q(i) (q=None) or Q(i, sqrt(q)).
 
     Mirrors the construction hooks of ``numkernel.MPScalars``: every pivot,
-    trim, residual gate and pole test here asks for an exact zero, a fit or an
-    interpolation solves through exactly as many sample points as there are
-    unknowns, and Horner evaluation and the Casoratian cofactors are the generic
+    trim, residual gate and pole test here asks for an exact zero, an
+    interpolation solves through exactly as many nodes as there are unknowns,
+    and Horner evaluation and the Casoratian cofactors are the generic
     routines in exact arithmetic.
     """
 
     name = "exact"
-    pairing_extra = 4   # samples beyond the unknowns, all held out
 
     def __init__(self, q: Fraction | None = None):
         self.q = Fraction(q) if q is not None else None
@@ -357,11 +356,7 @@ class ExactScalars:
             coeffs = coeffs[:-1]
         return coeffs
 
-    # -- fits and gates ----------------------------------------------------------
-
-    def fit(self, rows, rhs, nunk: int):
-        """Exact solve through the first nunk rows; the others stay for checks."""
-        return solve_dense(rows[:nunk], rhs[:nunk], self)
+    # -- gates -------------------------------------------------------------------
 
     @staticmethod
     def nonvanishing(values, bits: int):
@@ -374,10 +369,6 @@ class ExactScalars:
     @staticmethod
     def held_out_residual(pred, val, eta, deg: int, scale, tol):
         return _exact_gap(pred - val), mp.mpf(0)
-
-    @staticmethod
-    def relative_gap(x, y) -> mp.mpf:
-        return _exact_gap(x - y)
 
     @staticmethod
     def defect(d, scale) -> mp.mpf:

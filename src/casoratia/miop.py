@@ -10,9 +10,10 @@ carries a rational prefactor that depends only on the type counts
 or n.  Xi_D and P_{D,n} are therefore recovered by interpolating the ratio of
 detPoly against a canonical reference instance of the same class; mixed
 classes bootstrap the reference denominator polynomial from a two-instance
-pairing solve.  The interpolation nodes and the solve are the scalar
-backend's: roots-of-unity nodes on a circle in eta with an inverse DFT in
-floats, rational points with an exact solve otherwise.  P_{D,0..N} share one
+pairing solve on the same extraction nodes, a square solve through the fit
+nodes.  The nodes and the interpolation are the scalar backend's:
+roots-of-unity nodes on a circle in eta with an inverse DFT in floats,
+rational points with an exact solve otherwise.  P_{D,0..N} share one
 node set and one interpolation: detPoly is linear in its P column, so one
 cofactor vector per node serves every n.  Every build is gated: degree law,
 nonzero leading coefficient, held-out node residuals, the deformed
@@ -28,7 +29,7 @@ import mpmath as mp
 
 from .families import FAMILIES, ParamSet
 from .numkernel import HELD_OUT, workbits
-from .polycore import Poly, ladder_points
+from .polycore import Poly, ladder_points, solve_dense
 
 HALF = Fraction(1, 2)
 ROTATIONS = 4   # node sets an extraction tries before its reference counts as vanishing
@@ -222,10 +223,7 @@ class Builder:
                  for c, w in zip(sc.cofactors(self._block(cols, etas, cum)), cum["P"])]
                 for etas, cum in frames]
 
-    # .. sampling / fitting ......................................................
-
-    def _samples(self, count: int, salt: str):
-        return self.sc.sample_args(self.fam, count, self.lam, salt + "|" + self.lam.digest())
+    # .. nodes / fitting .........................................................
 
     def _tolerance(self) -> mp.mpf:
         return mp.mpf(2) ** (-self.bits + 48)
@@ -300,32 +298,29 @@ class Builder:
         return ref
 
     def _pairing_bootstrap(self, D0: IndexSet, D1: IndexSet) -> Poly:
-        """Solve detPoly_{D1} * B(eta) = detPoly_{D0} * A(eta) for monic B = Xi_{D0}."""
+        """Solve detPoly_{D1} * B(eta) = detPoly_{D0} * A(eta) for monic B = Xi_{D0}.
+
+        The square system of the fit nodes is solved directly; the held-out nodes
+        gate detPoly_{D0} * A against detPoly_{D1} * B."""
         sc = self.sc
         dB, dA = D0.ell, D1.ell
         nunk = (dA + 1) + dB
-        us = self._samples(nunk + sc.pairing_extra, f"pair|{D0.key()}|{D1.key()}")
-        etas = [self.fam.eta_at(u, self.lam) for u in us]
         c0, c1 = _xi_cols(D0), _xi_cols(D1)
-        frames = self.frames(us, D0.M, {k for k, _ in c0 + c1})
-        v0 = self.det_values(c0, us, frames)
+        us, etas, frames, v0 = self._nodes(nunk, f"pair|{D0.key()}|{D1.key()}", D0.M,
+                                           {k for k, _ in c0 + c1}, c0)
         v1 = self.det_values(c1, us, frames)
-        rows, rhs = [], []
-        for e, a_s, b_s in zip(etas, v1, v0):
-            pw = [sc.one]
-            for _ in range(max(dA, dB)):
-                pw.append(pw[-1] * e)
-            row = [b_s * pw[k] for k in range(dA + 1)]
-            row += [-(a_s) * pw[k] for k in range(dB)]
-            rows.append(row)
-            rhs.append(a_s * pw[dB])
-        sol = sc.fit(rows, rhs, nunk)
-        b_coeffs = list(sol[dA + 1:]) + [sc.one]
-        xi0 = Poly(b_coeffs, sc)
+        fit = list(zip(etas[:nunk], v1, v0))
+        rows = [[b_s * e ** k for k in range(dA + 1)] + [-a_s * e ** k for k in range(dB)]
+                for e, a_s, b_s in fit]
+        sol = solve_dense(rows, [a_s * e ** dB for e, a_s, _ in fit], sc)
+        xi0 = Poly(list(sol[dA + 1:]) + [sc.one], sc)
         a_poly = Poly(sol[: dA + 1], sc)
         for e, a_s, b_s in list(zip(etas, v1, v0))[nunk:]:
-            if sc.relative_gap(a_s * xi0(e), b_s * a_poly(e)) > self._tolerance():
-                raise PrefactorResidue("pairing bootstrap residual above tolerance")
+            err, lim = sc.held_out_residual(b_s * a_poly(e), a_s * xi0(e), e, 0, 0,
+                                            self._tolerance())
+            if err > lim:
+                raise PrefactorResidue(
+                    f"pairing held-out residual {mp.nstr(err, 5)} exceeds {mp.nstr(lim, 5)}")
         return xi0
 
     def shift_builder(self) -> "Builder":

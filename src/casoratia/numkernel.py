@@ -27,8 +27,6 @@ from itertools import combinations
 import mpmath as mp
 from mpmath.libmp import from_man_exp
 
-from .polycore import lstsq_dense
-
 DEFAULT_BITS = 256
 # radius of the eta circle the float extraction nodes lie on (cH, W and AW alike)
 NODE_RADIUS = 2
@@ -136,15 +134,14 @@ class MPScalars:
     Besides the field constants and conversions, this backend and
     ``exact.ExactScalars`` answer every question on which the construction
     differs between them: pivot choice and zero skipping in elimination,
-    negligible trailing coefficients, the interpolation fit, the residual
-    gates, the pole test, sample points and extraction nodes, interpolation,
-    q**t, Horner evaluation and the Casoratian cofactors.  Here each answer is
+    negligible trailing coefficients, the residual gates, the pole test,
+    sample points and extraction nodes, interpolation, q**t, Horner
+    evaluation and the Casoratian cofactors.  Here each answer is
     relative to a tolerance and the last two run in fixed point; the exact
     backend asks for exact zeros and runs the generic routines instead.
     """
 
     name = "float"
-    pairing_extra = 12   # samples beyond the unknowns of a pairing bootstrap
 
     def __init__(self, bits: int = DEFAULT_BITS):
         self.bits = bits
@@ -338,15 +335,7 @@ class MPScalars:
             coeffs = coeffs[:-1]
         return coeffs
 
-    # -- fits and gates ----------------------------------------------------------
-
-    def fit(self, rows, rhs, nunk: int):
-        """Least squares over every row, each first scaled to unit size."""
-        sizes = [max(max(abs(x) for x in row), abs(r), mp.mpf("1e-300"))
-                 for row, r in zip(rows, rhs)]
-        rows = [[x / m for x in row] for row, m in zip(rows, sizes)]
-        rhs = [r / m for r, m in zip(rhs, sizes)]
-        return lstsq_dense(rows, rhs, self)
+    # -- gates -------------------------------------------------------------------
 
     @staticmethod
     def nonvanishing(values, bits: int):
@@ -364,11 +353,6 @@ class MPScalars:
     def held_out_residual(pred, val, eta, deg: int, scale, tol):
         """(|pred - val|, limit): tol relative to |val| and to the fit's size at eta."""
         return abs(pred - val), tol * max(abs(val), scale * max(1, abs(eta)) ** deg)
-
-    @staticmethod
-    def relative_gap(x, y) -> mp.mpf:
-        """|x - y| / (|x| + |y|)."""
-        return abs(x - y) / (abs(x) + abs(y) + mp.mpf("1e-300"))
 
     @staticmethod
     def defect(d, scale) -> mp.mpf:

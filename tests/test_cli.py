@@ -186,6 +186,34 @@ def test_prec_below_64_rejected():
         assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["identities", "--family", "w", "--prefactor-ratio"], "--prefactor-ratio needs mixed types"),
+    (["identities", "--family", "w", "--prefactor-ratio", "--tprime2", "II", "--dI", "0"],
+     "must be distinct and not in D"),
+    (["identities", "--family", "w", "--chain", "--dI", "0"], "must be distinct and not in D"),
+    (["identities", "--family", "w", "--classical", "--N", "0"], "--classical needs --N >= 1"),
+    (["roots", "--family", "w", "--dI", "1", "--N", "-1"], "argument --N: must be >= 0"),
+    (["construct", "--family", "w", "--dI", "1", "--N", "-2"], "argument --N: must be >= 0"),
+    (["sweep", "--M", "3"], "argument --M: invalid choice: 3"),
+    (["sweep", "--M", "0"], "argument --M: invalid choice: 0"),
+])
+def test_contradictory_flags_are_usage_errors(argv, message, monkeypatch, capsys):
+    """Flag values no command can run are usage errors before any work: exit 2, one
+    message on stderr."""
+    from casoratia import cli
+
+    def no_work(*_):
+        raise AssertionError("a usage error must come before any work")
+
+    for name in ("_load_params", "_run_jobs"):
+        monkeypatch.setattr(cli, name, no_work)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("error:") == 1
+
+
 def test_identities_classical_exact(tmp_path):
     """Exact recurrence and h ratios, float zero grid: both numbers within the float gates."""
     pfile = tmp_path / "p.json"

@@ -1,5 +1,6 @@
 """Multi-index construction: degree laws, gates, operator, hermiticity, norms."""
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,11 +10,11 @@ import pytest
 from casoratia import miop
 from casoratia.families import FAMILIES, draw_params, params_from_values
 from casoratia.miop import (Builder, DegenerateIndexSet, IndexSet, PoleAtSample,
-                            _eigen_residual, apply_htilde, build_miop, delta_tilde,
-                            ell_degree, get_builder, hermiticity_check, h_ratio,
-                            htilde_frame, shifted_params)
+                            PrefactorResidue, _eigen_residual, apply_htilde, build_miop,
+                            delta_tilde, ell_degree, get_builder, hermiticity_check,
+                            h_ratio, htilde_frame, shifted_params)
 from casoratia.numkernel import workbits
-from casoratia.polycore import Poly, det_dense
+from casoratia.polycore import Poly, det_dense, lstsq_dense
 
 TAGS = ["ch", "w", "aw"]
 
@@ -336,35 +337,73 @@ def test_P_is_independent_of_call_order():
 
 
 def test_vanishing_reference_takes_the_next_rotation(monkeypatch):
-    """A flagged reference value moves the extraction to the next node rotation; after
-    ROTATIONS flagged rotations the index set counts as degenerate."""
-    D = IndexSet.make([(2, "I")])
+    """A flagged reference value moves the solve to the next node rotation; after
+    ROTATIONS flagged rotations the index set counts as degenerate.  Both solves
+    take their nodes this way: an extraction against detPoly_{D0} ({2^I}) and the
+    pairing bootstrap of a mixed reference, whose detPoly_{D0} is {0^I, 0^II}'s."""
+    for D in (IndexSet.make([(2, "I")]), IndexSet.make([(0, "I"), (0, "II")])):
+        with workbits(288), monkeypatch.context() as patch:
+            lam = draw_params("w", "generic", seed=41)
+            want = Builder(lam).xi(D)
+            sc = lam.scalars
+            nodes, flags = sc.extraction_nodes, sc.nonvanishing
+            attempts = []
+
+            def spy(fam, lam_, fit, salt, attempt):
+                attempts.append(attempt)
+                return nodes(fam, lam_, fit, salt, attempt)
+
+            def flag_first_rotation(values, bits):
+                return [ok and attempts[-1] > 0 for ok in flags(values, bits)]
+
+            patch.setattr(sc, "extraction_nodes", spy)
+            patch.setattr(sc, "nonvanishing", flag_first_rotation)
+            got = Builder(lam).xi(D)
+            assert attempts == [0, 1]
+            assert got.degree == want.degree == D.ell
+            for c1, c2 in zip(got.coeffs, want.coeffs):
+                assert abs(c1 - c2) <= mp.mpf(2) ** -200 * abs(want.lead())
+            attempts.clear()
+            patch.setattr(sc, "nonvanishing", lambda values, bits: [False] * len(values))
+            with pytest.raises(DegenerateIndexSet):
+                Builder(lam).xi(D)
+            assert attempts == list(range(miop.ROTATIONS))
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_mixed_reference_solves_no_normal_equations(tag, monkeypatch):
+    """A float mixed build bootstraps Xi_{D0} by a square solve on the extraction nodes:
+    polycore.lstsq_dense is never called, through any module that holds it."""
+    def refuse(*_):
+        raise AssertionError("lstsq_dense called")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("casoratia") and getattr(mod, "lstsq_dense", None) is lstsq_dense:
+            monkeypatch.setattr(mod, "lstsq_dense", refuse)
     with workbits(288):
-        lam = draw_params("w", "generic", seed=41)
-        want = Builder(lam).xi(D)
-        sc = lam.scalars
-        nodes, flags = sc.extraction_nodes, sc.nonvanishing
-        attempts = []
+        lam = draw_params(tag, "generic", seed=5)
+        assert Builder(lam).xi(IndexSet.make([(1, "I"), (1, "II")])).degree == 3
 
-        def spy(fam, lam_, fit, salt, attempt):
-            attempts.append(attempt)
-            return nodes(fam, lam_, fit, salt, attempt)
 
-        def flag_first_rotation(values, bits):
-            return [ok and attempts[-1] > 0 for ok in flags(values, bits)]
+@pytest.mark.parametrize("tag", TAGS)
+def test_pairing_held_out_gate_fires(tag, monkeypatch):
+    """One held-out detPoly_{D1} value of the pairing bootstrap off by a relative
+    2^-100 fails its gate."""
+    D0 = miop.reference_index_set((1, 1))
+    c1 = miop._xi_cols(miop._bumped_reference((1, 1)))
+    det_values = Builder.det_values
 
-        monkeypatch.setattr(sc, "extraction_nodes", spy)
-        monkeypatch.setattr(sc, "nonvanishing", flag_first_rotation)
-        got = Builder(lam).xi(D)
-        assert attempts == [0, 1]
-        assert got.degree == want.degree == D.ell
-        for c1, c2 in zip(got.coeffs, want.coeffs):
-            assert abs(c1 - c2) <= mp.mpf(2) ** -200 * abs(want.lead())
-        attempts.clear()
-        monkeypatch.setattr(sc, "nonvanishing", lambda values, bits: [False] * len(values))
-        with pytest.raises(DegenerateIndexSet):
-            Builder(lam).xi(D)
-        assert attempts == list(range(miop.ROTATIONS))
+    def off_by_one_part(self, cols, us, frames=None):
+        vals = det_values(self, cols, us, frames)
+        if list(cols) == c1:
+            vals[-1] = vals[-1] * (1 + mp.mpf(2) ** -100)
+        return vals
+
+    monkeypatch.setattr(Builder, "det_values", off_by_one_part)
+    with workbits(288):
+        lam = draw_params(tag, "generic", seed=5)
+        with pytest.raises(PrefactorResidue, match="pairing held-out residual"):
+            Builder(lam).xi(D0)
 
 
 def test_eigen_gate_builds_one_frame_set(monkeypatch):

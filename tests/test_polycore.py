@@ -8,8 +8,9 @@ import mpmath as mp
 import pytest
 
 import casoratia
+from casoratia.exact import ExactScalars
 from casoratia.families import FAMILIES, draw_params, params_from_values
-from casoratia.numkernel import workbits
+from casoratia.numkernel import MPScalars, workbits
 from casoratia.polycore import (Poly, det_dense, ladder_points, last_column_cofactors,
                                 lstsq_dense, solve_dense)
 
@@ -114,11 +115,6 @@ def test_backend_interface_and_dense_routines(backend):
         vals = [poly(1, 2, 1)(e) for e in etas[:5]]
         assert all(map(same, coeffs(vals, 2), [num(1), num(2), num(1)]))
         assert all(map(same, coeffs(vals, 4), [num(1), num(2), num(1), num(0), num(0)]))
-        # pairing fit: 3 unknowns from 3 + pairing_extra samples of 1 + 2e + e^2
-        etas = [num(Fraction(k + 1, 3)) for k in range(3 + sc.pairing_extra)]
-        rows = [[sc.one, e, e * e] for e in etas]
-        vals = [poly(1, 2, 1)(e) for e in etas]
-        assert all(map(same, sc.fit(rows, vals, 3), [num(1), num(2), num(1)]))
         # magnitude, negligibility and residual gates
         gate = mp.mpf(2) ** -144
         assert sc.scale([num(0), num(0)]) == 0 and sc.scale([num(0), num(-4)]) > 0
@@ -128,13 +124,22 @@ def test_backend_interface_and_dense_routines(backend):
         assert err <= lim
         err, lim = sc.held_out_residual(num(5), num(Fraction(5001, 1000)), num(2), 2, 1, gate)
         assert err > lim
-        assert sc.relative_gap(num(3), num(3)) <= gate < sc.relative_gap(num(3), num(4))
         assert sc.defect(num(0), 1) == 0 and sc.defect(num(1), 1) > gate
         # AW's q**t and the sample points
         half = sc.q_power(Fraction(1, 2), lam.q)
         assert same(half * half, lam.q) and same(sc.q_power(-1, lam.q) * lam.q, sc.one)
         us = sc.sample_args(FAMILIES["aw"], 4, lam, "salt")
         assert len(us) == 4 and all(not sc.is_zero(u - v) for u, v in zip(us, us[1:]))
+
+
+def test_backends_expose_the_same_interface():
+    """MPScalars and ExactScalars answer the same questions; only the exact backend
+    has sqrt_q, the adjoined sqrt(q) of Q(i, sqrt(q))."""
+    def public(cls):
+        return {n for n in dir(cls) if not n.startswith("_")}
+
+    assert public(ExactScalars) - public(MPScalars) == {"sqrt_q"}
+    assert public(MPScalars) - public(ExactScalars) == set()
 
 
 def test_construction_path_has_no_backend_name_test():
