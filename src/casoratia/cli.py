@@ -1,9 +1,11 @@
 """Command-line front end: verify, sweep, identities, roots, construct.
 
 Exit codes: 0 all enabled checks passed, 2 a check failed (after one
-precision escalation), 3 numerical degeneracy or a guard rejected the
-instance.  A failed construction gate (``PrefactorResidue``) is the failed
-check ``construction_gates``, never a degeneracy.  The negative controls of
+precision escalation) or a usage error, 3 numerical degeneracy or a guard
+rejected the instance.  ``verify`` and ``sweep`` share one precision ladder,
+``_ladder``.  A failed construction gate (``PrefactorResidue``) is the failed
+check ``construction_gates``, and a degenerate escalation leaves the failed
+check standing: neither is a degeneracy.  The negative controls of
 ``verify --quadrature`` are reported beside the checks: one that does not fire
 is inconclusive and leaves the exit code alone.  Reports are canonical JSON
 certificates; sweeps emit a CSV summary.  All randomness is seeded and worker
@@ -57,12 +59,6 @@ def _tolerances(bits: int) -> dict:
     }
 
 
-def _parse_degrees(text: str | None):
-    if not text:
-        return []
-    return [int(t) for t in text.replace(",", " ").split()]
-
-
 def _load_params(args) -> ParamSet:
     if args.params:
         with open(args.params) as fh:
@@ -80,8 +76,7 @@ def _load_params(args) -> ParamSet:
 
 
 def _index_set(args) -> IndexSet:
-    D = IndexSet.make([(d, "I") for d in _parse_degrees(args.dI)]
-                      + [(d, "II") for d in _parse_degrees(args.dII)])
+    D = IndexSet.make([(d, "I") for d in args.dI] + [(d, "II") for d in args.dII])
     if D.M > 3:
         print("index sets with more than 3 entries are out of scope "
               "(verification is desk scale)", file=sys.stderr)
@@ -151,13 +146,34 @@ def _verify_once(lam: ParamSet, D: IndexSet, N: int, bits: int, quadrature: bool
         return rep, conj, checks, controls
 
 
-def _attempt(lam: ParamSet, D: IndexSet, N: int, bits: int, quadrature: bool):
-    """_verify_once plus an error text; a failed construction gate is the failed check
-    construction_gates (no report), and a degenerate instance raises."""
-    try:
-        return (*_verify_once(lam, D, N, bits, quadrature), None)
-    except PrefactorResidue as exc:
-        return None, None, {"construction_gates": False}, {}, f"{type(exc).__name__}: {exc}"
+def _ladder(lam: ParamSet, D: IndexSet, N: int, prec: int, quadrature: bool):
+    """_verify_once at prec and, if a check failed, once more at 2 prec.
+
+    Returns (report, conjecture, checks, controls, bits, attempts) of the last attempt
+    that ran to its checks, which is last in attempts.  A failed construction gate is
+    the failed check construction_gates (no report).  A degenerate first attempt
+    raises; a degenerate escalation leaves the failed attempt standing, with its
+    reason in escalation_error.
+    """
+    attempts = []
+    for bits in (prec, 2 * prec):
+        attempt = {"precision_bits": bits}
+        try:
+            rep, conj, checks, controls = _verify_once(lam, D, N, bits, quadrature)
+        except PrefactorResidue as exc:
+            rep, conj, checks, controls = None, None, {"construction_gates": False}, {}
+            attempt["error"] = f"{type(exc).__name__}: {exc}"
+        except DEGENERACY_ERRORS as exc:
+            if not attempts:
+                raise
+            attempts[-1]["escalation_error"] = f"{type(exc).__name__}: {exc}"
+            break
+        attempt["checks"] = checks
+        attempts.append(attempt)
+        result = (rep, conj, checks, controls, bits)
+        if all(checks.values()):
+            break
+    return (*result, attempts)
 
 
 def cmd_verify(args) -> int:
@@ -178,19 +194,18 @@ def cmd_verify(args) -> int:
         print("degree N-tilde = N + ell_D below 2: the relations state nothing here",
               file=sys.stderr)
         return EXIT_DEGENERATE
-    attempts = []
-    for bits in (args.prec, 2 * args.prec):
-        try:
-            rep, conj, checks, controls, error = _attempt(lam, D, N, bits, args.quadrature)
-        except DEGENERACY_ERRORS as exc:
-            print(f"degenerate instance: {exc}", file=sys.stderr)
-            return EXIT_DEGENERATE
-        attempts.append({"precision_bits": bits, "checks": checks})
-        if error is not None:
-            attempts[-1]["error"] = error
-            print(f"construction gate failed at {bits} bits: {error}", file=sys.stderr)
-        if all(checks.values()):
-            break
+    try:
+        rep, conj, checks, controls, _, attempts = _ladder(lam, D, N, args.prec, args.quadrature)
+    except DEGENERACY_ERRORS as exc:
+        print(f"degenerate instance: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
+    for a in attempts:
+        if "error" in a:
+            print(f"construction gate failed at {a['precision_bits']} bits: {a['error']}",
+                  file=sys.stderr)
+        if "escalation_error" in a:
+            print(f"escalation past {a['precision_bits']} bits degenerate: "
+                  f"{a['escalation_error']}", file=sys.stderr)
     manifest = _manifest(args, lam, D, N, checks)
     manifest["controls"] = controls
     if rep is None:
@@ -236,7 +251,8 @@ def grid_index_sets(dmax: int, mmax: int, even_ell_only: bool = False):
     return out
 
 
-def cmd_sweep(args) -> int:
+def _sweep_jobs(args):
+    """The sweep's instances (family, mode, draw, D, N), in sweep order."""
     families = args.families.split(",") if args.families else ["ch", "w", "aw"]
     modes = args.modes.split(",") if args.modes else ["physical", "generic"]
     jobs = []
@@ -249,6 +265,11 @@ def cmd_sweep(args) -> int:
                     for N in range(2, args.N_max + 1):
                         jobs.append((fam, mode, draw, D, N))
     jobs.sort(key=lambda j: (j[0], j[1], j[2], j[3].key(), j[4]))
+    return jobs
+
+
+def cmd_sweep(args) -> int:
+    jobs = _sweep_jobs(args)
     results = _run_jobs(jobs, args)
     rows, all_ok = [], True
     for (fam, mode, draw, D, N), res in zip(jobs, results):
@@ -275,30 +296,26 @@ def cmd_sweep(args) -> int:
 
 def _sweep_one(job_args):
     """One sweep instance; degenerate draws retry with shifted seeds, failed checks never."""
-    fam, mode, draw, D, N, prec, quadrature = job_args
+    fam, mode, draw, D, N, prec = job_args
     last = None
     for attempt in range(3):
         lam = draw_params(fam, mode, draw + 1000 * attempt, bits=prec)
-        failed = None
-        for bits in (prec, 2 * prec):
-            try:
-                rep, conj, checks, _, _ = _attempt(lam, D, N, bits, quadrature)
-            except DEGENERACY_ERRORS as exc:
-                last = (False, "", "", f"degenerate: {exc}")
-                break
-            offdiag = "" if rep is None else real_str(rep.max_offdiag_rel, bits)
-            conj_err = "" if rep is None else real_str(conj.max_rel_err, bits)
-            if all(checks.values()):
-                return True, offdiag, conj_err, "" if attempt == 0 else f"redrawn:{attempt}"
-            failed = (False, offdiag, conj_err,
-                      "failed:" + ",".join(k for k, v in checks.items() if not v))
-        if failed is not None:
-            return failed
+        try:
+            rep, conj, checks, _, bits, _ = _ladder(lam, D, N, prec, False)
+        except DEGENERACY_ERRORS as exc:
+            last = (False, "", "", f"degenerate: {exc}")
+            continue
+        offdiag = "" if rep is None else real_str(rep.max_offdiag_rel, bits)
+        conj_err = "" if rep is None else real_str(conj.max_rel_err, bits)
+        if all(checks.values()):
+            return True, offdiag, conj_err, "" if attempt == 0 else f"redrawn:{attempt}"
+        return (False, offdiag, conj_err,
+                "failed:" + ",".join(k for k, v in checks.items() if not v))
     return last
 
 
 def _run_jobs(jobs, args):
-    payloads = [(f, m, d, D, N, args.prec, args.quadrature) for (f, m, d, D, N) in jobs]
+    payloads = [(f, m, d, D, N, args.prec) for (f, m, d, D, N) in jobs]
     if args.jobs <= 1:
         return [_sweep_one(p) for p in payloads]
     import multiprocessing as mproc
@@ -420,18 +437,33 @@ def _prec(text: str) -> int:
     return bits
 
 
-def _nonnegative(text: str) -> int:
-    """A degree: an int >= 0."""
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
-    return n
+def _at_least(low: int):
+    """An argparse type: an int >= low."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+    return parse
 
 
-def _identities_usage_error(args) -> str | None:
-    """The message for identities flags that contradict each other, else None."""
-    D = ([(d, "I") for d in _parse_degrees(args.dI)]
-         + [(d, "II") for d in _parse_degrees(args.dII)])
+def _degrees(text: str) -> list:
+    """--dI/--dII: distinct nonnegative degrees, separated by commas or spaces."""
+    degs = [int(t) for t in text.replace(",", " ").split()]
+    if any(d < 0 for d in degs) or len(set(degs)) != len(degs):
+        raise argparse.ArgumentTypeError(
+            f"degrees must be nonnegative and distinct, got {text!r}")
+    return degs
+
+
+def _usage_error(args) -> str | None:
+    """The message for flag values no run can use, else None."""
+    if args.command == "sweep" and not _sweep_jobs(args):
+        return ("the sweep grid is empty: no index set with d_j <= --dmax and M <= --M "
+                "has ell_D >= 1 (even for cH in physical mode)")
+    if args.command != "identities":
+        return None
+    D = [(d, "I") for d in args.dI] + [(d, "II") for d in args.dII]
     dp, dpp = (args.dprime, args.tprime), (args.dprime2, args.tprime2)
     if args.classical and args.N < 1:
         return "--classical needs --N >= 1"
@@ -453,9 +485,9 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", choices=["ch", "w", "aw"])
         p.add_argument("--params", help="JSON parameter file")
         p.add_argument("--mode", choices=["physical", "generic"], default="physical")
-        p.add_argument("--dI", help="type-I degrees, e.g. '1,2'")
-        p.add_argument("--dII", help="type-II degrees")
-        p.add_argument("--N", type=_nonnegative, default=3)
+        p.add_argument("--dI", type=_degrees, default=[], help="type-I degrees, e.g. '1,2'")
+        p.add_argument("--dII", type=_degrees, default=[], help="type-II degrees")
+        p.add_argument("--N", type=_at_least(0), default=3)
         p.add_argument("--prec", type=_prec, default=DEFAULT_BITS)
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--out")
@@ -472,13 +504,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--prec", type=_prec, default=DEFAULT_BITS)
     p.add_argument("--out")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--quadrature", action="store_true")
     p.add_argument("--families")
     p.add_argument("--modes")
-    p.add_argument("--draws", type=int, default=1)
-    p.add_argument("--dmax", type=int, default=3)
+    p.add_argument("--draws", type=_at_least(1), default=1)
+    p.add_argument("--dmax", type=_at_least(0), default=3)
     p.add_argument("--M", type=int, choices=[1, 2], default=2)
-    p.add_argument("--N-max", dest="N_max", type=int, default=4)
+    p.add_argument("--N-max", dest="N_max", type=_at_least(2), default=4)
     p = sub.add_parser("identities", help="supporting identity checks")
     instance(p)
     backend(p)
@@ -486,11 +517,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--classical", action="store_true")
     p.add_argument("--chain", action="store_true")
     p.add_argument("--prefactor-ratio", action="store_true")
-    p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--n", type=_nonnegative, default=1)
-    p.add_argument("--dprime", type=_nonnegative, default=0)
+    p.add_argument("--samples", type=_at_least(1), default=10)
+    p.add_argument("--n", type=_at_least(0), default=1)
+    p.add_argument("--dprime", type=_at_least(0), default=0)
     p.add_argument("--tprime", choices=["I", "II"], default="I")
-    p.add_argument("--dprime2", type=_nonnegative, default=2)
+    p.add_argument("--dprime2", type=_at_least(0), default=2)
     p.add_argument("--tprime2", choices=["I", "II"], default="I")
     p = sub.add_parser("roots", help="zero set of P_{D,N}")
     instance(p)
@@ -507,10 +538,9 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = make_parser()
     args = ap.parse_args(argv)
-    if args.command == "identities":
-        problem = _identities_usage_error(args)
-        if problem:
-            ap.error(problem)
+    problem = _usage_error(args)
+    if problem:
+        ap.error(problem)
     handlers = {
         "verify": cmd_verify,
         "sweep": cmd_sweep,

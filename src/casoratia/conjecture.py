@@ -7,9 +7,9 @@ carries the square of the mixed-identity constant C (the alpha-product
 calibration) and one fitted count-pair constant zeta that is reported, cached
 per parameter set, and must reconcile every other case-(3) entry.
 
-One factor in the case-(1)/(2) closed forms admits two natural readings of
-its index (the removed degree d_j versus the replacement epsilon_k); both are
-evaluated and the resolved reading is recorded in every result.
+Cases (1)/(2) take the factor (b' - d_j)_{d_j - epsilon_k} (its q-analogue
+for AW) at the removed degree d_j: the one closed form, evaluated once per
+entry.  A zero Pochhammer denominator raises FormulaSingular, a degeneracy.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ class ConjectureEntry:
 class ConjectureResult:
     entries: list
     max_rel_err: mp.mpf
-    reading: str           # 'j' or 'eps' for the ambiguous case-(1)/(2) factor
     zeta: mp.mpc | None    # fitted count-pair constant (case 3 only)
     mixed_C: mp.mpc | None
     extras: dict = field(default_factory=dict)
@@ -105,17 +104,16 @@ def _case12_members(val, v: _View, d: int, eps: int, j: int, bp):
     return val
 
 
-def _case12_product(v: _View, d: int, eps: int, j: int, reading: str):
+def _case12_product(v: _View, d: int, eps: int, j: int):
     """The case-(1) closed-form product (case (2) goes through the swapped view)."""
     delta = d - eps
-    rstar = d if reading == "j" else eps
     a1, a2, a3, a4 = v.a
     if v.family == "ch":
         bp = v.bprime
         val = poch(mp.mpc(eps + 1), delta) / 2
         val /= _guard(poch(a1 + a3 - d - 1, delta) * poch(a2 + a4 + eps, delta))
         val /= _guard(poch(a1 - a2 - d, delta) * poch(a3 - a4 - d, delta))
-        val *= poch(bp - rstar, delta) / _guard(-bp + 1 + 2 * eps)
+        val *= poch(bp - d, delta) / _guard(-bp + 1 + 2 * eps)
         return _case12_members(val, v, d, eps, j, bp)
     if v.family == "w":
         bp = v.bprime
@@ -124,7 +122,7 @@ def _case12_product(v: _View, d: int, eps: int, j: int, reading: str):
         for l in (a1, a2):
             for m in (a3, a4):
                 val /= _guard(poch(l - m - d, delta))
-        val *= poch(bp - rstar, delta) / _guard(-bp + 1 + 2 * eps)
+        val *= poch(bp - d, delta) / _guard(-bp + 1 + 2 * eps)
         return _case12_members(val, v, d, eps, j, bp)
     q = v.q
     bp = v.bprime
@@ -135,7 +133,7 @@ def _case12_product(v: _View, d: int, eps: int, j: int, reading: str):
     for l in (a1, a2):
         for m in (a3, a4):
             val /= _guard(qpoch(l / m * q ** (-d), q, delta))
-    val *= qpoch(bp * q ** (-rstar), q, delta) / _guard(1 - q ** (1 + 2 * eps) / bp)
+    val *= qpoch(bp * q ** (-d), q, delta) / _guard(1 - q ** (1 + 2 * eps) / bp)
     for i, di in enumerate(v.primary, start=1):
         if i == j:
             continue
@@ -209,8 +207,7 @@ def _case3_product(lam: ParamSet, D: IndexSet, d: int, e: int, j: int, k: int):
     return val
 
 
-def predicted_k(lam: ParamSet, D: IndexSet, N: int, entry, *, reading: str = "j",
-                mixed_C=None, zeta=None):
+def predicted_k(lam: ParamSet, D: IndexSet, N: int, entry, *, mixed_C=None, zeta=None):
     """Closed-form k_a for one Pa-basis entry (zeta defaults to 1 for case 3)."""
     fam = lam.fam
     to = lam.scalars.to_mpc
@@ -226,7 +223,7 @@ def predicted_k(lam: ParamSet, D: IndexSet, N: int, entry, *, reading: str = "j"
         ev_e = mp.mpc(to(fam.etilde(vtype, eps, lam)))
         hr = (EN - ev_e) / _guard(EN - ev_d)
         v = _View(lam, D, swap=(entry.case == 2))
-        return hr * _case12_product(v, d, eps, ds.j, reading)
+        return hr * _case12_product(v, d, eps, ds.j)
     ds = entry.derived
     d, e = ds.removed
     ev_d = mp.mpc(to(fam.etilde("I", d, lam)))
@@ -274,25 +271,11 @@ def compare(lam: ParamSet, D: IndexSet, N: int, report, bits: int = 256) -> Conj
     if D.M1 >= 1 and D.M2 >= 1:
         C = mixed_constant(lam, (D.M1 - 1, D.M2 - 1), bits)
         zeta = zeta_constant(lam, D.counts, bits)
-    best = None
-    has_amb = any(e.case in (1, 2) for e in basis.entries)
-    for reading in (("j", "eps") if has_amb else ("j",)):
-        entries = []
-        worst = mp.mpf(0)
-        try:
-            for a, entry in enumerate(basis.entries):
-                pred = predicted_k(lam, D, N, entry, reading=reading,
-                                   mixed_C=C, zeta=zeta)
-                meas = report.k[a]
-                rel = abs(meas - pred) / max(abs(pred), abs(meas))
-                worst = max(worst, rel)
-                entries.append(ConjectureEntry(entry.origin, entry.case, pred, meas, rel))
-        except FormulaSingular:
-            continue
-        if best is None or worst < best[1]:
-            best = (entries, worst, reading)
-    if best is None:
-        raise FormulaSingular("all readings hit singular closed forms")
-    entries, worst, reading = best
-    return ConjectureResult(entries=entries, max_rel_err=worst, reading=reading,
-                            zeta=zeta, mixed_C=C)
+    entries = []
+    for a, entry in enumerate(basis.entries):
+        pred = predicted_k(lam, D, N, entry, mixed_C=C, zeta=zeta)
+        meas = report.k[a]
+        rel = abs(meas - pred) / max(abs(pred), abs(meas))
+        entries.append(ConjectureEntry(entry.origin, entry.case, pred, meas, rel))
+    worst = max((e.rel_err for e in entries), default=mp.mpf(0))
+    return ConjectureResult(entries=entries, max_rel_err=worst, zeta=zeta, mixed_C=C)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import mpmath as mp
 
 from .families import ParamSet
-from .miop import IndexSet, MiopBundle, apply_htilde, build_miop, get_builder, htilde_frame
+from .miop import (IndexSet, MiopBundle, _eigen_residual, apply_htilde, build_miop, get_builder,
+                   htilde_frame)
 from .numkernel import workbits
 from .polycore import Poly
 from .zeros import ZeroSet, find_zeros
@@ -130,14 +131,8 @@ def build_pa_basis(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) -> PaBas
 
 def pa_difference_equation_defect(basis: PaBasis, frames) -> mp.mpf:
     """Worst residual of (H~_D P_a)(x_j) = E^P_a P_a(eta_j) over the basis and zero frames."""
-    worst = mp.mpf(0)
-    for entry in basis.entries:
-        for fr in frames:
-            h = apply_htilde(fr, entry.poly)
-            ref = entry.energy * entry.poly(fr.eta)
-            h, ref = mp.mpc(h), mp.mpc(ref)
-            worst = max(worst, abs(h - ref) / (abs(h) + abs(ref) + 1))
-    return worst
+    return max((_eigen_residual(fr, e.poly, e.energy, e.poly.scalars)
+                for e in basis.entries for fr in frames), default=mp.mpf(0))
 
 
 def compute_F(bundle: MiopBundle, frames, bits: int = 256):

@@ -334,14 +334,6 @@ def check_prefactor_ratio_identity(lam: ParamSet, D: IndexSet, dprime, dprime2, 
 # -- quadrature checks (slow path) ---------------------------------------------------
 
 
-def _quad_interval(lam: ParamSet):
-    if lam.family == "ch":
-        return [-mp.inf, mp.inf]
-    if lam.family == "w":
-        return [0, mp.inf]
-    return [0, mp.pi]
-
-
 def psi_d_squared(lam: ParamSet, D: IndexSet, bundle, x):
     """psi_D(x)^2 = phi_0(x; lambda_D)^2 / (Xi(x - i g/2) Xi(x + i g/2)); PoleAtSample
     when x -+ i g/2 is at a zero of Xi_D."""
@@ -380,7 +372,7 @@ def partial_fraction_integral_check(lam: ParamSet, D: IndexSet, N: int, j: int, 
         def f(x):
             e = fam.eta_at(fam.arg_of_x(x), lam)
             return psi_d_squared(lam, D, bundle, x) * mp.mpc(qa(e)) * mp.mpc(qb(e))
-        return mp.quad(f, _quad_interval(lam), maxdegree=7, method=method)
+        return mp.quad(f, list(fam.x_bounds(lam)), maxdegree=7, method=method)
 
     with workbits(110):
         val = integral(qj, qk)

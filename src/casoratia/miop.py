@@ -134,8 +134,6 @@ class Builder:
         self.sc = lam.scalars.at_bits(bits)
         self.bits = bits
         self._polys = {}        # ('I'|'II'|'P', deg) -> eta Poly
-        self._weights = {}      # class tag -> twisted a tuple, alpha
-        self._xi_ref = {}       # counts -> Poly (monic Xi_{D0})
         self._xi_cache = {}     # IndexSet.key -> Poly
         self._p_cache = {}      # (IndexSet.key, n, top) -> Poly
         self._p_batches = {}    # (IndexSet.key, top) -> _p_batch, until P_{D,top} is fitted
@@ -154,13 +152,10 @@ class Builder:
         return self._polys[key]
 
     def _class_weight_params(self, kind: str):
-        if kind not in self._weights:
-            if kind == "P":
-                self._weights[kind] = (self.lam.a, self.sc.one)
-            else:
-                self._weights[kind] = (self.fam.twist_a(kind, self.lam),
-                                       self.fam.alpha(kind, self.lam))
-        return self._weights[kind]
+        """The a tuple and alpha of a column kind's row weights."""
+        if kind == "P":
+            return self.lam.a, self.sc.one
+        return self.fam.twist_a(kind, self.lam), self.fam.alpha(kind, self.lam)
 
     # .. determinant values ......................................................
 
@@ -282,21 +277,6 @@ class Builder:
 
     # .. class references ..........................................................
 
-    def xi_reference(self, counts) -> Poly:
-        """Monic Xi_{D0} for the class; bootstrapped by pairing for mixed counts."""
-        if counts in self._xi_ref:
-            return self._xi_ref[counts]
-        m1, m2 = counts
-        sc = self.sc
-        if m1 == 0 or m2 == 0:
-            ref = Poly.const(sc.one, sc)
-        else:
-            D0 = reference_index_set(counts)
-            D1 = _bumped_reference(counts)
-            ref = self._pairing_bootstrap(D0, D1)
-        self._xi_ref[counts] = ref
-        return ref
-
     def _pairing_bootstrap(self, D0: IndexSet, D1: IndexSet) -> Poly:
         """Solve detPoly_{D1} * B(eta) = detPoly_{D0} * A(eta) for monic B = Xi_{D0}.
 
@@ -333,18 +313,18 @@ class Builder:
     # .. public construction ......................................................
 
     def xi(self, D: IndexSet) -> Poly:
+        """Xi_D: the constant 1 for the reference set D0 of a pure class, the pairing
+        bootstrap (monic) for that of a mixed class, else extracted against Xi_{D0}."""
         key = D.key()
         if key in self._xi_cache:
             return self._xi_cache[key]
-        counts = D.counts
-        if D.M == 0:
+        D0 = reference_index_set(D.counts)
+        if D != D0:
+            poly = self._extract(_xi_cols(D), D.ell, _xi_cols(D0), self.xi(D0), f"xi|{key}")
+        elif D.M1 == 0 or D.M2 == 0:
             poly = Poly.const(self.sc.one, self.sc)
-        elif D.entries == reference_index_set(counts).entries:
-            poly = self.xi_reference(counts)
         else:
-            ref = self.xi_reference(counts)
-            D0 = reference_index_set(counts)
-            poly = self._extract(_xi_cols(D), D.ell, _xi_cols(D0), ref, f"xi|{D.key()}")
+            poly = self._pairing_bootstrap(D0, _bumped_reference(D.counts))
         poly = poly.trim()
         if poly.degree != D.ell:
             raise DegenerateIndexSet(

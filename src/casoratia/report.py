@@ -13,7 +13,10 @@ import mpmath as mp
 
 from .exact import QQi, SqrtExt
 
-SCHEMA_VERSION = 2   # 2: verify manifests carry the negative controls apart from the checks
+# 2: verify manifests carry the negative controls apart from the checks;
+# 3: one case-(1)/(2) closed form (no conjecture.reading), and escalation_error on an
+#    attempt whose escalation was degenerate
+SCHEMA_VERSION = 3
 
 
 def digits_for(bits: int) -> int:
@@ -86,7 +89,6 @@ def ortho_report_json(rep, conj=None, manifest=None) -> dict:
     if conj is not None:
         out["conjecture"] = {
             "max_rel_err": real_str(conj.max_rel_err, bits),
-            "reading": conj.reading,
             "zeta": None if conj.zeta is None else num_str(conj.zeta, bits),
             "mixed_C": None if conj.mixed_C is None else num_str(conj.mixed_C, bits),
             "entries": [

@@ -156,7 +156,6 @@ def test_criterion_05_conjecture_grid():
     zetas = {}
     for tag, mode, lam, D, N, rep, conj in _grid_reports():
         worst = max(worst, conj.max_rel_err)
-        assert conj.reading == "j"
         if conj.zeta is not None:
             key = (tag, mode, lam.digest(), D.counts)
             zetas.setdefault(key, set()).add(mp.nstr(mp.mpc(conj.zeta), 40))

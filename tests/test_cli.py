@@ -18,7 +18,7 @@ def test_verify_pass_and_report_shape(tmp_path):
     r = run(["verify", "--family", "w", "--dI", "2", "--N", "3", "--out", str(out)])
     assert r.returncode == 0, r.stderr
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["family"] == "w" and doc["N"] == 3
     assert sorted(doc["manifest"]["checks"]) == [
         "conjecture", "eigen_relation", "f_cross_form", "matrix_symmetry", "orthogonality",
@@ -28,7 +28,6 @@ def test_verify_pass_and_report_shape(tmp_path):
     assert doc["manifest"]["checks"]["conjecture"]
     assert doc["manifest"]["timestamp"] == ""
     assert len(doc["k"]) == 3 + 2  # N + ell_D
-    assert doc["conjecture"]["reading"] == "j"
 
 
 def test_verify_guards():
@@ -90,12 +89,13 @@ def test_sweep_csv(tmp_path):
 
 
 def test_sweep_empty_grid(tmp_path):
+    """A grid without instances is a usage error: exit 2 and no CSV, not a header alone."""
     out = tmp_path / "sweep.csv"
-    r = run(["sweep", "--families", "ch", "--modes", "physical", "--draws", "0",
+    r = run(["sweep", "--families", "ch", "--modes", "physical", "--dmax", "1", "--M", "1",
              "--out", str(out)])
-    assert r.returncode == 0
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 1  # header only
+    assert r.returncode == 2
+    assert "the sweep grid is empty" in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
 
 
 def test_params_file(tmp_path):
@@ -149,7 +149,8 @@ def test_flags_a_command_does_not_read_are_rejected(tmp_path):
         "a": [["5/2", "0"], ["11/4", "0"], ["9/4", "1/2"], ["9/4", "-1/2"]],
         "mode": "physical",
     }))
-    for argv in (["sweep", "--family", "w", "--draws", "0"],
+    for argv in (["sweep", "--family", "w"],
+                 ["sweep", "--quadrature"],
                  ["verify", "--params", str(pfile), "--dI", "2", "--N", "2",
                   "--backend", "exact"]):
         r = run(argv)
@@ -196,6 +197,24 @@ def test_prec_below_64_rejected():
     (["construct", "--family", "w", "--dI", "1", "--N", "-2"], "argument --N: must be >= 0"),
     (["sweep", "--M", "3"], "argument --M: invalid choice: 3"),
     (["sweep", "--M", "0"], "argument --M: invalid choice: 0"),
+    (["verify", "--family", "w", "--dI", "1,1", "--N", "2"],
+     "argument --dI: degrees must be nonnegative and distinct"),
+    (["roots", "--family", "w", "--dI=-1", "--N", "2"],
+     "argument --dI: degrees must be nonnegative and distinct"),
+    (["construct", "--family", "w", "--dII", "2 2"],
+     "argument --dII: degrees must be nonnegative and distinct"),
+    (["identities", "--family", "w", "--lemma-eta", "--samples", "0"],
+     "argument --samples: must be >= 1"),
+    (["identities", "--family", "w", "--lemma-eta", "--samples", "-1"],
+     "argument --samples: must be >= 1"),
+    (["identities", "--family", "w", "--chain", "--samples", "0"],
+     "argument --samples: must be >= 1"),
+    (["identities", "--family", "w", "--prefactor-ratio", "--tprime2", "II", "--samples", "0"],
+     "argument --samples: must be >= 1"),
+    (["sweep", "--draws", "0"], "argument --draws: must be >= 1"),
+    (["sweep", "--dmax", "-1"], "argument --dmax: must be >= 0"),
+    (["sweep", "--N-max", "1"], "argument --N-max: must be >= 2"),
+    (["sweep", "--dmax", "0", "--M", "1"], "the sweep grid is empty"),
 ])
 def test_contradictory_flags_are_usage_errors(argv, message, monkeypatch, capsys):
     """Flag values no command can run are usage errors before any work: exit 2, one
@@ -275,8 +294,36 @@ def test_failed_construction_gate_is_a_failed_check(tmp_path, monkeypatch):
         assert a["checks"] == {"construction_gates": False}
         assert a["error"].startswith("PrefactorResidue: shape invariance")
     ok, offdiag, conj_err, note = cli._sweep_one(("w", "physical", 0, miop.IndexSet.make(
-        [(2, "I")]), 2, 128, False))
+        [(2, "I")]), 2, 128))
     assert (ok, offdiag, conj_err, note) == (False, "", "", "failed:construction_gates")
+
+
+def test_degenerate_escalation_leaves_the_failed_check_standing(tmp_path, monkeypatch):
+    """A check that fails at --prec with a degenerate escalation is a failed check: verify
+    exits 2 with the --prec report, the escalation's error on its last attempt, and a sweep
+    gives the same failed row."""
+    from casoratia import cli, miop
+
+    verify_once = cli._verify_once
+
+    def fail_then_degenerate(lam, D, N, bits, quadrature):
+        if bits > 256:
+            raise miop.PoleAtSample("Xi_D vanished near sample point")
+        rep, conj, checks, controls = verify_once(lam, D, N, bits, quadrature)
+        return rep, conj, {**checks, "orthogonality": False}, controls
+
+    monkeypatch.setattr(cli, "_verify_once", fail_then_degenerate)
+    out = tmp_path / "rep.json"
+    assert cli.main(["verify", "--family", "w", "--dI", "1", "--N", "2", "--out", str(out)]) == 2
+    doc = json.loads(out.read_text())
+    assert doc["precision_bits"] == 256
+    assert [k for k, v in doc["manifest"]["checks"].items() if not v] == ["orthogonality"]
+    (attempt,) = doc["attempts"]
+    assert attempt["precision_bits"] == 256 and attempt["checks"] == doc["manifest"]["checks"]
+    assert attempt["escalation_error"] == "PoleAtSample: Xi_D vanished near sample point"
+    row = cli._sweep_one(("w", "physical", 1, miop.IndexSet.make([(1, "I")]), 2, 256))
+    assert row == (False, doc["max_offdiag_rel"], doc["conjecture"]["max_rel_err"],
+                   "failed:orthogonality")
 
 
 def test_verify_orthogonality_owns_its_precision(tmp_path):
