@@ -27,7 +27,7 @@ from . import __version__, cache as cache_mod
 from .conjecture import FormulaSingular, compare
 from .dortho import (DegenerateSpectrum, DenominatorCollision, WeightSingular,
                      naive_weight_demo, verify_orthogonality)
-from .families import ParamSet, draw_params, params_from_values, validate_physical
+from .families import FAMILIES, ParamSet, draw_params, params_from_values, validate_physical
 from .identities import (check_prefactor_ratio_identity, check_chain_identity,
                          classical_discrete_ortho, eta_identity_residual,
                          partial_fraction_integral_check, chain_identity_exact)
@@ -46,6 +46,7 @@ DEGENERACY_ERRORS = (DegenerateSpectrum, DegenerateIndexSet, WeightSingular,
                      DenominatorCollision, MultipleRootSuspected, PoleAtSample,
                      FormulaSingular)
 CONTROL_THRESHOLD = "1e-3"   # a negative control fires when its value reaches this
+MODES = ("physical", "generic")
 
 
 def _tolerances(bits: int) -> dict:
@@ -76,12 +77,7 @@ def _load_params(args) -> ParamSet:
 
 
 def _index_set(args) -> IndexSet:
-    D = IndexSet.make([(d, "I") for d in args.dI] + [(d, "II") for d in args.dII])
-    if D.M > 3:
-        print("index sets with more than 3 entries are out of scope "
-              "(verification is desk scale)", file=sys.stderr)
-        raise SystemExit(EXIT_DEGENERATE)
-    return D
+    return IndexSet.make([(d, "I") for d in args.dI] + [(d, "II") for d in args.dII])
 
 
 def _manifest(args, lam: ParamSet, D: IndexSet | None, N: int | None, checks: dict) -> dict:
@@ -120,7 +116,7 @@ def _verify_once(lam: ParamSet, D: IndexSet, N: int, bits: int, quadrature: bool
     tol = _tolerances(bits)
     with workbits(bits + 32):
         rep = verify_orthogonality(lam, D, N, bits)
-        conj = compare(lam, D, N, rep, bits)
+        conj = compare(lam, D, N, rep)
         checks = {
             "orthogonality": bool(rep.max_offdiag_rel <= tol["offdiag"]),
             "matrix_symmetry": bool(rep.symmetry_defect <= tol["symmetry"]),
@@ -253,11 +249,9 @@ def grid_index_sets(dmax: int, mmax: int, even_ell_only: bool = False):
 
 def _sweep_jobs(args):
     """The sweep's instances (family, mode, draw, D, N), in sweep order."""
-    families = args.families.split(",") if args.families else ["ch", "w", "aw"]
-    modes = args.modes.split(",") if args.modes else ["physical", "generic"]
     jobs = []
-    for fam in families:
-        for mode in modes:
+    for fam in args.families:
+        for mode in args.modes:
             for draw in range(args.draws):
                 # continuous Hahn in physical mode needs even ell_D
                 even = fam == "ch" and mode == "physical"
@@ -456,14 +450,28 @@ def _degrees(text: str) -> list:
     return degs
 
 
+def _names(allowed):
+    """An argparse type: distinct names from allowed, separated by commas."""
+    def parse(text: str) -> list:
+        names = text.split(",")
+        if not set(names) <= set(allowed) or len(set(names)) < len(names):
+            raise argparse.ArgumentTypeError(f"want distinct names from {','.join(allowed)}")
+        return names
+    return parse
+
+
 def _usage_error(args) -> str | None:
     """The message for flag values no run can use, else None."""
-    if args.command == "sweep" and not _sweep_jobs(args):
-        return ("the sweep grid is empty: no index set with d_j <= --dmax and M <= --M "
-                "has ell_D >= 1 (even for cH in physical mode)")
+    if args.command == "sweep":
+        return None if _sweep_jobs(args) else (
+            "the sweep grid is empty: no index set with d_j <= --dmax and M <= --M "
+            "has ell_D >= 1 (even for cH in physical mode)")
+    D = [(d, "I") for d in args.dI] + [(d, "II") for d in args.dII]
+    if len(D) > 3:
+        # the case-(3) constant zeta has closed forms for the mixed counts of M <= 3
+        return "index sets with more than 3 entries (--dI and --dII together) are out of scope"
     if args.command != "identities":
         return None
-    D = [(d, "I") for d in args.dI] + [(d, "II") for d in args.dII]
     dp, dpp = (args.dprime, args.tprime), (args.dprime2, args.tprime2)
     if args.classical and args.N < 1:
         return "--classical needs --N >= 1"
@@ -482,9 +490,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     def instance(p):
         """Flags naming one instance (parameters, D, N) and where its output goes."""
-        p.add_argument("--family", choices=["ch", "w", "aw"])
+        p.add_argument("--family", choices=FAMILIES)
         p.add_argument("--params", help="JSON parameter file")
-        p.add_argument("--mode", choices=["physical", "generic"], default="physical")
+        p.add_argument("--mode", choices=MODES, default="physical")
         p.add_argument("--dI", type=_degrees, default=[], help="type-I degrees, e.g. '1,2'")
         p.add_argument("--dII", type=_degrees, default=[], help="type-II degrees")
         p.add_argument("--N", type=_at_least(0), default=3)
@@ -504,8 +512,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--prec", type=_prec, default=DEFAULT_BITS)
     p.add_argument("--out")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--families")
-    p.add_argument("--modes")
+    p.add_argument("--families", type=_names(FAMILIES), default=list(FAMILIES))
+    p.add_argument("--modes", type=_names(MODES), default=list(MODES))
     p.add_argument("--draws", type=_at_least(1), default=1)
     p.add_argument("--dmax", type=_at_least(0), default=3)
     p.add_argument("--M", type=int, choices=[1, 2], default=2)

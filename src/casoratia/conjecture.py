@@ -3,9 +3,9 @@
 Case (0) uses the norm ratios h_{D,n}/h_{D,N}; cases (1)/(2) the derived index
 sets that lower one degree within a type; case (3) the sets that delete one
 degree of each type.  Case (3) crosses type-count classes, so its prediction
-carries the square of the mixed-identity constant C (the alpha-product
-calibration) and one fitted count-pair constant zeta that is reported, cached
-per parameter set, and must reconcile every other case-(3) entry.
+carries the square of the mixed-identity constant C (identities.mixed_constant)
+and the count-pair constant zeta (zeta_constant): closed forms in the parameters
+and the type counts of D, reported beside the entries.
 
 Cases (1)/(2) take the factor (b' - d_j)_{d_j - epsilon_k} (its q-analogue
 for AW) at the removed degree d_j: the one closed form, evaluated once per
@@ -19,12 +19,13 @@ from dataclasses import dataclass, field
 import mpmath as mp
 
 from .families import ParamSet
-from .miop import IndexSet, h_ratio, reference_index_set
+from .identities import mixed_constant, type_pair
+from .miop import IndexSet, h_ratio
 from .numkernel import pochhammer as poch, q_pochhammer as qpoch
 
 
 class FormulaSingular(RuntimeError):
-    """A Pochhammer factor in the closed form hit a zero denominator."""
+    """A closed form hit a zero denominator or has no entry for the type counts."""
 
 
 @dataclass
@@ -40,8 +41,8 @@ class ConjectureEntry:
 class ConjectureResult:
     entries: list
     max_rel_err: mp.mpf
-    zeta: mp.mpc | None    # fitted count-pair constant (case 3 only)
-    mixed_C: mp.mpc | None
+    zeta: mp.mpc | None      # closed-form count-pair constant (mixed D only)
+    mixed_C: mp.mpc | None   # closed-form mixed-identity constant (mixed D only)
     extras: dict = field(default_factory=dict)
 
 
@@ -207,8 +208,30 @@ def _case3_product(lam: ParamSet, D: IndexSet, d: int, e: int, j: int, k: int):
     return val
 
 
-def predicted_k(lam: ParamSet, D: IndexSet, N: int, entry, *, mixed_C=None, zeta=None):
-    """Closed-form k_a for one Pa-basis entry (zeta defaults to 1 for case 3)."""
+def zeta_constant(lam: ParamSet, counts):
+    """The case-(3) count-pair constant zeta: one closed form per mixed count pair
+    (M_I, M_II) with M <= 3, in b' = s1 - s2 (cH/W) or A/B (AW) from type_pair.
+    Any other pair raises FormulaSingular."""
+    if counts not in ((1, 1), (2, 1), (1, 2)):
+        raise FormulaSingular(f"no closed form for zeta at type counts {counts}")
+    A, B = type_pair(lam)   # (s1, s2) for cH/W
+    if lam.family in ("ch", "w"):
+        bp = A - B
+        return {(1, 1): bp, (2, 1): bp * (bp - 1) * (bp - 2),
+                (1, 2): bp * (bp + 1) * (bp + 2)}[counts] ** 2
+    q = mp.mpc(lam.scalars.to_mpc(lam.q))
+    bp = A / B
+    if counts == (1, 1):
+        return 4 * q ** 5 * (1 - bp) ** 2 / A ** 2
+    if counts == (2, 1):
+        return (16 * q ** 15 * (1 - q) ** 2 * B ** 3
+                * ((1 - bp) * (1 - bp / q) * (1 - bp / q ** 2)) ** 2 / A ** 5)
+    return (16 * q ** 9 * (1 - q) ** 2 * B
+            * ((1 - bp) * (1 - bp * q) * (1 - bp * q ** 2)) ** 2 / A ** 3)
+
+
+def predicted_k(lam: ParamSet, D: IndexSet, N: int, entry):
+    """Closed-form k_a for one Pa-basis entry."""
     fam = lam.fam
     to = lam.scalars.to_mpc
     EN = mp.mpc(to(fam.energy(N, lam)))
@@ -228,52 +251,21 @@ def predicted_k(lam: ParamSet, D: IndexSet, N: int, entry, *, mixed_C=None, zeta
     d, e = ds.removed
     ev_d = mp.mpc(to(fam.etilde("I", d, lam)))
     ev_e = mp.mpc(to(fam.etilde("II", e, lam)))
-    if mixed_C is None:
-        raise ValueError("case (3) prediction needs the calibrated mixed constant")
-    hr = mp.mpc(mixed_C) ** 2 / _guard((EN - ev_d) * (EN - ev_e))
-    base = hr * _case3_product(lam, D, d, e, ds.j, ds.k)
-    return base * (mp.mpc(1) if zeta is None else mp.mpc(zeta))
+    C = mixed_constant(lam, (D.M1 - 1, D.M2 - 1))
+    hr = C ** 2 / _guard((EN - ev_d) * (EN - ev_e))
+    return hr * _case3_product(lam, D, d, e, ds.j, ds.k) * zeta_constant(lam, D.counts)
 
 
-_ZETA = {}
-
-
-def zeta_constant(lam: ParamSet, counts, bits: int = 256):
-    """Fitted count-pair constant for case (3), cached per parameter set.
-
-    Fit once on the first case-(3) entry of the canonical instance of the
-    class; every other case-(3) entry anywhere then genuinely tests the
-    conjecture against the cached value.
-    """
-    key = (lam.digest(), counts, bits)
-    if key in _ZETA:
-        return _ZETA[key]
-    from .dortho import verify_orthogonality
-    from .identities import mixed_constant
-    D = reference_index_set(counts)
-    rep = verify_orthogonality(lam, D, 2, bits, check_pa=False)
-    C = mixed_constant(lam, (counts[0] - 1, counts[1] - 1), bits)
-    basis = rep.extras["basis"]
-    for a, entry in enumerate(basis.entries):
-        if entry.case == 3:
-            raw = predicted_k(lam, D, 2, entry, mixed_C=C)
-            _ZETA[key] = rep.k[a] / raw
-            return _ZETA[key]
-    raise RuntimeError("reference instance has no case-(3) entry")
-
-
-def compare(lam: ParamSet, D: IndexSet, N: int, report, bits: int = 256) -> ConjectureResult:
+def compare(lam: ParamSet, D: IndexSet, N: int, report) -> ConjectureResult:
     """Measured k_a from a verified OrthoReport against the closed forms."""
-    from .identities import mixed_constant
     basis = report.extras["basis"]
-    C = None
-    zeta = None
+    C = zeta = None
     if D.M1 >= 1 and D.M2 >= 1:
-        C = mixed_constant(lam, (D.M1 - 1, D.M2 - 1), bits)
-        zeta = zeta_constant(lam, D.counts, bits)
+        C = mixed_constant(lam, (D.M1 - 1, D.M2 - 1))
+        zeta = zeta_constant(lam, D.counts)
     entries = []
     for a, entry in enumerate(basis.entries):
-        pred = predicted_k(lam, D, N, entry, mixed_C=C, zeta=zeta)
+        pred = predicted_k(lam, D, N, entry)
         meas = report.k[a]
         rel = abs(meas - pred) / max(abs(pred), abs(meas))
         entries.append(ConjectureEntry(entry.origin, entry.case, pred, meas, rel))

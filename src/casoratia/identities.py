@@ -2,7 +2,7 @@
 
 Covers the sinusoidal-coordinate identity, the two forward/backward relations
 between multi-indexed polynomials with one or two extra virtual states (whose
-mixed-type constant doubles as the alpha-product calibration), the
+mixed-type constant has the closed form mixed_constant), the
 prefactor-ratio intermediate identity, classical discrete orthogonality of the
 base families, and the slow-path partial-fraction quadrature (the negative
 control: the naive integral does not vanish once D is nonempty).
@@ -18,7 +18,7 @@ import mpmath as mp
 from .dortho import zero_grid_gram
 from .families import ParamSet
 from .miop import (IndexSet, apply_htilde, build_miop, get_builder, htilde_frame,
-                   reference_index_set, xi_half_shifts, PoleAtSample)
+                   xi_half_shifts, PoleAtSample)
 from .numkernel import MPScalars, workbits
 from .polycore import Poly
 from .zeros import find_zeros
@@ -136,8 +136,8 @@ def _chain_pairs(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int, count: int
     and constant is None.  Mixed types, with D3 = D + d' + d'':
         lhs = C (Xi_D ratio sum over Xi_D3) P_{D3,n},
         rhs = (H~_{D3} + E_n - Et' - Et'') P_{D,n},
-    where C is solved from the first pair when not supplied (that solve is the
-    alpha-product calibration).
+    where C is solved from the first pair when not supplied (the tests hold that
+    solve against the closed form mixed_constant).
     """
     fam = lam.fam
     b = get_builder(lam, bits)
@@ -227,29 +227,27 @@ def chain_identity_exact(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int) ->
             "constant": constant}
 
 
-_MIXED_CONST = {}
+def type_pair(lam: ParamSet):
+    """The type-I and type-II parameter pairs, each combined into one scalar:
+    (a1 + a3, a2 + a4) for cH, (a1 + a2, a3 + a4) for W, (a1 a2, a3 a4) for AW."""
+    a1, a2, a3, a4 = (mp.mpc(lam.scalars.to_mpc(x)) for x in lam.a)
+    if lam.family == "ch":
+        return a1 + a3, a2 + a4
+    if lam.family == "w":
+        return a1 + a2, a3 + a4
+    return a1 * a2, a3 * a4
 
 
-def mixed_constant(lam: ParamSet, counts, bits: int = 256):
-    """C with C * (Xi-ratio sum) * P_{D''',n} = (H~ + E_n - Et' - Et'') P_{D,n}.
-
-    Calibrated on the canonical instance of the class (counts = counts of the
-    smaller D) and gated for stability across n and a second instance.
-    """
-    key = (lam.digest(), counts, bits)
-    if key in _MIXED_CONST:
-        return _MIXED_CONST[key]
+def mixed_constant(lam: ParamSet, counts):
+    """C with C * (Xi-ratio sum) * P_{D''',n} = (H~ + E_n - Et' - Et'') P_{D,n}: a
+    closed form in (s1, s2) or (A, B) from type_pair and the type counts (m1, m2)
+    of D alone, whatever d', d'' and n."""
     m1, m2 = counts
-    D0 = reference_index_set(counts)
-    r0 = check_chain_identity(lam, D0, (m1, "I"), (m2, "II"), 0, samples=6, bits=bits)
-    c = r0["constant"]
-    r1 = check_chain_identity(lam, D0, (m1, "I"), (m2, "II"), 1, samples=6, bits=bits, constant=c)
-    tol = mp.mpf(2) ** (-bits // 2)
-    if r0["max_residual"] > tol or r1["max_residual"] > tol:
-        raise PoleAtSample(
-            f"mixed-constant calibration unstable: {r0['max_residual']}, {r1['max_residual']}")
-    _MIXED_CONST[key] = c
-    return c
+    s1, s2 = type_pair(lam)
+    if lam.family in ("ch", "w"):
+        return (s1 - 1 - m1) * (s2 - 1 - m2)
+    q = mp.mpc(lam.scalars.to_mpc(lam.q))
+    return q ** (mp.mpf(1 + m1 + m2) / 2) * (1 - s1 * q ** (-1 - m1)) * (1 - s2 * q ** (-1 - m2))
 
 
 # -- prefactor-ratio intermediate identity ------------------------------------------------

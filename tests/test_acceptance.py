@@ -24,7 +24,7 @@ from casoratia.exact import QQi
 from casoratia.families import FAMILIES, draw_params, params_from_values
 from casoratia.identities import (check_prefactor_ratio_identity, check_eta_identity,
                                   check_chain_identity, classical_discrete_ortho,
-                                  eta_identity_residual,
+                                  eta_identity_residual, mixed_constant,
                                   partial_fraction_integral_check, chain_identity_exact)
 from casoratia.miop import IndexSet, build_miop, hermiticity_check
 from casoratia.numkernel import workbits
@@ -160,25 +160,27 @@ def test_criterion_05_conjecture_grid():
             key = (tag, mode, lam.digest(), D.counts)
             zetas.setdefault(key, set()).add(mp.nstr(mp.mpc(conj.zeta), 40))
     for key, vals in zetas.items():
-        assert len(vals) == 1, f"fitted constant drifted for {key}"
-    # refit stability: an independent instance must reproduce the cached zeta
+        assert len(vals) == 1, f"count-pair constant drifted for {key}"
+    # refit on an independent instance: zeta fitted from the measured k_a, with C
+    # solved from the chain identity, must reproduce the closed form
     with workbits(288):
         for tag in TAGS:
             lam = draw_params(tag, "physical", seed=1)
             z = mp.mpc(zeta_constant(lam, (1, 1)))
+            C = check_chain_identity(lam, IndexSet.make([]), (0, "I"), (0, "II"), 0,
+                                     samples=6)["constant"]
             D = IndexSet.make([(1, "I"), (2, "II")])
             rep = verify_orthogonality(lam, D, 2, check_pa=False)
             basis = rep.extras["basis"]
-            from casoratia.identities import mixed_constant
-            C = mixed_constant(lam, (0, 0))
             for a, entry in enumerate(basis.entries):
                 if entry.case == 3:
-                    raw = predicted_k(lam, D, 2, entry, mixed_C=C)
+                    raw = predicted_k(lam, D, 2, entry) / z
+                    raw *= (C / mixed_constant(lam, (0, 0))) ** 2
                     refit = rep.k[a] / raw
                     assert abs(refit - z) <= mp.mpf("1e-20") * abs(z)
     assert worst <= mp.mpf("1e-20")
     _passline(5, "conjecture", f"worst rel err {mp.nstr(worst, 3)}; "
-              f"{len(zetas)} fitted count-pair constants, all stable")
+              f"{len(zetas)} closed-form count-pair constants, all stable and refit")
 
 
 @pytest.mark.acceptance

@@ -137,9 +137,11 @@ def test_identities_exact_chain(tmp_path):
 
 
 def test_verify_rejects_large_index_sets():
+    """M > 3 is a usage error (the case-(3) closed forms cover M <= 3), not a degeneracy."""
     r = run(["verify", "--family", "w", "--dI", "0,1,2,3", "--N", "2"])
-    assert r.returncode == 3
-    assert "out of scope" in r.stderr
+    assert r.returncode == 2
+    assert "out of scope" in r.stderr and r.stderr.count("error:") == 1
+    assert "Traceback" not in r.stderr
 
 
 def test_flags_a_command_does_not_read_are_rejected(tmp_path):
@@ -215,6 +217,14 @@ def test_prec_below_64_rejected():
     (["sweep", "--dmax", "-1"], "argument --dmax: must be >= 0"),
     (["sweep", "--N-max", "1"], "argument --N-max: must be >= 2"),
     (["sweep", "--dmax", "0", "--M", "1"], "the sweep grid is empty"),
+    (["sweep", "--families", "x"], "argument --families: want distinct names"),
+    (["sweep", "--families", "ch,ch"], "argument --families: want distinct names"),
+    (["sweep", "--modes", "bogus"], "argument --modes: want distinct names"),
+    (["verify", "--family", "w", "--dI", "0,1", "--dII", "0,1"], "more than 3 entries"),
+    (["roots", "--family", "aw", "--dI", "0,1,2,3"], "more than 3 entries"),
+    (["construct", "--family", "ch", "--dII", "0,1,2,3"], "more than 3 entries"),
+    (["identities", "--family", "w", "--chain", "--dI", "1,2", "--dII", "1,2"],
+     "more than 3 entries"),
 ])
 def test_contradictory_flags_are_usage_errors(argv, message, monkeypatch, capsys):
     """Flag values no command can run are usage errors before any work: exit 2, one

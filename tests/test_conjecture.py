@@ -3,10 +3,11 @@
 import mpmath as mp
 import pytest
 
-from casoratia.conjecture import compare, predicted_k, zeta_constant
+from casoratia.conjecture import FormulaSingular, compare, predicted_k, zeta_constant
 from casoratia.dortho import verify_orthogonality
 from casoratia.families import FAMILIES, draw_params
-from casoratia.miop import IndexSet, h_ratio
+from casoratia.identities import check_chain_identity, mixed_constant
+from casoratia.miop import IndexSet, h_ratio, reference_index_set
 from casoratia.numkernel import workbits
 
 TAGS = ["ch", "w", "aw"]
@@ -49,7 +50,7 @@ def test_case0_formula_spotcheck():
 
 
 def test_case3_zeta_stability_across_instances():
-    """The fitted count-pair constant reconciles other D and N in the class."""
+    """The closed-form count-pair constant reconciles other D and N in the class."""
     with workbits(288):
         lam = draw_params("aw", "physical", seed=13)
         z1 = zeta_constant(lam, (1, 1))
@@ -72,11 +73,63 @@ def test_predicted_invariant_under_input_order():
         rep = verify_orthogonality(lam, D1, 2, check_pa=False)
         basis = rep.extras["basis"]
         entry = basis.entries[0]
-        from casoratia.identities import mixed_constant
-        C = mixed_constant(lam, (0, 0))
-        k1 = predicted_k(lam, D1, 2, entry, mixed_C=C, zeta=1)
-        k2 = predicted_k(lam, D2, 2, entry, mixed_C=C, zeta=1)
+        k1 = predicted_k(lam, D1, 2, entry)
+        k2 = predicted_k(lam, D2, 2, entry)
         assert k1 == k2
+
+
+def fitted_zeta(lam, counts):
+    """zeta fitted from the measured k_a of the first case-(3) entry on the reference
+    instance of the class, with C solved from the chain identity: the calibration the
+    closed forms replaced, kept as their oracle."""
+    D = reference_index_set(counts)
+    rep = verify_orthogonality(lam, D, 2, check_pa=False)
+    m1, m2 = counts[0] - 1, counts[1] - 1
+    C = check_chain_identity(lam, reference_index_set((m1, m2)), (m1, "I"), (m2, "II"), 0,
+                             samples=6)["constant"]
+    for a, entry in enumerate(rep.extras["basis"].entries):
+        if entry.case == 3:
+            # predicted_k with zeta = 1 and the chain-identity C in place of the closed form
+            raw = predicted_k(lam, D, 2, entry) / zeta_constant(lam, counts)
+            raw *= (C / mixed_constant(lam, (m1, m2))) ** 2
+            return rep.k[a] / raw
+    raise AssertionError("reference instance has no case-(3) entry")
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("mode", ["physical", "generic"])
+def test_zeta_closed_form_matches_the_fit(tag, mode):
+    """The closed-form zeta equals zeta fitted from k_a, on every mixed count pair the
+    CLI accepts (M <= 3), on a draw the forms were not derived from."""
+    with workbits(288):
+        lam = draw_params(tag, mode, seed=6)
+        for counts in ((1, 1), (2, 1), (1, 2)):
+            z = mp.mpc(zeta_constant(lam, counts))
+            fit = fitted_zeta(lam, counts)
+            assert abs(fit - z) <= TOL * abs(z), (counts, mp.nstr(abs(fit - z) / abs(z), 3))
+
+
+def test_compare_runs_no_second_pass(monkeypatch):
+    """compare predicts case (3) from closed forms alone: no orthogonality pass and no
+    chain identity beyond the report it is given.  Pairs outside the table are
+    singular, never fitted."""
+    from casoratia import dortho, identities
+
+    with workbits(288):
+        lam = draw_params("w", "generic", seed=13)
+        D = IndexSet.make([(1, "I"), (1, "II")])
+        rep = verify_orthogonality(lam, D, 2, check_pa=False)
+
+        def no_pass(*_, **__):
+            raise AssertionError("compare must not run a second pass")
+
+        monkeypatch.setattr(dortho, "verify_orthogonality", no_pass)
+        monkeypatch.setattr(identities, "check_chain_identity", no_pass)
+        res = compare(lam, D, 2, rep)
+        assert res.max_rel_err <= TOL and res.zeta is not None and res.mixed_C is not None
+        assert any(e.case == 3 for e in res.entries)
+        with pytest.raises(FormulaSingular):
+            zeta_constant(lam, (2, 2))
 
 
 @pytest.mark.parametrize("tag", TAGS)

@@ -154,8 +154,8 @@ def test_params_file_roundtrip(tmp_path):
 
 
 def test_digest_separates_draws_that_differ_past_digit_60():
-    """Two 256-bit draws equal to 60 digits get different digests, so the _BUILDERS,
-    _ZETA and _MIXED_CONST keys, which start with the digest, differ too."""
+    """Two 256-bit draws equal to 60 digits get different digests, so the _BUILDERS
+    keys, which start with the digest, differ too."""
     from casoratia.miop import get_builder
 
     with workbits(288):

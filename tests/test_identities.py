@@ -48,10 +48,15 @@ def test_chain_identity_same_and_mixed(tag):
         assert r["case"] == "same-type" and r["max_residual"] <= tol
         r = check_chain_identity(lam, D, (2, "I"), (1, "II"), 1, samples=10)
         assert r["case"] == "mixed-type" and r["max_residual"] <= tol
-        # mixed constant is n-independent (solved at n = 0, reused at n = 2)
-        c = mixed_constant(lam, (1, 0))
-        r = check_chain_identity(lam, D, (2, "I"), (0, "II"), 2, samples=8, constant=c)
-        assert r["max_residual"] <= tol
+        # the closed-form mixed constant holds for every type-count class (m1, m2) of
+        # D, whatever d', d'' and n
+        for D, dp, dpp, n in ((IndexSet.make([]), (1, "I"), (0, "II"), 1),
+                              (IndexSet.make([(1, "I")]), (2, "I"), (0, "II"), 2),
+                              (IndexSet.make([(1, "II")]), (0, "I"), (2, "II"), 1),
+                              (IndexSet.make([(1, "I"), (0, "II")]), (0, "I"), (2, "II"), 0)):
+            c = mixed_constant(lam, D.counts)
+            r = check_chain_identity(lam, D, dp, dpp, n, samples=8, constant=c)
+            assert r["max_residual"] <= tol, (D.counts, r["max_residual"])
 
 
 def test_chain_identity_invariant_under_reordering():
