@@ -65,14 +65,8 @@ def _load_params(args) -> ParamSet:
         with open(args.params) as fh:
             doc = json.load(fh)
         fam = doc["family"]
-        if args.family and args.family != fam:
-            raise SystemExit("--family disagrees with the params file")
         return params_from_values(fam, doc["a"], doc.get("q"), doc.get("mode", "physical"),
                                   backend=args.backend, bits=args.prec)
-    if not args.family:
-        raise SystemExit("need --family (or --params FILE)")
-    if args.backend == "exact":
-        raise SystemExit("exact backend needs --params with rational values")
     return draw_params(args.family, args.mode, args.seed, bits=args.prec)
 
 
@@ -466,10 +460,27 @@ def _usage_error(args) -> str | None:
         return None if _sweep_jobs(args) else (
             "the sweep grid is empty: no index set with d_j <= --dmax and M <= --M "
             "has ell_D >= 1 (even for cH in physical mode)")
+    if args.params:
+        try:
+            with open(args.params) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            return f"--params: cannot read a JSON parameter file: {exc}"
+        family = doc.get("family") if isinstance(doc, dict) else None
+        if family not in FAMILIES:
+            return f"--params: family must be one of {', '.join(FAMILIES)}, got {family!r}"
+        if args.family and args.family != family:
+            return "--family disagrees with the params file"
+    elif not args.family:
+        return "need --family (or --params FILE)"
+    elif args.backend == "exact":
+        return "exact backend needs --params with rational values"
     D = [(d, "I") for d in args.dI] + [(d, "II") for d in args.dII]
     if len(D) > 3:
         # the case-(3) constant zeta has closed forms for the mixed counts of M <= 3
         return "index sets with more than 3 entries (--dI and --dII together) are out of scope"
+    if args.command == "roots" and _index_set(args).ell + args.N < 1:
+        return "roots needs deg P_{D,N} = ell_D + N >= 1"
     if args.command != "identities":
         return None
     dp, dpp = (args.dprime, args.tprime), (args.dprime2, args.tprime2)
@@ -511,7 +522,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid of instances, aggregate CSV")
     p.add_argument("--prec", type=_prec, default=DEFAULT_BITS)
     p.add_argument("--out")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--families", type=_names(FAMILIES), default=list(FAMILIES))
     p.add_argument("--modes", type=_names(MODES), default=list(MODES))
     p.add_argument("--draws", type=_at_least(1), default=1)

@@ -18,6 +18,7 @@ from .numkernel import HELD_OUT
 from .polycore import last_column_cofactors, solve_dense
 
 _F1 = Fraction(1)
+_MAG_ZERO, _MAG_ONE = mp.mpf(0), mp.mpf(1)
 
 IntoFraction = Union[int, Fraction]
 
@@ -236,17 +237,19 @@ class SqrtExt:
 class ExactScalars:
     """Scalar backend over Q(i) (q=None) or Q(i, sqrt(q)).
 
-    Mirrors the construction hooks of ``numkernel.MPScalars``: every pivot,
-    trim, residual gate and pole test here asks for an exact zero, an
-    interpolation solves through exactly as many nodes as there are unknowns,
-    and Horner evaluation and the Casoratian cofactors are the generic
-    routines in exact arithmetic.
+    Answers the questions of ``numkernel.MPScalars``: an interpolation solves
+    through exactly as many nodes as there are unknowns, Horner evaluation and
+    the Casoratian cofactors are the generic routines in exact arithmetic, and
+    ``magnitude`` is the trivial absolute value (0 for an exact zero, 1
+    otherwise) with a trim threshold of 0.  Every gate tolerance is below 1,
+    so each gate written on ``magnitude`` passes here only on an exact zero.
     """
 
     name = "exact"
 
     def __init__(self, q: Fraction | None = None):
         self.q = Fraction(q) if q is not None else None
+        self.trim_threshold = 0   # Poly.trim drops exact zeros only
 
     def at_bits(self, bits: int) -> "ExactScalars":
         """Exact arithmetic has no working precision: the backend itself."""
@@ -328,7 +331,10 @@ class ExactScalars:
     def is_zero(x) -> bool:
         return x.is_zero()
 
-    skippable = is_zero  # exact zero factors contribute nothing
+    @staticmethod
+    def magnitude(x) -> mp.mpf:
+        """The trivial absolute value: 0 for an exact zero, 1 otherwise."""
+        return _MAG_ZERO if x.is_zero() else _MAG_ONE
 
     @staticmethod
     def conj(x):
@@ -337,47 +343,6 @@ class ExactScalars:
     @staticmethod
     def to_mpc(x) -> mp.mpc:
         return x.to_mpc()
-
-    # -- elimination and trimming ------------------------------------------------
-
-    @staticmethod
-    def pivot_row(a, col: int):
-        """First row r >= col with a nonzero a[r][col], None if all vanish."""
-        return next((r for r in range(col, len(a)) if not a[r][col].is_zero()), None)
-
-    @staticmethod
-    def scale(coeffs) -> mp.mpf:
-        """1 for a nonzero coefficient list, 0 otherwise."""
-        return mp.mpf(0) if all(c.is_zero() for c in coeffs) else mp.mpf(1)
-
-    @staticmethod
-    def trim(coeffs):
-        while len(coeffs) > 1 and coeffs[-1].is_zero():
-            coeffs = coeffs[:-1]
-        return coeffs
-
-    # -- gates -------------------------------------------------------------------
-
-    @staticmethod
-    def nonvanishing(values, bits: int):
-        return [not v.is_zero() for v in values]
-
-    @staticmethod
-    def vanishes(x, bound) -> bool:
-        return x.is_zero()
-
-    @staticmethod
-    def held_out_residual(pred, val, eta, deg: int, scale, tol):
-        return _exact_gap(pred - val), mp.mpf(0)
-
-    @staticmethod
-    def defect(d, scale) -> mp.mpf:
-        return _exact_gap(d)
-
-
-def _exact_gap(d) -> mp.mpf:
-    """0 for an exact zero, infinity otherwise: exact gates pass only on equality."""
-    return mp.mpf(0) if d.is_zero() else mp.inf
 
 
 def fraction_from_decimal(s: str) -> Fraction:

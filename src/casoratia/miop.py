@@ -220,9 +220,6 @@ class Builder:
 
     # .. nodes / fitting .........................................................
 
-    def _tolerance(self) -> mp.mpf:
-        return mp.mpf(2) ** (-self.bits + 48)
-
     def _nodes(self, fit: int, salt: str, R: int, kinds, ref_cols):
         """Extraction nodes (fit of them, then HELD_OUT), their frames and the reference
         detPoly(ref_cols) there, at the first rotation where no reference value vanishes."""
@@ -232,23 +229,29 @@ class Builder:
                                            salt + "|" + self.lam.digest(), attempt)
             frames = self.frames(us, R, kinds)
             refs = self.det_values(ref_cols, us, frames)
-            if all(sc.nonvanishing(refs, self.bits)):
+            if not _vanishing(sc, refs, self.bits):
                 return us, etas, frames, refs
         raise DegenerateIndexSet(f"reference Casoratian vanished at {ROTATIONS} node rotations")
 
-    def _fit_held_out(self, etas, vals, coeffs, deg: int) -> Poly:
-        """The eta polynomial of degree deg from the fit nodes; gate the HELD_OUT last ones."""
-        sc = self.sc
-        fit = len(etas) - HELD_OUT
-        poly = Poly(coeffs(vals[:fit], deg), sc)
-        scale = sc.scale(poly.coeffs)
-        if scale == 0:
-            raise DegenerateIndexSet("zero Casoratian polynomial part")
-        for e, v in zip(etas[fit:], vals[fit:]):
-            err, lim = sc.held_out_residual(poly(e), v, e, deg, scale, self._tolerance())
+    def _held_out_gate(self, what: str, rows, deg: int, height) -> None:
+        """PrefactorResidue unless |pred - val| <= tol max(|val|, height max(1, |eta|)^deg),
+        tol = 2^(48 - bits), for every held-out (eta, pred, val) in rows."""
+        mag, tol = self.sc.magnitude, mp.mpf(2) ** (-self.bits + 48)
+        for e, pred, val in rows:
+            err = mag(pred - val)
+            lim = tol * max(mag(val), height * max(1, mag(e)) ** deg)
             if err > lim:
                 raise PrefactorResidue(
-                    f"extraction held-out residual {mp.nstr(err, 5)} exceeds {mp.nstr(lim, 5)}")
+                    f"{what} held-out residual {mp.nstr(err, 5)} exceeds {mp.nstr(lim, 5)}")
+
+    def _fit_held_out(self, etas, vals, coeffs, deg: int) -> Poly:
+        """The eta polynomial of degree deg from the fit nodes; gate the HELD_OUT last ones."""
+        fit = len(etas) - HELD_OUT
+        poly = Poly(coeffs(vals[:fit], deg), self.sc)
+        if poly.height == 0:
+            raise DegenerateIndexSet("zero Casoratian polynomial part")
+        self._held_out_gate("extraction", [(e, poly(e), v) for e, v in zip(etas[fit:], vals[fit:])],
+                            deg, poly.height)
         return poly
 
     def _extract(self, cols, deg: int, ref_cols, ref_poly: Poly, salt: str) -> Poly:
@@ -295,12 +298,8 @@ class Builder:
         sol = solve_dense(rows, [a_s * e ** dB for e, a_s, _ in fit], sc)
         xi0 = Poly(list(sol[dA + 1:]) + [sc.one], sc)
         a_poly = Poly(sol[: dA + 1], sc)
-        for e, a_s, b_s in list(zip(etas, v1, v0))[nunk:]:
-            err, lim = sc.held_out_residual(b_s * a_poly(e), a_s * xi0(e), e, 0, 0,
-                                            self._tolerance())
-            if err > lim:
-                raise PrefactorResidue(
-                    f"pairing held-out residual {mp.nstr(err, 5)} exceeds {mp.nstr(lim, 5)}")
+        self._held_out_gate("pairing", [(e, b_s * a_poly(e), a_s * xi0(e))
+                                        for e, a_s, b_s in list(zip(etas, v1, v0))[nunk:]], 0, 0)
         return xi0
 
     def shift_builder(self) -> "Builder":
@@ -367,6 +366,13 @@ class Builder:
                 f"deg P_D,n = {poly.degree} but ell_D + n = {D.ell + n} for D = {D}")
         self._p_cache[key] = poly
         return poly
+
+
+def _vanishing(sc, values, bits: int) -> bool:
+    """Whether some value is at most 2^(-bits/2) times the median magnitude."""
+    mags = [sc.magnitude(v) for v in values]
+    floor = sorted(mags)[len(mags) // 2] * mp.mpf(2) ** (-bits // 2)
+    return any(m <= floor for m in mags)
 
 
 def _xi_cols(D: IndexSet):
@@ -440,10 +446,10 @@ def xi_half_shifts(bundle: "MiopBundle", u):
     """eta and Xi_D at x -+ i gamma/2 of the sample argument u: (eta_mh, eta_ph, xi_mh,
     xi_ph); PoleAtSample when Xi_D nearly vanishes at either point."""
     lam = bundle.lam
-    fam, sc = lam.fam, lam.scalars
+    fam, mag = lam.fam, lam.scalars.magnitude
     eta_mh, eta_ph = (fam.eta_at(fam.shift_arg(u, t, lam), lam) for t in (-HALF, HALF))
     xi_mh, xi_ph = bundle.xi(eta_mh), bundle.xi(eta_ph)
-    if sc.vanishes(xi_mh, bundle.pole_bounds[0]) or sc.vanishes(xi_ph, bundle.pole_bounds[0]):
+    if min(mag(xi_mh), mag(xi_ph)) < bundle.pole_bounds[0]:
         raise PoleAtSample("Xi_D vanished near sample point")
     return eta_mh, eta_ph, xi_mh, xi_ph
 
@@ -455,7 +461,7 @@ def htilde_frame(builder: Builder, bundle: "MiopBundle", u) -> HtildeFrame:
     eta_m, eta_p = (fam.eta_at(fam.shift_arg(u, t, lam), lam) for t in (-1, 1))
     eta = fam.eta_at(u, lam)
     xi0 = bundle.xi_shift(eta)
-    if sc.vanishes(xi0, bundle.pole_bounds[1]):
+    if sc.magnitude(xi0) < bundle.pole_bounds[1]:
         raise PoleAtSample("Xi_D vanished near sample point")
     return HtildeFrame(
         eta, eta_m, eta_p, eta_mh, eta_ph, xi_mh, xi_ph, xi_ph / xi_mh, xi_mh / xi_ph,
@@ -510,7 +516,7 @@ def build_miop(lam: ParamSet, D: IndexSet, n_max: int = 8, bits: int = 256,
         polys = {n: b.P(D, n, top=n_max) for n in range(n_max + 1)}
         lam_D = shifted_params(lam, D)
         tolerance = mp.mpf(2) ** (-bits // 2)
-        bounds = (tolerance * b.sc.scale(xi.coeffs), tolerance * b.sc.scale(xi_shift.coeffs))
+        bounds = (tolerance * xi.height, tolerance * xi_shift.height)
         bundle = MiopBundle(lam, D, n_max, xi, xi_shift, polys, lam_D, bounds)
         if not check:
             return bundle
@@ -538,16 +544,16 @@ def build_miop(lam: ParamSet, D: IndexSet, n_max: int = 8, bits: int = 256,
 
 def _shape_invariance_defect(bundle: MiopBundle) -> mp.mpf:
     """Coefficient-wise defect of P_{D,0} proportional to Xi_D at lambda+delta."""
-    sc = bundle.lam.scalars
+    mag = bundle.lam.scalars.magnitude
     p0 = bundle.P[0].trim()
     xs = bundle.xi_shift.trim()
     if p0.degree != xs.degree:
         return mp.mpf("inf")
     ratio = p0.lead() / xs.lead()
-    scale = sc.scale(p0.coeffs)
+    height = p0.height
     worst = mp.mpf(0)
     for c_p, c_x in zip(p0.coeffs, xs.coeffs):
-        worst = max(worst, sc.defect(c_p - ratio * c_x, scale))
+        worst = max(worst, mag(c_p - ratio * c_x) / height)
     return worst
 
 

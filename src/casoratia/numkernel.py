@@ -5,7 +5,9 @@ escalation ladder doubles bits when a certificate fails.  Scalars are plain
 ``mpmath.mpc`` values under an active precision context (``workbits``), handled
 by the ``MPScalars`` backend; exact Gaussian-rational scalars from
 :mod:`casoratia.exact` flow through the same generic routines via operator
-overloading and the ``ExactScalars`` backend.
+overloading and the ``ExactScalars`` backend.  Each backend has one absolute
+value, ``magnitude`` (``abs`` here), and every gate of the construction is one
+comparison of magnitudes against its tolerance, written once for both.
 
 The two hot loops of the float backend, Horner evaluation and the cofactors
 of a Casoratian block, run in Gaussian fixed point: Python int pairs holding
@@ -132,19 +134,20 @@ class MPScalars:
     """mpmath scalar backend; elements are mpc under the ambient precision.
 
     Besides the field constants and conversions, this backend and
-    ``exact.ExactScalars`` answer every question on which the construction
-    differs between them: pivot choice and zero skipping in elimination,
-    negligible trailing coefficients, the residual gates, the pole test,
-    sample points and extraction nodes, interpolation, q**t, Horner
-    evaluation and the Casoratian cofactors.  Here each answer is
-    relative to a tolerance and the last two run in fixed point; the exact
-    backend asks for exact zeros and runs the generic routines instead.
+    ``exact.ExactScalars`` answer the questions on which the construction
+    differs between them: sample points and extraction nodes, interpolation,
+    q**t, Horner evaluation, the Casoratian cofactors, and the absolute value
+    ``magnitude`` with the ``trim_threshold`` of ``Poly.trim``.  The pivot
+    choice, trimming and every gate are written once on ``magnitude``, in
+    polycore and miop.  Here ``magnitude`` is ``abs``, the threshold is
+    2^(16 - bits), and Horner and the cofactors run in fixed point.
     """
 
     name = "float"
 
     def __init__(self, bits: int = DEFAULT_BITS):
         self.bits = bits
+        self.trim_threshold = mp.mpf(2) ** (16 - bits)
 
     def at_bits(self, bits: int) -> "MPScalars":
         """This backend at a working precision of bits (trimming follows it)."""
@@ -174,6 +177,8 @@ class MPScalars:
     @staticmethod
     def is_zero(x) -> bool:
         return x == 0
+
+    magnitude = staticmethod(abs)   # the absolute value every gate compares
 
     @staticmethod
     def conj(x):
@@ -304,57 +309,3 @@ class MPScalars:
                 mr, mi = -mr, -mi
             out.append(_to_mpc(mr, mi, exp - rexp[j], prec))
         return out
-
-    # -- elimination and trimming ------------------------------------------------
-
-    @staticmethod
-    def pivot_row(a, col: int):
-        """Row r >= col with the largest |a[r][col]| (partial pivoting), None if all vanish."""
-        best, piv = mp.mpf(-1), None
-        for r in range(col, len(a)):
-            m = abs(a[r][col])
-            if m > best:
-                best, piv = m, r
-        return None if best == 0 else piv
-
-    @staticmethod
-    def skippable(x) -> bool:
-        """Never skip a product: the float path keeps every operation in order."""
-        return False
-
-    @staticmethod
-    def scale(coeffs) -> mp.mpf:
-        """Largest coefficient magnitude, 0 for none."""
-        return max((abs(c) for c in coeffs), default=mp.mpf(0))
-
-    def trim(self, coeffs):
-        """coeffs without trailing entries below 2^(16 - bits) times the largest one."""
-        eps = mp.mpf(2) ** (-self.bits + 16)
-        m = self.scale(coeffs)
-        while len(coeffs) > 1 and abs(coeffs[-1]) <= eps * m:
-            coeffs = coeffs[:-1]
-        return coeffs
-
-    # -- gates -------------------------------------------------------------------
-
-    @staticmethod
-    def nonvanishing(values, bits: int):
-        """Flags: |v| above 2^(-bits/2) times the median magnitude."""
-        mags = sorted(abs(v) for v in values)
-        floor = mags[len(mags) // 2] * mp.mpf(2) ** (-bits // 2)
-        return [abs(v) > floor for v in values]
-
-    @staticmethod
-    def vanishes(x, bound) -> bool:
-        """|x| below bound: too close to a pole to sample."""
-        return abs(x) < bound
-
-    @staticmethod
-    def held_out_residual(pred, val, eta, deg: int, scale, tol):
-        """(|pred - val|, limit): tol relative to |val| and to the fit's size at eta."""
-        return abs(pred - val), tol * max(abs(val), scale * max(1, abs(eta)) ** deg)
-
-    @staticmethod
-    def defect(d, scale) -> mp.mpf:
-        """|d| relative to scale."""
-        return abs(d) / scale

@@ -4,8 +4,9 @@
 solvers (determinant, square solve, least squares) act on scalar matrices.
 Coefficients are mpmath complex numbers (``numkernel.MPScalars``) or exact
 Gaussian rationals, with sqrt(q) adjoined for AW (``exact.ExactScalars``).
-Where the two differ (pivot choice, skipping exact zero factors, what counts
-as a negligible trailing coefficient), the code asks the backend.
+The pivot choice, the coefficient height and what counts as a negligible
+trailing coefficient are written here once, on the backend's absolute value
+``magnitude`` and its ``trim_threshold``; exact zero factors are skipped.
 """
 
 from __future__ import annotations
@@ -30,9 +31,18 @@ class Poly:
 
     # -- structure -------------------------------------------------------------
 
+    @property
+    def height(self):
+        """The largest coefficient magnitude."""
+        return max(map(self.scalars.magnitude, self.coeffs))
+
     def trim(self):
-        """Drop trailing coefficients the backend deems negligible."""
-        return Poly(self.scalars.trim(self.coeffs), self.scalars)
+        """Drop trailing coefficients up to the backend's trim threshold times the height."""
+        sc, cs = self.scalars, self.coeffs
+        floor = sc.trim_threshold * self.height
+        while len(cs) > 1 and sc.magnitude(cs[-1]) <= floor:
+            cs = cs[:-1]
+        return Poly(cs, sc)
 
     @property
     def degree(self) -> int:
@@ -66,7 +76,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         out = [sc.zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if sc.skippable(ai):
+            if sc.is_zero(ai):
                 continue
             for j, bj in enumerate(b):
                 out[i + j] = out[i + j] + ai * bj
@@ -114,20 +124,27 @@ def ladder_points(n: int):
 # -- dense linear algebra over generic scalars ---------------------------------
 
 
+def pivot_row(a, col: int, scalars):
+    """The first row r >= col of largest magnitude in column col, None if that is zero."""
+    mags = [scalars.magnitude(row[col]) for row in a[col:]]
+    best = max(mags)
+    return None if best == 0 else col + mags.index(best)
+
+
 def solve_dense(rows, rhs, scalars):
-    """Solve A x = b by Gaussian elimination with the backend's pivot choice."""
+    """Solve A x = b by Gaussian elimination with partial pivoting (pivot_row)."""
     n = len(rows)
     a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
     one = scalars.one
     for col in range(n):
-        piv = scalars.pivot_row(a, col)
+        piv = pivot_row(a, col, scalars)
         if piv is None:
             raise ZeroDivisionError("singular linear system")
         a[col], a[piv] = a[piv], a[col]
         inv = one / a[col][col]
         for r in range(col + 1, n):
             f = a[r][col] * inv
-            if scalars.skippable(f):
+            if scalars.is_zero(f):
                 continue
             for c in range(col, n + 1):
                 a[r][c] = a[r][c] - f * a[col][c]
@@ -148,7 +165,7 @@ def det_dense(rows, scalars):
     det = one
     sign = 1
     for col in range(n):
-        piv = scalars.pivot_row(a, col)
+        piv = pivot_row(a, col, scalars)
         if piv is None:
             return scalars.zero
         if piv != col:
@@ -158,7 +175,7 @@ def det_dense(rows, scalars):
         inv = one / a[col][col]
         for r in range(col + 1, n):
             f = a[r][col] * inv
-            if scalars.skippable(f):
+            if scalars.is_zero(f):
                 continue
             for c in range(col + 1, n):
                 a[r][c] = a[r][c] - f * a[col][c]

@@ -225,10 +225,25 @@ def test_prec_below_64_rejected():
     (["construct", "--family", "ch", "--dII", "0,1,2,3"], "more than 3 entries"),
     (["identities", "--family", "w", "--chain", "--dI", "1,2", "--dII", "1,2"],
      "more than 3 entries"),
+    (["roots", "--family", "w", "--N", "0"], "roots needs deg P_{D,N} = ell_D + N >= 1"),
+    (["roots", "--family", "w", "--dI", "0", "--N", "0"], "roots needs deg P_{D,N}"),
+    (["roots", "--params", "{tmp}/w.json", "--backend", "exact", "--N", "0"],
+     "roots needs deg P_{D,N}"),
+    (["verify", "--params", "{tmp}/missing.json", "--dI", "1"],
+     "--params: cannot read a JSON parameter file"),
+    (["verify", "--params", "{tmp}/zz.json", "--dI", "1"],
+     "--params: family must be one of ch, w, aw, got 'zz'"),
+    (["verify", "--family", "ch", "--params", "{tmp}/w.json", "--dI", "1"],
+     "--family disagrees with the params file"),
+    (["roots", "--dI", "1", "--N", "2"], "need --family (or --params FILE)"),
+    (["construct", "--family", "w", "--backend", "exact", "--dI", "1"],
+     "exact backend needs --params with rational values"),
+    (["sweep", "--jobs", "0"], "argument --jobs: must be >= 1"),
+    (["sweep", "--jobs", "-3"], "argument --jobs: must be >= 1"),
 ])
-def test_contradictory_flags_are_usage_errors(argv, message, monkeypatch, capsys):
-    """Flag values no command can run are usage errors before any work: exit 2, one
-    message on stderr."""
+def test_contradictory_flags_are_usage_errors(argv, message, monkeypatch, capsys, tmp_path):
+    """Flag values and parameter files no command can run are usage errors before any
+    work: exit 2, one message on stderr."""
     from casoratia import cli
 
     def no_work(*_):
@@ -236,8 +251,11 @@ def test_contradictory_flags_are_usage_errors(argv, message, monkeypatch, capsys
 
     for name in ("_load_params", "_run_jobs"):
         monkeypatch.setattr(cli, name, no_work)
+    a_vals = [["5/2", "0"], ["11/4", "0"], ["9/4", "1/2"], ["9/4", "-1/2"]]
+    for family in ("w", "zz"):
+        (tmp_path / f"{family}.json").write_text(json.dumps({"family": family, "a": a_vals}))
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
+        cli.main([arg.format(tmp=tmp_path) for arg in argv])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err and err.count("error:") == 1

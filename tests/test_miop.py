@@ -337,8 +337,8 @@ def test_P_is_independent_of_call_order():
 
 
 def test_vanishing_reference_takes_the_next_rotation(monkeypatch):
-    """A flagged reference value moves the solve to the next node rotation; after
-    ROTATIONS flagged rotations the index set counts as degenerate.  Both solves
+    """A vanishing reference value moves the solve to the next node rotation; after
+    ROTATIONS such rotations the index set counts as degenerate.  Both solves
     take their nodes this way: an extraction against detPoly_{D0} ({2^I}) and the
     pairing bootstrap of a mixed reference, whose detPoly_{D0} is {0^I, 0^II}'s."""
     for D in (IndexSet.make([(2, "I")]), IndexSet.make([(0, "I"), (0, "II")])):
@@ -346,25 +346,25 @@ def test_vanishing_reference_takes_the_next_rotation(monkeypatch):
             lam = draw_params("w", "generic", seed=41)
             want = Builder(lam).xi(D)
             sc = lam.scalars
-            nodes, flags = sc.extraction_nodes, sc.nonvanishing
+            nodes, vanishing = sc.extraction_nodes, miop._vanishing
             attempts = []
 
             def spy(fam, lam_, fit, salt, attempt):
                 attempts.append(attempt)
                 return nodes(fam, lam_, fit, salt, attempt)
 
-            def flag_first_rotation(values, bits):
-                return [ok and attempts[-1] > 0 for ok in flags(values, bits)]
+            def vanish_at_first_rotation(sc_, values, bits):
+                return attempts[-1] == 0 or vanishing(sc_, values, bits)
 
             patch.setattr(sc, "extraction_nodes", spy)
-            patch.setattr(sc, "nonvanishing", flag_first_rotation)
+            patch.setattr(miop, "_vanishing", vanish_at_first_rotation)
             got = Builder(lam).xi(D)
             assert attempts == [0, 1]
             assert got.degree == want.degree == D.ell
             for c1, c2 in zip(got.coeffs, want.coeffs):
                 assert abs(c1 - c2) <= mp.mpf(2) ** -200 * abs(want.lead())
             attempts.clear()
-            patch.setattr(sc, "nonvanishing", lambda values, bits: [False] * len(values))
+            patch.setattr(miop, "_vanishing", lambda sc_, values, bits: True)
             with pytest.raises(DegenerateIndexSet):
                 Builder(lam).xi(D)
             assert attempts == list(range(miop.ROTATIONS))
@@ -404,6 +404,33 @@ def test_pairing_held_out_gate_fires(tag, monkeypatch):
         lam = draw_params(tag, "generic", seed=5)
         with pytest.raises(PrefactorResidue, match="pairing held-out residual"):
             Builder(lam).xi(D0)
+
+
+@pytest.mark.parametrize("gate", ["extraction", "pairing"])
+def test_exact_held_out_gate_fires(gate, monkeypatch):
+    """On the exact backend one held-out detPoly value off by a relative 10^-100 fails
+    the held-out gate: an exact gate passes on exact equality only.  The extraction
+    gate is Xi_{1^I}'s against the constant Xi_{0^I}, the pairing gate that of the
+    mixed reference {0^I, 0^II}."""
+    if gate == "extraction":
+        D = IndexSet.make([(1, "I")])
+        cols = miop._xi_cols(D)
+    else:
+        D = miop.reference_index_set((1, 1))
+        cols = miop._xi_cols(miop._bumped_reference((1, 1)))
+    lam = params_from_values("w", EXACT_PARAMS["w"][0], mode="physical", backend="exact")
+    assert Builder(lam).xi(D).degree == D.ell
+    det_values = Builder.det_values
+
+    def off_by_1e100(self, cols_, us, frames=None):
+        vals = det_values(self, cols_, us, frames)
+        if list(cols_) == cols:
+            vals[-1] = vals[-1] * (1 + Fraction(1, 10 ** 100))
+        return vals
+
+    monkeypatch.setattr(Builder, "det_values", off_by_1e100)
+    with pytest.raises(PrefactorResidue, match=f"{gate} held-out residual"):
+        Builder(lam).xi(D)
 
 
 def test_eigen_gate_builds_one_frame_set(monkeypatch):

@@ -3,6 +3,7 @@
 import ast
 import pathlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
@@ -10,9 +11,10 @@ import pytest
 import casoratia
 from casoratia.exact import ExactScalars
 from casoratia.families import FAMILIES, draw_params, params_from_values
+from casoratia.miop import Builder, PrefactorResidue, _shape_invariance_defect, _vanishing
 from casoratia.numkernel import MPScalars, workbits
 from casoratia.polycore import (Poly, det_dense, ladder_points, last_column_cofactors,
-                                lstsq_dense, solve_dense)
+                                lstsq_dense, pivot_row, solve_dense)
 
 AW_EXACT = [("1/10", "0"), ("2/15", "0"), ("1/8", "1/16"), ("1/8", "-1/16")]
 
@@ -89,11 +91,13 @@ def test_backend_interface_and_dense_routines(backend):
         with pytest.raises(ZeroDivisionError):
             p.divmod(poly(0))
 
-        # pivot choice and zero skipping
+        # pivot choice on the magnitudes: the largest |x| in floats, the first
+        # nonzero in exact arithmetic; exact zero factors are skipped on both
         col = [[num(0)], [num(1)], [num(-3)]]
-        assert sc.pivot_row(col, 0) == (1 if exact else 2)
-        assert sc.pivot_row([[num(0)], [num(0)]], 0) is None
-        assert sc.skippable(num(0)) is exact and not sc.skippable(num(1))
+        assert pivot_row(col, 0, sc) == (1 if exact else 2)
+        assert pivot_row([[num(0)], [num(0)]], 0, sc) is None
+        assert sc.is_zero(num(0)) and not sc.is_zero(num(1))
+        assert same_poly(poly(0, 1) * poly(0, 0, 3), poly(0, 0, 0, 3))
         # dense routines: the first pivot must move a row
         a = [[num(v) for v in row] for row in ([0, 1, 2], [1, 0, 3], [4, -3, 8])]
         assert same(det_dense(a, sc), num(-2))
@@ -115,16 +119,22 @@ def test_backend_interface_and_dense_routines(backend):
         vals = [poly(1, 2, 1)(e) for e in etas[:5]]
         assert all(map(same, coeffs(vals, 2), [num(1), num(2), num(1)]))
         assert all(map(same, coeffs(vals, 4), [num(1), num(2), num(1), num(0), num(0)]))
-        # magnitude, negligibility and residual gates
+        # the gates, each one comparison of magnitudes: height, the node rotation
+        # test, the pole test, the held-out residual (tolerance 2^-144 at 192 bits)
+        # and the shape defect
         gate = mp.mpf(2) ** -144
-        assert sc.scale([num(0), num(0)]) == 0 and sc.scale([num(0), num(-4)]) > 0
-        assert sc.nonvanishing([num(1), num(0), num(2), num(3)], 192) == [True, False, True, True]
-        assert sc.vanishes(num(0), gate) and not sc.vanishes(num(1), gate)
-        err, lim = sc.held_out_residual(num(5), num(5), num(2), 2, 1, gate)
-        assert err <= lim
-        err, lim = sc.held_out_residual(num(5), num(Fraction(5001, 1000)), num(2), 2, 1, gate)
-        assert err > lim
-        assert sc.defect(num(0), 1) == 0 and sc.defect(num(1), 1) > gate
+        assert poly(0, 0).height == 0 and poly(0, -4).height == (1 if exact else 4)
+        assert _vanishing(sc, [num(1), num(0), num(2), num(3)], 192)
+        assert not _vanishing(sc, [num(1), num(2), num(3)], 192)
+        assert sc.magnitude(num(0)) < gate <= sc.magnitude(num(1))
+        b = Builder(lam, 192)
+        b._held_out_gate("extraction", [(num(2), num(5), num(5))], 2, 1)
+        with pytest.raises(PrefactorResidue, match="extraction held-out residual"):
+            b._held_out_gate("extraction", [(num(2), num(5), num(Fraction(5001, 1000)))], 2, 1)
+
+        def defect(p0, xs):
+            return _shape_invariance_defect(SimpleNamespace(lam=lam, P={0: p0}, xi_shift=xs))
+        assert defect(poly(1, 2), poly(2, 4)) == 0 and defect(poly(1, 2), poly(2, 5)) > gate
         # AW's q**t and the sample points
         half = sc.q_power(Fraction(1, 2), lam.q)
         assert same(half * half, lam.q) and same(sc.q_power(-1, lam.q) * lam.q, sc.one)
@@ -134,12 +144,18 @@ def test_backend_interface_and_dense_routines(backend):
 
 def test_backends_expose_the_same_interface():
     """MPScalars and ExactScalars answer the same questions; only the exact backend
-    has sqrt_q, the adjoined sqrt(q) of Q(i, sqrt(q))."""
+    has sqrt_q, the adjoined sqrt(q) of Q(i, sqrt(q)).  Every gate goes through
+    magnitude and the trim threshold, so neither backend has a gate hook."""
     def public(cls):
         return {n for n in dir(cls) if not n.startswith("_")}
 
-    assert public(ExactScalars) - public(MPScalars) == {"sqrt_q"}
-    assert public(MPScalars) - public(ExactScalars) == set()
+    assert public(MPScalars) == {
+        "name", "at_bits", "zero", "one", "i", "from_int", "from_fraction", "is_zero",
+        "magnitude", "conj", "to_mpc", "q_power", "sample_args", "extraction_nodes",
+        "interpolator", "horner", "cofactors"}
+    assert public(ExactScalars) == public(MPScalars) | {"sqrt_q"}
+    assert MPScalars(100).trim_threshold == mp.mpf(2) ** -84
+    assert ExactScalars().trim_threshold == 0
 
 
 def test_construction_path_has_no_backend_name_test():
