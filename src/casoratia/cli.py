@@ -60,16 +60,6 @@ def _tolerances(bits: int) -> dict:
     }
 
 
-def _load_params(args) -> ParamSet:
-    if args.params:
-        with open(args.params) as fh:
-            doc = json.load(fh)
-        fam = doc["family"]
-        return params_from_values(fam, doc["a"], doc.get("q"), doc.get("mode", "physical"),
-                                  backend=args.backend, bits=args.prec)
-    return draw_params(args.family, args.mode, args.seed, bits=args.prec)
-
-
 def _index_set(args) -> IndexSet:
     return IndexSet.make([(d, "I") for d in args.dI] + [(d, "II") for d in args.dII])
 
@@ -122,7 +112,7 @@ def _verify_once(lam: ParamSet, D: IndexSet, N: int, bits: int, quadrature: bool
         if lam.mode == "physical":
             # informational: hermiticity is sufficient for orthogonality of the
             # deformed system but the zero-grid relations hold without it
-            ok, offenders = hermiticity_check(lam, D, rep.extras["bundle"], bits)
+            ok, offenders = hermiticity_check(rep.extras["bundle"], bits)
             rep.extras["hermitian"] = bool(ok)
             rep.extras["hermiticity_witness"] = len(offenders)
         controls = {}
@@ -167,7 +157,7 @@ def _ladder(lam: ParamSet, D: IndexSet, N: int, prec: int, quadrature: bool):
 
 
 def cmd_verify(args) -> int:
-    lam = _load_params(args)
+    lam = args.lam
     D = _index_set(args)
     N = args.N
     if lam.mode == "physical" and not validate_physical(lam):
@@ -312,7 +302,7 @@ def _run_jobs(jobs, args):
 
 
 def cmd_identities(args) -> int:
-    lam = _load_params(args)
+    lam = args.lam
     out = {"schema_version": 1, "identities": {}}
     ok = True
     with workbits(args.prec + 32):
@@ -360,19 +350,24 @@ def cmd_identities(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+def _construction_exit(exc) -> int:
+    """The exit code of a failed roots/construct build, its reason on stderr."""
+    if isinstance(exc, PrefactorResidue):
+        print(f"construction gate failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    print(f"degenerate instance: {exc}", file=sys.stderr)
+    return EXIT_DEGENERATE
+
+
 def cmd_roots(args) -> int:
-    lam = _load_params(args)
+    lam = args.lam
     D = _index_set(args)
     with workbits(args.prec + 32):
         try:
             bundle = build_miop(lam, D, args.N, args.prec)
             zs = find_zeros(bundle.P[args.N], args.prec, lam.fam)
-        except PrefactorResidue as exc:
-            print(f"construction gate failed: {exc}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-        except DEGENERACY_ERRORS as exc:
-            print(f"degenerate instance: {exc}", file=sys.stderr)
-            return EXIT_DEGENERATE
+        except (PrefactorResidue, *DEGENERACY_ERRORS) as exc:
+            return _construction_exit(exc)
         payload = {
             "schema_version": 1,
             "eta": [num_str(e, args.prec) for e in zs.eta],
@@ -386,7 +381,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    lam = _load_params(args)
+    lam = args.lam
     D = _index_set(args)
     cdir = cache_mod.cache_dir(args.cache)
     key = cache_mod.cache_key(kind="bundle", family=lam.family, params=lam.digest(),
@@ -398,12 +393,8 @@ def cmd_construct(args) -> int:
     with workbits(args.prec + 32):
         try:
             bundle = build_miop(lam, D, args.N, args.prec)
-        except PrefactorResidue as exc:
-            print(f"construction gate failed: {exc}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-        except DEGENERACY_ERRORS as exc:
-            print(f"degenerate instance: {exc}", file=sys.stderr)
-            return EXIT_DEGENERATE
+        except (PrefactorResidue, *DEGENERACY_ERRORS) as exc:
+            return _construction_exit(exc)
         payload = {
             "schema_version": 1,
             "xi": poly_json(bundle.xi, args.prec),
@@ -455,7 +446,8 @@ def _names(allowed):
 
 
 def _usage_error(args) -> str | None:
-    """The message for flag values no run can use, else None."""
+    """The message for flag values no run can use, else None.  Otherwise, for every
+    command but sweep, args.lam is the instance's ParamSet, built here once."""
     if args.command == "sweep":
         return None if _sweep_jobs(args) else (
             "the sweep grid is empty: no index set with d_j <= --dmax and M <= --M "
@@ -471,10 +463,20 @@ def _usage_error(args) -> str | None:
             return f"--params: family must be one of {', '.join(FAMILIES)}, got {family!r}"
         if args.family and args.family != family:
             return "--family disagrees with the params file"
+        if "a" not in doc:
+            return "--params: no parameter list \"a\""
+        try:
+            args.lam = params_from_values(family, doc["a"], doc.get("q"),
+                                          doc.get("mode", "physical"),
+                                          backend=args.backend, bits=args.prec)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            return f"--params: bad parameter values: {exc}"
     elif not args.family:
         return "need --family (or --params FILE)"
     elif args.backend == "exact":
         return "exact backend needs --params with rational values"
+    else:
+        args.lam = draw_params(args.family, args.mode, args.seed, bits=args.prec)
     D = [(d, "I") for d in args.dI] + [(d, "II") for d in args.dII]
     if len(D) > 3:
         # the case-(3) constant zeta has closed forms for the mixed counts of M <= 3

@@ -14,12 +14,12 @@ entry.  A zero Pochhammer denominator raises FormulaSingular, a degeneracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 
 from .families import ParamSet
-from .identities import mixed_constant, type_pair
+from .identities import mixed_constant
 from .miop import IndexSet, h_ratio
 from .numkernel import pochhammer as poch, q_pochhammer as qpoch
 
@@ -43,37 +43,10 @@ class ConjectureResult:
     max_rel_err: mp.mpf
     zeta: mp.mpc | None      # closed-form count-pair constant (mixed D only)
     mixed_C: mp.mpc | None   # closed-form mixed-identity constant (mixed D only)
-    extras: dict = field(default_factory=dict)
 
 
-class _View:
-    """Family parameters with the primary/secondary type roles possibly swapped."""
-
-    def __init__(self, lam: ParamSet, D: IndexSet, swap: bool):
-        a = [mp.mpc(lam.scalars.to_mpc(x)) for x in lam.a]
-        self.q = mp.mpc(lam.scalars.to_mpc(lam.q)) if lam.q is not None else None
-        self.family = lam.family
-        if not swap:
-            self.a = a
-            self.primary = list(D.d1)
-            self.secondary = list(D.d2)
-        elif lam.family == "ch":
-            self.a = [a[1], a[0], a[3], a[2]]
-            self.primary = list(D.d2)
-            self.secondary = list(D.d1)
-        else:
-            self.a = [a[2], a[3], a[0], a[1]]
-            self.primary = list(D.d2)
-            self.secondary = list(D.d1)
-
-    @property
-    def bprime(self):
-        a = self.a
-        if self.family == "ch":
-            return a[0] + a[2] - a[1] - a[3]
-        if self.family == "w":
-            return a[0] + a[1] - a[2] - a[3]
-        return a[0] * a[1] / (a[2] * a[3])
+def _mpc_a(lam: ParamSet) -> list:
+    return [mp.mpc(lam.scalars.to_mpc(x)) for x in lam.a]
 
 
 def _guard(x):
@@ -83,7 +56,7 @@ def _guard(x):
 
 
 def _case0_const(lam: ParamSet, N: int):
-    a = [mp.mpc(lam.scalars.to_mpc(x)) for x in lam.a]
+    a = _mpc_a(lam)
     if lam.family in ("ch", "w"):
         b1 = sum(a)
         return 1 / _guard(2 * (b1 + 2 * N - 1))
@@ -92,42 +65,44 @@ def _case0_const(lam: ParamSet, N: int):
     return q ** (N + 1) / _guard((1 - q ** 2) * (1 - b4 * q ** (2 * N - 1)))
 
 
-def _case12_members(val, v: _View, d: int, eps: int, j: int, bp):
-    """val times the cH/W case-(1) factors of the other members of the view's D."""
-    for i, di in enumerate(v.primary, start=1):
+def _case12_members(val, own, other, d: int, eps: int, j: int, bp):
+    """val times the cH/W case-(1) factors of the other members of D: own are the
+    degrees of the removed entry's type, other those of the other type."""
+    for i, di in enumerate(own, start=1):
         if i == j:
             continue
         val *= mp.mpf(di - eps) / _guard(mp.mpf(di - d))
         val *= (-bp + di + eps + 1) / _guard(-bp + di + d + 1)
-    for ei in v.secondary:
+    for ei in other:
         val *= mp.mpf(ei + eps + 1) / (ei + d + 1)
         val *= (bp + ei - eps) / _guard(bp + ei - d)
     return val
 
 
-def _case12_product(v: _View, d: int, eps: int, j: int):
-    """The case-(1) closed-form product (case (2) goes through the swapped view)."""
+def _case12_product(lam: ParamSet, own, other, d: int, eps: int, j: int):
+    """The case-(1) closed-form product; case (2) is this on swap_types(a) with own
+    and other exchanged."""
     delta = d - eps
-    a1, a2, a3, a4 = v.a
-    if v.family == "ch":
-        bp = v.bprime
+    a = _mpc_a(lam)
+    a1, a2, a3, a4 = a
+    s1, s2 = lam.fam.type_pair(a)   # (A, B) for AW
+    bp = lam.fam.bprime(a)
+    if lam.family == "ch":
         val = poch(mp.mpc(eps + 1), delta) / 2
-        val /= _guard(poch(a1 + a3 - d - 1, delta) * poch(a2 + a4 + eps, delta))
+        val /= _guard(poch(s1 - d - 1, delta) * poch(s2 + eps, delta))
         val /= _guard(poch(a1 - a2 - d, delta) * poch(a3 - a4 - d, delta))
         val *= poch(bp - d, delta) / _guard(-bp + 1 + 2 * eps)
-        return _case12_members(val, v, d, eps, j, bp)
-    if v.family == "w":
-        bp = v.bprime
+        return _case12_members(val, own, other, d, eps, j, bp)
+    if lam.family == "w":
         val = 1 / _guard(2 * poch(mp.mpc(eps + 1), delta))
-        val /= _guard(poch(a1 + a2 - d - 1, delta) * poch(a3 + a4 + eps, delta))
+        val /= _guard(poch(s1 - d - 1, delta) * poch(s2 + eps, delta))
         for l in (a1, a2):
             for m in (a3, a4):
                 val /= _guard(poch(l - m - d, delta))
         val *= poch(bp - d, delta) / _guard(-bp + 1 + 2 * eps)
-        return _case12_members(val, v, d, eps, j, bp)
-    q = v.q
-    bp = v.bprime
-    A, B = a1 * a2, a3 * a4
+        return _case12_members(val, own, other, d, eps, j, bp)
+    q = mp.mpc(lam.scalars.to_mpc(lam.q))
+    A, B = s1, s2
     val = A ** (2 * delta - 1) * B ** (-delta) / _guard((1 - q ** 2) * qpoch(q ** (eps + 1), q, delta))
     val *= q ** (2 - 2 * d * (d + 1) + eps * (2 * eps + 3))
     val /= _guard(qpoch(A * q ** (-d - 1), q, delta) * qpoch(B * q ** eps, q, delta))
@@ -135,12 +110,12 @@ def _case12_product(v: _View, d: int, eps: int, j: int):
         for m in (a3, a4):
             val /= _guard(qpoch(l / m * q ** (-d), q, delta))
     val *= qpoch(bp * q ** (-d), q, delta) / _guard(1 - q ** (1 + 2 * eps) / bp)
-    for i, di in enumerate(v.primary, start=1):
+    for i, di in enumerate(own, start=1):
         if i == j:
             continue
         val *= (1 - q ** (di - eps)) / _guard(1 - q ** (di - d))
         val *= (1 - q ** (di + eps + 1) / bp) / _guard(1 - q ** (di + d + 1) / bp)
-    for ei in v.secondary:
+    for ei in other:
         val *= (1 - q ** (ei + eps + 1)) / (1 - q ** (ei + d + 1))
         val *= (1 - bp * q ** (ei - eps)) / _guard(1 - bp * q ** (ei - d))
     return val
@@ -160,29 +135,28 @@ def _case3_members(val, D: IndexSet, d: int, e: int, j: int, k: int, bp):
 
 
 def _case3_product(lam: ParamSet, D: IndexSet, d: int, e: int, j: int, k: int):
-    a = [mp.mpc(lam.scalars.to_mpc(x)) for x in lam.a]
+    a = _mpc_a(lam)
     a1, a2, a3, a4 = a
     d1, d2 = list(D.d1), list(D.d2)
+    s1, s2 = lam.fam.type_pair(a)   # (A, B) for AW
+    bp = lam.fam.bprime(a)
     sgn = mp.mpf(-1) ** (d + e + 1)
     if lam.family == "ch":
-        bp = a1 + a3 - a2 - a4
         val = sgn * mp.factorial(d) * mp.factorial(e) / (2 * (d + e + 1))
-        val /= _guard(poch(a1 + a3 - d - 1, d + e + 1) * poch(a2 + a4 - e - 1, d + e + 1))
+        val /= _guard(poch(s1 - d - 1, d + e + 1) * poch(s2 - e - 1, d + e + 1))
         val *= poch(-bp - e, d) * poch(bp - d, e)
         val /= _guard(poch(a1 - a2 - d, d + e + 1) * poch(a3 - a4 - d, d + e + 1))
         return _case3_members(val, D, d, e, j, k, bp)
     if lam.family == "w":
-        bp = a1 + a2 - a3 - a4
         val = sgn / (2 * (d + e + 1) * mp.factorial(d) * mp.factorial(e))
-        val /= _guard(poch(a1 + a2 - d - 1, d + e + 1) * poch(a3 + a4 - e - 1, d + e + 1))
+        val /= _guard(poch(s1 - d - 1, d + e + 1) * poch(s2 - e - 1, d + e + 1))
         val *= poch(-bp - e, d) * poch(bp - d, e)
         for l in (a1, a2):
             for m in (a3, a4):
                 val /= _guard(poch(l - m - d, d + e + 1))
         return _case3_members(val, D, d, e, j, k, bp)
     q = mp.mpc(lam.scalars.to_mpc(lam.q))
-    A, B = a1 * a2, a3 * a4
-    bp = A / B
+    A, B = s1, s2
     val = sgn * A ** (3 * d + 2) * B ** (e - 2 * d)
     val /= _guard((1 - q ** 2) * (1 - q ** (d + e + 1)) * qpoch(q, q, d) * qpoch(q, q, e))
     val *= q ** mp.mpf(-(5 * d * d - 2 * d * e + e * e + 3 * d - e + 8) // 2)
@@ -210,17 +184,17 @@ def _case3_product(lam: ParamSet, D: IndexSet, d: int, e: int, j: int, k: int):
 
 def zeta_constant(lam: ParamSet, counts):
     """The case-(3) count-pair constant zeta: one closed form per mixed count pair
-    (M_I, M_II) with M <= 3, in b' = s1 - s2 (cH/W) or A/B (AW) from type_pair.
+    (M_I, M_II) with M <= 3, in b' = s1 - s2 (cH/W) or A/B (AW) from Family.type_pair.
     Any other pair raises FormulaSingular."""
     if counts not in ((1, 1), (2, 1), (1, 2)):
         raise FormulaSingular(f"no closed form for zeta at type counts {counts}")
-    A, B = type_pair(lam)   # (s1, s2) for cH/W
+    a = _mpc_a(lam)
+    A, B = lam.fam.type_pair(a)   # (s1, s2) for cH/W
+    bp = lam.fam.bprime(a)
     if lam.family in ("ch", "w"):
-        bp = A - B
         return {(1, 1): bp, (2, 1): bp * (bp - 1) * (bp - 2),
                 (1, 2): bp * (bp + 1) * (bp + 2)}[counts] ** 2
     q = mp.mpc(lam.scalars.to_mpc(lam.q))
-    bp = A / B
     if counts == (1, 1):
         return 4 * q ** 5 * (1 - bp) ** 2 / A ** 2
     if counts == (2, 1):
@@ -241,12 +215,13 @@ def predicted_k(lam: ParamSet, D: IndexSet, N: int, entry):
     if entry.case in (1, 2):
         ds = entry.derived
         d, eps = ds.removed[0], ds.added[0]
-        vtype = "I" if entry.case == 1 else "II"
-        ev_d = mp.mpc(to(fam.etilde(vtype, d, lam)))
-        ev_e = mp.mpc(to(fam.etilde(vtype, eps, lam)))
+        own, other = D.d1, D.d2
+        if entry.case == 2:   # case (1) with the two types exchanged
+            lam, own, other = lam.with_a(fam.swap_types(lam.a)), D.d2, D.d1
+        ev_d = mp.mpc(to(fam.etilde("I", d, lam)))
+        ev_e = mp.mpc(to(fam.etilde("I", eps, lam)))
         hr = (EN - ev_e) / _guard(EN - ev_d)
-        v = _View(lam, D, swap=(entry.case == 2))
-        return hr * _case12_product(v, d, eps, ds.j)
+        return hr * _case12_product(lam, own, other, d, eps, ds.j)
     ds = entry.derived
     d, e = ds.removed
     ev_d = mp.mpc(to(fam.etilde("I", d, lam)))

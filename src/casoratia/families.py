@@ -10,21 +10,22 @@ ratios and the ground-state weight phi_0^2 of the quadrature control.
 Exact and float parameter sets run the same code: where the two differ (AW's
 q**t, the sample points) the scalar backend answers.
 
-Every transcribed item is gated: base polynomials and energies by the
-difference-equation eigenrelation, virtual twists by the potential functional
-identities plus the closed-form virtual energies, h_n ratios by the
-three-term-recurrence route.  The delta-tilde shifts are a fixed table
-(Family.dtilde); every checked build gates them through the deformed
-eigenrelation at lambda_D (miop.build_miop).
+Each virtual-state type acts on one pair of a1..a4 (Family.pairs): the
+delta-tilde shifts, the virtual energies, alpha, the twists, the combined type
+pair and b' are derived from it, and case (2) of the closed forms is case (1)
+on swap_types(a).
 
-Extension point (not built): the Meixner-Pollaczek family arises from cH by a
-parameter limit and has a single virtual-state type; a fourth Family subclass
-with M_II = 0 everywhere would slot into the same interfaces.
+Every checked build gates base polynomials, energies and the delta-tilde
+shifts through the (deformed) eigenrelation at lambda_D (miop.build_miop).  The
+twists, alpha and the virtual energies are checked by the test oracle
+calibrate_twist, which fits them from the potential functional identities; h_n
+ratios are checked by the three-term-recurrence route.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +60,8 @@ class ParamSet:
             raise ValueError("need four parameters a1..a4")
         if (self.family == "aw") != (self.q is not None):
             raise ValueError("q is required exactly for the AW family")
+        if self.mode not in ("physical", "generic"):
+            raise ValueError(f"mode must be physical or generic, got {self.mode!r}")
 
     @property
     def fam(self) -> "Family":
@@ -98,6 +101,10 @@ def _render_scalar(v) -> str:
 class Family:
     tag = ""
     var_kind = "x"  # 'x' or 'z'
+    # the pair of a1..a4 (0-based) each virtual-state type acts on
+    pairs = {"I": (0, 1), "II": (2, 3)}
+    # how type_pair combines a pair into one scalar, and how bprime compares the two
+    _join, _split = staticmethod(operator.add), staticmethod(operator.sub)
 
     # -- coordinates ------------------------------------------------------------
 
@@ -134,20 +141,56 @@ class Family:
         return sc.from_int(n) * (lam.b1() + sc.from_int(n - 1))
 
     def etilde(self, vtype: str, v: int, lam: ParamSet):
-        raise NotImplementedError
+        """Virtual energy: -(s - v - 1)(s' + v), s the type's own pair sum, s' the other's."""
+        own, other = self._own_other(vtype, lam.a)
+        sc = lam.scalars
+        vv = sc.from_int(v)
+        return -(own - vv - sc.one) * (other + vv)
 
     def twist_a(self, vtype: str, lam: ParamSet) -> tuple:
-        raise NotImplementedError
+        """Parameters of the type's virtual-state polynomials: its pair reflected."""
+        a = list(lam.a)
+        for i in self.pairs[vtype]:
+            a[i] = self._reflect(a[i], lam)
+        return tuple(a)
+
+    def _reflect(self, x, lam: ParamSet):
+        return lam.scalars.one - x
 
     def alpha(self, vtype: str, lam: ParamSet):
         return lam.scalars.one
 
+    # -- type pairing ---------------------------------------------------------------
+
+    def type_pair(self, a) -> tuple:
+        """The type-I and type-II pairs of a, each combined into one scalar: the sums
+        s1, s2 (the products A, B for AW)."""
+        (i, j), (k, l) = self.pairs["I"], self.pairs["II"]
+        return self._join(a[i], a[j]), self._join(a[k], a[l])
+
+    def _own_other(self, vtype: str, a) -> tuple:
+        s1, s2 = self.type_pair(a)
+        return (s1, s2) if vtype == "I" else (s2, s1)
+
+    def bprime(self, a):
+        """b' of the closed forms: s1 - s2 (A / B for AW)."""
+        return self._split(*self.type_pair(a))
+
+    def swap_types(self, a) -> tuple:
+        """a with the type-I and type-II pairs exchanged (case (2) is case (1) on it)."""
+        out = list(a)
+        for i, j in zip(self.pairs["I"], self.pairs["II"]):
+            out[i], out[j] = a[j], a[i]
+        return tuple(out)
+
     # -- shifts -------------------------------------------------------------------
 
     delta_vec = (HALF, HALF, HALF, HALF)
-    # delta-tilde^I and ^II: lambda_D = lambda + M_I dtilde["I"] + M_II dtilde["II"];
-    # -1/2 and +1/2 on the pairs (a1, a2) and (a3, a4) that the twists act on
-    dtilde = {"I": (-HALF, -HALF, HALF, HALF), "II": (HALF, HALF, -HALF, -HALF)}
+
+    def dtilde(self, vtype: str) -> tuple:
+        """delta-tilde^vtype, with lambda_D = lambda + M_I dtilde("I") + M_II dtilde("II"):
+        -1/2 on the type's own pair and +1/2 on the other."""
+        return tuple(-HALF if i in self.pairs[vtype] else HALF for i in range(4))
 
     def apply_shift_vec(self, lam: ParamSet, vec) -> ParamSet:
         """lambda + vec (additive parameters; AW shifts multiplicatively)."""
@@ -217,25 +260,16 @@ class ContinuousHahn(Family):
         i = lam.scalars.i
         return (a[2] - i * u) * (a[3] - i * u)
 
-    def etilde(self, vtype, v, lam):
-        a1, a2, a3, a4 = lam.a
-        sc = lam.scalars
-        vv = sc.from_int(v)
-        if vtype == "I":
-            return -(a1 + a3 - vv - sc.one) * (a2 + a4 + vv)
-        return -(a2 + a4 - vv - sc.one) * (a1 + a3 + vv)
+    # the types act on the conjugate pairs (a1, a3) and (a2, a4)
+    pairs = {"I": (0, 2), "II": (1, 3)}
 
     def twist_a(self, vtype, lam):
         # reflected swap within the conjugate pair; plain reflection fails the
         # potential consistency identity (calibration pins this down)
-        a1, a2, a3, a4 = lam.a
-        one = lam.scalars.one
-        if vtype == "I":
-            return (one - a3, a2, one - a1, a4)
-        return (a1, one - a4, a3, one - a2)
-
-    # the twists act on the conjugate pairs (a1, a3) and (a2, a4)
-    dtilde = {"I": (-HALF, HALF, -HALF, HALF), "II": (HALF, -HALF, HALF, -HALF)}
+        a = list(super().twist_a(vtype, lam))
+        i, j = self.pairs[vtype]
+        a[i], a[j] = a[j], a[i]
+        return tuple(a)
 
     def x_bounds(self, lam):
         return (mp.mpf("-inf"), mp.mpf("+inf"))
@@ -311,21 +345,6 @@ class Wilson(Family):
     def v_star_at(self, a, u, lam):
         return self.v_numer_at(a, -u, lam) / self.v_denom_at(-u, lam)
 
-    def etilde(self, vtype, v, lam):
-        a1, a2, a3, a4 = lam.a
-        sc = lam.scalars
-        vv = sc.from_int(v)
-        if vtype == "I":
-            return -(a1 + a2 - vv - sc.one) * (a3 + a4 + vv)
-        return -(a3 + a4 - vv - sc.one) * (a1 + a2 + vv)
-
-    def twist_a(self, vtype, lam):
-        a1, a2, a3, a4 = lam.a
-        one = lam.scalars.one
-        if vtype == "I":
-            return (one - a1, one - a2, a3, a4)
-        return (a1, a2, one - a3, one - a4)
-
     def x_bounds(self, lam):
         return (mp.mpf(0), mp.mpf("+inf"))
 
@@ -385,6 +404,7 @@ class Wilson(Family):
 class AskeyWilson(Family):
     tag = "aw"
     var_kind = "z"
+    _join, _split = staticmethod(operator.mul), staticmethod(operator.truediv)
 
     def eta_at(self, u, lam):
         sc = lam.scalars
@@ -419,26 +439,17 @@ class AskeyWilson(Family):
         return (q_mn - sc.one) * (sc.one - lam.b4() * qn / q)
 
     def etilde(self, vtype, v, lam):
+        own, other = self._own_other(vtype, lam.a)
         sc = lam.scalars
-        q = lam.q
-        a1, a2, a3, a4 = lam.a
-        qv = q ** v
-        q_mv1 = sc.one / (qv * q)
-        if vtype == "I":
-            return -(sc.one - a1 * a2 * q_mv1) * (sc.one - a3 * a4 * qv)
-        return -(sc.one - a3 * a4 * q_mv1) * (sc.one - a1 * a2 * qv)
+        qv = lam.q ** v
+        q_mv1 = sc.one / (qv * lam.q)
+        return -(sc.one - own * q_mv1) * (sc.one - other * qv)
 
-    def twist_a(self, vtype, lam):
-        a1, a2, a3, a4 = lam.a
-        q = lam.q
-        if vtype == "I":
-            return (q / a1, q / a2, a3, a4)
-        return (a1, a2, q / a3, q / a4)
+    def _reflect(self, x, lam):
+        return lam.q / x
 
     def alpha(self, vtype, lam):
-        if vtype == "I":
-            return lam.a[0] * lam.a[1] / lam.q
-        return lam.a[2] * lam.a[3] / lam.q
+        return self._own_other(vtype, lam.a)[0] / lam.q
 
     def apply_shift_vec(self, lam, vec):
         sc = lam.scalars
@@ -516,8 +527,9 @@ FAMILIES = {"ch": ContinuousHahn(), "w": Wilson(), "aw": AskeyWilson()}
 def params_from_values(family: str, a_vals, q_val=None, mode: str = "physical",
                        backend: str = "float", bits: int = 256) -> ParamSet:
     """Build a ParamSet from (re, im) pairs of numbers/decimal strings."""
+    q_val = q_val if family == "aw" else None
     if backend == "exact":
-        qf = fraction_from_decimal(str(q_val)) if family == "aw" else None
+        qf = None if q_val is None else fraction_from_decimal(str(q_val))
         sc = ExactScalars(qf)
         a = tuple(sc.from_fraction(fraction_from_decimal(str(re)), fraction_from_decimal(str(im)))
                   for re, im in a_vals)
@@ -528,7 +540,7 @@ def params_from_values(family: str, a_vals, q_val=None, mode: str = "physical",
               if isinstance(re, str) else mp.mpc(re, im)
               for re, im in a_vals)
     q = None
-    if family == "aw":
+    if q_val is not None:
         q = sc.from_fraction(fraction_from_decimal(str(q_val))) if isinstance(q_val, str) else mp.mpc(q_val)
     return ParamSet(family, a, q, mode, sc)
 

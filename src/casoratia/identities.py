@@ -63,7 +63,7 @@ class RecurrenceCoeffs:
     residual: mp.mpf
 
 
-def recurrence_coeffs(lam: ParamSet, N: int, bits: int = 256) -> RecurrenceCoeffs:
+def recurrence_coeffs(lam: ParamSet, N: int) -> RecurrenceCoeffs:
     """A_n, B_n, C_n with eta P_n = A P_{n+1} + B P_n + C P_{n-1}, from the polynomials."""
     fam = lam.fam
     sc = lam.scalars
@@ -95,7 +95,7 @@ def recurrence_coeffs(lam: ParamSet, N: int, bits: int = 256) -> RecurrenceCoeff
 def classical_discrete_ortho(lam: ParamSet, N: int, bits: int = 256) -> dict:
     """Verify the classical zero-grid orthogonality for the base family."""
     fam = lam.fam
-    rec = recurrence_coeffs(lam, N + 1, bits)  # need C_N, the n = N relation
+    rec = recurrence_coeffs(lam, N + 1)  # need C_N, the n = N relation
     # the zero grid is float: exact base polynomials are evaluated through float copies
     sc, fsc = lam.scalars, MPScalars(bits)
     polys = [Poly([sc.to_mpc(c) for c in fam.base_poly(n, lam).coeffs], fsc)
@@ -227,23 +227,12 @@ def chain_identity_exact(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int) ->
             "constant": constant}
 
 
-def type_pair(lam: ParamSet):
-    """The type-I and type-II parameter pairs, each combined into one scalar:
-    (a1 + a3, a2 + a4) for cH, (a1 + a2, a3 + a4) for W, (a1 a2, a3 a4) for AW."""
-    a1, a2, a3, a4 = (mp.mpc(lam.scalars.to_mpc(x)) for x in lam.a)
-    if lam.family == "ch":
-        return a1 + a3, a2 + a4
-    if lam.family == "w":
-        return a1 + a2, a3 + a4
-    return a1 * a2, a3 * a4
-
-
 def mixed_constant(lam: ParamSet, counts):
     """C with C * (Xi-ratio sum) * P_{D''',n} = (H~ + E_n - Et' - Et'') P_{D,n}: a
-    closed form in (s1, s2) or (A, B) from type_pair and the type counts (m1, m2)
-    of D alone, whatever d', d'' and n."""
+    closed form in (s1, s2) or (A, B) from Family.type_pair and the type counts
+    (m1, m2) of D alone, whatever d', d'' and n."""
     m1, m2 = counts
-    s1, s2 = type_pair(lam)
+    s1, s2 = lam.fam.type_pair([mp.mpc(lam.scalars.to_mpc(x)) for x in lam.a])
     if lam.family in ("ch", "w"):
         return (s1 - 1 - m1) * (s2 - 1 - m2)
     q = mp.mpc(lam.scalars.to_mpc(lam.q))

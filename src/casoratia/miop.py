@@ -397,8 +397,8 @@ def get_builder(lam: ParamSet, bits: int = 256) -> Builder:
 
 
 def delta_tilde(family_tag: str, vtype: str):
-    """The parameter shift delta-tilde^vtype entering lambda_D (the table Family.dtilde)."""
-    return FAMILIES[family_tag].dtilde[vtype]
+    """The parameter shift delta-tilde^vtype entering lambda_D (Family.dtilde)."""
+    return FAMILIES[family_tag].dtilde(vtype)
 
 
 def shifted_params(lam: ParamSet, D: IndexSet) -> ParamSet:
@@ -560,11 +560,11 @@ def _shape_invariance_defect(bundle: MiopBundle) -> mp.mpf:
 # -- hermiticity and norm ratios -----------------------------------------------------
 
 
-def hermiticity_check(lam: ParamSet, D: IndexSet, bundle: MiopBundle, bits: int = 256):
-    """True iff Xi_D has no zero in the strip D_gamma; witness lists offenders."""
+def hermiticity_check(bundle: MiopBundle, bits: int = 256):
+    """True iff the bundle's Xi_D has no zero in the strip D_gamma; witness lists offenders."""
     from .zeros import find_zeros
 
-    fam = lam.fam
+    lam, fam = bundle.lam, bundle.lam.fam
     if bundle.xi.degree == 0:
         return True, []
     zs = find_zeros(bundle.xi, bits)

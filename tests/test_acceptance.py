@@ -308,7 +308,7 @@ def test_criterion_11_zero_structure():
                 cand = draw_params(tag, "physical", seed=seed)
                 Ds = [IndexSet.make([(2, "I")]), IndexSet.make([(2, "II")])]
                 bundles = [build_miop(cand, D, 4, check=False) for D in Ds]
-                if all(hermiticity_check(cand, D, b)[0] for D, b in zip(Ds, bundles)):
+                if all(hermiticity_check(b)[0] for b in bundles):
                     lam, admissible = cand, list(zip(Ds, bundles))
                     break
             assert lam is not None, f"no admissible {tag} draw found"

@@ -240,6 +240,16 @@ def test_prec_below_64_rejected():
      "exact backend needs --params with rational values"),
     (["sweep", "--jobs", "0"], "argument --jobs: must be >= 1"),
     (["sweep", "--jobs", "-3"], "argument --jobs: must be >= 1"),
+    (["roots", "--params", "{tmp}/no_a.json", "--dI", "1", "--N", "2"],
+     '--params: no parameter list "a"'),
+    (["roots", "--params", "{tmp}/literal.json", "--dI", "1", "--N", "2"],
+     "--params: bad parameter values: Invalid literal for Fraction: 'x'"),
+    (["roots", "--params", "{tmp}/two.json", "--dI", "1", "--N", "2"],
+     "--params: bad parameter values: need four parameters a1..a4"),
+    (["roots", "--params", "{tmp}/aw_no_q.json", "--dI", "1", "--N", "2"],
+     "--params: bad parameter values: q is required exactly for the AW family"),
+    (["verify", "--params", "{tmp}/mode.json", "--dI", "1", "--N", "2"],
+     "--params: bad parameter values: mode must be physical or generic, got 'bogus'"),
 ])
 def test_contradictory_flags_are_usage_errors(argv, message, monkeypatch, capsys, tmp_path):
     """Flag values and parameter files no command can run are usage errors before any
@@ -249,11 +259,15 @@ def test_contradictory_flags_are_usage_errors(argv, message, monkeypatch, capsys
     def no_work(*_):
         raise AssertionError("a usage error must come before any work")
 
-    for name in ("_load_params", "_run_jobs"):
+    for name in ("cmd_verify", "cmd_sweep", "cmd_identities", "cmd_roots", "cmd_construct"):
         monkeypatch.setattr(cli, name, no_work)
     a_vals = [["5/2", "0"], ["11/4", "0"], ["9/4", "1/2"], ["9/4", "-1/2"]]
-    for family in ("w", "zz"):
-        (tmp_path / f"{family}.json").write_text(json.dumps({"family": family, "a": a_vals}))
+    docs = {"w": {"family": "w", "a": a_vals}, "zz": {"family": "zz", "a": a_vals},
+            "no_a": {"family": "w"}, "literal": {"family": "w", "a": [["x", "0"]] + a_vals[1:]},
+            "two": {"family": "w", "a": a_vals[:2]}, "aw_no_q": {"family": "aw", "a": a_vals},
+            "mode": {"family": "w", "a": a_vals, "mode": "bogus"}}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     with pytest.raises(SystemExit) as exc:
         cli.main([arg.format(tmp=tmp_path) for arg in argv])
     assert exc.value.code == 2

@@ -68,6 +68,36 @@ def test_twist_calibration(tag):
             assert worst <= mp.mpf(2) ** -100
 
 
+EXACT_PARAMS = {
+    "ch": ([("5/2", "1/3"), ("11/4", "1/5"), ("9/4", "-1/2"), ("13/5", "2/7")], None),
+    "w": ([("5/2", "0"), ("11/4", "1/6"), ("9/4", "1/2"), ("7/3", "-1/4")], None),
+    "aw": ([("1/2", "1/7"), ("3/5", "0"), ("2/3", "-1/4"), ("5/7", "1/9")], "1/3"),
+}
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_type_pairing_exact(tag):
+    """Type II is type I on swap_types(a), exactly, for the virtual energies and alpha;
+    swap_types is an involution; delta-tilde is the paper's table.  The independent
+    oracles of the pairing itself are calibrate_twist and test_miop's
+    test_delta_tilde_table_rederived."""
+    a_vals, q = EXACT_PARAMS[tag]
+    lam = params_from_values(tag, a_vals, q, mode="generic", backend="exact")
+    fam = lam.fam
+    swapped = lam.with_a(fam.swap_types(lam.a))
+    assert any(not (x - y).is_zero() for x, y in zip(swapped.a, lam.a))
+    assert all((x - y).is_zero() for x, y in zip(fam.swap_types(swapped.a), lam.a))
+    for v in range(4):
+        assert (fam.etilde("II", v, lam) - fam.etilde("I", v, swapped)).is_zero()
+        assert (fam.etilde("I", v, lam) - fam.etilde("II", v, swapped)).is_zero()
+    assert (fam.alpha("II", lam) - fam.alpha("I", swapped)).is_zero()
+    h = Fraction(1, 2)
+    table = {"ch": {"I": (-h, h, -h, h), "II": (h, -h, h, -h)},
+             "w": {"I": (-h, -h, h, h), "II": (h, h, -h, -h)},
+             "aw": {"I": (-h, -h, h, h), "II": (h, h, -h, -h)}}
+    assert {t: fam.dtilde(t) for t in ("I", "II")} == table[tag]
+
+
 def test_energy_examples():
     with workbits(192):
         for tag in TAGS:
@@ -127,7 +157,7 @@ def test_h_ratio_against_recurrence(tag):
     with workbits(256):
         lam = draw_params(tag, "physical", seed=8)
         fam = FAMILIES[tag]
-        rec = recurrence_coeffs(lam, 6, bits=256)
+        rec = recurrence_coeffs(lam, 6)
         assert rec.residual < mp.mpf(2) ** -128
         for n in range(5):
             want = mp.mpc(rec.C[n + 1]) / mp.mpc(rec.A[n])

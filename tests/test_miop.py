@@ -192,17 +192,17 @@ def test_hermiticity_check():
         lam = draw_params("w", "physical", seed=5)
         D = IndexSet.make([(2, "I")])
         bun = build_miop(lam, D, 1, check=False)
-        ok, witness = hermiticity_check(lam, D, bun)
+        ok, witness = hermiticity_check(bun)
         assert ok and not witness
         # deliberately inadmissible: tiny parameters break the zero-free strip
         bad = params_from_values("w", [("0.3", "0"), ("0.35", "0"), ("0.4", "0.1"),
                                        ("0.4", "-0.1")], mode="physical")
         bun_bad = build_miop(bad, D, 0, check=False)
-        ok2, witness2 = hermiticity_check(bad, D, bun_bad)
+        ok2, witness2 = hermiticity_check(bun_bad)
         assert not ok2 and witness2
         # empty index set is trivially hermitian
         bun0 = build_miop(lam, IndexSet.make([]), 0, check=False)
-        ok3, _ = hermiticity_check(lam, IndexSet.make([]), bun0)
+        ok3, _ = hermiticity_check(bun0)
         assert ok3
 
 

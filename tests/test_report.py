@@ -1,9 +1,13 @@
-"""Canonical JSON rendering and cache keys."""
+"""Canonical JSON rendering, cache keys and golden verify reports."""
 
+import hashlib
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
+import pytest
 
 from casoratia.cache import cache_key
 from casoratia.exact import QQi
@@ -46,3 +50,25 @@ def test_cache_key_covers_version_and_schema(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(cache, "SCHEMA_VERSION", 0)
     assert cache_key(kind="bundle", family="w") != k
+
+
+# sha256 of the canonical verify JSON (seed 1, N = 2, default precision), recorded
+# before the type pairing moved onto Family.pairs; a refactor that claims
+# byte-identical reports keeps these
+GOLDEN_REPORTS = [
+    (["--family", "ch", "--mode", "physical", "--dI", "1", "--dII", "2"],
+     "65e4d44b99e6f50a56c8b4ccdf88aadc6af9c204b42eb2349ef71bfa89a06c20"),
+    (["--family", "w", "--mode", "physical", "--dI", "1", "--dII", "1"],
+     "925ff43f8bc108de7d7a6c12d6701d82be9c5bdf66b38939a212d61800a3f1de"),
+    (["--family", "aw", "--mode", "generic", "--dI", "1", "--dII", "1"],
+     "d262beca9101f671a39dba4dcf0de6655b735349f98e7e6aeecb188a3e6730dc"),
+]
+
+
+@pytest.mark.parametrize("argv, sha", GOLDEN_REPORTS, ids=["ch", "w", "aw"])
+def test_golden_verify_report(argv, sha):
+    """Mixed index sets: the case-(1), (2) and (3) closed forms all enter the report."""
+    r = subprocess.run([sys.executable, "-m", "casoratia.cli", "verify", *argv,
+                        "--N", "2", "--seed", "1"], capture_output=True)
+    assert r.returncode == 0, r.stderr.decode()
+    assert hashlib.sha256(r.stdout).hexdigest() == sha

@@ -65,7 +65,7 @@ def test_zero_structure_physical(tag):
         lam = draw_params(tag, "physical", seed=47)
         D = IndexSet.make([(2, "I")])
         bun = build_miop(lam, D, 4, check=False)
-        ok, _ = hermiticity_check(lam, D, bun)
+        ok, _ = hermiticity_check(bun)
         assert ok, "draw should give an admissible instance"
         prev = None
         for n in range(1, 5):
