@@ -490,6 +490,9 @@ def _usage_error(args) -> str | None:
         return "--classical needs --N >= 1"
     if args.prefactor_ratio and args.tprime == args.tprime2:
         return "--prefactor-ratio needs mixed types: --tprime and --tprime2 must differ"
+    if args.prefactor_ratio and args.backend == "exact":
+        # the identity takes float square roots and conjugates at float sample points
+        return "--prefactor-ratio needs the float backend"
     if (args.chain or args.prefactor_ratio) and (dp == dpp or dp in D or dpp in D):
         return "d' and d'' (--dprime/--tprime, --dprime2/--tprime2) must be distinct and not in D"
     return None

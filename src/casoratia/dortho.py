@@ -10,6 +10,7 @@ decay is the discrete orthogonality relation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import mpmath as mp
 
@@ -33,6 +34,10 @@ class DenominatorCollision(RuntimeError):
     """eta(x_j +- i gamma) collided with another zero eta_k."""
 
 
+# the types t0, t1 of E^P = Etilde_t0(d0) + Etilde_t1(d1) - E_N, (d0, d1) = removed + added
+CASE_TYPES = {1: ("I", "I"), 2: ("II", "II"), 3: ("I", "II")}
+
+
 @dataclass
 class DerivedSet:
     case: int             # 1, 2 or 3
@@ -44,36 +49,24 @@ class DerivedSet:
 
 
 def derived_index_sets(D: IndexSet):
-    """The index sets D'_{1,jk}, D'_{2,jk}, D'_{3,jk} with their bookkeeping."""
-    out1, out2, out3 = [], [], []
-    d1, d2 = list(D.d1), list(D.d2)
-    if d1:
-        e_full = [e for e in range(d1[-1] + 1) if e not in d1]
-        for j, dj in enumerate(d1, start=1):
-            ejs = [e for e in e_full if e < dj]
-            for k, eps in enumerate(ejs, start=1):
-                nd1 = sorted([x for x in d1 if x != dj] + [eps])
-                out1.append(DerivedSet(1, j, k, (dj,), (eps,),
-                                       IndexSet.make([(x, "I") for x in nd1]
-                                                     + [(x, "II") for x in d2])))
-    if d2:
-        e_full = [e for e in range(d2[-1] + 1) if e not in d2]
-        for j, dj in enumerate(d2, start=1):
-            ejs = [e for e in e_full if e < dj]
-            for k, eps in enumerate(ejs, start=1):
-                nd2 = sorted([x for x in d2 if x != dj] + [eps])
-                out2.append(DerivedSet(2, j, k, (dj,), (eps,),
-                                       IndexSet.make([(x, "I") for x in d1]
-                                                     + [(x, "II") for x in nd2])))
-    for j, dj in enumerate(d1, start=1):
-        for k, dk in enumerate(d2, start=1):
-            out3.append(DerivedSet(3, j, k, (dj, dk), (),
-                                   IndexSet.make([(x, "I") for x in d1 if x != dj]
-                                                 + [(x, "II") for x in d2 if x != dk])))
-    total = len(out1) + len(out2) + len(out3)
+    """The index sets D'_{1,jk}, D'_{2,jk}, D'_{3,jk} with their bookkeeping: d_j of type
+    I (II) lowered to the k-th free eps < d_j, or the j-th I and k-th II deleted."""
+    out = ([], [], [])
+    for case, t in ((1, "I"), (2, "II")):
+        own = [d for d, u in D.entries if u == t]
+        for j, dj in enumerate(own, start=1):
+            rest = [x for x in D.entries if x != (dj, t)]
+            for k, eps in enumerate((e for e in range(dj) if e not in own), start=1):
+                out[case - 1].append(DerivedSet(case, j, k, (dj,), (eps,),
+                                                IndexSet.make(rest + [(eps, t)])))
+    for j, dj in enumerate(D.d1, start=1):
+        for k, dk in enumerate(D.d2, start=1):
+            rest = [x for x in D.entries if x not in ((dj, "I"), (dk, "II"))]
+            out[2].append(DerivedSet(3, j, k, (dj, dk), (), IndexSet.make(rest)))
+    total = sum(map(len, out))
     if total != D.ell:
         raise AssertionError(f"derived-set count {total} != ell_D {D.ell}")
-    return out1, out2, out3
+    return out
 
 
 @dataclass
@@ -102,16 +95,11 @@ def build_pa_basis(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) -> PaBas
     entries = []
     for n in range(N):
         entries.append(PaEntry(f"case0(n={n})", 0, b.P(D, n, top=N), fam.energy(n, lam), n=n))
-    out1, out2, out3 = derived_index_sets(D)
-    for ds in out1:
-        e = fam.etilde("I", ds.removed[0], lam) + fam.etilde("I", ds.added[0], lam) - EN
-        entries.append(PaEntry(f"case1(j={ds.j},k={ds.k})", 1, b.P(ds.D, N), e, derived=ds))
-    for ds in out2:
-        e = fam.etilde("II", ds.removed[0], lam) + fam.etilde("II", ds.added[0], lam) - EN
-        entries.append(PaEntry(f"case2(j={ds.j},k={ds.k})", 2, b.P(ds.D, N), e, derived=ds))
-    for ds in out3:
-        e = fam.etilde("I", ds.removed[0], lam) + fam.etilde("II", ds.removed[1], lam) - EN
-        entries.append(PaEntry(f"case3(j={ds.j},k={ds.k})", 3, b.P(ds.D, N), e, derived=ds))
+    for ds in chain(*derived_index_sets(D)):
+        (t0, t1), (d0, d1) = CASE_TYPES[ds.case], ds.removed + ds.added
+        e = fam.etilde(t0, d0, lam) + fam.etilde(t1, d1, lam) - EN
+        entries.append(PaEntry(f"case{ds.case}(j={ds.j},k={ds.k})", ds.case, b.P(ds.D, N), e,
+                               derived=ds))
     if len(entries) != N + D.ell:
         raise AssertionError("Pa basis count differs from N + ell_D")
     tilde_N = N + D.ell

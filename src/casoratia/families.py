@@ -33,7 +33,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .exact import ExactScalars, QQi, SqrtExt, fraction_from_decimal
-from .numkernel import MPScalars, jitter, pochhammer, q_pochhammer
+from .numkernel import MPScalars, jitter, mpc_parts, pochhammer, q_pochhammer, workbits
 from .polycore import Poly
 
 HALF = Fraction(1, 2)
@@ -95,7 +95,7 @@ def _render_scalar(v) -> str:
         return f"{v.re},{v.im}"
     if isinstance(v, SqrtExt):
         return f"{v.a.re},{v.a.im}+s({v.q})*{v.b.re},{v.b.im}"
-    return ";".join(f"{sign},{man:x},{exp}" for sign, man, exp, _ in mp.mpc(v)._mpc_)
+    return ";".join(f"{sign},{man:x},{exp}" for sign, man, exp, _ in mpc_parts(v))
 
 
 class Family:
@@ -526,39 +526,33 @@ FAMILIES = {"ch": ContinuousHahn(), "w": Wilson(), "aw": AskeyWilson()}
 
 def params_from_values(family: str, a_vals, q_val=None, mode: str = "physical",
                        backend: str = "float", bits: int = 256) -> ParamSet:
-    """Build a ParamSet from (re, im) pairs of numbers/decimal strings."""
-    q_val = q_val if family == "aw" else None
-    if backend == "exact":
-        qf = None if q_val is None else fraction_from_decimal(str(q_val))
-        sc = ExactScalars(qf)
+    """Build a ParamSet from (re, im) pairs of numbers/decimal strings, each read as the
+    rational it spells.  Float parameters are converted at 2 bits + 32, the working
+    precision of the top rung of the CLI's precision ladder."""
+    qf = None if family != "aw" or q_val is None else fraction_from_decimal(str(q_val))
+    sc = ExactScalars(qf) if backend == "exact" else MPScalars(bits)
+    with workbits(2 * bits + 32):
         a = tuple(sc.from_fraction(fraction_from_decimal(str(re)), fraction_from_decimal(str(im)))
                   for re, im in a_vals)
-        q = sc.from_fraction(qf) if qf is not None else None
-        return ParamSet(family, a, q, mode, sc)
-    sc = MPScalars(bits)
-    a = tuple(sc.from_fraction(fraction_from_decimal(str(re)), fraction_from_decimal(str(im)))
-              if isinstance(re, str) else mp.mpc(re, im)
-              for re, im in a_vals)
-    q = None
-    if q_val is not None:
-        q = sc.from_fraction(fraction_from_decimal(str(q_val))) if isinstance(q_val, str) else mp.mpc(q_val)
+        q = None if qf is None else sc.from_fraction(qf)
     return ParamSet(family, a, q, mode, sc)
 
 
 def validate_physical(lam: ParamSet, tol=1e-25) -> bool:
-    """Check the physical-mode conjugation constraints."""
-    a = [mp.mpc(lam.scalars.to_mpc(x)) for x in lam.a]
-    if lam.family == "ch":
-        return (abs(a[2] - mp.conj(a[0])) <= tol * (1 + abs(a[0]))
-                and abs(a[3] - mp.conj(a[1])) <= tol * (1 + abs(a[1]))
-                and all(mp.re(x) > 0 for x in a))
-    conj_set = sorted((mp.conj(x) for x in a), key=lambda z: (mp.re(z), mp.im(z)))
-    orig = sorted(a, key=lambda z: (mp.re(z), mp.im(z)))
-    ok = all(abs(u - v) <= tol * (1 + abs(u)) for u, v in zip(conj_set, orig))
-    if lam.family == "aw":
-        q = mp.mpc(lam.scalars.to_mpc(lam.q))
-        ok = ok and abs(mp.im(q)) <= tol and 0 < mp.re(q) < 1
-    return ok
+    """Check the physical-mode conjugation constraints at 2 bits + 32, as params are read."""
+    with workbits(2 * lam.scalars.bits + 32):
+        a = [mp.mpc(lam.scalars.to_mpc(x)) for x in lam.a]
+        if lam.family == "ch":
+            return (abs(a[2] - mp.conj(a[0])) <= tol * (1 + abs(a[0]))
+                    and abs(a[3] - mp.conj(a[1])) <= tol * (1 + abs(a[1]))
+                    and all(mp.re(x) > 0 for x in a))
+        conj_set = sorted((mp.conj(x) for x in a), key=lambda z: (mp.re(z), mp.im(z)))
+        orig = sorted(a, key=lambda z: (mp.re(z), mp.im(z)))
+        ok = all(abs(u - v) <= tol * (1 + abs(u)) for u, v in zip(conj_set, orig))
+        if lam.family == "aw":
+            q = mp.mpc(lam.scalars.to_mpc(lam.q))
+            ok = ok and abs(mp.im(q)) <= tol and 0 < mp.re(q) < 1
+        return ok
 
 
 def draw_params(family: str, mode: str, seed: int, bits: int = 256, dmax: int = 3) -> ParamSet:

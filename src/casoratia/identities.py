@@ -230,13 +230,14 @@ def chain_identity_exact(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int) ->
 def mixed_constant(lam: ParamSet, counts):
     """C with C * (Xi-ratio sum) * P_{D''',n} = (H~ + E_n - Et' - Et'') P_{D,n}: a
     closed form in (s1, s2) or (A, B) from Family.type_pair and the type counts
-    (m1, m2) of D alone, whatever d', d'' and n."""
+    (m1, m2) of D alone, whatever d', d'' and n, on the ParamSet's own scalars."""
     m1, m2 = counts
-    s1, s2 = lam.fam.type_pair([mp.mpc(lam.scalars.to_mpc(x)) for x in lam.a])
+    s1, s2 = lam.fam.type_pair(lam.a)
     if lam.family in ("ch", "w"):
         return (s1 - 1 - m1) * (s2 - 1 - m2)
-    q = mp.mpc(lam.scalars.to_mpc(lam.q))
-    return q ** (mp.mpf(1 + m1 + m2) / 2) * (1 - s1 * q ** (-1 - m1)) * (1 - s2 * q ** (-1 - m2))
+    q = lam.q
+    return (lam.scalars.q_power(Fraction(1 + m1 + m2, 2), q)
+            * (1 - s1 * q ** (-1 - m1)) * (1 - s2 * q ** (-1 - m2)))
 
 
 # -- prefactor-ratio intermediate identity ------------------------------------------------

@@ -403,15 +403,11 @@ def delta_tilde(family_tag: str, vtype: str):
 
 def shifted_params(lam: ParamSet, D: IndexSet) -> ParamSet:
     """lambda_D = lambda + M_I dtilde^I + M_II dtilde^II (counts only)."""
-    fam = lam.fam
     vec = [Fraction(0)] * 4
-    if D.M1:
-        dt = delta_tilde(lam.family, "I")
-        vec = [v + D.M1 * t for v, t in zip(vec, dt)]
-    if D.M2:
-        dt = delta_tilde(lam.family, "II")
-        vec = [v + D.M2 * t for v, t in zip(vec, dt)]
-    return fam.apply_shift_vec(lam, tuple(vec))
+    for vtype, count in zip(("I", "II"), D.counts):
+        if count:
+            vec = [v + count * t for v, t in zip(vec, delta_tilde(lam.family, vtype))]
+    return lam.fam.apply_shift_vec(lam, tuple(vec))
 
 
 # -- deformed operator -------------------------------------------------------------
@@ -587,10 +583,7 @@ def h_ratio(lam: ParamSet, D: IndexSet, n: int, m: int):
     out = fam.h_ratio_base(n, m, lam)
     En = fam.energy(n, lam)
     Em = fam.energy(m, lam)
-    for d in D.d1:
-        ev = fam.etilde("I", d, lam)
-        out = out * (En - ev) / (Em - ev)
-    for d in D.d2:
-        ev = fam.etilde("II", d, lam)
+    for d, vtype in D.entries:   # type I first
+        ev = fam.etilde(vtype, d, lam)
         out = out * (En - ev) / (Em - ev)
     return out

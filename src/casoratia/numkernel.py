@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, fzero
 
 DEFAULT_BITS = 256
 # radius of the eta circle the float extraction nodes lie on (cH, W and AW alike)
@@ -88,6 +88,16 @@ def _one_like(a):
 
 
 _ZERO, _ONE, _I = mp.mpc(0), mp.mpc(1), mp.mpc(0, 1)
+
+
+def mpc_parts(x) -> tuple:
+    """The raw (re, im) mpf tuples of a float scalar at its own precision: unlike
+    mp.mpc(x), no rounding to the ambient precision comes first."""
+    if isinstance(x, mp.mpc):
+        return x._mpc_
+    if isinstance(x, mp.mpf):
+        return x._mpf_, fzero
+    return mp.mpc(x)._mpc_
 
 
 def _parts(z):

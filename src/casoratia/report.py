@@ -1,8 +1,9 @@
 """Canonical JSON rendering: reports are diffable verification certificates.
 
 All numerics are decimal strings tagged with the precision that produced
-them; keys are sorted and the encoder is deterministic so repeated runs are
-byte-identical.
+them, each printed from its own mantissa: the ambient mpmath precision at
+rendering time never rounds a value first.  Keys are sorted and the encoder is
+deterministic so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -10,8 +11,10 @@ from __future__ import annotations
 import json
 
 import mpmath as mp
+from mpmath.libmp import to_str
 
 from .exact import QQi, SqrtExt
+from .numkernel import mpc_parts
 
 # 2: verify manifests carry the negative controls apart from the checks;
 # 3: one case-(1)/(2) closed form (no conjecture.reading), and escalation_error on an
@@ -29,13 +32,12 @@ def num_str(x, bits: int) -> list:
         return [f"{x.re}", f"{x.im}"]
     if isinstance(x, SqrtExt):
         x = x.to_mpc()
-    z = mp.mpc(x)
     d = digits_for(bits)
-    return [mp.nstr(mp.re(z), d), mp.nstr(mp.im(z), d)]
+    return [to_str(p, d) for p in mpc_parts(x)]
 
 
 def real_str(x, bits: int) -> str:
-    return mp.nstr(mp.mpf(x), digits_for(bits))
+    return to_str((x if isinstance(x, mp.mpf) else mp.mpf(x))._mpf_, digits_for(bits))
 
 
 def poly_json(p, bits: int) -> list:

@@ -4,7 +4,13 @@ import json
 import subprocess
 import sys
 
+import mpmath as mp
 import pytest
+
+from casoratia.dortho import verify_orthogonality
+from casoratia.families import ParamSet, draw_params
+from casoratia.miop import IndexSet
+from casoratia.numkernel import MPScalars, workbits
 
 BASE = [sys.executable, "-m", "casoratia.cli"]
 
@@ -28,6 +34,11 @@ def test_verify_pass_and_report_shape(tmp_path):
     assert doc["manifest"]["checks"]["conjecture"]
     assert doc["manifest"]["timestamp"] == ""
     assert len(doc["k"]) == 3 + 2  # N + ell_D
+    # k is printed at its own precision, not rounded to mpmath's default 53 bits first
+    rep = verify_orthogonality(draw_params("w", "physical", 1), IndexSet.make([(2, "I")]), 3)
+    with workbits(300):
+        for (re, im), want in zip(doc["k"], rep.k):
+            assert abs(mp.mpc(re, im) - want) <= mp.mpf(2) ** -250 * abs(want)
 
 
 def test_verify_guards():
@@ -107,6 +118,21 @@ def test_params_file(tmp_path):
     }))
     r = run(["verify", "--params", str(pfile), "--dI", "2", "--N", "2"])
     assert r.returncode == 0, r.stderr
+    # non-dyadic values are read at 2 * 256 + 32 bits, the working precision of the
+    # ladder's top rung, not at mpmath's default 53
+    pfile.write_text(json.dumps({
+        "family": "w",
+        "a": [["12/5", "0"], ["2.7", "0"], ["2.3", "0.6"], ["2.3", "-0.6"]],
+        "mode": "physical",
+    }))
+    out = tmp_path / "rep.json"
+    r = run(["verify", "--params", str(pfile), "--dI", "2", "--N", "2", "--out", str(out)])
+    assert r.returncode == 0, r.stderr
+    with workbits(2 * 256 + 32):
+        a = (mp.mpc(mp.mpf(12) / 5), mp.mpc(mp.mpf(27) / 10),
+             mp.mpc(mp.mpf(23) / 10, mp.mpf(6) / 10), mp.mpc(mp.mpf(23) / 10, mp.mpf(-6) / 10))
+        want = ParamSet("w", a, None, "physical", MPScalars(256)).digest()
+    assert json.loads(out.read_text())["manifest"]["params_digest"] == want
 
 
 def test_sweep_worker_count_independence(tmp_path):
@@ -250,6 +276,8 @@ def test_prec_below_64_rejected():
      "--params: bad parameter values: q is required exactly for the AW family"),
     (["verify", "--params", "{tmp}/mode.json", "--dI", "1", "--N", "2"],
      "--params: bad parameter values: mode must be physical or generic, got 'bogus'"),
+    (["identities", "--params", "{tmp}/w.json", "--backend", "exact", "--prefactor-ratio",
+      "--tprime2", "II"], "--prefactor-ratio needs the float backend"),
 ])
 def test_contradictory_flags_are_usage_errors(argv, message, monkeypatch, capsys, tmp_path):
     """Flag values and parameter files no command can run are usage errors before any

@@ -1,11 +1,14 @@
 """Conjectured normalization constants against measured Gram diagonals."""
 
+from itertools import chain
+
 import mpmath as mp
 import pytest
 
 from casoratia.conjecture import FormulaSingular, compare, predicted_k, zeta_constant
-from casoratia.dortho import verify_orthogonality
-from casoratia.families import FAMILIES, draw_params
+from casoratia.dortho import PaEntry, derived_index_sets, verify_orthogonality
+from casoratia.exact import QQi, SqrtExt
+from casoratia.families import FAMILIES, draw_params, params_from_values
 from casoratia.identities import check_chain_identity, mixed_constant
 from casoratia.miop import IndexSet, h_ratio, reference_index_set
 from casoratia.numkernel import workbits
@@ -150,3 +153,39 @@ def test_mixed_m3_index_sets_pass(tag, mode, tmp_path):
         assert [a["precision_bits"] for a in doc["attempts"]] == [256]
         assert doc["manifest"]["checks"]["conjecture"]
         assert any(e["case"] == 3 for e in doc["conjecture"]["entries"])
+
+
+RATIONAL_PARAMS = {
+    "ch": ([("5/2", "1/2"), ("9/4", "1/3"), ("5/2", "-1/2"), ("9/4", "-1/3")], None),
+    "w": ([("5/2", "0"), ("11/4", "0"), ("9/4", "1/2"), ("9/4", "-1/2")], None),
+    "aw": ([("1/10", "0"), ("2/15", "0"), ("1/8", "1/16"), ("1/8", "-1/16")], "2/5"),
+}
+
+
+def pa_entries(D, N):
+    """The Pa-basis entries of D at N as predicted_k reads them (case, n, derived set),
+    without their polynomials."""
+    out = [PaEntry(f"case0(n={n})", 0, None, None, n=n) for n in range(N)]
+    return out + [PaEntry("", ds.case, None, None, derived=ds)
+                  for ds in chain(*derived_index_sets(D))]
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_exact_predictions_are_the_oracle_of_the_float_ones(tag):
+    """On rational parameters predicted_k is exact (Gaussian rationals, with sqrt(q)
+    for AW), and the float prediction on the same rationals agrees with it to
+    2^-(bits-16): every case (0)-(3) entry of five index sets at N = 2."""
+    bits = 256
+    a_vals, q_val = RATIONAL_PARAMS[tag]
+    exact = params_from_values(tag, a_vals, q_val, backend="exact")
+    flt = params_from_values(tag, a_vals, q_val, bits=bits)
+    with workbits(bits + 32):
+        for pairs in ([(1, "I"), (1, "II")], [(2, "I"), (1, "II")], [(1, "I"), (2, "II")],
+                      [(2, "I")], [(0, "I"), (2, "II")]):
+            D = IndexSet.make(pairs)
+            for entry in pa_entries(D, 2):
+                want = predicted_k(exact, D, 2, entry)
+                assert isinstance(want, (QQi, SqrtExt)), (D, entry.case)
+                want = want.to_mpc()
+                got = predicted_k(flt, D, 2, entry)
+                assert abs(got - want) <= mp.mpf(2) ** (16 - bits) * abs(want), (D, entry.case)

@@ -174,6 +174,15 @@ def test_validate_physical():
     assert not validate_physical(lam_bad)
 
 
+def test_validate_physical_reads_params_at_their_precision():
+    """A parameter file whose a4 misses conj(a3) by 1e-20 is not physical: the check
+    compares the parameters at their own precision, not rounded to 53 bits."""
+    a = [("12/5", "0"), ("2.7", "0"), ("2.3", "0.6"), ("2.3", "-0.6")]
+    assert validate_physical(params_from_values("w", a))
+    a[3] = ("2.3", "-0.60000000000000000001")
+    assert not validate_physical(params_from_values("w", a))
+
+
 def test_params_file_roundtrip(tmp_path):
     lam = params_from_values("aw", [("0.85", "0"), ("0.8", "0"), ("0.6", "0.2"), ("0.6", "-0.2")],
                              q_val="0.4", mode="physical")

@@ -22,6 +22,15 @@ def test_num_str_deterministic_and_tagged():
         b = num_str(z, 256)
         assert a == b
         assert len(a[0].replace("-", "").replace(".", "").lstrip("0")) >= digits_for(256) - 2
+    # a 288-bit value rendered outside workbits, at mpmath's default 53 bits, keeps its
+    # own precision: no 53-bit rounding comes first
+    with workbits(288):
+        w = mp.mpc(mp.mpf(1) / 3, mp.mpf(-2) / 7)
+    re, im = num_str(w, 256)
+    assert real_str(w.real, 256) == re
+    with workbits(300):
+        assert abs(mp.mpf(re) - w.real) <= mp.mpf(2) ** -280
+        assert abs(mp.mpf(im) - w.imag) <= mp.mpf(2) ** -280
 
 
 def test_num_str_exact():
@@ -53,15 +62,15 @@ def test_cache_key_covers_version_and_schema(monkeypatch):
 
 
 # sha256 of the canonical verify JSON (seed 1, N = 2, default precision), recorded
-# before the type pairing moved onto Family.pairs; a refactor that claims
-# byte-identical reports keeps these
+# once reports printed every value from its own mantissa (before, verify rendered at
+# mpmath's default 53 bits); a refactor that claims byte-identical reports keeps these
 GOLDEN_REPORTS = [
     (["--family", "ch", "--mode", "physical", "--dI", "1", "--dII", "2"],
-     "65e4d44b99e6f50a56c8b4ccdf88aadc6af9c204b42eb2349ef71bfa89a06c20"),
+     "c686c2f7dd0adf3de60659f2ab1d2377ab25bc4d00ad39dd4c46481d6dcd1011"),
     (["--family", "w", "--mode", "physical", "--dI", "1", "--dII", "1"],
-     "925ff43f8bc108de7d7a6c12d6701d82be9c5bdf66b38939a212d61800a3f1de"),
+     "fc85a0e78b8480d07903d353fb0963e4165956a64bce1f21fc1cea2dff52c9e8"),
     (["--family", "aw", "--mode", "generic", "--dI", "1", "--dII", "1"],
-     "d262beca9101f671a39dba4dcf0de6655b735349f98e7e6aeecb188a3e6730dc"),
+     "3807f0b06ad356817c5c44a5d1bcabf0fe9129c44c1ca7f76abd9087f6c1516c"),
 ]
 
 
@@ -72,3 +81,16 @@ def test_golden_verify_report(argv, sha):
                         "--N", "2", "--seed", "1"], capture_output=True)
     assert r.returncode == 0, r.stderr.decode()
     assert hashlib.sha256(r.stdout).hexdigest() == sha
+
+
+# sha256 of the sweep CSV below, recorded with the same rendering: the one golden on
+# the sweep's own rendering of max_offdiag_rel and conjecture_rel_err
+GOLDEN_SWEEP = "0e84b012229744a5f4ee26f8be4f241e4463b81dc32bc8742ea1dd2b44a1d21d"
+
+
+def test_golden_sweep_csv():
+    r = subprocess.run([sys.executable, "-m", "casoratia.cli", "sweep", "--families", "w",
+                        "--modes", "physical", "--dmax", "1", "--M", "1", "--N-max", "2"],
+                       capture_output=True)
+    assert r.returncode == 0, r.stderr.decode()
+    assert hashlib.sha256(r.stdout).hexdigest() == GOLDEN_SWEEP
