@@ -388,6 +388,8 @@ def cmd_construct(args) -> int:
                               D=D.key(), n_max=args.N, prec=args.prec, backend=args.backend)
     hit = cache_mod.load(cdir, key)
     if hit is not None:
+        # the bundle fields depend on the key alone; the manifest is this run's
+        hit["manifest"] = _manifest(args, lam, D, args.N, {})
         _emit(args, hit)
         return EXIT_OK
     with workbits(args.prec + 32):
@@ -463,11 +465,13 @@ def _usage_error(args) -> str | None:
             return f"--params: family must be one of {', '.join(FAMILIES)}, got {family!r}"
         if args.family and args.family != family:
             return "--family disagrees with the params file"
+        mode = doc.get("mode", "physical")
+        if args.mode and args.mode != mode:
+            return "--mode disagrees with the params file"
         if "a" not in doc:
             return "--params: no parameter list \"a\""
         try:
-            args.lam = params_from_values(family, doc["a"], doc.get("q"),
-                                          doc.get("mode", "physical"),
+            args.lam = params_from_values(family, doc["a"], doc.get("q"), mode,
                                           backend=args.backend, bits=args.prec)
         except (TypeError, ValueError, ArithmeticError) as exc:
             return f"--params: bad parameter values: {exc}"
@@ -476,7 +480,7 @@ def _usage_error(args) -> str | None:
     elif args.backend == "exact":
         return "exact backend needs --params with rational values"
     else:
-        args.lam = draw_params(args.family, args.mode, args.seed, bits=args.prec)
+        args.lam = draw_params(args.family, args.mode or "physical", args.seed, bits=args.prec)
     D = [(d, "I") for d in args.dI] + [(d, "II") for d in args.dII]
     if len(D) > 3:
         # the case-(3) constant zeta has closed forms for the mixed counts of M <= 3
@@ -485,6 +489,11 @@ def _usage_error(args) -> str | None:
         return "roots needs deg P_{D,N} = ell_D + N >= 1"
     if args.command != "identities":
         return None
+    if not (args.lemma_eta or args.classical or args.chain or args.prefactor_ratio):
+        return ("no identity selected: give --lemma-eta, --classical, --chain or "
+                "--prefactor-ratio")
+    if D and not (args.chain or args.prefactor_ratio):
+        return "--dI/--dII name D for --chain or --prefactor-ratio; no other identity reads D"
     dp, dpp = (args.dprime, args.tprime), (args.dprime2, args.tprime2)
     if args.classical and args.N < 1:
         return "--classical needs --N >= 1"
@@ -508,7 +517,7 @@ def make_parser() -> argparse.ArgumentParser:
         """Flags naming one instance (parameters, D, N) and where its output goes."""
         p.add_argument("--family", choices=FAMILIES)
         p.add_argument("--params", help="JSON parameter file")
-        p.add_argument("--mode", choices=MODES, default="physical")
+        p.add_argument("--mode", choices=MODES, help="default: physical, or the params file's")
         p.add_argument("--dI", type=_degrees, default=[], help="type-I degrees, e.g. '1,2'")
         p.add_argument("--dII", type=_degrees, default=[], help="type-II degrees")
         p.add_argument("--N", type=_at_least(0), default=3)

@@ -12,7 +12,7 @@ for AW) at the removed degree d_j: the one closed form, evaluated once per
 entry; case (2) is case (1) on Family.swap_types(a).  A zero Pochhammer
 denominator raises FormulaSingular, a degeneracy.  Every form runs on the ParamSet's
 own scalars, its rational factors through scalars.from_fraction, so on rational
-parameters predicted_k is exact: a QQi (SqrtExt for AW).
+parameters predicted_k is exact: a QQi (in Q(i, sqrt(q)) for AW).
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Exact coefficient arithmetic: Gaussian rationals and the sqrt(q) extension.
+"""Exact coefficient arithmetic: Gaussian rationals and their sqrt(q) extension.
 
 The construction/identity checks run over Q(i) for the continuous Hahn and
 Wilson families and over Q(i, sqrt(q)) for Askey-Wilson (half-integer shifts
-of x by gamma = log q scale z by half-integer powers of q).  Elements are
-immutable and hashable; arithmetic is plain operator overloading so the
-polynomial layer can stay backend-agnostic.
+of x by gamma = log q scale z by half-integer powers of q); one element class,
+QQi, serves both.  Elements are immutable and hashable; arithmetic is plain
+operator overloading so the polynomial layer can stay backend-agnostic.
 """
 
 from __future__ import annotations
@@ -17,89 +17,158 @@ import mpmath as mp
 from .numkernel import HELD_OUT
 from .polycore import last_column_cofactors, solve_dense
 
-_F1 = Fraction(1)
+_F0 = Fraction(0)
 _MAG_ZERO, _MAG_ONE = mp.mpf(0), mp.mpf(1)
+_new = object.__new__
 
 IntoFraction = Union[int, Fraction]
 
 
+def _qqi(re: Fraction, im: Fraction, sre: Fraction = _F0, sim: Fraction = _F0, q=None) -> "QQi":
+    """A QQi from Fraction parts, without passing them through Fraction() again."""
+    z = _new(QQi)
+    z.re, z.im, z.sre, z.sim, z.q = re, im, sre, sim, q
+    return z
+
+
+def _cmul(a, b, c, d):
+    """(a + i b)(c + i d) as its two parts."""
+    return a * c - b * d, a * d + b * c
+
+
+def _mpf(f: Fraction) -> mp.mpf:
+    return mp.mpf(f.numerator) / f.denominator
+
+
 class QQi:
-    """A Gaussian rational re + i*im with Fraction components."""
+    """(re + i*im) + (sre + i*sim)*sqrt(q) with Fraction parts: an element of Q(i) when
+    q is None (sre = sim = 0), else of Q(i, sqrt(q)) for a rational q > 0.
 
-    __slots__ = ("re", "im")
+    Ints and Fractions lift to QQi operands.  An operand without q takes the other's;
+    two operands whose q are both set must have the same q.
+    """
 
-    def __init__(self, re: IntoFraction = 0, im: IntoFraction = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+    __slots__ = ("re", "im", "sre", "sim", "q")
+
+    def __init__(self, re: IntoFraction = 0, im: IntoFraction = 0, sre: IntoFraction = 0,
+                 sim: IntoFraction = 0, q: IntoFraction | None = None):
+        self.re, self.im = Fraction(re), Fraction(im)
+        self.sre, self.sim = Fraction(sre), Fraction(sim)
+        self.q = None if q is None else Fraction(q)
+        if self.q is None and (self.sre or self.sim):
+            raise ValueError("a sqrt(q) part needs q")
 
     def __repr__(self):
-        return f"QQi({self.re}, {self.im})"
+        if self.q is None:
+            return f"QQi({self.re}, {self.im})"
+        return f"QQi({self.re}, {self.im}, {self.sre}, {self.sim}, q={self.q})"
+
+    def _pair(self, other):
+        """(other as a QQi, the q of the result); (None, None) for a foreign type."""
+        if type(other) is not QQi:
+            if not isinstance(other, (int, Fraction)):
+                return None, None
+            return _qqi(Fraction(other), _F0), self.q
+        p, q = self.q, other.q
+        if p is q or p is None:
+            return other, q
+        if q is None or p == q:
+            return other, p
+        raise ValueError(f"mixing sqrt(q) extensions with q = {p} and q = {q}")
 
     def __eq__(self, other):
-        other = _as_qqi(other)
-        if other is NotImplemented:
+        o, _ = self._pair(other)
+        if o is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.re == o.re and self.im == o.im and self.sre == o.sre and self.sim == o.sim
 
     def __hash__(self):
+        if self.sre or self.sim:
+            return hash((self.re, self.im, self.sre, self.sim, self.q))
         return hash((self.re, self.im))
 
     def __add__(self, other):
-        other = _as_qqi(other)
-        if other is NotImplemented:
+        o, q = self._pair(other)
+        if o is None:
             return NotImplemented
-        return QQi(self.re + other.re, self.im + other.im)
+        if q is None:
+            return _qqi(self.re + o.re, self.im + o.im)
+        return _qqi(self.re + o.re, self.im + o.im, self.sre + o.sre, self.sim + o.sim, q)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        if self.q is None:
+            return _qqi(-self.re, -self.im)
+        return _qqi(-self.re, -self.im, -self.sre, -self.sim, self.q)
 
     def __sub__(self, other):
-        other = _as_qqi(other)
-        if other is NotImplemented:
+        o, q = self._pair(other)
+        if o is None:
             return NotImplemented
-        return QQi(self.re - other.re, self.im - other.im)
+        if q is None:
+            return _qqi(self.re - o.re, self.im - o.im)
+        return _qqi(self.re - o.re, self.im - o.im, self.sre - o.sre, self.sim - o.sim, q)
 
     def __rsub__(self, other):
-        other = _as_qqi(other)
-        if other is NotImplemented:
+        o, _ = self._pair(other)
+        if o is None:
             return NotImplemented
-        return other - self
+        return o - self
 
     def __mul__(self, other):
-        other = _as_qqi(other)
-        if other is NotImplemented:
+        o, q = self._pair(other)
+        if o is None:
             return NotImplemented
-        return QQi(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        re, im = _cmul(self.re, self.im, o.re, o.im)
+        if q is None:
+            return _qqi(re, im)
+        sre = sim = _F0
+        if o.sre or o.sim:
+            sre, sim = _cmul(self.re, self.im, o.sre, o.sim)
+            if self.sre or self.sim:
+                r, i = _cmul(self.sre, self.sim, o.sre, o.sim)
+                re, im = re + q * r, im + q * i
+        if self.sre or self.sim:
+            r, i = _cmul(self.sre, self.sim, o.re, o.im)
+            sre, sim = sre + r, sim + i
+        return _qqi(re, im, sre, sim, q)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QQi":
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return QQi(self.re / n, -self.im / n)
+        a, b, q = self.re, self.im, self.q
+        if q is None or not (self.sre or self.sim):
+            n = a * a + b * b
+            if not n:
+                raise ZeroDivisionError("inverse of zero")
+            return _qqi(a / n, -b / n, _F0, _F0, q)
+        # (A + B sqrt(q))^-1 = (A - B sqrt(q)) / (A^2 - B^2 q), with A, B in Q(i)
+        nr, ni = _cmul(a, b, a, b)
+        r, i = _cmul(self.sre, self.sim, self.sre, self.sim)
+        nr, ni = nr - q * r, ni - q * i
+        n = nr * nr + ni * ni
+        if not n:
+            raise ZeroDivisionError("inverse of zero")
+        nr, ni = nr / n, -ni / n
+        return _qqi(*_cmul(a, b, nr, ni), *_cmul(-self.sre, -self.sim, nr, ni), q)
 
     def __truediv__(self, other):
-        other = _as_qqi(other)
-        if other is NotImplemented:
+        o, _ = self._pair(other)
+        if o is None:
             return NotImplemented
-        return self * other.inverse()
+        return self * o.inverse()
 
     def __rtruediv__(self, other):
-        other = _as_qqi(other)
-        if other is NotImplemented:
+        o, _ = self._pair(other)
+        if o is None:
             return NotImplemented
-        return other * self.inverse()
+        return o * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out, base = QQi(1), self
+        out, base = _qqi(Fraction(1), _F0, _F0, _F0, self.q), self
         while n:
             if n & 1:
                 out = out * base
@@ -108,130 +177,17 @@ class QQi:
         return out
 
     def conjugate(self) -> "QQi":
-        return QQi(self.re, -self.im)
+        """Complex conjugation; sqrt(q) is real and fixed."""
+        return _qqi(self.re, -self.im, self.sre, -self.sim, self.q)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im or self.sre or self.sim)
 
     def to_mpc(self) -> mp.mpc:
-        return mp.mpc(mp.mpf(self.re.numerator) / self.re.denominator,
-                      mp.mpf(self.im.numerator) / self.im.denominator)
-
-
-def _as_qqi(x):
-    if isinstance(x, QQi):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return QQi(x)
-    return NotImplemented
-
-
-class SqrtExt:
-    """An element a + b*sqrt(q) of Q(i, sqrt(q)), with a, b in Q(i), q in Q, q > 0."""
-
-    __slots__ = ("a", "b", "q")
-
-    def __init__(self, a, b=None, q: Fraction = _F1):
-        self.a = a if isinstance(a, QQi) else QQi(a)
-        self.b = (b if isinstance(b, QQi) else QQi(b)) if b is not None else QQi(0)
-        self.q = Fraction(q)
-
-    def __repr__(self):
-        return f"SqrtExt({self.a!r} + {self.b!r}*sqrt({self.q}))"
-
-    def _coerce(self, other):
-        if isinstance(other, SqrtExt):
-            if other.q != self.q and not other.b.is_zero() and not self.b.is_zero():
-                raise ValueError("mixing sqrt extensions with different q")
-            return other
-        if isinstance(other, (int, Fraction, QQi)):
-            return SqrtExt(_as_qqi(other), QQi(0), self.q)
-        return None
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.q))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return SqrtExt(self.a + o.a, self.b + o.b, self.q)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SqrtExt(-self.a, -self.b, self.q)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return SqrtExt(self.a - o.a, self.b - o.b, self.q)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return SqrtExt(
-            self.a * o.a + self.b * o.b * self.q,
-            self.a * o.b + self.b * o.a,
-            self.q,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "SqrtExt":
-        # (a + b*sqrt(q))^-1 = (a - b*sqrt(q)) / (a^2 - b^2 q)
-        n = self.a * self.a - self.b * self.b * self.q
-        if n.is_zero():
-            raise ZeroDivisionError("inverse of zero sqrt-extension element")
-        ninv = n.inverse()
-        return SqrtExt(self.a * ninv, -self.b * ninv, self.q)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out, base = SqrtExt(QQi(1), QQi(0), self.q), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        out = mp.mpc(_mpf(self.re), _mpf(self.im))
+        if self.sre or self.sim:
+            out += mp.mpc(_mpf(self.sre), _mpf(self.sim)) * mp.sqrt(_mpf(self.q))
         return out
-
-    def conjugate(self) -> "SqrtExt":
-        # complex conjugation; sqrt(q) is real and fixed
-        return SqrtExt(self.a.conjugate(), self.b.conjugate(), self.q)
-
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
-
-    def to_mpc(self) -> mp.mpc:
-        return self.a.to_mpc() + self.b.to_mpc() * mp.sqrt(mp.mpf(self.q.numerator) / self.q.denominator)
 
 
 class ExactScalars:
@@ -255,33 +211,23 @@ class ExactScalars:
         """Exact arithmetic has no working precision: the backend itself."""
         return self
 
-    def _wrap(self, a: QQi):
-        if self.q is None:
-            return a
-        return SqrtExt(a, QQi(0), self.q)
-
     @property
     def zero(self):
-        return self._wrap(QQi(0))
+        return self.from_int(0)
 
     @property
     def one(self):
-        return self._wrap(QQi(1))
+        return self.from_int(1)
 
     @property
     def i(self):
-        return self._wrap(QQi(0, 1))
+        return self.from_fraction(0, 1)
 
     def from_int(self, n: int):
-        return self._wrap(QQi(n))
+        return self.from_fraction(n)
 
     def from_fraction(self, re: IntoFraction, im: IntoFraction = 0):
-        return self._wrap(QQi(Fraction(re), Fraction(im)))
-
-    def sqrt_q(self):
-        if self.q is None:
-            raise ValueError("no q adjoined")
-        return SqrtExt(QQi(0), QQi(1), self.q)
+        return _qqi(Fraction(re), Fraction(im), _F0, _F0, self.q)
 
     def q_power(self, t: Fraction, q=None):
         """q**t for integer or half-integer t (q is the adjoined one; the argument is ignored)."""
@@ -289,9 +235,9 @@ class ExactScalars:
             raise ValueError("no q adjoined")
         t = Fraction(t)
         if t.denominator == 1:
-            return self._wrap(QQi(self.q ** t.numerator))
+            return self.from_fraction(self.q ** t.numerator)
         if t.denominator == 2:
-            return self._wrap(QQi(self.q ** ((t.numerator - 1) // 2))) * self.sqrt_q()
+            return _qqi(_F0, _F0, self.q ** ((t.numerator - 1) // 2), _F0, self.q)
         raise ValueError(f"q**{t} is outside Q(i, sqrt(q))")
 
     @staticmethod
@@ -327,22 +273,14 @@ class ExactScalars:
         """Cofactors of the last column of [block | y] (polycore.last_column_cofactors)."""
         return last_column_cofactors(block, self)
 
-    @staticmethod
-    def is_zero(x) -> bool:
-        return x.is_zero()
+    is_zero = staticmethod(QQi.is_zero)
+    conj = staticmethod(QQi.conjugate)
+    to_mpc = staticmethod(QQi.to_mpc)
 
     @staticmethod
     def magnitude(x) -> mp.mpf:
         """The trivial absolute value: 0 for an exact zero, 1 otherwise."""
         return _MAG_ZERO if x.is_zero() else _MAG_ONE
-
-    @staticmethod
-    def conj(x):
-        return x.conjugate()
-
-    @staticmethod
-    def to_mpc(x) -> mp.mpc:
-        return x.to_mpc()
 
 
 def fraction_from_decimal(s: str) -> Fraction:

@@ -17,9 +17,9 @@ on swap_types(a).
 
 Every checked build gates base polynomials, energies and the delta-tilde
 shifts through the (deformed) eigenrelation at lambda_D (miop.build_miop).  The
-twists, alpha and the virtual energies are checked by the test oracle
-calibrate_twist, which fits them from the potential functional identities; h_n
-ratios are checked by the three-term-recurrence route.
+twists, alpha and the virtual energies are checked by a test oracle
+(calibrate_twist in tests/test_families.py), which fits them from the potential
+functional identities; h_n ratios are checked by the three-term-recurrence route.
 """
 
 from __future__ import annotations
@@ -32,15 +32,11 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .exact import ExactScalars, QQi, SqrtExt, fraction_from_decimal
+from .exact import ExactScalars, QQi, fraction_from_decimal
 from .numkernel import MPScalars, jitter, mpc_parts, pochhammer, q_pochhammer, workbits
 from .polycore import Poly
 
 HALF = Fraction(1, 2)
-
-
-class CalibrationFailure(RuntimeError):
-    """No candidate twist / shift passed its gate."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,9 +88,7 @@ def _render_scalar(v) -> str:
     if v is None:
         return "-"
     if isinstance(v, QQi):
-        return f"{v.re},{v.im}"
-    if isinstance(v, SqrtExt):
-        return f"{v.a.re},{v.a.im}+s({v.q})*{v.b.re},{v.b.im}"
+        return f"{v.re},{v.im}" + ("" if v.q is None else f"+s({v.q})*{v.sre},{v.sim}")
     return ";".join(f"{sign},{man:x},{exp}" for sign, man, exp, _ in mpc_parts(v))
 
 
@@ -202,9 +196,6 @@ class Family:
     def x_bounds(self, lam: ParamSet):
         raise NotImplementedError
 
-    def eta_physical_interval(self, lam: ParamSet):
-        raise NotImplementedError
-
     def recover_x(self, eta):
         raise NotImplementedError
 
@@ -272,9 +263,6 @@ class ContinuousHahn(Family):
         return tuple(a)
 
     def x_bounds(self, lam):
-        return (mp.mpf("-inf"), mp.mpf("+inf"))
-
-    def eta_physical_interval(self, lam):
         return (mp.mpf("-inf"), mp.mpf("+inf"))
 
     def recover_x(self, eta):
@@ -346,9 +334,6 @@ class Wilson(Family):
         return self.v_numer_at(a, -u, lam) / self.v_denom_at(-u, lam)
 
     def x_bounds(self, lam):
-        return (mp.mpf(0), mp.mpf("+inf"))
-
-    def eta_physical_interval(self, lam):
         return (mp.mpf(0), mp.mpf("+inf"))
 
     def recover_x(self, eta):
@@ -457,9 +442,6 @@ class AskeyWilson(Family):
 
     def x_bounds(self, lam):
         return (mp.mpf(0), mp.pi)
-
-    def eta_physical_interval(self, lam):
-        return (mp.mpf(-1), mp.mpf(1))
 
     def recover_x(self, eta):
         return mp.acos(mp.mpc(eta))
@@ -595,61 +577,3 @@ def draw_params(family: str, mode: str, seed: int, bits: int = 256, dmax: int = 
         a = tuple(mp.mpc(u(0.55, 0.95), u(-0.25, 0.25)) for _ in range(4))
         return ParamSet("aw", a, mp.mpc(q, u(-0.04, 0.04)), mode, sc)
     raise ValueError(f"unknown family {family!r}")
-
-
-# -- twist calibration: alpha fitted from the potential identities --------------
-
-
-def calibrate_twist(lam: ParamSet, vtype: str, samples: int = 6):
-    """Fit (alpha, Etilde_0) for the family's parameter twist and gate them.
-
-    Identity (A): alpha^2 V'*(x) V'(x+i gamma) = V*(x) V(x+i gamma)
-    Identity (B): V + V* = alpha (V' + V'*) - Etilde_0
-    Gate: Etilde_v = alpha E_v(t(lam)) + Etilde_0 matches the closed forms for
-    v <= 6.  Returns (alpha, Etilde_0, max_rel_err).
-    """
-    fam = lam.fam
-    ta = fam.twist_a(vtype, lam)
-    tlam = lam.with_a(ta)
-    us = fam.sample_args(samples + 2, lam, f"twist|{vtype}")
-    alpha2 = None
-    for u in us:
-        up = fam.shift_arg(u, 1, lam)
-        lhs = fam.v_star_at(lam.a, u, lam) * fam.v_at(lam.a, up, lam)
-        rhs = fam.v_star_at(ta, u, lam) * fam.v_at(ta, up, lam)
-        val = lhs / rhs
-        if alpha2 is None:
-            alpha2 = val
-        elif abs(val - alpha2) > mp.mpf(2) ** (-mp.mp.prec // 2) * (1 + abs(alpha2)):
-            raise CalibrationFailure(f"{lam.family} type {vtype}: alpha^2 not constant")
-    alpha = mp.sqrt(alpha2)
-    best = None
-    for cand in (alpha, -alpha):
-        e0s = []
-        ok = True
-        for u in us:
-            vv = fam.v_at(lam.a, u, lam) + fam.v_star_at(lam.a, u, lam)
-            vvt = fam.v_at(ta, u, lam) + fam.v_star_at(ta, u, lam)
-            e0s.append(cand * vvt - vv)
-        for e in e0s[1:]:
-            if abs(e - e0s[0]) > mp.mpf(2) ** (-mp.mp.prec // 2) * (1 + abs(e0s[0])):
-                ok = False
-                break
-        if ok:
-            best = (cand, e0s[0])
-            break
-    if best is None:
-        raise CalibrationFailure(f"{lam.family} type {vtype}: no consistent alpha sign")
-    alpha, e0 = best
-    worst = mp.mpf(0)
-    for v in range(7):
-        pred = alpha * mp.mpc(fam.energy(v, tlam)) + e0
-        ref = mp.mpc(fam.etilde(vtype, v, lam))
-        worst = max(worst, abs(pred - ref) / max(1, abs(ref)))
-    if worst > mp.mpf(2) ** (-mp.mp.prec // 2):
-        raise CalibrationFailure(
-            f"{lam.family} type {vtype}: fitted virtual energies disagree ({mp.nstr(worst, 5)})")
-    closed = mp.mpc(fam.alpha(vtype, lam))
-    if abs(alpha - closed) > mp.mpf(2) ** (-mp.mp.prec // 2) * (1 + abs(closed)):
-        raise CalibrationFailure(f"{lam.family} type {vtype}: alpha differs from closed form")
-    return alpha, e0, worst

@@ -13,7 +13,7 @@ import json
 import mpmath as mp
 from mpmath.libmp import to_str
 
-from .exact import QQi, SqrtExt
+from .exact import QQi
 from .numkernel import mpc_parts
 
 # 2: verify manifests carry the negative controls apart from the checks;
@@ -29,8 +29,9 @@ def digits_for(bits: int) -> int:
 def num_str(x, bits: int) -> list:
     """Complex scalar as a [re, im] pair of decimal strings."""
     if isinstance(x, QQi):
-        return [f"{x.re}", f"{x.im}"]
-    if isinstance(x, SqrtExt):
+        # Q(i) values print as fractions, Q(i, sqrt(q)) ones as decimals
+        if x.q is None:
+            return [f"{x.re}", f"{x.im}"]
         x = x.to_mpc()
     d = digits_for(bits)
     return [to_str(p, d) for p in mpc_parts(x)]

@@ -28,8 +28,8 @@ from casoratia.identities import (check_prefactor_ratio_identity, check_eta_iden
                                   partial_fraction_integral_check, chain_identity_exact)
 from casoratia.miop import IndexSet, build_miop, hermiticity_check
 from casoratia.numkernel import workbits
-from casoratia.zeros import (conjugation_closure_defect, find_zeros, interlace,
-                             physical_interval_zeros)
+from casoratia.zeros import find_zeros
+from zero_structure import conjugation_closure_defect, interlace, physical_interval_zeros
 
 TAGS = ["ch", "w", "aw"]
 SMALL = os.environ.get("CASORATIA_ACCEPT_SCALE", "full") == "small"
@@ -317,7 +317,7 @@ def test_criterion_11_zero_structure():
                 for n in range(1, 5):
                     zs = find_zeros(bun.P[n], 256, fam)
                     assert conjugation_closure_defect(zs) <= mp.mpf("1e-30")
-                    phys = physical_interval_zeros(zs, fam, lam)
+                    phys = physical_interval_zeros(zs, fam)
                     assert len(phys) == n
                     assert len(zs.eta) - len(phys) == D.ell
                     if prev is not None:

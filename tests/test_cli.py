@@ -72,6 +72,30 @@ def test_construct_cache_hit_identical(tmp_path):
     assert list(cache.glob("*.json"))
 
 
+def test_construct_cache_hit_serves_this_runs_manifest(tmp_path):
+    """A cache hit serves the cached bundle under the manifest of the run that hit it."""
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({
+        "family": "w",
+        "a": [["5/2", "0"], ["11/4", "0"], ["9/4", "1/2"], ["9/4", "-1/2"]],
+        "mode": "physical",
+    }))
+    argv = ["construct", "--params", str(pfile), "--dI", "1", "--N", "2", "--prec", "64",
+            "--cache", str(tmp_path / "cache")]
+    docs = []
+    for extra in (["--seed", "1"], ["--seed", "7", "--timestamps"]):
+        out = tmp_path / "out.json"
+        r = run(argv + extra + ["--out", str(out)])
+        assert r.returncode == 0, r.stderr
+        docs.append(json.loads(out.read_text()))
+    first, second = docs
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 1
+    assert first["manifest"]["seed"] == 1 and first["manifest"]["timestamp"] == ""
+    assert second["manifest"]["seed"] == 7 and second["manifest"]["timestamp"] != ""
+    first.pop("manifest"), second.pop("manifest")
+    assert first == second
+
+
 def test_roots_and_identities(tmp_path):
     out = tmp_path / "roots.json"
     r = run(["roots", "--family", "aw", "--dI", "2", "--N", "3", "--out", str(out)])
@@ -126,7 +150,9 @@ def test_params_file(tmp_path):
         "mode": "physical",
     }))
     out = tmp_path / "rep.json"
-    r = run(["verify", "--params", str(pfile), "--dI", "2", "--N", "2", "--out", str(out)])
+    # a --mode that agrees with the file's is accepted
+    r = run(["verify", "--params", str(pfile), "--mode", "physical", "--dI", "2", "--N", "2",
+             "--out", str(out)])
     assert r.returncode == 0, r.stderr
     with workbits(2 * 256 + 32):
         a = (mp.mpc(mp.mpf(12) / 5), mp.mpc(mp.mpf(27) / 10),
@@ -278,6 +304,19 @@ def test_prec_below_64_rejected():
      "--params: bad parameter values: mode must be physical or generic, got 'bogus'"),
     (["identities", "--params", "{tmp}/w.json", "--backend", "exact", "--prefactor-ratio",
       "--tprime2", "II"], "--prefactor-ratio needs the float backend"),
+    (["verify", "--params", "{tmp}/w.json", "--mode", "generic", "--dI", "1", "--N", "2"],
+     "--mode disagrees with the params file"),
+    (["identities", "--params", "{tmp}/w.json", "--mode", "generic", "--lemma-eta"],
+     "--mode disagrees with the params file"),
+    (["roots", "--params", "{tmp}/w.json", "--mode", "generic", "--dI", "1"],
+     "--mode disagrees with the params file"),
+    (["construct", "--params", "{tmp}/w.json", "--mode", "generic", "--dI", "1"],
+     "--mode disagrees with the params file"),
+    (["identities", "--family", "w"], "no identity selected"),
+    (["identities", "--family", "w", "--classical", "--N", "4", "--dI", "2"],
+     "--dI/--dII name D for --chain or --prefactor-ratio"),
+    (["identities", "--family", "w", "--lemma-eta", "--dI", "2"],
+     "--dI/--dII name D for --chain or --prefactor-ratio"),
 ])
 def test_contradictory_flags_are_usage_errors(argv, message, monkeypatch, capsys, tmp_path):
     """Flag values and parameter files no command can run are usage errors before any

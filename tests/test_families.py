@@ -5,12 +5,71 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from casoratia.families import (FAMILIES, calibrate_twist, draw_params,
-                                params_from_values, validate_physical)
+from casoratia.families import (FAMILIES, ParamSet, draw_params, params_from_values,
+                                validate_physical)
 from casoratia.identities import recurrence_coeffs
 from casoratia.numkernel import workbits
 
 TAGS = ["ch", "w", "aw"]
+
+
+class CalibrationFailure(RuntimeError):
+    """No candidate twist / shift passed its gate."""
+
+
+def calibrate_twist(lam: ParamSet, vtype: str, samples: int = 6):
+    """Fit (alpha, Etilde_0) for the family's parameter twist and gate them.
+
+    Identity (A): alpha^2 V'*(x) V'(x+i gamma) = V*(x) V(x+i gamma)
+    Identity (B): V + V* = alpha (V' + V'*) - Etilde_0
+    Gate: Etilde_v = alpha E_v(t(lam)) + Etilde_0 matches the closed forms for
+    v <= 6.  Returns (alpha, Etilde_0, max_rel_err).
+    """
+    fam = lam.fam
+    ta = fam.twist_a(vtype, lam)
+    tlam = lam.with_a(ta)
+    us = fam.sample_args(samples + 2, lam, f"twist|{vtype}")
+    alpha2 = None
+    for u in us:
+        up = fam.shift_arg(u, 1, lam)
+        lhs = fam.v_star_at(lam.a, u, lam) * fam.v_at(lam.a, up, lam)
+        rhs = fam.v_star_at(ta, u, lam) * fam.v_at(ta, up, lam)
+        val = lhs / rhs
+        if alpha2 is None:
+            alpha2 = val
+        elif abs(val - alpha2) > mp.mpf(2) ** (-mp.mp.prec // 2) * (1 + abs(alpha2)):
+            raise CalibrationFailure(f"{lam.family} type {vtype}: alpha^2 not constant")
+    alpha = mp.sqrt(alpha2)
+    best = None
+    for cand in (alpha, -alpha):
+        e0s = []
+        ok = True
+        for u in us:
+            vv = fam.v_at(lam.a, u, lam) + fam.v_star_at(lam.a, u, lam)
+            vvt = fam.v_at(ta, u, lam) + fam.v_star_at(ta, u, lam)
+            e0s.append(cand * vvt - vv)
+        for e in e0s[1:]:
+            if abs(e - e0s[0]) > mp.mpf(2) ** (-mp.mp.prec // 2) * (1 + abs(e0s[0])):
+                ok = False
+                break
+        if ok:
+            best = (cand, e0s[0])
+            break
+    if best is None:
+        raise CalibrationFailure(f"{lam.family} type {vtype}: no consistent alpha sign")
+    alpha, e0 = best
+    worst = mp.mpf(0)
+    for v in range(7):
+        pred = alpha * mp.mpc(fam.energy(v, tlam)) + e0
+        ref = mp.mpc(fam.etilde(vtype, v, lam))
+        worst = max(worst, abs(pred - ref) / max(1, abs(ref)))
+    if worst > mp.mpf(2) ** (-mp.mp.prec // 2):
+        raise CalibrationFailure(
+            f"{lam.family} type {vtype}: fitted virtual energies disagree ({mp.nstr(worst, 5)})")
+    closed = mp.mpc(fam.alpha(vtype, lam))
+    if abs(alpha - closed) > mp.mpf(2) ** (-mp.mp.prec // 2) * (1 + abs(closed)):
+        raise CalibrationFailure(f"{lam.family} type {vtype}: alpha differs from closed form")
+    return alpha, e0, worst
 
 
 def _eigen_residual(fam, lam, p, E, u):

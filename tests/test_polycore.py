@@ -143,9 +143,9 @@ def test_backend_interface_and_dense_routines(backend):
 
 
 def test_backends_expose_the_same_interface():
-    """MPScalars and ExactScalars answer the same questions; only the exact backend
-    has sqrt_q, the adjoined sqrt(q) of Q(i, sqrt(q)).  Every gate goes through
-    magnitude and the trim threshold, so neither backend has a gate hook."""
+    """MPScalars and ExactScalars answer the same questions, by the same public names.
+    Every gate goes through magnitude and the trim threshold, so neither backend has a
+    gate hook."""
     def public(cls):
         return {n for n in dir(cls) if not n.startswith("_")}
 
@@ -153,7 +153,7 @@ def test_backends_expose_the_same_interface():
         "name", "at_bits", "zero", "one", "i", "from_int", "from_fraction", "is_zero",
         "magnitude", "conj", "to_mpc", "q_power", "sample_args", "extraction_nodes",
         "interpolator", "horner", "cofactors"}
-    assert public(ExactScalars) == public(MPScalars) | {"sqrt_q"}
+    assert public(ExactScalars) == public(MPScalars)
     assert MPScalars(100).trim_threshold == mp.mpf(2) ** -84
     assert ExactScalars().trim_threshold == 0
 

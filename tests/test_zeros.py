@@ -8,8 +8,8 @@ from casoratia.families import FAMILIES, draw_params
 from casoratia.miop import IndexSet, build_miop, hermiticity_check
 from casoratia.numkernel import MPScalars, workbits
 from casoratia.polycore import Poly
-from casoratia.zeros import (conjugation_closure_defect, find_zeros, interlace,
-                             physical_interval_zeros)
+from casoratia.zeros import find_zeros
+from zero_structure import conjugation_closure_defect, interlace, physical_interval_zeros
 
 
 def _poly(coeffs, bits=256):
@@ -71,7 +71,7 @@ def test_zero_structure_physical(tag):
         for n in range(1, 5):
             zs = find_zeros(bun.P[n], 256, fam)
             assert conjugation_closure_defect(zs) <= mp.mpf("1e-30")
-            phys = physical_interval_zeros(zs, fam, lam)
+            phys = physical_interval_zeros(zs, fam)
             assert len(phys) == n
             assert len(zs.eta) == D.ell + n
             if prev is not None:
