@@ -246,13 +246,18 @@ class ExactScalars:
 
     @staticmethod
     def extraction_nodes(fam, lam, fit: int, salt: str, attempt: int):
-        """(sample args, etas): fit + HELD_OUT rational points, the next ones at each attempt."""
+        """(ids, node): fit + HELD_OUT rational points, the next ones at each attempt, by
+        their positions in fam.exact_sample_args, and node(id) -> (sample arg, eta)."""
         count = fit + HELD_OUT
-        us = fam.exact_sample_args(count * (attempt + 1), lam)[count * attempt:]
-        return us, [fam.eta_at(u, lam) for u in us]
+        us = fam.exact_sample_args(count * (attempt + 1), lam)
+
+        def node(k):
+            return us[k], fam.eta_at(us[k], lam)
+        return list(range(count * attempt, count * (attempt + 1))), node
 
     def interpolator(self, etas):
-        """coeffs(vals, deg): the polynomial through the first deg + 1 nodes, solved exactly."""
+        """coeffs(vals, deg): the deg + 1 coefficients of the polynomial through the first
+        deg + 1 nodes, solved exactly."""
         def coeffs(vals, deg):
             rows = [[e ** m for m in range(deg + 1)] for e in etas[:deg + 1]]
             return solve_dense(rows, vals[:deg + 1], self)

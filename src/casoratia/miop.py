@@ -10,14 +10,20 @@ carries a rational prefactor that depends only on the type counts
 or n.  Xi_D and P_{D,n} are therefore recovered by interpolating the ratio of
 detPoly against a canonical reference instance of the same class; mixed
 classes bootstrap the reference denominator polynomial from a two-instance
-pairing solve on the same extraction nodes, a square solve through the fit
-nodes.  The nodes and the interpolation are the scalar backend's:
-roots-of-unity nodes on a circle in eta with an inverse DFT in floats,
-rational points with an exact solve otherwise.  P_{D,0..N} share one
-node set and one interpolation: detPoly is linear in its P column, so one
-cofactor vector per node serves every n.  Every build is gated: degree law,
-nonzero leading coefficient, held-out node residuals, the deformed
-eigenrelation (on one set of frames for every n) and shape invariance.
+pairing solve on the same extraction nodes, a square solve through the first
+nodes.  The nodes, their ladder frames and the reference values therefore
+belong to the class (R, column kinds, reference columns), not to D: a
+builder makes each node once, with its sample arg, eta, frame and reference
+value, and every extraction of the class shares it, so no value depends on
+the order of calls.  The nodes and the interpolation are the scalar
+backend's: 2^k roots of unity on a circle in eta with an inverse DFT in
+floats (each set the first half of the next; the coefficients past deg must
+vanish), the first rational points with an exact solve otherwise.
+P_{D,0..N} share one node set and one interpolation: detPoly is linear in
+its P column, so one cofactor vector per node serves every n.  Every build
+is gated: degree law, nonzero leading coefficient, the vanishing DFT
+coefficients, held-out node residuals, the deformed eigenrelation (on one
+set of frames for every n) and shape invariance.
 """
 
 from __future__ import annotations
@@ -137,6 +143,7 @@ class Builder:
         self._xi_cache = {}     # IndexSet.key -> Poly
         self._p_cache = {}      # (IndexSet.key, n, top) -> Poly
         self._p_batches = {}    # (IndexSet.key, top) -> _p_batch, until P_{D,top} is fitted
+        self._node_cache = {}   # (class, attempt, node id) -> [u, eta, frame, reference value]
         self._shift_builder = None
 
     # .. column polynomials ......................................................
@@ -220,77 +227,97 @@ class Builder:
 
     # .. nodes / fitting .........................................................
 
-    def _nodes(self, fit: int, salt: str, R: int, kinds, ref_cols):
-        """Extraction nodes (fit of them, then HELD_OUT), their frames and the reference
-        detPoly(ref_cols) there, at the first rotation where no reference value vanishes."""
-        sc = self.sc
+    def _nodes(self, fit: int, R: int, kinds, ref_cols):
+        """The extraction nodes of the class (R, kinds, ref_cols) for fit unknowns (the
+        backend's fit nodes, then HELD_OUT), at the first rotation where no reference
+        value vanishes: their sample args, etas, frames and detPoly(ref_cols) values,
+        and the interpolator of their fit nodes.
+
+        The class salts the nodes, and each node is made once per builder: every
+        extraction of the class shares it, whatever its degree or index set.
+        """
+        sc, cache = self.sc, self._node_cache
+        cls = (R, tuple(sorted(kinds)), tuple(ref_cols))
         for attempt in range(ROTATIONS):
-            us, etas = sc.extraction_nodes(self.fam, self.lam, fit,
-                                           salt + "|" + self.lam.digest(), attempt)
-            frames = self.frames(us, R, kinds)
-            refs = self.det_values(ref_cols, us, frames)
+            ids, node = sc.extraction_nodes(self.fam, self.lam, fit,
+                                            f"{cls}|{self.lam.digest()}", attempt)
+            new = [k for k in ids if (cls, attempt, k) not in cache]
+            if new:
+                us, etas = map(list, zip(*map(node, new)))
+                frames = self.frames(us, R, kinds)
+                refs = self.det_values(ref_cols, us, frames)
+                for k, *entry in zip(new, us, etas, frames, refs):
+                    cache[cls, attempt, k] = entry
+            us, etas, frames, refs = map(list, zip(*(cache[cls, attempt, k] for k in ids)))
             if not _vanishing(sc, refs, self.bits):
-                return us, etas, frames, refs
+                return us, etas, frames, refs, sc.interpolator(etas[:len(ids) - HELD_OUT])
         raise DegenerateIndexSet(f"reference Casoratian vanished at {ROTATIONS} node rotations")
 
-    def _held_out_gate(self, what: str, rows, deg: int, height) -> None:
+    def _residual_gate(self, what: str, rows, deg: int, height) -> None:
         """PrefactorResidue unless |pred - val| <= tol max(|val|, height max(1, |eta|)^deg),
-        tol = 2^(48 - bits), for every held-out (eta, pred, val) in rows."""
+        tol = 2^(48 - bits), for every (eta, pred, val) in rows."""
         mag, tol = self.sc.magnitude, mp.mpf(2) ** (-self.bits + 48)
         for e, pred, val in rows:
             err = mag(pred - val)
             lim = tol * max(mag(val), height * max(1, mag(e)) ** deg)
             if err > lim:
                 raise PrefactorResidue(
-                    f"{what} held-out residual {mp.nstr(err, 5)} exceeds {mp.nstr(lim, 5)}")
+                    f"{what} residual {mp.nstr(err, 5)} exceeds {mp.nstr(lim, 5)}")
 
     def _fit_held_out(self, etas, vals, coeffs, deg: int) -> Poly:
-        """The eta polynomial of degree deg from the fit nodes; gate the HELD_OUT last ones."""
+        """The eta polynomial of degree deg from the fit nodes.  Gated: each coefficient
+        c_m past deg that the fit nodes give (the inverse DFT's) must vanish, as
+        c_m eta^m at a fit node, and the HELD_OUT last nodes must agree with the fit."""
         fit = len(etas) - HELD_OUT
-        poly = Poly(coeffs(vals[:fit], deg), self.sc)
+        cs = coeffs(vals[:fit], deg)
+        poly = Poly(cs[:deg + 1], self.sc)
         if poly.height == 0:
             raise DegenerateIndexSet("zero Casoratian polynomial part")
-        self._held_out_gate("extraction", [(e, poly(e), v) for e, v in zip(etas[fit:], vals[fit:])],
+        node = etas[0]
+        self._residual_gate("extraction coefficient",
+                            [(node, c * node ** m, self.sc.zero)
+                             for m, c in enumerate(cs[deg + 1:], deg + 1)], deg, poly.height)
+        self._residual_gate("extraction held-out",
+                            [(e, poly(e), v) for e, v in zip(etas[fit:], vals[fit:])],
                             deg, poly.height)
         return poly
 
-    def _extract(self, cols, deg: int, ref_cols, ref_poly: Poly, salt: str) -> Poly:
+    def _extract(self, cols, deg: int, ref_cols, ref_poly: Poly) -> Poly:
         """Interpolate the eta polynomial of detPoly(cols) against a class reference."""
-        us, etas, frames, refs = self._nodes(deg + 1, salt, len(cols),
-                                             {k for k, _ in cols + ref_cols}, ref_cols)
+        us, etas, frames, refs, coeffs = self._nodes(deg + 1, len(cols),
+                                                     {k for k, _ in cols + ref_cols}, ref_cols)
         vals = self.det_values(cols, us, frames)
         return self._fit_held_out(etas, [v * ref_poly(e) / r for e, v, r in zip(etas, vals, refs)],
-                                  self.sc.interpolator(etas[:deg + 1]), deg)
+                                  coeffs, deg)
 
     def _p_batch(self, D: IndexSet, top: int):
         """What P_{D,n<=top} is fitted from: the node etas, per node the etas of its
         ladder and the cofactor weights scaled by the reference ratio
-        Xi_{D0}/detPoly_{D0}, and the interpolation of the ell_D + top + 1 fit nodes."""
+        Xi_{D0}/detPoly_{D0}, and the interpolator of the fit nodes for ell_D + top + 1
+        unknowns."""
         D0 = reference_index_set(D.counts)
         ref_poly = self.shift_builder().xi(D0)
         cols = _xi_cols(D)
-        fit = D.ell + top + 1
-        us, etas, frames, refs = self._nodes(fit, f"p|{D.key()}|{top}", len(cols) + 1,
-                                             {k for k, _ in cols} | {"P"}, _p_cols(D0, 0))
+        _, etas, frames, refs, coeffs = self._nodes(D.ell + top + 1, len(cols) + 1,
+                                                    {k for k, _ in cols} | {"P"}, _p_cols(D0, 0))
         rows = []
         for e, (ladder, _), r, cof in zip(etas, frames, refs, self.p_cofactors(cols, frames)):
             k = ref_poly(e) / r
             rows.append((ladder, [c * k for c in cof]))
-        return etas, rows, self.sc.interpolator(etas[:fit])
+        return etas, rows, coeffs
 
     # .. class references ..........................................................
 
     def _pairing_bootstrap(self, D0: IndexSet, D1: IndexSet) -> Poly:
         """Solve detPoly_{D1} * B(eta) = detPoly_{D0} * A(eta) for monic B = Xi_{D0}.
 
-        The square system of the fit nodes is solved directly; the held-out nodes
-        gate detPoly_{D0} * A against detPoly_{D1} * B."""
+        The square system of the first nodes is solved directly; every further node,
+        fit or held-out, gates detPoly_{D0} * A against detPoly_{D1} * B."""
         sc = self.sc
         dB, dA = D0.ell, D1.ell
         nunk = (dA + 1) + dB
         c0, c1 = _xi_cols(D0), _xi_cols(D1)
-        us, etas, frames, v0 = self._nodes(nunk, f"pair|{D0.key()}|{D1.key()}", D0.M,
-                                           {k for k, _ in c0 + c1}, c0)
+        us, etas, frames, v0, _ = self._nodes(nunk, D0.M, {k for k, _ in c0 + c1}, c0)
         v1 = self.det_values(c1, us, frames)
         fit = list(zip(etas[:nunk], v1, v0))
         rows = [[b_s * e ** k for k in range(dA + 1)] + [-a_s * e ** k for k in range(dB)]
@@ -298,8 +325,8 @@ class Builder:
         sol = solve_dense(rows, [a_s * e ** dB for e, a_s, _ in fit], sc)
         xi0 = Poly(list(sol[dA + 1:]) + [sc.one], sc)
         a_poly = Poly(sol[: dA + 1], sc)
-        self._held_out_gate("pairing", [(e, b_s * a_poly(e), a_s * xi0(e))
-                                        for e, a_s, b_s in list(zip(etas, v1, v0))[nunk:]], 0, 0)
+        self._residual_gate("pairing held-out", [(e, b_s * a_poly(e), a_s * xi0(e)) for e, a_s, b_s
+                                                 in list(zip(etas, v1, v0))[nunk:]], 0, 0)
         return xi0
 
     def shift_builder(self) -> "Builder":
@@ -319,7 +346,7 @@ class Builder:
             return self._xi_cache[key]
         D0 = reference_index_set(D.counts)
         if D != D0:
-            poly = self._extract(_xi_cols(D), D.ell, _xi_cols(D0), self.xi(D0), f"xi|{key}")
+            poly = self._extract(_xi_cols(D), D.ell, _xi_cols(D0), self.xi(D0))
         elif D.M1 == 0 or D.M2 == 0:
             poly = Poly.const(self.sc.one, self.sc)
         else:
@@ -465,17 +492,19 @@ def htilde_frame(builder: Builder, bundle: "MiopBundle", u) -> HtildeFrame:
         bundle.xi_shift(eta_m) / xi0, bundle.xi_shift(eta_p) / xi0)
 
 
-def apply_htilde(fr: HtildeFrame, p: Poly):
-    """(H~_D p-check)(x) at the frame's point."""
-    pu = p(fr.eta)
+def apply_htilde(fr: HtildeFrame, p: Poly, pu=None):
+    """(H~_D p-check)(x) at the frame's point; pu is p(fr.eta), if already evaluated."""
+    if pu is None:
+        pu = p(fr.eta)
     t1 = fr.v * fr.half_m * (p(fr.eta_m) - fr.r_m * pu)
     t2 = fr.vs * fr.half_p * (p(fr.eta_p) - fr.r_p * pu)
     return t1 + t2
 
 
 def _eigen_residual(fr: HtildeFrame, p, E, sc) -> mp.mpf:
-    val = sc.to_mpc(apply_htilde(fr, p))
-    ref = sc.to_mpc(E * p(fr.eta))
+    pu = p(fr.eta)
+    val = sc.to_mpc(apply_htilde(fr, p, pu))
+    ref = sc.to_mpc(E * pu)
     scale = abs(val) + abs(ref) + 1
     return abs(val - ref) / scale
 

@@ -56,6 +56,12 @@ def jitter(salt: str) -> float:
     return int.from_bytes(h[:4], "big") / 2**32
 
 
+def _van_der_corput(k: int) -> Fraction:
+    """The binary digits of k mirrored behind the binary point: 1/2, 1/4, 3/4, 1/8, ...
+    for k = 1, 2, 3, 4; the first 2^m of them are the multiples of 2^-m in [0, 1)."""
+    return Fraction(int(f"{k:b}"[::-1], 2), 1 << k.bit_length())
+
+
 def pochhammer(a, n: int):
     """Shifted factorial (a)_n = a (a+1) ... (a+n-1); (a)_0 = 1."""
     if n < 0:
@@ -209,33 +215,55 @@ class MPScalars:
 
     @staticmethod
     def extraction_nodes(fam, lam, fit: int, salt: str, attempt: int):
-        """(sample args, etas) of fit interpolation nodes, then HELD_OUT held-out ones.
+        """(ids, node): the ids of the nodes of an extraction with fit unknowns, K fit
+        nodes and then HELD_OUT held-out ones, and node(id) -> (sample arg, eta).
 
-        The fit nodes are eta_k = rho e^{2 pi i (theta + k) / fit} on the circle
-        |eta| = rho = NODE_RADIUS, with theta in [0, 1) salted by salt and the
-        rotation attempt.  The held-out nodes are HELD_OUT equally spaced points
-        e^{2 pi i (theta + j + 1/2) / HELD_OUT} on the circle |eta| = HELD_RADIUS.
+        K = 2^ceil(log2 fit).  Fit node k >= 0 is eta = rho e^{2 pi i (theta + v_k)} on
+        the circle |eta| = rho = NODE_RADIUS, with v_k the base-2 van der Corput point
+        of k, so the K fit nodes are rho times the K-th roots of unity, turned by theta,
+        and the first K of the 2K ones.  Held-out node ~j is
+        HELD_RADIUS e^{2 pi i (theta + (j + 1/2) / HELD_OUT)}.  theta in [0, 1) is
+        salted by salt and the rotation attempt, not by K: a node depends on
+        (salt, attempt, id) only.
         """
         theta = mp.mpf(jitter(f"{salt}|{attempt}"))
-        etas = [NODE_RADIUS * mp.expjpi(2 * (theta + k) / fit) for k in range(fit)]
-        etas += [HELD_RADIUS * mp.expjpi(2 * (theta + j + mp.mpf(0.5)) / HELD_OUT)
-                 for j in range(HELD_OUT)]
-        return [fam.arg_of_x(fam.recover_x(e)) for e in etas], etas
+
+        def node(k):
+            if k >= 0:
+                radius, turn = NODE_RADIUS, _van_der_corput(k)
+            else:
+                radius, turn = HELD_RADIUS, Fraction(2 * ~k + 1, 2 * HELD_OUT)
+            eta = radius * mp.expjpi(2 * theta + mp.mpf(2 * turn.numerator) / turn.denominator)
+            return fam.arg_of_x(fam.recover_x(eta)), eta
+        return list(range(1 << (fit - 1).bit_length())) + [~j for j in range(HELD_OUT)], node
 
     @staticmethod
     def interpolator(etas):
-        """coeffs(vals, deg): the eta coefficients 0..deg of the polynomial with the
-        values vals at the fit nodes etas, by the inverse DFT
-        c_m = (1/K) sum_k v_k eta_k^{-m} (K = len(etas) > deg, nodes from
-        extraction_nodes).  The powers eta_k^{-m} are made once and shared."""
+        """coeffs(vals, deg): the eta coefficients 0..K-1 of the polynomial of degree below
+        K = len(etas) with the values vals at the fit nodes etas of extraction_nodes.
+
+        Node k is eta_0 w^r(k), w = e^{2 pi i / K} and r(k) the log2(K)-bit reversal of
+        k, so c_m = eta_0^{-m} A_m / K with A_m = sum_j x_j w^{-jm} the inverse DFT of
+        x_j = v_r(j): the values come in the bit-reversed order that the iterative
+        radix-2 FFT takes (Cooley & Tukey 1965), which needs (K/2) log2(K) products.
+        All K coefficients come back whatever deg is: those past deg must vanish.
+        """
         K = len(etas)
-        inv = [1 / e for e in etas]
-        rows = [[mp.mpc(1) / K] * K]
+        twiddles = [mp.expjpi(mp.mpf(-2 * t) / K) for t in range(K // 2)]
+        inv, scale = 1 / etas[0], [mp.mpc(1) / K]
         for _ in range(K - 1):
-            rows.append([w * i for w, i in zip(rows[-1], inv)])
+            scale.append(scale[-1] * inv)
 
         def coeffs(vals, deg):
-            return [sum((w * v for w, v in zip(row, vals)), _ZERO) for row in rows[:deg + 1]]
+            a, half = list(vals), 1
+            while half < K:
+                step = K // (2 * half)
+                for start in range(0, K, 2 * half):
+                    for j in range(start, start + half):
+                        t = twiddles[(j - start) * step] * a[j + half]
+                        a[j], a[j + half] = a[j] + t, a[j] - t
+                half *= 2
+            return [c * s for c, s in zip(a, scale)]
         return coeffs
 
     # -- fixed-point kernels -----------------------------------------------------

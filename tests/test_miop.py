@@ -336,6 +336,97 @@ def test_P_is_independent_of_call_order():
         assert bun.P[N].coeffs == cold.coeffs
 
 
+def _float_or_exact(backend):
+    """A W parameter set on the backend: a generic draw in floats, rationals exactly."""
+    if backend == "float":
+        return draw_params("w", "generic", seed=23)
+    return params_from_values("w", EXACT_PARAMS["w"][0], mode="physical", backend="exact")
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+def test_xi_and_pairing_are_independent_of_call_order(backend):
+    """Two fresh builders that visit the index sets of one class (M_I, M_II) = (1, 1) in
+    opposite orders give the same Xi_D (the reference's from the pairing bootstrap) and
+    P_{D,n}, bit for bit: the nodes they share depend on their class alone."""
+    sets = [IndexSet.make(pairs) for pairs in ([(0, "I"), (0, "II")], [(1, "I"), (0, "II")],
+                                               [(2, "I"), (1, "II")], [(0, "I"), (3, "II")])]
+    with workbits(288):
+        lam = _float_or_exact(backend)
+        built = []
+        for order in (sets, sets[::-1]):
+            b = Builder(lam)
+            got = {D.key(): [b.xi(D).coeffs] + [b.P(D, n).coeffs for n in range(3)]
+                   for D in order}
+            built.append(got)
+        assert built[0] == built[1]
+
+
+def test_node_sets_nest():
+    """The K fit nodes of an extraction are the first K of the 2K ones, bit for bit, and
+    are the K-th roots of unity on the fit circle, turned by one salted angle; the
+    held-out nodes do not depend on K."""
+    from casoratia.numkernel import HELD_OUT, NODE_RADIUS
+    with workbits(288):
+        for tag in TAGS:
+            lam = draw_params(tag, "generic", seed=23)
+            sc, fam = lam.scalars, FAMILIES[tag]
+            for fit, K in ((1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (9, 16)):
+                ids, node = sc.extraction_nodes(fam, lam, fit, "nest", 1)
+                ids2, node2 = sc.extraction_nodes(fam, lam, 2 * K, "nest", 1)
+                assert len(ids) == K + HELD_OUT and len(ids2) == 2 * K + HELD_OUT
+                assert ids2[:K] == ids[:K] and ids2[-HELD_OUT:] == ids[-HELD_OUT:]
+                assert all(node(k) == node2(k) for k in ids)
+                etas = [node(k)[1] for k in ids[:K]]
+                turn = etas[0] / NODE_RADIUS
+                for e in etas:
+                    assert abs((e / NODE_RADIUS / turn) ** K - 1) <= mp.mpf(2) ** -270
+                assert min((abs(e - f) for i, e in enumerate(etas) for f in etas[:i]),
+                           default=2) > 1 / mp.mpf(K)
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+def test_cached_nodes_match_fresh_frames(backend):
+    """Every cached node's frame and reference value is what a fresh frames/det_values
+    gives at its sample arg, and its eta is the node's: nothing in the cache is stale."""
+    with workbits(288):
+        lam = _float_or_exact(backend)
+        b = Builder(lam)
+        for D in (IndexSet.make([(2, "I")]), IndexSet.make([(1, "I"), (2, "II")])):
+            b.xi(D)
+            b.P(D, 2)
+        assert {cls[0] for cls, _, _ in b._node_cache} == {1, 2, 3}
+        for (cls, attempt, k), (u, eta, frame, ref) in b._node_cache.items():
+            R, kinds, ref_cols = cls
+            assert b.frames([u], R, set(kinds)) == [frame]
+            assert b.det_values(list(ref_cols), [u]) == [ref]
+            if backend == "exact":
+                assert eta == lam.fam.eta_at(u, lam)
+            else:
+                assert abs(lam.fam.eta_at(u, lam) - eta) <= mp.mpf(2) ** -250
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_extraction_coefficient_gate_fires(tag, monkeypatch):
+    """Xi_{2^I} has 3 unknowns and 4 fit nodes, so the inverse DFT's eta^3 coefficient
+    must vanish.  One fit value off by a relative 2^-100 fails that gate."""
+    D = IndexSet.make([(2, "I")])
+    cols = miop._xi_cols(D)
+    det_values = Builder.det_values
+
+    def off_by_one_part(self, cols_, us, frames=None):
+        vals = det_values(self, cols_, us, frames)
+        if list(cols_) == cols:
+            vals[0] = vals[0] * (1 + mp.mpf(2) ** -100)
+        return vals
+
+    with workbits(288):
+        lam = draw_params(tag, "generic", seed=5)
+        Builder(lam).xi(D)
+        monkeypatch.setattr(Builder, "det_values", off_by_one_part)
+        with pytest.raises(PrefactorResidue, match="extraction coefficient residual"):
+            Builder(lam).xi(D)
+
+
 def test_vanishing_reference_takes_the_next_rotation(monkeypatch):
     """A vanishing reference value moves the solve to the next node rotation; after
     ROTATIONS such rotations the index set counts as degenerate.  Both solves

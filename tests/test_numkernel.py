@@ -77,7 +77,8 @@ def test_float_inverse_dft_recovers_a_polynomial():
             sc, fam = lam.scalars, FAMILIES[tag]
             want = [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(16)]
             p = Poly(want, sc)
-            us, etas = sc.extraction_nodes(fam, lam, 16, "dft", 0)
+            ids, node = sc.extraction_nodes(fam, lam, 16, "dft", 0)
+            us, etas = zip(*map(node, ids))
             # the fit nodes lie on the fit circle, the held-out ones on theirs, and the
             # sample args map back onto them
             assert len(etas) == 16 + HELD_OUT
@@ -94,9 +95,11 @@ def test_float_inverse_dft_recovers_a_polynomial():
             fitted = Poly(sc.interpolator(etas[:16])(bad[:16], 15), sc)
             for e, v in zip(etas[16:], bad[16:]):
                 assert abs(fitted(e) - v) > abs(e) ** 31
-            # few fit nodes: all nodes stay apart
-            for fit in (1, 2, 3):
-                _, etas = sc.extraction_nodes(fam, lam, fit, "few", 0)
+            # few fit unknowns: 1, 2, 4 and 4 fit nodes, and all nodes stay apart
+            for fit in (1, 2, 3, 4):
+                ids, node = sc.extraction_nodes(fam, lam, fit, "few", 0)
+                etas = [node(k)[1] for k in ids]
+                assert len(etas) == (1, 2, 4, 4)[fit - 1] + HELD_OUT
                 gaps = [abs(e - f) for i, e in enumerate(etas) for f in etas[:i]]
                 assert min(gaps) > mp.mpf("0.1")
 

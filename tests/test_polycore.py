@@ -110,15 +110,20 @@ def test_backend_interface_and_dense_routines(backend):
         tall = a + [[num(1), num(1), num(1)]]
         assert all(map(same, lstsq_dense(tall, b + [sum(x, sc.zero)], sc), x))
 
-        # extraction: 5 fit and 4 held-out nodes, all distinct; 1 + 2e + e^2 back from
-        # the fit nodes, at degree 2 and as the low coefficients at degree 4
-        us, etas = sc.extraction_nodes(FAMILIES["aw"], lam, 5, "salt", 0)
-        assert len(us) == len(etas) == 9
+        # extraction: 5 unknowns get 5 fit nodes exact and 8 (a power of two) in floats,
+        # then 4 held-out nodes, all distinct; 1 + 2e + e^2 back from the fit nodes, at
+        # degree 2 and as the low coefficients at degree 4, where the inverse DFT also
+        # gives the vanishing coefficients up to 7
+        ids, node = sc.extraction_nodes(FAMILIES["aw"], lam, 5, "salt", 0)
+        us, etas = zip(*map(node, ids))
+        fit = 5 if exact else 8
+        assert len(us) == len(etas) == fit + 4
         assert all(not sc.is_zero(e - f) for i, e in enumerate(etas) for f in etas[:i])
-        coeffs = sc.interpolator(etas[:5])
-        vals = [poly(1, 2, 1)(e) for e in etas[:5]]
-        assert all(map(same, coeffs(vals, 2), [num(1), num(2), num(1)]))
-        assert all(map(same, coeffs(vals, 4), [num(1), num(2), num(1), num(0), num(0)]))
+        coeffs = sc.interpolator(etas[:fit])
+        vals = [poly(1, 2, 1)(e) for e in etas[:fit]]
+        want = [num(1), num(2), num(1)] + [num(0)] * 5
+        assert len(coeffs(vals, 2)) == (3 if exact else 8) and all(map(same, coeffs(vals, 2), want))
+        assert len(coeffs(vals, 4)) == fit and all(map(same, coeffs(vals, 4), want))
         # the gates, each one comparison of magnitudes: height, the node rotation
         # test, the pole test, the held-out residual (tolerance 2^-144 at 192 bits)
         # and the shape defect
@@ -128,9 +133,10 @@ def test_backend_interface_and_dense_routines(backend):
         assert not _vanishing(sc, [num(1), num(2), num(3)], 192)
         assert sc.magnitude(num(0)) < gate <= sc.magnitude(num(1))
         b = Builder(lam, 192)
-        b._held_out_gate("extraction", [(num(2), num(5), num(5))], 2, 1)
+        b._residual_gate("extraction held-out", [(num(2), num(5), num(5))], 2, 1)
         with pytest.raises(PrefactorResidue, match="extraction held-out residual"):
-            b._held_out_gate("extraction", [(num(2), num(5), num(Fraction(5001, 1000)))], 2, 1)
+            b._residual_gate("extraction held-out",
+                             [(num(2), num(5), num(Fraction(5001, 1000)))], 2, 1)
 
         def defect(p0, xs):
             return _shape_invariance_defect(SimpleNamespace(lam=lam, P={0: p0}, xi_shift=xs))

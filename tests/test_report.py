@@ -62,15 +62,15 @@ def test_cache_key_covers_version_and_schema(monkeypatch):
 
 
 # sha256 of the canonical verify JSON (seed 1, N = 2, default precision), recorded
-# once reports printed every value from its own mantissa (before, verify rendered at
-# mpmath's default 53 bits); a refactor that claims byte-identical reports keeps these
+# once extractions shared one node set per count class (their values moved in noise
+# digits only); a refactor that claims byte-identical reports keeps these
 GOLDEN_REPORTS = [
     (["--family", "ch", "--mode", "physical", "--dI", "1", "--dII", "2"],
-     "c686c2f7dd0adf3de60659f2ab1d2377ab25bc4d00ad39dd4c46481d6dcd1011"),
+     "430001624ade57855947a213491ca900a942df3b615d3e6e298fbaee05c16b82"),
     (["--family", "w", "--mode", "physical", "--dI", "1", "--dII", "1"],
-     "fc85a0e78b8480d07903d353fb0963e4165956a64bce1f21fc1cea2dff52c9e8"),
+     "1a9ce8f932314f32d12d90716eb9988d65dccd997c4c4a9a56998dd1288b1699"),
     (["--family", "aw", "--mode", "generic", "--dI", "1", "--dII", "1"],
-     "3807f0b06ad356817c5c44a5d1bcabf0fe9129c44c1ca7f76abd9087f6c1516c"),
+     "074ac6e934a8fe84542106435e89296d60a0d9f6dd13539ebce82fcd9ece9b28"),
 ]
 
 
@@ -83,9 +83,28 @@ def test_golden_verify_report(argv, sha):
     assert hashlib.sha256(r.stdout).hexdigest() == sha
 
 
+def test_verify_report_is_independent_of_earlier_runs(tmp_path, monkeypatch):
+    """In one process, verify runs on one draw share its Builder, as the grid's do: a
+    report is the same after other runs of its class as in a fresh process."""
+    from casoratia import cli, miop
+
+    target = ["--family", "aw", "--mode", "generic", "--dI", "1", "--dII", "1", "--N", "2"]
+    earlier = [["--family", "aw", "--mode", "generic", "--dI", "2", "--dII", "1", "--N", "2"],
+               ["--family", "aw", "--mode", "generic", "--dI", "0", "--dII", "2", "--N", "3"]]
+    reports = []
+    for before in ([], earlier):
+        monkeypatch.setattr(miop, "_BUILDERS", {})
+        for argv in before:
+            assert cli.main(["verify", *argv, "--out", str(tmp_path / "earlier.json")]) == 0
+        out = tmp_path / f"target{len(reports)}.json"
+        assert cli.main(["verify", *target, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 # sha256 of the sweep CSV below, recorded with the same rendering: the one golden on
 # the sweep's own rendering of max_offdiag_rel and conjecture_rel_err
-GOLDEN_SWEEP = "0e84b012229744a5f4ee26f8be4f241e4463b81dc32bc8742ea1dd2b44a1d21d"
+GOLDEN_SWEEP = "4682e0915ae32056a136429de11802d30540b6d4b96470ed35d4199b5090670f"
 
 
 def test_golden_sweep_csv():
