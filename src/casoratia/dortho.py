@@ -94,7 +94,7 @@ def build_pa_basis(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) -> PaBas
     EN = fam.energy(N, lam)
     entries = []
     for n in range(N):
-        entries.append(PaEntry(f"case0(n={n})", 0, b.P(D, n, top=N), fam.energy(n, lam), n=n))
+        entries.append(PaEntry(f"case0(n={n})", 0, b.P(D, n), fam.energy(n, lam), n=n))
     for ds in chain(*derived_index_sets(D)):
         (t0, t1), (d0, d1) = CASE_TYPES[ds.case], ds.removed + ds.added
         e = fam.etilde(t0, d0, lam) + fam.etilde(t1, d1, lam) - EN
@@ -216,8 +216,7 @@ class OrthoReport:
     extras: dict = field(default_factory=dict)
 
 
-def verify_orthogonality(lam: ParamSet, D: IndexSet, N: int, bits: int = 256,
-                         check_pa: bool = True) -> OrthoReport:
+def verify_orthogonality(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) -> OrthoReport:
     """Run the full discrete-orthogonality pipeline at bits (bits + 32 working bits,
     whatever the caller's precision)."""
     if lam.scalars.name != "float":
@@ -263,8 +262,7 @@ def verify_orthogonality(lam: ParamSet, D: IndexSet, N: int, bits: int = 256,
         rep.extras["basis"] = basis
         rep.extras["Mtilde"] = Mt
         rep.extras["M"] = M
-        if check_pa:
-            rep.extras["pa_defect"] = pa_difference_equation_defect(basis, frames)
+        rep.extras["pa_defect"] = pa_difference_equation_defect(basis, frames)
         return rep
 
 

@@ -257,9 +257,14 @@ class ExactScalars:
 
     def interpolator(self, etas):
         """coeffs(vals, deg): the deg + 1 coefficients of the polynomial through the first
-        deg + 1 nodes, solved exactly."""
+        deg + 1 nodes, solved exactly (each Vandermonde row by running products)."""
         def coeffs(vals, deg):
-            rows = [[e ** m for m in range(deg + 1)] for e in etas[:deg + 1]]
+            rows = []
+            for e in etas[:deg + 1]:
+                row = [self.one]
+                for _ in range(deg):
+                    row.append(row[-1] * e)
+                rows.append(row)
             return solve_dense(rows, vals[:deg + 1], self)
         return coeffs
 

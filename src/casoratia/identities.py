@@ -167,7 +167,8 @@ def _chain_pairs(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int, count: int
             if tp == tpp:
                 ratio = (E_n - ev_p) * ratio
             lhs = ratio * p_big(fr.eta)
-            rhs = apply_htilde(fr, p_small) + (E_n - ev_p - ev_pp) * p_small(fr.eta)
+            pu = p_small(fr.eta)
+            rhs = apply_htilde(fr, p_small, pu) + (E_n - ev_p - ev_pp) * pu
         except (PoleAtSample, ZeroDivisionError):
             continue
         if tp != tpp:

@@ -19,11 +19,14 @@ the order of calls.  The nodes and the interpolation are the scalar
 backend's: 2^k roots of unity on a circle in eta with an inverse DFT in
 floats (each set the first half of the next; the coefficients past deg must
 vanish), the first rational points with an exact solve otherwise.
-P_{D,0..N} share one node set and one interpolation: detPoly is linear in
-its P column, so one cofactor vector per node serves every n.  Every build
-is gated: degree law, nonzero leading coefficient, the vanishing DFT
-coefficients, held-out node residuals, the deformed eigenrelation (on one
-set of frames for every n) and shape invariance.
+Xi_D and P_{D,n} take one extraction path, each on the nodes of its own
+degree.  detPoly is linear in its last column, so a node keeps one row per
+(head columns, last kind): the cofactors of the other columns with the phase,
+the last column's row weights and the reference ratio folded in.  Every
+degree of that last column, every n of P_{D,n}, is then one dot product.
+Every build is gated: degree law, nonzero leading coefficient, the vanishing
+DFT coefficients, held-out node residuals, the deformed eigenrelation (on
+one set of frames for every n) and shape invariance.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .polycore import Poly, ladder_points, solve_dense
 
 HALF = Fraction(1, 2)
 ROTATIONS = 4   # node sets an extraction tries before its reference counts as vanishing
+GATE_SAMPLES = 12   # pole-free frames of the eigen gate, shared by every n
 
 
 class DegenerateIndexSet(RuntimeError):
@@ -128,6 +132,19 @@ def _bumped_reference(counts) -> IndexSet:
 # -- determinant values ----------------------------------------------------------
 
 
+@dataclass
+class _Node:
+    """One extraction node of a class: its sample arg, eta, ladder frame (Builder.frames)
+    and reference value detPoly(ref_cols), and the rows of the extractions made at it,
+    (head columns, last kind) -> row (Builder._node_rows)."""
+
+    u: object
+    eta: object
+    frame: tuple
+    ref: object
+    rows: dict = field(default_factory=dict)
+
+
 class Builder:
     """Per-parameter-set construction engine with caches.
 
@@ -141,9 +158,8 @@ class Builder:
         self.bits = bits
         self._polys = {}        # ('I'|'II'|'P', deg) -> eta Poly
         self._xi_cache = {}     # IndexSet.key -> Poly
-        self._p_cache = {}      # (IndexSet.key, n, top) -> Poly
-        self._p_batches = {}    # (IndexSet.key, top) -> _p_batch, until P_{D,top} is fitted
-        self._node_cache = {}   # (class, attempt, node id) -> [u, eta, frame, reference value]
+        self._p_cache = {}      # (IndexSet.key, n) -> Poly
+        self._node_cache = {}   # (class, attempt, node id) -> _Node
         self._shift_builder = None
 
     # .. column polynomials ......................................................
@@ -190,48 +206,37 @@ class Builder:
         return [[cum[k][j] * polys[c](etas[j]) for c, (k, _) in enumerate(cols)]
                 for j in range(len(etas))]
 
-    def det_values(self, cols, us, frames=None):
-        """detPoly values at the sample arguments us (frames: their frames, if made).
+    def _row(self, head, kind: str, frame):
+        """c_j with detPoly(head + [(kind, d)]) = sum_j c_j p_{kind,d}(eta_j) at the frame,
+        for every degree d.
 
-        Each determinant is sum_j C_j y_j over the backend's last-column cofactors
-        of the block and its last column y.
+        detPoly is linear in its last column: the backend's cofactors of the head
+        block, with the phase and the last column's row weights folded in.
         """
         sc = self.sc
-        R = len(cols)
-        if R == 0:
+        etas, cum = frame
+        R = len(head) + 1
+        phase = sc.i ** ((R * (R - 1)) // 2)
+        return [c * phase * w
+                for c, w in zip(sc.cofactors(self._block(head, etas, cum)), cum[kind])]
+
+    def det_values(self, cols, us, frames=None):
+        """detPoly values at the sample arguments us (frames: their frames, if made)."""
+        sc = self.sc
+        if not cols:
             return [sc.one for _ in us]
         if frames is None:
-            frames = self.frames(us, R, {k for k, _ in cols})
-        phase = sc.i ** ((R * (R - 1)) // 2)
-        out = []
-        for fr in frames:
-            block = self._block(cols, *fr)
-            det = sc.zero
-            for c, row in zip(sc.cofactors([row[:-1] for row in block]), block):
-                det = det + c * row[-1]
-            out.append(det * phase)
-        return out
-
-    def p_cofactors(self, cols, frames):
-        """Per frame, c_j with detPoly(cols + [("P", n)]) = sum_j c_j p_n(eta_j) for every n.
-
-        detPoly is linear in its last column: one cofactor vector of the cols
-        block, with the phase and the P-column weights folded in, serves every n.
-        """
-        sc = self.sc
-        R = len(cols) + 1
-        phase = sc.i ** ((R * (R - 1)) // 2)
-        return [[c * phase * w
-                 for c, w in zip(sc.cofactors(self._block(cols, etas, cum)), cum["P"])]
-                for etas, cum in frames]
+            frames = self.frames(us, len(cols), {k for k, _ in cols})
+        *head, (kind, deg) = cols
+        p = self.col_poly(kind, deg)
+        return [_dot(self._row(head, kind, fr), fr[0], p, sc) for fr in frames]
 
     # .. nodes / fitting .........................................................
 
     def _nodes(self, fit: int, R: int, kinds, ref_cols):
         """The extraction nodes of the class (R, kinds, ref_cols) for fit unknowns (the
         backend's fit nodes, then HELD_OUT), at the first rotation where no reference
-        value vanishes: their sample args, etas, frames and detPoly(ref_cols) values,
-        and the interpolator of their fit nodes.
+        value vanishes, and the interpolator of their fit nodes.
 
         The class salts the nodes, and each node is made once per builder: every
         extraction of the class shares it, whatever its degree or index set.
@@ -247,11 +252,22 @@ class Builder:
                 frames = self.frames(us, R, kinds)
                 refs = self.det_values(ref_cols, us, frames)
                 for k, *entry in zip(new, us, etas, frames, refs):
-                    cache[cls, attempt, k] = entry
-            us, etas, frames, refs = map(list, zip(*(cache[cls, attempt, k] for k in ids)))
-            if not _vanishing(sc, refs, self.bits):
-                return us, etas, frames, refs, sc.interpolator(etas[:len(ids) - HELD_OUT])
+                    cache[cls, attempt, k] = _Node(*entry)
+            nodes = [cache[cls, attempt, k] for k in ids]
+            if not _vanishing(sc, [nd.ref for nd in nodes], self.bits):
+                return nodes, sc.interpolator([nd.eta for nd in nodes[:len(ids) - HELD_OUT]])
         raise DegenerateIndexSet(f"reference Casoratian vanished at {ROTATIONS} node rotations")
+
+    def _node_rows(self, nodes, head, kind: str, ref_poly: Poly):
+        """Per node, its _row of head + [(kind, d)] times Xi_{D0}(eta) / detPoly_{D0}, the
+        reference ratio of the node's class (ref_poly is Xi_{D0}): the fit value of every
+        d is sum_j row_j p_{kind,d}(eta_j).  A node makes each row once."""
+        key = (tuple(head), kind)
+        for nd in nodes:
+            if key not in nd.rows:
+                ratio = ref_poly(nd.eta) / nd.ref
+                nd.rows[key] = [c * ratio for c in self._row(head, kind, nd.frame)]
+        return [nd.rows[key] for nd in nodes]
 
     def _residual_gate(self, what: str, rows, deg: int, height) -> None:
         """PrefactorResidue unless |pred - val| <= tol max(|val|, height max(1, |eta|)^deg),
@@ -283,28 +299,14 @@ class Builder:
         return poly
 
     def _extract(self, cols, deg: int, ref_cols, ref_poly: Poly) -> Poly:
-        """Interpolate the eta polynomial of detPoly(cols) against a class reference."""
-        us, etas, frames, refs, coeffs = self._nodes(deg + 1, len(cols),
-                                                     {k for k, _ in cols + ref_cols}, ref_cols)
-        vals = self.det_values(cols, us, frames)
-        return self._fit_held_out(etas, [v * ref_poly(e) / r for e, v, r in zip(etas, vals, refs)],
-                                  coeffs, deg)
-
-    def _p_batch(self, D: IndexSet, top: int):
-        """What P_{D,n<=top} is fitted from: the node etas, per node the etas of its
-        ladder and the cofactor weights scaled by the reference ratio
-        Xi_{D0}/detPoly_{D0}, and the interpolator of the fit nodes for ell_D + top + 1
-        unknowns."""
-        D0 = reference_index_set(D.counts)
-        ref_poly = self.shift_builder().xi(D0)
-        cols = _xi_cols(D)
-        _, etas, frames, refs, coeffs = self._nodes(D.ell + top + 1, len(cols) + 1,
-                                                    {k for k, _ in cols} | {"P"}, _p_cols(D0, 0))
-        rows = []
-        for e, (ladder, _), r, cof in zip(etas, frames, refs, self.p_cofactors(cols, frames)):
-            k = ref_poly(e) / r
-            rows.append((ladder, [c * k for c in cof]))
-        return etas, rows, coeffs
+        """The eta polynomial of detPoly(cols) against the class reference detPoly(ref_cols)
+        = Xi_{D0} (ref_poly), fitted on the nodes of deg + 1 unknowns."""
+        *head, (kind, d) = cols
+        nodes, coeffs = self._nodes(deg + 1, len(cols), {k for k, _ in cols + ref_cols}, ref_cols)
+        p = self.col_poly(kind, d)
+        vals = [_dot(row, nd.frame[0], p, self.sc)
+                for nd, row in zip(nodes, self._node_rows(nodes, head, kind, ref_poly))]
+        return self._fit_held_out([nd.eta for nd in nodes], vals, coeffs, deg)
 
     # .. class references ..........................................................
 
@@ -317,8 +319,9 @@ class Builder:
         dB, dA = D0.ell, D1.ell
         nunk = (dA + 1) + dB
         c0, c1 = _xi_cols(D0), _xi_cols(D1)
-        us, etas, frames, v0, _ = self._nodes(nunk, D0.M, {k for k, _ in c0 + c1}, c0)
-        v1 = self.det_values(c1, us, frames)
+        nodes, _ = self._nodes(nunk, D0.M, {k for k, _ in c0 + c1}, c0)
+        etas, v0 = [nd.eta for nd in nodes], [nd.ref for nd in nodes]
+        v1 = self.det_values(c1, [nd.u for nd in nodes], [nd.frame for nd in nodes])
         fit = list(zip(etas[:nunk], v1, v0))
         rows = [[b_s * e ** k for k in range(dA + 1)] + [-a_s * e ** k for k in range(dB)]
                 for e, a_s, b_s in fit]
@@ -358,35 +361,18 @@ class Builder:
         self._xi_cache[key] = poly
         return poly
 
-    def P(self, D: IndexSet, n: int, top: int | None = None) -> Poly:
-        """P_{D,n}, fitted with every P_{D,n'<=top} from one sample set (top defaults to n).
-
-        The result depends on (D, n, top) only, never on the order of calls.
-        """
-        top = n if top is None else top
-        if top < n:
-            raise ValueError(f"top = {top} is below n = {n}")
-        key = (D.key(), n, top)
+    def P(self, D: IndexSet, n: int) -> Poly:
+        """P_{D,n}: the base polynomial for empty D, else extracted against Xi_{D0} at
+        lambda + delta on the nodes of its own ell_D + n + 1 unknowns."""
+        key = (D.key(), n)
         if key in self._p_cache:
             return self._p_cache[key]
         if D.M == 0:
             poly = self.col_poly("P", n)
         else:
-            bkey = (D.key(), top)
-            batch = self._p_batches.pop(bkey, None)
-            if batch is None:
-                batch = self._p_batch(D, top)
-            if n < top and (D.key(), top, top) not in self._p_cache:
-                self._p_batches[bkey] = batch
-            etas, rows, coeffs = batch
-            base = self.col_poly("P", n)
-            vals = []
-            for ladder, cof in rows:
-                val = self.sc.zero
-                for c, x in zip(cof, ladder):
-                    val = val + c * base(x)
-                vals.append(val)
-            poly = self._fit_held_out(etas, vals, coeffs, D.ell + n)
+            D0 = reference_index_set(D.counts)
+            poly = self._extract(_p_cols(D, n), D.ell + n, _p_cols(D0, 0),
+                                 self.shift_builder().xi(D0))
         poly = poly.trim()
         if poly.degree != D.ell + n:
             raise DegenerateIndexSet(
@@ -400,6 +386,11 @@ def _vanishing(sc, values, bits: int) -> bool:
     mags = [sc.magnitude(v) for v in values]
     floor = sorted(mags)[len(mags) // 2] * mp.mpf(2) ** (-bits // 2)
     return any(m <= floor for m in mags)
+
+
+def _dot(row, etas, p: Poly, sc):
+    """sum_j row_j p(eta_j)."""
+    return sum((c * p(e) for c, e in zip(row, etas)), sc.zero)
 
 
 def _xi_cols(D: IndexSet):
@@ -528,7 +519,7 @@ class MiopBundle:
 
 
 def build_miop(lam: ParamSet, D: IndexSet, n_max: int = 8, bits: int = 256,
-               check: bool = True, samples: int = 12) -> MiopBundle:
+               check: bool = True) -> MiopBundle:
     """Construct Xi_D and P_{D,0..n_max} and run the structural gates.
 
     Runs at bits + 32 working bits, whatever the caller's precision.
@@ -538,7 +529,7 @@ def build_miop(lam: ParamSet, D: IndexSet, n_max: int = 8, bits: int = 256,
         fam = lam.fam
         xi = b.xi(D)
         xi_shift = b.shift_builder().xi(D)
-        polys = {n: b.P(D, n, top=n_max) for n in range(n_max + 1)}
+        polys = {n: b.P(D, n) for n in range(n_max + 1)}
         lam_D = shifted_params(lam, D)
         tolerance = mp.mpf(2) ** (-bits // 2)
         bounds = (tolerance * xi.height, tolerance * xi_shift.height)
@@ -546,14 +537,14 @@ def build_miop(lam: ParamSet, D: IndexSet, n_max: int = 8, bits: int = 256,
         if not check:
             return bundle
         frames = []
-        for u in lam.scalars.sample_args(fam, samples + 6, lam, f"gate|{D.key()}"):
-            if len(frames) >= samples:
+        for u in lam.scalars.sample_args(fam, GATE_SAMPLES + 6, lam, f"gate|{D.key()}"):
+            if len(frames) >= GATE_SAMPLES:
                 break
             try:
                 frames.append(htilde_frame(b, bundle, u))
             except PoleAtSample:
                 continue
-        if len(frames) < samples // 2:
+        if len(frames) < GATE_SAMPLES // 2:
             raise PoleAtSample("could not find enough pole-free gate samples")
         worst = max((_eigen_residual(fr, p, fam.energy(n, lam), b.sc)
                      for n, p in polys.items() for fr in frames), default=mp.mpf(0))

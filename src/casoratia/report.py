@@ -70,9 +70,8 @@ def ortho_report_json(rep, conj=None, manifest=None) -> dict:
         "origins": list(rep.origins),
         "eigen_residuals": [real_str(r, bits) for r in rep.eigen_residuals],
         "pa_energies": [num_str(e, bits) for e in rep.pa_energy],
+        "pa_defect": real_str(rep.extras["pa_defect"], bits),
     }
-    if "pa_defect" in rep.extras:
-        out["pa_defect"] = real_str(rep.extras["pa_defect"], bits)
     if "hermitian" in rep.extras:
         out["hermitian"] = rep.extras["hermitian"]
         out["hermiticity_witness_count"] = rep.extras["hermiticity_witness"]

@@ -173,6 +173,27 @@ def test_sweep_worker_count_independence(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_sweep_rows_are_independent_of_job_order(monkeypatch):
+    """The benchmark's sweep grid (18 jobs) gives the same rows in one process whatever
+    order its jobs run in, as Pool.map may hand them to a worker: forward, reversed,
+    and odd jobs before even ones, each from fresh builders."""
+    from casoratia import cli, miop
+
+    args = cli.make_parser().parse_args(
+        ["sweep", "--families", "ch,w,aw", "--modes", "generic", "--dmax", "1", "--M", "2",
+         "--N-max", "2"])
+    payloads = [(*job, args.prec) for job in cli._sweep_jobs(args)]
+    count = len(payloads)
+    assert count == 18
+    runs = []
+    for order in (range(count), range(count - 1, -1, -1),
+                  [*range(1, count, 2), *range(0, count, 2)]):
+        monkeypatch.setattr(miop, "_BUILDERS", {})
+        rows = {i: cli._sweep_one(payloads[i]) for i in order}
+        runs.append([rows[i] for i in range(count)])
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_identities_exact_chain(tmp_path):
     pfile = tmp_path / "p.json"
     pfile.write_text(json.dumps({

@@ -26,7 +26,7 @@ def test_conjecture_small_instances(tag, mode):
             D = IndexSet.make(pairs)
             if tag == "ch" and mode == "physical" and D.ell % 2 == 1:
                 continue
-            rep = verify_orthogonality(lam, D, N, check_pa=False)
+            rep = verify_orthogonality(lam, D, N)
             res = compare(lam, D, N, rep)
             assert res.max_rel_err <= TOL, f"{tag}/{mode} D={D}"
             if mode == "generic":
@@ -40,7 +40,7 @@ def test_case0_formula_spotcheck():
         lam = draw_params("w", "physical", seed=13)
         D = IndexSet.make([(2, "I")])
         N = 3
-        rep = verify_orthogonality(lam, D, N, check_pa=False)
+        rep = verify_orthogonality(lam, D, N)
         basis = rep.extras["basis"]
         b1 = mp.mpc(lam.b1())
         for a, entry in enumerate(basis.entries):
@@ -59,7 +59,7 @@ def test_case3_zeta_stability_across_instances():
         z1 = zeta_constant(lam, (1, 1))
         for pairs, N in ([[(2, "I"), (1, "II")], 2], [[(1, "I"), (2, "II")], 3]):
             D = IndexSet.make(pairs)
-            rep = verify_orthogonality(lam, D, N, check_pa=False)
+            rep = verify_orthogonality(lam, D, N)
             res = compare(lam, D, N, rep)
             assert res.zeta == z1
             case3 = [e for e in res.entries if e.case == 3]
@@ -73,7 +73,7 @@ def test_predicted_invariant_under_input_order():
         lam = draw_params("w", "physical", seed=13)
         D1 = IndexSet.make([(2, "I"), (1, "II")])
         D2 = IndexSet.make([(1, "II"), (2, "I")])
-        rep = verify_orthogonality(lam, D1, 2, check_pa=False)
+        rep = verify_orthogonality(lam, D1, 2)
         basis = rep.extras["basis"]
         entry = basis.entries[0]
         k1 = predicted_k(lam, D1, 2, entry)
@@ -86,7 +86,7 @@ def fitted_zeta(lam, counts):
     instance of the class, with C solved from the chain identity: the calibration the
     closed forms replaced, kept as their oracle."""
     D = reference_index_set(counts)
-    rep = verify_orthogonality(lam, D, 2, check_pa=False)
+    rep = verify_orthogonality(lam, D, 2)
     m1, m2 = counts[0] - 1, counts[1] - 1
     C = check_chain_identity(lam, reference_index_set((m1, m2)), (m1, "I"), (m2, "II"), 0,
                              samples=6)["constant"]
@@ -121,7 +121,7 @@ def test_compare_runs_no_second_pass(monkeypatch):
     with workbits(288):
         lam = draw_params("w", "generic", seed=13)
         D = IndexSet.make([(1, "I"), (1, "II")])
-        rep = verify_orthogonality(lam, D, 2, check_pa=False)
+        rep = verify_orthogonality(lam, D, 2)
 
         def no_pass(*_, **__):
             raise AssertionError("compare must not run a second pass")

@@ -87,7 +87,7 @@ def test_orthogonality_empty_d_matches_classical_constant():
     with workbits(288):
         for tag in ("ch", "w", "aw"):
             lam = draw_params(tag, "physical", seed=31)
-            rep = verify_orthogonality(lam, IndexSet.make([]), 2, check_pa=False)
+            rep = verify_orthogonality(lam, IndexSet.make([]), 2)
             assert rep.max_offdiag_rel <= mp.mpf("1e-25")
             classic = classical_discrete_ortho(lam, 2)
             got = rep.k[0] / rep.k[1]
@@ -152,7 +152,7 @@ def test_naive_weight_split():
             D = IndexSet.make(NAIVE_WITNESS[tag])
             bad = naive_weight_demo(lam, D, 3)
             assert bad >= mp.mpf("1e-3")
-            rep = verify_orthogonality(lam, D, 3, check_pa=False)
+            rep = verify_orthogonality(lam, D, 3)
             assert rep.max_offdiag_rel <= mp.mpf("1e-25")
 
 

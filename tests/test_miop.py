@@ -263,18 +263,16 @@ def test_verify_report_invariant_under_d_reordering():
     from casoratia.dortho import verify_orthogonality
     with workbits(256):
         lam = draw_params("aw", "physical", seed=3)
-        r1 = verify_orthogonality(lam, IndexSet.make([(2, "I"), (1, "II")]), 2,
-                                  check_pa=False)
-        r2 = verify_orthogonality(lam, IndexSet.make([(1, "II"), (2, "I")]), 2,
-                                  check_pa=False)
+        r1 = verify_orthogonality(lam, IndexSet.make([(2, "I"), (1, "II")]), 2)
+        r2 = verify_orthogonality(lam, IndexSet.make([(1, "II"), (2, "I")]), 2)
         for k1, k2 in zip(r1.k, r2.k):
             assert k1 == k2
 
 
 @pytest.mark.parametrize("backend", ["float", "exact"])
-def test_p_cofactors_match_det_values(backend):
-    """sum_j c_j p_n(eta_j) is detPoly with the P_n column, for every n, and both agree
-    with det_dense on the same block; exact on exact."""
+def test_rows_match_det_values(backend):
+    """sum_j row_j p_n(eta_j) over the row of the head columns is detPoly with the P_n
+    column, for every n, and both agree with det_dense on the same block; exact on exact."""
     a_vals, _ = EXACT_PARAMS["w"]
     with workbits(256):
         lam = params_from_values("w", a_vals, mode="physical", backend=backend, bits=256)
@@ -283,15 +281,15 @@ def test_p_cofactors_match_det_values(backend):
         for D in (IndexSet.make([(1, "I")]), IndexSet.make([(1, "I"), (2, "II")]),
                   IndexSet.make([(0, "I"), (2, "I"), (1, "II")])):
             frames = b.frames(us, D.M + 1, {"I", "II", "P"})
-            cofs = b.p_cofactors(miop._xi_cols(D), frames)
+            rows = [b._row(miop._xi_cols(D), "P", fr) for fr in frames]
             for n in range(3):
                 base = b.col_poly("P", n)
                 cols = miop._p_cols(D, n)
                 want = b.det_values(cols, us)
                 phase = b.sc.i ** ((len(cols) * (len(cols) - 1)) // 2)
-                for fr, cof, w in zip(frames, cofs, want):
+                for fr, row, w in zip(frames, rows, want):
                     got = b.sc.zero
-                    for c, x in zip(cof, fr[0]):
+                    for c, x in zip(row, fr[0]):
                         got = got + c * base(x)
                     dense = det_dense(b._block(cols, *fr), b.sc) * phase
                     if backend == "exact":
@@ -301,39 +299,45 @@ def test_p_cofactors_match_det_values(backend):
                         assert abs(dense - w) <= mp.mpf(2) ** -220 * abs(w)
 
 
-def test_exact_P_is_independent_of_top():
-    """One sample set serves every n <= top: the exact P_{D,n} is the same for every top."""
-    a_vals, _ = EXACT_PARAMS["w"]
-    lam = params_from_values("w", a_vals, mode="physical", backend="exact")
-    b = Builder(lam)
-    D = IndexSet.make([(1, "I"), (1, "II")])
-    for n in range(3):
-        want = b.P(D, n).coeffs
-        for top in range(n + 1, 4):
-            assert b.P(D, n, top=top).coeffs == want
-    with pytest.raises(ValueError):
-        b.P(D, 2, top=1)
-
-
 def test_P_is_independent_of_call_order():
-    """A cold builder and a warm one give the same float P_{D',N}, bit for bit."""
+    """A cold builder and a warm one, which built P_{D,0..N} and the derived set's P in
+    another order first, give the same float P_{D',n}, bit for bit, for every n <= N."""
     N = 2
     D = IndexSet.make([(1, "I"), (2, "II")])
     Dp = IndexSet.make([(1, "I"), (0, "II")])   # a case-(2) derived set of D
     with workbits(288):
         lam = draw_params("aw", "generic", seed=23)
-        cold = Builder(lam).P(Dp, N)
+        cold = Builder(lam)
+        want = [cold.P(Dp, n).coeffs for n in range(N + 1)]
         warm = Builder(lam)
-        for n in range(N + 1):
-            warm.P(D, n, top=N)
-        warm.P(Dp, 0, top=N)
-        warm.P(Dp, 1, top=N + 1)
-        assert set(warm._p_batches) == {(Dp.key(), N), (Dp.key(), N + 1)}
-        assert warm.P(Dp, N).coeffs == cold.coeffs
-        # the batch is dropped once its top degree is fitted
-        assert set(warm._p_batches) == {(Dp.key(), N + 1)}
+        for n in reversed(range(N + 1)):
+            warm.P(D, n)
+        warm.P(Dp, N + 1)
+        warm.P(Dp, 1)
+        assert [warm.P(Dp, n).coeffs for n in range(N + 1)] == want
         bun = build_miop(lam, Dp, N, check=False)
-        assert bun.P[N].coeffs == cold.coeffs
+        assert [bun.P[n].coeffs for n in range(N + 1)] == want
+
+
+def test_build_miop_makes_each_row_once(monkeypatch):
+    """build_miop on a fresh builder makes the P-head row of each node once, for all n:
+    no (node, head columns, last kind) is computed twice."""
+    made = []
+    row = Builder._row
+
+    def counting(self, head, kind, frame):
+        if kind == "P":
+            made.append((id(frame), tuple(head), kind))
+        return row(self, head, kind, frame)
+
+    monkeypatch.setattr(Builder, "_row", counting)
+    with workbits(288):
+        lam = draw_params("w", "generic", seed=4)
+        monkeypatch.setattr(miop, "_BUILDERS", {})
+        for D in (IndexSet.make([(2, "I")]), IndexSet.make([(1, "I"), (2, "II")])):
+            made.clear()
+            build_miop(lam, D, n_max=4, check=False)
+            assert made and len(set(made)) == len(made)
 
 
 def _float_or_exact(backend):
@@ -386,8 +390,9 @@ def test_node_sets_nest():
 
 @pytest.mark.parametrize("backend", ["float", "exact"])
 def test_cached_nodes_match_fresh_frames(backend):
-    """Every cached node's frame and reference value is what a fresh frames/det_values
-    gives at its sample arg, and its eta is the node's: nothing in the cache is stale."""
+    """Every cached node's frame, reference value and rows are what a fresh frames,
+    det_values and _row give at its sample arg, and its eta is the node's: nothing in
+    the cache is stale."""
     with workbits(288):
         lam = _float_or_exact(backend)
         b = Builder(lam)
@@ -395,14 +400,23 @@ def test_cached_nodes_match_fresh_frames(backend):
             b.xi(D)
             b.P(D, 2)
         assert {cls[0] for cls, _, _ in b._node_cache} == {1, 2, 3}
-        for (cls, attempt, k), (u, eta, frame, ref) in b._node_cache.items():
+        rows = 0
+        for (cls, attempt, k), node in list(b._node_cache.items()):
             R, kinds, ref_cols = cls
-            assert b.frames([u], R, set(kinds)) == [frame]
-            assert b.det_values(list(ref_cols), [u]) == [ref]
+            (frame,) = b.frames([node.u], R, set(kinds))
+            assert frame == node.frame
+            assert b.det_values(list(ref_cols), [node.u]) == [node.ref]
             if backend == "exact":
-                assert eta == lam.fam.eta_at(u, lam)
+                assert node.eta == lam.fam.eta_at(node.u, lam)
             else:
-                assert abs(lam.fam.eta_at(u, lam) - eta) <= mp.mpf(2) ** -250
+                assert abs(lam.fam.eta_at(node.u, lam) - node.eta) <= mp.mpf(2) ** -250
+            D0 = IndexSet.make([(d, t) for t, d in ref_cols if t != "P"])
+            ref_poly = b.shift_builder().xi(D0) if ref_cols[-1][0] == "P" else b.xi(D0)
+            ratio = ref_poly(node.eta) / node.ref
+            for (head, kind), row in node.rows.items():
+                assert row == [c * ratio for c in b._row(list(head), kind, frame)]
+                rows += 1
+        assert rows > 0
 
 
 @pytest.mark.parametrize("tag", TAGS)
@@ -410,19 +424,19 @@ def test_extraction_coefficient_gate_fires(tag, monkeypatch):
     """Xi_{2^I} has 3 unknowns and 4 fit nodes, so the inverse DFT's eta^3 coefficient
     must vanish.  One fit value off by a relative 2^-100 fails that gate."""
     D = IndexSet.make([(2, "I")])
-    cols = miop._xi_cols(D)
-    det_values = Builder.det_values
+    *head, (kind, _) = miop._xi_cols(D)
+    node_rows = Builder._node_rows
 
-    def off_by_one_part(self, cols_, us, frames=None):
-        vals = det_values(self, cols_, us, frames)
-        if list(cols_) == cols:
-            vals[0] = vals[0] * (1 + mp.mpf(2) ** -100)
-        return vals
+    def off_by_one_part(self, nodes, head_, kind_, ref_poly):
+        rows = node_rows(self, nodes, head_, kind_, ref_poly)
+        if (list(head_), kind_) == (head, kind):
+            rows[0] = [c * (1 + mp.mpf(2) ** -100) for c in rows[0]]
+        return rows
 
     with workbits(288):
         lam = draw_params(tag, "generic", seed=5)
         Builder(lam).xi(D)
-        monkeypatch.setattr(Builder, "det_values", off_by_one_part)
+        monkeypatch.setattr(Builder, "_node_rows", off_by_one_part)
         with pytest.raises(PrefactorResidue, match="extraction coefficient residual"):
             Builder(lam).xi(D)
 
@@ -499,7 +513,7 @@ def test_pairing_held_out_gate_fires(tag, monkeypatch):
 
 @pytest.mark.parametrize("gate", ["extraction", "pairing"])
 def test_exact_held_out_gate_fires(gate, monkeypatch):
-    """On the exact backend one held-out detPoly value off by a relative 10^-100 fails
+    """On the exact backend one held-out value off by a relative 10^-100 fails
     the held-out gate: an exact gate passes on exact equality only.  The extraction
     gate is Xi_{1^I}'s against the constant Xi_{0^I}, the pairing gate that of the
     mixed reference {0^I, 0^II}."""
@@ -511,21 +525,31 @@ def test_exact_held_out_gate_fires(gate, monkeypatch):
         cols = miop._xi_cols(miop._bumped_reference((1, 1)))
     lam = params_from_values("w", EXACT_PARAMS["w"][0], mode="physical", backend="exact")
     assert Builder(lam).xi(D).degree == D.ell
-    det_values = Builder.det_values
+    det_values, node_rows = Builder.det_values, Builder._node_rows
+    off = 1 + Fraction(1, 10 ** 100)
 
     def off_by_1e100(self, cols_, us, frames=None):
         vals = det_values(self, cols_, us, frames)
         if list(cols_) == cols:
-            vals[-1] = vals[-1] * (1 + Fraction(1, 10 ** 100))
+            vals[-1] = vals[-1] * off
         return vals
 
-    monkeypatch.setattr(Builder, "det_values", off_by_1e100)
+    def row_off_by_1e100(self, nodes, head, kind, ref_poly):
+        rows = node_rows(self, nodes, head, kind, ref_poly)
+        if (list(head), kind) == (cols[:-1], cols[-1][0]):
+            rows[-1] = [c * off for c in rows[-1]]
+        return rows
+
+    if gate == "extraction":
+        monkeypatch.setattr(Builder, "_node_rows", row_off_by_1e100)
+    else:
+        monkeypatch.setattr(Builder, "det_values", off_by_1e100)
     with pytest.raises(PrefactorResidue, match=f"{gate} held-out residual"):
         Builder(lam).xi(D)
 
 
 def test_eigen_gate_builds_one_frame_set(monkeypatch):
-    """The eigen gate builds `samples` pole-free frames for all n, not one set per n."""
+    """The eigen gate builds GATE_SAMPLES pole-free frames for all n, not one set per n."""
     made = []
     frame = miop.htilde_frame
 
@@ -541,8 +565,8 @@ def test_eigen_gate_builds_one_frame_set(monkeypatch):
     monkeypatch.setattr(miop, "htilde_frame", counting)
     with workbits(288):
         lam = draw_params("ch", "generic", seed=3)
-        bun = build_miop(lam, IndexSet.make([(1, "I"), (1, "II")]), n_max=3, samples=8)
-    assert made.count(True) == 8 and len(made) <= 8 + 6
+        bun = build_miop(lam, IndexSet.make([(1, "I"), (1, "II")]), n_max=3)
+    assert made.count(True) == miop.GATE_SAMPLES and len(made) <= miop.GATE_SAMPLES + 6
     assert bun.gates["eigen_residual"] <= mp.mpf(2) ** -128
 
 

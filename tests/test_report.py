@@ -62,15 +62,16 @@ def test_cache_key_covers_version_and_schema(monkeypatch):
 
 
 # sha256 of the canonical verify JSON (seed 1, N = 2, default precision), recorded
-# once extractions shared one node set per count class (their values moved in noise
-# digits only); a refactor that claims byte-identical reports keeps these
+# once P_{D,n} was fitted on the nodes of its own degree through the per-node rows
+# shared with Xi_D (values moved in noise digits only); a refactor that claims
+# byte-identical reports keeps these
 GOLDEN_REPORTS = [
     (["--family", "ch", "--mode", "physical", "--dI", "1", "--dII", "2"],
-     "430001624ade57855947a213491ca900a942df3b615d3e6e298fbaee05c16b82"),
+     "e222025d5716d2d6d48da197262f0c8af80cac5deff6277cd4c14554006b7a1c"),
     (["--family", "w", "--mode", "physical", "--dI", "1", "--dII", "1"],
-     "1a9ce8f932314f32d12d90716eb9988d65dccd997c4c4a9a56998dd1288b1699"),
+     "8a287e2a3ac66346f9be90602c4e00553b740c0fd074f458b21344a5f4f66705"),
     (["--family", "aw", "--mode", "generic", "--dI", "1", "--dII", "1"],
-     "074ac6e934a8fe84542106435e89296d60a0d9f6dd13539ebce82fcd9ece9b28"),
+     "cccc6fc71287ddc798a4cd0816441cbc719254c3a82e39ecc96ea57e54965e80"),
 ]
 
 
@@ -104,7 +105,7 @@ def test_verify_report_is_independent_of_earlier_runs(tmp_path, monkeypatch):
 
 # sha256 of the sweep CSV below, recorded with the same rendering: the one golden on
 # the sweep's own rendering of max_offdiag_rel and conjecture_rel_err
-GOLDEN_SWEEP = "4682e0915ae32056a136429de11802d30540b6d4b96470ed35d4199b5090670f"
+GOLDEN_SWEEP = "17e95aa5723da5c952ccb91925f9e3f833ca38b4e9d2dd9d879533e84514c43d"
 
 
 def test_golden_sweep_csv():
