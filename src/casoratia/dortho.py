@@ -270,16 +270,18 @@ def zero_grid_gram(w, vals, dpj):
     """(G, max off-diagonal ratio) of G_ab = sum_j w_j P_a(eta_j) P_b(eta_j) / P'_N(eta_j)^2.
 
     vals[a][j] = P_a(eta_j) and dpj[j] = P'_N(eta_j) at the zeros eta_j of P_N;
-    the ratio is max over a < b of |G_ab| / sqrt(|G_aa| |G_bb|).  G is filled
-    for a <= b and mirrored.
+    the ratio is max over a < b of |G_ab| / sqrt(|G_aa| |G_bb|).  The weight
+    w_j / P'_N(eta_j)^2 is made once per zero and its product with P_a(eta_j)
+    once per row, so an entry is one dot product.  G is filled for a <= b and
+    mirrored.
     """
     n = len(vals)
+    weights = [wj / dp ** 2 for wj, dp in zip(w, dpj)]
+    rows = [[wj * va for wj, va in zip(weights, row)] for row in vals]
     gram = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            gram[a][b] = gram[b][a] = sum(
-                (wj * va * vb / dp ** 2 for wj, va, vb, dp in zip(w, vals[a], vals[b], dpj)),
-                mp.mpc(0))
+            gram[a][b] = gram[b][a] = mp.fdot(rows[a], vals[b])
     offd = mp.mpf(0)
     for a in range(n):
         for b in range(a + 1, n):

@@ -15,7 +15,7 @@ from typing import Union
 import mpmath as mp
 
 from .numkernel import HELD_OUT
-from .polycore import last_column_cofactors, solve_dense
+from .polycore import last_column_cofactors
 
 _F0 = Fraction(0)
 _MAG_ZERO, _MAG_ONE = mp.mpf(0), mp.mpf(1)
@@ -255,17 +255,21 @@ class ExactScalars:
             return us[k], fam.eta_at(us[k], lam)
         return list(range(count * attempt, count * (attempt + 1))), node
 
-    def interpolator(self, etas):
+    @staticmethod
+    def interpolator(etas):
         """coeffs(vals, deg): the deg + 1 coefficients of the polynomial through the first
-        deg + 1 nodes, solved exactly (each Vandermonde row by running products)."""
+        deg + 1 nodes, exactly: Newton's divided differences d_k, then the Newton form
+        d_0 + (v - eta_0)(d_1 + (v - eta_1)(d_2 + ...)) expanded from the inside out."""
         def coeffs(vals, deg):
-            rows = []
-            for e in etas[:deg + 1]:
-                row = [self.one]
-                for _ in range(deg):
-                    row.append(row[-1] * e)
-                rows.append(row)
-            return solve_dense(rows, vals[:deg + 1], self)
+            xs, d = etas[:deg + 1], list(vals[:deg + 1])
+            for k in range(1, deg + 1):
+                for j in range(deg, k - 1, -1):
+                    d[j] = (d[j] - d[j - 1]) / (xs[j] - xs[j - k])
+            cs = [d[deg]]
+            for k in range(deg - 1, -1, -1):
+                x = xs[k]
+                cs = [d[k] - x * cs[0]] + [a - x * b for a, b in zip(cs, cs[1:])] + [cs[-1]]
+            return cs
         return coeffs
 
     def horner(self, coeffs):

@@ -14,11 +14,12 @@ pairing solve on the same extraction nodes, a square solve through the first
 nodes.  The nodes, their ladder frames and the reference values therefore
 belong to the class (R, column kinds, reference columns), not to D: a
 builder makes each node once, with its sample arg, eta, frame and reference
-value, and every extraction of the class shares it, so no value depends on
-the order of calls.  The nodes and the interpolation are the scalar
+value (and the row that value came from), and every extraction of the class
+shares it, so no value depends on the order of calls.  The nodes and the interpolation are the scalar
 backend's: 2^k roots of unity on a circle in eta with an inverse DFT in
 floats (each set the first half of the next; the coefficients past deg must
-vanish), the first rational points with an exact solve otherwise.
+vanish), the first rational points with Newton's divided differences
+otherwise.
 Xi_D and P_{D,n} take one extraction path, each on the nodes of its own
 degree.  detPoly is linear in its last column, so a node keeps one row per
 (head columns, last kind): the cofactors of the other columns with the phase,
@@ -134,14 +135,17 @@ def _bumped_reference(counts) -> IndexSet:
 
 @dataclass
 class _Node:
-    """One extraction node of a class: its sample arg, eta, ladder frame (Builder.frames)
-    and reference value detPoly(ref_cols), and the rows of the extractions made at it,
+    """One extraction node of a class: its sample arg, eta, ladder frame (Builder.frames),
+    reference value detPoly(ref_cols) and the unscaled _row it was made from, keyed
+    (head columns, last kind), and the rows of the extractions made at it,
     (head columns, last kind) -> row (Builder._node_rows)."""
 
     u: object
     eta: object
     frame: tuple
     ref: object
+    ref_key: tuple
+    ref_row: list
     rows: dict = field(default_factory=dict)
 
 
@@ -249,10 +253,12 @@ class Builder:
             new = [k for k in ids if (cls, attempt, k) not in cache]
             if new:
                 us, etas = map(list, zip(*map(node, new)))
-                frames = self.frames(us, R, kinds)
-                refs = self.det_values(ref_cols, us, frames)
-                for k, *entry in zip(new, us, etas, frames, refs):
-                    cache[cls, attempt, k] = _Node(*entry)
+                *head, (kind, deg) = ref_cols
+                p = self.col_poly(kind, deg)
+                for k, u, eta, fr in zip(new, us, etas, self.frames(us, R, kinds)):
+                    row = self._row(head, kind, fr)
+                    cache[cls, attempt, k] = _Node(u, eta, fr, _dot(row, fr[0], p, sc),
+                                                   (tuple(head), kind), row)
             nodes = [cache[cls, attempt, k] for k in ids]
             if not _vanishing(sc, [nd.ref for nd in nodes], self.bits):
                 return nodes, sc.interpolator([nd.eta for nd in nodes[:len(ids) - HELD_OUT]])
@@ -261,12 +267,14 @@ class Builder:
     def _node_rows(self, nodes, head, kind: str, ref_poly: Poly):
         """Per node, its _row of head + [(kind, d)] times Xi_{D0}(eta) / detPoly_{D0}, the
         reference ratio of the node's class (ref_poly is Xi_{D0}): the fit value of every
-        d is sum_j row_j p_{kind,d}(eta_j).  A node makes each row once."""
+        d is sum_j row_j p_{kind,d}(eta_j).  A node makes each row once, and the
+        reference's row is the one its value came from."""
         key = (tuple(head), kind)
         for nd in nodes:
             if key not in nd.rows:
                 ratio = ref_poly(nd.eta) / nd.ref
-                nd.rows[key] = [c * ratio for c in self._row(head, kind, nd.frame)]
+                row = nd.ref_row if key == nd.ref_key else self._row(head, kind, nd.frame)
+                nd.rows[key] = [c * ratio for c in row]
         return [nd.rows[key] for nd in nodes]
 
     def _residual_gate(self, what: str, rows, deg: int, height) -> None:

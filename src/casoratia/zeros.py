@@ -1,17 +1,19 @@
 """High-precision location of all zeros of an eta polynomial.
 
-Seeds come from a double-precision companion-matrix eigensolve (numpy), are
-refined by Aberth-Ehrlich simultaneous iteration at target precision and
-polished with Newton steps.  Simplicity is certified through the minimum pair
-distance; a failed certificate escalates the precision once before raising.
+Seeds come from Aberth-Ehrlich simultaneous iteration in hardware floats
+(Python complex; mpmath's polyroots when that fails), are refined by the same
+iteration at target precision and polished with Newton steps, the split of
+MPSolve (Bini & Fiorentino, Numer. Algorithms 23 (2000) 127-173).  Simplicity
+is certified through the minimum pair distance; a failed certificate escalates
+the precision once before raising.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import mpmath as mp
-import numpy as np
 
 from .numkernel import MPScalars, workbits
 from .polycore import Poly
@@ -33,19 +35,63 @@ class ZeroSet:
     precision_bits: int = 0
 
 
+SEED_STOP = 1e-10      # largest float Aberth step, relative to max(|z|, 1), that ends it
+SEED_MAX_ITER = 100
+SEED_TURN = 0.4        # radians: the start circle is turned off the real axis
+SEED_NOISE = 2.0 ** -51  # per degree: |p(z)| below this times sum |a_k| |z|^k is rounding
+
+
+def _float_aberth(coeffs):
+    """Aberth-Ehrlich with Gauss-Seidel updates in Python complex, or None.
+
+    The coefficients (lowest degree first) are scaled by the largest magnitude.
+    The n start points lie on a circle of radius max_k |a_k/a_n|^(1/(n-k)),
+    turned by SEED_TURN.  A point where |p(z)| is within the rounding bound
+    n SEED_NOISE sum_k |a_k| |z|^k of Horner's rule is a root to double accuracy
+    and stays put (near a root cluster the steps would only be rounding noise).
+    It stops after a sweep whose largest step is at most SEED_STOP max(|z|, 1);
+    cubic convergence then leaves the roots at double accuracy.  None when a
+    value leaves the double range or it does not stop.
+    """
+    m = max(abs(c) for c in coeffs)
+    a = [complex(c / m) for c in coeffs]
+    mags, n = [abs(c) for c in a], len(a) - 1
+    if a[n] == 0:
+        return None
+    radius = max(abs(a[k] / a[n]) ** (1.0 / (n - k)) for k in range(n)) or 1.0
+    zs = [cmath.rect(radius, SEED_TURN + 2 * cmath.pi * k / n) for k in range(n)]
+    for _ in range(SEED_MAX_ITER):
+        moved = 0.0
+        for i, z in enumerate(zs):
+            p, dp, bound, r = a[n], 0j, mags[n], abs(z)
+            for k in range(n - 1, -1, -1):
+                dp = dp * z + p
+                p = p * z + a[k]
+                bound = bound * r + mags[k]
+            if abs(p) <= SEED_NOISE * n * bound:
+                continue
+            ratio = p / dp
+            s = sum(1 / (z - y) for j, y in enumerate(zs) if j != i)
+            step = ratio / (1 - ratio * s)
+            zs[i] = z - step
+            moved = max(moved, abs(step) / max(abs(z), 1.0))
+        if not all(cmath.isfinite(z) for z in zs):
+            return None
+        if moved <= SEED_STOP:
+            return zs
+    return None
+
+
 def _seed_roots(coeffs):
-    """Double-precision companion-matrix seeds (highest degree first for numpy)."""
-    mags = [abs(c) for c in coeffs]
-    m = max(mags)
+    """53-bit seeds for the n roots (coefficients lowest degree first): the float
+    Aberth-Ehrlich pass, or mpmath's polyroots where it returns None or fails."""
     try:
-        arr = np.array([complex(c / m) for c in reversed(coeffs)], dtype=complex)
-        if not np.all(np.isfinite(arr)):
-            raise OverflowError
-        rts = np.roots(arr)
-        return [mp.mpc(r) for r in rts]
-    except (OverflowError, ValueError, np.linalg.LinAlgError):
-        return [mp.mpc(r) for r in mp.polyroots([mp.mpc(c) for c in reversed(coeffs)],
-                                                maxsteps=200, extraprec=120)]
+        zs = _float_aberth(coeffs)
+    except (OverflowError, ZeroDivisionError):
+        zs = None
+    if zs is None:
+        zs = mp.polyroots([mp.mpc(c) for c in reversed(coeffs)], maxsteps=200, extraprec=120)
+    return [mp.mpc(z) for z in zs]
 
 
 def _aberth(coeffs, seeds, bits):

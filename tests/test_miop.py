@@ -321,23 +321,26 @@ def test_P_is_independent_of_call_order():
 
 def test_build_miop_makes_each_row_once(monkeypatch):
     """build_miop on a fresh builder makes the P-head row of each node once, for all n:
-    no (node, head columns, last kind) is computed twice."""
+    no (node, head columns, last kind) is computed twice.  On a class reference D0 and
+    on a pure set whose head is D0's, every row counts: the extraction of P_{D0,n}, and
+    that of Xi_D, take the row the node's reference value came from."""
     made = []
     row = Builder._row
 
     def counting(self, head, kind, frame):
-        if kind == "P":
-            made.append((id(frame), tuple(head), kind))
+        made.append((id(frame), tuple(head), kind))
         return row(self, head, kind, frame)
 
     monkeypatch.setattr(Builder, "_row", counting)
     with workbits(288):
         lam = draw_params("w", "generic", seed=4)
-        monkeypatch.setattr(miop, "_BUILDERS", {})
-        for D in (IndexSet.make([(2, "I")]), IndexSet.make([(1, "I"), (2, "II")])):
+        for pairs, kinds in (([(2, "I")], "P"), ([(1, "I"), (2, "II")], "P"),
+                             ([(0, "I"), (0, "II")], "I II P"), ([(0, "I"), (2, "I")], "I P")):
+            monkeypatch.setattr(miop, "_BUILDERS", {})
             made.clear()
-            build_miop(lam, D, n_max=4, check=False)
-            assert made and len(set(made)) == len(made)
+            build_miop(lam, IndexSet.make(pairs), n_max=4, check=False)
+            counted = [m for m in made if m[2] in kinds.split()]
+            assert counted and len(set(counted)) == len(counted)
 
 
 def _float_or_exact(backend):
@@ -390,8 +393,8 @@ def test_node_sets_nest():
 
 @pytest.mark.parametrize("backend", ["float", "exact"])
 def test_cached_nodes_match_fresh_frames(backend):
-    """Every cached node's frame, reference value and rows are what a fresh frames,
-    det_values and _row give at its sample arg, and its eta is the node's: nothing in
+    """Every cached node's frame, reference value, reference row and rows are what a
+    fresh frames, det_values and _row give at its sample arg, and its eta is the node's: nothing in
     the cache is stale."""
     with workbits(288):
         lam = _float_or_exact(backend)
@@ -406,6 +409,9 @@ def test_cached_nodes_match_fresh_frames(backend):
             (frame,) = b.frames([node.u], R, set(kinds))
             assert frame == node.frame
             assert b.det_values(list(ref_cols), [node.u]) == [node.ref]
+            *head, (kind, _) = ref_cols
+            assert node.ref_key == (tuple(head), kind)
+            assert node.ref_row == b._row(head, kind, frame)
             if backend == "exact":
                 assert node.eta == lam.fam.eta_at(node.u, lam)
             else:
@@ -587,7 +593,10 @@ def test_builder_owns_its_trimming_precision():
 
 
 def test_benchmark_tracer_records_builder_spans():
-    """perfbench/tracing.py wraps Builder.det_values, .xi and .P and puts them back."""
+    """perfbench/tracing.py wraps Builder.det_values, .xi and .P and puts them back.  The
+    set is mixed, so that the pairing bootstrap of its class reference (at lambda and at
+    lambda + delta) calls det_values: the reference values of the nodes come from the
+    rows that Builder._nodes keeps."""
     import importlib.util
     from pathlib import Path
 
@@ -602,7 +611,7 @@ def test_benchmark_tracer_records_builder_spans():
     try:
         with workbits(256):
             lam = draw_params("w", "generic", seed=4243)
-            miop.build_miop(lam, IndexSet.make([(2, "I")]), 1)
+            miop.build_miop(lam, IndexSet.make([(1, "I"), (1, "II")]), 1)
     finally:
         tracer.restore()
     summary = tracer.summary()

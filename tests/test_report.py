@@ -62,16 +62,16 @@ def test_cache_key_covers_version_and_schema(monkeypatch):
 
 
 # sha256 of the canonical verify JSON (seed 1, N = 2, default precision), recorded
-# once P_{D,n} was fitted on the nodes of its own degree through the per-node rows
-# shared with Xi_D (values moved in noise digits only); a refactor that claims
+# once the root finder took its seeds from the float Aberth pass and each Gram entry
+# became one mp.fdot (values moved in noise digits only); a refactor that claims
 # byte-identical reports keeps these
 GOLDEN_REPORTS = [
     (["--family", "ch", "--mode", "physical", "--dI", "1", "--dII", "2"],
-     "e222025d5716d2d6d48da197262f0c8af80cac5deff6277cd4c14554006b7a1c"),
+     "f46783695fa1230e6faae0386336810ff7e0f05292af5cc4851866a2c438ee05"),
     (["--family", "w", "--mode", "physical", "--dI", "1", "--dII", "1"],
-     "8a287e2a3ac66346f9be90602c4e00553b740c0fd074f458b21344a5f4f66705"),
+     "a8ce5fbdab0733c3b5624d7644d6cfe808ac292ce085d07ece7fdb1e72c3660c"),
     (["--family", "aw", "--mode", "generic", "--dI", "1", "--dII", "1"],
-     "cccc6fc71287ddc798a4cd0816441cbc719254c3a82e39ecc96ea57e54965e80"),
+     "a957fde40429b3484a2ab945f5f136beb730c414730cb5f91c6043e1c5bccd35"),
 ]
 
 
@@ -105,7 +105,7 @@ def test_verify_report_is_independent_of_earlier_runs(tmp_path, monkeypatch):
 
 # sha256 of the sweep CSV below, recorded with the same rendering: the one golden on
 # the sweep's own rendering of max_offdiag_rel and conjecture_rel_err
-GOLDEN_SWEEP = "17e95aa5723da5c952ccb91925f9e3f833ca38b4e9d2dd9d879533e84514c43d"
+GOLDEN_SWEEP = "caf26ca5e978ec19022c24ebf3191a80f7805ad8ada55f86273cf54259f454af"
 
 
 def test_golden_sweep_csv():

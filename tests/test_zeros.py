@@ -1,15 +1,24 @@
-"""Root finding: seeds vs oracle, certificates, recovery and zero structure."""
+"""Root finding: seeds vs oracles, certificates, recovery and zero structure."""
+
+import os
+import subprocess
+import sys
 
 import mpmath as mp
-import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import casoratia
+from casoratia import zeros
 from casoratia.families import FAMILIES, draw_params
 from casoratia.miop import IndexSet, build_miop, hermiticity_check
 from casoratia.numkernel import MPScalars, workbits
 from casoratia.polycore import Poly
 from casoratia.zeros import find_zeros
 from zero_structure import conjugation_closure_defect, interlace, physical_interval_zeros
+
+# the double-precision companion-matrix eigensolver is the independent seed oracle
+np = pytest.importorskip("numpy")
 
 
 def _poly(coeffs, bits=256):
@@ -93,3 +102,137 @@ def test_conjugate_pair_order_ignores_noise_digits(sign):
         p = _poly([z1 * z2, -(z1 + z2), 1])
         zs = find_zeros(p, 256)
         assert [int(mp.nint(mp.im(e))) for e in zs.eta] == [-2, 2]
+
+
+@pytest.mark.parametrize("module", ["casoratia", "casoratia.cli"])
+def test_import_loads_no_numpy(module):
+    """The program seeds its roots without numpy, so importing it loads none."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(casoratia.__file__)))
+    code = f"import {module}, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def _from_roots(roots, lead=1):
+    """The coefficients, lowest degree first, of lead * prod_r (eta - r)."""
+    coeffs = [mp.mpc(lead)]
+    for r in roots:
+        coeffs = [-r * coeffs[0]] + [a - r * b for a, b in zip(coeffs, coeffs[1:])] + [coeffs[-1]]
+    return coeffs
+
+
+ROOT_GRID = 64          # roots are Gaussian rationals m / ROOT_GRID, |m| <= 4 ROOT_GRID
+CLUSTER_STEP = 1 / 1024  # about 1e-3: a power of two, so a clustered root stays exact
+
+
+@st.composite
+def root_sets(draw):
+    """(roots, coefficients lowest first) of degree 1..16: exact binary Gaussian
+    rationals, or real roots and conjugate pairs (real coefficients), or runs of up to
+    three roots CLUSTER_STEP apart; the roots scaled by 2^t, |t| <= 12, and the
+    coefficients by 2^s, |s| <= 200, so that they range over up to 2^192."""
+    n = draw(st.integers(1, 16))
+    shape = draw(st.sampled_from(["complex", "real", "cluster"]))
+    part = st.integers(-4 * ROOT_GRID, 4 * ROOT_GRID)
+    roots = []
+    while len(roots) < n:
+        z = mp.mpc(draw(part), draw(part)) / ROOT_GRID
+        if shape == "real" and (mp.im(z) == 0 or len(roots) == n - 1):
+            roots.append(mp.mpc(mp.re(z)))
+        elif shape == "real":
+            roots += [z, mp.conj(z)]
+        elif shape == "cluster":
+            roots += [z + k * CLUSTER_STEP for k in range(min(draw(st.integers(1, 3)),
+                                                                n - len(roots)))]
+        else:
+            roots.append(z)
+    assume(min((abs(a - b) for i, a in enumerate(roots) for b in roots[:i]),
+               default=1) >= CLUSTER_STEP / 2)
+    with workbits(1024):
+        t, s = draw(st.integers(-12, 12)), draw(st.integers(-200, 200))
+        roots = [r * mp.mpf(2) ** t for r in roots]
+        coeffs = _from_roots(roots, mp.mpf(2) ** s)
+    return roots, coeffs
+
+
+def _matched(found, want, tol):
+    """Whether found and want have one size, each member w of want lies within tol(w) of
+    a member of found, and each member of found within tol(w) of its nearest w."""
+    nearest = [min(want, key=lambda w: abs(w - z)) for z in found]
+    return len(found) == len(want) and \
+        all(min(abs(w - z) for z in found) <= tol(w) for w in want) and \
+        all(abs(w - z) <= tol(w) for w, z in zip(nearest, found))
+
+
+def _double_root_tol(coeffs):
+    """w -> 2^-46 max_k |a_k| sum_k |w|^k / |p'(w)|: 64 ulps of double times the
+    normwise condition number of the root w, the reach of a backward-stable double
+    eigensolver (the largest ratio seen over 3,264 roots of root_sets was 2.7 ulps)."""
+    n, top = len(coeffs) - 1, max(abs(c) for c in coeffs)
+
+    def tol(w):
+        dp = sum(k * coeffs[k] * w ** (k - 1) for k in range(1, n + 1))
+        return mp.mpf(2) ** -46 * top * sum(abs(w) ** k for k in range(n + 1)) / abs(dp)
+    return tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(root_sets())
+def test_find_zeros_matches_oracles(case):
+    """find_zeros gives the known roots to 2^-100 of their scale, and agrees with the
+    double companion-matrix eigenvalues (np.roots) and with mpmath's polyroots."""
+    roots, coeffs = case
+    with workbits(288):
+        scale = max(max(abs(r) for r in roots), mp.mpf(2) ** -12)
+
+        def close(w):
+            return mp.mpf(2) ** -100 * scale
+
+        zs = find_zeros(_poly(coeffs), 256)
+        assert _matched(zs.eta, roots, close)
+        mags = max(abs(c) for c in coeffs)
+        seeds = np.roots([complex(c / mags) for c in reversed(coeffs)])
+        assert _matched([mp.mpc(z) for z in seeds], zs.eta, _double_root_tol(coeffs))
+        ref = mp.polyroots([mp.mpc(c) for c in reversed(coeffs)], maxsteps=400, extraprec=300)
+        assert _matched([mp.mpc(z) for z in ref], zs.eta, close)
+
+
+def test_seeds_reach_double_accuracy_in_a_cluster():
+    """Three roots 1e-4 apart: Horner's rounding in doubles leaves steps of about 1e-8,
+    above the step rule, so the float pass must stop on the rounding bound of p(z) to
+    give seeds without the polyroots fallback; that bound over |p'| is about 1e-6 here."""
+    roots = [mp.mpf(1), mp.mpf("1.0001"), mp.mpf("1.0002"), mp.mpc(-2, 1), mp.mpc(-2, -1)]
+    with workbits(288):
+        coeffs = _from_roots(roots)
+        seeds = zeros._float_aberth(coeffs)
+    assert seeds is not None
+    assert _matched([mp.mpc(z) for z in seeds], [mp.mpc(r) for r in roots],
+                    lambda w: mp.mpf("1e-6"))
+
+
+def test_float_seeds_refuse_coefficients_beyond_the_double_range():
+    """2^-2000 eta^2 + 1 (roots +-i 2^1000): its leading coefficient scales to 0 in
+    doubles, so the float pass gives no seeds."""
+    with workbits(288):
+        assert zeros._float_aberth([mp.mpc(1), mp.mpc(0), mp.mpc(mp.mpf(2) ** -2000)]) is None
+
+
+def test_seeds_fall_back_to_polyroots(monkeypatch):
+    """Roots 1..5 and 2^100: the start circle has radius about 2^100, and its points
+    need more than SEED_MAX_ITER sweeps to come down to 1..5, so the seeds come from
+    mp.polyroots (at 256 bits, and again at 512, where the pair-distance certificate
+    relative to 2^100 escalates); the refined roots are right."""
+    calls = []
+    polyroots = mp.polyroots
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return polyroots(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "polyroots", spy)
+    roots = [mp.mpc(k) for k in range(1, 6)] + [mp.mpc(mp.mpf(2) ** 100)]
+    with workbits(288):
+        coeffs = _from_roots(roots)
+        assert zeros._float_aberth(coeffs) is None
+        zs = find_zeros(_poly(coeffs), 256)
+    assert len(calls) == 2 and zs.precision_bits == 512
+    assert _matched(zs.eta, roots, lambda w: mp.mpf(2) ** -200 * max(abs(w), 1))
