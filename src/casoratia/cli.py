@@ -6,8 +6,8 @@ rejected the instance.  ``verify`` and ``sweep`` share one precision ladder,
 ``_ladder``.  A failed construction gate (``PrefactorResidue``) is the failed
 check ``construction_gates``, and a degenerate escalation leaves the failed
 check standing: neither is a degeneracy.  The negative controls of
-``verify --quadrature`` are reported beside the checks: one that does not fire
-is inconclusive and leaves the exit code alone.  Reports are canonical JSON
+``identities --quadrature`` are reported beside the identities: one that does
+not fire is inconclusive and leaves the exit code alone.  Reports are canonical JSON
 certificates; sweeps emit a CSV summary.  All randomness is seeded and worker
 merges are sorted, so repeated runs are byte-identical.
 """
@@ -90,13 +90,8 @@ def _emit(args, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def _control(value, bits: int) -> dict:
-    return {"value": real_str(value, bits), "threshold": CONTROL_THRESHOLD,
-            "fired": bool(value >= mp.mpf(CONTROL_THRESHOLD))}
-
-
-def _verify_once(lam: ParamSet, D: IndexSet, N: int, bits: int, quadrature: bool):
-    """(report, conjecture comparison, checks, negative controls) at bits."""
+def _verify_once(lam: ParamSet, D: IndexSet, N: int, bits: int):
+    """(report, conjecture comparison, checks) at bits."""
     tol = _tolerances(bits)
     with workbits(bits + 32):
         rep = verify_orthogonality(lam, D, N, bits)
@@ -115,21 +110,13 @@ def _verify_once(lam: ParamSet, D: IndexSet, N: int, bits: int, quadrature: bool
             ok, offenders = hermiticity_check(rep.extras["bundle"], bits)
             rep.extras["hermitian"] = bool(ok)
             rep.extras["hermiticity_witness"] = len(offenders)
-        controls = {}
-        if quadrature and N >= 2:
-            # the naive control needs N >= 3: at N = 2 its one Gram entry,
-            # sum_j P_{D,0}(eta_j) / P'_{D,2}(eta_j), vanishes identically
-            if N >= 3:
-                controls["naive_weight"] = _control(naive_weight_demo(lam, D, N, bits), bits)
-            pf = partial_fraction_integral_check(lam, D, N, 0, 1, bits=min(bits, 192))
-            controls["partial_fraction"] = _control(pf["rel"], bits)
-        return rep, conj, checks, controls
+        return rep, conj, checks
 
 
-def _ladder(lam: ParamSet, D: IndexSet, N: int, prec: int, quadrature: bool):
+def _ladder(lam: ParamSet, D: IndexSet, N: int, prec: int):
     """_verify_once at prec and, if a check failed, once more at 2 prec.
 
-    Returns (report, conjecture, checks, controls, bits, attempts) of the last attempt
+    Returns (report, conjecture, checks, bits, attempts) of the last attempt
     that ran to its checks, which is last in attempts.  A failed construction gate is
     the failed check construction_gates (no report).  A degenerate first attempt
     raises; a degenerate escalation leaves the failed attempt standing, with its
@@ -139,9 +126,9 @@ def _ladder(lam: ParamSet, D: IndexSet, N: int, prec: int, quadrature: bool):
     for bits in (prec, 2 * prec):
         attempt = {"precision_bits": bits}
         try:
-            rep, conj, checks, controls = _verify_once(lam, D, N, bits, quadrature)
+            rep, conj, checks = _verify_once(lam, D, N, bits)
         except PrefactorResidue as exc:
-            rep, conj, checks, controls = None, None, {"construction_gates": False}, {}
+            rep, conj, checks = None, None, {"construction_gates": False}
             attempt["error"] = f"{type(exc).__name__}: {exc}"
         except DEGENERACY_ERRORS as exc:
             if not attempts:
@@ -150,32 +137,32 @@ def _ladder(lam: ParamSet, D: IndexSet, N: int, prec: int, quadrature: bool):
             break
         attempt["checks"] = checks
         attempts.append(attempt)
-        result = (rep, conj, checks, controls, bits)
+        result = (rep, conj, checks, bits)
         if all(checks.values()):
             break
     return (*result, attempts)
 
 
-def cmd_verify(args) -> int:
-    lam = args.lam
-    D = _index_set(args)
-    N = args.N
+def _instance_rejected(lam: ParamSet, D: IndexSet, N: int) -> str | None:
+    """Why the guards reject the instance (lam, D, N) before any work, else None."""
     if lam.mode == "physical" and not validate_physical(lam):
-        print("parameter set violates the physical-mode conjugation constraints", file=sys.stderr)
-        return EXIT_DEGENERATE
+        return "parameter set violates the physical-mode conjugation constraints"
     if D.M and D.ell < 1:
-        print("index set has ell_D < 1 (trivial deformation)", file=sys.stderr)
-        return EXIT_DEGENERATE
+        return "index set has ell_D < 1 (trivial deformation)"
     if lam.family == "ch" and lam.mode == "physical" and D.ell % 2 == 1:
-        print("continuous Hahn in physical mode needs even ell_D "
-              "(deg Xi_D should be even)", file=sys.stderr)
-        return EXIT_DEGENERATE
+        return "continuous Hahn in physical mode needs even ell_D (deg Xi_D should be even)"
     if N + D.ell < 2:
-        print("degree N-tilde = N + ell_D below 2: the relations state nothing here",
-              file=sys.stderr)
+        return "degree N-tilde = N + ell_D below 2: the relations state nothing here"
+
+
+def cmd_verify(args) -> int:
+    lam, D, N = args.lam, _index_set(args), args.N
+    rejected = _instance_rejected(lam, D, N)
+    if rejected:
+        print(rejected, file=sys.stderr)
         return EXIT_DEGENERATE
     try:
-        rep, conj, checks, controls, _, attempts = _ladder(lam, D, N, args.prec, args.quadrature)
+        rep, conj, checks, _, attempts = _ladder(lam, D, N, args.prec)
     except DEGENERACY_ERRORS as exc:
         print(f"degenerate instance: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -187,17 +174,12 @@ def cmd_verify(args) -> int:
             print(f"escalation past {a['precision_bits']} bits degenerate: "
                   f"{a['escalation_error']}", file=sys.stderr)
     manifest = _manifest(args, lam, D, N, checks)
-    manifest["controls"] = controls
     if rep is None:
         payload = {"schema_version": SCHEMA_VERSION, "manifest": manifest}
     else:
         payload = ortho_report_json(rep, conj, manifest)
     payload["attempts"] = attempts
     _emit(args, payload)
-    for name, ctl in controls.items():
-        if not ctl["fired"]:
-            print(f"control inconclusive: {name} = {mp.nstr(mp.mpf(ctl['value']), 3)} "
-                  f"below {CONTROL_THRESHOLD}", file=sys.stderr)
     failed = [k for k, v in checks.items() if not v]
     if failed:
         print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
@@ -207,28 +189,13 @@ def cmd_verify(args) -> int:
 
 def grid_index_sets(dmax: int, mmax: int, even_ell_only: bool = False):
     """Index sets with M <= mmax (1 or 2), d_j <= dmax and ell_D >= 1, in sweep order."""
-    out = []
-    degs = list(range(dmax + 1))
-    for d in degs:
-        for t in ("I", "II"):
-            D = IndexSet.make([(d, t)])
-            if D.ell >= 1:
-                out.append(D)
+    degs = range(dmax + 1)
+    pairs = [[(d, t)] for d in degs for t in ("I", "II")]
     if mmax >= 2:
-        for i in range(len(degs)):
-            for j in range(i + 1, len(degs)):
-                for t in ("I", "II"):
-                    D = IndexSet.make([(degs[i], t), (degs[j], t)])
-                    if D.ell >= 1:
-                        out.append(D)
-        for di in degs:
-            for dj in degs:
-                D = IndexSet.make([(di, "I"), (dj, "II")])
-                if D.ell >= 1:
-                    out.append(D)
-    if even_ell_only:
-        out = [D for D in out if D.ell % 2 == 0]
-    return out
+        pairs += [[(a, t), (b, t)] for a in degs for b in degs if a < b for t in ("I", "II")]
+        pairs += [[(a, "I"), (b, "II")] for a in degs for b in degs]
+    sets = (IndexSet.make(p) for p in pairs)
+    return [D for D in sets if D.ell >= 1 and not (even_ell_only and D.ell % 2)]
 
 
 def _sweep_jobs(args):
@@ -279,7 +246,7 @@ def _sweep_one(job_args):
     for attempt in range(3):
         lam = draw_params(fam, mode, draw + 1000 * attempt, bits=prec)
         try:
-            rep, conj, checks, _, bits, _ = _ladder(lam, D, N, prec, False)
+            rep, conj, checks, bits, _ = _ladder(lam, D, N, prec)
         except DEGENERACY_ERRORS as exc:
             last = (False, "", "", f"degenerate: {exc}")
             continue
@@ -303,7 +270,11 @@ def _run_jobs(jobs, args):
 
 def cmd_identities(args) -> int:
     lam = args.lam
-    out = {"schema_version": 1, "identities": {}}
+    rejected = args.quadrature and _instance_rejected(lam, _index_set(args), args.N)
+    if rejected:
+        print(rejected, file=sys.stderr)
+        return EXIT_DEGENERATE
+    out = {"schema_version": 2, "identities": {}}
     ok = True
     with workbits(args.prec + 32):
         tol = _tolerances(args.prec)
@@ -346,12 +317,29 @@ def cmd_identities(args) -> int:
                 worst = max(worst, r["signed_residual"])
             out["identities"]["prefactor_ratio"] = real_str(worst, args.prec)
             ok = ok and worst <= tol["eigen"]
+        if args.quadrature:
+            # negative controls, never failures; the naive one needs N >= 3: at N = 2 its
+            # one Gram entry, sum_j P_{D,0}(eta_j) / P'_{D,2}(eta_j), vanishes identically
+            D, N = _index_set(args), args.N
+            try:
+                values = {"naive_weight": naive_weight_demo(lam, D, N, args.prec)} if N >= 3 else {}
+                values["partial_fraction"] = partial_fraction_integral_check(
+                    lam, D, N, 0, 1, bits=min(args.prec, 192))["rel"]
+            except (PrefactorResidue, *DEGENERACY_ERRORS) as exc:
+                return _construction_exit(exc)
+            out["controls"] = {k: {"value": real_str(v, args.prec), "threshold": CONTROL_THRESHOLD,
+                                   "fired": bool(v >= mp.mpf(CONTROL_THRESHOLD))}
+                               for k, v in values.items()}
     _emit(args, out)
+    for name, ctl in out.get("controls", {}).items():
+        if not ctl["fired"]:
+            print(f"control inconclusive: {name} = {mp.nstr(mp.mpf(ctl['value']), 3)} "
+                  f"below {CONTROL_THRESHOLD}", file=sys.stderr)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _construction_exit(exc) -> int:
-    """The exit code of a failed roots/construct build, its reason on stderr."""
+    """The exit code of a failed build (roots, construct, the controls), its reason on stderr."""
     if isinstance(exc, PrefactorResidue):
         print(f"construction gate failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -489,14 +477,20 @@ def _usage_error(args) -> str | None:
         return "roots needs deg P_{D,N} = ell_D + N >= 1"
     if args.command != "identities":
         return None
-    if not (args.lemma_eta or args.classical or args.chain or args.prefactor_ratio):
-        return ("no identity selected: give --lemma-eta, --classical, --chain or "
-                "--prefactor-ratio")
-    if D and not (args.chain or args.prefactor_ratio):
-        return "--dI/--dII name D for --chain or --prefactor-ratio; no other identity reads D"
+    if not (args.lemma_eta or args.classical or args.chain or args.prefactor_ratio
+            or args.quadrature):
+        return ("no identity selected: give --lemma-eta, --classical, --chain, "
+                "--prefactor-ratio or --quadrature")
+    if D and not (args.chain or args.prefactor_ratio or args.quadrature):
+        return ("--dI/--dII name D for --chain or --prefactor-ratio, or the controls of "
+                "--quadrature; no other identity reads D")
     dp, dpp = (args.dprime, args.tprime), (args.dprime2, args.tprime2)
     if args.classical and args.N < 1:
         return "--classical needs --N >= 1"
+    if args.quadrature and args.N < 2:
+        return "--quadrature needs --N >= 2"
+    if args.quadrature and args.backend == "exact":
+        return "--quadrature needs the float backend: mp.quad integrates in floats"
     if args.prefactor_ratio and args.tprime == args.tprime2:
         return "--prefactor-ratio needs mixed types: --tprime and --tprime2 must differ"
     if args.prefactor_ratio and args.backend == "exact":
@@ -530,7 +524,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="full discrete-orthogonality + conjecture run")
     instance(p)
-    p.add_argument("--quadrature", action="store_true")
     p.add_argument("--timestamps", action="store_true")
     p.set_defaults(backend="float")  # the pipeline is float-only; the manifest says so
     p = sub.add_parser("sweep", help="grid of instances, aggregate CSV")
@@ -550,6 +543,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--classical", action="store_true")
     p.add_argument("--chain", action="store_true")
     p.add_argument("--prefactor-ratio", action="store_true")
+    p.add_argument("--quadrature", action="store_true")
     p.add_argument("--samples", type=_at_least(1), default=10)
     p.add_argument("--n", type=_at_least(0), default=1)
     p.add_argument("--dprime", type=_at_least(0), default=0)

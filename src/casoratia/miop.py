@@ -14,12 +14,12 @@ pairing solve on the same extraction nodes, a square solve through the first
 nodes.  The nodes, their ladder frames and the reference values therefore
 belong to the class (R, column kinds, reference columns), not to D: a
 builder makes each node once, with its sample arg, eta, frame and reference
-value (and the row that value came from), and every extraction of the class
-shares it, so no value depends on the order of calls.  The nodes and the interpolation are the scalar
-backend's: 2^k roots of unity on a circle in eta with an inverse DFT in
-floats (each set the first half of the next; the coefficients past deg must
-vanish), the first rational points with Newton's divided differences
-otherwise.
+value (and the rows that value, and the pairing bootstrap's, came from), and
+every extraction of the class shares it, so no value depends on the order of
+calls.  The nodes and the interpolation are the scalar backend's: 2^k roots
+of unity on a circle in eta with an inverse DFT in floats (each set the first
+half of the next; the coefficients past deg must vanish), the first rational
+points with Newton's divided differences otherwise.
 Xi_D and P_{D,n} take one extraction path, each on the nodes of its own
 degree.  detPoly is linear in its last column, so a node keeps one row per
 (head columns, last kind): the cofactors of the other columns with the phase,
@@ -135,17 +135,16 @@ def _bumped_reference(counts) -> IndexSet:
 
 @dataclass
 class _Node:
-    """One extraction node of a class: its sample arg, eta, ladder frame (Builder.frames),
-    reference value detPoly(ref_cols) and the unscaled _row it was made from, keyed
-    (head columns, last kind), and the rows of the extractions made at it,
-    (head columns, last kind) -> row (Builder._node_rows)."""
+    """One extraction node of a class: its sample arg, eta, ladder frame (Builder.frames)
+    and reference value detPoly(ref_cols); the unscaled _rows made at it for a value, the
+    reference's and the pairing bootstrap's D1's, and the rows of the extractions made at
+    it (Builder._node_rows), each keyed (head columns, last kind)."""
 
     u: object
     eta: object
     frame: tuple
     ref: object
-    ref_key: tuple
-    ref_row: list
+    unscaled: dict
     rows: dict = field(default_factory=dict)
 
 
@@ -224,16 +223,21 @@ class Builder:
         return [c * phase * w
                 for c, w in zip(sc.cofactors(self._block(head, etas, cum)), cum[kind])]
 
-    def det_values(self, cols, us, frames=None):
-        """detPoly values at the sample arguments us (frames: their frames, if made)."""
-        sc = self.sc
-        if not cols:
-            return [sc.one for _ in us]
-        if frames is None:
-            frames = self.frames(us, len(cols), {k for k, _ in cols})
+    def det_values(self, cols, us):
+        """detPoly values at the sample arguments us."""
         *head, (kind, deg) = cols
         p = self.col_poly(kind, deg)
-        return [_dot(self._row(head, kind, fr), fr[0], p, sc) for fr in frames]
+        return [_dot(self._row(head, kind, fr), fr[0], p, self.sc)
+                for fr in self.frames(us, len(cols), {k for k, _ in cols})]
+
+    def _kept_value(self, cols, frame, kept: dict):
+        """detPoly(cols) at a node's frame from the node's unscaled _row of the head columns
+        and last kind of cols, made once and kept, keyed (head columns, last kind)."""
+        *head, (kind, deg) = cols
+        key = (tuple(head), kind)
+        if key not in kept:
+            kept[key] = self._row(head, kind, frame)
+        return _dot(kept[key], frame[0], self.col_poly(kind, deg), self.sc)
 
     # .. nodes / fitting .........................................................
 
@@ -253,12 +257,10 @@ class Builder:
             new = [k for k in ids if (cls, attempt, k) not in cache]
             if new:
                 us, etas = map(list, zip(*map(node, new)))
-                *head, (kind, deg) = ref_cols
-                p = self.col_poly(kind, deg)
                 for k, u, eta, fr in zip(new, us, etas, self.frames(us, R, kinds)):
-                    row = self._row(head, kind, fr)
-                    cache[cls, attempt, k] = _Node(u, eta, fr, _dot(row, fr[0], p, sc),
-                                                   (tuple(head), kind), row)
+                    kept = {}
+                    cache[cls, attempt, k] = _Node(u, eta, fr,
+                                                   self._kept_value(ref_cols, fr, kept), kept)
             nodes = [cache[cls, attempt, k] for k in ids]
             if not _vanishing(sc, [nd.ref for nd in nodes], self.bits):
                 return nodes, sc.interpolator([nd.eta for nd in nodes[:len(ids) - HELD_OUT]])
@@ -267,13 +269,13 @@ class Builder:
     def _node_rows(self, nodes, head, kind: str, ref_poly: Poly):
         """Per node, its _row of head + [(kind, d)] times Xi_{D0}(eta) / detPoly_{D0}, the
         reference ratio of the node's class (ref_poly is Xi_{D0}): the fit value of every
-        d is sum_j row_j p_{kind,d}(eta_j).  A node makes each row once, and the
-        reference's row is the one its value came from."""
+        d is sum_j row_j p_{kind,d}(eta_j).  A node makes each row once: a row it holds
+        unscaled is taken from there."""
         key = (tuple(head), kind)
         for nd in nodes:
             if key not in nd.rows:
                 ratio = ref_poly(nd.eta) / nd.ref
-                row = nd.ref_row if key == nd.ref_key else self._row(head, kind, nd.frame)
+                row = nd.unscaled.get(key) or self._row(head, kind, nd.frame)
                 nd.rows[key] = [c * ratio for c in row]
         return [nd.rows[key] for nd in nodes]
 
@@ -322,14 +324,15 @@ class Builder:
         """Solve detPoly_{D1} * B(eta) = detPoly_{D0} * A(eta) for monic B = Xi_{D0}.
 
         The square system of the first nodes is solved directly; every further node,
-        fit or held-out, gates detPoly_{D0} * A against detPoly_{D1} * B."""
+        fit or held-out, gates detPoly_{D0} * A against detPoly_{D1} * B.  A node keeps
+        D1's row unscaled for the extractions with D1's head columns and last kind."""
         sc = self.sc
         dB, dA = D0.ell, D1.ell
         nunk = (dA + 1) + dB
         c0, c1 = _xi_cols(D0), _xi_cols(D1)
         nodes, _ = self._nodes(nunk, D0.M, {k for k, _ in c0 + c1}, c0)
         etas, v0 = [nd.eta for nd in nodes], [nd.ref for nd in nodes]
-        v1 = self.det_values(c1, [nd.u for nd in nodes], [nd.frame for nd in nodes])
+        v1 = [self._kept_value(c1, nd.frame, nd.unscaled) for nd in nodes]
         fit = list(zip(etas[:nunk], v1, v0))
         rows = [[b_s * e ** k for k in range(dA + 1)] + [-a_s * e ** k for k in range(dB)]
                 for e, a_s, b_s in fit]

@@ -18,8 +18,9 @@ from .numkernel import mpc_parts
 
 # 2: verify manifests carry the negative controls apart from the checks;
 # 3: one case-(1)/(2) closed form (no conjecture.reading), and escalation_error on an
-#    attempt whose escalation was degenerate
-SCHEMA_VERSION = 3
+#    attempt whose escalation was degenerate;
+# 4: no negative controls in verify manifests (they moved to identities --quadrature)
+SCHEMA_VERSION = 4
 
 
 def digits_for(bits: int) -> int:

@@ -24,12 +24,12 @@ def test_verify_pass_and_report_shape(tmp_path):
     r = run(["verify", "--family", "w", "--dI", "2", "--N", "3", "--out", str(out)])
     assert r.returncode == 0, r.stderr
     doc = json.loads(out.read_text())
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     assert doc["family"] == "w" and doc["N"] == 3
     assert sorted(doc["manifest"]["checks"]) == [
         "conjecture", "eigen_relation", "f_cross_form", "matrix_symmetry", "orthogonality",
         "pa_difference_equation"]
-    assert doc["manifest"]["controls"] == {}
+    assert "controls" not in doc["manifest"]
     assert doc["manifest"]["checks"]["orthogonality"]
     assert doc["manifest"]["checks"]["conjecture"]
     assert doc["manifest"]["timestamp"] == ""
@@ -226,6 +226,7 @@ def test_flags_a_command_does_not_read_are_rejected(tmp_path):
     }))
     for argv in (["sweep", "--family", "w"],
                  ["sweep", "--quadrature"],
+                 ["verify", "--quadrature"],
                  ["verify", "--params", str(pfile), "--dI", "2", "--N", "2",
                   "--backend", "exact"]):
         r = run(argv)
@@ -335,9 +336,13 @@ def test_prec_below_64_rejected():
      "--mode disagrees with the params file"),
     (["identities", "--family", "w"], "no identity selected"),
     (["identities", "--family", "w", "--classical", "--N", "4", "--dI", "2"],
-     "--dI/--dII name D for --chain or --prefactor-ratio"),
+     "--dI/--dII name D for --chain or --prefactor-ratio, or the controls of --quadrature"),
     (["identities", "--family", "w", "--lemma-eta", "--dI", "2"],
-     "--dI/--dII name D for --chain or --prefactor-ratio"),
+     "--dI/--dII name D for --chain or --prefactor-ratio, or the controls of --quadrature"),
+    (["identities", "--family", "w", "--quadrature", "--dI", "2", "--N", "1"],
+     "--quadrature needs --N >= 2"),
+    (["identities", "--params", "{tmp}/w.json", "--backend", "exact", "--quadrature",
+      "--dI", "2", "--N", "2"], "--quadrature needs the float backend"),
 ])
 def test_contradictory_flags_are_usage_errors(argv, message, monkeypatch, capsys, tmp_path):
     """Flag values and parameter files no command can run are usage errors before any
@@ -380,30 +385,57 @@ def test_identities_classical_exact(tmp_path):
     assert float(doc["diag_rel_err"]) <= 1e-20
 
 
-def test_verify_quadrature_at_n2():
+def test_identities_quadrature_at_n2():
     """At N = 2 only the partial-fraction control runs; the naive one needs N >= 3."""
-    r = run(["verify", "--family", "w", "--dI", "2", "--N", "2", "--quadrature"])
+    r = run(["identities", "--family", "w", "--dI", "2", "--N", "2", "--quadrature"])
     assert r.returncode == 0, r.stderr
-    manifest = json.loads(r.stdout)["manifest"]
-    controls = manifest["controls"]
+    doc = json.loads(r.stdout)
+    assert doc["schema_version"] == 2 and doc["identities"] == {}
+    controls = doc["controls"]
     assert controls["partial_fraction"]["fired"] and "naive_weight" not in controls
     assert controls["partial_fraction"]["threshold"] == "1e-3"
-    assert len(manifest["checks"]) == 6 and all(manifest["checks"].values())
+    assert r.stderr == ""
 
 
 @pytest.mark.slow
 def test_unfired_control_is_inconclusive_not_a_failure(tmp_path):
-    """AW dI = 2, N = 4: the naive-weight control stays below 1e-3 on a correct instance;
-    it is reported as inconclusive and the run exits 0."""
-    out = tmp_path / "rep.json"
-    r = run(["verify", "--family", "aw", "--dI", "2", "--N", "4", "--quadrature",
+    """AW dI = 2, N = 4: both controls stay below 1e-3 on a correct instance; they are
+    reported as inconclusive and the run exits 0."""
+    out = tmp_path / "id.json"
+    r = run(["identities", "--family", "aw", "--dI", "2", "--N", "4", "--quadrature",
              "--out", str(out)])
     assert r.returncode == 0, r.stderr
-    manifest = json.loads(out.read_text())["manifest"]
-    assert all(manifest["checks"].values()) and len(manifest["checks"]) == 6
-    naive = manifest["controls"]["naive_weight"]
-    assert not naive["fired"] and float(naive["value"]) < 1e-3
-    assert "control inconclusive: naive_weight" in r.stderr
+    controls = json.loads(out.read_text())["controls"]
+    assert sorted(controls) == ["naive_weight", "partial_fraction"]
+    for name, ctl in controls.items():
+        assert not ctl["fired"] and float(ctl["value"]) < 1e-3
+        assert f"control inconclusive: {name}" in r.stderr
+
+
+def test_quadrature_applies_the_instance_guards(monkeypatch, capsys):
+    """identities --quadrature rejects what verify rejects, with exit 3 and one line, before
+    any control runs; a degenerate control exits 3 with one line as well."""
+    from casoratia import cli
+    from casoratia.dortho import DegenerateSpectrum
+
+    def refuse(*_, **__):
+        raise AssertionError("a control ran")
+
+    monkeypatch.setattr(cli, "naive_weight_demo", refuse)
+    monkeypatch.setattr(cli, "partial_fraction_integral_check", refuse)
+    for argv, reason in ((["--family", "ch", "--dI", "1"], "needs even ell_D"),
+                         (["--family", "w", "--dI", "0"], "ell_D < 1")):
+        assert cli.main(["identities", *argv, "--N", "3", "--quadrature"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and reason in err and len(err.splitlines()) == 1
+
+    def degenerate(*_, **__):
+        raise DegenerateSpectrum("two zeros collide")
+
+    monkeypatch.setattr(cli, "naive_weight_demo", degenerate)
+    assert cli.main(["identities", "--family", "w", "--dI", "2", "--N", "3", "--quadrature"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "degenerate instance: two zeros collide\n"
 
 
 def test_failed_construction_gate_is_a_failed_check(tmp_path, monkeypatch):
@@ -436,11 +468,11 @@ def test_degenerate_escalation_leaves_the_failed_check_standing(tmp_path, monkey
 
     verify_once = cli._verify_once
 
-    def fail_then_degenerate(lam, D, N, bits, quadrature):
+    def fail_then_degenerate(lam, D, N, bits):
         if bits > 256:
             raise miop.PoleAtSample("Xi_D vanished near sample point")
-        rep, conj, checks, controls = verify_once(lam, D, N, bits, quadrature)
-        return rep, conj, {**checks, "orthogonality": False}, controls
+        rep, conj, checks = verify_once(lam, D, N, bits)
+        return rep, conj, {**checks, "orthogonality": False}
 
     monkeypatch.setattr(cli, "_verify_once", fail_then_degenerate)
     out = tmp_path / "rep.json"

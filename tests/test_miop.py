@@ -321,9 +321,10 @@ def test_P_is_independent_of_call_order():
 
 def test_build_miop_makes_each_row_once(monkeypatch):
     """build_miop on a fresh builder makes the P-head row of each node once, for all n:
-    no (node, head columns, last kind) is computed twice.  On a class reference D0 and
-    on a pure set whose head is D0's, every row counts: the extraction of P_{D0,n}, and
-    that of Xi_D, take the row the node's reference value came from."""
+    no (node, head columns, last kind) is computed twice.  On a class reference D0, on a
+    pure set whose head is D0's and on the mixed sets {1^I, d^II}, every row counts: the
+    extraction of P_{D0,n}, and that of Xi_D, take the row the node's reference value
+    came from, and Xi_D of {1^I, d^II} the row of the pairing bootstrap's D1 = {1^I, 0^II}."""
     made = []
     row = Builder._row
 
@@ -334,11 +335,14 @@ def test_build_miop_makes_each_row_once(monkeypatch):
     monkeypatch.setattr(Builder, "_row", counting)
     with workbits(288):
         lam = draw_params("w", "generic", seed=4)
-        for pairs, kinds in (([(2, "I")], "P"), ([(1, "I"), (2, "II")], "P"),
-                             ([(0, "I"), (0, "II")], "I II P"), ([(0, "I"), (2, "I")], "I P")):
+        for pairs, kinds, n_max in (
+                ([(2, "I")], "P", 4), ([(1, "I"), (2, "II")], "P", 4),
+                ([(0, "I"), (0, "II")], "I II P", 4), ([(0, "I"), (2, "I")], "I P", 4),
+                ([(1, "I"), (1, "II")], "I II P", 2), ([(1, "I"), (0, "II")], "I II P", 2),
+                ([(1, "I"), (2, "II")], "I II P", 2)):
             monkeypatch.setattr(miop, "_BUILDERS", {})
             made.clear()
-            build_miop(lam, IndexSet.make(pairs), n_max=4, check=False)
+            build_miop(lam, IndexSet.make(pairs), n_max=n_max, check=False)
             counted = [m for m in made if m[2] in kinds.split()]
             assert counted and len(set(counted)) == len(counted)
 
@@ -393,9 +397,10 @@ def test_node_sets_nest():
 
 @pytest.mark.parametrize("backend", ["float", "exact"])
 def test_cached_nodes_match_fresh_frames(backend):
-    """Every cached node's frame, reference value, reference row and rows are what a
-    fresh frames, det_values and _row give at its sample arg, and its eta is the node's: nothing in
-    the cache is stale."""
+    """Every cached node's frame, reference value, unscaled rows and rows are what a
+    fresh frames, det_values and _row give at its sample arg, and its eta is the node's:
+    nothing in the cache is stale.  The unscaled rows hold the reference's, and at the
+    nodes of the mixed class the pairing bootstrap's D1's."""
     with workbits(288):
         lam = _float_or_exact(backend)
         b = Builder(lam)
@@ -403,15 +408,17 @@ def test_cached_nodes_match_fresh_frames(backend):
             b.xi(D)
             b.P(D, 2)
         assert {cls[0] for cls, _, _ in b._node_cache} == {1, 2, 3}
-        rows = 0
+        rows, d1_rows = 0, 0
         for (cls, attempt, k), node in list(b._node_cache.items()):
             R, kinds, ref_cols = cls
             (frame,) = b.frames([node.u], R, set(kinds))
             assert frame == node.frame
             assert b.det_values(list(ref_cols), [node.u]) == [node.ref]
             *head, (kind, _) = ref_cols
-            assert node.ref_key == (tuple(head), kind)
-            assert node.ref_row == b._row(head, kind, frame)
+            assert (tuple(head), kind) in node.unscaled
+            for (head, kind), row in node.unscaled.items():
+                assert row == b._row(list(head), kind, frame)
+            d1_rows += len(node.unscaled) - 1
             if backend == "exact":
                 assert node.eta == lam.fam.eta_at(node.u, lam)
             else:
@@ -422,7 +429,7 @@ def test_cached_nodes_match_fresh_frames(backend):
             for (head, kind), row in node.rows.items():
                 assert row == [c * ratio for c in b._row(list(head), kind, frame)]
                 rows += 1
-        assert rows > 0
+        assert rows > 0 and d1_rows > 0
 
 
 @pytest.mark.parametrize("tag", TAGS)
@@ -496,22 +503,31 @@ def test_mixed_reference_solves_no_normal_equations(tag, monkeypatch):
         assert Builder(lam).xi(IndexSet.make([(1, "I"), (1, "II")])).degree == 3
 
 
+def _perturb_last_d1_row(monkeypatch, off):
+    """Make the pairing bootstrap of the class (1, 1) take the unscaled row of its D1 at
+    its last node, a held-out one, times off."""
+    c0 = miop._xi_cols(miop.reference_index_set((1, 1)))
+    *head, (kind, _) = miop._xi_cols(miop._bumped_reference((1, 1)))
+    nodes_ = Builder._nodes
+
+    def perturbed(self, fit, R, kinds, ref_cols):
+        nodes, coeffs = nodes_(self, fit, R, kinds, ref_cols)
+        if list(ref_cols) == c0:
+            last = nodes[-1]
+            last.unscaled[(tuple(head), kind)] = [c * off for c in self._row(head, kind,
+                                                                            last.frame)]
+        return nodes, coeffs
+
+    monkeypatch.setattr(Builder, "_nodes", perturbed)
+
+
 @pytest.mark.parametrize("tag", TAGS)
 def test_pairing_held_out_gate_fires(tag, monkeypatch):
     """One held-out detPoly_{D1} value of the pairing bootstrap off by a relative
-    2^-100 fails its gate."""
+    2^-100, through D1's row at that node, fails its gate."""
     D0 = miop.reference_index_set((1, 1))
-    c1 = miop._xi_cols(miop._bumped_reference((1, 1)))
-    det_values = Builder.det_values
-
-    def off_by_one_part(self, cols, us, frames=None):
-        vals = det_values(self, cols, us, frames)
-        if list(cols) == c1:
-            vals[-1] = vals[-1] * (1 + mp.mpf(2) ** -100)
-        return vals
-
-    monkeypatch.setattr(Builder, "det_values", off_by_one_part)
     with workbits(288):
+        _perturb_last_d1_row(monkeypatch, 1 + mp.mpf(2) ** -100)
         lam = draw_params(tag, "generic", seed=5)
         with pytest.raises(PrefactorResidue, match="pairing held-out residual"):
             Builder(lam).xi(D0)
@@ -523,33 +539,21 @@ def test_exact_held_out_gate_fires(gate, monkeypatch):
     the held-out gate: an exact gate passes on exact equality only.  The extraction
     gate is Xi_{1^I}'s against the constant Xi_{0^I}, the pairing gate that of the
     mixed reference {0^I, 0^II}."""
-    if gate == "extraction":
-        D = IndexSet.make([(1, "I")])
-        cols = miop._xi_cols(D)
-    else:
-        D = miop.reference_index_set((1, 1))
-        cols = miop._xi_cols(miop._bumped_reference((1, 1)))
+    D = IndexSet.make([(1, "I")]) if gate == "extraction" else miop.reference_index_set((1, 1))
     lam = params_from_values("w", EXACT_PARAMS["w"][0], mode="physical", backend="exact")
     assert Builder(lam).xi(D).degree == D.ell
-    det_values, node_rows = Builder.det_values, Builder._node_rows
     off = 1 + Fraction(1, 10 ** 100)
-
-    def off_by_1e100(self, cols_, us, frames=None):
-        vals = det_values(self, cols_, us, frames)
-        if list(cols_) == cols:
-            vals[-1] = vals[-1] * off
-        return vals
+    node_rows = Builder._node_rows
 
     def row_off_by_1e100(self, nodes, head, kind, ref_poly):
         rows = node_rows(self, nodes, head, kind, ref_poly)
-        if (list(head), kind) == (cols[:-1], cols[-1][0]):
-            rows[-1] = [c * off for c in rows[-1]]
+        rows[-1] = [c * off for c in rows[-1]]
         return rows
 
     if gate == "extraction":
         monkeypatch.setattr(Builder, "_node_rows", row_off_by_1e100)
     else:
-        monkeypatch.setattr(Builder, "det_values", off_by_1e100)
+        _perturb_last_d1_row(monkeypatch, off)
     with pytest.raises(PrefactorResidue, match=f"{gate} held-out residual"):
         Builder(lam).xi(D)
 
@@ -593,10 +597,9 @@ def test_builder_owns_its_trimming_precision():
 
 
 def test_benchmark_tracer_records_builder_spans():
-    """perfbench/tracing.py wraps Builder.det_values, .xi and .P and puts them back.  The
-    set is mixed, so that the pairing bootstrap of its class reference (at lambda and at
-    lambda + delta) calls det_values: the reference values of the nodes come from the
-    rows that Builder._nodes keeps."""
+    """perfbench/tracing.py wraps Builder.det_values, .xi and .P and puts them back.
+    build_miop makes every value from the rows its nodes keep, so det_values, the entry
+    for values at arbitrary arguments, is called here directly."""
     import importlib.util
     from pathlib import Path
 
@@ -611,14 +614,17 @@ def test_benchmark_tracer_records_builder_spans():
     try:
         with workbits(256):
             lam = draw_params("w", "generic", seed=4243)
-            miop.build_miop(lam, IndexSet.make([(1, "I"), (1, "II")]), 1)
+            D = IndexSet.make([(1, "I"), (1, "II")])
+            miop.build_miop(lam, D, 1)
+            us = lam.scalars.sample_args(lam.fam, 2, lam, "tracer")
+            miop.get_builder(lam).det_values(miop._p_cols(D, 1), us)
     finally:
         tracer.restore()
     summary = tracer.summary()
     spans = summary["spans"]
     assert spans["miop.build_miop"]["calls"] == 1
     assert spans["miop.Builder.P"]["calls"] == 2
-    assert spans["miop.det_values"]["calls"] >= 2
-    assert summary["counts"]["miop.det_values.points"] > 0
+    assert spans["miop.det_values"]["calls"] == 1
+    assert summary["counts"]["miop.det_values.points"] == 2
     assert {k: Builder.__dict__[k] for k in originals} == originals
     assert miop.build_miop is build

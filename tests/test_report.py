@@ -62,16 +62,15 @@ def test_cache_key_covers_version_and_schema(monkeypatch):
 
 
 # sha256 of the canonical verify JSON (seed 1, N = 2, default precision), recorded
-# once the root finder took its seeds from the float Aberth pass and each Gram entry
-# became one mp.fdot (values moved in noise digits only); a refactor that claims
+# once schema 4 dropped manifest.controls (no value moved); a refactor that claims
 # byte-identical reports keeps these
 GOLDEN_REPORTS = [
     (["--family", "ch", "--mode", "physical", "--dI", "1", "--dII", "2"],
-     "f46783695fa1230e6faae0386336810ff7e0f05292af5cc4851866a2c438ee05"),
+     "5b16d1d6125844ce1bf40dddf9b9c9543867933c03b9375880d468c6a0d7b003"),
     (["--family", "w", "--mode", "physical", "--dI", "1", "--dII", "1"],
-     "a8ce5fbdab0733c3b5624d7644d6cfe808ac292ce085d07ece7fdb1e72c3660c"),
+     "667ead9696a5d88416ce80b3aed48ea864da4a02b916af32dcfeec1dbdcccbfc"),
     (["--family", "aw", "--mode", "generic", "--dI", "1", "--dII", "1"],
-     "a957fde40429b3484a2ab945f5f136beb730c414730cb5f91c6043e1c5bccd35"),
+     "80781ec34600040b23dff688b6db08b858e8c9bbf6779cf60f5c1111730c9a55"),
 ]
 
 
