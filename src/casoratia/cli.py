@@ -496,6 +496,9 @@ def _usage_error(args) -> str | None:
     if args.prefactor_ratio and args.backend == "exact":
         # the identity takes float square roots and conjugates at float sample points
         return "--prefactor-ratio needs the float backend"
+    if args.prefactor_ratio and args.lam.mode != "physical":
+        # the identity conjugates V and beta, so it holds for physical parameters only
+        return "--prefactor-ratio needs physical parameters (mode physical)"
     if (args.chain or args.prefactor_ratio) and (dp == dpp or dp in D or dpp in D):
         return "d' and d'' (--dprime/--tprime, --dprime2/--tprime2) must be distinct and not in D"
     return None

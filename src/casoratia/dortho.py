@@ -15,7 +15,7 @@ from itertools import chain
 import mpmath as mp
 
 from .families import ParamSet
-from .miop import (IndexSet, MiopBundle, _eigen_residual, apply_htilde, build_miop, get_builder,
+from .miop import (IndexSet, MiopBundle, apply_htilde, build_miop, eigen_residual, get_builder,
                    htilde_frame)
 from .numkernel import workbits
 from .polycore import Poly
@@ -119,8 +119,10 @@ def build_pa_basis(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) -> PaBas
 
 def pa_difference_equation_defect(basis: PaBasis, frames) -> mp.mpf:
     """Worst residual of (H~_D P_a)(x_j) = E^P_a P_a(eta_j) over the basis and zero frames."""
-    return max((_eigen_residual(fr, e.poly, e.energy, e.poly.scalars)
-                for e in basis.entries for fr in frames), default=mp.mpf(0))
+    if not basis.entries:
+        return mp.mpf(0)
+    return eigen_residual(frames, [(e.poly, e.energy) for e in basis.entries],
+                          basis.entries[0].poly.scalars)
 
 
 def compute_F(bundle: MiopBundle, frames, bits: int = 256):
@@ -133,9 +135,8 @@ def compute_F(bundle: MiopBundle, frames, bits: int = 256):
     for fr in frames:
         eta_m, eta_p = fr.eta_m, fr.eta_p
         dpj = dP(fr.eta)
-        two_term = -(eta_m * fr.v * fr.half_m * pN(eta_m)
-                     + eta_p * fr.vs * fr.half_p * pN(eta_p)) / dpj
-        one_term = (eta_p - eta_m) / dpj * fr.v * fr.half_m * pN(eta_m)
+        two_term = -(eta_m * fr.w_m * pN(eta_m) + eta_p * fr.w_p * pN(eta_p)) / dpj
+        one_term = (eta_p - eta_m) / dpj * fr.w_m * pN(eta_m)
         fj, fj2 = mp.mpc(two_term), mp.mpc(one_term)
         rel = abs(fj - fj2) / max(abs(fj), abs(fj2), mp.mpf("1e-300"))
         cross_worst = max(cross_worst, rel)
@@ -165,9 +166,7 @@ def build_M(lam: ParamSet, D: IndexSet, zs: ZeroSet, frames, F, bits: int = 256)
                     f"eta(x_{j} -+ i gamma) collides with eta_{k}")
             Mt[j][k] = mp.mpc(F[j]) / (d1 * d2)
     for j, fr in enumerate(frames):
-        Mt[j][j] = (mp.mpc(F[j]) / ((fr.eta_m - etas[j]) * (fr.eta_p - etas[j]))
-                    - fr.v * fr.half_m * fr.r_m
-                    - fr.vs * fr.half_p * fr.r_p)
+        Mt[j][j] = mp.mpc(F[j]) / ((fr.eta_m - etas[j]) * (fr.eta_p - etas[j])) + fr.w_0
     j = _deterministic_index(lam, D, n_t)
     diag_defect = _diag_from_definition_defect(lam, zs, frames[j], j, Mt[j][j])
     g = [mp.sqrt(mp.mpc(f)) for f in F]

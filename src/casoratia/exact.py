@@ -194,8 +194,9 @@ class ExactScalars:
     """Scalar backend over Q(i) (q=None) or Q(i, sqrt(q)).
 
     Answers the questions of ``numkernel.MPScalars``: an interpolation solves
-    through exactly as many nodes as there are unknowns, Horner evaluation and
-    the Casoratian cofactors are the generic routines in exact arithmetic, and
+    through exactly as many nodes as there are unknowns, Horner evaluation, the
+    Casoratian cofactors, affine ratios and stencil residuals are the generic
+    formulas in exact arithmetic, and
     ``magnitude`` is the trivial absolute value (0 for an exact zero, 1
     otherwise) with a trim threshold of 0.  Every gate tolerance is below 1,
     so each gate written on ``magnitude`` passes here only on an exact zero.
@@ -286,6 +287,41 @@ class ExactScalars:
     def cofactors(self, block):
         """Cofactors of the last column of [block | y] (polycore.last_column_cofactors)."""
         return last_column_cofactors(block, self)
+
+    def affine_ratios(self, ratios):
+        """The evaluator u -> [prod_num (c0 + c1 u) / prod_den (c0 + c1 u) for (num, den) in
+        ratios], exactly: a factor with c0 = 0 or c1 = 1 takes no sum or product for it."""
+        one = self.one
+
+        def factor(c0, c1):
+            if c1 == one:
+                return (lambda u: u) if c0.is_zero() else (lambda u: c0 + u)
+            return (lambda u: c1 * u) if c0.is_zero() else (lambda u: c0 + c1 * u)
+        made = [[[factor(*f) for f in fs] for fs in ratio] for ratio in ratios]
+
+        def product(factors, u):
+            out = factors[0](u)
+            for f in factors[1:]:
+                out = out * f(u)
+            return out
+
+        def value(u):
+            return [product(num, u) / product(den, u) if den else product(num, u)
+                    for num, den in made]
+        return value
+
+    def stencil_residual(self, stencil):
+        """The evaluator (p, E) -> |s - E p(x_0)| / (|s| + |E p(x_0)| + 1), s = sum_k w_k p(x_k)
+        over the stencil's (x_k, w_k): exactly 0 when s = E p(x_0), else in floats."""
+        def residual(p, E):
+            vals = [p(x) for x, _ in stencil]
+            s = sum((c * v for (_, c), v in zip(stencil, vals)), self.zero)
+            ref = E * vals[0]
+            if (s - ref).is_zero():
+                return _MAG_ZERO
+            s, ref = s.to_mpc(), ref.to_mpc()
+            return abs(s - ref) / (abs(s) + abs(ref) + 1)
+        return residual
 
     is_zero = staticmethod(QQi.is_zero)
     conj = staticmethod(QQi.conjugate)

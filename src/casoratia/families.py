@@ -1,11 +1,13 @@
 """Registry of the three idQM systems: continuous Hahn, Wilson, Askey-Wilson.
 
-Carries the per-family data the construction needs: potential numerators and
-denominators, sinusoidal coordinate, energies, base polynomials from the
-terminating hypergeometric series (at the twisted parameters they are the
-virtual-state polynomials), virtual-state parameter twists with their alpha
-constants and energies, the parameter shifts delta / delta-tilde, the h_n
-ratios and the ground-state weight phi_0^2 of the quadrature control.
+Carries the per-family data the construction needs: the potentials and the
+sinusoidal coordinate as ratios of products of affine factors of the working
+variable, the shift x -> x + i t gamma as a step on it, energies, base
+polynomials from the terminating hypergeometric series (at the twisted
+parameters they are the virtual-state polynomials), virtual-state parameter
+twists with their alpha constants and energies, the parameter shifts delta /
+delta-tilde, the h_n ratios and the ground-state weight phi_0^2 of the
+quadrature control.
 
 Exact and float parameter sets run the same code: where the two differ (AW's
 q**t, the sample points) the scalar backend answers.
@@ -100,33 +102,56 @@ class Family:
     # how type_pair combines a pair into one scalar, and how bprime compares the two
     _join, _split = staticmethod(operator.add), staticmethod(operator.sub)
 
-    # -- coordinates ------------------------------------------------------------
+    # -- coordinates and potential ------------------------------------------------
+    # eta and the potential are ratios (num, den) of products of affine factors
+    # c0 + c1 u of the working variable u, given as lists of (c0, c1): the scalar
+    # backend evaluates them (affine_ratios), and shift_factors takes a factor to a
+    # shifted argument, so a frame of shifted points is one set of factors in u.
 
-    def eta_at(self, u, lam: ParamSet):
+    def eta_factors(self, lam: ParamSet) -> tuple:
         raise NotImplementedError
 
+    def v_factors(self, a, lam: ParamSet) -> tuple:
+        """V = v_numer / v_denom at parameters a."""
+        raise NotImplementedError
+
+    def v_star_factors(self, a, lam: ParamSet) -> tuple:
+        """The starred partner V*: the generic-mode rule, the conjugate-parameter form
+        when physical."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _at(ratio, u, lam: ParamSet):
+        return lam.scalars.affine_ratios([ratio])(u)[0]
+
+    def eta_at(self, u, lam: ParamSet):
+        return self._at(self.eta_factors(lam), u, lam)
+
+    def v_numer_at(self, a, u, lam: ParamSet):
+        return self._at((self.v_factors(a, lam)[0], []), u, lam)
+
+    def v_at(self, a, u, lam: ParamSet):
+        return self._at(self.v_factors(a, lam), u, lam)
+
+    def v_star_at(self, a, u, lam: ParamSet):
+        return self._at(self.v_star_factors(a, lam), u, lam)
+
+    def shift_step(self, t, lam: ParamSet):
+        """The s of shift_arg(u, t) = u + s: i t (gamma = 1 here)."""
+        return lam.scalars.i * lam.scalars.from_fraction(Fraction(t))
+
     def shift_arg(self, u, t, lam: ParamSet):
-        """Working-variable image of x -> x + i t gamma (t rational); gamma = 1 here."""
-        return u + lam.scalars.i * lam.scalars.from_fraction(Fraction(t))
+        """Working-variable image of x -> x + i t gamma (t rational)."""
+        return u + self.shift_step(t, lam)
+
+    @staticmethod
+    def shift_factors(factors, s) -> list:
+        """The factors c0 + c1 (u + s) as affine factors in u, s a shift_step."""
+        return [(c0 + c1 * s, c1) for c0, c1 in factors]
 
     def gamma_value(self, lam: ParamSet) -> mp.mpf:
         """Numeric gamma (float path only)."""
         return mp.mpf(1)
-
-    # -- potential --------------------------------------------------------------
-
-    def v_numer_at(self, a, u, lam: ParamSet):
-        raise NotImplementedError
-
-    def v_denom_at(self, u, lam: ParamSet):
-        raise NotImplementedError
-
-    def v_at(self, a, u, lam: ParamSet):
-        return self.v_numer_at(a, u, lam) / self.v_denom_at(u, lam)
-
-    def v_star_at(self, a, u, lam: ParamSet):
-        """Starred partner; generic-mode rule, equal to conj-params form when physical."""
-        raise NotImplementedError
 
     # -- spectra ----------------------------------------------------------------
 
@@ -237,19 +262,16 @@ class ContinuousHahn(Family):
     tag = "ch"
     var_kind = "x"
 
-    def eta_at(self, u, lam):
-        return u
+    def eta_factors(self, lam):
+        return [(lam.scalars.zero, lam.scalars.one)], []
 
-    def v_numer_at(self, a, u, lam):
+    def v_factors(self, a, lam):
         i = lam.scalars.i
-        return (a[0] + i * u) * (a[1] + i * u)
+        return [(a[0], i), (a[1], i)], []
 
-    def v_denom_at(self, u, lam):
-        return lam.scalars.one
-
-    def v_star_at(self, a, u, lam):
-        i = lam.scalars.i
-        return (a[2] - i * u) * (a[3] - i * u)
+    def v_star_factors(self, a, lam):
+        i = -lam.scalars.i
+        return [(a[2], i), (a[3], i)], []
 
     # the types act on the conjugate pairs (a1, a3) and (a2, a4)
     pairs = {"I": (0, 2), "II": (1, 3)}
@@ -315,23 +337,18 @@ class Wilson(Family):
     tag = "w"
     var_kind = "x"
 
-    def eta_at(self, u, lam):
-        return u * u
+    def eta_factors(self, lam):
+        return [(lam.scalars.zero, lam.scalars.one)] * 2, []
 
-    def v_numer_at(self, a, u, lam):
-        i = lam.scalars.i
-        out = lam.scalars.one
-        for ai in a:
-            out = out * (ai + i * u)
-        return out
-
-    def v_denom_at(self, u, lam):
+    def v_factors(self, a, lam):
+        """prod (a_k + i u) / (2 i u (2 i u + 1))."""
         sc = lam.scalars
-        two_i_u = sc.from_int(2) * sc.i * u
-        return two_i_u * (two_i_u + sc.one)
+        two_i = sc.from_int(2) * sc.i
+        return [(ai, sc.i) for ai in a], [(sc.zero, two_i), (sc.one, two_i)]
 
-    def v_star_at(self, a, u, lam):
-        return self.v_numer_at(a, -u, lam) / self.v_denom_at(-u, lam)
+    def v_star_factors(self, a, lam):
+        """V*(u) = V(-u)."""
+        return tuple([(c0, -c1) for c0, c1 in fs] for fs in self.v_factors(a, lam))
 
     def x_bounds(self, lam):
         return (mp.mpf(0), mp.mpf("+inf"))
@@ -391,30 +408,36 @@ class AskeyWilson(Family):
     var_kind = "z"
     _join, _split = staticmethod(operator.mul), staticmethod(operator.truediv)
 
-    def eta_at(self, u, lam):
+    def eta_factors(self, lam):
+        """(z + 1/z) / 2 = (z - i)(z + i) / (2 z)."""
         sc = lam.scalars
-        return (u + sc.one / u) / sc.from_int(2)
+        return [(-sc.i, sc.one), (sc.i, sc.one)], [(sc.zero, sc.from_int(2))]
+
+    def v_factors(self, a, lam):
+        """prod (1 - a_k z) / ((1 - z^2)(1 - q z^2))."""
+        sc = lam.scalars
+        one, r = sc.one, sc.q_power(HALF, lam.q)
+        return [(one, -ai) for ai in a], [(one, -one), (one, one), (one, -r), (one, r)]
+
+    def v_star_factors(self, a, lam):
+        """V(1/z) = prod (z - a_k) / ((z^2 - 1)(z^2 - q))."""
+        sc = lam.scalars
+        one, r = sc.one, sc.q_power(HALF, lam.q)
+        return [(-ai, one) for ai in a], [(-one, one), (one, one), (-r, one), (r, one)]
+
+    def shift_step(self, t, lam):
+        """The s of shift_arg(z, t) = z s: x -> x + i t gamma is z -> z q^{-t} (gamma = log q)."""
+        return lam.scalars.q_power(-Fraction(t), lam.q)
 
     def shift_arg(self, u, t, lam):
-        """x -> x + i t gamma is z -> z q^{-t} (gamma = log q)."""
-        return u * lam.scalars.q_power(-Fraction(t), lam.q)
+        return u * self.shift_step(t, lam)
+
+    @staticmethod
+    def shift_factors(factors, s):
+        return [(c0, c1 * s) for c0, c1 in factors]
 
     def gamma_value(self, lam):
         return mp.log(mp.mpf(mp.re(mp.mpc(lam.q))))
-
-    def v_numer_at(self, a, u, lam):
-        out = lam.scalars.one
-        for ai in a:
-            out = out * (lam.scalars.one - ai * u)
-        return out
-
-    def v_denom_at(self, u, lam):
-        sc = lam.scalars
-        u2 = u * u
-        return (sc.one - u2) * (sc.one - lam.q * u2)
-
-    def v_star_at(self, a, u, lam):
-        return self.v_numer_at(a, lam.scalars.one / u, lam) / self.v_denom_at(lam.scalars.one / u, lam)
 
     def energy(self, n, lam):
         sc = lam.scalars

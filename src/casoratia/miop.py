@@ -28,6 +28,10 @@ degree of that last column, every n of P_{D,n}, is then one dot product.
 Every build is gated: degree law, nonzero leading coefficient, the vanishing
 DFT coefficients, held-out node residuals, the deformed eigenrelation (on
 one set of frames for every n) and shape invariance.
+The per-point work of the frames, ladder and H~_D alike, is the backend's:
+etas, potentials and row weights come from affine kernels made once per
+builder and working precision (Family.eta_factors, v_factors), and the
+eigen residuals from one stencil kernel per H~_D frame.
 """
 
 from __future__ import annotations
@@ -163,6 +167,8 @@ class Builder:
         self._xi_cache = {}     # IndexSet.key -> Poly
         self._p_cache = {}      # (IndexSet.key, n) -> Poly
         self._node_cache = {}   # (class, attempt, node id) -> _Node
+        self._steps = {}        # (t, mp.mp.prec) -> fam.shift_step(t)
+        self._kernels = {}      # (what, ..., mp.mp.prec) -> the backend's affine kernel
         self._shift_builder = None
 
     # .. column polynomials ......................................................
@@ -186,22 +192,50 @@ class Builder:
     # .. determinant values ......................................................
 
     def frames(self, us, R: int, kinds):
-        """Per sample u: the etas of its R ladder points and, per column kind, the
-        row weights prod_{m<j} alpha N(x_m), shared by every determinant at u."""
-        fam, lam, sc = self.fam, self.lam, self.sc
-        ts = ladder_points(R)
-        params = {k: self._class_weight_params(k) for k in sorted(kinds)}
+        """Per sample u: the etas of its R ladder points and, per column kind, the row
+        weights prod_{m<j} alpha N(x_m), shared by every determinant at u.  One affine
+        kernel gives the etas of R, and one per (R, kind) the factors alpha N(x_m)."""
+        fam, lam = self.fam, self.lam
+        steps = [self.step(t) for t in ladder_points(R)]
+        etas = self._kernel(("ladder", R), lambda: [
+            _shifted(fam, fam.eta_factors(lam), s) for s in steps])
+        weights = {k: self._kernel(("weights", R, k), lambda k=k: self._weight_ratios(k, steps))
+                   for k in sorted(kinds)}
         out = []
         for u in us:
-            pts = [fam.shift_arg(u, t, lam) for t in ts]
             cum = {}
-            for k, (a, alpha) in params.items():
-                w = [sc.one]
-                for m in range(R - 1):
-                    w.append(w[-1] * (alpha * fam.v_numer_at(a, pts[m], lam)))
-                cum[k] = w
-            out.append(([fam.eta_at(p, lam) for p in pts], cum))
+            for k, kernel in weights.items():
+                w = cum[k] = [self.sc.one]
+                for f in kernel(u):
+                    w.append(w[-1] * f)
+            out.append((etas(u), cum))
         return out
+
+    def _weight_ratios(self, kind: str, steps):
+        """The affine ratios alpha N(x_m) of a column kind at the ladder points x_m but the
+        last, alpha folded into the first factor."""
+        fam, lam = self.fam, self.lam
+        a, alpha = self._class_weight_params(kind)
+        num, ratios = fam.v_factors(a, lam)[0], []
+        for s in steps[:-1]:
+            (c0, c1), *rest = fam.shift_factors(num, s)
+            ratios.append(([(alpha * c0, alpha * c1)] + rest, []))
+        return ratios
+
+    def step(self, t):
+        """fam.shift_step(t), made once per builder and working precision."""
+        key = (t, mp.mp.prec)
+        if key not in self._steps:
+            self._steps[key] = self.fam.shift_step(t, self.lam)
+        return self._steps[key]
+
+    def _kernel(self, key, ratios):
+        """The backend's affine kernel of key at the working precision, made once from
+        ratios()."""
+        key = (*key, mp.mp.prec)
+        if key not in self._kernels:
+            self._kernels[key] = self.sc.affine_ratios(ratios())
+        return self._kernels[key]
 
     def _block(self, cols, etas, cum):
         """The rows of the determinant matrix of cols at one frame."""
@@ -399,6 +433,11 @@ def _vanishing(sc, values, bits: int) -> bool:
     return any(m <= floor for m in mags)
 
 
+def _shifted(fam, ratio, s):
+    """The affine ratio (num, den) of u taken at fam.shift_arg, s its shift_step."""
+    return tuple(fam.shift_factors(fs, s) for fs in ratio)
+
+
 def _dot(row, etas, p: Poly, sc):
     """sum_j row_j p(eta_j)."""
     return sum((c * p(e) for c, e in zip(row, etas)), sc.zero)
@@ -446,10 +485,11 @@ def shifted_params(lam: ParamSet, D: IndexSet) -> ParamSet:
 class HtildeFrame:
     """What H~_D needs at one point x, computed once and shared by every p.
 
-    eta at x, x -+ i gamma (eta_m, eta_p) and x -+ i gamma/2 (eta_mh, eta_ph);
-    Xi_D at x -+ i gamma/2 and their ratios xi_ph/xi_mh (half_m) and xi_mh/xi_ph
-    (half_p); V and V* at lambda_D; Xi_D(lambda+delta) at x -+ i gamma over its
-    value at x (r_m, r_p).
+    eta at x, x -+ i gamma (eta_m, eta_p) and x -+ i gamma/2 (eta_mh, eta_ph); Xi_D at
+    x -+ i gamma/2 (xi_mh, xi_ph); and the weights of (H~_D p)(x) = w_m p(eta_m) +
+    w_p p(eta_p) + w_0 p(eta): w_m = V xi_ph / xi_mh, w_p = V* xi_mh / xi_ph, with V and V*
+    at lambda_D, and w_0 = -(w_m r_m + w_p r_p), r_-+ = Xi_D(lambda+delta) at x -+ i gamma
+    over its value at x.
     """
 
     eta: object
@@ -459,56 +499,75 @@ class HtildeFrame:
     eta_ph: object
     xi_mh: object
     xi_ph: object
-    half_m: object
-    half_p: object
-    v: object
-    vs: object
-    r_m: object
-    r_p: object
+    w_m: object
+    w_p: object
+    w_0: object
+
+    @property
+    def stencil(self):
+        """The (point, weight) pairs of H~_D at the frame, eta's first."""
+        return (self.eta, self.w_0), (self.eta_m, self.w_m), (self.eta_p, self.w_p)
+
+
+def _xi_half(bundle: "MiopBundle", eta_mh, eta_ph):
+    """Xi_D at x -+ i gamma/2 from their etas; PoleAtSample when it nearly vanishes at
+    either point."""
+    mag = bundle.lam.scalars.magnitude
+    xi_mh, xi_ph = bundle.xi(eta_mh), bundle.xi(eta_ph)
+    if min(mag(xi_mh), mag(xi_ph)) < bundle.pole_bounds[0]:
+        raise PoleAtSample("Xi_D vanished near sample point")
+    return xi_mh, xi_ph
 
 
 def xi_half_shifts(bundle: "MiopBundle", u):
     """eta and Xi_D at x -+ i gamma/2 of the sample argument u: (eta_mh, eta_ph, xi_mh,
     xi_ph); PoleAtSample when Xi_D nearly vanishes at either point."""
     lam = bundle.lam
-    fam, mag = lam.fam, lam.scalars.magnitude
+    fam = lam.fam
     eta_mh, eta_ph = (fam.eta_at(fam.shift_arg(u, t, lam), lam) for t in (-HALF, HALF))
-    xi_mh, xi_ph = bundle.xi(eta_mh), bundle.xi(eta_ph)
-    if min(mag(xi_mh), mag(xi_ph)) < bundle.pole_bounds[0]:
-        raise PoleAtSample("Xi_D vanished near sample point")
-    return eta_mh, eta_ph, xi_mh, xi_ph
+    return (eta_mh, eta_ph, *_xi_half(bundle, eta_mh, eta_ph))
+
+
+# the shifts t of x + i t gamma whose etas an H~_D frame takes, x itself first
+FRAME_SHIFTS = (0, -1, 1, -HALF, HALF)
 
 
 def htilde_frame(builder: Builder, bundle: "MiopBundle", u) -> HtildeFrame:
-    """The frame of H~_D (bundle) at the sample argument u; PoleAtSample near a pole."""
-    fam, lam, sc = builder.fam, builder.lam, builder.sc
-    eta_mh, eta_ph, xi_mh, xi_ph = xi_half_shifts(bundle, u)
-    eta_m, eta_p = (fam.eta_at(fam.shift_arg(u, t, lam), lam) for t in (-1, 1))
-    eta = fam.eta_at(u, lam)
+    """The frame of H~_D (bundle) at the sample argument u; PoleAtSample near a pole.
+
+    The etas come from one affine kernel per builder and working precision, V and V* from
+    one per lambda_D as well, on the backend's arithmetic."""
+    fam, lam, a_D = builder.fam, builder.lam, bundle.lam_D.a
+    etas = builder._kernel(("htilde",), lambda: [
+        _shifted(fam, fam.eta_factors(lam), builder.step(t)) for t in FRAME_SHIFTS])
+    potentials = builder._kernel(("V", a_D), lambda: [
+        fam.v_factors(a_D, lam), fam.v_star_factors(a_D, lam)])
+    eta, eta_m, eta_p, eta_mh, eta_ph = etas(u)
+    v, vs = potentials(u)
+    xi_mh, xi_ph = _xi_half(bundle, eta_mh, eta_ph)
     xi0 = bundle.xi_shift(eta)
-    if sc.magnitude(xi0) < bundle.pole_bounds[1]:
+    if builder.sc.magnitude(xi0) < bundle.pole_bounds[1]:
         raise PoleAtSample("Xi_D vanished near sample point")
-    return HtildeFrame(
-        eta, eta_m, eta_p, eta_mh, eta_ph, xi_mh, xi_ph, xi_ph / xi_mh, xi_mh / xi_ph,
-        fam.v_at(bundle.lam_D.a, u, lam), fam.v_star_at(bundle.lam_D.a, u, lam),
-        bundle.xi_shift(eta_m) / xi0, bundle.xi_shift(eta_p) / xi0)
+    w_m, w_p = v * xi_ph / xi_mh, vs * xi_mh / xi_ph
+    w_0 = -(w_m * bundle.xi_shift(eta_m) + w_p * bundle.xi_shift(eta_p)) / xi0
+    return HtildeFrame(eta, eta_m, eta_p, eta_mh, eta_ph, xi_mh, xi_ph, w_m, w_p, w_0)
 
 
 def apply_htilde(fr: HtildeFrame, p: Poly, pu=None):
     """(H~_D p-check)(x) at the frame's point; pu is p(fr.eta), if already evaluated."""
     if pu is None:
         pu = p(fr.eta)
-    t1 = fr.v * fr.half_m * (p(fr.eta_m) - fr.r_m * pu)
-    t2 = fr.vs * fr.half_p * (p(fr.eta_p) - fr.r_p * pu)
-    return t1 + t2
+    return fr.w_m * p(fr.eta_m) + fr.w_p * p(fr.eta_p) + fr.w_0 * pu
 
 
-def _eigen_residual(fr: HtildeFrame, p, E, sc) -> mp.mpf:
-    pu = p(fr.eta)
-    val = sc.to_mpc(apply_htilde(fr, p, pu))
-    ref = sc.to_mpc(E * pu)
-    scale = abs(val) + abs(ref) + 1
-    return abs(val - ref) / scale
+def eigen_residual(frames, pairs, sc) -> mp.mpf:
+    """The worst |H~_D p - E p| / (|H~_D p| + |E p| + 1) over the frames and the (p, E)
+    pairs, at each frame's eta: one residual kernel of the backend per frame."""
+    worst = mp.mpf(0)
+    for fr in frames:
+        residual = sc.stencil_residual(fr.stencil)
+        worst = max([worst] + [residual(p, E) for p, E in pairs])
+    return worst
 
 
 # -- bundles and gates ----------------------------------------------------------------
@@ -557,8 +616,8 @@ def build_miop(lam: ParamSet, D: IndexSet, n_max: int = 8, bits: int = 256,
                 continue
         if len(frames) < GATE_SAMPLES // 2:
             raise PoleAtSample("could not find enough pole-free gate samples")
-        worst = max((_eigen_residual(fr, p, fam.energy(n, lam), b.sc)
-                     for n, p in polys.items() for fr in frames), default=mp.mpf(0))
+        worst = eigen_residual(frames, [(p, fam.energy(n, lam)) for n, p in polys.items()],
+                               b.sc)
         bundle.gates["eigen_residual"] = worst
         if worst > tolerance:
             raise PrefactorResidue(

@@ -9,13 +9,16 @@ overloading and the ``ExactScalars`` backend.  Each backend has one absolute
 value, ``magnitude`` (``abs`` here), and every gate of the construction is one
 comparison of magnitudes against its tolerance, written once for both.
 
-The two hot loops of the float backend, Horner evaluation and the cofactors
-of a Casoratian block, run in Gaussian fixed point: Python int pairs holding
-real and imaginary parts scaled by a power of two, with the exponent managed
-per point (Horner) or per row and column (cofactors), as ``mpmath.libmp``
-does underneath each ``mpf`` (Brent & Zimmermann, *Modern Computer
-Arithmetic*, ch. 3).  Values convert from and to ``mpc`` only at the kernel
-boundary; the results are rounded to nearest at the ambient precision.
+The hot loops of the float backend run in Gaussian fixed point: Python int
+pairs holding real and imaginary parts scaled by a power of two, with the
+exponent managed per point (Horner), per row and column (cofactors) or per
+value (the Gaussian floats of the frame kernels), as ``mpmath.libmp`` does
+underneath each ``mpf`` (Brent & Zimmermann, *Modern Computer Arithmetic*,
+ch. 3).  They are Horner evaluation, the cofactors of a Casoratian block, the
+ratios of affine products that give the etas, potentials and row weights of a
+frame, and the residual of a difference-operator stencil.  Values convert from
+and to ``mpc`` only at the kernel boundary; the results are rounded to nearest
+at the ambient precision.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import functools
 import hashlib
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, fzero
@@ -146,17 +150,131 @@ def _to_mpc(re: int, im: int, exp: int, prec: int):
     return mp.make_mpc((from_man_exp(re, exp, prec, "n"), from_man_exp(im, exp, prec, "n")))
 
 
+# Gaussian floats: (re, im, exp) holds (re + i im) 2^exp with int parts, about w bits wide;
+# None is an exact zero.  Each product and quotient is cut back to w bits, as an mpc
+# operation rounds to its precision; a sum is aligned to its larger exponent.
+
+def _gload(pt, w: int):
+    """The Gaussian float of a _parts tuple, its top bit at 2^w."""
+    mr, er, mi, ei, top = pt
+    if top is None:
+        return None
+    e = top - w
+    return _shift(mr, er - e), _shift(mi, ei - e), e
+
+
+def _gstore(z, prec: int):
+    return _ZERO if z is None else _to_mpc(*z, prec)
+
+
+def _gmul(a, b, w: int):
+    if a is None or b is None:
+        return None
+    (ar, ai, ae), (br, bi, be) = a, b
+    re, im = ar * br - ai * bi, ar * bi + ai * br
+    s = max(re.bit_length(), im.bit_length()) - w
+    return (re >> s, im >> s, ae + be + s) if s > 0 else (re, im, ae + be)
+
+
+def _gadd(a, b):
+    if a is None or b is None:
+        return b if a is None else a
+    (ar, ai, ae), (br, bi, be) = a, b
+    if ae < be:
+        (ar, ai, ae), (br, bi, be) = b, a
+    return ar + (br >> ae - be), ai + (bi >> ae - be), ae
+
+
+def _gdiv(a, b, w: int):
+    if b is None:
+        raise ZeroDivisionError("division by zero in a fixed-point kernel")
+    if a is None:
+        return None
+    (ar, ai, ae), (br, bi, be) = a, b
+    k = w + max(br.bit_length(), bi.bit_length()) - max(ar.bit_length(), ai.bit_length()) + 2
+    n = br * br + bi * bi
+    return (_shift(ar * br + ai * bi, k) // n, _shift(ai * br - ar * bi, k) // n, ae - be - k)
+
+
+def _gproduct(factors, x, w: int):
+    """prod (c0 + c1 x) over the loaded affine factors (c0, c1) at the loaded point x."""
+    out = (1 << w, 0, -w)   # one, for an empty product
+    for k, (c0, c1) in enumerate(factors):
+        f = _gadd(c0, _gmul(c1, x, w))
+        out = _gmul(out, f, w) if k else f
+    return out
+
+
+def _gabs(z, e: int) -> int:
+    """|z| in units of 2^e (z's parts shifted there), by integer square root."""
+    if z is None:
+        return 0
+    re, im, ze = z
+    re, im = _shift(re, ze - e), _shift(im, ze - e)
+    return isqrt(re * re + im * im)
+
+
+class _Horner:
+    """The evaluator v -> sum_k c_k v^k of MPScalars.horner, in Gaussian fixed point.
+
+    The coefficients are converted once.  A point v is rescaled to v' = v 2^-s, s the
+    top bit of v, and the loop runs on the coefficients c_k 2^(k s), aligned per point,
+    with w fraction bits relative to 2^E, E = max_k (top(c_k) + k s).  As |v'| may be as
+    small as 1/2, 2^E can exceed the largest term |c_k v^k| by 2^(deg + 1), so w is
+    mp.mp.prec + GUARD_BITS + len(coeffs): the error is then a small multiple of
+    2^-(mp.mp.prec + GUARD_BITS) sum_k |c_k v^k|, as for mpc Horner.  A call gives the
+    value as an mpc; fixed gives its Gaussian float, for the kernels that go on in ints.
+    """
+
+    __slots__ = ("cs", "tops", "c0")
+
+    def __init__(self, coeffs):
+        self.cs = [_parts(c) for c in coeffs]
+        self.tops = [(k, t) for k, (*_, t) in enumerate(self.cs) if t is not None]
+        self.c0 = mp.mpc(coeffs[0])
+
+    def __call__(self, v):
+        prec = mp.mp.prec
+        pt = _parts(v)
+        if pt[4] is None:
+            return +self.c0
+        return _gstore(self.fixed(pt, prec), prec)
+
+    def fixed(self, pt, prec: int):
+        """The Gaussian float of the value at the point of the _parts tuple pt."""
+        vr, vre, vi, vie, s = pt
+        if s is None:
+            return _gload(self.cs[0], prec + GUARD_BITS)
+        if not self.tops:
+            return None
+        e = max(t + k * s for k, t in self.tops)
+        w = prec + GUARD_BITS + len(self.cs)
+        fixed = [(_shift(mr, er + k * s + w - e), _shift(mi, ei + k * s + w - e))
+                 for k, (mr, er, mi, ei, _) in enumerate(self.cs)]
+        fixed.reverse()
+        xr, xi = _shift(vr, vre - s + w), _shift(vi, vie - s + w)
+        ar, ai = fixed[0]
+        if xi:
+            for dr, di in fixed[1:]:
+                ar, ai = ((ar * xr - ai * xi) >> w) + dr, ((ar * xi + ai * xr) >> w) + di
+        else:
+            for dr, di in fixed[1:]:
+                ar, ai = ((ar * xr) >> w) + dr, ((ai * xr) >> w) + di
+        return ar, ai, e - w
+
+
 class MPScalars:
     """mpmath scalar backend; elements are mpc under the ambient precision.
 
     Besides the field constants and conversions, this backend and
     ``exact.ExactScalars`` answer the questions on which the construction
     differs between them: sample points and extraction nodes, interpolation,
-    q**t, Horner evaluation, the Casoratian cofactors, and the absolute value
-    ``magnitude`` with the ``trim_threshold`` of ``Poly.trim``.  The pivot
-    choice, trimming and every gate are written once on ``magnitude``, in
-    polycore and miop.  Here ``magnitude`` is ``abs``, the threshold is
-    2^(16 - bits), and Horner and the cofactors run in fixed point.
+    q**t, Horner evaluation, the Casoratian cofactors, ratios of affine
+    products, stencil residuals, and the absolute value ``magnitude`` with the
+    ``trim_threshold`` of ``Poly.trim``.  The pivot choice, trimming and every
+    gate are written once on ``magnitude``, in polycore and miop.  Here
+    ``magnitude`` is ``abs``, the threshold is 2^(16 - bits), and the four
+    kernels run in fixed point.
     """
 
     name = "float"
@@ -270,42 +388,71 @@ class MPScalars:
 
     @staticmethod
     def horner(coeffs):
-        """The evaluator v -> sum_k coeffs[k] v^k, in Gaussian fixed point.
+        """The evaluator v -> sum_k coeffs[k] v^k, in Gaussian fixed point (_Horner)."""
+        return _Horner(coeffs)
 
-        The coefficients are converted once.  A point v is rescaled to
-        v' = v 2^-s, s the top bit of v, and the loop runs on the coefficients
-        c_k 2^(k s), aligned per point, with w fraction bits relative to 2^E,
-        E = max_k (top(c_k) + k s).  As |v'| may be as small as 1/2, 2^E can
-        exceed the largest term |c_k v^k| by 2^(deg + 1), so w is mp.mp.prec +
-        GUARD_BITS + len(coeffs): the error is then a small multiple of
-        2^-(mp.mp.prec + GUARD_BITS) sum_k |c_k v^k|, as for mpc Horner.
+    @staticmethod
+    def affine_ratios(ratios):
+        """The evaluator u -> [prod_num (c0 + c1 u) / prod_den (c0 + c1 u) for (num, den) in
+        ratios], num and den lists of affine factors (c0, c1), in Gaussian fixed point, at
+        the precision current here.
+
+        The constants are converted once, each factor object once, to w = mp.mp.prec +
+        GUARD_BITS bits; each factor and each partial product is a Gaussian float of w
+        bits, so every value is within a small multiple of 2^-w per factor of the mpc
+        formula, relative to the product of max(|c0|, |c1 u|) over its factors.
         """
-        cs = [_parts(c) for c in coeffs]
-        tops = [(k, t) for k, (*_, t) in enumerate(cs) if t is not None]
-        c0 = mp.mpc(coeffs[0])
+        prec = mp.mp.prec
+        w = prec + GUARD_BITS
+        made = {}
 
-        def value(v):
-            prec = mp.mp.prec
-            vr, vre, vi, vie, s = _parts(v)
-            if s is None:
-                return +c0
-            if not tops:
-                return _ZERO
-            e = max(t + k * s for k, t in tops)
-            w = prec + GUARD_BITS + len(cs)
-            fixed = [(_shift(mr, er + k * s + w - e), _shift(mi, ei + k * s + w - e))
-                     for k, (mr, er, mi, ei, _) in enumerate(cs)]
-            fixed.reverse()
-            xr, xi = _shift(vr, vre - s + w), _shift(vi, vie - s + w)
-            ar, ai = fixed[0]
-            if xi:
-                for dr, di in fixed[1:]:
-                    ar, ai = ((ar * xr - ai * xi) >> w) + dr, ((ar * xi + ai * xr) >> w) + di
-            else:
-                for dr, di in fixed[1:]:
-                    ar, ai = ((ar * xr) >> w) + dr, ((ai * xr) >> w) + di
-            return _to_mpc(ar, ai, e - w, prec)
+        def load(f):
+            if id(f) not in made:
+                made[id(f)] = tuple(_gload(_parts(c), w) for c in f)
+            return made[id(f)]
+        loaded = [[list(map(load, fs)) for fs in ratio] for ratio in ratios]
+
+        def value(u):
+            x = _gload(_parts(u), w)
+            out = []
+            for num, den in loaded:
+                z = _gproduct(num, x, w)
+                out.append(_gstore(_gdiv(z, _gproduct(den, x, w), w) if den else z, prec))
+            return out
         return value
+
+    @staticmethod
+    def stencil_residual(stencil):
+        """The evaluator (p, E) -> |s - E p(x_0)| / (|s| + |E p(x_0)| + 1), s = sum_k w_k p(x_k)
+        over the stencil's (x_k, w_k), for a Poly p, in Gaussian fixed point.
+
+        The points and weights are converted once, at the precision current here.  p is
+        taken at each x_k on the Horner kernel's integers (_Horner.fixed), every product
+        is a Gaussian float of mp.mp.prec + GUARD_BITS bits, and the three magnitudes are
+        integer square roots at one exponent; only the residual becomes an mpf.
+        """
+        prec = mp.mp.prec
+        w = prec + GUARD_BITS
+        pts = [_parts(x) for x, _ in stencil]
+        ws = [_gload(_parts(c), w) for _, c in stencil]
+
+        def residual(p, E):
+            ev = p.evaluator()
+            vals = [ev.fixed(pt, prec) for pt in pts]
+            s = None
+            for c, v in zip(ws, vals):
+                s = _gadd(s, _gmul(c, v, w))
+            ref = _gmul(_gload(_parts(E), w), vals[0], w)
+            d = _gadd(s, None if ref is None else (-ref[0], -ref[1], ref[2]))
+            if d is None:
+                return mp.mpf(0)
+            e = max(z[2] + max(z[0].bit_length(), z[1].bit_length())
+                    for z in (s, ref) if z is not None) - w
+            den = _gabs(s, e) + _gabs(ref, e) + (1 << -e if e < 0 else 1)
+            num = _gabs(d, e)
+            k = prec + den.bit_length() - num.bit_length() + 2
+            return mp.make_mpf(from_man_exp(_shift(num, k) // den, -k, prec, "n"))
+        return residual
 
     @staticmethod
     def cofactors(block):

@@ -18,12 +18,14 @@ from itertools import combinations
 class Poly:
     """Dense polynomial sum_k c[k] v**k with backend-agnostic coefficients."""
 
-    __slots__ = ("coeffs", "scalars", "_value")
+    __slots__ = ("coeffs", "scalars", "_value", "_height", "_trimmed")
 
     def __init__(self, coeffs, scalars):
         self.coeffs = list(coeffs) if coeffs else [scalars.zero]
         self.scalars = scalars
-        self._value = None   # the backend's Horner evaluator, made at the first call
+        # made at the first use and kept, as nothing mutates coeffs: the backend's Horner
+        # evaluator, the height and the trimmed form
+        self._value = self._height = self._trimmed = None
 
     @classmethod
     def const(cls, c, scalars):
@@ -34,15 +36,21 @@ class Poly:
     @property
     def height(self):
         """The largest coefficient magnitude."""
-        return max(map(self.scalars.magnitude, self.coeffs))
+        if self._height is None:
+            self._height = max(map(self.scalars.magnitude, self.coeffs))
+        return self._height
 
     def trim(self):
         """Drop trailing coefficients up to the backend's trim threshold times the height."""
-        sc, cs = self.scalars, self.coeffs
-        floor = sc.trim_threshold * self.height
-        while len(cs) > 1 and sc.magnitude(cs[-1]) <= floor:
-            cs = cs[:-1]
-        return Poly(cs, sc)
+        if self._trimmed is None:
+            sc, cs = self.scalars, self.coeffs
+            floor = sc.trim_threshold * self.height
+            while len(cs) > 1 and sc.magnitude(cs[-1]) <= floor:
+                cs = cs[:-1]
+            self._trimmed = self if len(cs) == len(self.coeffs) else Poly(cs, sc)
+            # the dropped magnitudes are below the height, so the trimmed form keeps it
+            self._trimmed._trimmed, self._trimmed._height = self._trimmed, self._height
+        return self._trimmed
 
     @property
     def degree(self) -> int:
@@ -86,9 +94,13 @@ class Poly:
         return Poly([x * c for x in self.coeffs], self.scalars)
 
     def __call__(self, v):
+        return (self._value or self.evaluator())(v)
+
+    def evaluator(self):
+        """The backend's Horner evaluator of this polynomial, made once."""
         if self._value is None:
             self._value = self.scalars.horner(self.coeffs)
-        return self._value(v)
+        return self._value
 
     def derivative(self) -> "Poly":
         if len(self.coeffs) == 1:

@@ -26,7 +26,7 @@ from casoratia.identities import (check_prefactor_ratio_identity, check_eta_iden
                                   check_chain_identity, classical_discrete_ortho,
                                   eta_identity_residual, mixed_constant,
                                   partial_fraction_integral_check, chain_identity_exact)
-from casoratia.miop import (IndexSet, PoleAtSample, _eigen_residual, build_miop, get_builder,
+from casoratia.miop import (IndexSet, PoleAtSample, build_miop, eigen_residual, get_builder,
                             hermiticity_check, htilde_frame)
 from casoratia.numkernel import workbits
 from casoratia.zeros import find_zeros
@@ -69,8 +69,7 @@ def _eigen_residual_at(bun, samples):
         except PoleAtSample:
             continue
     assert len(frames) >= samples // 2
-    return max(_eigen_residual(fr, p, fam.energy(n, lam), b.sc)
-               for n, p in bun.P.items() for fr in frames)
+    return eigen_residual(frames, [(p, fam.energy(n, lam)) for n, p in bun.P.items()], b.sc)
 
 
 @pytest.mark.acceptance

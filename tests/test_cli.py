@@ -1,6 +1,8 @@
 """CLI surface: exit codes, report schema, determinism, caching."""
 
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -343,6 +345,10 @@ def test_prec_below_64_rejected():
      "--quadrature needs --N >= 2"),
     (["identities", "--params", "{tmp}/w.json", "--backend", "exact", "--quadrature",
       "--dI", "2", "--N", "2"], "--quadrature needs the float backend"),
+    (["identities", "--family", "w", "--mode", "generic", "--prefactor-ratio", "--tprime2", "II",
+      "--samples", "3"], "--prefactor-ratio needs physical parameters"),
+    (["identities", "--params", "{tmp}/generic.json", "--prefactor-ratio", "--tprime2", "II"],
+     "--prefactor-ratio needs physical parameters"),
 ])
 def test_contradictory_flags_are_usage_errors(argv, message, monkeypatch, capsys, tmp_path):
     """Flag values and parameter files no command can run are usage errors before any
@@ -358,7 +364,8 @@ def test_contradictory_flags_are_usage_errors(argv, message, monkeypatch, capsys
     docs = {"w": {"family": "w", "a": a_vals}, "zz": {"family": "zz", "a": a_vals},
             "no_a": {"family": "w"}, "literal": {"family": "w", "a": [["x", "0"]] + a_vals[1:]},
             "two": {"family": "w", "a": a_vals[:2]}, "aw_no_q": {"family": "aw", "a": a_vals},
-            "mode": {"family": "w", "a": a_vals, "mode": "bogus"}}
+            "mode": {"family": "w", "a": a_vals, "mode": "bogus"},
+            "generic": {"family": "w", "a": a_vals, "mode": "generic"}}
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     with pytest.raises(SystemExit) as exc:
@@ -523,3 +530,19 @@ def test_construct_cache_damaged_entry_is_a_miss(tmp_path, damage):
     entry.write_bytes(damage)
     assert cli.main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes() == entry.read_bytes()
+
+
+def test_package_metadata_agrees_with_version():
+    """Installed package metadata, where there is any, names casoratia.__version__, as
+    pyproject.toml does: no stale egg-info on the source path answers for the package."""
+    from importlib import metadata
+
+    import casoratia
+
+    pyproject = (pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"', pyproject, re.M).group(1) == casoratia.__version__
+    try:
+        installed = metadata.version("casoratia")
+    except metadata.PackageNotFoundError:
+        return
+    assert installed == casoratia.__version__

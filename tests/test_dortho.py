@@ -2,18 +2,21 @@
 
 import ast
 import pathlib
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 import casoratia
-from casoratia.dortho import (build_pa_basis, compute_F, derived_index_sets,
-                              naive_weight_demo, verify_orthogonality)
+from casoratia.dortho import (PaBasis, build_pa_basis, compute_F, derived_index_sets,
+                              naive_weight_demo, pa_difference_equation_defect,
+                              verify_orthogonality)
 from casoratia.families import FAMILIES, draw_params
 from casoratia.identities import classical_discrete_ortho
 from casoratia.miop import IndexSet, build_miop, get_builder, htilde_frame
 from casoratia.numkernel import workbits
+from casoratia.polycore import Poly
 from casoratia.zeros import find_zeros
 
 HALF = Fraction(1, 2)
@@ -185,3 +188,24 @@ def test_htilde_formula_has_one_home():
     psi = next(f for f in identities.body
                if isinstance(f, ast.FunctionDef) and f.name == "psi_d_squared")
     assert called(psi) & {"shift_arg", "eta_at"} == set()
+
+
+@pytest.mark.parametrize("tag", ["ch", "w", "aw"])
+def test_pa_defect_fires_on_a_perturbed_entry(tag):
+    """The P_a difference equation holds to 2^-128 at the zeros of P_{D,N}, and a basis
+    entry with its largest coefficient moved by 2^-100 relative pushes the defect above."""
+    with workbits(288):
+        lam = draw_params(tag, "generic", seed=1)
+        D, N = IndexSet.make([(1, "I")]), 2
+        bun = build_miop(lam, D, N)
+        zs = find_zeros(bun.P[N], 256, lam.fam)
+        basis = build_pa_basis(lam, D, N)
+        b = get_builder(lam)
+        frames = [htilde_frame(b, bun, lam.fam.arg_of_x(x)) for x in zs.x]
+        assert pa_difference_equation_defect(basis, frames) <= mp.mpf(2) ** -128
+        *rest, last = basis.entries
+        cs = list(last.poly.coeffs)
+        k = max(range(len(cs)), key=lambda j: abs(cs[j]))
+        cs[k] = cs[k] * (1 + mp.mpf(2) ** -100)
+        bad = PaBasis(rest + [replace(last, poly=Poly(cs, last.poly.scalars))])
+        assert pa_difference_equation_defect(bad, frames) > mp.mpf(2) ** -128

@@ -265,3 +265,40 @@ def test_digest_separates_draws_that_differ_past_digit_60():
         assert near.digest() != lam.digest()
         assert get_builder(near) is not get_builder(lam)
         assert lam.with_a(lam.a).digest() == lam.digest()
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_affine_factors_are_the_textbook_formulas(tag):
+    """eta, V, V* and the shifted argument from the families' affine factors equal their mpc
+    formulas: cH eta = x, V = (a1 + i x)(a2 + i x), V* = (a3 - i x)(a4 - i x); W eta = x^2,
+    V = prod (a_k + i x) / (2 i x (2 i x + 1)), V*(x) = V(-x); AW eta = (z + 1/z) / 2,
+    V = prod (1 - a_k z) / ((1 - z^2)(1 - q z^2)), V*(z) = V(1/z); x + i t and z q^-t."""
+    fam = FAMILIES[tag]
+
+    def v_formula(a, u, q):
+        if tag == "ch":
+            return (a[0] + 1j * u) * (a[1] + 1j * u)
+        if tag == "w":
+            return mp.fprod(ai + 1j * u for ai in a) / (2j * u * (2j * u + 1))
+        return mp.fprod(1 - ai * u for ai in a) / ((1 - u * u) * (1 - q * u * u))
+
+    def v_star_formula(a, u, q):
+        if tag == "ch":
+            return (a[2] - 1j * u) * (a[3] - 1j * u)
+        return v_formula(a, -u if tag == "w" else 1 / u, q)
+
+    with workbits(288):
+        for mode in ("physical", "generic"):
+            lam = draw_params(tag, mode, seed=4)
+            twisted = fam.twist_a("I", lam)
+            for u in fam.sample_args(3, lam, "factors") + [mp.mpc("0.3", "-1.7")]:
+                eta = {"ch": u, "w": u * u, "aw": (u + 1 / u) / 2}[tag]
+                checks = [(fam.eta_at(u, lam), eta)]
+                for a in (lam.a, twisted):
+                    checks += [(fam.v_at(a, u, lam), v_formula(a, u, lam.q)),
+                               (fam.v_star_at(a, u, lam), v_star_formula(a, u, lam.q))]
+                for t in (-1, Fraction(1, 2), Fraction(3, 2)):
+                    shifted = u + 1j * t if tag != "aw" else u * mp.power(lam.q, -t)
+                    checks.append((fam.shift_arg(u, t, lam), shifted))
+                for got, want in checks:
+                    assert abs(got - want) <= mp.mpf(2) ** -270 * (1 + abs(want))

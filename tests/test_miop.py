@@ -10,7 +10,7 @@ import pytest
 from casoratia import miop
 from casoratia.families import FAMILIES, draw_params, params_from_values
 from casoratia.miop import (Builder, DegenerateIndexSet, IndexSet, PoleAtSample,
-                            PrefactorResidue, _eigen_residual, apply_htilde, build_miop,
+                            PrefactorResidue, apply_htilde, build_miop, eigen_residual,
                             delta_tilde, ell_degree, get_builder, hermiticity_check,
                             h_ratio, htilde_frame, shifted_params)
 from casoratia.numkernel import workbits
@@ -160,10 +160,10 @@ def test_delta_tilde_table_rederived(tag, vtype):
                 vec = _shift_in_pattern(tag, u, w)
                 shifted = replace(bun, lam_D=fam.apply_shift_vec(lam, vec))
                 try:
-                    worst = max(_eigen_residual(htilde_frame(b, shifted, x), p,
-                                                fam.energy(n, lam), b.sc)
-                                for n, p in bun.P.items()
-                                for x in fam.sample_args(5, lam, f"dt|{n}"))
+                    worst = max(eigen_residual([htilde_frame(b, shifted, x)
+                                                for x in fam.sample_args(5, lam, f"dt|{n}")],
+                                               [(p, fam.energy(n, lam))], b.sc)
+                                for n, p in bun.P.items())
                 except PoleAtSample:
                     continue
                 if worst < mp.mpf(2) ** -60:
@@ -628,3 +628,51 @@ def test_benchmark_tracer_records_builder_spans():
     assert summary["counts"]["miop.det_values.points"] == 2
     assert {k: Builder.__dict__[k] for k in originals} == originals
     assert miop.build_miop is build
+
+
+def _perturbed(p: Poly) -> Poly:
+    """p with its largest coefficient moved by 2^-100 relative."""
+    cs = list(p.coeffs)
+    k = max(range(len(cs)), key=lambda j: abs(cs[j]))
+    cs[k] = cs[k] * (1 + mp.mpf(2) ** -100)
+    return Poly(cs, p.scalars)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_eigen_gate_fires_on_a_perturbed_coefficient(tag, monkeypatch):
+    """A P_{D,1} with one coefficient moved by 2^-100 relative fails the deformed
+    eigenrelation gate of build_miop (2^-128 at 256 bits)."""
+    P = Builder.P
+
+    def perturbed_p1(self, D, n):
+        p = P(self, D, n)
+        return _perturbed(p) if n == 1 else p
+
+    monkeypatch.setattr(Builder, "P", perturbed_p1)
+    with workbits(288):
+        lam = draw_params(tag, "generic", seed=1)
+        with pytest.raises(PrefactorResidue, match="deformed eigenrelation"):
+            build_miop(lam, IndexSet.make([(1, "I")]), n_max=2)
+
+
+def test_frame_kernels_follow_the_working_precision():
+    """A builder makes its shift steps and affine kernels once per working precision: after
+    frames at 288 bits, its frames at 544 bits (a 512-bit escalation's working precision)
+    equal a fresh builder's, and AW's step q^(-1/2) is good to 2^-540 there."""
+    lam = draw_params("aw", "generic", 1, bits=512)
+    D = IndexSet.make([(1, "I")])
+    with workbits(544):
+        bun = build_miop(lam, D, 1, bits=512, check=False)
+    u = lam.fam.sample_args(3, lam, "prec")[1]
+    used = Builder(lam, 512)
+    with workbits(288):
+        htilde_frame(used, bun, u)
+        used.frames([u], 3, {"I", "P"})
+    with workbits(544):
+        fresh = Builder(lam, 512)
+        assert htilde_frame(used, bun, u) == htilde_frame(fresh, bun, u)
+        assert used.frames([u], 3, {"I", "P"}) == fresh.frames([u], 3, {"I", "P"})
+        step = used.step(Fraction(1, 2))
+    with workbits(1100):
+        want = mp.power(lam.q, mp.mpf(-1) / 2)
+    assert abs(step - want) <= mp.mpf(2) ** -540 * abs(want)

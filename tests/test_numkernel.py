@@ -221,3 +221,88 @@ def test_cofactor_kernel_matches_mpc_oracle():
                     for k in range(n - 1):
                         hadamard *= mp.sqrt(sum(abs(row[k]) ** 2 for row in block))
                     assert max(abs(g) for g in got) <= tol * hadamard
+
+
+def _random_gaussian(rng, bits, lo=-200, hi=200):
+    return mp.mpc(_full(rng, bits), _full(rng, bits)) * mp.mpf(2) ** rng.randint(lo, hi)
+
+
+def test_affine_kernel_matches_mpc_oracle():
+    """affine_ratios against the mpc products of the same factors at 4 x bits: the eta, V
+    and V* factors of cH, W and AW at shifted arguments, and random factors, constants and
+    points of magnitudes 2^+-200, at 256 and 512 bits.  Each value is within 2^(-bits+16)
+    of prod_num (|c0| + |c1 u|) / |den| (1 + prod_den (|c0| + |c1 u|) / |den|)."""
+    import random
+
+    from casoratia.families import FAMILIES, draw_params
+    from casoratia.numkernel import MPScalars
+
+    rng = random.Random(11)
+    zero = mp.mpc(0)
+    for bits in (256, 512):
+        with workbits(bits):
+            ratios = []
+            for tag, fam in FAMILIES.items():
+                lam = draw_params(tag, "generic", 1, bits=bits)
+                for t in (0, Fraction(-1, 2), 1):
+                    s = fam.shift_step(t, lam)
+                    for num, den in (fam.eta_factors(lam), fam.v_factors(lam.a, lam),
+                                     fam.v_star_factors(lam.a, lam)):
+                        ratios.append((fam.shift_factors(num, s), fam.shift_factors(den, s)))
+            for k in range(8):
+                ratios.append(([(_random_gaussian(rng, bits), _random_gaussian(rng, bits))
+                                for _ in range(1 + k % 4)],
+                               [(_random_gaussian(rng, bits), _random_gaussian(rng, bits))
+                                for _ in range(k % 3)]))
+            ratios.append(([(zero, _random_gaussian(rng, bits)),
+                            (_random_gaussian(rng, bits), zero)], []))
+            kernel = MPScalars(bits).affine_ratios(ratios)
+            points = [_random_gaussian(rng, bits, e, e) for e in (-200, -60, 0, 60, 200)]
+            points += [mp.mpf("0.75"), mp.expjpi(mp.mpf("0.3")), mp.mpc(0, 2)]
+            for u in points:
+                got = kernel(u)
+                with workbits(4 * bits):
+                    for value, (num, den) in zip(got, ratios):
+                        n = [c0 + c1 * u for c0, c1 in num]
+                        d = [c0 + c1 * u for c0, c1 in den]
+                        want = mp.fprod(n) / mp.fprod(d)
+                        dval = abs(mp.fprod(d))
+                        size = mp.fprod(abs(c0) + abs(c1 * u) for c0, c1 in num) / dval
+                        size *= 1 + mp.fprod(abs(c0) + abs(c1 * u) for c0, c1 in den) / dval
+                        assert isinstance(value, mp.mpc)
+                        assert abs(value - want) <= mp.mpf(2) ** (-bits + 16) * size, (u, num)
+
+
+def test_stencil_residual_kernel_matches_mpc_oracle():
+    """stencil_residual against |s - E p(x_0)| / (|s| + |E p(x_0)| + 1), s = sum_k w_k p(x_k),
+    in mpc at 4 x bits, for random polynomials, points, weights and E of magnitudes 2^+-200
+    at 256 and 512 bits, half of them with w_0 set so that s = E p(x_0) up to rounding, as
+    on an eigenpair: within 2^(-bits+16) of the terms' scale over |s| + |E p(x_0)| + 1."""
+    import random
+
+    from casoratia.numkernel import MPScalars
+    from casoratia.polycore import Poly
+
+    rng = random.Random(5)
+    for bits in (256, 512):
+        with workbits(bits):
+            sc = MPScalars(bits)
+            for trial in range(40):
+                coeffs = [_random_gaussian(rng, bits, -60, 60) for _ in range(1 + trial % 7)]
+                xs = [_random_gaussian(rng, bits, -4, 4) for _ in range(3)]
+                ws = [_random_gaussian(rng, bits) for _ in range(3)]
+                E = _random_gaussian(rng, bits)
+                if trial % 2:
+                    vals = [_mpc_horner(coeffs, x) for x in xs]
+                    ws[0] = E - (ws[1] * vals[1] + ws[2] * vals[2]) / vals[0]
+                got = sc.stencil_residual(list(zip(xs, ws)))(Poly(coeffs, sc), E)
+                with workbits(4 * bits):
+                    vals = [_mpc_horner(coeffs, x) for x in xs]
+                    s = mp.fsum(w * v for w, v in zip(ws, vals))
+                    ref = E * vals[0]
+                    den = abs(s) + abs(ref) + 1
+                    size = sum(abs(w) * sum(abs(c) * abs(x) ** k for k, c in enumerate(coeffs))
+                               for w, x in zip(ws, xs))
+                    size += abs(E) * sum(abs(c) * abs(xs[0]) ** k for k, c in enumerate(coeffs))
+                    assert isinstance(got, mp.mpf)
+                    assert abs(got - abs(s - ref) / den) <= mp.mpf(2) ** (-bits + 16) * size / den

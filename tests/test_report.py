@@ -62,15 +62,16 @@ def test_cache_key_covers_version_and_schema(monkeypatch):
 
 
 # sha256 of the canonical verify JSON (seed 1, N = 2, default precision), recorded
-# once schema 4 dropped manifest.controls (no value moved); a refactor that claims
-# byte-identical reports keeps these
+# when the H~_D frames, row weights and eigen residuals moved to Gaussian fixed point
+# (noise digits moved; every verdict stands); a refactor that claims byte-identical
+# reports keeps these
 GOLDEN_REPORTS = [
     (["--family", "ch", "--mode", "physical", "--dI", "1", "--dII", "2"],
-     "5b16d1d6125844ce1bf40dddf9b9c9543867933c03b9375880d468c6a0d7b003"),
+     "4ddc0d3419cf025ee30fc5910bee89a449efdd6b74d34cafff87aba547bd31ad"),
     (["--family", "w", "--mode", "physical", "--dI", "1", "--dII", "1"],
-     "667ead9696a5d88416ce80b3aed48ea864da4a02b916af32dcfeec1dbdcccbfc"),
+     "8cae6b4e9c4ab93dbed2e21bc875e19f6474d447e087726d3df18e267f260df6"),
     (["--family", "aw", "--mode", "generic", "--dI", "1", "--dII", "1"],
-     "80781ec34600040b23dff688b6db08b858e8c9bbf6779cf60f5c1111730c9a55"),
+     "b19a5ac07b63a171cb612ca1bd53d335c97931338c2730cb0259e3aa00f1f3ee"),
 ]
 
 
@@ -104,7 +105,7 @@ def test_verify_report_is_independent_of_earlier_runs(tmp_path, monkeypatch):
 
 # sha256 of the sweep CSV below, recorded with the same rendering: the one golden on
 # the sweep's own rendering of max_offdiag_rel and conjecture_rel_err
-GOLDEN_SWEEP = "caf26ca5e978ec19022c24ebf3191a80f7805ad8ada55f86273cf54259f454af"
+GOLDEN_SWEEP = "197dcf5fd3dc5b283ec265e8da554ad79dee0323a8dd5de2f6ab5fd62add9558"
 
 
 def test_golden_sweep_csv():
