@@ -149,7 +149,8 @@ def compute_F(bundle: MiopBundle, frames, bits: int = 256):
 
 
 def build_M(lam: ParamSet, D: IndexSet, zs: ZeroSet, frames, F, bits: int = 256):
-    """M-tilde per the closed forms, M = G^-1 M-tilde G with g_j = sqrt(F_j)."""
+    """M-tilde per the closed forms, M = G^-1 M-tilde G with g_j = sqrt(F_j) on a branch
+    that a noise-level Im F_j cannot flip: sqrt(F_j) for Re F_j >= 0, else i sqrt(-F_j)."""
     n_t = len(zs.eta)
     etas = zs.eta
     tol = mp.mpf(2) ** (-bits + 40)
@@ -169,7 +170,7 @@ def build_M(lam: ParamSet, D: IndexSet, zs: ZeroSet, frames, F, bits: int = 256)
         Mt[j][j] = mp.mpc(F[j]) / ((fr.eta_m - etas[j]) * (fr.eta_p - etas[j])) + fr.w_0
     j = _deterministic_index(lam, D, n_t)
     diag_defect = _diag_from_definition_defect(lam, zs, frames[j], j, Mt[j][j])
-    g = [mp.sqrt(mp.mpc(f)) for f in F]
+    g = [mp.sqrt(f) if mp.re(f) >= 0 else 1j * mp.sqrt(-f) for f in map(mp.mpc, F)]
     M = [[Mt[j][k] * g[k] / g[j] for k in range(n_t)] for j in range(n_t)]
     mmax = max(max(abs(M[j][k]) for k in range(n_t)) for j in range(n_t))
     sym = mp.mpf(0)

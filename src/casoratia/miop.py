@@ -14,17 +14,18 @@ pairing solve on the same extraction nodes, a square solve through the first
 nodes.  The nodes, their ladder frames and the reference values therefore
 belong to the class (R, column kinds, reference columns), not to D: a
 builder makes each node once, with its sample arg, eta, frame and reference
-value (and the rows that value, and the pairing bootstrap's, came from), and
-every extraction of the class shares it, so no value depends on the order of
-calls.  The nodes and the interpolation are the scalar backend's: 2^k roots
-of unity on a circle in eta with an inverse DFT in floats (each set the first
-half of the next; the coefficients past deg must vanish), the first rational
-points with Newton's divided differences otherwise.
+value, and every extraction of the class shares it, so no value depends on the
+order of calls.  The nodes and the interpolation are the scalar backend's: 2^k
+roots of unity on a circle in eta with an inverse DFT in floats (each set the
+first half of the next; the coefficients past deg must vanish), the first
+rational points with Newton's divided differences otherwise.
 Xi_D and P_{D,n} take one extraction path, each on the nodes of its own
 degree.  detPoly is linear in its last column, so a node keeps one row per
-(head columns, last kind): the cofactors of the other columns with the phase,
-the last column's row weights and the reference ratio folded in.  Every
-degree of that last column, every n of P_{D,n}, is then one dot product.
+(head columns, last kind): the cofactors of the other columns with the phase
+and the last column's row weights folded in.  Every detPoly value, of every
+degree of that last column and every n of P_{D,n}, is then one dot product
+with a kept row (Builder._kept_value), and an extraction value is that times
+the node's reference ratio Xi_{D0}(eta) / detPoly_{D0}.
 Every build is gated: degree law, nonzero leading coefficient, the vanishing
 DFT coefficients, held-out node residuals, the deformed eigenrelation (on
 one set of frames for every n) and shape invariance.
@@ -140,16 +141,17 @@ def _bumped_reference(counts) -> IndexSet:
 @dataclass
 class _Node:
     """One extraction node of a class: its sample arg, eta, ladder frame (Builder.frames)
-    and reference value detPoly(ref_cols); the unscaled _rows made at it for a value, the
-    reference's and the pairing bootstrap's D1's, and the rows of the extractions made at
-    it (Builder._node_rows), each keyed (head columns, last kind)."""
+    and reference value detPoly(ref_cols); the _rows of every value made at it, keyed
+    (head columns, last kind); and, from its first extraction on, the reference ratio
+    Xi_{D0}(eta) / ref.  A class has one reference, Xi_{D0} at lambda for Xi_D and at
+    lambda + delta for P_{D,n} (their kinds differ), so the ratio belongs to the node."""
 
     u: object
     eta: object
     frame: tuple
     ref: object
-    unscaled: dict
-    rows: dict = field(default_factory=dict)
+    rows: dict
+    ratio: object = None
 
 
 class Builder:
@@ -167,7 +169,6 @@ class Builder:
         self._xi_cache = {}     # IndexSet.key -> Poly
         self._p_cache = {}      # (IndexSet.key, n) -> Poly
         self._node_cache = {}   # (class, attempt, node id) -> _Node
-        self._steps = {}        # (t, mp.mp.prec) -> fam.shift_step(t)
         self._kernels = {}      # (what, ..., mp.mp.prec) -> the backend's affine kernel
         self._shift_builder = None
 
@@ -196,10 +197,10 @@ class Builder:
         weights prod_{m<j} alpha N(x_m), shared by every determinant at u.  One affine
         kernel gives the etas of R, and one per (R, kind) the factors alpha N(x_m)."""
         fam, lam = self.fam, self.lam
-        steps = [self.step(t) for t in ladder_points(R)]
         etas = self._kernel(("ladder", R), lambda: [
-            _shifted(fam, fam.eta_factors(lam), s) for s in steps])
-        weights = {k: self._kernel(("weights", R, k), lambda k=k: self._weight_ratios(k, steps))
+            _shifted(fam, fam.eta_factors(lam), fam.shift_step(t, lam))
+            for t in ladder_points(R)])
+        weights = {k: self._kernel(("weights", R, k), lambda k=k: self._weight_ratios(k, R))
                    for k in sorted(kinds)}
         out = []
         for u in us:
@@ -211,23 +212,16 @@ class Builder:
             out.append((etas(u), cum))
         return out
 
-    def _weight_ratios(self, kind: str, steps):
-        """The affine ratios alpha N(x_m) of a column kind at the ladder points x_m but the
-        last, alpha folded into the first factor."""
+    def _weight_ratios(self, kind: str, R: int):
+        """The affine ratios alpha N(x_m) of a column kind at the ladder points x_m of R
+        but the last, alpha folded into the first factor."""
         fam, lam = self.fam, self.lam
         a, alpha = self._class_weight_params(kind)
         num, ratios = fam.v_factors(a, lam)[0], []
-        for s in steps[:-1]:
-            (c0, c1), *rest = fam.shift_factors(num, s)
+        for t in ladder_points(R)[:-1]:
+            (c0, c1), *rest = fam.shift_factors(num, fam.shift_step(t, lam))
             ratios.append(([(alpha * c0, alpha * c1)] + rest, []))
         return ratios
-
-    def step(self, t):
-        """fam.shift_step(t), made once per builder and working precision."""
-        key = (t, mp.mp.prec)
-        if key not in self._steps:
-            self._steps[key] = self.fam.shift_step(t, self.lam)
-        return self._steps[key]
 
     def _kernel(self, key, ratios):
         """The backend's affine kernel of key at the working precision, made once from
@@ -259,19 +253,19 @@ class Builder:
 
     def det_values(self, cols, us):
         """detPoly values at the sample arguments us."""
-        *head, (kind, deg) = cols
-        p = self.col_poly(kind, deg)
-        return [_dot(self._row(head, kind, fr), fr[0], p, self.sc)
+        return [self._kept_value(cols, fr, {})
                 for fr in self.frames(us, len(cols), {k for k, _ in cols})]
 
     def _kept_value(self, cols, frame, kept: dict):
-        """detPoly(cols) at a node's frame from the node's unscaled _row of the head columns
-        and last kind of cols, made once and kept, keyed (head columns, last kind)."""
+        """detPoly(cols) at a frame: sum_j c_j p(eta_j), c the _row of the head columns and
+        last kind of cols, made once and kept in kept (a node's rows), keyed (head columns,
+        last kind), and p the last column's polynomial.  Every detPoly value is made here."""
         *head, (kind, deg) = cols
         key = (tuple(head), kind)
         if key not in kept:
             kept[key] = self._row(head, kind, frame)
-        return _dot(kept[key], frame[0], self.col_poly(kind, deg), self.sc)
+        p = self.col_poly(kind, deg)
+        return sum((c * p(e) for c, e in zip(kept[key], frame[0])), self.sc.zero)
 
     # .. nodes / fitting .........................................................
 
@@ -292,26 +286,13 @@ class Builder:
             if new:
                 us, etas = map(list, zip(*map(node, new)))
                 for k, u, eta, fr in zip(new, us, etas, self.frames(us, R, kinds)):
-                    kept = {}
+                    rows = {}
                     cache[cls, attempt, k] = _Node(u, eta, fr,
-                                                   self._kept_value(ref_cols, fr, kept), kept)
+                                                   self._kept_value(ref_cols, fr, rows), rows)
             nodes = [cache[cls, attempt, k] for k in ids]
             if not _vanishing(sc, [nd.ref for nd in nodes], self.bits):
                 return nodes, sc.interpolator([nd.eta for nd in nodes[:len(ids) - HELD_OUT]])
         raise DegenerateIndexSet(f"reference Casoratian vanished at {ROTATIONS} node rotations")
-
-    def _node_rows(self, nodes, head, kind: str, ref_poly: Poly):
-        """Per node, its _row of head + [(kind, d)] times Xi_{D0}(eta) / detPoly_{D0}, the
-        reference ratio of the node's class (ref_poly is Xi_{D0}): the fit value of every
-        d is sum_j row_j p_{kind,d}(eta_j).  A node makes each row once: a row it holds
-        unscaled is taken from there."""
-        key = (tuple(head), kind)
-        for nd in nodes:
-            if key not in nd.rows:
-                ratio = ref_poly(nd.eta) / nd.ref
-                row = nd.unscaled.get(key) or self._row(head, kind, nd.frame)
-                nd.rows[key] = [c * ratio for c in row]
-        return [nd.rows[key] for nd in nodes]
 
     def _residual_gate(self, what: str, rows, deg: int, height) -> None:
         """PrefactorResidue unless |pred - val| <= tol max(|val|, height max(1, |eta|)^deg),
@@ -344,12 +325,13 @@ class Builder:
 
     def _extract(self, cols, deg: int, ref_cols, ref_poly: Poly) -> Poly:
         """The eta polynomial of detPoly(cols) against the class reference detPoly(ref_cols)
-        = Xi_{D0} (ref_poly), fitted on the nodes of deg + 1 unknowns."""
-        *head, (kind, d) = cols
+        = Xi_{D0} (ref_poly), fitted on the nodes of deg + 1 unknowns: at each node, its
+        ratio Xi_{D0}(eta) / detPoly_{D0} times the node's _kept_value of cols."""
         nodes, coeffs = self._nodes(deg + 1, len(cols), {k for k, _ in cols + ref_cols}, ref_cols)
-        p = self.col_poly(kind, d)
-        vals = [_dot(row, nd.frame[0], p, self.sc)
-                for nd, row in zip(nodes, self._node_rows(nodes, head, kind, ref_poly))]
+        for nd in nodes:
+            if nd.ratio is None:
+                nd.ratio = ref_poly(nd.eta) / nd.ref
+        vals = [nd.ratio * self._kept_value(cols, nd.frame, nd.rows) for nd in nodes]
         return self._fit_held_out([nd.eta for nd in nodes], vals, coeffs, deg)
 
     # .. class references ..........................................................
@@ -359,14 +341,14 @@ class Builder:
 
         The square system of the first nodes is solved directly; every further node,
         fit or held-out, gates detPoly_{D0} * A against detPoly_{D1} * B.  A node keeps
-        D1's row unscaled for the extractions with D1's head columns and last kind."""
+        D1's row for the extractions with D1's head columns and last kind."""
         sc = self.sc
         dB, dA = D0.ell, D1.ell
         nunk = (dA + 1) + dB
         c0, c1 = _xi_cols(D0), _xi_cols(D1)
         nodes, _ = self._nodes(nunk, D0.M, {k for k, _ in c0 + c1}, c0)
         etas, v0 = [nd.eta for nd in nodes], [nd.ref for nd in nodes]
-        v1 = [self._kept_value(c1, nd.frame, nd.unscaled) for nd in nodes]
+        v1 = [self._kept_value(c1, nd.frame, nd.rows) for nd in nodes]
         fit = list(zip(etas[:nunk], v1, v0))
         rows = [[b_s * e ** k for k in range(dA + 1)] + [-a_s * e ** k for k in range(dB)]
                 for e, a_s, b_s in fit]
@@ -436,11 +418,6 @@ def _vanishing(sc, values, bits: int) -> bool:
 def _shifted(fam, ratio, s):
     """The affine ratio (num, den) of u taken at fam.shift_arg, s its shift_step."""
     return tuple(fam.shift_factors(fs, s) for fs in ratio)
-
-
-def _dot(row, etas, p: Poly, sc):
-    """sum_j row_j p(eta_j)."""
-    return sum((c * p(e) for c, e in zip(row, etas)), sc.zero)
 
 
 def _xi_cols(D: IndexSet):
@@ -539,7 +516,7 @@ def htilde_frame(builder: Builder, bundle: "MiopBundle", u) -> HtildeFrame:
     one per lambda_D as well, on the backend's arithmetic."""
     fam, lam, a_D = builder.fam, builder.lam, bundle.lam_D.a
     etas = builder._kernel(("htilde",), lambda: [
-        _shifted(fam, fam.eta_factors(lam), builder.step(t)) for t in FRAME_SHIFTS])
+        _shifted(fam, fam.eta_factors(lam), fam.shift_step(t, lam)) for t in FRAME_SHIFTS])
     potentials = builder._kernel(("V", a_D), lambda: [
         fam.v_factors(a_D, lam), fam.v_star_factors(a_D, lam)])
     eta, eta_m, eta_p, eta_mh, eta_ph = etas(u)
@@ -653,17 +630,14 @@ def hermiticity_check(bundle: MiopBundle, bits: int = 256):
     lam, fam = bundle.lam, bundle.lam.fam
     if bundle.xi.degree == 0:
         return True, []
-    zs = find_zeros(bundle.xi, bits)
+    zs = find_zeros(bundle.xi, bits, fam)
     x1, x2 = fam.x_bounds(lam)
     half = abs(fam.gamma_value(lam)) / 2
     margin = mp.mpf(2) ** (-40)
-    offenders = []
-    for eta in zs.eta:
-        # the principal preimage covers the strip: the others have Re x outside
-        # [x1, x2] except on the shared Re x = boundary line
-        x = fam.recover_x(eta)
-        if x1 - margin <= mp.re(x) <= x2 + margin and abs(mp.im(x)) <= half + margin:
-            offenders.append((eta, x))
+    # the principal preimage covers the strip: the others have Re x outside
+    # [x1, x2] except on the shared Re x = boundary line
+    offenders = [(eta, x) for eta, x in zip(zs.eta, zs.x)
+                 if x1 - margin <= mp.re(x) <= x2 + margin and abs(mp.im(x)) <= half + margin]
     return (len(offenders) == 0), offenders
 
 

@@ -9,7 +9,7 @@ import mpmath as mp
 import pytest
 
 import casoratia
-from casoratia.dortho import (PaBasis, build_pa_basis, compute_F, derived_index_sets,
+from casoratia.dortho import (PaBasis, build_M, build_pa_basis, compute_F, derived_index_sets,
                               naive_weight_demo, pa_difference_equation_defect,
                               verify_orthogonality)
 from casoratia.families import FAMILIES, draw_params
@@ -209,3 +209,25 @@ def test_pa_defect_fires_on_a_perturbed_entry(tag):
         cs[k] = cs[k] * (1 + mp.mpf(2) ** -100)
         bad = PaBasis(rest + [replace(last, poly=Poly(cs, last.poly.scalars))])
         assert pa_difference_equation_defect(bad, frames) > mp.mpf(2) ** -128
+
+
+def test_sqrt_branch_of_M_ignores_the_sign_of_noise():
+    """A real negative F_j with a noise-level imaginary part, -256 + i 2^-270 or
+    -256 - i 2^-270, gives the same M to noise: the sign of Im F_j picks no branch of
+    g_j = sqrt(F_j), which would flip row and column j."""
+    with workbits(288):
+        lam = draw_params("w", "physical", seed=3)
+        D, N = IndexSet.make([(1, "I")]), 2
+        bun = build_miop(lam, D, N)
+        zs = find_zeros(bun.P[N], 256, lam.fam)
+        b = get_builder(lam)
+        frames = [htilde_frame(b, bun, lam.fam.arg_of_x(x)) for x in zs.x]
+        F, _ = compute_F(bun, frames)
+        Ms = []
+        for sign in (1, -1):
+            F[1] = mp.mpc(-256, sign * mp.mpf(2) ** -270)
+            Ms.append(build_M(lam, D, zs, frames, F)[1])
+        plus, minus = Ms
+        scale = max(abs(m) for row in plus for m in row)
+        assert max(abs(p - m) for rp, rm in zip(plus, minus) for p, m in zip(rp, rm)) \
+            <= mp.mpf(2) ** -250 * scale

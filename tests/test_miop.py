@@ -397,10 +397,11 @@ def test_node_sets_nest():
 
 @pytest.mark.parametrize("backend", ["float", "exact"])
 def test_cached_nodes_match_fresh_frames(backend):
-    """Every cached node's frame, reference value, unscaled rows and rows are what a
-    fresh frames, det_values and _row give at its sample arg, and its eta is the node's:
-    nothing in the cache is stale.  The unscaled rows hold the reference's, and at the
-    nodes of the mixed class the pairing bootstrap's D1's."""
+    """Every cached node's frame, reference value, rows and reference ratio are what a
+    fresh frames, det_values, _row and Xi_{D0} give at its sample arg, and its eta is the
+    node's: nothing in the cache is stale.  The rows hold the reference's, the
+    extractions' and, at the nodes of the mixed class, the pairing bootstrap's D1's."""
+    *d1_head, (d1_kind, _) = miop._xi_cols(miop._bumped_reference((1, 1)))
     with workbits(288):
         lam = _float_or_exact(backend)
         b = Builder(lam)
@@ -408,48 +409,91 @@ def test_cached_nodes_match_fresh_frames(backend):
             b.xi(D)
             b.P(D, 2)
         assert {cls[0] for cls, _, _ in b._node_cache} == {1, 2, 3}
-        rows, d1_rows = 0, 0
+        rows, d1_rows, ratios = 0, 0, 0
         for (cls, attempt, k), node in list(b._node_cache.items()):
             R, kinds, ref_cols = cls
             (frame,) = b.frames([node.u], R, set(kinds))
             assert frame == node.frame
             assert b.det_values(list(ref_cols), [node.u]) == [node.ref]
             *head, (kind, _) = ref_cols
-            assert (tuple(head), kind) in node.unscaled
-            for (head, kind), row in node.unscaled.items():
+            assert (tuple(head), kind) in node.rows
+            for (head, kind), row in node.rows.items():
                 assert row == b._row(list(head), kind, frame)
-            d1_rows += len(node.unscaled) - 1
+            rows += len(node.rows) - 1
+            d1_rows += (tuple(d1_head), d1_kind) in node.rows
             if backend == "exact":
                 assert node.eta == lam.fam.eta_at(node.u, lam)
             else:
                 assert abs(lam.fam.eta_at(node.u, lam) - node.eta) <= mp.mpf(2) ** -250
             D0 = IndexSet.make([(d, t) for t, d in ref_cols if t != "P"])
             ref_poly = b.shift_builder().xi(D0) if ref_cols[-1][0] == "P" else b.xi(D0)
-            ratio = ref_poly(node.eta) / node.ref
-            for (head, kind), row in node.rows.items():
-                assert row == [c * ratio for c in b._row(list(head), kind, frame)]
-                rows += 1
-        assert rows > 0 and d1_rows > 0
+            if node.ratio is not None:
+                assert node.ratio == ref_poly(node.eta) / node.ref
+                ratios += 1
+        assert rows > 0 and d1_rows > 0 and ratios > 0
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+def test_extraction_values_are_ratio_times_kept_value(backend, monkeypatch):
+    """After a mixed build, every value an extraction fits is its node's reference ratio
+    times the node's _kept_value of its columns, and that is Xi_{D0}(eta) / detPoly_{D0}
+    times detPoly from fresh det_values at the node's sample arg: equal exactly on the
+    exact backend, and equal on floats too, being the same operations."""
+    extract, fit = Builder._extract, Builder._fit_held_out
+    seen = []
+
+    def spy_extract(self, cols, deg, ref_cols, ref_poly):
+        seen.append([self, cols, deg, ref_cols, ref_poly, None])
+        return extract(self, cols, deg, ref_cols, ref_poly)
+
+    def spy_fit(self, etas, vals, coeffs, deg):
+        seen[-1][-1] = list(vals)
+        return fit(self, etas, vals, coeffs, deg)
+
+    monkeypatch.setattr(Builder, "_extract", spy_extract)
+    monkeypatch.setattr(Builder, "_fit_held_out", spy_fit)
+    with workbits(288):
+        lam = _float_or_exact(backend)
+        b = Builder(lam)
+        for D in (IndexSet.make([(1, "I"), (0, "II")]), IndexSet.make([(1, "I"), (2, "II")])):
+            b.xi(D)
+            b.P(D, 2)
+        assert {len(cols) for _, cols, *_ in seen} == {2, 3}
+        for b_, cols, deg, ref_cols, ref_poly, vals in seen:
+            nodes, _ = b_._nodes(deg + 1, len(cols), {k for k, _ in cols + ref_cols}, ref_cols)
+            assert vals == [nd.ratio * b_._kept_value(cols, nd.frame, nd.rows) for nd in nodes]
+            us = [nd.u for nd in nodes]
+            assert vals == [ref_poly(nd.eta) / r * v for nd, r, v in
+                            zip(nodes, b_.det_values(ref_cols, us), b_.det_values(cols, us))]
+
+
+def _perturb_row(monkeypatch, ref_cols, cols, at, off):
+    """Make every solve on the nodes of the class with reference columns ref_cols take the
+    kept row of cols (its head columns and last kind) at nodes[at] times off."""
+    *head, (kind, _) = cols
+    nodes_ = Builder._nodes
+
+    def perturbed(self, fit, R, kinds, ref_cols_):
+        nodes, coeffs = nodes_(self, fit, R, kinds, ref_cols_)
+        if list(ref_cols_) == list(ref_cols):
+            nd = nodes[at]
+            nd.rows[(tuple(head), kind)] = [c * off for c in self._row(head, kind, nd.frame)]
+        return nodes, coeffs
+
+    monkeypatch.setattr(Builder, "_nodes", perturbed)
 
 
 @pytest.mark.parametrize("tag", TAGS)
 def test_extraction_coefficient_gate_fires(tag, monkeypatch):
     """Xi_{2^I} has 3 unknowns and 4 fit nodes, so the inverse DFT's eta^3 coefficient
-    must vanish.  One fit value off by a relative 2^-100 fails that gate."""
+    must vanish.  One fit value off by a relative 2^-100, through the row of {2^I} at
+    the first node (its reference value is made before), fails that gate."""
     D = IndexSet.make([(2, "I")])
-    *head, (kind, _) = miop._xi_cols(D)
-    node_rows = Builder._node_rows
-
-    def off_by_one_part(self, nodes, head_, kind_, ref_poly):
-        rows = node_rows(self, nodes, head_, kind_, ref_poly)
-        if (list(head_), kind_) == (head, kind):
-            rows[0] = [c * (1 + mp.mpf(2) ** -100) for c in rows[0]]
-        return rows
-
     with workbits(288):
         lam = draw_params(tag, "generic", seed=5)
         Builder(lam).xi(D)
-        monkeypatch.setattr(Builder, "_node_rows", off_by_one_part)
+        _perturb_row(monkeypatch, miop._xi_cols(miop.reference_index_set(D.counts)),
+                     miop._xi_cols(D), 0, 1 + mp.mpf(2) ** -100)
         with pytest.raises(PrefactorResidue, match="extraction coefficient residual"):
             Builder(lam).xi(D)
 
@@ -504,21 +548,10 @@ def test_mixed_reference_solves_no_normal_equations(tag, monkeypatch):
 
 
 def _perturb_last_d1_row(monkeypatch, off):
-    """Make the pairing bootstrap of the class (1, 1) take the unscaled row of its D1 at
-    its last node, a held-out one, times off."""
-    c0 = miop._xi_cols(miop.reference_index_set((1, 1)))
-    *head, (kind, _) = miop._xi_cols(miop._bumped_reference((1, 1)))
-    nodes_ = Builder._nodes
-
-    def perturbed(self, fit, R, kinds, ref_cols):
-        nodes, coeffs = nodes_(self, fit, R, kinds, ref_cols)
-        if list(ref_cols) == c0:
-            last = nodes[-1]
-            last.unscaled[(tuple(head), kind)] = [c * off for c in self._row(head, kind,
-                                                                            last.frame)]
-        return nodes, coeffs
-
-    monkeypatch.setattr(Builder, "_nodes", perturbed)
+    """Make the pairing bootstrap of the class (1, 1) take the row of its D1 at its last
+    node, a held-out one, times off."""
+    _perturb_row(monkeypatch, miop._xi_cols(miop.reference_index_set((1, 1))),
+                 miop._xi_cols(miop._bumped_reference((1, 1))), -1, off)
 
 
 @pytest.mark.parametrize("tag", TAGS)
@@ -543,15 +576,9 @@ def test_exact_held_out_gate_fires(gate, monkeypatch):
     lam = params_from_values("w", EXACT_PARAMS["w"][0], mode="physical", backend="exact")
     assert Builder(lam).xi(D).degree == D.ell
     off = 1 + Fraction(1, 10 ** 100)
-    node_rows = Builder._node_rows
-
-    def row_off_by_1e100(self, nodes, head, kind, ref_poly):
-        rows = node_rows(self, nodes, head, kind, ref_poly)
-        rows[-1] = [c * off for c in rows[-1]]
-        return rows
-
     if gate == "extraction":
-        monkeypatch.setattr(Builder, "_node_rows", row_off_by_1e100)
+        _perturb_row(monkeypatch, miop._xi_cols(miop.reference_index_set(D.counts)),
+                     miop._xi_cols(D), -1, off)
     else:
         _perturb_last_d1_row(monkeypatch, off)
     with pytest.raises(PrefactorResidue, match=f"{gate} held-out residual"):
@@ -656,9 +683,10 @@ def test_eigen_gate_fires_on_a_perturbed_coefficient(tag, monkeypatch):
 
 
 def test_frame_kernels_follow_the_working_precision():
-    """A builder makes its shift steps and affine kernels once per working precision: after
-    frames at 288 bits, its frames at 544 bits (a 512-bit escalation's working precision)
-    equal a fresh builder's, and AW's step q^(-1/2) is good to 2^-540 there."""
+    """A builder makes its affine kernels, shift steps included, once per working
+    precision: after frames at 288 bits, its frames at 544 bits (a 512-bit escalation's
+    working precision) equal a fresh builder's, and the H~_D frame's eta at x + i gamma/2,
+    through AW's step q^(-1/2), is good to 2^-530 there."""
     lam = draw_params("aw", "generic", 1, bits=512)
     D = IndexSet.make([(1, "I")])
     with workbits(544):
@@ -672,7 +700,7 @@ def test_frame_kernels_follow_the_working_precision():
         fresh = Builder(lam, 512)
         assert htilde_frame(used, bun, u) == htilde_frame(fresh, bun, u)
         assert used.frames([u], 3, {"I", "P"}) == fresh.frames([u], 3, {"I", "P"})
-        step = used.step(Fraction(1, 2))
+        got = htilde_frame(used, bun, u).eta_ph
     with workbits(1100):
-        want = mp.power(lam.q, mp.mpf(-1) / 2)
-    assert abs(step - want) <= mp.mpf(2) ** -540 * abs(want)
+        want = lam.fam.eta_at(u * mp.power(lam.q, mp.mpf(-1) / 2), lam)
+    assert abs(got - want) <= mp.mpf(2) ** -530 * max(1, abs(want))

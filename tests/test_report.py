@@ -62,16 +62,17 @@ def test_cache_key_covers_version_and_schema(monkeypatch):
 
 
 # sha256 of the canonical verify JSON (seed 1, N = 2, default precision), recorded
-# when the H~_D frames, row weights and eigen residuals moved to Gaussian fixed point
-# (noise digits moved; every verdict stands); a refactor that claims byte-identical
-# reports keeps these
+# when each extraction value became the node's reference ratio times one dot product
+# (noise digits moved) and g_j = sqrt(F_j) took the branch i sqrt(-F_j) for Re F_j < 0
+# (rows and columns of M with Re F_j < 0 < -Im F_j changed sign); every verdict stands,
+# and a refactor that claims byte-identical reports keeps these
 GOLDEN_REPORTS = [
     (["--family", "ch", "--mode", "physical", "--dI", "1", "--dII", "2"],
-     "4ddc0d3419cf025ee30fc5910bee89a449efdd6b74d34cafff87aba547bd31ad"),
+     "7d0bb4addc84f66ec1b853101a13e8e07942b6f7fb2c29a77a21204ee2395249"),
     (["--family", "w", "--mode", "physical", "--dI", "1", "--dII", "1"],
-     "8cae6b4e9c4ab93dbed2e21bc875e19f6474d447e087726d3df18e267f260df6"),
+     "1187da361215010e147ea3ccf602c7f20364920e4aa0322bbb7f4a79895a42e2"),
     (["--family", "aw", "--mode", "generic", "--dI", "1", "--dII", "1"],
-     "b19a5ac07b63a171cb612ca1bd53d335c97931338c2730cb0259e3aa00f1f3ee"),
+     "e136d110294cc8affb45f12fc35eb9fd0dcc3f9ab20486b363a269a5d09c2b81"),
 ]
 
 
@@ -105,7 +106,7 @@ def test_verify_report_is_independent_of_earlier_runs(tmp_path, monkeypatch):
 
 # sha256 of the sweep CSV below, recorded with the same rendering: the one golden on
 # the sweep's own rendering of max_offdiag_rel and conjecture_rel_err
-GOLDEN_SWEEP = "197dcf5fd3dc5b283ec265e8da554ad79dee0323a8dd5de2f6ab5fd62add9558"
+GOLDEN_SWEEP = "aca9d94f15c2918e4bdbbf3a0c64bafd4b625c4cf12bb53259e0e39ddc636c1e"
 
 
 def test_golden_sweep_csv():
