@@ -244,8 +244,7 @@ def verify_orthogonality(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) ->
             worst = mp.mpf(0)
             scale = max(max(abs(x) for x in vt), mp.mpf("1e-300")) * (abs(ev) + 1)
             for j in range(n_t):
-                s = sum(Mt[j][k] * vt[k] for k in range(n_t))
-                worst = max(worst, abs(s - ev * vt[j]) / scale)
+                worst = max(worst, abs(mp.fdot(Mt[j], vt) - ev * vt[j]) / scale)
             eigres.append(worst)
         gram, offd = zero_grid_gram([1 / mp.mpc(f) for f in F], vals, dpj)
         rep = OrthoReport(

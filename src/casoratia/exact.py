@@ -10,7 +10,7 @@ operator overloading so the polynomial layer can stay backend-agnostic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 import mpmath as mp
 
@@ -190,12 +190,23 @@ class QQi:
         return out
 
 
+class _Row(NamedTuple):
+    """The evaluator p -> sum_j c_j p(eta_j) of ExactScalars.cofactor_row."""
+
+    cs: tuple
+    etas: tuple
+    zero: QQi
+
+    def __call__(self, p):
+        return sum((c * p(eta) for c, eta in zip(self.cs, self.etas)), self.zero)
+
+
 class ExactScalars:
     """Scalar backend over Q(i) (q=None) or Q(i, sqrt(q)).
 
     Answers the questions of ``numkernel.MPScalars``: an interpolation solves
     through exactly as many nodes as there are unknowns, Horner evaluation, the
-    Casoratian cofactors, affine ratios and stencil residuals are the generic
+    Casoratian cofactor rows, affine ratios and stencil residuals are the generic
     formulas in exact arithmetic, and
     ``magnitude`` is the trivial absolute value (0 for an exact zero, 1
     otherwise) with a trim threshold of 0.  Every gate tolerance is below 1,
@@ -284,9 +295,15 @@ class ExactScalars:
             return out
         return value
 
-    def cofactors(self, block):
-        """Cofactors of the last column of [block | y] (polycore.last_column_cofactors)."""
-        return last_column_cofactors(block, self)
+    def cofactor_row(self, etas, head, last_weights, turns: int):
+        """The evaluator p -> detPoly at the frame of etas with the head columns and p as the
+        last column (numkernel.MPScalars.cofactor_row), exactly: the cofactors of the head
+        block (polycore.last_column_cofactors) times i^turns and the last row weights."""
+        block = [[ws[j] * p(eta) for p, ws in head] for j, eta in enumerate(etas)]
+        phase = self.i ** turns
+        return _Row(tuple(c * phase * v for c, v in
+                          zip(last_column_cofactors(block, self), last_weights)),
+                    tuple(etas), self.zero)
 
     def affine_ratios(self, ratios):
         """The evaluator u -> [prod_num (c0 + c1 u) / prod_den (c0 + c1 u) for (num, den) in

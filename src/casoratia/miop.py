@@ -21,11 +21,13 @@ first half of the next; the coefficients past deg must vanish), the first
 rational points with Newton's divided differences otherwise.
 Xi_D and P_{D,n} take one extraction path, each on the nodes of its own
 degree.  detPoly is linear in its last column, so a node keeps one row per
-(head columns, last kind): the cofactors of the other columns with the phase
-and the last column's row weights folded in.  Every detPoly value, of every
-degree of that last column and every n of P_{D,n}, is then one dot product
-with a kept row (Builder._kept_value), and an extraction value is that times
-the node's reference ratio Xi_{D0}(eta) / detPoly_{D0}.
+(head columns, last kind): the backend's cofactor_row, the cofactors of the
+other columns with the phase and the last column's row weights folded in (on
+floats, in fixed point from the Horner values of the head columns on).  Every
+detPoly value, of every degree of that last column and every n of P_{D,n}, is
+then that row at the last column's polynomial (Builder._kept_value), and an
+extraction value is that times the node's reference ratio
+Xi_{D0}(eta) / detPoly_{D0}.
 Every build is gated: degree law, nonzero leading coefficient, the vanishing
 DFT coefficients, held-out node residuals, the deformed eigenrelation (on
 one set of frames for every n) and shape invariance.
@@ -231,25 +233,17 @@ class Builder:
             self._kernels[key] = self.sc.affine_ratios(ratios())
         return self._kernels[key]
 
-    def _block(self, cols, etas, cum):
-        """The rows of the determinant matrix of cols at one frame."""
-        polys = [self.col_poly(k, d) for k, d in cols]
-        return [[cum[k][j] * polys[c](etas[j]) for c, (k, _) in enumerate(cols)]
-                for j in range(len(etas))]
-
     def _row(self, head, kind: str, frame):
-        """c_j with detPoly(head + [(kind, d)]) = sum_j c_j p_{kind,d}(eta_j) at the frame,
-        for every degree d.
+        """The backend's cofactor_row of the head columns at the frame: row(p) is detPoly of
+        head + [(kind, d)] for p the polynomial of (kind, d), every degree d.
 
-        detPoly is linear in its last column: the backend's cofactors of the head
-        block, with the phase and the last column's row weights folded in.
+        detPoly is linear in its last column: the cofactors of the head block, with the
+        phase and the last column's row weights folded in.
         """
-        sc = self.sc
         etas, cum = frame
         R = len(head) + 1
-        phase = sc.i ** ((R * (R - 1)) // 2)
-        return [c * phase * w
-                for c, w in zip(sc.cofactors(self._block(head, etas, cum)), cum[kind])]
+        return self.sc.cofactor_row(etas, [(self.col_poly(k, d), cum[k]) for k, d in head],
+                                    cum[kind], (R * (R - 1)) // 2)
 
     def det_values(self, cols, us):
         """detPoly values at the sample arguments us."""
@@ -257,15 +251,14 @@ class Builder:
                 for fr in self.frames(us, len(cols), {k for k, _ in cols})]
 
     def _kept_value(self, cols, frame, kept: dict):
-        """detPoly(cols) at a frame: sum_j c_j p(eta_j), c the _row of the head columns and
-        last kind of cols, made once and kept in kept (a node's rows), keyed (head columns,
-        last kind), and p the last column's polynomial.  Every detPoly value is made here."""
+        """detPoly(cols) at a frame: the _row of the head columns and last kind of cols,
+        made once and kept in kept (a node's rows), keyed (head columns, last kind), at the
+        last column's polynomial.  Every detPoly value is made here."""
         *head, (kind, deg) = cols
         key = (tuple(head), kind)
         if key not in kept:
             kept[key] = self._row(head, kind, frame)
-        p = self.col_poly(kind, deg)
-        return sum((c * p(e) for c, e in zip(kept[key], frame[0])), self.sc.zero)
+        return kept[key](self.col_poly(kind, deg))
 
     # .. nodes / fitting .........................................................
 

@@ -12,13 +12,14 @@ comparison of magnitudes against its tolerance, written once for both.
 The hot loops of the float backend run in Gaussian fixed point: Python int
 pairs holding real and imaginary parts scaled by a power of two, with the
 exponent managed per point (Horner), per row and column (cofactors) or per
-value (the Gaussian floats of the frame kernels), as ``mpmath.libmp`` does
+value (the Gaussian floats of the other kernels), as ``mpmath.libmp`` does
 underneath each ``mpf`` (Brent & Zimmermann, *Modern Computer Arithmetic*,
-ch. 3).  They are Horner evaluation, the cofactors of a Casoratian block, the
-ratios of affine products that give the etas, potentials and row weights of a
-frame, and the residual of a difference-operator stencil.  Values convert from
-and to ``mpc`` only at the kernel boundary; the results are rounded to nearest
-at the ambient precision.
+ch. 3).  They are Horner evaluation, the cofactor rows of a Casoratian frame
+(from the Horner integers of the head columns to the detPoly value at any last
+column), the ratios of affine products that give the etas, potentials and row
+weights of a frame, and the residual of a difference-operator stencil.  Values
+convert from and to ``mpc`` only at the kernel boundary; the results are
+rounded to nearest at the ambient precision.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import hashlib
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
+from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, fzero
@@ -143,6 +145,54 @@ def _laplace_plan(n: int) -> tuple:
                               for i, r in enumerate(rows)))
                        for rows in combinations(range(n), k + 1))
                  for k in range(n - 1))
+
+
+def _gcofactors(block, f: int) -> list:
+    """Cofactors C_j of the last column of [block | y], block n x (n-1) Gaussian floats:
+    det[block | y] = sum_j C_j y_j, each C_j a Gaussian float.
+
+    Every row, then every column, is scaled by an exact power of two that puts its
+    largest part in [1/2, 1).  The division-free Laplace recursion of
+    polycore.last_column_cofactors then runs on ints with f fraction bits, and the
+    scalings come back exactly in the exponents.
+    """
+    n = len(block)
+    tops = [[None if z is None else z[2] + max(z[0].bit_length(), z[1].bit_length())
+             for z in row] for row in block]
+    rexp = [max((t for t in row if t is not None), default=0) for row in tops]
+    cexp = [max((row[k] - r for row, r in zip(tops, rexp) if row[k] is not None), default=0)
+            for k in range(n - 1)]
+    a = [[(0, 0) if z is None else (_shift(z[0], z[2] - r - c + f), _shift(z[1], z[2] - r - c + f))
+          for z, c in zip(row, cexp)] for row, r in zip(block, rexp)]
+    minors = {0: (1 << f, 0)}   # row mask -> minor on those rows and the first columns
+    for k, step in enumerate(_laplace_plan(n)):
+        grown = {}
+        for rows, terms in step:
+            sr = si = 0
+            for r, sub, negate in terms:
+                xr, xi = a[r][k]
+                mr, mi = minors[sub]
+                if negate:
+                    xr, xi = -xr, -xi
+                sr += xr * mr - xi * mi
+                si += xr * mi + xi * mr
+            grown[rows] = (sr >> f, si >> f)
+        minors = grown
+    exp = sum(rexp) + sum(cexp) - f
+    out = []
+    for j in range(n):
+        mr, mi = minors[(1 << n) - 1 - (1 << j)]
+        if (n - 1 - j) % 2:
+            mr, mi = -mr, -mi
+        out.append((mr, mi, exp - rexp[j]) if mr or mi else None)
+    return out
+
+
+def _quarter_turn(z, turns: int):
+    """i^turns z, exactly: a Gaussian float's int pair turned a quarter at a time."""
+    for _ in range(turns % 4 if z else 0):
+        z = -z[1], z[0], z[2]
+    return z
 
 
 def _to_mpc(re: int, im: int, exp: int, prec: int):
@@ -263,13 +313,28 @@ class _Horner:
         return ar, ai, e - w
 
 
+class _Row(NamedTuple):
+    """The evaluator p -> sum_j c_j p(eta_j) of MPScalars.cofactor_row: the c_j as Gaussian
+    floats and the etas as _parts tuples."""
+
+    cs: tuple
+    pts: tuple
+
+    def __call__(self, p):
+        prec = mp.mp.prec
+        w, ev, s = prec + GUARD_BITS, p.evaluator(), None
+        for c, pt in zip(self.cs, self.pts):
+            s = _gadd(s, _gmul(c, ev.fixed(pt, prec), w))
+        return _gstore(s, prec)
+
+
 class MPScalars:
     """mpmath scalar backend; elements are mpc under the ambient precision.
 
     Besides the field constants and conversions, this backend and
     ``exact.ExactScalars`` answer the questions on which the construction
     differs between them: sample points and extraction nodes, interpolation,
-    q**t, Horner evaluation, the Casoratian cofactors, ratios of affine
+    q**t, Horner evaluation, the Casoratian cofactor rows, ratios of affine
     products, stencil residuals, and the absolute value ``magnitude`` with the
     ``trim_threshold`` of ``Poly.trim``.  The pivot choice, trimming and every
     gate are written once on ``magnitude``, in polycore and miop.  Here
@@ -455,42 +520,24 @@ class MPScalars:
         return residual
 
     @staticmethod
-    def cofactors(block):
-        """Cofactors C_j of the last column of [block | y], block n x (n-1), in Gaussian
-        fixed point: det[block | y] = sum_j C_j y_j.
+    def cofactor_row(etas, head, last_weights, turns: int):
+        """The evaluator p -> detPoly at the frame of etas with the head columns and p as the
+        last column: i^turns det[w_j p_k(eta_j) | v_j p(eta_j)], head the (Poly p_k, row
+        weights w) of each head column and v the last column's row weights, in Gaussian
+        fixed point.
 
-        Every row, then every column, is scaled by an exact power of two that puts
-        its largest part in [1/2, 1).  The division-free Laplace recursion of
-        polycore.last_column_cofactors then runs on ints with mp.mp.prec +
-        GUARD_BITS fraction bits, and the scalings come back exactly in the exponent.
+        Each head entry is the Horner kernel's integers at eta_j (_Horner.fixed) times its
+        weight; their cofactors come from the integer Laplace recursion (_gcofactors), the
+        phase is a quarter-turn of the int pair and v_j a fixed-point product, all at
+        mp.mp.prec + GUARD_BITS bits as current here.  row(p) sums c_j p(eta_j) on ints and
+        rounds once, to nearest at the precision current at the call.
         """
-        n, prec = len(block), mp.mp.prec
-        f = prec + GUARD_BITS
-        parts = [[_parts(x) for x in row] for row in block]
-        rexp = [max((p[4] for p in row if p[4] is not None), default=0) for row in parts]
-        cexp = [max((row[k][4] - r for row, r in zip(parts, rexp) if row[k][4] is not None),
-                    default=0) for k in range(n - 1)]
-        a = [[(_shift(mr, er - r - c + f), _shift(mi, ei - r - c + f))
-              for (mr, er, mi, ei, _), c in zip(row, cexp)] for row, r in zip(parts, rexp)]
-        minors = {0: (1 << f, 0)}   # row mask -> minor on those rows and the first columns
-        for k, step in enumerate(_laplace_plan(n)):
-            grown = {}
-            for rows, terms in step:
-                sr = si = 0
-                for r, sub, negate in terms:
-                    xr, xi = a[r][k]
-                    mr, mi = minors[sub]
-                    if negate:
-                        xr, xi = -xr, -xi
-                    sr += xr * mr - xi * mi
-                    si += xr * mi + xi * mr
-                grown[rows] = (sr >> f, si >> f)
-            minors = grown
-        exp = sum(rexp) + sum(cexp) - f
-        out = []
-        for j in range(n):
-            mr, mi = minors[(1 << n) - 1 - (1 << j)]
-            if (n - 1 - j) % 2:
-                mr, mi = -mr, -mi
-            out.append(_to_mpc(mr, mi, exp - rexp[j], prec))
-        return out
+        prec = mp.mp.prec
+        w = prec + GUARD_BITS
+        pts = tuple(map(_parts, etas))
+        cols = [(p.evaluator(), [_gload(_parts(x), w) for x in ws]) for p, ws in head]
+        block = [[_gmul(ev.fixed(pt, prec), ws[j], w) for ev, ws in cols]
+                 for j, pt in enumerate(pts)]
+        cs = [_gmul(_quarter_turn(c, turns), _gload(_parts(v), w), w)
+              for c, v in zip(_gcofactors(block, w), last_weights)]
+        return _Row(tuple(cs), pts)

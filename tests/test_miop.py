@@ -271,8 +271,9 @@ def test_verify_report_invariant_under_d_reordering():
 
 @pytest.mark.parametrize("backend", ["float", "exact"])
 def test_rows_match_det_values(backend):
-    """sum_j row_j p_n(eta_j) over the row of the head columns is detPoly with the P_n
-    column, for every n, and both agree with det_dense on the same block; exact on exact."""
+    """The row of the head columns at p_n is detPoly with the P_n column, for every n, and
+    both agree with det_dense on the block [prod_{m<j} N_k(x_m) p_k(eta_j)] with the phase
+    i^(R(R-1)/2); exact on exact."""
     a_vals, _ = EXACT_PARAMS["w"]
     with workbits(256):
         lam = params_from_values("w", a_vals, mode="physical", backend=backend, bits=256)
@@ -287,11 +288,12 @@ def test_rows_match_det_values(backend):
                 cols = miop._p_cols(D, n)
                 want = b.det_values(cols, us)
                 phase = b.sc.i ** ((len(cols) * (len(cols) - 1)) // 2)
-                for fr, row, w in zip(frames, rows, want):
-                    got = b.sc.zero
-                    for c, x in zip(row, fr[0]):
-                        got = got + c * base(x)
-                    dense = det_dense(b._block(cols, *fr), b.sc) * phase
+                polys = [b.col_poly(k, d) for k, d in cols]
+                for (etas, cum), row, w in zip(frames, rows, want):
+                    got = row(base)
+                    block = [[cum[k][j] * p(eta) for p, (k, _) in zip(polys, cols)]
+                             for j, eta in enumerate(etas)]
+                    dense = det_dense(block, b.sc) * phase
                     if backend == "exact":
                         assert got == w == dense
                     else:
@@ -469,7 +471,8 @@ def test_extraction_values_are_ratio_times_kept_value(backend, monkeypatch):
 
 def _perturb_row(monkeypatch, ref_cols, cols, at, off):
     """Make every solve on the nodes of the class with reference columns ref_cols take the
-    kept row of cols (its head columns and last kind) at nodes[at] times off."""
+    kept row of cols (its head columns and last kind) at nodes[at] with its values times
+    off."""
     *head, (kind, _) = cols
     nodes_ = Builder._nodes
 
@@ -477,7 +480,8 @@ def _perturb_row(monkeypatch, ref_cols, cols, at, off):
         nodes, coeffs = nodes_(self, fit, R, kinds, ref_cols_)
         if list(ref_cols_) == list(ref_cols):
             nd = nodes[at]
-            nd.rows[(tuple(head), kind)] = [c * off for c in self._row(head, kind, nd.frame)]
+            row = self._row(head, kind, nd.frame)
+            nd.rows[(tuple(head), kind)] = lambda p: row(p) * off
         return nodes, coeffs
 
     monkeypatch.setattr(Builder, "_nodes", perturbed)

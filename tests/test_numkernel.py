@@ -157,10 +157,12 @@ def test_horner_kernel_matches_mpc_oracle():
 
 
 def test_horner_kernel_rejects_non_finite_values():
-    """An inf or nan coefficient or point raises ValueError; it never reads as 0."""
+    """An inf or nan coefficient, point, eta or row weight raises ValueError; it never
+    reads as 0."""
     import pytest
 
     from casoratia.numkernel import MPScalars
+    from casoratia.polycore import Poly
 
     sc = MPScalars(256)
     with workbits(256):
@@ -169,14 +171,30 @@ def test_horner_kernel_rejects_non_finite_values():
                 sc.horner([mp.mpc(1), bad, mp.mpc(2)])(mp.mpc(1, 1))
             with pytest.raises(ValueError):
                 sc.horner([mp.mpc(1), mp.mpc(2)])(bad)
-            with pytest.raises(ValueError):
-                sc.cofactors([[mp.mpc(1)], [bad]])
+            one, ok, off = Poly([mp.mpc(1)], sc), [mp.mpc(1), mp.mpc(3)], [mp.mpc(1), bad]
+            for etas, weights, last in ((off, ok, ok), (ok, off, ok), (ok, ok, off)):
+                with pytest.raises(ValueError):
+                    sc.cofactor_row(etas, [(one, weights)], last, 1)(one)
+
+
+def _cofactors_of_row(sc, block):
+    """The cofactors C_j of the last column of [block | y] from the kernel's integer
+    Laplace recursion: a cofactor_row with constant head polynomials 1 whose row weights
+    are the block's columns, no phase, read at the constant 1 with the last row weights
+    the unit vector e_j."""
+    from casoratia.polycore import Poly
+
+    n, one = len(block), Poly([mp.mpc(1)], sc)
+    head = [(one, [row[k] for row in block]) for k in range(n - 1)]
+    etas = [mp.mpc(j + 1) for j in range(n)]
+    return [sc.cofactor_row(etas, head, [mp.mpc(j == i) for i in range(n)], 0)(one)
+            for j in range(n)]
 
 
 def test_cofactor_kernel_matches_mpc_oracle():
-    """n = 1..5, rows and columns scaled by 2^+-200, a zero row and a singular block:
-    within 2^(-bits+16) of the largest cofactor of last_column_cofactors, and
-    sum_j C_j y_j within as much of det_dense."""
+    """The integer Laplace recursion of cofactor_row, n = 1..5, rows and columns scaled by
+    2^+-200, a zero row and a singular block: each C_j within 2^(-bits+16) of the largest
+    cofactor of last_column_cofactors, and sum_j C_j y_j within as much of det_dense."""
     import random
 
     from casoratia.numkernel import MPScalars
@@ -199,7 +217,7 @@ def test_cofactor_kernel_matches_mpc_oracle():
                 y = [entry() * mp.mpf(2) ** r for r in rows]
                 if trial == 1 and n > 1:
                     block[n // 2] = [mp.mpc(0)] * (n - 1)
-                got = sc.cofactors(block)
+                got = _cofactors_of_row(sc, block)
                 with workbits(4 * bits):
                     want = last_column_cofactors(block, sc)
                     top = max(abs(w) for w in want)
@@ -215,12 +233,106 @@ def test_cofactor_kernel_matches_mpc_oracle():
                 w = [entry() for _ in range(n - 2)]
                 for row in block:
                     row[-1] = sum((x * wk for x, wk in zip(row, w)), mp.mpc(0))
-                got = sc.cofactors(block)
+                got = _cofactors_of_row(sc, block)
                 with workbits(4 * bits):
                     hadamard = 1
                     for k in range(n - 1):
                         hadamard *= mp.sqrt(sum(abs(row[k]) ** 2 for row in block))
                     assert max(abs(g) for g in got) <= tol * hadamard
+
+
+def _oracle_row(head, etas, last, turns, p):
+    """sum_j C_j i^turns v_j p(eta_j) in mpc at the ambient precision, C_j the
+    last_column_cofactors of the block [w_j p_k(eta_j)], and the scale that the kernel's
+    recursion works at: sum_j |v_j| s_p(eta_j) prod_{i != j} r_i prod_k c_k, with s_q(eta)
+    = sum_m |q_m| |eta|^m, r_i the largest |w_i| s_{p_k}(eta_i) of row i and c_k that of
+    column k over the r_i."""
+    from casoratia.numkernel import MPScalars
+    from casoratia.polycore import last_column_cofactors
+
+    def size(q, eta):
+        return sum(abs(c) * abs(eta) ** m for m, c in enumerate(q.coeffs))
+
+    block = [[ws[j] * _mpc_horner(q.coeffs, eta) for q, ws in head] for j, eta in enumerate(etas)]
+    mags = [[abs(ws[j]) * size(q, eta) for q, ws in head] for j, eta in enumerate(etas)]
+    r = [max(row, default=1) or 1 for row in mags]
+    cols = mp.fprod(max(row[k] / ri for row, ri in zip(mags, r)) for k in range(len(head)))
+    value = mp.fsum(c * mp.mpc(0, 1) ** turns * v * _mpc_horner(p.coeffs, eta) for c, v, eta
+                    in zip(last_column_cofactors(block, MPScalars(mp.mp.prec)), last, etas))
+    scale = mp.fsum(abs(v) * size(p, eta) * cols * mp.fprod(r) / rj
+                    for v, eta, rj in zip(last, etas, r))
+    return value, scale
+
+
+def test_cofactor_row_matches_mpc_oracle():
+    """cofactor_row at 256 and 512 bits on random frames of 1-4 rows: head polynomials of
+    degree 0-4, row weights, etas and coefficients of magnitudes 2^+-200, a zero head entry
+    and a zero last polynomial.  row(p) is within 2^(-bits+16) of the oracle at 1100 bits,
+    relative to the scale of the kernel's fixed-point recursion (_oracle_row); the zero
+    polynomial gives 0."""
+    import random
+
+    from casoratia.numkernel import MPScalars
+    from casoratia.polycore import Poly
+
+    rng = random.Random(17)
+    for bits in (256, 512):
+        sc = MPScalars(bits)
+        with workbits(bits):
+            for trial in range(24):
+                n = 1 + trial % 4
+
+                def poly():
+                    return Poly([_random_gaussian(rng, bits) for _ in range(rng.randint(1, 5))],
+                                sc)
+                etas = [_random_gaussian(rng, bits, -50, 50) for _ in range(n)]
+                head = [(poly(), [_random_gaussian(rng, bits) for _ in range(n)])
+                        for _ in range(n - 1)]
+                last = [_random_gaussian(rng, bits) for _ in range(n)]
+                if trial % 3 == 1 and n > 1:
+                    head[rng.randrange(n - 1)][1][rng.randrange(n)] = mp.mpc(0)
+                turns = rng.randrange(6)
+                row = sc.cofactor_row(etas, head, last, turns)
+                assert row(Poly([mp.mpc(0)], sc)) == 0
+                for p in (poly(), poly()):
+                    got = row(p)
+                    assert isinstance(got, mp.mpc)
+                    with workbits(1100):
+                        want, bound = _oracle_row(head, etas, last, turns, p)
+                        assert abs(got - want) <= mp.mpf(2) ** (-bits + 16) * bound, (bits, n)
+
+
+def test_cofactor_row_rounds_at_the_readers_precision():
+    """A row made at 256 bits and read under 128 and 640 bits rounds once, at the reader's
+    precision: both parts fit in the reader's bits, the 640-bit value carries more bits
+    than the row's 256 + GUARD_BITS, and each is as close to the oracle as its precision
+    and the row's allow."""
+    import random
+
+    from casoratia.numkernel import GUARD_BITS, MPScalars
+    from casoratia.polycore import Poly
+
+    rng = random.Random(23)
+    sc = MPScalars(256)
+    with workbits(256):
+        etas = [_random_gaussian(rng, 256, -4, 4) for _ in range(3)]
+        head = [(Poly([_random_gaussian(rng, 256, -4, 4) for _ in range(3)], sc),
+                 [_random_gaussian(rng, 256, -4, 4) for _ in range(3)]) for _ in range(2)]
+        last = [_random_gaussian(rng, 256, -4, 4) for _ in range(3)]
+        row = sc.cofactor_row(etas, head, last, 3)
+        p = Poly([_random_gaussian(rng, 256, -4, 4) for _ in range(4)], sc)
+    wide = 0
+    for reader in (128, 640):
+        with workbits(reader):
+            got = row(p)
+        with workbits(1100):
+            want, bound = _oracle_row(head, etas, last, 3, p)
+        for part in got._mpc_:
+            assert part[3] <= reader
+            wide = max(wide, part[3])
+        tol = mp.mpf(2) ** (-min(reader, 256) + 16) * bound
+        assert abs(got - want) <= tol + abs(want) * mp.mpf(2) ** (1 - reader)
+    assert wide > 256 + GUARD_BITS
 
 
 def _random_gaussian(rng, bits, lo=-200, hi=200):

@@ -158,7 +158,7 @@ def test_backends_expose_the_same_interface():
     assert public(MPScalars) == {
         "name", "at_bits", "zero", "one", "i", "from_int", "from_fraction", "is_zero",
         "magnitude", "conj", "to_mpc", "q_power", "sample_args", "extraction_nodes",
-        "interpolator", "horner", "cofactors", "affine_ratios", "stencil_residual"}
+        "interpolator", "horner", "cofactor_row", "affine_ratios", "stencil_residual"}
     assert public(ExactScalars) == public(MPScalars)
     assert MPScalars(100).trim_threshold == mp.mpf(2) ** -84
     assert ExactScalars().trim_threshold == 0

@@ -62,17 +62,17 @@ def test_cache_key_covers_version_and_schema(monkeypatch):
 
 
 # sha256 of the canonical verify JSON (seed 1, N = 2, default precision), recorded
-# when each extraction value became the node's reference ratio times one dot product
-# (noise digits moved) and g_j = sqrt(F_j) took the branch i sqrt(-F_j) for Re F_j < 0
-# (rows and columns of M with Re F_j < 0 < -Im F_j changed sign); every verdict stands,
-# and a refactor that claims byte-identical reports keeps these
+# when the cofactor rows went into Gaussian fixed point from the Horner values of the
+# head columns to the detPoly value, and the eigen check summed each row of M~ by one
+# mp.fdot (noise digits moved, no sign changed); every verdict stands, and a refactor
+# that claims byte-identical reports keeps these
 GOLDEN_REPORTS = [
     (["--family", "ch", "--mode", "physical", "--dI", "1", "--dII", "2"],
-     "7d0bb4addc84f66ec1b853101a13e8e07942b6f7fb2c29a77a21204ee2395249"),
+     "252145cf695c1a16e6f4b215236b48ec2cd257f6f498b6a3a41af9f15e2b26b8"),
     (["--family", "w", "--mode", "physical", "--dI", "1", "--dII", "1"],
-     "1187da361215010e147ea3ccf602c7f20364920e4aa0322bbb7f4a79895a42e2"),
+     "e6a0da94fc361b7868813e8fcd0f239466512f6e9a6849b9625643307187378d"),
     (["--family", "aw", "--mode", "generic", "--dI", "1", "--dII", "1"],
-     "e136d110294cc8affb45f12fc35eb9fd0dcc3f9ab20486b363a269a5d09c2b81"),
+     "f2380725ecc9730766145b56abc0b024948ca38c50ab43cfa2e7696dc655cc13"),
 ]
 
 
@@ -106,7 +106,7 @@ def test_verify_report_is_independent_of_earlier_runs(tmp_path, monkeypatch):
 
 # sha256 of the sweep CSV below, recorded with the same rendering: the one golden on
 # the sweep's own rendering of max_offdiag_rel and conjecture_rel_err
-GOLDEN_SWEEP = "aca9d94f15c2918e4bdbbf3a0c64bafd4b625c4cf12bb53259e0e39ddc636c1e"
+GOLDEN_SWEEP = "fc3d1b12d5de2355eb71c5b07e62ba9403406410825096770571bfc975f1db86"
 
 
 def test_golden_sweep_csv():
