@@ -88,33 +88,35 @@ class PaBasis:
 
 
 def build_pa_basis(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) -> PaBasis:
-    """The N + ell_D polynomials P_a with their energies E^P_a (cases 0-3)."""
-    fam = lam.fam
-    b = get_builder(lam, bits)
-    EN = fam.energy(N, lam)
-    entries = []
-    for n in range(N):
-        entries.append(PaEntry(f"case0(n={n})", 0, b.P(D, n), fam.energy(n, lam), n=n))
-    for ds in chain(*derived_index_sets(D)):
-        (t0, t1), (d0, d1) = CASE_TYPES[ds.case], ds.removed + ds.added
-        e = fam.etilde(t0, d0, lam) + fam.etilde(t1, d1, lam) - EN
-        entries.append(PaEntry(f"case{ds.case}(j={ds.j},k={ds.k})", ds.case, b.P(ds.D, N), e,
-                               derived=ds))
-    if len(entries) != N + D.ell:
-        raise AssertionError("Pa basis count differs from N + ell_D")
-    tilde_N = N + D.ell
-    for e in entries:
-        if e.poly.degree >= tilde_N:
-            raise AssertionError(f"deg P_a = {e.poly.degree} not below {tilde_N} ({e.origin})")
-    evals = [mp.mpc(lam.scalars.to_mpc(e.energy)) for e in entries]
-    scale = max(max(abs(v) for v in evals), mp.mpf(1))
-    tol = mp.mpf(2) ** (-bits // 3)
-    for i in range(len(evals)):
-        for j in range(i + 1, len(evals)):
-            if abs(evals[i] - evals[j]) <= tol * scale:
-                raise DegenerateSpectrum(
-                    f"E^P degenerate: {entries[i].origin} vs {entries[j].origin}")
-    return PaBasis(entries)
+    """The N + ell_D polynomials P_a with their energies E^P_a (cases 0-3), at bits + 32
+    working bits, whatever the caller's precision."""
+    with workbits(bits + 32):
+        fam = lam.fam
+        b = get_builder(lam, bits)
+        EN = fam.energy(N, lam)
+        entries = []
+        for n in range(N):
+            entries.append(PaEntry(f"case0(n={n})", 0, b.P(D, n), fam.energy(n, lam), n=n))
+        for ds in chain(*derived_index_sets(D)):
+            (t0, t1), (d0, d1) = CASE_TYPES[ds.case], ds.removed + ds.added
+            e = fam.etilde(t0, d0, lam) + fam.etilde(t1, d1, lam) - EN
+            entries.append(PaEntry(f"case{ds.case}(j={ds.j},k={ds.k})", ds.case, b.P(ds.D, N), e,
+                                   derived=ds))
+        if len(entries) != N + D.ell:
+            raise AssertionError("Pa basis count differs from N + ell_D")
+        tilde_N = N + D.ell
+        for e in entries:
+            if e.poly.degree >= tilde_N:
+                raise AssertionError(f"deg P_a = {e.poly.degree} not below {tilde_N} ({e.origin})")
+        evals = [mp.mpc(lam.scalars.to_mpc(e.energy)) for e in entries]
+        scale = max(max(abs(v) for v in evals), mp.mpf(1))
+        tol = mp.mpf(2) ** (-bits // 3)
+        for i in range(len(evals)):
+            for j in range(i + 1, len(evals)):
+                if abs(evals[i] - evals[j]) <= tol * scale:
+                    raise DegenerateSpectrum(
+                        f"E^P degenerate: {entries[i].origin} vs {entries[j].origin}")
+        return PaBasis(entries)
 
 
 def pa_difference_equation_defect(basis: PaBasis, frames) -> mp.mpf:

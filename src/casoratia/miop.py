@@ -23,7 +23,7 @@ Xi_D and P_{D,n} take one extraction path, each on the nodes of its own
 degree.  detPoly is linear in its last column, so a node keeps one row per
 (head columns, last kind): the backend's cofactor_row, the cofactors of the
 other columns with the phase and the last column's row weights folded in (on
-floats, in fixed point from the Horner values of the head columns on).  Every
+floats, in Gaussian floats from the Horner values of the head columns on).  Every
 detPoly value, of every degree of that last column and every n of P_{D,n}, is
 then that row at the last column's polynomial (Builder._kept_value), and an
 extraction value is that times the node's reference ratio
@@ -159,7 +159,9 @@ class _Node:
 class Builder:
     """Per-parameter-set construction engine with caches.
 
-    Its scalars carry the builder's own precision, so trimming follows it.
+    Its scalars carry the builder's own precision, so trimming follows it.  What it
+    makes and keeps (column polynomials, Xi_D, P_{D,n}, detPoly values) is made at bits
+    + 32 working bits, whatever the caller's precision.
     """
 
     def __init__(self, lam: ParamSet, bits: int = 256):
@@ -179,11 +181,9 @@ class Builder:
     def col_poly(self, kind: str, deg: int) -> Poly:
         key = (kind, deg)
         if key not in self._polys:
-            if kind == "P":
-                poly = self.fam.base_poly(deg, self.lam)
-            else:
-                poly = self.fam.base_poly(deg, self.lam, a=self.fam.twist_a(kind, self.lam))
-            self._polys[key] = Poly(poly.coeffs, self.sc)
+            with workbits(self.bits + 32):
+                a = self.lam.a if kind == "P" else self.fam.twist_a(kind, self.lam)
+                self._polys[key] = Poly(self.fam.base_poly(deg, self.lam, a=a).coeffs, self.sc)
         return self._polys[key]
 
     def _class_weight_params(self, kind: str):
@@ -247,8 +247,9 @@ class Builder:
 
     def det_values(self, cols, us):
         """detPoly values at the sample arguments us."""
-        return [self._kept_value(cols, fr, {})
-                for fr in self.frames(us, len(cols), {k for k, _ in cols})]
+        with workbits(self.bits + 32):
+            return [self._kept_value(cols, fr, {})
+                    for fr in self.frames(us, len(cols), {k for k, _ in cols})]
 
     def _kept_value(self, cols, frame, kept: dict):
         """detPoly(cols) at a frame: the _row of the head columns and last kind of cols,
@@ -368,13 +369,14 @@ class Builder:
         if key in self._xi_cache:
             return self._xi_cache[key]
         D0 = reference_index_set(D.counts)
-        if D != D0:
-            poly = self._extract(_xi_cols(D), D.ell, _xi_cols(D0), self.xi(D0))
-        elif D.M1 == 0 or D.M2 == 0:
-            poly = Poly.const(self.sc.one, self.sc)
-        else:
-            poly = self._pairing_bootstrap(D0, _bumped_reference(D.counts))
-        poly = poly.trim()
+        with workbits(self.bits + 32):
+            if D != D0:
+                poly = self._extract(_xi_cols(D), D.ell, _xi_cols(D0), self.xi(D0))
+            elif D.M1 == 0 or D.M2 == 0:
+                poly = Poly.const(self.sc.one, self.sc)
+            else:
+                poly = self._pairing_bootstrap(D0, _bumped_reference(D.counts))
+            poly = poly.trim()
         if poly.degree != D.ell:
             raise DegenerateIndexSet(
                 f"deg Xi_D = {poly.degree} but ell_D = {D.ell} for D = {D}")
@@ -387,13 +389,14 @@ class Builder:
         key = (D.key(), n)
         if key in self._p_cache:
             return self._p_cache[key]
-        if D.M == 0:
-            poly = self.col_poly("P", n)
-        else:
-            D0 = reference_index_set(D.counts)
-            poly = self._extract(_p_cols(D, n), D.ell + n, _p_cols(D0, 0),
-                                 self.shift_builder().xi(D0))
-        poly = poly.trim()
+        with workbits(self.bits + 32):
+            if D.M == 0:
+                poly = self.col_poly("P", n)
+            else:
+                D0 = reference_index_set(D.counts)
+                poly = self._extract(_p_cols(D, n), D.ell + n, _p_cols(D0, 0),
+                                     self.shift_builder().xi(D0))
+            poly = poly.trim()
         if poly.degree != D.ell + n:
             raise DegenerateIndexSet(
                 f"deg P_D,n = {poly.degree} but ell_D + n = {D.ell + n} for D = {D}")

@@ -9,17 +9,16 @@ overloading and the ``ExactScalars`` backend.  Each backend has one absolute
 value, ``magnitude`` (``abs`` here), and every gate of the construction is one
 comparison of magnitudes against its tolerance, written once for both.
 
-The hot loops of the float backend run in Gaussian fixed point: Python int
-pairs holding real and imaginary parts scaled by a power of two, with the
-exponent managed per point (Horner), per row and column (cofactors) or per
-value (the Gaussian floats of the other kernels), as ``mpmath.libmp`` does
-underneath each ``mpf`` (Brent & Zimmermann, *Modern Computer Arithmetic*,
-ch. 3).  They are Horner evaluation, the cofactor rows of a Casoratian frame
-(from the Horner integers of the head columns to the detPoly value at any last
-column), the ratios of affine products that give the etas, potentials and row
-weights of a frame, and the residual of a difference-operator stencil.  Values
-convert from and to ``mpc`` only at the kernel boundary; the results are
-rounded to nearest at the ambient precision.
+The hot loops of the float backend run on one number type, the Gaussian float:
+a Python int pair holding the real and imaginary parts, scaled by a power of
+two kept with the value, as ``mpmath.libmp`` does underneath each ``mpf``
+(Brent & Zimmermann, *Modern Computer Arithmetic*, ch. 3).  Horner's rule, the
+Laplace recursion behind the cofactor rows of a Casoratian frame (from the
+Horner values of the head columns to the detPoly value at any last column), the
+ratios of affine products that give the etas, potentials and row weights of a
+frame, and the residual of a difference-operator stencil all run on its
+product, sum and quotient.  Values convert from and to ``mpc`` only at the
+kernel boundary; the results are rounded to nearest at the ambient precision.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ NODE_RADIUS = 2
 # aliases onto the fit coefficients shows at every held-out node
 HELD_RADIUS = 5 * NODE_RADIUS / 4
 HELD_OUT = 4    # held-out nodes per extraction, gated against the fitted polynomial
-GUARD_BITS = 32  # fraction bits the fixed-point kernels carry beyond mp.mp.prec
+GUARD_BITS = 32  # bits the Gaussian-float kernels carry beyond mp.mp.prec
 
 
 @contextlib.contextmanager
@@ -112,109 +111,36 @@ def mpc_parts(x) -> tuple:
     return mp.mpc(x)._mpc_
 
 
-def _parts(z):
-    """(re mantissa, re exponent, im mantissa, im exponent, top) of a finite complex z.
-
-    The mantissas are signed ints, z = (mr 2^er) + i (mi 2^ei) exactly, and both
-    parts are below 2^top in magnitude (top None for z = 0).  ValueError for an
-    infinite or nan part: its mantissa is 0, and it must not pass for zero.
-    """
-    if type(z) is not mp.mpc:
-        z = mp.mpc(z)
-    (sr, mr, er, br), (si, mi, ei, bi) = z._mpc_
-    if (not mr and er) or (not mi and ei):
-        raise ValueError(f"non-finite value {z} in a fixed-point kernel")
-    top = er + br if mr else None
-    if mi and (top is None or ei + bi > top):
-        top = ei + bi
-    return -mr if sr else mr, er, -mi if si else mi, ei, top
-
-
 def _shift(m: int, sh: int) -> int:
     """m 2^sh, rounded down."""
     return m << sh if sh >= 0 else m >> -sh
-
-
-@functools.cache
-def _laplace_plan(n: int) -> tuple:
-    """The Laplace recursion of polycore.last_column_cofactors for n rows, as bit masks:
-    per column k, each row subset of size k + 1 with its expansion terms
-    (row, the subset without it, whether the term is subtracted)."""
-    return tuple(tuple((sum(1 << r for r in rows),
-                        tuple((r, sum(1 << q for q in rows if q != r), (i + k) % 2 == 1)
-                              for i, r in enumerate(rows)))
-                       for rows in combinations(range(n), k + 1))
-                 for k in range(n - 1))
-
-
-def _gcofactors(block, f: int) -> list:
-    """Cofactors C_j of the last column of [block | y], block n x (n-1) Gaussian floats:
-    det[block | y] = sum_j C_j y_j, each C_j a Gaussian float.
-
-    Every row, then every column, is scaled by an exact power of two that puts its
-    largest part in [1/2, 1).  The division-free Laplace recursion of
-    polycore.last_column_cofactors then runs on ints with f fraction bits, and the
-    scalings come back exactly in the exponents.
-    """
-    n = len(block)
-    tops = [[None if z is None else z[2] + max(z[0].bit_length(), z[1].bit_length())
-             for z in row] for row in block]
-    rexp = [max((t for t in row if t is not None), default=0) for row in tops]
-    cexp = [max((row[k] - r for row, r in zip(tops, rexp) if row[k] is not None), default=0)
-            for k in range(n - 1)]
-    a = [[(0, 0) if z is None else (_shift(z[0], z[2] - r - c + f), _shift(z[1], z[2] - r - c + f))
-          for z, c in zip(row, cexp)] for row, r in zip(block, rexp)]
-    minors = {0: (1 << f, 0)}   # row mask -> minor on those rows and the first columns
-    for k, step in enumerate(_laplace_plan(n)):
-        grown = {}
-        for rows, terms in step:
-            sr = si = 0
-            for r, sub, negate in terms:
-                xr, xi = a[r][k]
-                mr, mi = minors[sub]
-                if negate:
-                    xr, xi = -xr, -xi
-                sr += xr * mr - xi * mi
-                si += xr * mi + xi * mr
-            grown[rows] = (sr >> f, si >> f)
-        minors = grown
-    exp = sum(rexp) + sum(cexp) - f
-    out = []
-    for j in range(n):
-        mr, mi = minors[(1 << n) - 1 - (1 << j)]
-        if (n - 1 - j) % 2:
-            mr, mi = -mr, -mi
-        out.append((mr, mi, exp - rexp[j]) if mr or mi else None)
-    return out
-
-
-def _quarter_turn(z, turns: int):
-    """i^turns z, exactly: a Gaussian float's int pair turned a quarter at a time."""
-    for _ in range(turns % 4 if z else 0):
-        z = -z[1], z[0], z[2]
-    return z
-
-
-def _to_mpc(re: int, im: int, exp: int, prec: int):
-    """(re + i im) 2^exp rounded to nearest at prec bits."""
-    return mp.make_mpc((from_man_exp(re, exp, prec, "n"), from_man_exp(im, exp, prec, "n")))
 
 
 # Gaussian floats: (re, im, exp) holds (re + i im) 2^exp with int parts, about w bits wide;
 # None is an exact zero.  Each product and quotient is cut back to w bits, as an mpc
 # operation rounds to its precision; a sum is aligned to its larger exponent.
 
-def _gload(pt, w: int):
-    """The Gaussian float of a _parts tuple, its top bit at 2^w."""
-    mr, er, mi, ei, top = pt
-    if top is None:
+def _load(z, w: int):
+    """The Gaussian float of a finite complex z, its larger part w bits wide (z's bits
+    past w cut off).  ValueError for an infinite or nan part: its mantissa is 0, and it
+    must not pass for zero."""
+    if type(z) is not mp.mpc:
+        z = mp.mpc(z)
+    (sr, mr, er, br), (si, mi, ei, bi) = z._mpc_
+    if (not mr and er) or (not mi and ei):
+        raise ValueError(f"non-finite value {z} in a fixed-point kernel")
+    if not (mr or mi):
         return None
-    e = top - w
-    return _shift(mr, er - e), _shift(mi, ei - e), e
+    e = max(er + br if mr else ei + bi, ei + bi if mi else er + br) - w
+    return _shift(-mr if sr else mr, er - e), _shift(-mi if si else mi, ei - e), e
 
 
-def _gstore(z, prec: int):
-    return _ZERO if z is None else _to_mpc(*z, prec)
+def _store(z, prec: int):
+    """The mpc of a Gaussian float, rounded to nearest at prec bits."""
+    if z is None:
+        return _ZERO
+    re, im, exp = z
+    return mp.make_mpc((from_man_exp(re, exp, prec, "n"), from_man_exp(im, exp, prec, "n")))
 
 
 def _gmul(a, b, w: int):
@@ -233,6 +159,10 @@ def _gadd(a, b):
     if ae < be:
         (ar, ai, ae), (br, bi, be) = b, a
     return ar + (br >> ae - be), ai + (bi >> ae - be), ae
+
+
+def _gneg(a):
+    return None if a is None else (-a[0], -a[1], a[2])
 
 
 def _gdiv(a, b, w: int):
@@ -264,68 +194,93 @@ def _gabs(z, e: int) -> int:
     return isqrt(re * re + im * im)
 
 
-class _Horner:
-    """The evaluator v -> sum_k c_k v^k of MPScalars.horner, in Gaussian fixed point.
+def _quarter_turn(z, turns: int):
+    """i^turns z, exactly: a Gaussian float's int pair turned a quarter at a time."""
+    for _ in range(turns % 4 if z else 0):
+        z = -z[1], z[0], z[2]
+    return z
 
-    The coefficients are converted once.  A point v is rescaled to v' = v 2^-s, s the
-    top bit of v, and the loop runs on the coefficients c_k 2^(k s), aligned per point,
-    with w fraction bits relative to 2^E, E = max_k (top(c_k) + k s).  As |v'| may be as
-    small as 1/2, 2^E can exceed the largest term |c_k v^k| by 2^(deg + 1), so w is
-    mp.mp.prec + GUARD_BITS + len(coeffs): the error is then a small multiple of
-    2^-(mp.mp.prec + GUARD_BITS) sum_k |c_k v^k|, as for mpc Horner.  A call gives the
-    value as an mpc; fixed gives its Gaussian float, for the kernels that go on in ints.
+
+@functools.cache
+def _laplace_plan(n: int) -> tuple:
+    """The Laplace recursion of polycore.last_column_cofactors for n rows, as bit masks:
+    per column k, each row subset of size k + 1 with its expansion terms
+    (row, the subset without it, whether the term is subtracted)."""
+    return tuple(tuple((sum(1 << r for r in rows),
+                        tuple((r, sum(1 << q for q in rows if q != r), (i + k) % 2 == 1)
+                              for i, r in enumerate(rows)))
+                       for rows in combinations(range(n), k + 1))
+                 for k in range(n - 1))
+
+
+def _gcofactors(block, w: int) -> list:
+    """Cofactors C_j of the last column of [block | y], block n x (n-1) Gaussian floats:
+    det[block | y] = sum_j C_j y_j, each C_j a Gaussian float (None for 0).
+
+    The division-free Laplace recursion of polycore.last_column_cofactors, each minor
+    a sum of Gaussian-float products of w bits: C_j is within a small multiple of 2^-w
+    of the permanent of the entry magnitudes of its minor.
+    """
+    n = len(block)
+    minors = {0: (1 << w, 0, -w)}   # row mask -> minor on those rows and the first columns
+    for k, step in enumerate(_laplace_plan(n)):
+        grown = {}
+        for rows, terms in step:
+            s = None
+            for r, sub, negate in terms:
+                t = _gmul(block[r][k], minors[sub], w)
+                s = _gadd(s, _gneg(t) if negate else t)
+            grown[rows] = s
+        minors = grown
+    full = (1 << n) - 1
+    return [_gneg(minors[full - (1 << j)]) if (n - 1 - j) % 2 else minors[full - (1 << j)]
+            for j in range(n)]
+
+
+class _Horner:
+    """The evaluator v -> sum_k c_k v^k of MPScalars.horner, in Gaussian floats.
+
+    Horner's rule with each product cut back to w = mp.mp.prec + GUARD_BITS bits: the
+    error is a small multiple of 2^-w sum_k |c_k v^k|, as for mpc Horner.  The
+    coefficients are loaded once per w.  A call gives the value as an mpc; fixed gives
+    its Gaussian float at a loaded point, for the kernels that go on in Gaussian floats.
     """
 
-    __slots__ = ("cs", "tops", "c0")
+    __slots__ = ("coeffs", "loaded")
 
     def __init__(self, coeffs):
-        self.cs = [_parts(c) for c in coeffs]
-        self.tops = [(k, t) for k, (*_, t) in enumerate(self.cs) if t is not None]
-        self.c0 = mp.mpc(coeffs[0])
+        self.coeffs = coeffs
+        self.loaded = None   # (w, the coefficients loaded at w, highest first)
 
     def __call__(self, v):
         prec = mp.mp.prec
-        pt = _parts(v)
-        if pt[4] is None:
-            return +self.c0
-        return _gstore(self.fixed(pt, prec), prec)
+        w = prec + GUARD_BITS
+        return _store(self.fixed(_load(v, w), w), prec)
 
-    def fixed(self, pt, prec: int):
-        """The Gaussian float of the value at the point of the _parts tuple pt."""
-        vr, vre, vi, vie, s = pt
-        if s is None:
-            return _gload(self.cs[0], prec + GUARD_BITS)
-        if not self.tops:
-            return None
-        e = max(t + k * s for k, t in self.tops)
-        w = prec + GUARD_BITS + len(self.cs)
-        fixed = [(_shift(mr, er + k * s + w - e), _shift(mi, ei + k * s + w - e))
-                 for k, (mr, er, mi, ei, _) in enumerate(self.cs)]
-        fixed.reverse()
-        xr, xi = _shift(vr, vre - s + w), _shift(vi, vie - s + w)
-        ar, ai = fixed[0]
-        if xi:
-            for dr, di in fixed[1:]:
-                ar, ai = ((ar * xr - ai * xi) >> w) + dr, ((ar * xi + ai * xr) >> w) + di
-        else:
-            for dr, di in fixed[1:]:
-                ar, ai = ((ar * xr) >> w) + dr, ((ai * xr) >> w) + di
-        return ar, ai, e - w
+    def fixed(self, x, w: int):
+        """The Gaussian float of the value at the loaded point x, at w bits."""
+        if self.loaded is None or self.loaded[0] != w:
+            self.loaded = w, [_load(c, w) for c in reversed(self.coeffs)]
+        cs = iter(self.loaded[1])
+        acc = next(cs)
+        for c in cs:
+            acc = _gadd(_gmul(acc, x, w), c)
+        return acc
 
 
 class _Row(NamedTuple):
-    """The evaluator p -> sum_j c_j p(eta_j) of MPScalars.cofactor_row: the c_j as Gaussian
-    floats and the etas as _parts tuples."""
+    """The evaluator p -> sum_j c_j p(eta_j) of MPScalars.cofactor_row: the c_j and the
+    etas as Gaussian floats."""
 
     cs: tuple
-    pts: tuple
+    xs: tuple
 
     def __call__(self, p):
         prec = mp.mp.prec
         w, ev, s = prec + GUARD_BITS, p.evaluator(), None
-        for c, pt in zip(self.cs, self.pts):
-            s = _gadd(s, _gmul(c, ev.fixed(pt, prec), w))
-        return _gstore(s, prec)
+        for c, x in zip(self.cs, self.xs):
+            s = _gadd(s, _gmul(c, ev.fixed(x, w), w))
+        return _store(s, prec)
 
 
 class MPScalars:
@@ -339,7 +294,7 @@ class MPScalars:
     ``trim_threshold`` of ``Poly.trim``.  The pivot choice, trimming and every
     gate are written once on ``magnitude``, in polycore and miop.  Here
     ``magnitude`` is ``abs``, the threshold is 2^(16 - bits), and the four
-    kernels run in fixed point.
+    kernels run on Gaussian floats.
     """
 
     name = "float"
@@ -449,17 +404,17 @@ class MPScalars:
             return [c * s for c, s in zip(a, scale)]
         return coeffs
 
-    # -- fixed-point kernels -----------------------------------------------------
+    # -- Gaussian-float kernels -------------------------------------------------
 
     @staticmethod
     def horner(coeffs):
-        """The evaluator v -> sum_k coeffs[k] v^k, in Gaussian fixed point (_Horner)."""
+        """The evaluator v -> sum_k coeffs[k] v^k, in Gaussian floats (_Horner)."""
         return _Horner(coeffs)
 
     @staticmethod
     def affine_ratios(ratios):
         """The evaluator u -> [prod_num (c0 + c1 u) / prod_den (c0 + c1 u) for (num, den) in
-        ratios], num and den lists of affine factors (c0, c1), in Gaussian fixed point, at
+        ratios], num and den lists of affine factors (c0, c1), in Gaussian floats, at
         the precision current here.
 
         The constants are converted once, each factor object once, to w = mp.mp.prec +
@@ -473,42 +428,42 @@ class MPScalars:
 
         def load(f):
             if id(f) not in made:
-                made[id(f)] = tuple(_gload(_parts(c), w) for c in f)
+                made[id(f)] = tuple(_load(c, w) for c in f)
             return made[id(f)]
         loaded = [[list(map(load, fs)) for fs in ratio] for ratio in ratios]
 
         def value(u):
-            x = _gload(_parts(u), w)
+            x = _load(u, w)
             out = []
             for num, den in loaded:
                 z = _gproduct(num, x, w)
-                out.append(_gstore(_gdiv(z, _gproduct(den, x, w), w) if den else z, prec))
+                out.append(_store(_gdiv(z, _gproduct(den, x, w), w) if den else z, prec))
             return out
         return value
 
     @staticmethod
     def stencil_residual(stencil):
         """The evaluator (p, E) -> |s - E p(x_0)| / (|s| + |E p(x_0)| + 1), s = sum_k w_k p(x_k)
-        over the stencil's (x_k, w_k), for a Poly p, in Gaussian fixed point.
+        over the stencil's (x_k, w_k), for a Poly p, in Gaussian floats.
 
         The points and weights are converted once, at the precision current here.  p is
-        taken at each x_k on the Horner kernel's integers (_Horner.fixed), every product
-        is a Gaussian float of mp.mp.prec + GUARD_BITS bits, and the three magnitudes are
-        integer square roots at one exponent; only the residual becomes an mpf.
+        taken at each x_k by the Horner kernel (_Horner.fixed), every product is a Gaussian
+        float of mp.mp.prec + GUARD_BITS bits, and the three magnitudes are integer square
+        roots at one exponent; only the residual becomes an mpf.
         """
         prec = mp.mp.prec
         w = prec + GUARD_BITS
-        pts = [_parts(x) for x, _ in stencil]
-        ws = [_gload(_parts(c), w) for _, c in stencil]
+        xs = [_load(x, w) for x, _ in stencil]
+        ws = [_load(c, w) for _, c in stencil]
 
         def residual(p, E):
             ev = p.evaluator()
-            vals = [ev.fixed(pt, prec) for pt in pts]
+            vals = [ev.fixed(x, w) for x in xs]
             s = None
             for c, v in zip(ws, vals):
                 s = _gadd(s, _gmul(c, v, w))
-            ref = _gmul(_gload(_parts(E), w), vals[0], w)
-            d = _gadd(s, None if ref is None else (-ref[0], -ref[1], ref[2]))
+            ref = _gmul(_load(E, w), vals[0], w)
+            d = _gadd(s, _gneg(ref))
             if d is None:
                 return mp.mpf(0)
             e = max(z[2] + max(z[0].bit_length(), z[1].bit_length())
@@ -524,20 +479,18 @@ class MPScalars:
         """The evaluator p -> detPoly at the frame of etas with the head columns and p as the
         last column: i^turns det[w_j p_k(eta_j) | v_j p(eta_j)], head the (Poly p_k, row
         weights w) of each head column and v the last column's row weights, in Gaussian
-        fixed point.
+        floats.
 
-        Each head entry is the Horner kernel's integers at eta_j (_Horner.fixed) times its
-        weight; their cofactors come from the integer Laplace recursion (_gcofactors), the
-        phase is a quarter-turn of the int pair and v_j a fixed-point product, all at
-        mp.mp.prec + GUARD_BITS bits as current here.  row(p) sums c_j p(eta_j) on ints and
-        rounds once, to nearest at the precision current at the call.
+        Each head entry is the Horner kernel's value at eta_j (_Horner.fixed) times its
+        weight; their cofactors come from the Laplace recursion (_gcofactors), the phase
+        is a quarter-turn of the int pair and v_j one more product, all at mp.mp.prec +
+        GUARD_BITS bits as current here.  row(p) sums c_j p(eta_j) at the caller's
+        precision and rounds once, to nearest.
         """
-        prec = mp.mp.prec
-        w = prec + GUARD_BITS
-        pts = tuple(map(_parts, etas))
-        cols = [(p.evaluator(), [_gload(_parts(x), w) for x in ws]) for p, ws in head]
-        block = [[_gmul(ev.fixed(pt, prec), ws[j], w) for ev, ws in cols]
-                 for j, pt in enumerate(pts)]
-        cs = [_gmul(_quarter_turn(c, turns), _gload(_parts(v), w), w)
+        w = mp.mp.prec + GUARD_BITS
+        xs = tuple(_load(x, w) for x in etas)
+        cols = [(p.evaluator(), [_load(x, w) for x in ws]) for p, ws in head]
+        block = [[_gmul(ev.fixed(x, w), ws[j], w) for ev, ws in cols] for j, x in enumerate(xs)]
+        cs = [_gmul(_quarter_turn(c, turns), _load(v, w), w)
               for c, v in zip(_gcofactors(block, w), last_weights)]
-        return _Row(tuple(cs), pts)
+        return _Row(tuple(cs), xs)

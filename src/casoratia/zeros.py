@@ -130,7 +130,7 @@ def _aberth(coeffs, seeds, bits):
             break
     # Newton polish
     for _ in range(3):
-        roots = [z - p(z) / dp(z) if dp(z) != 0 else z for z in roots]
+        roots = [z - p(z) / d if d != 0 else z for z, d in zip(roots, map(dp, roots))]
     return roots, p, dp, norm
 
 

@@ -231,3 +231,37 @@ def test_sqrt_branch_of_M_ignores_the_sign_of_noise():
         scale = max(abs(m) for row in plus for m in row)
         assert max(abs(p - m) for rp, rm in zip(plus, minus) for p, m in zip(rp, rm)) \
             <= mp.mpf(2) ** -250 * scale
+
+
+def test_builder_primed_at_a_low_precision_still_verifies(monkeypatch):
+    """A builder whose column polynomials were first asked for at the ambient 53 bits makes
+    them at its own bits + 32 all the same: they equal a fresh builder's, and
+    verify_orthogonality passes its gates."""
+    from casoratia import miop
+
+    monkeypatch.setattr(miop, "_BUILDERS", {})
+    lam = draw_params("ch", "generic", seed=1)
+    D = IndexSet.make([(1, "I"), (1, "II")])
+    cols = [(t, d) for d, t in D.entries] + [("P", n) for n in range(4)]
+    with workbits(53):
+        b = get_builder(lam, 256)
+        primed = [b.col_poly(kind, deg).coeffs for kind, deg in cols]
+    fresh = miop.Builder(lam, 256)
+    assert primed == [fresh.col_poly(kind, deg).coeffs for kind, deg in cols]
+    verify_orthogonality(lam, D, 3)
+
+
+def test_pa_basis_owns_its_precision(monkeypatch):
+    """build_pa_basis called at the ambient 53 bits builds at bits + 32, as build_miop does:
+    the same P_a and energies as under workbits(288)."""
+    from casoratia import miop
+
+    lam = draw_params("w", "physical", seed=1)
+    D = IndexSet.make([(2, "I")])
+    bases = []
+    for bits in (53, 288):
+        monkeypatch.setattr(miop, "_BUILDERS", {})
+        with workbits(bits):
+            bases.append(build_pa_basis(lam, D, 3, 256))
+    low, high = ([(e.poly.coeffs, e.energy) for e in basis.entries] for basis in bases)
+    assert low == high

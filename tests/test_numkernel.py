@@ -104,7 +104,7 @@ def test_float_inverse_dft_recovers_a_polynomial():
                 assert min(gaps) > mp.mpf("0.1")
 
 
-# -- the fixed-point kernels against the mpc oracle ---------------------------------------
+# -- the Gaussian-float kernels against the mpc oracle -----------------------------------
 
 
 def _full(rng, bits):
@@ -121,8 +121,8 @@ def _mpc_horner(coeffs, v):
 
 def test_horner_kernel_matches_mpc_oracle():
     """Degrees 0-20, coefficients spread over 2^+-200, |v| from 2^-60 to 2^60 and v = 0,
-    int, mpf and mpc points, and degrees 40 and 64 at |v| = 1, where the rescaled point
-    is 1/2 and 2^E exceeds every term by 2^deg: within 2^(-bits+16) of
+    int, mpf and mpc points, and degrees 40 and 64 at |v| = 1, where every term has the
+    same size and the rounding errors of all steps add up: within 2^(-bits+16) of
     sum_k |c_k| |v|^k."""
     import random
 
@@ -178,8 +178,8 @@ def test_horner_kernel_rejects_non_finite_values():
 
 
 def _cofactors_of_row(sc, block):
-    """The cofactors C_j of the last column of [block | y] from the kernel's integer
-    Laplace recursion: a cofactor_row with constant head polynomials 1 whose row weights
+    """The cofactors C_j of the last column of [block | y] from the kernel's Laplace
+    recursion: a cofactor_row with constant head polynomials 1 whose row weights
     are the block's columns, no phase, read at the constant 1 with the last row weights
     the unit vector e_j."""
     from casoratia.polycore import Poly
@@ -192,7 +192,7 @@ def _cofactors_of_row(sc, block):
 
 
 def test_cofactor_kernel_matches_mpc_oracle():
-    """The integer Laplace recursion of cofactor_row, n = 1..5, rows and columns scaled by
+    """The Laplace recursion of cofactor_row, n = 1..5, rows and columns scaled by
     2^+-200, a zero row and a singular block: each C_j within 2^(-bits+16) of the largest
     cofactor of last_column_cofactors, and sum_j C_j y_j within as much of det_dense."""
     import random
@@ -243,24 +243,27 @@ def test_cofactor_kernel_matches_mpc_oracle():
 
 def _oracle_row(head, etas, last, turns, p):
     """sum_j C_j i^turns v_j p(eta_j) in mpc at the ambient precision, C_j the
-    last_column_cofactors of the block [w_j p_k(eta_j)], and the scale that the kernel's
-    recursion works at: sum_j |v_j| s_p(eta_j) prod_{i != j} r_i prod_k c_k, with s_q(eta)
-    = sum_m |q_m| |eta|^m, r_i the largest |w_i| s_{p_k}(eta_i) of row i and c_k that of
-    column k over the r_i."""
+    last_column_cofactors of the block [w_j p_k(eta_j)], and the scale of its Laplace
+    terms: sum_j |v_j| s_p(eta_j) perm(|minor_j|), with s_q(eta) = sum_m |q_m| |eta|^m and
+    minor_j the block of entries |w_i| s_{p_k}(eta_i) without row j."""
+    from itertools import permutations
+
     from casoratia.numkernel import MPScalars
     from casoratia.polycore import last_column_cofactors
 
     def size(q, eta):
         return sum(abs(c) * abs(eta) ** m for m, c in enumerate(q.coeffs))
 
+    def perm(rows):
+        return mp.fsum(mp.fprod(row[k] for row, k in zip(rows, ks))
+                       for ks in permutations(range(len(rows))))
+
     block = [[ws[j] * _mpc_horner(q.coeffs, eta) for q, ws in head] for j, eta in enumerate(etas)]
     mags = [[abs(ws[j]) * size(q, eta) for q, ws in head] for j, eta in enumerate(etas)]
-    r = [max(row, default=1) or 1 for row in mags]
-    cols = mp.fprod(max(row[k] / ri for row, ri in zip(mags, r)) for k in range(len(head)))
     value = mp.fsum(c * mp.mpc(0, 1) ** turns * v * _mpc_horner(p.coeffs, eta) for c, v, eta
                     in zip(last_column_cofactors(block, MPScalars(mp.mp.prec)), last, etas))
-    scale = mp.fsum(abs(v) * size(p, eta) * cols * mp.fprod(r) / rj
-                    for v, eta, rj in zip(last, etas, r))
+    scale = mp.fsum(abs(v) * size(p, eta) * perm(mags[:j] + mags[j + 1:])
+                    for j, (v, eta) in enumerate(zip(last, etas)))
     return value, scale
 
 
@@ -268,8 +271,8 @@ def test_cofactor_row_matches_mpc_oracle():
     """cofactor_row at 256 and 512 bits on random frames of 1-4 rows: head polynomials of
     degree 0-4, row weights, etas and coefficients of magnitudes 2^+-200, a zero head entry
     and a zero last polynomial.  row(p) is within 2^(-bits+16) of the oracle at 1100 bits,
-    relative to the scale of the kernel's fixed-point recursion (_oracle_row); the zero
-    polynomial gives 0."""
+    relative to the magnitudes of its Laplace terms (_oracle_row); the zero polynomial
+    gives 0."""
     import random
 
     from casoratia.numkernel import MPScalars

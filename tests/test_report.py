@@ -62,17 +62,16 @@ def test_cache_key_covers_version_and_schema(monkeypatch):
 
 
 # sha256 of the canonical verify JSON (seed 1, N = 2, default precision), recorded
-# when the cofactor rows went into Gaussian fixed point from the Horner values of the
-# head columns to the detPoly value, and the eigen check summed each row of M~ by one
-# mp.fdot (noise digits moved, no sign changed); every verdict stands, and a refactor
-# that claims byte-identical reports keeps these
+# when Horner's rule and the Laplace cofactor recursion moved onto the Gaussian floats
+# of the other kernels (noise digits moved, no sign changed); every verdict stands, and
+# a refactor that claims byte-identical reports keeps these
 GOLDEN_REPORTS = [
     (["--family", "ch", "--mode", "physical", "--dI", "1", "--dII", "2"],
-     "252145cf695c1a16e6f4b215236b48ec2cd257f6f498b6a3a41af9f15e2b26b8"),
+     "26f9f7f367ea3574f631da76823ecfe4aa962ddc5d0a53c1a6e8e6f46e941030"),
     (["--family", "w", "--mode", "physical", "--dI", "1", "--dII", "1"],
-     "e6a0da94fc361b7868813e8fcd0f239466512f6e9a6849b9625643307187378d"),
+     "a82247495d085e448f030df25813d849a55ee907f222a4a698bd88ae897cd833"),
     (["--family", "aw", "--mode", "generic", "--dI", "1", "--dII", "1"],
-     "f2380725ecc9730766145b56abc0b024948ca38c50ab43cfa2e7696dc655cc13"),
+     "f66316c9919cd0a241a9f26c126d694b513157fe0e6f9ca8fe5e21e8ed9a4ce7"),
 ]
 
 
@@ -106,7 +105,7 @@ def test_verify_report_is_independent_of_earlier_runs(tmp_path, monkeypatch):
 
 # sha256 of the sweep CSV below, recorded with the same rendering: the one golden on
 # the sweep's own rendering of max_offdiag_rel and conjecture_rel_err
-GOLDEN_SWEEP = "fc3d1b12d5de2355eb71c5b07e62ba9403406410825096770571bfc975f1db86"
+GOLDEN_SWEEP = "bef7a45a26937cbe65f7fcb09e75e972f5314b08e40567784070b73f0adc5b71"
 
 
 def test_golden_sweep_csv():
