@@ -4,7 +4,7 @@ from .families import FAMILIES, ParamSet, draw_params, params_from_values
 from .miop import IndexSet, build_miop, ell_degree, shifted_params
 from .numkernel import DEFAULT_BITS, pochhammer, q_pochhammer
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "FAMILIES", "ParamSet", "draw_params", "params_from_values",

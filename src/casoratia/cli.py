@@ -27,7 +27,8 @@ from . import __version__, cache as cache_mod
 from .conjecture import FormulaSingular, compare
 from .dortho import (DegenerateSpectrum, DenominatorCollision, WeightSingular,
                      naive_weight_demo, verify_orthogonality)
-from .families import FAMILIES, ParamSet, draw_params, params_from_values, validate_physical
+from .families import (FAMILIES, ParamSet, SingularStep, draw_params, params_from_values,
+                       validate_physical)
 from .identities import (check_prefactor_ratio_identity, check_chain_identity,
                          classical_discrete_ortho, eta_identity_residual,
                          partial_fraction_integral_check, chain_identity_exact)
@@ -44,7 +45,7 @@ EXIT_DEGENERATE = 3
 
 DEGENERACY_ERRORS = (DegenerateSpectrum, DegenerateIndexSet, WeightSingular,
                      DenominatorCollision, MultipleRootSuspected, PoleAtSample,
-                     FormulaSingular)
+                     FormulaSingular, SingularStep)
 CONTROL_THRESHOLD = "1e-3"   # a negative control fires when its value reaches this
 MODES = ("physical", "generic")
 

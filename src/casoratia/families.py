@@ -3,11 +3,11 @@
 Carries the per-family data the construction needs: the potentials and the
 sinusoidal coordinate as ratios of products of affine factors of the working
 variable, the shift x -> x + i t gamma as a step on it, energies, base
-polynomials from the terminating hypergeometric series (at the twisted
-parameters they are the virtual-state polynomials), virtual-state parameter
-twists with their alpha constants and energies, the parameter shifts delta /
-delta-tilde, the h_n ratios and the ground-state weight phi_0^2 of the
-quadrature control.
+polynomials from the three-term recurrences of Koekoek, Lesky & Swarttouw (2010;
+"KLS") through recurrence_run (at the twisted parameters they are the
+virtual-state polynomials), virtual-state parameter twists with their alpha
+constants and energies, the parameter shifts delta / delta-tilde, the h_n ratios
+and the ground-state weight phi_0^2 of the quadrature control.
 
 Exact and float parameter sets run the same code: where the two differ (AW's
 q**t, the sample points) the scalar backend answers.
@@ -21,7 +21,7 @@ Every checked build gates base polynomials, energies and the delta-tilde
 shifts through the (deformed) eigenrelation at lambda_D (miop.build_miop).  The
 twists, alpha and the virtual energies are checked by a test oracle
 (calibrate_twist in tests/test_families.py), which fits them from the potential
-functional identities; h_n ratios are checked by the three-term-recurrence route.
+functional identities; h_n ratios are checked against the recurrence coefficients.
 """
 
 from __future__ import annotations
@@ -92,6 +92,46 @@ def _render_scalar(v) -> str:
     if isinstance(v, QQi):
         return f"{v.re},{v.im}" + ("" if v.q is None else f"+s({v.q})*{v.sre},{v.sim}")
     return ";".join(f"{sign},{man:x},{exp}" for sign, man, exp, _ in mpc_parts(v))
+
+
+# -- base polynomials -------------------------------------------------------------
+
+
+class SingularStep(RuntimeError):
+    """A base-polynomial recurrence step divides by an exact zero.  The denominators t(m)
+    of recurrence_run vanish exactly where energies meet, E_j = E_{m-j}: the spectrum
+    is degenerate and the eigenpolynomial of that degree is not unique."""
+
+
+@dataclass(frozen=True)
+class BaseRun:
+    """p_0 .. p_n of one family at one parameter set, and the triple (A_k, B_k, C_k) of
+    each step k < n: eta p_k = A_k p_{k+1} + B_k p_k + C_k p_{k-1}, with C_0 = 0."""
+
+    polys: tuple
+    triples: tuple
+
+
+def _quo(num, den):
+    if den == 0:
+        raise SingularStep("a base-polynomial recurrence step divides by zero")
+    return num / den
+
+
+def recurrence_run(n: int, t, step, sc, run: BaseRun | None = None) -> BaseRun:
+    """p_0 = 1 and p_{k+1} = ((eta - B_k) p_k - C_k p_{k-1}) / A_k up to degree n, as Polys
+    on sc, continuing run if one is given.  step(k, r, e, f) gives the triple from r =
+    t(k)/t(2k), e = 1/t(2k+1) and f = 1/(t(2k-1) t(2k)), t(m) = m + b1 - 1 (cH, W) or
+    1 - b4 q^(m-1) (AW); at k = 0, r = 1 (t(0) cancels) and f = 0 (C_0 = 0).  A divisor
+    that is exactly zero raises SingularStep."""
+    polys, triples = (list(run.polys), list(run.triples)) if run else ([Poly.const(sc.one, sc)], [])
+    for k in range(len(polys) - 1, n):
+        r, f = (1, 0) if k == 0 else (_quo(t(k), t(2 * k)), _quo(1, t(2 * k - 1) * t(2 * k)))
+        a_k, b_k, c_k = step(k, r, _quo(1, t(2 * k + 1)), f)
+        prev = polys[k - 1].scale(c_k) if k else Poly.const(sc.zero, sc)
+        polys.append((Poly([-b_k, sc.one], sc) * polys[k] - prev).scale(_quo(1, a_k)))
+        triples.append((a_k, b_k, c_k))
+    return BaseRun(tuple(polys), tuple(triples))
 
 
 class Family:
@@ -298,25 +338,15 @@ class ContinuousHahn(Family):
     def exact_sample_args(self, count, lam):
         return [lam.scalars.from_fraction(Fraction(2 * s + 1, 3)) for s in range(count)]
 
-    def base_poly(self, n, lam, a=None) -> Poly:
-        """Continuous Hahn polynomial p_n(eta) in the Askey-scheme normalization."""
-        sc = lam.scalars
-        a1, a2, a3, a4 = a if a is not None else lam.a
-        b1 = a1 + a2 + a3 + a4
-        acc = Poly.const(sc.one, sc)
-        coef = sc.one
-        base = Poly.const(sc.one, sc)
-        for k in range(1, n + 1):
-            km1 = sc.from_int(k - 1)
-            coef = coef * (sc.from_int(-n) + km1) * (sc.from_int(n - 1) + b1 + km1)
-            coef = coef / ((a1 + a3 + km1) * (a1 + a4 + km1) * sc.from_int(k))
-            base = base * Poly([a1 + km1, sc.i], sc)
-            acc = acc + base.scale(coef)
-        pref = (sc.i ** n) * pochhammer(a1 + a3, n) * pochhammer(a1 + a4, n)
-        fact = sc.one
-        for k in range(2, n + 1):
-            fact = fact * sc.from_int(k)
-        return acc.scale(pref / fact).trim()
+    def base_poly(self, n, lam, sc, run=None) -> BaseRun:
+        """Continuous Hahn p_0 .. p_n(eta) (Askey-scheme normalization) by KLS (9.4.3)."""
+        (a, b, c, d), s = lam.a, lam.b1()
+
+        def step(k, r, e, f):
+            down = f * (k + b + c - 1) * (k + b + d - 1)                    # KLS C_k / k
+            return ((k + 1) * r * e, sc.i * (a - r * e * (k + a + c) * (k + a + d) + k * down),
+                    down * (k + a + c - 1) * (k + a + d - 1))
+        return recurrence_run(n, lambda m: m + s - 1, step, sc, run)
 
     def _h_over_h0(self, n, lam):
         a1, a2, a3, a4 = lam.a
@@ -367,23 +397,16 @@ class Wilson(Family):
     def exact_sample_args(self, count, lam):
         return [lam.scalars.from_fraction(Fraction(2 * s + 1, 2)) for s in range(count)]
 
-    def base_poly(self, n, lam, a=None) -> Poly:
-        """Wilson polynomial W_n(eta) (eta = x^2) in the Askey-scheme normalization."""
-        sc = lam.scalars
-        a1, a2, a3, a4 = a if a is not None else lam.a
-        b1 = a1 + a2 + a3 + a4
-        acc = Poly.const(sc.one, sc)
-        coef = sc.one
-        base = Poly.const(sc.one, sc)
-        for k in range(1, n + 1):
-            km1 = sc.from_int(k - 1)
-            coef = coef * (sc.from_int(-n) + km1) * (sc.from_int(n - 1) + b1 + km1)
-            coef = coef / ((a1 + a2 + km1) * (a1 + a3 + km1) * (a1 + a4 + km1) * sc.from_int(k))
-            s = a1 + km1
-            base = base * Poly([s * s, sc.one], sc)
-            acc = acc + base.scale(coef)
-        pref = pochhammer(a1 + a2, n) * pochhammer(a1 + a3, n) * pochhammer(a1 + a4, n)
-        return acc.scale(pref).trim()
+    def base_poly(self, n, lam, sc, run=None) -> BaseRun:
+        """Wilson W_0 .. W_n(eta) (eta = x^2, Askey-scheme normalization) by KLS (9.1.3)."""
+        (a, b, c, d), s = lam.a, lam.b1()
+
+        def step(k, r, e, f):
+            up = r * e * (k + a + b) * (k + a + c) * (k + a + d)                # KLS A_k
+            down = f * k * (k + b + c - 1) * (k + b + d - 1) * (k + c + d - 1)  # KLS C_k
+            return (-r * e, up + down - a * a,
+                    -down * (k + a + b - 1) * (k + a + c - 1) * (k + a + d - 1))
+        return recurrence_run(n, lambda m: m + s - 1, step, sc, run)
 
     def _h_over_h0(self, n, lam):
         a = lam.a
@@ -479,27 +502,18 @@ class AskeyWilson(Family):
         return [lam.scalars.from_fraction(Fraction(s + 2, 1)) + lam.scalars.from_fraction(Fraction(1, s + 3))
                 for s in range(count)]
 
-    def base_poly(self, n, lam, a=None) -> Poly:
-        """Askey-Wilson polynomial p_n(eta) (eta = cos x), Askey-scheme normalization."""
-        sc = lam.scalars
-        a1, a2, a3, a4 = a if a is not None else lam.a
-        q = lam.q
-        b4 = a1 * a2 * a3 * a4
-        acc = Poly.const(sc.one, sc)
-        coef = sc.one
-        base = Poly.const(sc.one, sc)
-        qk = sc.one  # q^{k-1}
-        qn = q ** n
-        for k in range(1, n + 1):
-            coef = coef * (sc.one - qk / qn) * (sc.one - b4 * qn * qk / q) * q
-            coef = coef / ((sc.one - a1 * a2 * qk) * (sc.one - a1 * a3 * qk)
-                           * (sc.one - a1 * a4 * qk) * (sc.one - qk * q))
-            base = base * Poly([sc.one + a1 * a1 * qk * qk, sc.from_int(-2) * a1 * qk], sc)
-            acc = acc + base.scale(coef)
-            qk = qk * q
-        pref = q_pochhammer(a1 * a2, q, n) * q_pochhammer(a1 * a3, q, n) * q_pochhammer(a1 * a4, q, n)
-        pref = pref / (a1 ** n)
-        return acc.scale(pref).trim()
+    def base_poly(self, n, lam, sc, run=None) -> BaseRun:
+        """Askey-Wilson p_0 .. p_n(eta) (eta = cos x, Askey-scheme normalization), KLS (14.1.4)."""
+        (a, b, c, d), q, s = lam.a, lam.q, lam.b4()
+        ia = _quo(1, a)
+
+        def step(k, r, e, f):
+            qk, qm = q ** k, q ** (k - 1)
+            up = r * e * (1 - a * b * qk) * (1 - a * c * qk) * (1 - a * d * qk) * ia    # KLS A_k
+            down = f * a * (1 - qk) * (1 - b * c * qm) * (1 - b * d * qm) * (1 - c * d * qm)
+            return (r * e / 2, (a + ia - up - down) / 2,
+                    down * (1 - a * b * qm) * (1 - a * c * qm) * (1 - a * d * qm) * ia / 2)
+        return recurrence_run(n, lambda m: 1 - s * q ** (m - 1), step, sc, run)
 
     def _h_over_h0(self, n, lam):
         a = lam.a

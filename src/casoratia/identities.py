@@ -10,7 +10,6 @@ control: the naive integral does not vanish once D is nonempty).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -52,57 +51,19 @@ def eta_identity_residual(family_tag: str, a, b, c) -> mp.mpf:
     return d  # exact backend: caller checks is_zero
 
 
-# -- three-term recurrence and classical discrete orthogonality -------------------
-
-
-@dataclass
-class RecurrenceCoeffs:
-    A: list
-    B: list
-    C: list
-    residual: mp.mpf
-
-
-def recurrence_coeffs(lam: ParamSet, N: int) -> RecurrenceCoeffs:
-    """A_n, B_n, C_n with eta P_n = A P_{n+1} + B P_n + C P_{n-1}, from the polynomials."""
-    fam = lam.fam
-    sc = lam.scalars
-    polys = [fam.base_poly(n, lam) for n in range(N + 1)]
-    eta = Poly([sc.zero, sc.one], sc)
-    A, B, C = [], [], []
-    worst = mp.mpf(0)
-    for n in range(N):
-        q = eta * polys[n]
-        a_n = q.coeffs[n + 1] / polys[n + 1].coeffs[n + 1]
-        r = q - polys[n + 1].scale(a_n)
-        b_n = (r.coeffs[n] if len(r.coeffs) > n else sc.zero) / polys[n].coeffs[n]
-        r = r - polys[n].scale(b_n)
-        if n == 0:
-            c_n = sc.zero
-        else:
-            c_n = (r.coeffs[n - 1] if len(r.coeffs) > n - 1 else sc.zero) / polys[n - 1].coeffs[n - 1]
-            r = r - polys[n - 1].scale(c_n)
-        r = r.trim()
-        scale = max((abs(mp.mpc(sc.to_mpc(c))) for c in q.coeffs), default=mp.mpf(1))
-        resid = max((abs(mp.mpc(sc.to_mpc(c))) for c in r.coeffs), default=mp.mpf(0))
-        worst = max(worst, resid / scale)
-        A.append(a_n)
-        B.append(b_n)
-        C.append(c_n)
-    return RecurrenceCoeffs(A, B, C, worst)
+# -- classical discrete orthogonality --------------------------------------------
 
 
 def classical_discrete_ortho(lam: ParamSet, N: int, bits: int = 256) -> dict:
     """Verify the classical zero-grid orthogonality for the base family."""
     fam = lam.fam
-    rec = recurrence_coeffs(lam, N + 1)  # need C_N, the n = N relation
-    # the zero grid is float: exact base polynomials are evaluated through float copies
     sc, fsc = lam.scalars, MPScalars(bits)
-    polys = [Poly([sc.to_mpc(c) for c in fam.base_poly(n, lam).coeffs], fsc)
-             for n in range(N + 1)]
+    run = fam.base_poly(N + 1, lam, sc)   # to N + 1 for C_N, the n = N relation
+    # the zero grid is float: exact base polynomials are evaluated through float copies
+    polys = [Poly([sc.to_mpc(c) for c in p.coeffs], fsc) for p in run.polys[:N + 1]]
     zs = find_zeros(polys[N], bits, fam)
     dP = polys[N].derivative()
-    c_N = mp.mpc(sc.to_mpc(rec.C[N]))
+    c_N = mp.mpc(sc.to_mpc(run.triples[N][2]))
     sgn = mp.sign(mp.re(c_N)) if abs(mp.im(c_N)) < abs(c_N) * mp.mpf("1e-10") else c_N / abs(c_N)
     dpj = [mp.mpc(dP(e)) for e in zs.eta]
     w = [sgn * dp / mp.mpc(polys[N - 1](e)) for dp, e in zip(dpj, zs.eta)]
@@ -113,7 +74,6 @@ def classical_discrete_ortho(lam: ParamSet, N: int, bits: int = 256) -> dict:
         pred = abs(c_N) * mp.mpc(sc.to_mpc(fam.h_ratio_base(n, N, lam)))
         diag_err = max(diag_err, abs(gram[n][n] - pred) / abs(pred))
     return {
-        "recurrence_residual": rec.residual,
         "max_offdiag_rel": offd,
         "diag_rel_err": diag_err,
         "C_N": c_N,

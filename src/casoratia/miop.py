@@ -169,7 +169,7 @@ class Builder:
         self.fam = lam.fam
         self.sc = lam.scalars.at_bits(bits)
         self.bits = bits
-        self._polys = {}        # ('I'|'II'|'P', deg) -> eta Poly
+        self._runs = {}         # 'I' | 'II' | 'P' -> the kind's families.BaseRun
         self._xi_cache = {}     # IndexSet.key -> Poly
         self._p_cache = {}      # (IndexSet.key, n) -> Poly
         self._node_cache = {}   # (class, attempt, node id) -> _Node
@@ -179,12 +179,14 @@ class Builder:
     # .. column polynomials ......................................................
 
     def col_poly(self, kind: str, deg: int) -> Poly:
-        key = (kind, deg)
-        if key not in self._polys:
+        """The kind's base polynomial of degree deg on the builder's scalars, from the
+        kind's one recurrence run, continued when a higher degree is asked for."""
+        run = self._runs.get(kind)
+        if run is None or deg >= len(run.polys):
             with workbits(self.bits + 32):
-                a = self.lam.a if kind == "P" else self.fam.twist_a(kind, self.lam)
-                self._polys[key] = Poly(self.fam.base_poly(deg, self.lam, a=a).coeffs, self.sc)
-        return self._polys[key]
+                lam = self.lam if kind == "P" else self.lam.with_a(self.fam.twist_a(kind, self.lam))
+                run = self._runs[kind] = self.fam.base_poly(deg, lam, self.sc, run)
+        return run.polys[deg]
 
     def _class_weight_params(self, kind: str):
         """The a tuple and alpha of a column kind's row weights."""

@@ -366,3 +366,23 @@ def test_criterion_12_determinism_and_precision(tmp_path):
     assert shrink >= mp.mpf(2) ** 64
     _passline(12, "determinism and precision monotonicity",
               f"byte-identical reports; residual shrink factor 2^{mp.nstr(mp.log(shrink, 2), 4)}")
+
+
+@pytest.mark.acceptance
+@pytest.mark.parametrize("mode, dI, N", [("physical", "1", 20), ("physical", "1", 30),
+                                         ("generic", "1,2", 20)])
+def test_aw_large_n_in_one_rung(mode, dI, N, tmp_path):
+    """AW at N = 20 and 30 passes every check in the first, 256-bit rung, within 60 s.
+    Built from the 4phi3 sum its base polynomials lost about quadratically many bits in
+    n, and these instances failed their construction gate at 256 bits."""
+    from casoratia import cli
+    out = tmp_path / "rep.json"
+    argv = ["verify", "--family", "aw", "--mode", mode, "--dI", dI, "--dII", "1",
+            "--N", str(N), "--seed", "1", "--out", str(out)]
+    t0 = time.time()
+    assert cli.main(argv) == 0, argv
+    elapsed = time.time() - t0
+    doc = json.loads(out.read_text())
+    assert [a["precision_bits"] for a in doc["attempts"]] == [256]
+    assert all(doc["manifest"]["checks"].values())
+    assert elapsed <= 30

@@ -163,6 +163,21 @@ def test_params_file(tmp_path):
     assert json.loads(out.read_text())["manifest"]["params_digest"] == want
 
 
+def test_singular_recurrence_step_is_degenerate(tmp_path):
+    """W physical with a = (2.5, 2.5, 1.5 +- 0.5i): the type-I twist has b1 = 0, so the
+    first recurrence step of its virtual-state polynomials divides by 2k + b1 = 0.  That
+    is a degeneracy (exit 3), never a ZeroDivisionError."""
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({
+        "family": "w",
+        "a": [["2.5", "0"], ["2.5", "0"], ["1.5", "0.5"], ["1.5", "-0.5"]],
+        "mode": "physical",
+    }))
+    r = run(["verify", "--params", str(pfile), "--dI", "2", "--N", "2"])
+    assert r.returncode == 3, r.stderr
+    assert "recurrence step divides by zero" in r.stderr
+
+
 def test_sweep_worker_count_independence(tmp_path):
     outs = []
     for jobs in ("1", "2"):

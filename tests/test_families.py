@@ -5,10 +5,10 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from base_sums import base_sum
 from casoratia.families import (FAMILIES, ParamSet, draw_params, params_from_values,
                                 validate_physical)
-from casoratia.identities import recurrence_coeffs
-from casoratia.numkernel import workbits
+from casoratia.numkernel import pochhammer, workbits
 
 TAGS = ["ch", "w", "aw"]
 
@@ -89,8 +89,7 @@ def test_base_eigenrelation_gate(tag, mode):
         fam = FAMILIES[tag]
         lam = draw_params(tag, mode, seed=17)
         tol = mp.mpf(2) ** -128
-        for n in range(9):
-            p = fam.base_poly(n, lam)
+        for n, p in enumerate(fam.base_poly(8, lam, lam.scalars).polys):
             E = fam.energy(n, lam)
             for u in fam.sample_args(20, lam, f"t{n}"):
                 assert _eigen_residual(fam, lam, p, E, u) <= tol
@@ -106,8 +105,7 @@ def test_virtual_gate(tag, vtype):
         ta = fam.twist_a(vtype, lam)
         tlam = lam.with_a(ta)
         tol = mp.mpf(2) ** -128
-        for v in range(7):
-            xi = fam.base_poly(v, lam, a=ta)
+        for v, xi in enumerate(fam.base_poly(6, tlam, lam.scalars).polys):
             assert xi.degree == v
             Ev = fam.energy(v, tlam)
             for u in fam.sample_args(8, lam, f"v{v}"):
@@ -176,7 +174,7 @@ def test_ch_p1_closed_form():
         lam = draw_params("ch", "physical", seed=9)
         a1, a2, a3, a4 = (mp.mpc(x) for x in lam.a)
         b1 = a1 + a2 + a3 + a4
-        p1 = FAMILIES["ch"].base_poly(1, lam)
+        p1 = FAMILIES["ch"].base_poly(1, lam, lam.scalars).polys[1]
         for eta in (mp.mpc("0.3", "0.2"), mp.mpc(-1), mp.mpc(2, -1)):
             want = 1j * ((a1 + a3) * (a1 + a4) - b1 * (a1 + 1j * eta))
             assert abs(p1(eta) - want) < mp.mpf(2) ** -140
@@ -212,16 +210,85 @@ def test_w_documented_virtual_energy():
 
 @pytest.mark.parametrize("tag", TAGS)
 def test_h_ratio_against_recurrence(tag):
-    """h_{n+1}/h_n = A_n / C_{n+1}: transcription-free cross-check of the norms."""
+    """h_{n+1}/h_n = C_{n+1} / A_n on the triple of the base polynomials' own run: a
+    transcription-free cross-check of the closed-form norms.  The run itself is checked
+    against the hypergeometric sums (test_base_poly_matches_the_sums_*)."""
     with workbits(256):
         lam = draw_params(tag, "physical", seed=8)
         fam = FAMILIES[tag]
-        rec = recurrence_coeffs(lam, 6)
-        assert rec.residual < mp.mpf(2) ** -128
+        run = fam.base_poly(6, lam, lam.scalars)
         for n in range(5):
-            want = mp.mpc(rec.C[n + 1]) / mp.mpc(rec.A[n])
+            want = mp.mpc(run.triples[n + 1][2]) / mp.mpc(run.triples[n][0])
             got = mp.mpc(fam.h_ratio_base(n + 1, n, lam))
             assert abs(got - want) / abs(want) < mp.mpf(2) ** -120
+
+
+# the exact workload's parameter shapes: a3 = conj a1, a4 = conj a2 (cH); a1, a2 real,
+# a4 = conj a3 (W, AW)
+SUM_PARAMS = {
+    "ch": ([("5/2", "1/2"), ("9/4", "1/3"), ("5/2", "-1/2"), ("9/4", "-1/3")], None),
+    "w": ([("5/2", "0"), ("11/4", "0"), ("9/4", "1/2"), ("9/4", "-1/2")], None),
+    "aw": ([("1/10", "0"), ("2/15", "0"), ("1/8", "1/16"), ("1/8", "-1/16")], "2/5"),
+}
+
+
+def _at_kind(lam, kind):
+    """lam itself for 'P', else lam at the type's twisted (virtual-state) parameters."""
+    return lam if kind == "P" else lam.with_a(lam.fam.twist_a(kind, lam))
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_base_poly_matches_the_sums_exactly(tag):
+    """On exact parameters the recurrence and the hypergeometric sum give the same
+    polynomial, n <= 6, at plain and at both twisted parameters.  The sum divides by
+    (a1 + a3)_n, which vanishes on the cH type-I twist of SUM_PARAMS (a1 + a3 = -3)
+    from n = 4 on: there it raises as it always did, and the recurrence's polynomial
+    still has degree n and solves the eigenrelation exactly."""
+    raised = []
+    for a_vals, q in (SUM_PARAMS[tag], EXACT_PARAMS[tag]):
+        lam = params_from_values(tag, a_vals, q, mode="generic", backend="exact")
+        fam = lam.fam
+        for kind in ("P", "I", "II"):
+            klam = _at_kind(lam, kind)
+            for n, p in enumerate(fam.base_poly(6, klam, lam.scalars).polys):
+                try:
+                    ref = base_sum(n, klam)
+                except ZeroDivisionError:
+                    assert pochhammer(klam.a[0] + klam.a[2], n).is_zero()
+                    raised.append((kind, n))
+                    assert p.degree == n
+                    E = fam.energy(n, klam)
+                    for u in fam.exact_sample_args(4, lam):
+                        um, up = fam.shift_arg(u, -1, lam), fam.shift_arg(u, 1, lam)
+                        pu = p(fam.eta_at(u, lam))
+                        r = (fam.v_at(klam.a, u, lam) * (p(fam.eta_at(um, lam)) - pu)
+                             + fam.v_star_at(klam.a, u, lam) * (p(fam.eta_at(up, lam)) - pu)
+                             - E * pu)
+                        assert r.is_zero()
+                    continue
+                assert p.coeffs == ref.coeffs, (kind, n)
+    assert raised == ([("I", 4), ("I", 5), ("I", 6)] if tag == "ch" else [])
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("mode", ["physical", "generic"])
+def test_base_poly_matches_the_sums_in_float(tag, mode):
+    """At 256 bits (288 working) every coefficient of p_n, n <= 30, plain and twisted, is
+    within 2^-(256-16) x height of the sum at 2048 bits.  The AW sum itself misses this
+    from n = 12 on (its 4phi3 terms cancel), so the reference runs at 2048 bits."""
+    bits = 256
+    lam = draw_params(tag, mode, 1, bits=bits)
+    fam = lam.fam
+    for kind in ("P", "I", "II"):
+        with workbits(bits + 32):
+            run = fam.base_poly(30, _at_kind(lam, kind), lam.scalars)
+        with workbits(2048):
+            klam = _at_kind(lam, kind)
+            for n in range(31):
+                ref = base_sum(n, klam)
+                err = max(abs(x - y) for x, y in zip(run.polys[n].coeffs, ref.coeffs))
+                assert len(run.polys[n].coeffs) == len(ref.coeffs) == n + 1
+                assert err <= mp.mpf(2) ** (16 - bits) * ref.height, (kind, n)
 
 
 def test_validate_physical():

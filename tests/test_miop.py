@@ -34,16 +34,36 @@ def test_index_set_validation():
 
 
 def test_empty_index_set_is_base():
+    """P_{{},n} is the base polynomial p_n: bit for bit the family's run on the builder's
+    scalars, and consecutive P_{{},n} satisfy that run's three-term recurrence."""
     with workbits(192):
         lam = draw_params("w", "physical", seed=3, bits=192)
         b = get_builder(lam, 192)
         D = IndexSet.make([])
-        for n in range(3):
-            p = b.P(D, n)
-            with workbits(192 + 32):   # the builder's working precision
-                base = FAMILIES["w"].base_poly(n, lam)
-            for c1, c2 in zip(p.coeffs, base.coeffs):
-                assert abs(c1 - c2) == 0
+        ps = [b.P(D, n) for n in range(4)]
+        with workbits(192 + 32):   # the builder's working precision
+            run = FAMILIES["w"].base_poly(3, lam, b.sc)
+            eta = Poly([b.sc.zero, b.sc.one], b.sc)
+            for n, p in enumerate(ps):
+                assert p.coeffs == run.polys[n].coeffs
+            for n, (a_n, b_n, c_n) in enumerate(run.triples):
+                rhs = ps[n + 1].scale(a_n) + ps[n].scale(b_n)
+                if n:
+                    rhs = rhs + ps[n - 1].scale(c_n)
+                lhs = eta * ps[n]
+                assert max(abs(x - y) for x, y in zip(lhs.coeffs, rhs.coeffs)) \
+                    <= mp.mpf(2) ** -200 * lhs.height
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("mode", ["physical", "generic"])
+def test_column_polynomials_on_the_builders_scalars(tag, mode):
+    """A 1024-bit builder of a 256-bit draw makes and trims its base polynomials at 1024
+    bits, so their degree is n up to n = 80; trimmed at the draw's 256 bits, W physical
+    loses its leading coefficient from n = 40 on."""
+    b = Builder(draw_params(tag, mode, 1, bits=256), bits=1024)
+    for n in (40, 50, 60, 80):
+        assert b.col_poly("P", n).degree == n
 
 
 @pytest.mark.parametrize("tag", TAGS)
@@ -56,7 +76,7 @@ def test_single_index_xi_proportional_to_virtual(tag):
         for d, t in ((2, "I"), (1, "II")):
             D = IndexSet.make([(d, t)])
             xi = b.xi(D)
-            ref = fam.base_poly(d, lam, a=fam.twist_a(t, lam))
+            ref = fam.base_poly(d, lam.with_a(fam.twist_a(t, lam)), lam.scalars).polys[d]
             ratio = xi.lead() / ref.lead()
             for c1, c2 in zip(xi.coeffs, ref.coeffs):
                 assert abs(c1 - ratio * c2) <= mp.mpf(2) ** -200 * abs(ratio)

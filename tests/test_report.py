@@ -62,16 +62,16 @@ def test_cache_key_covers_version_and_schema(monkeypatch):
 
 
 # sha256 of the canonical verify JSON (seed 1, N = 2, default precision), recorded
-# when Horner's rule and the Laplace cofactor recursion moved onto the Gaussian floats
-# of the other kernels (noise digits moved, no sign changed); every verdict stands, and
-# a refactor that claims byte-identical reports keeps these
+# when the base polynomials moved from the hypergeometric sums to the three-term
+# recurrences (package 0.4.0; noise digits moved, values below 1e-76 changed sign);
+# every verdict stands, and a refactor that claims byte-identical reports keeps these
 GOLDEN_REPORTS = [
     (["--family", "ch", "--mode", "physical", "--dI", "1", "--dII", "2"],
-     "26f9f7f367ea3574f631da76823ecfe4aa962ddc5d0a53c1a6e8e6f46e941030"),
+     "502bad49a9a79d033d2e5560a60c4a7c3fd07804e3ed20f7ea50169ba2df22ed"),
     (["--family", "w", "--mode", "physical", "--dI", "1", "--dII", "1"],
-     "a82247495d085e448f030df25813d849a55ee907f222a4a698bd88ae897cd833"),
+     "a86a9117c03b4b3aa73b4c595f96ba4d91380199d8a7aa8927e1fab0d649dff2"),
     (["--family", "aw", "--mode", "generic", "--dI", "1", "--dII", "1"],
-     "f66316c9919cd0a241a9f26c126d694b513157fe0e6f9ca8fe5e21e8ed9a4ce7"),
+     "241f4feb07a6236c1c4782c83e60af853f070e0c4537ff6e35571ad3eb51d9bf"),
 ]
 
 
@@ -105,7 +105,7 @@ def test_verify_report_is_independent_of_earlier_runs(tmp_path, monkeypatch):
 
 # sha256 of the sweep CSV below, recorded with the same rendering: the one golden on
 # the sweep's own rendering of max_offdiag_rel and conjecture_rel_err
-GOLDEN_SWEEP = "bef7a45a26937cbe65f7fcb09e75e972f5314b08e40567784070b73f0adc5b71"
+GOLDEN_SWEEP = "39c88dc68e273b825c3f58dd19cf77f55b6a9f8e21f5759b00072a787b8a8034"
 
 
 def test_golden_sweep_csv():
