@@ -144,9 +144,9 @@ def _ladder(lam: ParamSet, D: IndexSet, N: int, prec: int):
     return (*result, attempts)
 
 
-def _instance_rejected(lam: ParamSet, D: IndexSet, N: int) -> str | None:
-    """Why the guards reject the instance (lam, D, N) before any work, else None."""
-    if lam.mode == "physical" and not validate_physical(lam):
+def _instance_rejected(lam: ParamSet, D: IndexSet, N: int, bits: int) -> str | None:
+    """Why the guards reject (lam, D, N) at --prec bits before any work, else None."""
+    if lam.mode == "physical" and not validate_physical(lam, bits):
         return "parameter set violates the physical-mode conjugation constraints"
     if D.M and D.ell < 1:
         return "index set has ell_D < 1 (trivial deformation)"
@@ -158,7 +158,7 @@ def _instance_rejected(lam: ParamSet, D: IndexSet, N: int) -> str | None:
 
 def cmd_verify(args) -> int:
     lam, D, N = args.lam, _index_set(args), args.N
-    rejected = _instance_rejected(lam, D, N)
+    rejected = _instance_rejected(lam, D, N, args.prec)
     if rejected:
         print(rejected, file=sys.stderr)
         return EXIT_DEGENERATE
@@ -245,7 +245,7 @@ def _sweep_one(job_args):
     fam, mode, draw, D, N, prec = job_args
     last = None
     for attempt in range(3):
-        lam = draw_params(fam, mode, draw + 1000 * attempt, bits=prec)
+        lam = draw_params(fam, mode, draw + 1000 * attempt)
         try:
             rep, conj, checks, bits, _ = _ladder(lam, D, N, prec)
         except DEGENERACY_ERRORS as exc:
@@ -271,7 +271,7 @@ def _run_jobs(jobs, args):
 
 def cmd_identities(args) -> int:
     lam = args.lam
-    rejected = args.quadrature and _instance_rejected(lam, _index_set(args), args.N)
+    rejected = args.quadrature and _instance_rejected(lam, _index_set(args), args.N, args.prec)
     if rejected:
         print(rejected, file=sys.stderr)
         return EXIT_DEGENERATE
@@ -469,7 +469,7 @@ def _usage_error(args) -> str | None:
     elif args.backend == "exact":
         return "exact backend needs --params with rational values"
     else:
-        args.lam = draw_params(args.family, args.mode or "physical", args.seed, bits=args.prec)
+        args.lam = draw_params(args.family, args.mode or "physical", args.seed)
     D = [(d, "I") for d in args.dI] + [(d, "II") for d in args.dII]
     if len(D) > 3:
         # the case-(3) constant zeta has closed forms for the mixed counts of M <= 3

@@ -226,8 +226,6 @@ def verify_orthogonality(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) ->
     with workbits(bits + 32):
         fam = lam.fam
         bundle = build_miop(lam, D, N, bits)
-        if bundle.P[N].degree != N + D.ell:
-            raise AssertionError("degree law violated for P_{D,N}")
         zs = find_zeros(bundle.P[N], bits, fam)
         basis = build_pa_basis(lam, D, N, bits)
         b = get_builder(lam, bits)

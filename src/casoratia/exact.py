@@ -209,19 +209,14 @@ class ExactScalars:
     Casoratian cofactor rows, affine ratios and stencil residuals are the generic
     formulas in exact arithmetic, and
     ``magnitude`` is the trivial absolute value (0 for an exact zero, 1
-    otherwise) with a trim threshold of 0.  Every gate tolerance is below 1,
-    so each gate written on ``magnitude`` passes here only on an exact zero.
+    otherwise).  Every gate tolerance is below 1, so each gate written on
+    ``magnitude`` passes here only on an exact zero.
     """
 
     name = "exact"
 
     def __init__(self, q: Fraction | None = None):
         self.q = Fraction(q) if q is not None else None
-        self.trim_threshold = 0   # Poly.trim drops exact zeros only
-
-    def at_bits(self, bits: int) -> "ExactScalars":
-        """Exact arithmetic has no working precision: the backend itself."""
-        return self
 
     @property
     def zero(self):

@@ -549,7 +549,7 @@ def params_from_values(family: str, a_vals, q_val=None, mode: str = "physical",
     rational it spells.  Float parameters are converted at 2 bits + 32, the working
     precision of the top rung of the CLI's precision ladder."""
     qf = None if family != "aw" or q_val is None else fraction_from_decimal(str(q_val))
-    sc = ExactScalars(qf) if backend == "exact" else MPScalars(bits)
+    sc = ExactScalars(qf) if backend == "exact" else MPScalars()
     with workbits(2 * bits + 32):
         a = tuple(sc.from_fraction(fraction_from_decimal(str(re)), fraction_from_decimal(str(im)))
                   for re, im in a_vals)
@@ -557,9 +557,9 @@ def params_from_values(family: str, a_vals, q_val=None, mode: str = "physical",
     return ParamSet(family, a, q, mode, sc)
 
 
-def validate_physical(lam: ParamSet, tol=1e-25) -> bool:
+def validate_physical(lam: ParamSet, bits: int, tol=1e-25) -> bool:
     """Check the physical-mode conjugation constraints at 2 bits + 32, as params are read."""
-    with workbits(2 * lam.scalars.bits + 32):
+    with workbits(2 * bits + 32):
         a = [mp.mpc(lam.scalars.to_mpc(x)) for x in lam.a]
         if lam.family == "ch":
             return (abs(a[2] - mp.conj(a[0])) <= tol * (1 + abs(a[0]))
@@ -574,10 +574,10 @@ def validate_physical(lam: ParamSet, tol=1e-25) -> bool:
         return ok
 
 
-def draw_params(family: str, mode: str, seed: int, bits: int = 256, dmax: int = 3) -> ParamSet:
+def draw_params(family: str, mode: str, seed: int, dmax: int = 3) -> ParamSet:
     """Deterministic random parameter draw with virtual-state margins."""
     rng = random.Random(f"{family}|{mode}|{seed}")
-    sc = MPScalars(bits)
+    sc = MPScalars()
 
     def u(lo, hi):
         return lo + (hi - lo) * rng.random()

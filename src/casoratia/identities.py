@@ -55,23 +55,23 @@ def eta_identity_residual(family_tag: str, a, b, c) -> mp.mpf:
 
 
 def classical_discrete_ortho(lam: ParamSet, N: int, bits: int = 256) -> dict:
-    """Verify the classical zero-grid orthogonality for the base family."""
+    """Verify the classical zero-grid orthogonality for the base family: with the weight
+    P'_N / P_{N-1} at the zeros of P_N, the Gram diagonal is C_N h_n / h_N."""
     fam = lam.fam
-    sc, fsc = lam.scalars, MPScalars(bits)
+    sc, fsc = lam.scalars, MPScalars()
     run = fam.base_poly(N + 1, lam, sc)   # to N + 1 for C_N, the n = N relation
     # the zero grid is float: exact base polynomials are evaluated through float copies
     polys = [Poly([sc.to_mpc(c) for c in p.coeffs], fsc) for p in run.polys[:N + 1]]
     zs = find_zeros(polys[N], bits, fam)
     dP = polys[N].derivative()
     c_N = mp.mpc(sc.to_mpc(run.triples[N][2]))
-    sgn = mp.sign(mp.re(c_N)) if abs(mp.im(c_N)) < abs(c_N) * mp.mpf("1e-10") else c_N / abs(c_N)
     dpj = [mp.mpc(dP(e)) for e in zs.eta]
-    w = [sgn * dp / mp.mpc(polys[N - 1](e)) for dp, e in zip(dpj, zs.eta)]
+    w = [dp / mp.mpc(polys[N - 1](e)) for dp, e in zip(dpj, zs.eta)]
     vals = [[mp.mpc(polys[n](e)) for e in zs.eta] for n in range(N)]
     gram, offd = zero_grid_gram(w, vals, dpj)
     diag_err = mp.mpf(0)
     for n in range(N):
-        pred = abs(c_N) * mp.mpc(sc.to_mpc(fam.h_ratio_base(n, N, lam)))
+        pred = c_N * mp.mpc(sc.to_mpc(fam.h_ratio_base(n, N, lam)))
         diag_err = max(diag_err, abs(gram[n][n] - pred) / abs(pred))
     return {
         "max_offdiag_rel": offd,

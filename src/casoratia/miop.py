@@ -28,9 +28,10 @@ detPoly value, of every degree of that last column and every n of P_{D,n}, is
 then that row at the last column's polynomial (Builder._kept_value), and an
 extraction value is that times the node's reference ratio
 Xi_{D0}(eta) / detPoly_{D0}.
-Every build is gated: degree law, nonzero leading coefficient, the vanishing
-DFT coefficients, held-out node residuals, the deformed eigenrelation (on
-one set of frames for every n) and shape invariance.
+Every build is gated: the degree law (an extracted leading coefficient above
+the fit's noise floor; the class references and base polynomials have theirs
+by construction), the vanishing DFT coefficients, held-out node residuals, the
+deformed eigenrelation (on one set of frames for every n) and shape invariance.
 The per-point work of the frames, ladder and H~_D alike, is the backend's:
 etas, potentials and row weights come from affine kernels made once per
 builder and working precision (Family.eta_factors, v_factors), and the
@@ -159,15 +160,15 @@ class _Node:
 class Builder:
     """Per-parameter-set construction engine with caches.
 
-    Its scalars carry the builder's own precision, so trimming follows it.  What it
-    makes and keeps (column polynomials, Xi_D, P_{D,n}, detPoly values) is made at bits
-    + 32 working bits, whatever the caller's precision.
+    bits is its one precision: what it makes and keeps (column polynomials, Xi_D,
+    P_{D,n}, detPoly values) is made at bits + 32 working bits, whatever the caller's
+    precision, and its fits judge each degree against 2^-bits.
     """
 
     def __init__(self, lam: ParamSet, bits: int = 256):
         self.lam = lam
         self.fam = lam.fam
-        self.sc = lam.scalars.at_bits(bits)
+        self.sc = lam.scalars
         self.bits = bits
         self._runs = {}         # 'I' | 'II' | 'P' -> the kind's families.BaseRun
         self._xi_cache = {}     # IndexSet.key -> Poly
@@ -302,15 +303,18 @@ class Builder:
                     f"{what} residual {mp.nstr(err, 5)} exceeds {mp.nstr(lim, 5)}")
 
     def _fit_held_out(self, etas, vals, coeffs, deg: int) -> Poly:
-        """The eta polynomial of degree deg from the fit nodes.  Gated: each coefficient
-        c_m past deg that the fit nodes give (the inverse DFT's) must vanish, as
-        c_m eta^m at a fit node, and the HELD_OUT last nodes must agree with the fit."""
+        """The eta polynomial of degree deg from the fit nodes.  Gated: its leading
+        coefficient must stand above the fit's noise floor, |c_deg| |eta_0|^deg >
+        2^-bits max_j |v_j| over the fit nodes, 32 bits above the working precision's
+        rounding (else DegenerateIndexSet: the one test of a lost degree); each
+        coefficient c_m past deg that the fit nodes give (the inverse DFT's) must vanish,
+        as c_m eta^m at a fit node, and the HELD_OUT last nodes must agree with the fit."""
         fit = len(etas) - HELD_OUT
         cs = coeffs(vals[:fit], deg)
+        mag, node = self.sc.magnitude, etas[0]
+        if mag(cs[deg]) * mag(node) ** deg <= mp.mpf(2) ** -self.bits * max(map(mag, vals[:fit])):
+            raise DegenerateIndexSet(f"leading coefficient of degree {deg} below the noise floor")
         poly = Poly(cs[:deg + 1], self.sc)
-        if poly.height == 0:
-            raise DegenerateIndexSet("zero Casoratian polynomial part")
-        node = etas[0]
         self._residual_gate("extraction coefficient",
                             [(node, c * node ** m, self.sc.zero)
                              for m, c in enumerate(cs[deg + 1:], deg + 1)], deg, poly.height)
@@ -378,10 +382,6 @@ class Builder:
                 poly = Poly.const(self.sc.one, self.sc)
             else:
                 poly = self._pairing_bootstrap(D0, _bumped_reference(D.counts))
-            poly = poly.trim()
-        if poly.degree != D.ell:
-            raise DegenerateIndexSet(
-                f"deg Xi_D = {poly.degree} but ell_D = {D.ell} for D = {D}")
         self._xi_cache[key] = poly
         return poly
 
@@ -398,10 +398,6 @@ class Builder:
                 D0 = reference_index_set(D.counts)
                 poly = self._extract(_p_cols(D, n), D.ell + n, _p_cols(D0, 0),
                                      self.shift_builder().xi(D0))
-            poly = poly.trim()
-        if poly.degree != D.ell + n:
-            raise DegenerateIndexSet(
-                f"deg P_D,n = {poly.degree} but ell_D + n = {D.ell + n} for D = {D}")
         self._p_cache[key] = poly
         return poly
 
@@ -606,10 +602,7 @@ def build_miop(lam: ParamSet, D: IndexSet, n_max: int = 8, bits: int = 256,
 def _shape_invariance_defect(bundle: MiopBundle) -> mp.mpf:
     """Coefficient-wise defect of P_{D,0} proportional to Xi_D at lambda+delta."""
     mag = bundle.lam.scalars.magnitude
-    p0 = bundle.P[0].trim()
-    xs = bundle.xi_shift.trim()
-    if p0.degree != xs.degree:
-        return mp.mpf("inf")
+    p0, xs = bundle.P[0], bundle.xi_shift   # both of degree ell_D
     ratio = p0.lead() / xs.lead()
     height = p0.height
     worst = mp.mpf(0)

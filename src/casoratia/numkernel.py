@@ -290,22 +290,14 @@ class MPScalars:
     ``exact.ExactScalars`` answer the questions on which the construction
     differs between them: sample points and extraction nodes, interpolation,
     q**t, Horner evaluation, the Casoratian cofactor rows, ratios of affine
-    products, stencil residuals, and the absolute value ``magnitude`` with the
-    ``trim_threshold`` of ``Poly.trim``.  The pivot choice, trimming and every
-    gate are written once on ``magnitude``, in polycore and miop.  Here
-    ``magnitude`` is ``abs``, the threshold is 2^(16 - bits), and the four
-    kernels run on Gaussian floats.
+    products, stencil residuals, and the absolute value ``magnitude``.  The
+    pivot choice and every gate are written once on ``magnitude``, in polycore
+    and miop.  Here ``magnitude`` is ``abs`` and the four kernels run on
+    Gaussian floats.  The backend holds no precision of its own: every value is
+    made at the ambient one (``workbits``).
     """
 
     name = "float"
-
-    def __init__(self, bits: int = DEFAULT_BITS):
-        self.bits = bits
-        self.trim_threshold = mp.mpf(2) ** (16 - bits)
-
-    def at_bits(self, bits: int) -> "MPScalars":
-        """This backend at a working precision of bits (trimming follows it)."""
-        return self if bits == self.bits else MPScalars(bits)
 
     @property
     def zero(self):

@@ -4,9 +4,9 @@
 solvers (determinant, square solve, least squares) act on scalar matrices.
 Coefficients are mpmath complex numbers (``numkernel.MPScalars``) or exact
 Gaussian rationals, with sqrt(q) adjoined for AW (``exact.ExactScalars``).
-The pivot choice, the coefficient height and what counts as a negligible
-trailing coefficient are written here once, on the backend's absolute value
-``magnitude`` and its ``trim_threshold``; exact zero factors are skipped.
+The pivot choice and the coefficient height are written here once, on the
+backend's absolute value ``magnitude``; exact zero factors are skipped, and
+``trim`` drops trailing exact zeros only (a degree is decided where it is made).
 """
 
 from __future__ import annotations
@@ -41,14 +41,13 @@ class Poly:
         return self._height
 
     def trim(self):
-        """Drop trailing coefficients up to the backend's trim threshold times the height."""
+        """Drop trailing exact zero coefficients."""
         if self._trimmed is None:
             sc, cs = self.scalars, self.coeffs
-            floor = sc.trim_threshold * self.height
-            while len(cs) > 1 and sc.magnitude(cs[-1]) <= floor:
+            while len(cs) > 1 and sc.is_zero(cs[-1]):
                 cs = cs[:-1]
             self._trimmed = self if len(cs) == len(self.coeffs) else Poly(cs, sc)
-            # the dropped magnitudes are below the height, so the trimmed form keeps it
+            # only zeros were dropped, so the trimmed form keeps the height
             self._trimmed._trimmed, self._trimmed._height = self._trimmed, self._height
         return self._trimmed
 
@@ -108,7 +107,7 @@ class Poly:
         return Poly([self.coeffs[k] * k for k in range(1, len(self.coeffs))], self.scalars)
 
     def divmod(self, other: "Poly"):
-        """Polynomial division; exact over exact scalars, thresholded over floats."""
+        """Polynomial division (quotient, remainder), each trimmed of exact zeros."""
         sc = self.scalars
         a = self.trim().coeffs[:]
         b = other.trim().coeffs

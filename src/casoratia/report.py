@@ -55,7 +55,7 @@ def canonical_json(obj) -> str:
 
 
 def ortho_report_json(rep, conj=None, manifest=None) -> dict:
-    bits = rep.precision_bits
+    bits, zs = rep.precision_bits, rep.extras["zeros"]
     out = {
         "schema_version": SCHEMA_VERSION,
         "family": rep.family,
@@ -72,23 +72,20 @@ def ortho_report_json(rep, conj=None, manifest=None) -> dict:
         "eigen_residuals": [real_str(r, bits) for r in rep.eigen_residuals],
         "pa_energies": [num_str(e, bits) for e in rep.pa_energy],
         "pa_defect": real_str(rep.extras["pa_defect"], bits),
-    }
-    if "hermitian" in rep.extras:
-        out["hermitian"] = rep.extras["hermitian"]
-        out["hermiticity_witness_count"] = rep.extras["hermiticity_witness"]
-    if "Mtilde" in rep.extras:
-        out["Mtilde"] = matrix_json(rep.extras["Mtilde"], bits)
-        out["M"] = matrix_json(rep.extras["M"], bits)
-    out["gram"] = matrix_json(rep.gram, bits)
-    zs = rep.extras.get("zeros")
-    if zs is not None:
-        out["zeros"] = {
+        "Mtilde": matrix_json(rep.extras["Mtilde"], bits),
+        "M": matrix_json(rep.extras["M"], bits),
+        "gram": matrix_json(rep.gram, bits),
+        "zeros": {
             "eta": [num_str(e, bits) for e in zs.eta],
             "x": [num_str(x, bits) for x in zs.x],
             "min_pair_distance": real_str(zs.min_pair_distance, bits),
             "min_deriv_magnitude": real_str(zs.min_deriv_magnitude, bits),
             "residual_bound": real_str(zs.residual_bound, bits),
-        }
+        },
+    }
+    if "hermitian" in rep.extras:
+        out["hermitian"] = rep.extras["hermitian"]
+        out["hermiticity_witness_count"] = rep.extras["hermiticity_witness"]
     if conj is not None:
         out["conjecture"] = {
             "max_rel_err": real_str(conj.max_rel_err, bits),

@@ -97,7 +97,7 @@ def _seed_roots(coeffs):
 def _aberth(coeffs, seeds, bits):
     """Aberth-Ehrlich simultaneous refinement at the working precision."""
     n = len(coeffs) - 1
-    p = Poly(coeffs, MPScalars(bits))
+    p = Poly(coeffs, MPScalars())
     dp = p.derivative()
     roots = [mp.mpc(r) + mp.mpc(0) for r in seeds]
     target = mp.mpf(2) ** (-bits + 24)

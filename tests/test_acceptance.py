@@ -278,18 +278,25 @@ def test_criterion_08_prefactor_ratio_identity():
 
 @pytest.mark.acceptance
 def test_criterion_09_classical_orthogonality():
+    """Physical and generic draws at N = 8, and the CLI on W physical at N = 40, whose
+    p_40 has its leading coefficient 2^-285 of the height: a trim at 2^(16 - bits) of
+    the height left it 39 zeros.  With a complex C_N the diagonal is C_N h_n/h_N."""
     worst_off, worst_diag = mp.mpf(0), mp.mpf(0)
     with workbits(288):
         for tag in TAGS:
-            lam = draw_params(tag, "physical", seed=3)
-            r = classical_discrete_ortho(lam, 8)
-            worst_off = max(worst_off, r["max_offdiag_rel"])
-            worst_diag = max(worst_diag, r["diag_rel_err"])
+            for mode in ("physical", "generic"):
+                lam = draw_params(tag, mode, seed=3)
+                r = classical_discrete_ortho(lam, 8)
+                worst_off = max(worst_off, r["max_offdiag_rel"])
+                worst_diag = max(worst_diag, r["diag_rel_err"])
     assert worst_off <= mp.mpf("1e-25")
     assert worst_diag <= mp.mpf("1e-20")
+    r = subprocess.run([sys.executable, "-m", "casoratia.cli", "identities", "--family", "w",
+                        "--classical", "--N", "40"], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
     _passline(9, "classical discrete orthogonality",
-              f"N = 8, offdiag {mp.nstr(worst_off, 3)}, diagonal vs |C_N| h_n/h_N "
-              f"{mp.nstr(worst_diag, 3)}")
+              f"N = 8 physical and generic, offdiag {mp.nstr(worst_off, 3)}, diagonal vs "
+              f"C_N h_n/h_N {mp.nstr(worst_diag, 3)}; W N = 40 exits 0")
 
 
 @pytest.mark.acceptance
@@ -306,7 +313,7 @@ def test_criterion_10_negative_controls():
             details.append(f"{tag}:naive={mp.nstr(naive, 2)}")
     with workbits(192):
         for tag in TAGS:
-            lam = draw_params(tag, "physical", seed=11, bits=192)
+            lam = draw_params(tag, "physical", seed=11)
             r0 = partial_fraction_integral_check(lam, IndexSet.make([]), 3, 1, 2, bits=192)
             assert r0["rel"] <= mp.mpf("1e-8"), f"{tag} classical integral split"
             pairs, j, k = PF_WITNESS[tag]
@@ -358,7 +365,7 @@ def test_criterion_12_determinism_and_precision(tmp_path):
     resid = {}
     for bits in (256, 512):
         with workbits(bits + 32):
-            lam = draw_params("w", "physical", seed=11, bits=bits)
+            lam = draw_params("w", "physical", seed=11)
             rep = verify_orthogonality(lam, IndexSet.make([(2, "I")]), 3, bits=bits)
             resid[bits] = max(rep.max_offdiag_rel,
                               mp.mpf(2) ** (-4 * bits))  # floor far below both
@@ -385,4 +392,20 @@ def test_aw_large_n_in_one_rung(mode, dI, N, tmp_path):
     doc = json.loads(out.read_text())
     assert [a["precision_bits"] for a in doc["attempts"]] == [256]
     assert all(doc["manifest"]["checks"].values())
+    assert elapsed <= 30
+
+
+@pytest.mark.acceptance
+def test_w_physical_at_n36(tmp_path):
+    """W physical {1^I, 1^II} at N = 36 passes within 30 s.  Its P_{D,n} have leading
+    coefficients down to 2^-250 of the height, and a trim at 2^(16 - bits) of the
+    height made this a degenerate instance: "deg P_D,n = 37 but ell_D + n = 38"."""
+    from casoratia import cli
+    out = tmp_path / "rep.json"
+    argv = ["verify", "--family", "w", "--mode", "physical", "--dI", "1", "--dII", "1",
+            "--N", "36", "--seed", "1", "--out", str(out)]
+    t0 = time.time()
+    assert cli.main(argv) == 0, argv
+    elapsed = time.time() - t0
+    assert all(json.loads(out.read_text())["manifest"]["checks"].values())
     assert elapsed <= 30

@@ -159,7 +159,7 @@ def test_params_file(tmp_path):
     with workbits(2 * 256 + 32):
         a = (mp.mpc(mp.mpf(12) / 5), mp.mpc(mp.mpf(27) / 10),
              mp.mpc(mp.mpf(23) / 10, mp.mpf(6) / 10), mp.mpc(mp.mpf(23) / 10, mp.mpf(-6) / 10))
-        want = ParamSet("w", a, None, "physical", MPScalars(256)).digest()
+        want = ParamSet("w", a, None, "physical", MPScalars()).digest()
     assert json.loads(out.read_text())["manifest"]["params_digest"] == want
 
 

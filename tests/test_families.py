@@ -277,7 +277,7 @@ def test_base_poly_matches_the_sums_in_float(tag, mode):
     within 2^-(256-16) x height of the sum at 2048 bits.  The AW sum itself misses this
     from n = 12 on (its 4phi3 terms cancel), so the reference runs at 2048 bits."""
     bits = 256
-    lam = draw_params(tag, mode, 1, bits=bits)
+    lam = draw_params(tag, mode, 1)
     fam = lam.fam
     for kind in ("P", "I", "II"):
         with workbits(bits + 32):
@@ -293,26 +293,26 @@ def test_base_poly_matches_the_sums_in_float(tag, mode):
 
 def test_validate_physical():
     lam = draw_params("ch", "physical", seed=1)
-    assert validate_physical(lam)
+    assert validate_physical(lam, 256)
     lam = draw_params("w", "physical", seed=1)
-    assert validate_physical(lam)
+    assert validate_physical(lam, 256)
     lam_bad = lam.with_a((lam.a[0] + 1j, lam.a[1], lam.a[2], lam.a[3]))
-    assert not validate_physical(lam_bad)
+    assert not validate_physical(lam_bad, 256)
 
 
 def test_validate_physical_reads_params_at_their_precision():
     """A parameter file whose a4 misses conj(a3) by 1e-20 is not physical: the check
     compares the parameters at their own precision, not rounded to 53 bits."""
     a = [("12/5", "0"), ("2.7", "0"), ("2.3", "0.6"), ("2.3", "-0.6")]
-    assert validate_physical(params_from_values("w", a))
+    assert validate_physical(params_from_values("w", a), 256)
     a[3] = ("2.3", "-0.60000000000000000001")
-    assert not validate_physical(params_from_values("w", a))
+    assert not validate_physical(params_from_values("w", a), 256)
 
 
 def test_params_file_roundtrip(tmp_path):
     lam = params_from_values("aw", [("0.85", "0"), ("0.8", "0"), ("0.6", "0.2"), ("0.6", "-0.2")],
                              q_val="0.4", mode="physical")
-    assert validate_physical(lam)
+    assert validate_physical(lam, 256)
     assert lam.digest() == params_from_values(
         "aw", [("0.85", "0"), ("0.8", "0"), ("0.6", "0.2"), ("0.6", "-0.2")],
         q_val="0.4", mode="physical").digest()
@@ -324,7 +324,7 @@ def test_digest_separates_draws_that_differ_past_digit_60():
     from casoratia.miop import get_builder
 
     with workbits(288):
-        lam = draw_params("w", "generic", seed=5, bits=256)
+        lam = draw_params("w", "generic", seed=5)
         a = list(lam.a)
         a[1] = a[1] * (1 + mp.mpf(10) ** -65)
         near = lam.with_a(a)

@@ -117,9 +117,9 @@ def test_classical_discrete_orthogonality(tag):
         r = classical_discrete_ortho(lam, 6)
         assert r["max_offdiag_rel"] <= mp.mpf("1e-25")
         assert r["diag_rel_err"] <= mp.mpf("1e-20")
-        # positivity of the classical diagonal in physical mode
-        for dval in r["diag"]:
-            assert mp.re(dval) > 0 and abs(mp.im(dval)) <= mp.mpf("1e-40") * mp.re(dval)
+        # the diagonal is C_N h_n / h_N, and h_n / h_N is positive in physical mode
+        for h in (dval / r["C_N"] for dval in r["diag"]):
+            assert mp.re(h) > 0 and abs(mp.im(h)) <= mp.mpf("1e-40") * mp.re(h)
 
 
 def test_quadrature_integrand_stops_at_a_pole():
@@ -141,7 +141,7 @@ def test_quadrature_integrand_stops_at_a_pole():
 def test_partial_fraction_split_wilson():
     from casoratia.identities import partial_fraction_integral_check
     with workbits(192):
-        lam = draw_params("w", "physical", seed=11, bits=192)
+        lam = draw_params("w", "physical", seed=11)
         r0 = partial_fraction_integral_check(lam, IndexSet.make([]), 3, 1, 2, bits=192)
         assert r0["rel"] <= mp.mpf("1e-8")
         r1 = partial_fraction_integral_check(lam, IndexSet.make([(3, "I")]), 3, 1, 2, bits=192)

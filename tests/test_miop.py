@@ -13,7 +13,7 @@ from casoratia.miop import (Builder, DegenerateIndexSet, IndexSet, PoleAtSample,
                             PrefactorResidue, apply_htilde, build_miop, eigen_residual,
                             delta_tilde, ell_degree, get_builder, hermiticity_check,
                             h_ratio, htilde_frame, shifted_params)
-from casoratia.numkernel import workbits
+from casoratia.numkernel import HELD_OUT, mpc_parts, workbits
 from casoratia.polycore import Poly, det_dense, lstsq_dense
 
 TAGS = ["ch", "w", "aw"]
@@ -37,7 +37,7 @@ def test_empty_index_set_is_base():
     """P_{{},n} is the base polynomial p_n: bit for bit the family's run on the builder's
     scalars, and consecutive P_{{},n} satisfy that run's three-term recurrence."""
     with workbits(192):
-        lam = draw_params("w", "physical", seed=3, bits=192)
+        lam = draw_params("w", "physical", seed=3)
         b = get_builder(lam, 192)
         D = IndexSet.make([])
         ps = [b.P(D, n) for n in range(4)]
@@ -58,12 +58,18 @@ def test_empty_index_set_is_base():
 @pytest.mark.parametrize("tag", TAGS)
 @pytest.mark.parametrize("mode", ["physical", "generic"])
 def test_column_polynomials_on_the_builders_scalars(tag, mode):
-    """A 1024-bit builder of a 256-bit draw makes and trims its base polynomials at 1024
-    bits, so their degree is n up to n = 80; trimmed at the draw's 256 bits, W physical
-    loses its leading coefficient from n = 40 on."""
-    b = Builder(draw_params(tag, mode, 1, bits=256), bits=1024)
-    for n in (40, 50, 60, 80):
-        assert b.col_poly("P", n).degree == n
+    """A builder's base polynomials have degree n: at 1024 bits up to n = 80, and on W
+    physical, whose leading coefficient is 2^-250 of the height at n = 36 and 2^-379 at
+    n = 50, at 256 bits from n = 36 to 50.  A trim at 2^(16 - bits) of the height gave
+    W physical degree 35, 36, 37, 38, 39 there."""
+    lam = draw_params(tag, mode, 1)
+    cases = [(1024, (40, 50, 60, 80))]
+    if (tag, mode) == ("w", "physical"):
+        cases.append((256, (36, 38, 40, 45, 50)))
+    for bits, ns in cases:
+        b = Builder(lam, bits=bits)
+        for n in ns:
+            assert b.col_poly("P", n).degree == n, (bits, n)
 
 
 @pytest.mark.parametrize("tag", TAGS)
@@ -142,7 +148,7 @@ def test_apply_htilde_on_constants_and_linearity():
 
 def test_shifted_params_counts_only():
     with workbits(192):
-        lam = draw_params("w", "physical", seed=2, bits=192)
+        lam = draw_params("w", "physical", seed=2)
         l1 = shifted_params(lam, IndexSet.make([(1, "I"), (3, "I")]))
         l2 = shifted_params(lam, IndexSet.make([(0, "I"), (2, "I")]))
         assert all(abs(x - y) == 0 for x, y in zip(l1.a, l2.a))
@@ -171,7 +177,7 @@ def test_delta_tilde_table_rederived(tag, vtype):
     fam = FAMILIES[tag]
     vals = [Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1)]
     with workbits(192):
-        lam = draw_params(tag, "generic", seed=1009, bits=192)
+        lam = draw_params(tag, "generic", seed=1009)
         D = IndexSet.make([(1, vtype)])
         bun = build_miop(lam, D, 2, bits=192, check=False)
         b = get_builder(lam, 192)
@@ -523,6 +529,34 @@ def test_extraction_coefficient_gate_fires(tag, monkeypatch):
             Builder(lam).xi(D)
 
 
+@pytest.mark.parametrize("backend", ["float", "exact"])
+@pytest.mark.parametrize("tag", TAGS)
+def test_extraction_lead_gate_fires(tag, backend):
+    """The values of a polynomial of degree deg - 1 at the nodes of deg + 1 unknowns,
+    fitted as degree deg, fail the lead gate: their c_deg is rounding noise in floats,
+    at 128, 256 and 512 bits, and exactly 0 on the exact backend.  Fitted as degree
+    deg - 1, the same values pass."""
+    if backend == "exact":
+        a_vals, q_val = EXACT_PARAMS[tag]
+        lam = params_from_values(tag, a_vals, q_val, mode="physical", backend="exact")
+    else:
+        lam = draw_params(tag, "generic", 1)
+    sc = lam.scalars
+    for bits in ((128, 256, 512) if backend == "float" else (256,)):
+        b = Builder(lam, bits)
+        with workbits(bits + 32):
+            for deg in (3, 8, 15, 30):
+                ids, node = sc.extraction_nodes(lam.fam, lam, deg + 1, "lead", 0)
+                etas = [node(k)[1] for k in ids]
+                coeffs = sc.interpolator(etas[:len(ids) - HELD_OUT])
+                p = Poly([sc.from_fraction(Fraction(3 * k % 7 + 1, k + 2), Fraction(k % 3 - 1, 5))
+                          for k in range(deg)], sc)
+                vals = [p(e) for e in etas]
+                with pytest.raises(DegenerateIndexSet, match=f"degree {deg} below the noise floor"):
+                    b._fit_held_out(etas, vals, coeffs, deg)
+                assert b._fit_held_out(etas, vals, coeffs, deg - 1).degree == deg - 1
+
+
 def test_vanishing_reference_takes_the_next_rotation(monkeypatch):
     """A vanishing reference value moves the solve to the next node rotation; after
     ROTATIONS such rotations the index set counts as degenerate.  Both solves
@@ -633,17 +667,16 @@ def test_eigen_gate_builds_one_frame_set(monkeypatch):
 
 
 def test_builder_owns_its_trimming_precision():
-    """A 512-bit builder of a 256-bit draw trims at 2^-496, not at the draw's 2^-240."""
-    with workbits(544):
-        lam = draw_params("aw", "generic", 1, bits=256)
+    """A 512-bit builder makes Xi_D and P_{D,n} at its own 544 working bits, whatever the
+    caller's precision, and its shift builder has its bits; its scalars are the draw's,
+    which carry no precision, on either backend."""
+    lam = draw_params("aw", "generic", 1)
+    with workbits(64):
         b = get_builder(lam, 512)
-        assert lam.scalars.bits == 256 and b.sc.bits == 512
-        assert b.shift_builder().sc.bits == 512
+        assert b.sc is lam.scalars and b.bits == b.shift_builder().bits == 512
         D = IndexSet.make([(1, "I")])
-        assert b.xi(D).scalars.bits == 512 and b.P(D, 1).scalars.bits == 512
-        tail = Poly([b.sc.one, mp.mpf(2) ** -300], b.sc)
-        assert tail.degree == 1
-        assert Poly(tail.coeffs, lam.scalars).degree == 0
+        for p in (b.xi(D), b.P(D, 1)):
+            assert max(part[3] for c in p.coeffs for part in mpc_parts(c)) > 512
     exact = params_from_values("w", EXACT_PARAMS["w"][0], mode="physical", backend="exact")
     assert get_builder(exact, 512).sc is exact.scalars
 
@@ -712,7 +745,7 @@ def test_frame_kernels_follow_the_working_precision():
     precision: after frames at 288 bits, its frames at 544 bits (a 512-bit escalation's
     working precision) equal a fresh builder's, and the H~_D frame's eta at x + i gamma/2,
     through AW's step q^(-1/2), is good to 2^-530 there."""
-    lam = draw_params("aw", "generic", 1, bits=512)
+    lam = draw_params("aw", "generic", 1)
     D = IndexSet.make([(1, "I")])
     with workbits(544):
         bun = build_miop(lam, D, 1, bits=512, check=False)

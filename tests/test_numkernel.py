@@ -73,7 +73,7 @@ def test_float_inverse_dft_recovers_a_polynomial():
     rng = random.Random(15)
     with workbits(bits + 32):
         for tag in ("ch", "w", "aw"):
-            lam = draw_params(tag, "generic", seed=5, bits=bits)
+            lam = draw_params(tag, "generic", seed=5)
             sc, fam = lam.scalars, FAMILIES[tag]
             want = [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(16)]
             p = Poly(want, sc)
@@ -130,7 +130,7 @@ def test_horner_kernel_matches_mpc_oracle():
 
     bits = 288
     rng = random.Random(7)
-    sc = MPScalars(bits)
+    sc = MPScalars()
     cases = []
     with workbits(bits):
         for deg in range(21):
@@ -164,7 +164,7 @@ def test_horner_kernel_rejects_non_finite_values():
     from casoratia.numkernel import MPScalars
     from casoratia.polycore import Poly
 
-    sc = MPScalars(256)
+    sc = MPScalars()
     with workbits(256):
         for bad in (mp.inf, -mp.inf, mp.nan, mp.mpc(1, mp.inf)):
             with pytest.raises(ValueError):
@@ -202,7 +202,7 @@ def test_cofactor_kernel_matches_mpc_oracle():
 
     bits = 288
     rng = random.Random(11)
-    sc = MPScalars(bits)
+    sc = MPScalars()
     tol = mp.mpf(2) ** (-bits + 16)
 
     def entry():
@@ -261,7 +261,7 @@ def _oracle_row(head, etas, last, turns, p):
     block = [[ws[j] * _mpc_horner(q.coeffs, eta) for q, ws in head] for j, eta in enumerate(etas)]
     mags = [[abs(ws[j]) * size(q, eta) for q, ws in head] for j, eta in enumerate(etas)]
     value = mp.fsum(c * mp.mpc(0, 1) ** turns * v * _mpc_horner(p.coeffs, eta) for c, v, eta
-                    in zip(last_column_cofactors(block, MPScalars(mp.mp.prec)), last, etas))
+                    in zip(last_column_cofactors(block, MPScalars()), last, etas))
     scale = mp.fsum(abs(v) * size(p, eta) * perm(mags[:j] + mags[j + 1:])
                     for j, (v, eta) in enumerate(zip(last, etas)))
     return value, scale
@@ -280,7 +280,7 @@ def test_cofactor_row_matches_mpc_oracle():
 
     rng = random.Random(17)
     for bits in (256, 512):
-        sc = MPScalars(bits)
+        sc = MPScalars()
         with workbits(bits):
             for trial in range(24):
                 n = 1 + trial % 4
@@ -316,7 +316,7 @@ def test_cofactor_row_rounds_at_the_readers_precision():
     from casoratia.polycore import Poly
 
     rng = random.Random(23)
-    sc = MPScalars(256)
+    sc = MPScalars()
     with workbits(256):
         etas = [_random_gaussian(rng, 256, -4, 4) for _ in range(3)]
         head = [(Poly([_random_gaussian(rng, 256, -4, 4) for _ in range(3)], sc),
@@ -358,7 +358,7 @@ def test_affine_kernel_matches_mpc_oracle():
         with workbits(bits):
             ratios = []
             for tag, fam in FAMILIES.items():
-                lam = draw_params(tag, "generic", 1, bits=bits)
+                lam = draw_params(tag, "generic", 1)
                 for t in (0, Fraction(-1, 2), 1):
                     s = fam.shift_step(t, lam)
                     for num, den in (fam.eta_factors(lam), fam.v_factors(lam.a, lam),
@@ -371,7 +371,7 @@ def test_affine_kernel_matches_mpc_oracle():
                                 for _ in range(k % 3)]))
             ratios.append(([(zero, _random_gaussian(rng, bits)),
                             (_random_gaussian(rng, bits), zero)], []))
-            kernel = MPScalars(bits).affine_ratios(ratios)
+            kernel = MPScalars().affine_ratios(ratios)
             points = [_random_gaussian(rng, bits, e, e) for e in (-200, -60, 0, 60, 200)]
             points += [mp.mpf("0.75"), mp.expjpi(mp.mpf("0.3")), mp.mpc(0, 2)]
             for u in points:
@@ -401,7 +401,7 @@ def test_stencil_residual_kernel_matches_mpc_oracle():
     rng = random.Random(5)
     for bits in (256, 512):
         with workbits(bits):
-            sc = MPScalars(bits)
+            sc = MPScalars()
             for trial in range(40):
                 coeffs = [_random_gaussian(rng, bits, -60, 60) for _ in range(1 + trial % 7)]
                 xs = [_random_gaussian(rng, bits, -4, 4) for _ in range(3)]

@@ -23,7 +23,7 @@ def _aw_params(backend):
     """AW parameters, so the exact backend runs in Q(i, sqrt(q))."""
     if backend == "exact":
         return params_from_values("aw", AW_EXACT, "2/5", mode="physical", backend="exact")
-    return draw_params("aw", "physical", seed=3, bits=192)
+    return draw_params("aw", "physical", seed=3)
 
 
 @pytest.mark.parametrize("backend", ["float", "exact"])
@@ -80,11 +80,10 @@ def test_backend_interface_and_dense_routines(backend):
         assert same_poly(p + r, poly(-2, 3)) and same_poly(p - r, poly(4, 1))
         assert same_poly(-p, poly(-1, -2)) and same_poly(p.scale(num(3)), poly(3, 6))
         assert same(p(num(2)), num(5)) and same_poly((p * r).derivative(), poly(-5, 4))
-        # trim: exact zeros go on both backends; a tiny coefficient only on the float one
+        # trim drops exact zeros only, on both backends: a tiny coefficient stays
         assert poly(1, 2, 0, 0).degree == 1 and poly(0, 0).degree == 0
         tiny = poly(1, 2, Fraction(1, 2 ** 190))
-        assert tiny.degree == (2 if exact else 1)
-        assert same(tiny.lead(), num(Fraction(1, 2 ** 190)) if exact else num(2))
+        assert tiny.degree == 2 and sc.is_zero(tiny.lead() - num(Fraction(1, 2 ** 190)))
         # divmod
         quo, rem = (p * r + poly(7)).divmod(r)
         assert same_poly(quo, p) and same_poly(rem, poly(7))
@@ -150,18 +149,17 @@ def test_backend_interface_and_dense_routines(backend):
 
 def test_backends_expose_the_same_interface():
     """MPScalars and ExactScalars answer the same questions, by the same public names.
-    Every gate goes through magnitude and the trim threshold, so neither backend has a
-    gate hook."""
-    def public(cls):
-        return {n for n in dir(cls) if not n.startswith("_")}
+    Every gate goes through magnitude, so neither backend has a gate hook, and neither
+    carries a precision or a trim threshold: an instance adds only the exact q."""
+    def public(obj):
+        return {n for n in dir(obj) if not n.startswith("_")}
 
     assert public(MPScalars) == {
-        "name", "at_bits", "zero", "one", "i", "from_int", "from_fraction", "is_zero",
+        "name", "zero", "one", "i", "from_int", "from_fraction", "is_zero",
         "magnitude", "conj", "to_mpc", "q_power", "sample_args", "extraction_nodes",
         "interpolator", "horner", "cofactor_row", "affine_ratios", "stencil_residual"}
-    assert public(ExactScalars) == public(MPScalars)
-    assert MPScalars(100).trim_threshold == mp.mpf(2) ** -84
-    assert ExactScalars().trim_threshold == 0
+    assert public(ExactScalars) == public(MPScalars) == public(MPScalars())
+    assert public(ExactScalars(Fraction(2, 5))) == public(MPScalars) | {"q"}
 
 
 def test_construction_path_has_no_backend_name_test():

@@ -22,7 +22,7 @@ np = pytest.importorskip("numpy")
 
 
 def _poly(coeffs, bits=256):
-    sc = MPScalars(bits)
+    sc = MPScalars()
     return Poly([mp.mpc(c) for c in coeffs], sc)
 
 
