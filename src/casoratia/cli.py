@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -439,6 +440,11 @@ def _names(allowed):
 def _usage_error(args) -> str | None:
     """The message for flag values no run can use, else None.  Otherwise, for every
     command but sweep, args.lam is the instance's ParamSet, built here once."""
+    if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
+        return f"--out {args.out}: not a file name in an existing directory"
+    cache = args.command == "construct" and (args.cache or os.environ.get(cache_mod.ENV_VAR))
+    if cache and os.path.exists(cache) and not os.path.isdir(cache):
+        return f"cache {cache} (--cache or ${cache_mod.ENV_VAR}) exists and is not a directory"
     if args.command == "sweep":
         return None if _sweep_jobs(args) else (
             "the sweep grid is empty: no index set with d_j <= --dmax and M <= --M "

@@ -288,12 +288,19 @@ def zero_grid_gram(w, vals, dpj):
     return gram, offd
 
 
-def naive_weight_demo(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) -> mp.mpf:
-    """Gram off-diagonal with the naive weight P'_{D,N}/P_{D,N-1} (failure witness)."""
-    bundle = build_miop(lam, D, N, bits)
-    zs = find_zeros(bundle.P[N], bits, lam.fam)
-    dP = bundle.P[N].derivative()
+def naive_zero_grid(polys, bits: int, family):
+    """zero_grid_gram of P_0 .. P_{N-1} = polys[:N] with the naive weight P'_N / P_{N-1}
+    at the zeros of P_N = polys[N]: the classical zero-grid relation."""
+    N = len(polys) - 1
+    zs = find_zeros(polys[N], bits, family)
+    dP = polys[N].derivative()
     dpj = [mp.mpc(dP(e)) for e in zs.eta]
-    w = [dp / mp.mpc(bundle.P[N - 1](e)) for dp, e in zip(dpj, zs.eta)]
-    vals = [[mp.mpc(bundle.P[n](e)) for e in zs.eta] for n in range(N)]
-    return zero_grid_gram(w, vals, dpj)[1]
+    w = [dp / mp.mpc(polys[N - 1](e)) for dp, e in zip(dpj, zs.eta)]
+    vals = [[mp.mpc(polys[n](e)) for e in zs.eta] for n in range(N)]
+    return zero_grid_gram(w, vals, dpj)
+
+
+def naive_weight_demo(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) -> mp.mpf:
+    """Gram off-diagonal of the classical relation applied to P_{D,n} (failure witness)."""
+    bundle = build_miop(lam, D, N, bits)
+    return naive_zero_grid([bundle.P[n] for n in range(N + 1)], bits, lam.fam)[1]

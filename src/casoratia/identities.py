@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .dortho import zero_grid_gram
+from .dortho import naive_zero_grid
 from .families import ParamSet
 from .miop import (IndexSet, apply_htilde, build_miop, get_builder, htilde_frame,
                    xi_half_shifts, PoleAtSample)
@@ -62,13 +62,8 @@ def classical_discrete_ortho(lam: ParamSet, N: int, bits: int = 256) -> dict:
     run = fam.base_poly(N + 1, lam, sc)   # to N + 1 for C_N, the n = N relation
     # the zero grid is float: exact base polynomials are evaluated through float copies
     polys = [Poly([sc.to_mpc(c) for c in p.coeffs], fsc) for p in run.polys[:N + 1]]
-    zs = find_zeros(polys[N], bits, fam)
-    dP = polys[N].derivative()
+    gram, offd = naive_zero_grid(polys, bits, fam)
     c_N = mp.mpc(sc.to_mpc(run.triples[N][2]))
-    dpj = [mp.mpc(dP(e)) for e in zs.eta]
-    w = [dp / mp.mpc(polys[N - 1](e)) for dp, e in zip(dpj, zs.eta)]
-    vals = [[mp.mpc(polys[n](e)) for e in zs.eta] for n in range(N)]
-    gram, offd = zero_grid_gram(w, vals, dpj)
     diag_err = mp.mpf(0)
     for n in range(N):
         pred = c_N * mp.mpc(sc.to_mpc(fam.h_ratio_base(n, N, lam)))

@@ -364,10 +364,20 @@ def test_prec_below_64_rejected():
       "--samples", "3"], "--prefactor-ratio needs physical parameters"),
     (["identities", "--params", "{tmp}/generic.json", "--prefactor-ratio", "--tprime2", "II"],
      "--prefactor-ratio needs physical parameters"),
+    (["verify", "--family", "ch", "--dI", "2", "--N", "2", "--out", "{tmp}"],
+     "not a file name in an existing directory"),
+    (["sweep", "--families", "w", "--out", "{tmp}"], "not a file name in an existing directory"),
+    (["roots", "--family", "w", "--dI", "2", "--N", "2", "--out", "{tmp}/missing/x.json"],
+     "not a file name in an existing directory"),
+    (["construct", "--family", "w", "--dI", "2", "--N", "2", "--cache", "{tmp}/w.json"],
+     "exists and is not a directory"),
+    (["CASORATIA_CACHE={tmp}/w.json", "construct", "--family", "w", "--dI", "2", "--N", "2"],
+     "exists and is not a directory"),
 ])
 def test_contradictory_flags_are_usage_errors(argv, message, monkeypatch, capsys, tmp_path):
-    """Flag values and parameter files no command can run are usage errors before any
-    work: exit 2, one message on stderr."""
+    """Flag values, parameter files and output paths no command can run are usage errors
+    before any work: exit 2, one message on stderr.  A leading NAME=VALUE sets the
+    environment variable NAME."""
     from casoratia import cli
 
     def no_work(*_):
@@ -383,8 +393,11 @@ def test_contradictory_flags_are_usage_errors(argv, message, monkeypatch, capsys
             "generic": {"family": "w", "a": a_vals, "mode": "generic"}}
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if "=" in argv[0]:
+        monkeypatch.setenv(*argv.pop(0).split("=", 1))
     with pytest.raises(SystemExit) as exc:
-        cli.main([arg.format(tmp=tmp_path) for arg in argv])
+        cli.main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err and err.count("error:") == 1

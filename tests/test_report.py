@@ -64,12 +64,14 @@ def test_cache_key_covers_version_and_schema(monkeypatch):
 # sha256 of the canonical verify JSON (seed 1, N = 2, default precision), recorded
 # when the base polynomials moved from the hypergeometric sums to the three-term
 # recurrences (package 0.4.0; noise digits moved, values below 1e-76 changed sign);
-# every verdict stands, and a refactor that claims byte-identical reports keeps these
+# cH and W again when the root finder became one Aberth loop (noise digits moved, by
+# at most 7.6e-93 in M); every verdict stands, and a refactor that claims
+# byte-identical reports keeps these
 GOLDEN_REPORTS = [
     (["--family", "ch", "--mode", "physical", "--dI", "1", "--dII", "2"],
-     "502bad49a9a79d033d2e5560a60c4a7c3fd07804e3ed20f7ea50169ba2df22ed"),
+     "292999bf2473f9b50b2bb7db2b150c1802cf58f6374a0f399d373ff1890c1420"),
     (["--family", "w", "--mode", "physical", "--dI", "1", "--dII", "1"],
-     "a86a9117c03b4b3aa73b4c595f96ba4d91380199d8a7aa8927e1fab0d649dff2"),
+     "d71cda6f73285ca43e3558fae53e441b2651829d07e77fced315935d4beb1623"),
     (["--family", "aw", "--mode", "generic", "--dI", "1", "--dII", "1"],
      "241f4feb07a6236c1c4782c83e60af853f070e0c4537ff6e35571ad3eb51d9bf"),
 ]
@@ -104,8 +106,9 @@ def test_verify_report_is_independent_of_earlier_runs(tmp_path, monkeypatch):
 
 
 # sha256 of the sweep CSV below, recorded with the same rendering: the one golden on
-# the sweep's own rendering of max_offdiag_rel and conjecture_rel_err
-GOLDEN_SWEEP = "39c88dc68e273b825c3f58dd19cf77f55b6a9f8e21f5759b00072a787b8a8034"
+# the sweep's own rendering of max_offdiag_rel and conjecture_rel_err (recorded again
+# with the one-loop root finder: both moved by less than 1e-96)
+GOLDEN_SWEEP = "120f238a55fd89a1cff0f164ff4f00806cc1522b1e4f9ab2eddbbbc3213a8e70"
 
 
 def test_golden_sweep_csv():

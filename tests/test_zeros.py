@@ -198,41 +198,66 @@ def test_find_zeros_matches_oracles(case):
 
 def test_seeds_reach_double_accuracy_in_a_cluster():
     """Three roots 1e-4 apart: Horner's rounding in doubles leaves steps of about 1e-8,
-    above the step rule, so the float pass must stop on the rounding bound of p(z) to
-    give seeds without the polyroots fallback; that bound over |p'| is about 1e-6 here."""
+    above the step rule, so the float run of the Aberth loop must stop on the rounding
+    bound of p(z), before its sweep cap, to give seeds at double accuracy; that bound
+    over |p'| is about 1e-6."""
     roots = [mp.mpf(1), mp.mpf("1.0001"), mp.mpf("1.0002"), mp.mpc(-2, 1), mp.mpc(-2, -1)]
+    calls = []
     with workbits(288):
         coeffs = _from_roots(roots)
-        seeds = zeros._float_aberth(coeffs)
-    assert seeds is not None
+        evaluate = zeros._float_horner(coeffs)
+
+        def counted(z):
+            calls.append(z)
+            return evaluate(z)
+
+        start = [complex(z) for z in zeros._start_circle(coeffs)]
+        seeds = zeros._aberth(counted, start, zeros.SEED_STOP, zeros.SEED_MAX_ITER)
+    assert seeds is not None and len(calls) < len(roots) * zeros.SEED_MAX_ITER
     assert _matched([mp.mpc(z) for z in seeds], [mp.mpc(r) for r in roots],
                     lambda w: mp.mpf("1e-6"))
 
 
-def test_float_seeds_refuse_coefficients_beyond_the_double_range():
-    """2^-2000 eta^2 + 1 (roots +-i 2^1000): its leading coefficient scales to 0 in
-    doubles, so the float pass gives no seeds."""
+def test_roots_beyond_the_double_range():
+    """2^-2000 eta^2 + 1 has the roots +-i 2^1000: its leading coefficient scales to 0 in
+    doubles, so the float run breaks down and the working-precision run starts from the
+    start circle, whose radius 2^1000 only mpmath holds."""
     with workbits(288):
-        assert zeros._float_aberth([mp.mpc(1), mp.mpc(0), mp.mpc(mp.mpf(2) ** -2000)]) is None
+        zs = find_zeros(_poly([1, 0, mp.mpf(2) ** -2000]), 256)
+        big = mp.mpf(2) ** 1000
+        assert _matched(zs.eta, [mp.mpc(0, -big), mp.mpc(0, big)],
+                        lambda w: mp.mpf(2) ** -200 * abs(w))
 
 
-def test_seeds_fall_back_to_polyroots(monkeypatch):
+def test_roots_far_apart_in_scale(monkeypatch):
     """Roots 1..5 and 2^100: the start circle has radius about 2^100, and its points
-    need more than SEED_MAX_ITER sweeps to come down to 1..5, so the seeds come from
-    mp.polyroots (at 256 bits, and again at 512, where the pair-distance certificate
-    relative to 2^100 escalates); the refined roots are right."""
-    calls = []
-    polyroots = mp.polyroots
+    need more than SEED_MAX_ITER float sweeps to come down to 1..5; the working-precision
+    run goes on from where the float run stopped, with no other root finder (at 256
+    bits the pair-distance certificate relative to 2^100 fails, so it ends at 512)."""
+    def polyroots(*args, **kwargs):
+        raise AssertionError("find_zeros must not call mp.polyroots")
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return polyroots(*args, **kwargs)
-
-    monkeypatch.setattr(mp, "polyroots", spy)
+    monkeypatch.setattr(mp, "polyroots", polyroots)
     roots = [mp.mpc(k) for k in range(1, 6)] + [mp.mpc(mp.mpf(2) ** 100)]
     with workbits(288):
-        coeffs = _from_roots(roots)
-        assert zeros._float_aberth(coeffs) is None
-        zs = find_zeros(_poly(coeffs), 256)
-    assert len(calls) == 2 and zs.precision_bits == 512
+        zs = find_zeros(_poly(_from_roots(roots)), 256)
+    assert zs.precision_bits == 512
     assert _matched(zs.eta, roots, lambda w: mp.mpf(2) ** -200 * max(abs(w), 1))
+
+
+@pytest.mark.parametrize("roots", [[1, 1, -2], [1 + 1j, 1 + 1j]], ids=["real", "complex"])
+def test_double_root_raises_after_escalation(roots, monkeypatch):
+    """A double root fails the pair-distance certificate at 256 bits and again at 512,
+    and then raises MultipleRootSuspected."""
+    tried = []
+
+    def spy(bits):
+        tried.append(bits)
+        return workbits(bits)
+
+    monkeypatch.setattr(zeros, "workbits", spy)
+    with workbits(288):
+        p = _poly(_from_roots([mp.mpc(r) for r in roots]))
+        with pytest.raises(zeros.MultipleRootSuspected):
+            find_zeros(p, 256)
+    assert tried == [256 + 32, 512 + 32]
