@@ -4,11 +4,14 @@ Implements the zero-grid orthogonality pipeline: the eigenbasis polynomials
 P_a built from the lowered/derived index sets, the weight reciprocals F_j at
 the zeros of P_{D,N} (computed by both closed forms and cross-checked), the
 matrices M-tilde and its symmetrized M, and the Gram matrix whose off-diagonal
-decay is the discrete orthogonality relation.
+decay is the discrete orthogonality relation.  The zero grid runs on the
+Gaussian floats of numkernel, from the H~_D frames at the zeros to the Gram
+dot products; its values become mpc for the report.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -17,7 +20,8 @@ import mpmath as mp
 from .families import ParamSet
 from .miop import (IndexSet, MiopBundle, apply_htilde, build_miop, eigen_residual, get_builder,
                    htilde_frame)
-from .numkernel import workbits
+from .numkernel import (GUARD_BITS, gabs, gadd, gbelow, gdiv, gdot, gload, gmul, gneg, gstore,
+                        workbits)
 from .polycore import Poly
 from .zeros import ZeroSet, find_zeros
 
@@ -128,64 +132,60 @@ def pa_difference_equation_defect(basis: PaBasis, frames) -> mp.mpf:
 
 
 def compute_F(bundle: MiopBundle, frames, bits: int = 256):
-    """Weights F_j by the symmetric two-term form, and their worst relative gap to the
-    one-term form (the f_cross_form check)."""
+    """Weights F_j by the symmetric two-term form, as Gaussian floats, and their worst
+    relative gap to the one-term form (the f_cross_form check).  P'_N is taken once at each
+    frame's eta and P_N once at each of eta_m, eta_p, for both forms."""
+    w = mp.mp.prec + GUARD_BITS
     pN = bundle.P[bundle.n_max]
-    dP = pN.derivative()
-    F = []
-    cross_worst = mp.mpf(0)
+    ev, dev = pN.evaluator(), pN.derivative().evaluator()
+    F, cross_worst = [], mp.mpf(0)
     for fr in frames:
-        eta_m, eta_p = fr.eta_m, fr.eta_p
-        dpj = dP(fr.eta)
-        two_term = -(eta_m * fr.w_m * pN(eta_m) + eta_p * fr.w_p * pN(eta_p)) / dpj
-        one_term = (eta_p - eta_m) / dpj * fr.w_m * pN(eta_m)
-        fj, fj2 = mp.mpc(two_term), mp.mpc(one_term)
-        rel = abs(fj - fj2) / max(abs(fj), abs(fj2), mp.mpf("1e-300"))
+        (x0, xm, xp), (_, wm, wp) = fr.xs, fr.ws
+        dpj, tm = dev.fixed(x0, w), gmul(wm, ev.fixed(xm, w), w)
+        two_term = gneg(gdiv(gdot((xm, xp), (tm, gmul(wp, ev.fixed(xp, w), w)), w), dpj, w))
+        one_term = gdiv(gmul(gadd(xp, gneg(xm)), tm, w), dpj, w)
+        rel = gabs(gadd(two_term, gneg(one_term))) / max(gabs(two_term), gabs(one_term),
+                                                          mp.mpf("1e-300"))
         cross_worst = max(cross_worst, rel)
         F.append(two_term)
-    scale = max(abs(mp.mpc(f)) for f in F)
-    for f in F:
-        if abs(mp.mpc(f)) <= scale * mp.mpf(2) ** (-bits // 2):
-            raise WeightSingular("some F_j is numerically zero")
+    mags = [gabs(f) for f in F]
+    if min(mags) <= max(mags) * mp.mpf(2) ** (-bits // 2):
+        raise WeightSingular("some F_j is numerically zero")
     return F, cross_worst
 
 
 def build_M(lam: ParamSet, D: IndexSet, zs: ZeroSet, frames, F, bits: int = 256):
     """M-tilde per the closed forms, M = G^-1 M-tilde G with g_j = sqrt(F_j) on a branch
-    that a noise-level Im F_j cannot flip: sqrt(F_j) for Re F_j >= 0, else i sqrt(-F_j)."""
-    n_t = len(zs.eta)
-    etas = zs.eta
-    tol = mp.mpf(2) ** (-bits + 40)
-    Mt = [[mp.mpc(0)] * n_t for _ in range(n_t)]
-    scale_eta = max(max(abs(e) for e in etas), mp.mpf(1))
+    that a noise-level Im F_j cannot flip: sqrt(F_j) for Re F_j >= 0, else i sqrt(-F_j).
+    F, M-tilde and M are Gaussian floats; a collision, |eta(x_j -+ i gamma) - eta_k| below
+    2^(40-bits) max(|eta|, 1), is decided on squares."""
+    w = mp.mp.prec + GUARD_BITS
+    etas = [gload(e, w) for e in zs.eta]
+    limit = mp.mpf(2) ** (-bits + 40) * max(max(abs(e) for e in zs.eta), mp.mpf(1))
+    Mt = []
     for j, fr in enumerate(frames):
-        em, ep = fr.eta_m, fr.eta_p
-        for k in range(n_t):
-            if k == j:
-                continue
-            d1, d2 = em - etas[k], ep - etas[k]
-            if abs(d1) < tol * scale_eta or abs(d2) < tol * scale_eta:
-                raise DenominatorCollision(
-                    f"eta(x_{j} -+ i gamma) collides with eta_{k}")
-            Mt[j][k] = mp.mpc(F[j]) / (d1 * d2)
-    for j, fr in enumerate(frames):
-        Mt[j][j] = mp.mpc(F[j]) / ((fr.eta_m - etas[j]) * (fr.eta_p - etas[j])) + fr.w_0
-    j = _deterministic_index(lam, D, n_t)
-    diag_defect = _diag_from_definition_defect(lam, zs, frames[j], j, Mt[j][j])
-    g = [mp.sqrt(f) if mp.re(f) >= 0 else 1j * mp.sqrt(-f) for f in map(mp.mpc, F)]
-    M = [[Mt[j][k] * g[k] / g[j] for k in range(n_t)] for j in range(n_t)]
-    mmax = max(max(abs(M[j][k]) for k in range(n_t)) for j in range(n_t))
-    sym = mp.mpf(0)
-    for j in range(n_t):
-        for k in range(j + 1, n_t):
-            sym = max(sym, abs(M[j][k] - M[k][j]))
+        (_, xm, xp), row = fr.xs, []
+        for k, e in enumerate(etas):
+            d1, d2 = gadd(xm, gneg(e)), gadd(xp, gneg(e))
+            if k != j and (gbelow(d1, limit) or gbelow(d2, limit)):
+                raise DenominatorCollision(f"eta(x_{j} -+ i gamma) collides with eta_{k}")
+            row.append(gdiv(F[j], gmul(d1, d2, w), w))
+        row[j] = gadd(row[j], fr.ws[0])
+        Mt.append(row)
+    j = _deterministic_index(lam, D, len(etas))
+    diag_defect = _diag_from_definition_defect(lam, zs, frames[j], j, gstore(Mt[j][j], mp.mp.prec))
+    g = [gload(mp.sqrt(f) if mp.re(f) >= 0 else 1j * mp.sqrt(-f), w)
+         for f in (gstore(f, mp.mp.prec) for f in F)]
+    inv = [gdiv(gload(1, w), gj, w) for gj in g]
+    M = [[gmul(gmul(m, gk, w), hj, w) for m, gk in zip(row, g)] for row, hj in zip(Mt, inv)]
+    mmax = max(gabs(m) for row in M for m in row)
+    sym = max((gabs(gadd(M[j][k], gneg(M[k][j]))) for j in range(len(M)) for k in range(j)),
+              default=mp.mpf(0))
     return Mt, M, sym / mmax, diag_defect
 
 
 def _deterministic_index(lam, D, n) -> int:
-    import hashlib
-    h = hashlib.sha256((lam.digest() + D.key()).encode()).digest()
-    return h[0] % n
+    return hashlib.sha256((lam.digest() + D.key()).encode()).digest()[0] % n
 
 
 def _diag_from_definition_defect(lam, zs, fr, j, closed_value) -> mp.mpf:
@@ -220,7 +220,8 @@ class OrthoReport:
 
 def verify_orthogonality(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) -> OrthoReport:
     """Run the full discrete-orthogonality pipeline at bits (bits + 32 working bits,
-    whatever the caller's precision)."""
+    whatever the caller's precision): F, M-tilde, M, the P_a values at the zeros, the eigen
+    rows M-tilde v = E^P_a v and the Gram matrix in Gaussian floats."""
     if lam.scalars.name != "float":
         raise ValueError("the orthogonality pipeline requires the float backend")
     with workbits(bits + 32):
@@ -228,28 +229,29 @@ def verify_orthogonality(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) ->
         bundle = build_miop(lam, D, N, bits)
         zs = find_zeros(bundle.P[N], bits, fam)
         basis = build_pa_basis(lam, D, N, bits)
-        b = get_builder(lam, bits)
-        frames = [htilde_frame(b, bundle, fam.arg_of_x(x)) for x in zs.x]
+        frames = [htilde_frame(bundle, fam.arg_of_eta(e)) for e in zs.eta]
         F, f_cross = compute_F(bundle, frames, bits)
         Mt, M, sym, diagd = build_M(lam, D, zs, frames, F, bits)
-        n_t = len(zs.eta)
-        dP = bundle.P[N].derivative()
-        dpj = [mp.mpc(dP(e)) for e in zs.eta]
-        vals = [[mp.mpc(e.poly(zs.eta[j])) for j in range(n_t)] for e in basis.entries]
+        prec = mp.mp.prec
+        w = prec + GUARD_BITS
+        etas = [gload(e, w) for e in zs.eta]
+        dP = bundle.P[N].derivative().evaluator()
+        dpj = [dP.fixed(x, w) for x in etas]
+        vals = [[e.poly.evaluator().fixed(x, w) for x in etas] for e in basis.entries]
+        cP = gload(bundle.P[N].lead(), w)
+        cP_dp = [gdiv(cP, d, w) for d in dpj]
         eigres = []
-        cP = mp.mpc(lam.scalars.to_mpc(bundle.P[N].lead()))
-        for a, entry in enumerate(basis.entries):
-            vt = [cP * vals[a][j] / dpj[j] for j in range(n_t)]
-            ev = mp.mpc(lam.scalars.to_mpc(entry.energy))
-            worst = mp.mpf(0)
-            scale = max(max(abs(x) for x in vt), mp.mpf("1e-300")) * (abs(ev) + 1)
-            for j in range(n_t):
-                worst = max(worst, abs(mp.fdot(Mt[j], vt) - ev * vt[j]) / scale)
-            eigres.append(worst)
-        gram, offd = zero_grid_gram([1 / mp.mpc(f) for f in F], vals, dpj)
+        for row, entry in zip(vals, basis.entries):
+            vt = [gmul(v, c, w) for v, c in zip(row, cP_dp)]
+            ev = gload(entry.energy, w)
+            scale = max(max(map(gabs, vt)), mp.mpf("1e-300")) * (abs(mp.mpc(entry.energy)) + 1)
+            eigres.append(max(gabs(gadd(gdot(Mt_j, vt, w), gneg(gmul(ev, vt[j], w))))
+                              for j, Mt_j in enumerate(Mt)) / scale)
+        one = gload(1, w)
+        gram, offd = zero_grid_gram([gdiv(one, f, w) for f in F], vals, dpj)
         rep = OrthoReport(
             family=lam.family, D=D, N=N, precision_bits=bits,
-            F=[mp.mpc(f) for f in F], symmetry_defect=sym, diag_defect=diagd,
+            F=[gstore(f, prec) for f in F], symmetry_defect=sym, diag_defect=diagd,
             f_cross_defect=f_cross, gram=gram, max_offdiag_rel=offd,
             k=[gram[a][a] for a in range(len(basis.entries))],
             origins=[e.origin for e in basis.entries],
@@ -259,32 +261,32 @@ def verify_orthogonality(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) ->
         rep.extras["zeros"] = zs
         rep.extras["bundle"] = bundle
         rep.extras["basis"] = basis
-        rep.extras["Mtilde"] = Mt
-        rep.extras["M"] = M
+        rep.extras["Mtilde"] = [[gstore(m, prec) for m in row] for row in Mt]
+        rep.extras["M"] = [[gstore(m, prec) for m in row] for row in M]
         rep.extras["pa_defect"] = pa_difference_equation_defect(basis, frames)
         return rep
 
 
-def zero_grid_gram(w, vals, dpj):
+def zero_grid_gram(wts, vals, dpj):
     """(G, max off-diagonal ratio) of G_ab = sum_j w_j P_a(eta_j) P_b(eta_j) / P'_N(eta_j)^2.
 
-    vals[a][j] = P_a(eta_j) and dpj[j] = P'_N(eta_j) at the zeros eta_j of P_N;
-    the ratio is max over a < b of |G_ab| / sqrt(|G_aa| |G_bb|).  The weight
-    w_j / P'_N(eta_j)^2 is made once per zero and its product with P_a(eta_j)
-    once per row, so an entry is one dot product.  G is filled for a <= b and
-    mirrored.
+    wts[j] = w_j, vals[a][j] = P_a(eta_j) and dpj[j] = P'_N(eta_j) at the zeros eta_j of
+    P_N, as Gaussian floats; G comes back in mpc, and the ratio is max over a < b of
+    |G_ab| / sqrt(|G_aa| |G_bb|).  The weight w_j / P'_N(eta_j)^2 is made once per zero
+    and its product with P_a(eta_j) once per row, so an entry is one Gaussian dot
+    product.  G is filled for a <= b and mirrored.
     """
+    prec = mp.mp.prec
+    w = prec + GUARD_BITS
     n = len(vals)
-    weights = [wj / dp ** 2 for wj, dp in zip(w, dpj)]
-    rows = [[wj * va for wj, va in zip(weights, row)] for row in vals]
+    weights = [gdiv(wj, gmul(dp, dp, w), w) for wj, dp in zip(wts, dpj)]
+    rows = [[gmul(wj, va, w) for wj, va in zip(weights, row)] for row in vals]
     gram = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            gram[a][b] = gram[b][a] = mp.fdot(rows[a], vals[b])
-    offd = mp.mpf(0)
-    for a in range(n):
-        for b in range(a + 1, n):
-            offd = max(offd, abs(gram[a][b]) / mp.sqrt(abs(gram[a][a]) * abs(gram[b][b])))
+            gram[a][b] = gram[b][a] = gstore(gdot(rows[a], vals[b], w), prec)
+    offd = max((abs(gram[a][b]) / mp.sqrt(abs(gram[a][a]) * abs(gram[b][b]))
+                for a in range(n) for b in range(a + 1, n)), default=mp.mpf(0))
     return gram, offd
 
 
@@ -293,11 +295,13 @@ def naive_zero_grid(polys, bits: int, family):
     at the zeros of P_N = polys[N]: the classical zero-grid relation."""
     N = len(polys) - 1
     zs = find_zeros(polys[N], bits, family)
-    dP = polys[N].derivative()
-    dpj = [mp.mpc(dP(e)) for e in zs.eta]
-    w = [dp / mp.mpc(polys[N - 1](e)) for dp, e in zip(dpj, zs.eta)]
-    vals = [[mp.mpc(polys[n](e)) for e in zs.eta] for n in range(N)]
-    return zero_grid_gram(w, vals, dpj)
+    w = mp.mp.prec + GUARD_BITS
+    etas = [gload(e, w) for e in zs.eta]
+    dP, prev = polys[N].derivative().evaluator(), polys[N - 1].evaluator()
+    dpj = [dP.fixed(x, w) for x in etas]
+    wts = [gdiv(dp, prev.fixed(x, w), w) for dp, x in zip(dpj, etas)]
+    vals = [[polys[n].evaluator().fixed(x, w) for x in etas] for n in range(N)]
+    return zero_grid_gram(wts, vals, dpj)
 
 
 def naive_weight_demo(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) -> mp.mpf:

@@ -9,6 +9,7 @@ operator overloading so the polynomial layer can stay backend-agnostic.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple, Union
 
@@ -201,6 +202,16 @@ class _Row(NamedTuple):
         return sum((c * p(eta) for c, eta in zip(self.cs, self.etas)), self.zero)
 
 
+class _Frame(namedtuple("_Frame", "eta eta_m eta_p eta_mh eta_ph xi_mh xi_ph w_m w_p w_0")):
+    """An H~_D frame of ExactScalars.htilde_frames: the etas at x, x -+ i gamma and x -+ i
+    gamma/2, Xi_D at the last two, and the weights w_m, w_p, w_0 of the stencil (apply)."""
+
+    def apply(self, p, pu=None):
+        """(H~_D p)(x); pu is p(eta), if already evaluated."""
+        return (self.w_m * p(self.eta_m) + self.w_p * p(self.eta_p)
+                + self.w_0 * (p(self.eta) if pu is None else pu))
+
+
 class ExactScalars:
     """Scalar backend over Q(i) (q=None) or Q(i, sqrt(q)).
 
@@ -322,17 +333,47 @@ class ExactScalars:
                     for num, den in made]
         return value
 
-    def stencil_residual(self, stencil):
-        """The evaluator (p, E) -> |s - E p(x_0)| / (|s| + |E p(x_0)| + 1), s = sum_k w_k p(x_k)
-        over the stencil's (x_k, w_k): exactly 0 when s = E p(x_0), else in floats."""
-        def residual(p, E):
-            vals = [p(x) for x, _ in stencil]
-            s = sum((c * v for (_, c), v in zip(stencil, vals)), self.zero)
-            ref = E * vals[0]
-            if (s - ref).is_zero():
-                return _MAG_ZERO
-            s, ref = s.to_mpc(), ref.to_mpc()
-            return abs(s - ref) / (abs(s) + abs(ref) + 1)
+    def ladder_frames(self, eta_ratios, weight_ratios):
+        """numkernel.MPScalars.ladder_frames, exactly."""
+        etas = self.affine_ratios(eta_ratios)
+        kinds = {k: self.affine_ratios(r) for k, r in weight_ratios.items()}
+
+        def frame(u):
+            cum = {}
+            for k, factors in kinds.items():
+                c = cum[k] = [self.one]
+                for f in factors(u):
+                    c.append(c[-1] * f)
+            return etas(u), cum
+        return frame
+
+    def htilde_frames(self, ratios, xi, xi_shift, bounds):
+        """numkernel.MPScalars.htilde_frames, exactly (_Frame): magnitude makes a pole an
+        exact zero of Xi_D at a half shift or of Xi_D(lambda + delta) at x."""
+        values, mag = self.affine_ratios(ratios), self.magnitude
+
+        def frame(u):
+            eta, eta_m, eta_p, eta_mh, eta_ph, v, vs = values(u)
+            xi_mh, xi_ph, xi0 = xi(eta_mh), xi(eta_ph), xi_shift(eta)
+            if min(mag(xi_mh), mag(xi_ph)) < bounds[0] or mag(xi0) < bounds[1]:
+                return None
+            w_m, w_p = v * xi_ph / xi_mh, vs * xi_mh / xi_ph
+            w_0 = -(w_m * xi_shift(eta_m) + w_p * xi_shift(eta_p)) / xi0
+            return _Frame(eta, eta_m, eta_p, eta_mh, eta_ph, xi_mh, xi_ph, w_m, w_p, w_0)
+        return frame
+
+    def stencil_residual(self, pairs):
+        """numkernel.MPScalars.stencil_residual at an exact frame (_Frame): exactly 0 when
+        every sum equals E p(x_0), else in floats."""
+        def residual(fr):
+            worst = _MAG_ZERO
+            for p, E in pairs:
+                pu = p(fr.eta)
+                s, ref = fr.apply(p, pu), E * pu
+                if not (s - ref).is_zero():
+                    s, ref = s.to_mpc(), ref.to_mpc()
+                    worst = max(worst, abs(s - ref) / (abs(s) + abs(ref) + 1))
+            return worst
         return residual
 
     is_zero = staticmethod(QQi.is_zero)

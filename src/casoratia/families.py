@@ -268,6 +268,10 @@ class Family:
         """Working variable u for a complex x: x itself, or z = e^{ix} for AW (float path)."""
         return mp.exp(1j * mp.mpc(x)) if self.var_kind == "z" else mp.mpc(x)
 
+    def arg_of_eta(self, eta):
+        """The working variable u of x = recover_x(eta), from eta (float path): x itself."""
+        return self.recover_x(eta)
+
     def sample_args(self, count: int, lam: ParamSet, salt: str):
         raise NotImplementedError
 
@@ -384,10 +388,8 @@ class Wilson(Family):
         return (mp.mpf(0), mp.mpf("+inf"))
 
     def recover_x(self, eta):
-        x = mp.sqrt(mp.mpc(eta))
-        if mp.re(x) < 0 or (mp.re(x) == 0 and mp.im(x) < 0):
-            x = -x
-        return x
+        """sqrt(eta) on the principal branch: Re x >= 0, and Im x >= 0 where Re x = 0."""
+        return mp.sqrt(mp.mpc(eta))
 
     def sample_args(self, count, lam, salt):
         j = jitter(salt)
@@ -491,6 +493,12 @@ class AskeyWilson(Family):
 
     def recover_x(self, eta):
         return mp.acos(mp.mpc(eta))
+
+    def arg_of_eta(self, eta):
+        """z = e^{i acos eta} = eta + s, s = i sqrt(1 - eta^2), or 1 / (eta - s) where that sum
+        cancels: |eta + s|^2 - |eta - s|^2 = 4 Re(conj(eta) s)."""
+        s = mp.mpc(0, 1) * mp.sqrt(1 - eta * eta)
+        return eta + s if eta.real * s.real + eta.imag * s.imag >= 0 else 1 / (eta - s)
 
     def sample_args(self, count, lam, salt):
         j = jitter(salt)

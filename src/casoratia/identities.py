@@ -16,8 +16,7 @@ import mpmath as mp
 
 from .dortho import naive_zero_grid
 from .families import ParamSet
-from .miop import (IndexSet, apply_htilde, build_miop, get_builder, htilde_frame,
-                   xi_half_shifts, PoleAtSample)
+from .miop import IndexSet, PoleAtSample, apply_htilde, build_miop, get_builder, htilde_frame
 from .numkernel import MPScalars, workbits
 from .polycore import Poly
 from .zeros import find_zeros
@@ -117,7 +116,7 @@ def _chain_pairs(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int, count: int
     for u in lam.scalars.sample_args(fam, count, lam,
                                      f"chain|{D.key()}|{dp}{tp}|{dpp}{tpp}|{n}"):
         try:
-            fr = htilde_frame(b, big, u)
+            fr = htilde_frame(big, u)
             ratio = xi_small(fr.eta_mh) / fr.xi_mh + xi_small(fr.eta_ph) / fr.xi_ph
             if tp == tpp:
                 ratio = (E_n - ev_p) * ratio
@@ -279,14 +278,15 @@ def check_prefactor_ratio_identity(lam: ParamSet, D: IndexSet, dprime, dprime2, 
 
 
 def psi_d_squared(lam: ParamSet, D: IndexSet, bundle, x):
-    """psi_D(x)^2 = phi_0(x; lambda_D)^2 / (Xi(x - i g/2) Xi(x + i g/2)); PoleAtSample
-    when x -+ i g/2 is at a zero of Xi_D."""
+    """psi_D(x)^2 = phi_0(x; lambda_D)^2 / (Xi(x - i g/2) Xi(x + i g/2)), Xi_D from the H~_D
+    frame at x; PoleAtSample at the frame's poles (x -+ i g/2 near a zero of Xi_D, or x
+    near one of Xi_D(lambda + delta))."""
     fam = lam.fam
     base = fam.phi0_sq(x, bundle.lam_D)
     if D.M == 0:
         return base
-    _, _, xm, xp = xi_half_shifts(bundle, fam.arg_of_x(x))
-    return base / (mp.mpc(xm) * mp.mpc(xp))
+    fr = htilde_frame(bundle, fam.arg_of_x(x))
+    return base / (fr.xi_mh * fr.xi_ph)
 
 
 def partial_fraction_integral_check(lam: ParamSet, D: IndexSet, N: int, j: int, k: int,

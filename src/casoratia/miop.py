@@ -32,10 +32,11 @@ Every build is gated: the degree law (an extracted leading coefficient above
 the fit's noise floor; the class references and base polynomials have theirs
 by construction), the vanishing DFT coefficients, held-out node residuals, the
 deformed eigenrelation (on one set of frames for every n) and shape invariance.
-The per-point work of the frames, ladder and H~_D alike, is the backend's:
-etas, potentials and row weights come from affine kernels made once per
-builder and working precision (Family.eta_factors, v_factors), and the
-eigen residuals from one stencil kernel per H~_D frame.
+The per-point work of the frames, ladder and H~_D alike, is the backend's
+(Gaussian floats on floats): a builder makes one ladder_frames kernel per (R,
+kinds) and working precision, a bundle one htilde_frames kernel per working
+precision, both from affine factors (Family.eta_factors, v_factors), and the
+eigen residuals come from one stencil kernel for all frames.
 """
 
 from __future__ import annotations
@@ -174,7 +175,8 @@ class Builder:
         self._xi_cache = {}     # IndexSet.key -> Poly
         self._p_cache = {}      # (IndexSet.key, n) -> Poly
         self._node_cache = {}   # (class, attempt, node id) -> _Node
-        self._kernels = {}      # (what, ..., mp.mp.prec) -> the backend's affine kernel
+        self._node_sets = {}    # (class, attempt, len(ids), prec) -> (nodes, interpolator) or False
+        self._kernels = {}      # (R, kinds, mp.mp.prec) -> the backend's ladder_frames
         self._shift_builder = None
 
     # .. column polynomials ......................................................
@@ -199,23 +201,15 @@ class Builder:
 
     def frames(self, us, R: int, kinds):
         """Per sample u: the etas of its R ladder points and, per column kind, the row
-        weights prod_{m<j} alpha N(x_m), shared by every determinant at u.  One affine
-        kernel gives the etas of R, and one per (R, kind) the factors alpha N(x_m)."""
-        fam, lam = self.fam, self.lam
-        etas = self._kernel(("ladder", R), lambda: [
-            _shifted(fam, fam.eta_factors(lam), fam.shift_step(t, lam))
-            for t in ladder_points(R)])
-        weights = {k: self._kernel(("weights", R, k), lambda k=k: self._weight_ratios(k, R))
-                   for k in sorted(kinds)}
-        out = []
-        for u in us:
-            cum = {}
-            for k, kernel in weights.items():
-                w = cum[k] = [self.sc.one]
-                for f in kernel(u):
-                    w.append(w[-1] * f)
-            out.append((etas(u), cum))
-        return out
+        weights prod_{m<j} alpha N(x_m), shared by every determinant at u, from one backend
+        ladder_frames kernel per (R, kinds) and working precision."""
+        fam, lam, kinds = self.fam, self.lam, tuple(sorted(kinds))
+        key = (R, kinds, mp.mp.prec)
+        if key not in self._kernels:
+            self._kernels[key] = self.sc.ladder_frames(
+                [_shifted(fam, fam.eta_factors(lam), fam.shift_step(t, lam))
+                 for t in ladder_points(R)], {k: self._weight_ratios(k, R) for k in kinds})
+        return list(map(self._kernels[key], us))
 
     def _weight_ratios(self, kind: str, R: int):
         """The affine ratios alpha N(x_m) of a column kind at the ladder points x_m of R
@@ -227,14 +221,6 @@ class Builder:
             (c0, c1), *rest = fam.shift_factors(num, fam.shift_step(t, lam))
             ratios.append(([(alpha * c0, alpha * c1)] + rest, []))
         return ratios
-
-    def _kernel(self, key, ratios):
-        """The backend's affine kernel of key at the working precision, made once from
-        ratios()."""
-        key = (*key, mp.mp.prec)
-        if key not in self._kernels:
-            self._kernels[key] = self.sc.affine_ratios(ratios())
-        return self._kernels[key]
 
     def _row(self, head, kind: str, frame):
         """The backend's cofactor_row of the head columns at the frame: row(p) is detPoly of
@@ -272,23 +258,29 @@ class Builder:
         value vanishes, and the interpolator of their fit nodes.
 
         The class salts the nodes, and each node is made once per builder: every
-        extraction of the class shares it, whatever its degree or index set.
+        extraction of the class shares it, whatever its degree or index set.  A node set
+        keeps its interpolator, or that it vanishes, per working precision.
         """
         sc, cache = self.sc, self._node_cache
         cls = (R, tuple(sorted(kinds)), tuple(ref_cols))
         for attempt in range(ROTATIONS):
             ids, node = sc.extraction_nodes(self.fam, self.lam, fit,
                                             f"{cls}|{self.lam.digest()}", attempt)
-            new = [k for k in ids if (cls, attempt, k) not in cache]
-            if new:
-                us, etas = map(list, zip(*map(node, new)))
-                for k, u, eta, fr in zip(new, us, etas, self.frames(us, R, kinds)):
-                    rows = {}
-                    cache[cls, attempt, k] = _Node(u, eta, fr,
-                                                   self._kept_value(ref_cols, fr, rows), rows)
-            nodes = [cache[cls, attempt, k] for k in ids]
-            if not _vanishing(sc, [nd.ref for nd in nodes], self.bits):
-                return nodes, sc.interpolator([nd.eta for nd in nodes[:len(ids) - HELD_OUT]])
+            key = (cls, attempt, len(ids), mp.mp.prec)
+            if key not in self._node_sets:
+                new = [k for k in ids if (cls, attempt, k) not in cache]
+                if new:
+                    us, etas = map(list, zip(*map(node, new)))
+                    for k, u, eta, fr in zip(new, us, etas, self.frames(us, R, kinds)):
+                        rows = {}
+                        cache[cls, attempt, k] = _Node(u, eta, fr,
+                                                       self._kept_value(ref_cols, fr, rows), rows)
+                nodes = [cache[cls, attempt, k] for k in ids]
+                ok = not _vanishing(sc, [nd.ref for nd in nodes], self.bits)
+                self._node_sets[key] = ok and (nodes, sc.interpolator(
+                    [nd.eta for nd in nodes[:len(ids) - HELD_OUT]]))
+            if self._node_sets[key]:
+                return self._node_sets[key]
         raise DegenerateIndexSet(f"reference Casoratian vanished at {ROTATIONS} node rotations")
 
     def _residual_gate(self, what: str, rows, deg: int, height) -> None:
@@ -452,93 +444,41 @@ def shifted_params(lam: ParamSet, D: IndexSet) -> ParamSet:
 # -- deformed operator -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HtildeFrame:
-    """What H~_D needs at one point x, computed once and shared by every p.
-
-    eta at x, x -+ i gamma (eta_m, eta_p) and x -+ i gamma/2 (eta_mh, eta_ph); Xi_D at
-    x -+ i gamma/2 (xi_mh, xi_ph); and the weights of (H~_D p)(x) = w_m p(eta_m) +
-    w_p p(eta_p) + w_0 p(eta): w_m = V xi_ph / xi_mh, w_p = V* xi_mh / xi_ph, with V and V*
-    at lambda_D, and w_0 = -(w_m r_m + w_p r_p), r_-+ = Xi_D(lambda+delta) at x -+ i gamma
-    over its value at x.
-    """
-
-    eta: object
-    eta_m: object
-    eta_p: object
-    eta_mh: object
-    eta_ph: object
-    xi_mh: object
-    xi_ph: object
-    w_m: object
-    w_p: object
-    w_0: object
-
-    @property
-    def stencil(self):
-        """The (point, weight) pairs of H~_D at the frame, eta's first."""
-        return (self.eta, self.w_0), (self.eta_m, self.w_m), (self.eta_p, self.w_p)
-
-
-def _xi_half(bundle: "MiopBundle", eta_mh, eta_ph):
-    """Xi_D at x -+ i gamma/2 from their etas; PoleAtSample when it nearly vanishes at
-    either point."""
-    mag = bundle.lam.scalars.magnitude
-    xi_mh, xi_ph = bundle.xi(eta_mh), bundle.xi(eta_ph)
-    if min(mag(xi_mh), mag(xi_ph)) < bundle.pole_bounds[0]:
-        raise PoleAtSample("Xi_D vanished near sample point")
-    return xi_mh, xi_ph
-
-
-def xi_half_shifts(bundle: "MiopBundle", u):
-    """eta and Xi_D at x -+ i gamma/2 of the sample argument u: (eta_mh, eta_ph, xi_mh,
-    xi_ph); PoleAtSample when Xi_D nearly vanishes at either point."""
-    lam = bundle.lam
-    fam = lam.fam
-    eta_mh, eta_ph = (fam.eta_at(fam.shift_arg(u, t, lam), lam) for t in (-HALF, HALF))
-    return (eta_mh, eta_ph, *_xi_half(bundle, eta_mh, eta_ph))
-
-
 # the shifts t of x + i t gamma whose etas an H~_D frame takes, x itself first
 FRAME_SHIFTS = (0, -1, 1, -HALF, HALF)
 
 
-def htilde_frame(builder: Builder, bundle: "MiopBundle", u) -> HtildeFrame:
+def htilde_frame(bundle: "MiopBundle", u):
     """The frame of H~_D (bundle) at the sample argument u; PoleAtSample near a pole.
 
-    The etas come from one affine kernel per builder and working precision, V and V* from
-    one per lambda_D as well, on the backend's arithmetic."""
-    fam, lam, a_D = builder.fam, builder.lam, bundle.lam_D.a
-    etas = builder._kernel(("htilde",), lambda: [
-        _shifted(fam, fam.eta_factors(lam), fam.shift_step(t, lam)) for t in FRAME_SHIFTS])
-    potentials = builder._kernel(("V", a_D), lambda: [
-        fam.v_factors(a_D, lam), fam.v_star_factors(a_D, lam)])
-    eta, eta_m, eta_p, eta_mh, eta_ph = etas(u)
-    v, vs = potentials(u)
-    xi_mh, xi_ph = _xi_half(bundle, eta_mh, eta_ph)
-    xi0 = bundle.xi_shift(eta)
-    if builder.sc.magnitude(xi0) < bundle.pole_bounds[1]:
+    The bundle's backend htilde_frames kernel, one per working precision, takes the etas
+    at FRAME_SHIFTS and V, V* at lambda_D as affine ratios.  A frame keeps its values as
+    the backend does and reads as scalars by name (eta, eta_m, ..., w_0)."""
+    kernel = bundle.frame_kernels.get(mp.mp.prec)
+    if kernel is None:
+        lam, a_D = bundle.lam, bundle.lam_D.a
+        fam = lam.fam
+        ratios = [_shifted(fam, fam.eta_factors(lam), fam.shift_step(t, lam))
+                  for t in FRAME_SHIFTS]
+        kernel = bundle.frame_kernels[mp.mp.prec] = lam.scalars.htilde_frames(
+            ratios + [fam.v_factors(a_D, lam), fam.v_star_factors(a_D, lam)],
+            bundle.xi, bundle.xi_shift, bundle.pole_bounds)
+    fr = kernel(u)
+    if fr is None:
         raise PoleAtSample("Xi_D vanished near sample point")
-    w_m, w_p = v * xi_ph / xi_mh, vs * xi_mh / xi_ph
-    w_0 = -(w_m * bundle.xi_shift(eta_m) + w_p * bundle.xi_shift(eta_p)) / xi0
-    return HtildeFrame(eta, eta_m, eta_p, eta_mh, eta_ph, xi_mh, xi_ph, w_m, w_p, w_0)
+    return fr
 
 
-def apply_htilde(fr: HtildeFrame, p: Poly, pu=None):
+def apply_htilde(fr, p: Poly, pu=None):
     """(H~_D p-check)(x) at the frame's point; pu is p(fr.eta), if already evaluated."""
-    if pu is None:
-        pu = p(fr.eta)
-    return fr.w_m * p(fr.eta_m) + fr.w_p * p(fr.eta_p) + fr.w_0 * pu
+    return fr.apply(p, pu)
 
 
 def eigen_residual(frames, pairs, sc) -> mp.mpf:
     """The worst |H~_D p - E p| / (|H~_D p| + |E p| + 1) over the frames and the (p, E)
-    pairs, at each frame's eta: one residual kernel of the backend per frame."""
-    worst = mp.mpf(0)
-    for fr in frames:
-        residual = sc.stencil_residual(fr.stencil)
-        worst = max([worst] + [residual(p, E) for p, E in pairs])
-    return worst
+    pairs, at each frame's eta: one residual kernel of the backend for them all."""
+    residual = sc.stencil_residual(pairs)
+    return max([mp.mpf(0)] + [residual(fr) for fr in frames])
 
 
 # -- bundles and gates ----------------------------------------------------------------
@@ -557,6 +497,8 @@ class MiopBundle:
     lam_D: ParamSet
     pole_bounds: tuple      # |Xi_D|, |Xi_D(lambda+delta)| below these: a pole (htilde_frame)
     gates: dict = field(default_factory=dict)
+    # mp.mp.prec -> the backend's htilde_frames kernel; a replace() starts afresh
+    frame_kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def build_miop(lam: ParamSet, D: IndexSet, n_max: int = 8, bits: int = 256,
@@ -582,7 +524,7 @@ def build_miop(lam: ParamSet, D: IndexSet, n_max: int = 8, bits: int = 256,
             if len(frames) >= GATE_SAMPLES:
                 break
             try:
-                frames.append(htilde_frame(b, bundle, u))
+                frames.append(htilde_frame(bundle, u))
             except PoleAtSample:
                 continue
         if len(frames) < GATE_SAMPLES // 2:

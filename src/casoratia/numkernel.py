@@ -13,12 +13,14 @@ The hot loops of the float backend run on one number type, the Gaussian float:
 a Python int pair holding the real and imaginary parts, scaled by a power of
 two kept with the value, as ``mpmath.libmp`` does underneath each ``mpf``
 (Brent & Zimmermann, *Modern Computer Arithmetic*, ch. 3).  Horner's rule, the
-Laplace recursion behind the cofactor rows of a Casoratian frame (from the
-Horner values of the head columns to the detPoly value at any last column), the
-ratios of affine products that give the etas, potentials and row weights of a
-frame, and the residual of a difference-operator stencil all run on its
-product, sum and quotient.  Values convert from and to ``mpc`` only at the
-kernel boundary; the results are rounded to nearest at the ambient precision.
+Laplace recursion behind the cofactor rows of a Casoratian frame, the ratios of
+affine products that give the etas, potentials and row weights of the ladder
+and H~_D frames, the frames themselves and the residual of a difference-operator
+stencil run on its product, sum and quotient (gmul, gadd, gdiv, gdot), as does
+the zero grid of dortho.  A value is loaded once (gload) and stays a Gaussian
+float from kernel to kernel; it becomes an mpc (gstore, rounded to nearest at
+the ambient precision) only where a report prints it, and a gate compares a
+magnitude (gabs) or a squared one (gbelow).
 """
 
 from __future__ import annotations
@@ -90,12 +92,8 @@ def q_pochhammer(a, q, n: int):
 
 
 def _one_like(a):
-    if isinstance(a, (int, float, complex)):
-        return mp.mpc(1)
-    if isinstance(a, (mp.mpf, mp.mpc)):
-        return mp.mpc(1)
     # exact scalars: x/x would be unsafe for zero; use 0*a + 1 via operator overloads
-    return a * 0 + 1
+    return mp.mpc(1) if isinstance(a, (int, float, complex, mp.mpf, mp.mpc)) else a * 0 + 1
 
 
 _ZERO, _ONE, _I = mp.mpc(0), mp.mpc(1), mp.mpc(0, 1)
@@ -120,7 +118,7 @@ def _shift(m: int, sh: int) -> int:
 # None is an exact zero.  Each product and quotient is cut back to w bits, as an mpc
 # operation rounds to its precision; a sum is aligned to its larger exponent.
 
-def _load(z, w: int):
+def gload(z, w: int):
     """The Gaussian float of a finite complex z, its larger part w bits wide (z's bits
     past w cut off).  ValueError for an infinite or nan part: its mantissa is 0, and it
     must not pass for zero."""
@@ -135,7 +133,7 @@ def _load(z, w: int):
     return _shift(-mr if sr else mr, er - e), _shift(-mi if si else mi, ei - e), e
 
 
-def _store(z, prec: int):
+def gstore(z, prec: int):
     """The mpc of a Gaussian float, rounded to nearest at prec bits."""
     if z is None:
         return _ZERO
@@ -143,7 +141,7 @@ def _store(z, prec: int):
     return mp.make_mpc((from_man_exp(re, exp, prec, "n"), from_man_exp(im, exp, prec, "n")))
 
 
-def _gmul(a, b, w: int):
+def gmul(a, b, w: int):
     if a is None or b is None:
         return None
     (ar, ai, ae), (br, bi, be) = a, b
@@ -152,7 +150,7 @@ def _gmul(a, b, w: int):
     return (re >> s, im >> s, ae + be + s) if s > 0 else (re, im, ae + be)
 
 
-def _gadd(a, b):
+def gadd(a, b):
     if a is None or b is None:
         return b if a is None else a
     (ar, ai, ae), (br, bi, be) = a, b
@@ -161,11 +159,11 @@ def _gadd(a, b):
     return ar + (br >> ae - be), ai + (bi >> ae - be), ae
 
 
-def _gneg(a):
+def gneg(a):
     return None if a is None else (-a[0], -a[1], a[2])
 
 
-def _gdiv(a, b, w: int):
+def gdiv(a, b, w: int):
     if b is None:
         raise ZeroDivisionError("division by zero in a fixed-point kernel")
     if a is None:
@@ -180,18 +178,32 @@ def _gproduct(factors, x, w: int):
     """prod (c0 + c1 x) over the loaded affine factors (c0, c1) at the loaded point x."""
     out = (1 << w, 0, -w)   # one, for an empty product
     for k, (c0, c1) in enumerate(factors):
-        f = _gadd(c0, _gmul(c1, x, w))
-        out = _gmul(out, f, w) if k else f
+        f = gadd(c0, gmul(c1, x, w))
+        out = gmul(out, f, w) if k else f
     return out
 
 
-def _gabs(z, e: int) -> int:
-    """|z| in units of 2^e (z's parts shifted there), by integer square root."""
+def gabs(z) -> mp.mpf:
+    """|z| of a Gaussian float as an mpf at the ambient precision, by integer square root."""
     if z is None:
-        return 0
-    re, im, ze = z
-    re, im = _shift(re, ze - e), _shift(im, ze - e)
-    return isqrt(re * re + im * im)
+        return mp.mpf(0)
+    re, im, e = z
+    return mp.make_mpf(from_man_exp(isqrt(re * re + im * im), e, mp.mp.prec, "n"))
+
+
+def gbelow(z, bound) -> bool:
+    """Whether |z| < bound, for a Gaussian float z and an mpf bound >= 0: exactly, on squares."""
+    _, man, exp, _ = bound._mpf_
+    n, d = (0, 0) if z is None else (z[0] * z[0] + z[1] * z[1], 2 * (z[2] - exp))
+    return n << d < man * man if d >= 0 else n < (man * man) << -d
+
+
+def gdot(xs, ys, w: int):
+    """sum_k xs[k] ys[k] over Gaussian floats, each product cut back to w bits."""
+    s = None
+    for x, y in zip(xs, ys):
+        s = gadd(s, gmul(x, y, w))
+    return s
 
 
 def _quarter_turn(z, turns: int):
@@ -228,12 +240,12 @@ def _gcofactors(block, w: int) -> list:
         for rows, terms in step:
             s = None
             for r, sub, negate in terms:
-                t = _gmul(block[r][k], minors[sub], w)
-                s = _gadd(s, _gneg(t) if negate else t)
+                t = gmul(block[r][k], minors[sub], w)
+                s = gadd(s, gneg(t) if negate else t)
             grown[rows] = s
         minors = grown
     full = (1 << n) - 1
-    return [_gneg(minors[full - (1 << j)]) if (n - 1 - j) % 2 else minors[full - (1 << j)]
+    return [gneg(minors[full - (1 << j)]) if (n - 1 - j) % 2 else minors[full - (1 << j)]
             for j in range(n)]
 
 
@@ -255,16 +267,16 @@ class _Horner:
     def __call__(self, v):
         prec = mp.mp.prec
         w = prec + GUARD_BITS
-        return _store(self.fixed(_load(v, w), w), prec)
+        return gstore(self.fixed(gload(v, w), w), prec)
 
     def fixed(self, x, w: int):
         """The Gaussian float of the value at the loaded point x, at w bits."""
         if self.loaded is None or self.loaded[0] != w:
-            self.loaded = w, [_load(c, w) for c in reversed(self.coeffs)]
+            self.loaded = w, [gload(c, w) for c in reversed(self.coeffs)]
         cs = iter(self.loaded[1])
         acc = next(cs)
         for c in cs:
-            acc = _gadd(_gmul(acc, x, w), c)
+            acc = gadd(gmul(acc, x, w), c)
         return acc
 
 
@@ -277,10 +289,56 @@ class _Row(NamedTuple):
 
     def __call__(self, p):
         prec = mp.mp.prec
-        w, ev, s = prec + GUARD_BITS, p.evaluator(), None
-        for c, x in zip(self.cs, self.xs):
-            s = _gadd(s, _gmul(c, ev.fixed(x, w), w))
-        return _store(s, prec)
+        w, ev = prec + GUARD_BITS, p.evaluator()
+        return gstore(gdot(self.cs, [ev.fixed(x, w) for x in self.xs], w), prec)
+
+
+class _Affine:
+    """The evaluator of MPScalars.affine_ratios, its constants loaded at w bits: a call
+    gives the values as mpc, fixed as Gaussian floats at a loaded point."""
+
+    __slots__ = ("loaded", "w")
+
+    def __init__(self, ratios, w: int):
+        self.loaded = [[[(gload(c0, w), gload(c1, w)) for c0, c1 in fs] for fs in ratio]
+                       for ratio in ratios]
+        self.w = w
+
+    def __call__(self, u):
+        return [gstore(z, self.w - GUARD_BITS) for z in self.fixed(gload(u, self.w))]
+
+    def fixed(self, x):
+        w, out = self.w, []
+        for num, den in self.loaded:
+            z = _gproduct(num, x, w)
+            out.append(gdiv(z, _gproduct(den, x, w), w) if den else z)
+        return out
+
+
+def _stored(part: int, k: int):
+    return property(lambda fr: gstore(fr[part][k], mp.mp.prec))
+
+
+class _Frame(NamedTuple):
+    """An H~_D frame of MPScalars.htilde_frames in Gaussian floats: xs, the etas at x and
+    x -+ i gamma, and ws the weights of (H~_D p)(x) = w_0 p(eta) + w_m p(eta_m) + w_p p(eta_p);
+    half, the etas at x -+ i gamma/2 and Xi_D there; each reads as an mpc by the names of
+    exact._Frame."""
+
+    xs: tuple
+    ws: tuple
+    half: tuple
+
+    eta, eta_m, eta_p = (_stored(0, k) for k in range(3))
+    w_0, w_m, w_p = (_stored(1, k) for k in range(3))
+    eta_mh, eta_ph, xi_mh, xi_ph = (_stored(2, k) for k in range(4))
+
+    def apply(self, p, pu=None):
+        """(H~_D p)(x) as an mpc, in Gaussian floats; pu is p(eta), if already evaluated."""
+        w, ev = mp.mp.prec + GUARD_BITS, p.evaluator()
+        vals = [ev.fixed(x, w) for x in self.xs[1:]]
+        vals.insert(0, ev.fixed(self.xs[0], w) if pu is None else gload(pu, w))
+        return gstore(gdot(self.ws, vals, w), mp.mp.prec)
 
 
 class MPScalars:
@@ -290,11 +348,11 @@ class MPScalars:
     ``exact.ExactScalars`` answer the questions on which the construction
     differs between them: sample points and extraction nodes, interpolation,
     q**t, Horner evaluation, the Casoratian cofactor rows, ratios of affine
-    products, stencil residuals, and the absolute value ``magnitude``.  The
-    pivot choice and every gate are written once on ``magnitude``, in polycore
-    and miop.  Here ``magnitude`` is ``abs`` and the four kernels run on
-    Gaussian floats.  The backend holds no precision of its own: every value is
-    made at the ambient one (``workbits``).
+    products, the ladder and H~_D frames, stencil residuals, and the absolute
+    value ``magnitude``.  The pivot choice and every gate are written once on
+    ``magnitude``, in polycore and miop.  Here ``magnitude`` is ``abs`` and the
+    kernels run on Gaussian floats.  The backend holds no precision of its own:
+    every value is made at the ambient one (``workbits``).
     """
 
     name = "float"
@@ -364,7 +422,7 @@ class MPScalars:
             else:
                 radius, turn = HELD_RADIUS, Fraction(2 * ~k + 1, 2 * HELD_OUT)
             eta = radius * mp.expjpi(2 * theta + mp.mpf(2 * turn.numerator) / turn.denominator)
-            return fam.arg_of_x(fam.recover_x(eta)), eta
+            return fam.arg_of_eta(eta), eta
         return list(range(1 << (fit - 1).bit_length())) + [~j for j in range(HELD_OUT)], node
 
     @staticmethod
@@ -407,63 +465,71 @@ class MPScalars:
     def affine_ratios(ratios):
         """The evaluator u -> [prod_num (c0 + c1 u) / prod_den (c0 + c1 u) for (num, den) in
         ratios], num and den lists of affine factors (c0, c1), in Gaussian floats, at
-        the precision current here.
+        the precision current here (_Affine).
 
-        The constants are converted once, each factor object once, to w = mp.mp.prec +
-        GUARD_BITS bits; each factor and each partial product is a Gaussian float of w
-        bits, so every value is within a small multiple of 2^-w per factor of the mpc
-        formula, relative to the product of max(|c0|, |c1 u|) over its factors.
+        The constants are converted once, to w = mp.mp.prec + GUARD_BITS bits; each factor
+        and each partial product is a Gaussian float of w bits, so every value is within a
+        small multiple of 2^-w per factor of the mpc formula, relative to the product of
+        max(|c0|, |c1 u|) over its factors.
         """
-        prec = mp.mp.prec
-        w = prec + GUARD_BITS
-        made = {}
-
-        def load(f):
-            if id(f) not in made:
-                made[id(f)] = tuple(_load(c, w) for c in f)
-            return made[id(f)]
-        loaded = [[list(map(load, fs)) for fs in ratio] for ratio in ratios]
-
-        def value(u):
-            x = _load(u, w)
-            out = []
-            for num, den in loaded:
-                z = _gproduct(num, x, w)
-                out.append(_store(_gdiv(z, _gproduct(den, x, w), w) if den else z, prec))
-            return out
-        return value
+        return _Affine(ratios, mp.mp.prec + GUARD_BITS)
 
     @staticmethod
-    def stencil_residual(stencil):
-        """The evaluator (p, E) -> |s - E p(x_0)| / (|s| + |E p(x_0)| + 1), s = sum_k w_k p(x_k)
-        over the stencil's (x_k, w_k), for a Poly p, in Gaussian floats.
+    def ladder_frames(eta_ratios, weight_ratios):
+        """The evaluator u -> (etas, {kind: row weights}) of a ladder frame in Gaussian floats,
+        as cofactor_row takes them: the etas of eta_ratios and, per kind, the running
+        products 1, f_1, f_1 f_2, ... of the affine ratios weight_ratios[kind] (_Affine)."""
+        w = mp.mp.prec + GUARD_BITS
+        etas, one = _Affine(eta_ratios, w), gload(1, w)
+        kinds = {k: _Affine(r, w) for k, r in weight_ratios.items()}
 
-        The points and weights are converted once, at the precision current here.  p is
-        taken at each x_k by the Horner kernel (_Horner.fixed), every product is a Gaussian
-        float of mp.mp.prec + GUARD_BITS bits, and the three magnitudes are integer square
-        roots at one exponent; only the residual becomes an mpf.
-        """
-        prec = mp.mp.prec
-        w = prec + GUARD_BITS
-        xs = [_load(x, w) for x, _ in stencil]
-        ws = [_load(c, w) for _, c in stencil]
+        def frame(u):
+            x, cum = gload(u, w), {}
+            for k, factors in kinds.items():
+                c = cum[k] = [one]
+                for f in factors.fixed(x):
+                    c.append(gmul(c[-1], f, w))
+            return etas.fixed(x), cum
+        return frame
 
-        def residual(p, E):
-            ev = p.evaluator()
-            vals = [ev.fixed(x, w) for x in xs]
-            s = None
-            for c, v in zip(ws, vals):
-                s = _gadd(s, _gmul(c, v, w))
-            ref = _gmul(_load(E, w), vals[0], w)
-            d = _gadd(s, _gneg(ref))
-            if d is None:
-                return mp.mpf(0)
-            e = max(z[2] + max(z[0].bit_length(), z[1].bit_length())
-                    for z in (s, ref) if z is not None) - w
-            den = _gabs(s, e) + _gabs(ref, e) + (1 << -e if e < 0 else 1)
-            num = _gabs(d, e)
-            k = prec + den.bit_length() - num.bit_length() + 2
-            return mp.make_mpf(from_man_exp(_shift(num, k) // den, -k, prec, "n"))
+    @staticmethod
+    def htilde_frames(ratios, xi, xi_shift, bounds):
+        """The evaluator u -> the H~_D frame at the sample argument u (_Frame), or None near a
+        pole, in Gaussian floats of mp.mp.prec + GUARD_BITS bits as current here: from the
+        affine ratios of eta at x, x -+ i gamma, x -+ i gamma/2 and of V, V* at lambda_D (u
+        loaded once), w_m = V xi_ph / xi_mh and w_p = V* xi_mh / xi_ph, Xi_D = xi at the
+        half shifts, and w_0 = -(w_m r_m + w_p r_p), r_-+ = xi_shift (Xi_D at lambda +
+        delta) at x -+ i gamma over its value at x.  A pole is |Xi_D| below bounds[0] at a
+        half shift or |xi_shift| below bounds[1] at x, decided on squares (gbelow)."""
+        w = mp.mp.prec + GUARD_BITS
+        affine, ev, evs = _Affine(ratios, w), xi.evaluator(), xi_shift.evaluator()
+
+        def frame(u):
+            x0, xm, xp, xmh, xph, v, vs = affine.fixed(gload(u, w))
+            xi_mh, xi_ph, xi0 = ev.fixed(xmh, w), ev.fixed(xph, w), evs.fixed(x0, w)
+            if gbelow(xi_mh, bounds[0]) or gbelow(xi_ph, bounds[0]) or gbelow(xi0, bounds[1]):
+                return None
+            wm, wp = gdiv(gmul(v, xi_ph, w), xi_mh, w), gdiv(gmul(vs, xi_mh, w), xi_ph, w)
+            w0 = gneg(gdiv(gdot((wm, wp), (evs.fixed(xm, w), evs.fixed(xp, w)), w), xi0, w))
+            return _Frame((x0, xm, xp), (w0, wm, wp), (xmh, xph, xi_mh, xi_ph))
+        return frame
+
+    @staticmethod
+    def stencil_residual(pairs):
+        """The evaluator frame -> the worst |s - E p(x_0)| / (|s| + |E p(x_0)| + 1), s = sum_k
+        w_k p(x_k), over the (Poly p, E) pairs at an H~_D frame's points x_k and weights w_k
+        (_Frame), in Gaussian floats of mp.mp.prec + GUARD_BITS bits as current here: each
+        E loaded once, p(x_k) by _Horner.fixed; only the three magnitudes become mpf."""
+        w = mp.mp.prec + GUARD_BITS
+        loaded = [(p.evaluator(), gload(E, w)) for p, E in pairs]
+
+        def residual(fr):
+            worst = mp.mpf(0)
+            for ev, E in loaded:
+                vals = [ev.fixed(x, w) for x in fr.xs]
+                s, ref = gdot(fr.ws, vals, w), gmul(E, vals[0], w)
+                worst = max(worst, gabs(gadd(s, gneg(ref))) / (gabs(s) + gabs(ref) + 1))
+            return worst
         return residual
 
     @staticmethod
@@ -471,7 +537,7 @@ class MPScalars:
         """The evaluator p -> detPoly at the frame of etas with the head columns and p as the
         last column: i^turns det[w_j p_k(eta_j) | v_j p(eta_j)], head the (Poly p_k, row
         weights w) of each head column and v the last column's row weights, in Gaussian
-        floats.
+        floats: the etas and weights are a ladder frame's (ladder_frames), used as loaded.
 
         Each head entry is the Horner kernel's value at eta_j (_Horner.fixed) times its
         weight; their cofactors come from the Laplace recursion (_gcofactors), the phase
@@ -480,9 +546,8 @@ class MPScalars:
         precision and rounds once, to nearest.
         """
         w = mp.mp.prec + GUARD_BITS
-        xs = tuple(_load(x, w) for x in etas)
-        cols = [(p.evaluator(), [_load(x, w) for x in ws]) for p, ws in head]
-        block = [[_gmul(ev.fixed(x, w), ws[j], w) for ev, ws in cols] for j, x in enumerate(xs)]
-        cs = [_gmul(_quarter_turn(c, turns), _load(v, w), w)
+        cols = [(p.evaluator(), ws) for p, ws in head]
+        block = [[gmul(ev.fixed(x, w), ws[j], w) for ev, ws in cols] for j, x in enumerate(etas)]
+        cs = [gmul(_quarter_turn(c, turns), v, w)
               for c, v in zip(_gcofactors(block, w), last_weights)]
-        return _Row(tuple(cs), xs)
+        return _Row(tuple(cs), tuple(etas))

@@ -65,7 +65,7 @@ def _eigen_residual_at(bun, samples):
         if len(frames) >= samples:
             break
         try:
-            frames.append(htilde_frame(b, bun, u))
+            frames.append(htilde_frame(bun, u))
         except PoleAtSample:
             continue
     assert len(frames) >= samples // 2

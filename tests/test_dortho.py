@@ -15,9 +15,10 @@ from casoratia.dortho import (PaBasis, build_M, build_pa_basis, compute_F, deriv
 from casoratia.families import FAMILIES, draw_params
 from casoratia.identities import classical_discrete_ortho
 from casoratia.miop import IndexSet, build_miop, get_builder, htilde_frame
-from casoratia.numkernel import workbits
+from casoratia.numkernel import GUARD_BITS, gload, gstore, workbits
 from casoratia.polycore import Poly
 from casoratia.zeros import find_zeros
+import zero_grid_oracle as oracle
 
 HALF = Fraction(1, 2)
 
@@ -77,8 +78,8 @@ def test_f_weight_parity_and_conjugation():
                 assert abs(a - b) <= mp.mpf(2) ** -180 * (abs(a) + 1)
             # conjugate zeros carry conjugate weights in physical mode
             zs = find_zeros(bun.P[N], 256, fam)
-            bld = get_builder(lam)
-            F, _ = compute_F(bun, [htilde_frame(bld, bun, fam.arg_of_x(x)) for x in zs.x])
+            F = [gstore(f, mp.mp.prec) for f in
+                 compute_F(bun, [htilde_frame(bun, fam.arg_of_eta(e)) for e in zs.eta])[0]]
             for j, ej in enumerate(zs.eta):
                 tgt = mp.conj(ej)
                 jbar = min(range(len(zs.eta)), key=lambda k: abs(zs.eta[k] - tgt))
@@ -170,8 +171,8 @@ def test_naive_weight_vanishes_at_n2():
 
 
 def test_htilde_formula_has_one_home():
-    """dortho and identities._chain_pairs take shifts, V and Xi_D values from miop.htilde_frame,
-    and identities.psi_d_squared its Xi_D half shifts from miop.xi_half_shifts."""
+    """dortho, identities._chain_pairs and identities.psi_d_squared take shifts, V and Xi_D
+    values from miop.htilde_frame."""
     root = pathlib.Path(casoratia.__file__).parent
     banned = {"shift_arg", "eta_at", "v_at", "v_star_at"}
 
@@ -200,8 +201,7 @@ def test_pa_defect_fires_on_a_perturbed_entry(tag):
         bun = build_miop(lam, D, N)
         zs = find_zeros(bun.P[N], 256, lam.fam)
         basis = build_pa_basis(lam, D, N)
-        b = get_builder(lam)
-        frames = [htilde_frame(b, bun, lam.fam.arg_of_x(x)) for x in zs.x]
+        frames = [htilde_frame(bun, lam.fam.arg_of_eta(e)) for e in zs.eta]
         assert pa_difference_equation_defect(basis, frames) <= mp.mpf(2) ** -128
         *rest, last = basis.entries
         cs = list(last.poly.coeffs)
@@ -220,13 +220,13 @@ def test_sqrt_branch_of_M_ignores_the_sign_of_noise():
         D, N = IndexSet.make([(1, "I")]), 2
         bun = build_miop(lam, D, N)
         zs = find_zeros(bun.P[N], 256, lam.fam)
-        b = get_builder(lam)
-        frames = [htilde_frame(b, bun, lam.fam.arg_of_x(x)) for x in zs.x]
+        frames = [htilde_frame(bun, lam.fam.arg_of_eta(e)) for e in zs.eta]
         F, _ = compute_F(bun, frames)
         Ms = []
         for sign in (1, -1):
-            F[1] = mp.mpc(-256, sign * mp.mpf(2) ** -270)
-            Ms.append(build_M(lam, D, zs, frames, F)[1])
+            F[1] = gload(mp.mpc(-256, sign * mp.mpf(2) ** -270), mp.mp.prec + GUARD_BITS)
+            Ms.append([[gstore(m, mp.mp.prec) for m in row]
+                       for row in build_M(lam, D, zs, frames, F)[1]])
         plus, minus = Ms
         scale = max(abs(m) for row in plus for m in row)
         assert max(abs(p - m) for rp, rm in zip(plus, minus) for p, m in zip(rp, rm)) \
@@ -265,3 +265,52 @@ def test_pa_basis_owns_its_precision(monkeypatch):
             bases.append(build_pa_basis(lam, D, 3, 256))
     low, high = ([(e.poly.coeffs, e.energy) for e in basis.entries] for basis in bases)
     assert low == high
+
+
+# one deep-size instance per family: M = 3, deg P_{D,N} = 10-12 (the benchmark's deep sets)
+DEEP_SETS = {"ch": ("generic", [(1, "I"), (2, "I"), (3, "II")], 5),
+             "w": ("physical", [(1, "I"), (3, "I"), (2, "II")], 5),
+             "aw": ("generic", [(1, "I"), (2, "I"), (1, "II")], 5)}
+
+
+def _close(got, want, tol):
+    """|got - want| <= tol max |want|, entry by entry over flat lists."""
+    scale = max(abs(x) for x in want)
+    return all(abs(g - x) <= tol * scale for g, x in zip(got, want))
+
+
+@pytest.mark.parametrize("tag", ["ch", "w", "aw"])
+def test_zero_grid_matches_the_mpc_oracle(tag):
+    """The Gaussian-float zero grid of verify_orthogonality agrees with the mpc formulas of
+    tests/zero_grid_oracle.py to 2^-(bits-16) on a deep-size instance per family: each
+    frame's etas and weights and each F_j relative to themselves, M-tilde and M relative to
+    their largest entry, the f_cross_form gap and the eigen residuals (already relative)
+    absolutely, and each Gram entry relative to sqrt(|G_aa| |G_bb|)."""
+    mode, pairs, N = DEEP_SETS[tag]
+    bits = 256
+    tol = mp.mpf(2) ** (16 - bits)
+    lam = draw_params(tag, mode, seed=1)
+    rep = verify_orthogonality(lam, IndexSet.make(pairs), N, bits)
+    bun, zs, basis = rep.extras["bundle"], rep.extras["zeros"], rep.extras["basis"]
+    assert zs.eta and len(zs.eta) >= 10
+    with workbits(bits + 32):
+        us = [lam.fam.arg_of_eta(e) for e in zs.eta]
+        frames = [oracle.htilde_frame(bun, u) for u in us]
+        for want, got in zip(frames, (htilde_frame(bun, u) for u in us)):
+            for name in ("eta", "eta_m", "eta_p", "eta_mh", "eta_ph", "xi_mh", "xi_ph",
+                         "w_m", "w_p", "w_0"):
+                assert _close([getattr(got, name)], [getattr(want, name)], tol), name
+        F, cross = oracle.compute_F(bun, frames)
+        assert all(_close([g], [f], tol) for g, f in zip(rep.F, F))
+        assert abs(rep.f_cross_defect - cross) <= tol
+        Mt, M = oracle.build_M(zs.eta, frames, F)
+        for got, want in ((rep.extras["Mtilde"], Mt), (rep.extras["M"], M)):
+            assert _close([x for row in got for x in row], [x for row in want for x in row], tol)
+        eig = oracle.eigen_residuals(Mt, basis, zs.eta, bun.P[N])
+        assert all(abs(g - e) <= tol for g, e in zip(rep.eigen_residuals, eig))
+        dP = bun.P[N].derivative()
+        vals = [[e.poly(z) for z in zs.eta] for e in basis.entries]
+        G = oracle.zero_grid_gram([1 / f for f in F], vals, [dP(z) for z in zs.eta])
+        for a, row in enumerate(G):
+            for b, want in enumerate(row):
+                assert abs(rep.gram[a][b] - want) <= tol * mp.sqrt(abs(G[a][a] * G[b][b]))

@@ -13,8 +13,8 @@ from casoratia.miop import (Builder, DegenerateIndexSet, IndexSet, PoleAtSample,
                             PrefactorResidue, apply_htilde, build_miop, eigen_residual,
                             delta_tilde, ell_degree, get_builder, hermiticity_check,
                             h_ratio, htilde_frame, shifted_params)
-from casoratia.numkernel import HELD_OUT, mpc_parts, workbits
-from casoratia.polycore import Poly, det_dense, lstsq_dense
+from casoratia.numkernel import HELD_OUT, gstore, mpc_parts, workbits
+from casoratia.polycore import Poly, det_dense, ladder_points, lstsq_dense
 
 TAGS = ["ch", "w", "aw"]
 
@@ -130,12 +130,11 @@ def test_apply_htilde_on_constants_and_linearity():
     with workbits(256):
         lam = draw_params("aw", "physical", seed=3)
         sc = lam.scalars
-        b = get_builder(lam)
         D = IndexSet.make([])
         bun = build_miop(lam, D, 1, check=False)
         one = Poly([sc.one], sc)
         u = FAMILIES["aw"].sample_args(3, lam, "lin")[1]
-        fr = htilde_frame(b, bun, u)
+        fr = htilde_frame(bun, u)
         assert abs(apply_htilde(fr, one)) <= mp.mpf(2) ** -180
         p = bun.P[1]
         r = Poly([sc.from_int(2), sc.one, sc.one], sc)
@@ -187,7 +186,7 @@ def test_delta_tilde_table_rederived(tag, vtype):
                 vec = _shift_in_pattern(tag, u, w)
                 shifted = replace(bun, lam_D=fam.apply_shift_vec(lam, vec))
                 try:
-                    worst = max(eigen_residual([htilde_frame(b, shifted, x)
+                    worst = max(eigen_residual([htilde_frame(shifted, x)
                                                 for x in fam.sample_args(5, lam, f"dt|{n}")],
                                                [(p, fam.energy(n, lam))], b.sc)
                                 for n, p in bun.P.items())
@@ -296,31 +295,44 @@ def test_verify_report_invariant_under_d_reordering():
             assert k1 == k2
 
 
+def _row_weight(lam, kind: str, xs):
+    """prod over the points xs of alpha N(x) for a column kind: N the numerator of V at the
+    kind's parameters, from the family's v_numer_at (alpha = 1 and lambda's a for P)."""
+    fam, sc = lam.fam, lam.scalars
+    a, alpha = ((lam.a, sc.one) if kind == "P"
+                else (fam.twist_a(kind, lam), fam.alpha(kind, lam)))
+    out = sc.one
+    for x in xs:
+        out = out * alpha * fam.v_numer_at(a, x, lam)
+    return out
+
+
 @pytest.mark.parametrize("backend", ["float", "exact"])
 def test_rows_match_det_values(backend):
     """The row of the head columns at p_n is detPoly with the P_n column, for every n, and
-    both agree with det_dense on the block [prod_{m<j} N_k(x_m) p_k(eta_j)] with the phase
-    i^(R(R-1)/2); exact on exact."""
+    both agree with det_dense on the block [prod_{m<j} alpha N_k(x_m) p_k(eta(x_j))] with the
+    phase i^(R(R-1)/2), made from the family's own eta_at, shift_arg and v_numer_at at the
+    ladder points x_j = x + i t_j gamma; exact on exact."""
     a_vals, _ = EXACT_PARAMS["w"]
     with workbits(256):
         lam = params_from_values("w", a_vals, mode="physical", backend=backend, bits=256)
+        fam, sc = lam.fam, lam.scalars
         b = Builder(lam)
-        us = lam.scalars.sample_args(lam.fam, 3, lam, "cofactors")
+        us = sc.sample_args(fam, 3, lam, "cofactors")
         for D in (IndexSet.make([(1, "I")]), IndexSet.make([(1, "I"), (2, "II")]),
                   IndexSet.make([(0, "I"), (2, "I"), (1, "II")])):
-            frames = b.frames(us, D.M + 1, {"I", "II", "P"})
-            rows = [b._row(miop._xi_cols(D), "P", fr) for fr in frames]
+            R = D.M + 1
+            rows = [b._row(miop._xi_cols(D), "P", fr) for fr in b.frames(us, R, {"I", "II", "P"})]
             for n in range(3):
-                base = b.col_poly("P", n)
                 cols = miop._p_cols(D, n)
                 want = b.det_values(cols, us)
-                phase = b.sc.i ** ((len(cols) * (len(cols) - 1)) // 2)
                 polys = [b.col_poly(k, d) for k, d in cols]
-                for (etas, cum), row, w in zip(frames, rows, want):
-                    got = row(base)
-                    block = [[cum[k][j] * p(eta) for p, (k, _) in zip(polys, cols)]
-                             for j, eta in enumerate(etas)]
-                    dense = det_dense(block, b.sc) * phase
+                for u, row, w in zip(us, rows, want):
+                    got = row(b.col_poly("P", n))
+                    xs = [fam.shift_arg(u, t, lam) for t in ladder_points(R)]
+                    block = [[_row_weight(lam, k, xs[:j]) * p(fam.eta_at(x, lam))
+                              for p, (k, _) in zip(polys, cols)] for j, x in enumerate(xs)]
+                    dense = det_dense(block, sc) * sc.i ** ((R * (R - 1)) // 2)
                     if backend == "exact":
                         assert got == w == dense
                     else:
@@ -427,8 +439,9 @@ def test_node_sets_nest():
 @pytest.mark.parametrize("backend", ["float", "exact"])
 def test_cached_nodes_match_fresh_frames(backend):
     """Every cached node's frame, reference value, rows and reference ratio are what a
-    fresh frames, det_values, _row and Xi_{D0} give at its sample arg, and its eta is the
-    node's: nothing in the cache is stale.  The rows hold the reference's, the
+    fresh frames, det_values, _row and Xi_{D0} give at its sample arg, its eta is the
+    node's, and its frame's etas are the family's eta at the ladder points x + i t gamma of
+    its sample arg: nothing in the cache is stale.  The rows hold the reference's, the
     extractions' and, at the nodes of the mixed class, the pairing bootstrap's D1's."""
     *d1_head, (d1_kind, _) = miop._xi_cols(miop._bumped_reference((1, 1)))
     with workbits(288):
@@ -443,6 +456,13 @@ def test_cached_nodes_match_fresh_frames(backend):
             R, kinds, ref_cols = cls
             (frame,) = b.frames([node.u], R, set(kinds))
             assert frame == node.frame
+            ladder = [lam.fam.eta_at(lam.fam.shift_arg(node.u, t, lam), lam)
+                      for t in ladder_points(R)]
+            if backend == "exact":
+                assert frame[0] == ladder
+            else:
+                assert all(abs(gstore(x, 288) - e) <= mp.mpf(2) ** -250 * max(1, abs(e))
+                           for x, e in zip(frame[0], ladder))
             assert b.det_values(list(ref_cols), [node.u]) == [node.ref]
             *head, (kind, _) = ref_cols
             assert (tuple(head), kind) in node.rows
@@ -649,9 +669,9 @@ def test_eigen_gate_builds_one_frame_set(monkeypatch):
     made = []
     frame = miop.htilde_frame
 
-    def counting(b, bundle, u):
+    def counting(bundle, u):
         try:
-            fr = frame(b, bundle, u)
+            fr = frame(bundle, u)
         except PoleAtSample:
             made.append(False)
             raise
@@ -741,10 +761,11 @@ def test_eigen_gate_fires_on_a_perturbed_coefficient(tag, monkeypatch):
 
 
 def test_frame_kernels_follow_the_working_precision():
-    """A builder makes its affine kernels, shift steps included, once per working
-    precision: after frames at 288 bits, its frames at 544 bits (a 512-bit escalation's
-    working precision) equal a fresh builder's, and the H~_D frame's eta at x + i gamma/2,
-    through AW's step q^(-1/2), is good to 2^-530 there."""
+    """A builder makes its ladder kernels, and a bundle its H~_D kernel, shift steps
+    included, once per working precision: after frames at 288 bits, the frames at 544 bits
+    (a 512-bit escalation's working precision) equal those of a fresh builder and bundle,
+    and their etas, through AW's steps q^(-t), are good to 2^-530 there: the H~_D frame's
+    at x + i gamma/2 and the ladder frame's at x + i t gamma, t = 1, 0, -1."""
     lam = draw_params("aw", "generic", 1)
     D = IndexSet.make([(1, "I")])
     with workbits(544):
@@ -752,13 +773,68 @@ def test_frame_kernels_follow_the_working_precision():
     u = lam.fam.sample_args(3, lam, "prec")[1]
     used = Builder(lam, 512)
     with workbits(288):
-        htilde_frame(used, bun, u)
+        htilde_frame(bun, u)
         used.frames([u], 3, {"I", "P"})
     with workbits(544):
         fresh = Builder(lam, 512)
-        assert htilde_frame(used, bun, u) == htilde_frame(fresh, bun, u)
+        assert htilde_frame(bun, u) == htilde_frame(replace(bun), u)
         assert used.frames([u], 3, {"I", "P"}) == fresh.frames([u], 3, {"I", "P"})
-        got = htilde_frame(used, bun, u).eta_ph
+        (etas, _), = used.frames([u], 3, {"I"})
+        got = [htilde_frame(bun, u).eta_ph] + [gstore(x, 544) for x in etas]
     with workbits(1100):
-        want = lam.fam.eta_at(u * mp.power(lam.q, mp.mpf(-1) / 2), lam)
-    assert abs(got - want) <= mp.mpf(2) ** -530 * max(1, abs(want))
+        want = [lam.fam.eta_at(u * mp.power(lam.q, t), lam) for t in (mp.mpf(-1) / 2, -1, 0, 1)]
+    for g, e in zip(got, want):
+        assert abs(g - e) <= mp.mpf(2) ** -530 * max(1, abs(e))
+
+
+def test_pole_tests_decide_on_each_side_of_the_bounds():
+    """htilde_frame raises PoleAtSample exactly when |Xi_D| at a half shift is below
+    pole_bounds[0], or |Xi_D(lambda + delta)| at x below pole_bounds[1]: with either bound
+    a relative 2^-200 above that magnitude at a sample point the point is a pole, and
+    2^-200 below it the frame is the one the drawn bounds give."""
+    with workbits(288):
+        lam = draw_params("w", "generic", seed=1)
+        bun = build_miop(lam, IndexSet.make([(1, "I"), (1, "II")]), 1, check=False)
+        u = lam.fam.sample_args(3, lam, "pole")[1]
+        fr = htilde_frame(bun, u)
+        mags = (min(abs(fr.xi_mh), abs(fr.xi_ph)), abs(bun.xi_shift(fr.eta)))
+        for k, m in enumerate(mags):
+            assert m > bun.pole_bounds[k]
+            for factor in (1 + mp.mpf(2) ** -200, 1 - mp.mpf(2) ** -200):
+                bounds = list(bun.pole_bounds)
+                bounds[k] = m * factor
+                moved = replace(bun, pole_bounds=tuple(bounds))
+                if factor > 1:
+                    with pytest.raises(PoleAtSample):
+                        htilde_frame(moved, u)
+                else:
+                    assert htilde_frame(moved, u) == fr
+
+
+def test_node_sets_keep_their_interpolator(monkeypatch):
+    """A node set keeps its interpolator and its vanishing verdict: over P_{D,0..3} of
+    {2^I}, which take fit node sets of K = 4, 4, 8 and 8, the backend's interpolator and
+    _vanishing run once per (class, rotation, node count), and every P_{D,n} equals, bit
+    for bit, that of a builder that forgets its node sets before each extraction."""
+    lam = draw_params("w", "generic", seed=4)
+    sc, calls = lam.scalars, {"interpolator": 0, "vanishing": 0}
+    interpolator, vanishing = sc.interpolator, miop._vanishing
+
+    def count(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(sc, "interpolator", count("interpolator", interpolator))
+    monkeypatch.setattr(miop, "_vanishing", count("vanishing", vanishing))
+    D = IndexSet.make([(2, "I")])
+    b, forgetful = Builder(lam), Builder(lam)
+    got = [b.P(D, n).coeffs for n in range(4)]
+    assert calls == {"interpolator": len(b._node_sets), "vanishing": len(b._node_sets)}
+    assert sorted(key[2] for key in b._node_sets) == [4 + HELD_OUT, 8 + HELD_OUT]
+    want = []
+    for n in range(4):
+        forgetful._node_sets.clear()
+        want.append(forgetful.P(D, n).coeffs)
+    assert got == want

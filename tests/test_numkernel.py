@@ -174,7 +174,17 @@ def test_horner_kernel_rejects_non_finite_values():
             one, ok, off = Poly([mp.mpc(1)], sc), [mp.mpc(1), mp.mpc(3)], [mp.mpc(1), bad]
             for etas, weights, last in ((off, ok, ok), (ok, off, ok), (ok, ok, off)):
                 with pytest.raises(ValueError):
-                    sc.cofactor_row(etas, [(one, weights)], last, 1)(one)
+                    _cofactor_row(sc, etas, [(one, weights)], last, 1)(one)
+
+
+def _cofactor_row(sc, etas, head, last, turns):
+    """sc.cofactor_row on mpc etas and row weights, loaded as a ladder frame keeps them
+    (MPScalars.ladder_frames)."""
+    from casoratia.numkernel import GUARD_BITS, gload
+
+    def load(xs):
+        return [gload(x, mp.mp.prec + GUARD_BITS) for x in xs]
+    return sc.cofactor_row(load(etas), [(p, load(ws)) for p, ws in head], load(last), turns)
 
 
 def _cofactors_of_row(sc, block):
@@ -187,7 +197,7 @@ def _cofactors_of_row(sc, block):
     n, one = len(block), Poly([mp.mpc(1)], sc)
     head = [(one, [row[k] for row in block]) for k in range(n - 1)]
     etas = [mp.mpc(j + 1) for j in range(n)]
-    return [sc.cofactor_row(etas, head, [mp.mpc(j == i) for i in range(n)], 0)(one)
+    return [_cofactor_row(sc, etas, head, [mp.mpc(j == i) for i in range(n)], 0)(one)
             for j in range(n)]
 
 
@@ -295,7 +305,7 @@ def test_cofactor_row_matches_mpc_oracle():
                 if trial % 3 == 1 and n > 1:
                     head[rng.randrange(n - 1)][1][rng.randrange(n)] = mp.mpc(0)
                 turns = rng.randrange(6)
-                row = sc.cofactor_row(etas, head, last, turns)
+                row = _cofactor_row(sc, etas, head, last, turns)
                 assert row(Poly([mp.mpc(0)], sc)) == 0
                 for p in (poly(), poly()):
                     got = row(p)
@@ -322,7 +332,7 @@ def test_cofactor_row_rounds_at_the_readers_precision():
         head = [(Poly([_random_gaussian(rng, 256, -4, 4) for _ in range(3)], sc),
                  [_random_gaussian(rng, 256, -4, 4) for _ in range(3)]) for _ in range(2)]
         last = [_random_gaussian(rng, 256, -4, 4) for _ in range(3)]
-        row = sc.cofactor_row(etas, head, last, 3)
+        row = _cofactor_row(sc, etas, head, last, 3)
         p = Poly([_random_gaussian(rng, 256, -4, 4) for _ in range(4)], sc)
     wide = 0
     for reader in (128, 640):
@@ -392,10 +402,11 @@ def test_stencil_residual_kernel_matches_mpc_oracle():
     """stencil_residual against |s - E p(x_0)| / (|s| + |E p(x_0)| + 1), s = sum_k w_k p(x_k),
     in mpc at 4 x bits, for random polynomials, points, weights and E of magnitudes 2^+-200
     at 256 and 512 bits, half of them with w_0 set so that s = E p(x_0) up to rounding, as
-    on an eigenpair: within 2^(-bits+16) of the terms' scale over |s| + |E p(x_0)| + 1."""
+    on an eigenpair: within 2^(-bits+16) of the terms' scale over |s| + |E p(x_0)| + 1.
+    The points and weights are an H~_D frame's, loaded as Gaussian floats."""
     import random
 
-    from casoratia.numkernel import MPScalars
+    from casoratia.numkernel import GUARD_BITS, MPScalars, _Frame, gload
     from casoratia.polycore import Poly
 
     rng = random.Random(5)
@@ -410,7 +421,9 @@ def test_stencil_residual_kernel_matches_mpc_oracle():
                 if trial % 2:
                     vals = [_mpc_horner(coeffs, x) for x in xs]
                     ws[0] = E - (ws[1] * vals[1] + ws[2] * vals[2]) / vals[0]
-                got = sc.stencil_residual(list(zip(xs, ws)))(Poly(coeffs, sc), E)
+                frame = _Frame(tuple(gload(x, bits + GUARD_BITS) for x in xs),
+                               tuple(gload(c, bits + GUARD_BITS) for c in ws), ())
+                got = sc.stencil_residual([(Poly(coeffs, sc), E)])(frame)
                 with workbits(4 * bits):
                     vals = [_mpc_horner(coeffs, x) for x in xs]
                     s = mp.fsum(w * v for w, v in zip(ws, vals))

@@ -157,7 +157,8 @@ def test_backends_expose_the_same_interface():
     assert public(MPScalars) == {
         "name", "zero", "one", "i", "from_int", "from_fraction", "is_zero",
         "magnitude", "conj", "to_mpc", "q_power", "sample_args", "extraction_nodes",
-        "interpolator", "horner", "cofactor_row", "affine_ratios", "stencil_residual"}
+        "interpolator", "horner", "cofactor_row", "affine_ratios", "ladder_frames",
+        "htilde_frames", "stencil_residual"}
     assert public(ExactScalars) == public(MPScalars) == public(MPScalars())
     assert public(ExactScalars(Fraction(2, 5))) == public(MPScalars) | {"q"}
 

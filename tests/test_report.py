@@ -65,15 +65,18 @@ def test_cache_key_covers_version_and_schema(monkeypatch):
 # when the base polynomials moved from the hypergeometric sums to the three-term
 # recurrences (package 0.4.0; noise digits moved, values below 1e-76 changed sign);
 # cH and W again when the root finder became one Aberth loop (noise digits moved, by
-# at most 7.6e-93 in M); every verdict stands, and a refactor that claims
-# byte-identical reports keeps these
+# at most 7.6e-93 in M); all three when the zero grid and the frames moved onto
+# Gaussian floats (noise digits moved, by at most 1.2e-79 relative in gram and k; the
+# W zero at eta = -3.3048, real up to a noise-level Im eta whose sign changed, now
+# reports x = +1.818i, the principal branch of a real negative eta, for -1.818i);
+# every verdict stands, and a refactor that claims byte-identical reports keeps these
 GOLDEN_REPORTS = [
     (["--family", "ch", "--mode", "physical", "--dI", "1", "--dII", "2"],
-     "292999bf2473f9b50b2bb7db2b150c1802cf58f6374a0f399d373ff1890c1420"),
+     "4142c8dfde319a2dc4a350434b81b343ed5104afb00c6e6ba317c22227d3fcc8"),
     (["--family", "w", "--mode", "physical", "--dI", "1", "--dII", "1"],
-     "d71cda6f73285ca43e3558fae53e441b2651829d07e77fced315935d4beb1623"),
+     "d9baa2cd199ec3161bc6eadbd95962e64ba509590697f4afa4eeca6a59167633"),
     (["--family", "aw", "--mode", "generic", "--dI", "1", "--dII", "1"],
-     "241f4feb07a6236c1c4782c83e60af853f070e0c4537ff6e35571ad3eb51d9bf"),
+     "f14540f4dc7d6f11d9e6c930ded4dd219c48f2d2a594847824319888d3a1d724"),
 ]
 
 
@@ -107,8 +110,9 @@ def test_verify_report_is_independent_of_earlier_runs(tmp_path, monkeypatch):
 
 # sha256 of the sweep CSV below, recorded with the same rendering: the one golden on
 # the sweep's own rendering of max_offdiag_rel and conjecture_rel_err (recorded again
-# with the one-loop root finder: both moved by less than 1e-96)
-GOLDEN_SWEEP = "120f238a55fd89a1cff0f164ff4f00806cc1522b1e4f9ab2eddbbbc3213a8e70"
+# with the one-loop root finder: both moved by less than 1e-96; and with the zero grid
+# on Gaussian floats: by at most 1e-83)
+GOLDEN_SWEEP = "f479dbefe19de5f28dd4e1287c200b109d7b1f4d06089c648e3c4cb11e254b2d"
 
 
 def test_golden_sweep_csv():

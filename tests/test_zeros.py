@@ -261,3 +261,25 @@ def test_double_root_raises_after_escalation(roots, monkeypatch):
         with pytest.raises(zeros.MultipleRootSuspected):
             find_zeros(p, 256)
     assert tried == [256 + 32, 512 + 32]
+
+
+def test_arg_of_eta_takes_the_principal_x():
+    """arg_of_eta(eta) is the working variable of recover_x(eta) (x for cH and W, e^{ix} for
+    AW), within 2^-270 relative of the 1200-bit reference at 288 bits: at random eta, on the
+    node circles |eta| = 2 and 2.5, on and beside the branch cuts of AW's acos, and at
+    |eta| = 2^40, where eta + i sqrt(1 - eta^2) cancels on half the circle."""
+    import random
+
+    rng = random.Random(3)
+    with workbits(288):
+        etas = [mp.mpc(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(300)]
+        etas += [r * mp.expjpi(mp.mpf(k) / 16) for r in (2, mp.mpf(5) / 2) for k in range(32)]
+        etas += [mp.mpc(x, s * mp.mpf(2) ** -200) for x in (-3, -1.5, -1, 0, 1, 1.5, 3)
+                 for s in (-1, 0, 1)]
+        etas += [mp.mpf(2) ** 40 * mp.expjpi(mp.mpf(k) / 8) for k in range(16)]
+        for tag, fam in FAMILIES.items():
+            for eta in etas:
+                got = fam.arg_of_eta(eta)
+                with workbits(1200):
+                    want = fam.arg_of_x(fam.recover_x(eta))
+                assert abs(got - want) <= mp.mpf(2) ** -270 * abs(want), (tag, eta)
