@@ -1,22 +1,20 @@
 """Exact coefficient arithmetic: Gaussian rationals and their sqrt(q) extension.
 
-The construction/identity checks run over Q(i) for the continuous Hahn and
-Wilson families and over Q(i, sqrt(q)) for Askey-Wilson (half-integer shifts
-of x by gamma = log q scale z by half-integer powers of q); one element class,
-QQi, serves both.  Elements are immutable and hashable; arithmetic is plain
-operator overloading so the polynomial layer can stay backend-agnostic.
+The construction/identity checks run over Q(i) for cH and W and over Q(i, sqrt(q))
+for Askey-Wilson (half-integer shifts of x by gamma = log q scale z by half-integer
+powers of q); one element class, QQi, immutable and hashable, serves both, its
+arithmetic plain operator overloading.  The backend ExactScalars runs numkernel's
+per-point kernels (ScalarKernels) on QQi arithmetic, with None as an exact zero.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Union
 
 import mpmath as mp
 
-from .numkernel import HELD_OUT
-from .polycore import last_column_cofactors
+from .numkernel import HELD_OUT, ScalarKernels
 
 _F0 = Fraction(0)
 _MAG_ZERO, _MAG_ONE = mp.mpf(0), mp.mpf(1)
@@ -191,37 +189,50 @@ class QQi:
         return out
 
 
-class _Row(NamedTuple):
-    """The evaluator p -> sum_j c_j p(eta_j) of ExactScalars.cofactor_row."""
+# The kernel arithmetic of ExactScalars: QQi operations, None an exact zero that costs none.
 
-    cs: tuple
-    etas: tuple
-    zero: QQi
-
-    def __call__(self, p):
-        return sum((c * p(eta) for c, eta in zip(self.cs, self.etas)), self.zero)
+def _xmul(a, b, w: int):
+    return None if a is None or b is None else a * b
 
 
-class _Frame(namedtuple("_Frame", "eta eta_m eta_p eta_mh eta_ph xi_mh xi_ph w_m w_p w_0")):
-    """An H~_D frame of ExactScalars.htilde_frames: the etas at x, x -+ i gamma and x -+ i
-    gamma/2, Xi_D at the last two, and the weights w_m, w_p, w_0 of the stencil (apply)."""
-
-    def apply(self, p, pu=None):
-        """(H~_D p)(x); pu is p(eta), if already evaluated."""
-        return (self.w_m * p(self.eta_m) + self.w_p * p(self.eta_p)
-                + self.w_0 * (p(self.eta) if pu is None else pu))
+def _xadd(a, b):
+    return b if a is None else a if b is None else a + b
 
 
-class ExactScalars:
+def _xneg(a):
+    return None if a is None else -a
+
+
+def _xdiv(a, b, w: int):
+    if b is None:
+        raise ZeroDivisionError("division by zero in an exact kernel")
+    return None if a is None else a / b
+
+
+def _xdot(xs, ys, w: int):
+    s = None
+    for x, y in zip(xs, ys):
+        s = _xadd(s, _xmul(x, y, w))
+    return s
+
+
+def _xturn(z, turns: int):
+    """i^turns z, exactly: each quarter turn permutes and negates the parts."""
+    for _ in range(turns % 4 if z is not None else 0):
+        z = _qqi(-z.im, z.re, -z.sim, z.sre, z.q)
+    return z
+
+
+class ExactScalars(ScalarKernels):
     """Scalar backend over Q(i) (q=None) or Q(i, sqrt(q)).
 
     Answers the questions of ``numkernel.MPScalars``: an interpolation solves
-    through exactly as many nodes as there are unknowns, Horner evaluation, the
-    Casoratian cofactor rows, affine ratios and stencil residuals are the generic
-    formulas in exact arithmetic, and
-    ``magnitude`` is the trivial absolute value (0 for an exact zero, 1
-    otherwise).  Every gate tolerance is below 1, so each gate written on
-    ``magnitude`` passes here only on an exact zero.
+    through exactly as many nodes as there are unknowns, and ``magnitude`` is
+    the trivial absolute value (0 for an exact zero, 1 otherwise).  The
+    per-point kernels are numkernel.ScalarKernels' on the primitives below, in
+    QQi arithmetic: so a pole test fires only on an exact zero, and a stencil
+    residual is 0 or, when it fails, 1/3 to 1.  Every gate tolerance is below
+    1, so each gate written on ``magnitude`` passes here only on an exact zero.
     """
 
     name = "exact"
@@ -290,100 +301,33 @@ class ExactScalars:
             return cs
         return coeffs
 
-    def horner(self, coeffs):
-        """The evaluator v -> sum_k coeffs[k] v^k, by Horner's rule in exact arithmetic."""
-        zero = self.zero
-
-        def value(v):
-            out = zero
-            for c in reversed(coeffs):
-                out = out * v + c
-            return out
-        return value
-
-    def cofactor_row(self, etas, head, last_weights, turns: int):
-        """The evaluator p -> detPoly at the frame of etas with the head columns and p as the
-        last column (numkernel.MPScalars.cofactor_row), exactly: the cofactors of the head
-        block (polycore.last_column_cofactors) times i^turns and the last row weights."""
-        block = [[ws[j] * p(eta) for p, ws in head] for j, eta in enumerate(etas)]
-        phase = self.i ** turns
-        return _Row(tuple(c * phase * v for c, v in
-                          zip(last_column_cofactors(block, self), last_weights)),
-                    tuple(etas), self.zero)
-
-    def affine_ratios(self, ratios):
-        """The evaluator u -> [prod_num (c0 + c1 u) / prod_den (c0 + c1 u) for (num, den) in
-        ratios], exactly: a factor with c0 = 0 or c1 = 1 takes no sum or product for it."""
-        one = self.one
-
-        def factor(c0, c1):
-            if c1 == one:
-                return (lambda u: u) if c0.is_zero() else (lambda u: c0 + u)
-            return (lambda u: c1 * u) if c0.is_zero() else (lambda u: c0 + c1 * u)
-        made = [[[factor(*f) for f in fs] for fs in ratio] for ratio in ratios]
-
-        def product(factors, u):
-            out = factors[0](u)
-            for f in factors[1:]:
-                out = out * f(u)
-            return out
-
-        def value(u):
-            return [product(num, u) / product(den, u) if den else product(num, u)
-                    for num, den in made]
-        return value
-
-    def ladder_frames(self, eta_ratios, weight_ratios):
-        """numkernel.MPScalars.ladder_frames, exactly."""
-        etas = self.affine_ratios(eta_ratios)
-        kinds = {k: self.affine_ratios(r) for k, r in weight_ratios.items()}
-
-        def frame(u):
-            cum = {}
-            for k, factors in kinds.items():
-                c = cum[k] = [self.one]
-                for f in factors(u):
-                    c.append(c[-1] * f)
-            return etas(u), cum
-        return frame
-
-    def htilde_frames(self, ratios, xi, xi_shift, bounds):
-        """numkernel.MPScalars.htilde_frames, exactly (_Frame): magnitude makes a pole an
-        exact zero of Xi_D at a half shift or of Xi_D(lambda + delta) at x."""
-        values, mag = self.affine_ratios(ratios), self.magnitude
-
-        def frame(u):
-            eta, eta_m, eta_p, eta_mh, eta_ph, v, vs = values(u)
-            xi_mh, xi_ph, xi0 = xi(eta_mh), xi(eta_ph), xi_shift(eta)
-            if min(mag(xi_mh), mag(xi_ph)) < bounds[0] or mag(xi0) < bounds[1]:
-                return None
-            w_m, w_p = v * xi_ph / xi_mh, vs * xi_mh / xi_ph
-            w_0 = -(w_m * xi_shift(eta_m) + w_p * xi_shift(eta_p)) / xi0
-            return _Frame(eta, eta_m, eta_p, eta_mh, eta_ph, xi_mh, xi_ph, w_m, w_p, w_0)
-        return frame
-
-    def stencil_residual(self, pairs):
-        """numkernel.MPScalars.stencil_residual at an exact frame (_Frame): exactly 0 when
-        every sum equals E p(x_0), else in floats."""
-        def residual(fr):
-            worst = _MAG_ZERO
-            for p, E in pairs:
-                pu = p(fr.eta)
-                s, ref = fr.apply(p, pu), E * pu
-                if not (s - ref).is_zero():
-                    s, ref = s.to_mpc(), ref.to_mpc()
-                    worst = max(worst, abs(s - ref) / (abs(s) + abs(ref) + 1))
-            return worst
-        return residual
-
     is_zero = staticmethod(QQi.is_zero)
     conj = staticmethod(QQi.conjugate)
     to_mpc = staticmethod(QQi.to_mpc)
 
     @staticmethod
     def magnitude(x) -> mp.mpf:
-        """The trivial absolute value: 0 for an exact zero, 1 otherwise."""
-        return _MAG_ZERO if x.is_zero() else _MAG_ONE
+        """The trivial absolute value: 0 for an exact zero (None too, as the kernels load
+        it), 1 otherwise."""
+        return _MAG_ZERO if x is None or x.is_zero() else _MAG_ONE
+
+    # -- primitives of the kernels: QQi, None an exact zero -------------------------------
+
+    def _load(self, z, w: int):
+        return None if z.is_zero() else z
+
+    def _store(self, z, prec: int):
+        return self.zero if z is None else z
+
+    def _one(self, w: int):
+        return self.one
+
+    _mul, _add, _neg, _div, _dot, _turn = map(
+        staticmethod, (_xmul, _xadd, _xneg, _xdiv, _xdot, _xturn))
+    _mag = magnitude
+
+    def _below(self, z, bound) -> bool:
+        return self.magnitude(z) < bound
 
 
 def fraction_from_decimal(s: str) -> Fraction:

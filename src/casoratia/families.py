@@ -39,6 +39,8 @@ from .numkernel import MPScalars, jitter, mpc_parts, pochhammer, q_pochhammer, w
 from .polycore import Poly
 
 HALF = Fraction(1, 2)
+PHYSICAL_TOL = 1e-25   # relative, of the conjugation constraints of validate_physical
+DRAW_DMAX = 3   # the largest degree d_j the virtual-state margins of draw_params allow
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +263,8 @@ class Family:
     def x_bounds(self, lam: ParamSet):
         raise NotImplementedError
 
-    def recover_x(self, eta):
+    def recover_x(self, eta, tie=0):
+        """x with eta(x) = eta on the family's branch; tie: zeros._canonical_order's."""
         raise NotImplementedError
 
     def arg_of_x(self, x):
@@ -331,7 +334,7 @@ class ContinuousHahn(Family):
     def x_bounds(self, lam):
         return (mp.mpf("-inf"), mp.mpf("+inf"))
 
-    def recover_x(self, eta):
+    def recover_x(self, eta, tie=0):
         return mp.mpc(eta)
 
     def sample_args(self, count, lam, salt):
@@ -387,9 +390,11 @@ class Wilson(Family):
     def x_bounds(self, lam):
         return (mp.mpf(0), mp.mpf("+inf"))
 
-    def recover_x(self, eta):
-        """sqrt(eta) on the principal branch: Re x >= 0, and Im x >= 0 where Re x = 0."""
-        return mp.sqrt(mp.mpc(eta))
+    def recover_x(self, eta, tie=0):
+        """sqrt(eta) on the principal branch, Re x >= 0, but with Im x >= 0 where |Re x| <= tie:
+        for a real negative eta, Im x does not take the sign of a noise-level Im eta."""
+        x = mp.sqrt(mp.mpc(eta))
+        return -x if abs(mp.re(x)) <= tie and mp.im(x) < 0 else x
 
     def sample_args(self, count, lam, salt):
         j = jitter(salt)
@@ -491,7 +496,7 @@ class AskeyWilson(Family):
     def x_bounds(self, lam):
         return (mp.mpf(0), mp.pi)
 
-    def recover_x(self, eta):
+    def recover_x(self, eta, tie=0):
         return mp.acos(mp.mpc(eta))
 
     def arg_of_eta(self, eta):
@@ -565,25 +570,26 @@ def params_from_values(family: str, a_vals, q_val=None, mode: str = "physical",
     return ParamSet(family, a, q, mode, sc)
 
 
-def validate_physical(lam: ParamSet, bits: int, tol=1e-25) -> bool:
-    """Check the physical-mode conjugation constraints at 2 bits + 32, as params are read."""
+def validate_physical(lam: ParamSet, bits: int) -> bool:
+    """Check the physical-mode conjugation constraints to PHYSICAL_TOL at 2 bits + 32, as
+    params are read."""
     with workbits(2 * bits + 32):
         a = [mp.mpc(lam.scalars.to_mpc(x)) for x in lam.a]
         if lam.family == "ch":
-            return (abs(a[2] - mp.conj(a[0])) <= tol * (1 + abs(a[0]))
-                    and abs(a[3] - mp.conj(a[1])) <= tol * (1 + abs(a[1]))
+            return (abs(a[2] - mp.conj(a[0])) <= PHYSICAL_TOL * (1 + abs(a[0]))
+                    and abs(a[3] - mp.conj(a[1])) <= PHYSICAL_TOL * (1 + abs(a[1]))
                     and all(mp.re(x) > 0 for x in a))
         conj_set = sorted((mp.conj(x) for x in a), key=lambda z: (mp.re(z), mp.im(z)))
         orig = sorted(a, key=lambda z: (mp.re(z), mp.im(z)))
-        ok = all(abs(u - v) <= tol * (1 + abs(u)) for u, v in zip(conj_set, orig))
+        ok = all(abs(u - v) <= PHYSICAL_TOL * (1 + abs(u)) for u, v in zip(conj_set, orig))
         if lam.family == "aw":
             q = mp.mpc(lam.scalars.to_mpc(lam.q))
-            ok = ok and abs(mp.im(q)) <= tol and 0 < mp.re(q) < 1
+            ok = ok and abs(mp.im(q)) <= PHYSICAL_TOL and 0 < mp.re(q) < 1
         return ok
 
 
-def draw_params(family: str, mode: str, seed: int, dmax: int = 3) -> ParamSet:
-    """Deterministic random parameter draw with virtual-state margins."""
+def draw_params(family: str, mode: str, seed: int) -> ParamSet:
+    """Deterministic random parameter draw with virtual-state margins for d_j <= DRAW_DMAX."""
     rng = random.Random(f"{family}|{mode}|{seed}")
     sc = MPScalars()
 
@@ -591,7 +597,7 @@ def draw_params(family: str, mode: str, seed: int, dmax: int = 3) -> ParamSet:
         return lo + (hi - lo) * rng.random()
 
     if family == "ch":
-        need = (dmax + 1) / 2 + 0.35
+        need = (DRAW_DMAX + 1) / 2 + 0.35
         if mode == "physical":
             r1, r2 = u(need, need + 1.0), u(need, need + 1.2)
             v1, v2 = u(0.15, 0.8), u(0.15, 0.9)
@@ -600,7 +606,7 @@ def draw_params(family: str, mode: str, seed: int, dmax: int = 3) -> ParamSet:
             a = tuple(mp.mpc(u(need, need + 1.2), u(-0.9, 0.9)) for _ in range(4))
         return ParamSet("ch", a, None, mode, sc)
     if family == "w":
-        need = (dmax + 1) / 2 + 0.3
+        need = (DRAW_DMAX + 1) / 2 + 0.3
         if mode == "physical":
             a1, a2 = u(need, need + 0.9), u(need, need + 1.1)
             r, v = u(need, need + 0.8), u(0.2, 0.9)
@@ -612,8 +618,8 @@ def draw_params(family: str, mode: str, seed: int, dmax: int = 3) -> ParamSet:
         q = u(0.32, 0.52)
         if mode == "physical":
             # virtual-state margins in q-space: a1 a2 < q^{v+1} and a3 a4 < q^{v+1}
-            # for v <= dmax, i.e. exponents mu with mu_1 + mu_2 > dmax + 1
-            need = (dmax + 1) / 2 + 0.2
+            # for v <= DRAW_DMAX, i.e. exponents mu with mu_1 + mu_2 > DRAW_DMAX + 1
+            need = (DRAW_DMAX + 1) / 2 + 0.2
             m1, m2 = u(need, need + 0.6), u(need, need + 0.7)
             m3, th = u(need, need + 0.6), u(0.35, 1.2)
             a = (mp.mpf(q) ** m1, mp.mpf(q) ** m2,

@@ -34,7 +34,7 @@ by construction), the vanishing DFT coefficients, held-out node residuals, the
 deformed eigenrelation (on one set of frames for every n) and shape invariance.
 The per-point work of the frames, ladder and H~_D alike, is the backend's
 (Gaussian floats on floats): a builder makes one ladder_frames kernel per (R,
-kinds) and working precision, a bundle one htilde_frames kernel per working
+kinds), at its own working precision, a bundle one htilde_frames kernel per working
 precision, both from affine factors (Family.eta_factors, v_factors), and the
 eigen residuals come from one stencil kernel for all frames.
 """
@@ -161,8 +161,8 @@ class _Node:
 class Builder:
     """Per-parameter-set construction engine with caches.
 
-    bits is its one precision: what it makes and keeps (column polynomials, Xi_D,
-    P_{D,n}, detPoly values) is made at bits + 32 working bits, whatever the caller's
+    bits is its one precision: what it makes and keeps (column polynomials, ladder frames,
+    Xi_D, P_{D,n}, detPoly values) is made at bits + 32 working bits, whatever the caller's
     precision, and its fits judge each degree against 2^-bits.
     """
 
@@ -175,8 +175,8 @@ class Builder:
         self._xi_cache = {}     # IndexSet.key -> Poly
         self._p_cache = {}      # (IndexSet.key, n) -> Poly
         self._node_cache = {}   # (class, attempt, node id) -> _Node
-        self._node_sets = {}    # (class, attempt, len(ids), prec) -> (nodes, interpolator) or False
-        self._kernels = {}      # (R, kinds, mp.mp.prec) -> the backend's ladder_frames
+        self._node_sets = {}    # (class, attempt, len(ids)) -> (nodes, interpolator) or False
+        self._kernels = {}      # (R, kinds) -> the backend's ladder_frames
         self._shift_builder = None
 
     # .. column polynomials ......................................................
@@ -202,14 +202,14 @@ class Builder:
     def frames(self, us, R: int, kinds):
         """Per sample u: the etas of its R ladder points and, per column kind, the row
         weights prod_{m<j} alpha N(x_m), shared by every determinant at u, from one backend
-        ladder_frames kernel per (R, kinds) and working precision."""
-        fam, lam, kinds = self.fam, self.lam, tuple(sorted(kinds))
-        key = (R, kinds, mp.mp.prec)
-        if key not in self._kernels:
-            self._kernels[key] = self.sc.ladder_frames(
-                [_shifted(fam, fam.eta_factors(lam), fam.shift_step(t, lam))
-                 for t in ladder_points(R)], {k: self._weight_ratios(k, R) for k in kinds})
-        return list(map(self._kernels[key], us))
+        ladder_frames kernel per (R, kinds), at the builder's working precision."""
+        fam, lam, key = self.fam, self.lam, (R, tuple(sorted(kinds)))
+        with workbits(self.bits + 32):
+            if key not in self._kernels:
+                self._kernels[key] = self.sc.ladder_frames(
+                    [_shifted(fam, fam.eta_factors(lam), fam.shift_step(t, lam))
+                     for t in ladder_points(R)], {k: self._weight_ratios(k, R) for k in key[1]})
+            return list(map(self._kernels[key], us))
 
     def _weight_ratios(self, kind: str, R: int):
         """The affine ratios alpha N(x_m) of a column kind at the ladder points x_m of R
@@ -259,14 +259,14 @@ class Builder:
 
         The class salts the nodes, and each node is made once per builder: every
         extraction of the class shares it, whatever its degree or index set.  A node set
-        keeps its interpolator, or that it vanishes, per working precision.
+        keeps its interpolator, or that it vanishes.
         """
         sc, cache = self.sc, self._node_cache
         cls = (R, tuple(sorted(kinds)), tuple(ref_cols))
         for attempt in range(ROTATIONS):
             ids, node = sc.extraction_nodes(self.fam, self.lam, fit,
                                             f"{cls}|{self.lam.digest()}", attempt)
-            key = (cls, attempt, len(ids), mp.mp.prec)
+            key = (cls, attempt, len(ids))
             if key not in self._node_sets:
                 new = [k for k in ids if (cls, attempt, k) not in cache]
                 if new:

@@ -1,4 +1,4 @@
-"""Working precision, shifted factorials and the mpmath scalar backend.
+"""Working precision, shifted factorials, the per-point kernels and the mpmath backend.
 
 All floating computation runs on mpmath at an explicit bit precision; the
 escalation ladder doubles bits when a certificate fails.  Scalars are plain
@@ -9,18 +9,19 @@ overloading and the ``ExactScalars`` backend.  Each backend has one absolute
 value, ``magnitude`` (``abs`` here), and every gate of the construction is one
 comparison of magnitudes against its tolerance, written once for both.
 
-The hot loops of the float backend run on one number type, the Gaussian float:
-a Python int pair holding the real and imaginary parts, scaled by a power of
-two kept with the value, as ``mpmath.libmp`` does underneath each ``mpf``
-(Brent & Zimmermann, *Modern Computer Arithmetic*, ch. 3).  Horner's rule, the
-Laplace recursion behind the cofactor rows of a Casoratian frame, the ratios of
-affine products that give the etas, potentials and row weights of the ladder
-and H~_D frames, the frames themselves and the residual of a difference-operator
-stencil run on its product, sum and quotient (gmul, gadd, gdiv, gdot), as does
-the zero grid of dortho.  A value is loaded once (gload) and stays a Gaussian
-float from kernel to kernel; it becomes an mpc (gstore, rounded to nearest at
-the ambient precision) only where a report prints it, and a gate compares a
-magnitude (gabs) or a squared one (gbelow).
+The per-point kernels are written once too, in ScalarKernels, which both backends
+inherit: Horner's rule, the Laplace recursion behind the cofactor rows of a
+Casoratian frame, the ratios of affine products that give the etas, potentials and
+row weights of the ladder and H~_D frames, the frames themselves and the residual of
+a difference-operator stencil.  They run on the backend's primitives: a value is
+loaded once and stays loaded from kernel to kernel, None being an exact zero, and is
+stored as a scalar only where a report prints it or a gate compares it.  On floats
+the loaded type is the Gaussian float: a Python int pair holding the real and
+imaginary parts, scaled by a power of two kept with the value, as ``mpmath.libmp``
+does underneath each ``mpf`` (Brent & Zimmermann, *Modern Computer Arithmetic*,
+ch. 3), with its product, sum and quotient (gmul, gadd, gdiv, gdot), as in the zero
+grid of dortho; it becomes an mpc (gstore) rounded to nearest at the ambient
+precision, and a gate compares a magnitude (gabs) or a squared one (gbelow).
 """
 
 from __future__ import annotations
@@ -174,15 +175,6 @@ def gdiv(a, b, w: int):
     return (_shift(ar * br + ai * bi, k) // n, _shift(ai * br - ar * bi, k) // n, ae - be - k)
 
 
-def _gproduct(factors, x, w: int):
-    """prod (c0 + c1 x) over the loaded affine factors (c0, c1) at the loaded point x."""
-    out = (1 << w, 0, -w)   # one, for an empty product
-    for k, (c0, c1) in enumerate(factors):
-        f = gadd(c0, gmul(c1, x, w))
-        out = gmul(out, f, w) if k else f
-    return out
-
-
 def gabs(z) -> mp.mpf:
     """|z| of a Gaussian float as an mpf at the ambient precision, by integer square root."""
     if z is None:
@@ -215,7 +207,7 @@ def _quarter_turn(z, turns: int):
 
 @functools.cache
 def _laplace_plan(n: int) -> tuple:
-    """The Laplace recursion of polycore.last_column_cofactors for n rows, as bit masks:
+    """The Laplace recursion of _gcofactors for n rows, as bit masks:
     per column k, each row subset of size k + 1 with its expansion terms
     (row, the subset without it, whether the term is subtracted)."""
     return tuple(tuple((sum(1 << r for r in rows),
@@ -225,134 +217,251 @@ def _laplace_plan(n: int) -> tuple:
                  for k in range(n - 1))
 
 
-def _gcofactors(block, w: int) -> list:
-    """Cofactors C_j of the last column of [block | y], block n x (n-1) Gaussian floats:
-    det[block | y] = sum_j C_j y_j, each C_j a Gaussian float (None for 0).
+def _gproduct(factors, x, w: int, one, mul, add):
+    """prod (c0 + c1 x) over the loaded affine factors (c0, c1) at the loaded point x, by
+    a backend's primitives mul and add; one for an empty product."""
+    out = one
+    for k, (c0, c1) in enumerate(factors):
+        f = add(c0, mul(c1, x, w))
+        out = mul(out, f, w) if k else f
+    return out
 
-    The division-free Laplace recursion of polycore.last_column_cofactors, each minor
-    a sum of Gaussian-float products of w bits: C_j is within a small multiple of 2^-w
-    of the permanent of the entry magnitudes of its minor.
+
+def _gcofactors(sc, block, w: int) -> list:
+    """Cofactors C_j of the last column of [block | y], block n x (n-1) loaded values of
+    the backend sc: det[block | y] = sum_j C_j y_j, each C_j a loaded value (None for 0).
+
+    The minors grow a column at a time by Laplace expansion over row subsets, shared by
+    the C_j, with no division.  On floats C_j is within a small multiple of 2^-w of the
+    permanent of the entry magnitudes of its minor.
     """
+    mul, add, neg = sc._mul, sc._add, sc._neg
     n = len(block)
-    minors = {0: (1 << w, 0, -w)}   # row mask -> minor on those rows and the first columns
+    minors = {0: sc._one(w)}   # row mask -> minor on those rows and the first columns
     for k, step in enumerate(_laplace_plan(n)):
         grown = {}
         for rows, terms in step:
             s = None
             for r, sub, negate in terms:
-                t = gmul(block[r][k], minors[sub], w)
-                s = gadd(s, gneg(t) if negate else t)
+                t = mul(block[r][k], minors[sub], w)
+                s = add(s, neg(t) if negate else t)
             grown[rows] = s
         minors = grown
     full = (1 << n) - 1
-    return [gneg(minors[full - (1 << j)]) if (n - 1 - j) % 2 else minors[full - (1 << j)]
+    return [neg(minors[full - (1 << j)]) if (n - 1 - j) % 2 else minors[full - (1 << j)]
             for j in range(n)]
 
 
 class _Horner:
-    """The evaluator v -> sum_k c_k v^k of MPScalars.horner, in Gaussian floats.
+    """The evaluator v -> sum_k c_k v^k of ScalarKernels.horner, on the backend's loaded values.
 
-    Horner's rule with each product cut back to w = mp.mp.prec + GUARD_BITS bits: the
-    error is a small multiple of 2^-w sum_k |c_k v^k|, as for mpc Horner.  The
-    coefficients are loaded once per w.  A call gives the value as an mpc; fixed gives
-    its Gaussian float at a loaded point, for the kernels that go on in Gaussian floats.
+    Horner's rule with each product cut back to w = mp.mp.prec + GUARD_BITS bits on floats:
+    the error is a small multiple of 2^-w sum_k |c_k v^k|, as for mpc Horner.  The
+    coefficients are loaded once per w.  A call gives the value as a scalar; fixed gives
+    its loaded value at a loaded point, for the kernels that go on in loaded values.
     """
 
-    __slots__ = ("coeffs", "loaded")
+    __slots__ = ("sc", "coeffs", "loaded")
 
-    def __init__(self, coeffs):
-        self.coeffs = coeffs
+    def __init__(self, sc, coeffs):
+        self.sc, self.coeffs = sc, coeffs
         self.loaded = None   # (w, the coefficients loaded at w, highest first)
 
     def __call__(self, v):
-        prec = mp.mp.prec
-        w = prec + GUARD_BITS
-        return gstore(self.fixed(gload(v, w), w), prec)
+        sc, w = self.sc, mp.mp.prec + GUARD_BITS
+        return sc._store(self.fixed(sc._load(v, w), w), w - GUARD_BITS)
 
     def fixed(self, x, w: int):
-        """The Gaussian float of the value at the loaded point x, at w bits."""
+        """The loaded value at the loaded point x, at w bits."""
+        sc = self.sc
         if self.loaded is None or self.loaded[0] != w:
-            self.loaded = w, [gload(c, w) for c in reversed(self.coeffs)]
+            self.loaded = w, [sc._load(c, w) for c in reversed(self.coeffs)]
+        mul, add = sc._mul, sc._add
         cs = iter(self.loaded[1])
         acc = next(cs)
         for c in cs:
-            acc = gadd(gmul(acc, x, w), c)
+            acc = add(mul(acc, x, w), c)
         return acc
 
 
 class _Row(NamedTuple):
-    """The evaluator p -> sum_j c_j p(eta_j) of MPScalars.cofactor_row: the c_j and the
-    etas as Gaussian floats."""
+    """The evaluator p -> sum_j c_j p(eta_j) of ScalarKernels.cofactor_row: the c_j and the
+    etas as loaded values of the backend sc."""
 
     cs: tuple
     xs: tuple
+    sc: object
 
     def __call__(self, p):
-        prec = mp.mp.prec
-        w, ev = prec + GUARD_BITS, p.evaluator()
-        return gstore(gdot(self.cs, [ev.fixed(x, w) for x in self.xs], w), prec)
+        sc, w, ev = self.sc, mp.mp.prec + GUARD_BITS, p.evaluator()
+        return sc._store(sc._dot(self.cs, [ev.fixed(x, w) for x in self.xs], w), w - GUARD_BITS)
 
 
 class _Affine:
-    """The evaluator of MPScalars.affine_ratios, its constants loaded at w bits: a call
-    gives the values as mpc, fixed as Gaussian floats at a loaded point."""
+    """The evaluator of ScalarKernels.affine_ratios, its constants loaded at w bits: a call
+    gives the values as scalars, fixed as loaded values at a loaded point."""
 
-    __slots__ = ("loaded", "w")
+    __slots__ = ("sc", "loaded", "w", "one")
 
-    def __init__(self, ratios, w: int):
-        self.loaded = [[[(gload(c0, w), gload(c1, w)) for c0, c1 in fs] for fs in ratio]
+    def __init__(self, sc, ratios, w: int):
+        load = sc._load
+        self.loaded = [[[(load(c0, w), load(c1, w)) for c0, c1 in fs] for fs in ratio]
                        for ratio in ratios]
-        self.w = w
+        self.sc, self.w, self.one = sc, w, sc._one(w)
 
     def __call__(self, u):
-        return [gstore(z, self.w - GUARD_BITS) for z in self.fixed(gload(u, self.w))]
+        sc = self.sc
+        return [sc._store(z, self.w - GUARD_BITS) for z in self.fixed(sc._load(u, self.w))]
 
     def fixed(self, x):
-        w, out = self.w, []
+        w, one, sc, out = self.w, self.one, self.sc, []
+        mul, add, div = sc._mul, sc._add, sc._div
         for num, den in self.loaded:
-            z = _gproduct(num, x, w)
-            out.append(gdiv(z, _gproduct(den, x, w), w) if den else z)
+            z = _gproduct(num, x, w, one, mul, add)
+            out.append(div(z, _gproduct(den, x, w, one, mul, add), w) if den else z)
         return out
 
 
 def _stored(part: int, k: int):
-    return property(lambda fr: gstore(fr[part][k], mp.mp.prec))
+    return property(lambda fr: fr.sc._store(fr[part][k], mp.mp.prec))
 
 
 class _Frame(NamedTuple):
-    """An H~_D frame of MPScalars.htilde_frames in Gaussian floats: xs, the etas at x and
-    x -+ i gamma, and ws the weights of (H~_D p)(x) = w_0 p(eta) + w_m p(eta_m) + w_p p(eta_p);
-    half, the etas at x -+ i gamma/2 and Xi_D there; each reads as an mpc by the names of
-    exact._Frame."""
+    """An H~_D frame of ScalarKernels.htilde_frames in the loaded values of the backend sc:
+    xs, the etas at x and x -+ i gamma, and ws the weights of (H~_D p)(x) = w_0 p(eta) +
+    w_m p(eta_m) + w_p p(eta_p); half, the etas at x -+ i gamma/2 and Xi_D there; each
+    reads as a scalar by its name."""
 
     xs: tuple
     ws: tuple
     half: tuple
+    sc: object
 
     eta, eta_m, eta_p = (_stored(0, k) for k in range(3))
     w_0, w_m, w_p = (_stored(1, k) for k in range(3))
     eta_mh, eta_ph, xi_mh, xi_ph = (_stored(2, k) for k in range(4))
 
     def apply(self, p, pu=None):
-        """(H~_D p)(x) as an mpc, in Gaussian floats; pu is p(eta), if already evaluated."""
-        w, ev = mp.mp.prec + GUARD_BITS, p.evaluator()
+        """(H~_D p)(x) as a scalar, in loaded values; pu is p(eta), if already evaluated."""
+        sc, w, ev = self.sc, mp.mp.prec + GUARD_BITS, p.evaluator()
         vals = [ev.fixed(x, w) for x in self.xs[1:]]
-        vals.insert(0, ev.fixed(self.xs[0], w) if pu is None else gload(pu, w))
-        return gstore(gdot(self.ws, vals, w), mp.mp.prec)
+        vals.insert(0, ev.fixed(self.xs[0], w) if pu is None else sc._load(pu, w))
+        return sc._store(sc._dot(self.ws, vals, w), w - GUARD_BITS)
 
 
-class MPScalars:
+class ScalarKernels:
+    """The per-point kernels of both scalar backends, on the backend's primitives: _load(z,
+    w) and _store(z, prec) between a scalar and a loaded value (None an exact zero, which
+    costs no operation), _one(w), _mul, _add, _neg, _div, _dot, _mag(z) (an mpf), _below(z,
+    bound) and _turn(z, k) (i^k z, exactly).  On floats a loaded value is a Gaussian float
+    of w = mp.mp.prec + GUARD_BITS bits; on the exact backend it is the scalar itself.
+    """
+
+    def horner(self, coeffs):
+        """The evaluator v -> sum_k coeffs[k] v^k (_Horner)."""
+        return _Horner(self, coeffs)
+
+    def affine_ratios(self, ratios):
+        """The evaluator u -> [prod_num (c0 + c1 u) / prod_den (c0 + c1 u) for (num, den) in
+        ratios], num and den lists of affine factors (c0, c1), at the precision current
+        here (_Affine).
+
+        The constants are loaded once, at w = mp.mp.prec + GUARD_BITS bits; each factor and
+        each partial product is a loaded value, so on floats every value is within a small
+        multiple of 2^-w per factor of the mpc formula, relative to the product of
+        max(|c0|, |c1 u|) over its factors.  A zero constant costs no operation.
+        """
+        return _Affine(self, ratios, mp.mp.prec + GUARD_BITS)
+
+    def ladder_frames(self, eta_ratios, weight_ratios):
+        """The evaluator u -> (etas, {kind: row weights}) of a ladder frame in loaded values,
+        as cofactor_row takes them: the etas of eta_ratios and, per kind, the running
+        products 1, f_1, f_1 f_2, ... of the affine ratios weight_ratios[kind] (_Affine)."""
+        w = mp.mp.prec + GUARD_BITS
+        etas, one, load, mul = _Affine(self, eta_ratios, w), self._one(w), self._load, self._mul
+        kinds = {k: _Affine(self, r, w) for k, r in weight_ratios.items()}
+
+        def frame(u):
+            x, cum = load(u, w), {}
+            for k, factors in kinds.items():
+                c = cum[k] = [one]
+                for f in factors.fixed(x):
+                    c.append(mul(c[-1], f, w))
+            return etas.fixed(x), cum
+        return frame
+
+    def htilde_frames(self, ratios, xi, xi_shift, bounds):
+        """The evaluator u -> the H~_D frame at the sample argument u (_Frame), or None near a
+        pole, in loaded values of mp.mp.prec + GUARD_BITS bits as current here: from the
+        affine ratios of eta at x, x -+ i gamma, x -+ i gamma/2 and of V, V* at lambda_D (u
+        loaded once), w_m = V xi_ph / xi_mh and w_p = V* xi_mh / xi_ph, Xi_D = xi at the
+        half shifts, and w_0 = -(w_m r_m + w_p r_p), r_-+ = xi_shift (Xi_D at lambda +
+        delta) at x -+ i gamma over its value at x.  A pole is a magnitude of Xi_D below
+        bounds[0] at a half shift or of xi_shift below bounds[1] at x (_below)."""
+        w = mp.mp.prec + GUARD_BITS
+        affine, ev, evs = _Affine(self, ratios, w), xi.evaluator(), xi_shift.evaluator()
+        load, mul, neg, div, dot, below = (self._load, self._mul, self._neg, self._div,
+                                           self._dot, self._below)
+
+        def frame(u):
+            x0, xm, xp, xmh, xph, v, vs = affine.fixed(load(u, w))
+            xi_mh, xi_ph, xi0 = ev.fixed(xmh, w), ev.fixed(xph, w), evs.fixed(x0, w)
+            if below(xi_mh, bounds[0]) or below(xi_ph, bounds[0]) or below(xi0, bounds[1]):
+                return None
+            wm, wp = div(mul(v, xi_ph, w), xi_mh, w), div(mul(vs, xi_mh, w), xi_ph, w)
+            w0 = neg(div(dot((wm, wp), (evs.fixed(xm, w), evs.fixed(xp, w)), w), xi0, w))
+            return _Frame((x0, xm, xp), (w0, wm, wp), (xmh, xph, xi_mh, xi_ph), self)
+        return frame
+
+    def stencil_residual(self, pairs):
+        """The evaluator frame -> the worst |s - E p(x_0)| / (|s| + |E p(x_0)| + 1), s = sum_k
+        w_k p(x_k), over the (Poly p, E) pairs at an H~_D frame's points x_k and weights w_k
+        (_Frame), in loaded values of mp.mp.prec + GUARD_BITS bits as current here: each
+        E loaded once, p(x_k) by _Horner.fixed; only the three magnitudes (_mag) are mpf."""
+        w = mp.mp.prec + GUARD_BITS
+        mul, add, neg, dot, mag = self._mul, self._add, self._neg, self._dot, self._mag
+        loaded = [(p.evaluator(), self._load(E, w)) for p, E in pairs]
+
+        def residual(fr):
+            worst = mp.mpf(0)
+            for ev, E in loaded:
+                vals = [ev.fixed(x, w) for x in fr.xs]
+                s, ref = dot(fr.ws, vals, w), mul(E, vals[0], w)
+                worst = max(worst, mag(add(s, neg(ref))) / (mag(s) + mag(ref) + 1))
+            return worst
+        return residual
+
+    def cofactor_row(self, etas, head, last_weights, turns: int):
+        """The evaluator p -> detPoly at the frame of etas with the head columns and p as the
+        last column: i^turns det[w_j p_k(eta_j) | v_j p(eta_j)], head the (Poly p_k, row
+        weights w) of each head column and v the last column's row weights, in loaded
+        values: the etas and weights are a ladder frame's (ladder_frames), used as loaded.
+
+        Each head entry is the Horner kernel's value at eta_j (_Horner.fixed) times its
+        weight; their cofactors come from the Laplace recursion (_gcofactors), the phase
+        is a quarter-turn (_turn) and v_j one more product, all at mp.mp.prec + GUARD_BITS
+        bits as current here.  row(p) sums c_j p(eta_j) at the caller's precision and
+        stores once (on floats, rounded to nearest).
+        """
+        w, mul, turn = mp.mp.prec + GUARD_BITS, self._mul, self._turn
+        cols = [(p.evaluator(), ws) for p, ws in head]
+        block = [[mul(ev.fixed(x, w), ws[j], w) for ev, ws in cols] for j, x in enumerate(etas)]
+        cs = [mul(turn(c, turns), v, w) for c, v in zip(_gcofactors(self, block, w), last_weights)]
+        return _Row(tuple(cs), tuple(etas), self)
+
+
+class MPScalars(ScalarKernels):
     """mpmath scalar backend; elements are mpc under the ambient precision.
 
     Besides the field constants and conversions, this backend and
     ``exact.ExactScalars`` answer the questions on which the construction
     differs between them: sample points and extraction nodes, interpolation,
-    q**t, Horner evaluation, the Casoratian cofactor rows, ratios of affine
-    products, the ladder and H~_D frames, stencil residuals, and the absolute
-    value ``magnitude``.  The pivot choice and every gate are written once on
-    ``magnitude``, in polycore and miop.  Here ``magnitude`` is ``abs`` and the
-    kernels run on Gaussian floats.  The backend holds no precision of its own:
-    every value is made at the ambient one (``workbits``).
+    q**t and the absolute value ``magnitude``.  The pivot choice and every gate
+    are written once on ``magnitude``, in polycore and miop, and the per-point
+    kernels once on the primitives of each backend (ScalarKernels).  Here
+    ``magnitude`` is ``abs`` and the primitives are the Gaussian-float
+    operations.  The backend holds no precision of its own: every value is made
+    at the ambient one (``workbits``).
     """
 
     name = "float"
@@ -454,100 +563,11 @@ class MPScalars:
             return [c * s for c, s in zip(a, scale)]
         return coeffs
 
-    # -- Gaussian-float kernels -------------------------------------------------
+    # -- primitives of the kernels: Gaussian floats ------------------------------------
+
+    _load, _store, _mul, _add, _neg, _div, _dot, _mag, _below, _turn = map(
+        staticmethod, (gload, gstore, gmul, gadd, gneg, gdiv, gdot, gabs, gbelow, _quarter_turn))
 
     @staticmethod
-    def horner(coeffs):
-        """The evaluator v -> sum_k coeffs[k] v^k, in Gaussian floats (_Horner)."""
-        return _Horner(coeffs)
-
-    @staticmethod
-    def affine_ratios(ratios):
-        """The evaluator u -> [prod_num (c0 + c1 u) / prod_den (c0 + c1 u) for (num, den) in
-        ratios], num and den lists of affine factors (c0, c1), in Gaussian floats, at
-        the precision current here (_Affine).
-
-        The constants are converted once, to w = mp.mp.prec + GUARD_BITS bits; each factor
-        and each partial product is a Gaussian float of w bits, so every value is within a
-        small multiple of 2^-w per factor of the mpc formula, relative to the product of
-        max(|c0|, |c1 u|) over its factors.
-        """
-        return _Affine(ratios, mp.mp.prec + GUARD_BITS)
-
-    @staticmethod
-    def ladder_frames(eta_ratios, weight_ratios):
-        """The evaluator u -> (etas, {kind: row weights}) of a ladder frame in Gaussian floats,
-        as cofactor_row takes them: the etas of eta_ratios and, per kind, the running
-        products 1, f_1, f_1 f_2, ... of the affine ratios weight_ratios[kind] (_Affine)."""
-        w = mp.mp.prec + GUARD_BITS
-        etas, one = _Affine(eta_ratios, w), gload(1, w)
-        kinds = {k: _Affine(r, w) for k, r in weight_ratios.items()}
-
-        def frame(u):
-            x, cum = gload(u, w), {}
-            for k, factors in kinds.items():
-                c = cum[k] = [one]
-                for f in factors.fixed(x):
-                    c.append(gmul(c[-1], f, w))
-            return etas.fixed(x), cum
-        return frame
-
-    @staticmethod
-    def htilde_frames(ratios, xi, xi_shift, bounds):
-        """The evaluator u -> the H~_D frame at the sample argument u (_Frame), or None near a
-        pole, in Gaussian floats of mp.mp.prec + GUARD_BITS bits as current here: from the
-        affine ratios of eta at x, x -+ i gamma, x -+ i gamma/2 and of V, V* at lambda_D (u
-        loaded once), w_m = V xi_ph / xi_mh and w_p = V* xi_mh / xi_ph, Xi_D = xi at the
-        half shifts, and w_0 = -(w_m r_m + w_p r_p), r_-+ = xi_shift (Xi_D at lambda +
-        delta) at x -+ i gamma over its value at x.  A pole is |Xi_D| below bounds[0] at a
-        half shift or |xi_shift| below bounds[1] at x, decided on squares (gbelow)."""
-        w = mp.mp.prec + GUARD_BITS
-        affine, ev, evs = _Affine(ratios, w), xi.evaluator(), xi_shift.evaluator()
-
-        def frame(u):
-            x0, xm, xp, xmh, xph, v, vs = affine.fixed(gload(u, w))
-            xi_mh, xi_ph, xi0 = ev.fixed(xmh, w), ev.fixed(xph, w), evs.fixed(x0, w)
-            if gbelow(xi_mh, bounds[0]) or gbelow(xi_ph, bounds[0]) or gbelow(xi0, bounds[1]):
-                return None
-            wm, wp = gdiv(gmul(v, xi_ph, w), xi_mh, w), gdiv(gmul(vs, xi_mh, w), xi_ph, w)
-            w0 = gneg(gdiv(gdot((wm, wp), (evs.fixed(xm, w), evs.fixed(xp, w)), w), xi0, w))
-            return _Frame((x0, xm, xp), (w0, wm, wp), (xmh, xph, xi_mh, xi_ph))
-        return frame
-
-    @staticmethod
-    def stencil_residual(pairs):
-        """The evaluator frame -> the worst |s - E p(x_0)| / (|s| + |E p(x_0)| + 1), s = sum_k
-        w_k p(x_k), over the (Poly p, E) pairs at an H~_D frame's points x_k and weights w_k
-        (_Frame), in Gaussian floats of mp.mp.prec + GUARD_BITS bits as current here: each
-        E loaded once, p(x_k) by _Horner.fixed; only the three magnitudes become mpf."""
-        w = mp.mp.prec + GUARD_BITS
-        loaded = [(p.evaluator(), gload(E, w)) for p, E in pairs]
-
-        def residual(fr):
-            worst = mp.mpf(0)
-            for ev, E in loaded:
-                vals = [ev.fixed(x, w) for x in fr.xs]
-                s, ref = gdot(fr.ws, vals, w), gmul(E, vals[0], w)
-                worst = max(worst, gabs(gadd(s, gneg(ref))) / (gabs(s) + gabs(ref) + 1))
-            return worst
-        return residual
-
-    @staticmethod
-    def cofactor_row(etas, head, last_weights, turns: int):
-        """The evaluator p -> detPoly at the frame of etas with the head columns and p as the
-        last column: i^turns det[w_j p_k(eta_j) | v_j p(eta_j)], head the (Poly p_k, row
-        weights w) of each head column and v the last column's row weights, in Gaussian
-        floats: the etas and weights are a ladder frame's (ladder_frames), used as loaded.
-
-        Each head entry is the Horner kernel's value at eta_j (_Horner.fixed) times its
-        weight; their cofactors come from the Laplace recursion (_gcofactors), the phase
-        is a quarter-turn of the int pair and v_j one more product, all at mp.mp.prec +
-        GUARD_BITS bits as current here.  row(p) sums c_j p(eta_j) at the caller's
-        precision and rounds once, to nearest.
-        """
-        w = mp.mp.prec + GUARD_BITS
-        cols = [(p.evaluator(), ws) for p, ws in head]
-        block = [[gmul(ev.fixed(x, w), ws[j], w) for ev, ws in cols] for j, x in enumerate(etas)]
-        cs = [gmul(_quarter_turn(c, turns), v, w)
-              for c, v in zip(_gcofactors(block, w), last_weights)]
-        return _Row(tuple(cs), tuple(etas))
+    def _one(w: int):
+        return 1 << w, 0, -w

@@ -136,7 +136,8 @@ def find_zeros(p: Poly, bits: int, family=None) -> ZeroSet:
                 problem = f"the Aberth iteration broke down at {b} bits"
                 continue
             scale = max(max(abs(r) for r in roots), mp.mpf(1))
-            roots = _canonical_order(roots, mp.mpf(2) ** (-b // 2) * scale)
+            tie = mp.mpf(2) ** (-b // 2) * scale
+            roots = _canonical_order(roots, tie)
             minpair = min((abs(y - z) for i, z in enumerate(roots) for y in roots[:i]),
                           default=mp.inf)
             threshold = mp.mpf(2) ** (-b // 4) * scale
@@ -153,6 +154,6 @@ def find_zeros(p: Poly, bits: int, family=None) -> ZeroSet:
                 precision_bits=b,
             )
             if family is not None:
-                zs.x = [family.recover_x(e) for e in roots]
+                zs.x = [family.recover_x(e, tie) for e in roots]
             return zs
     raise MultipleRootSuspected(problem)

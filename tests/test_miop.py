@@ -664,6 +664,38 @@ def test_exact_held_out_gate_fires(gate, monkeypatch):
         Builder(lam).xi(D)
 
 
+def test_exact_eigen_gate_fires(monkeypatch):
+    """On the exact backend the lead coefficient of one P_{D,n} off by a relative 10^-100
+    fails the deformed eigenrelation: its stencil residual is no longer an exact zero."""
+    monkeypatch.setattr(miop, "_BUILDERS", {})
+    D = IndexSet.make([(1, "I")])
+    lam = params_from_values("w", EXACT_PARAMS["w"][0], mode="physical", backend="exact")
+    assert build_miop(lam, D, 2).gates["eigen_residual"] == 0
+    b = get_builder(lam)
+    coeffs = list(b.P(D, 1).coeffs)
+    coeffs[-1] = coeffs[-1] * (1 + Fraction(1, 10 ** 100))
+    b._p_cache[D.key(), 1] = Poly(coeffs, lam.scalars)
+    with pytest.raises(PrefactorResidue, match="deformed eigenrelation"):
+        build_miop(lam, D, 2)
+
+
+def test_exact_pole_test_decides_on_the_trivial_magnitude():
+    """On the exact backend a nonzero Xi_D has magnitude 1: with either pole bound 2, above
+    it, the sample point is a pole, and at the drawn bounds (2^(-bits/2) times the
+    height 1) it is not."""
+    lam = params_from_values("w", EXACT_PARAMS["w"][0], mode="physical", backend="exact")
+    bun = build_miop(lam, IndexSet.make([(1, "I"), (1, "II")]), 1, check=False)
+    u = lam.scalars.sample_args(lam.fam, 3, lam, "pole")[1]
+    assert all(0 < m < 1 for m in bun.pole_bounds)
+    fr = htilde_frame(bun, u)
+    assert not (lam.scalars.is_zero(fr.xi_mh) or lam.scalars.is_zero(fr.xi_ph))
+    for k in range(2):
+        bounds = list(bun.pole_bounds)
+        bounds[k] = mp.mpf(2)
+        with pytest.raises(PoleAtSample):
+            htilde_frame(replace(bun, pole_bounds=tuple(bounds)), u)
+
+
 def test_eigen_gate_builds_one_frame_set(monkeypatch):
     """The eigen gate builds GATE_SAMPLES pole-free frames for all n, not one set per n."""
     made = []
@@ -761,24 +793,27 @@ def test_eigen_gate_fires_on_a_perturbed_coefficient(tag, monkeypatch):
 
 
 def test_frame_kernels_follow_the_working_precision():
-    """A builder makes its ladder kernels, and a bundle its H~_D kernel, shift steps
-    included, once per working precision: after frames at 288 bits, the frames at 544 bits
-    (a 512-bit escalation's working precision) equal those of a fresh builder and bundle,
-    and their etas, through AW's steps q^(-t), are good to 2^-530 there: the H~_D frame's
-    at x + i gamma/2 and the ladder frame's at x + i t gamma, t = 1, 0, -1."""
+    """A builder makes its ladder frames at its own working precision, whatever the
+    caller's: frames asked for at 53, 288 and 544 bits equal one another and a fresh
+    builder's.  A bundle makes its H~_D kernel, shift steps included, once per working
+    precision: after a frame at 288 bits, the frame at 544 bits (a 512-bit escalation's
+    working precision) equals that of a fresh bundle.  The etas, through AW's steps
+    q^(-t), are good to 2^-530 there: the H~_D frame's at x + i gamma/2 and the ladder
+    frame's at x + i t gamma, t = 1, 0, -1."""
     lam = draw_params("aw", "generic", 1)
     D = IndexSet.make([(1, "I")])
     with workbits(544):
         bun = build_miop(lam, D, 1, bits=512, check=False)
     u = lam.fam.sample_args(3, lam, "prec")[1]
-    used = Builder(lam, 512)
+    used, frames = Builder(lam, 512), []
+    for bits in (53, 288, 544):
+        with workbits(bits):
+            frames.append(used.frames([u], 3, {"I", "P"}))
+    assert frames[0] == frames[1] == frames[2] == Builder(lam, 512).frames([u], 3, {"I", "P"})
     with workbits(288):
         htilde_frame(bun, u)
-        used.frames([u], 3, {"I", "P"})
     with workbits(544):
-        fresh = Builder(lam, 512)
         assert htilde_frame(bun, u) == htilde_frame(replace(bun), u)
-        assert used.frames([u], 3, {"I", "P"}) == fresh.frames([u], 3, {"I", "P"})
         (etas, _), = used.frames([u], 3, {"I"})
         got = [htilde_frame(bun, u).eta_ph] + [gstore(x, 544) for x in etas]
     with workbits(1100):

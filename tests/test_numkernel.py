@@ -208,7 +208,8 @@ def test_cofactor_kernel_matches_mpc_oracle():
     import random
 
     from casoratia.numkernel import MPScalars
-    from casoratia.polycore import det_dense, last_column_cofactors
+    from casoratia.polycore import det_dense
+    from cofactor_oracle import last_column_cofactors
 
     bits = 288
     rng = random.Random(11)
@@ -259,7 +260,7 @@ def _oracle_row(head, etas, last, turns, p):
     from itertools import permutations
 
     from casoratia.numkernel import MPScalars
-    from casoratia.polycore import last_column_cofactors
+    from cofactor_oracle import last_column_cofactors
 
     def size(q, eta):
         return sum(abs(c) * abs(eta) ** m for m, c in enumerate(q.coeffs))
@@ -422,7 +423,7 @@ def test_stencil_residual_kernel_matches_mpc_oracle():
                     vals = [_mpc_horner(coeffs, x) for x in xs]
                     ws[0] = E - (ws[1] * vals[1] + ws[2] * vals[2]) / vals[0]
                 frame = _Frame(tuple(gload(x, bits + GUARD_BITS) for x in xs),
-                               tuple(gload(c, bits + GUARD_BITS) for c in ws), ())
+                               tuple(gload(c, bits + GUARD_BITS) for c in ws), (), sc)
                 got = sc.stencil_residual([(Poly(coeffs, sc), E)])(frame)
                 with workbits(4 * bits):
                     vals = [_mpc_horner(coeffs, x) for x in xs]

@@ -13,8 +13,8 @@ from casoratia.exact import ExactScalars
 from casoratia.families import FAMILIES, draw_params, params_from_values
 from casoratia.miop import Builder, PrefactorResidue, _shape_invariance_defect, _vanishing
 from casoratia.numkernel import MPScalars, workbits
-from casoratia.polycore import (Poly, det_dense, ladder_points, last_column_cofactors,
-                                lstsq_dense, pivot_row, solve_dense)
+from casoratia.polycore import Poly, det_dense, ladder_points, lstsq_dense, pivot_row, solve_dense
+from cofactor_oracle import last_column_cofactors
 
 AW_EXACT = [("1/10", "0"), ("2/15", "0"), ("1/8", "1/16"), ("1/8", "-1/16")]
 
@@ -161,6 +161,20 @@ def test_backends_expose_the_same_interface():
         "htilde_frames", "stencil_residual"}
     assert public(ExactScalars) == public(MPScalars) == public(MPScalars())
     assert public(ExactScalars(Fraction(2, 5))) == public(MPScalars) | {"q"}
+
+
+def test_backends_share_one_kernel_set():
+    """Neither backend defines a per-point kernel of its own: both take horner ...
+    cofactor_row from numkernel.ScalarKernels and give only their arithmetic."""
+    from casoratia.numkernel import ScalarKernels
+
+    kernels = ("horner", "affine_ratios", "ladder_frames", "htilde_frames", "stencil_residual",
+               "cofactor_row")
+    for backend in (MPScalars, ExactScalars):
+        assert issubclass(backend, ScalarKernels)
+        for name in kernels:
+            assert name not in vars(backend), (backend.__name__, name)
+            assert getattr(backend, name) is vars(ScalarKernels)[name]
 
 
 def test_construction_path_has_no_backend_name_test():

@@ -66,6 +66,18 @@ def test_recover_x_branches():
             assert abs(mp.cos(x) - eta) < mp.mpf("1e-60")
 
 
+def test_wilson_x_of_a_real_negative_eta_ignores_the_noise_sign():
+    """A real negative eta whose Im eta is rounding noise of either sign gives x with
+    Im x > 0, within the tie of find_zeros at 256 bits; outside the tie the principal
+    branch stands."""
+    with workbits(288):
+        tie = mp.mpf(2) ** (-256 // 2) * mp.mpf("3.3")
+        xs = [FAMILIES["w"].recover_x(mp.mpc("-3.3", s * mp.mpf(2) ** -280), tie) for s in (1, -1)]
+        assert all(mp.im(x) > 0 for x in xs)
+        assert abs(xs[0] - xs[1]) <= mp.mpf(2) ** -270
+        assert mp.im(FAMILIES["w"].recover_x(mp.mpc(-3.3, -1), tie)) < 0
+
+
 @pytest.mark.parametrize("tag", ["ch", "w", "aw"])
 def test_zero_structure_physical(tag):
     """Conjugation closure, physical-interval count and interlacing."""
