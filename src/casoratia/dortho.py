@@ -22,7 +22,7 @@ from .miop import (IndexSet, MiopBundle, apply_htilde, build_miop, eigen_residua
                    htilde_frame)
 from .numkernel import (GUARD_BITS, gabs, gadd, gbelow, gdiv, gdot, gload, gmul, gneg, gstore,
                         workbits)
-from .polycore import Poly
+from .polycore import Poly, lagrange_numerator
 from .zeros import ZeroSet, find_zeros
 
 
@@ -191,10 +191,7 @@ def _deterministic_index(lam, D, n) -> int:
 def _diag_from_definition_defect(lam, zs, fr, j, closed_value) -> mp.mpf:
     """M~_jj from the definition: H~_D applied to the Lagrange numerator at x_j (frame fr)."""
     sc = lam.scalars
-    lag = Poly([sc.one], sc)
-    for l, eta_l in enumerate(zs.eta):
-        if l != j:
-            lag = lag * Poly([-eta_l, sc.one], sc)
+    lag = Poly(lagrange_numerator(zs.eta, j, sc.one), sc)
     val = mp.mpc(apply_htilde(fr, lag)) / mp.mpc(lag(zs.eta[j]))
     return abs(val - closed_value) / max(abs(closed_value), mp.mpf(1))
 

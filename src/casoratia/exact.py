@@ -15,6 +15,7 @@ from typing import Union
 import mpmath as mp
 
 from .numkernel import HELD_OUT, ScalarKernels
+from .polycore import times_linear
 
 _F0 = Fraction(0)
 _MAG_ZERO, _MAG_ONE = mp.mpf(0), mp.mpf(1)
@@ -288,7 +289,8 @@ class ExactScalars(ScalarKernels):
     def interpolator(etas):
         """coeffs(vals, deg): the deg + 1 coefficients of the polynomial through the first
         deg + 1 nodes, exactly: Newton's divided differences d_k, then the Newton form
-        d_0 + (v - eta_0)(d_1 + (v - eta_1)(d_2 + ...)) expanded from the inside out."""
+        d_0 + (v - eta_0)(d_1 + (v - eta_1)(d_2 + ...)) expanded from the inside out
+        by times_linear."""
         def coeffs(vals, deg):
             xs, d = etas[:deg + 1], list(vals[:deg + 1])
             for k in range(1, deg + 1):
@@ -296,13 +298,12 @@ class ExactScalars(ScalarKernels):
                     d[j] = (d[j] - d[j - 1]) / (xs[j] - xs[j - k])
             cs = [d[deg]]
             for k in range(deg - 1, -1, -1):
-                x = xs[k]
-                cs = [d[k] - x * cs[0]] + [a - x * b for a, b in zip(cs, cs[1:])] + [cs[-1]]
+                cs = times_linear(cs, xs[k])
+                cs[0] = d[k] + cs[0]
             return cs
         return coeffs
 
     is_zero = staticmethod(QQi.is_zero)
-    conj = staticmethod(QQi.conjugate)
     to_mpc = staticmethod(QQi.to_mpc)
 
     @staticmethod

@@ -36,7 +36,7 @@ import mpmath as mp
 
 from .exact import ExactScalars, QQi, fraction_from_decimal
 from .numkernel import MPScalars, jitter, mpc_parts, pochhammer, q_pochhammer, workbits
-from .polycore import Poly
+from .polycore import Poly, times_linear
 
 HALF = Fraction(1, 2)
 PHYSICAL_TOL = 1e-25   # relative, of the conjugation constraints of validate_physical
@@ -122,16 +122,19 @@ def _quo(num, den):
 
 def recurrence_run(n: int, t, step, sc, run: BaseRun | None = None) -> BaseRun:
     """p_0 = 1 and p_{k+1} = ((eta - B_k) p_k - C_k p_{k-1}) / A_k up to degree n, as Polys
-    on sc, continuing run if one is given.  step(k, r, e, f) gives the triple from r =
-    t(k)/t(2k), e = 1/t(2k+1) and f = 1/(t(2k-1) t(2k)), t(m) = m + b1 - 1 (cH, W) or
-    1 - b4 q^(m-1) (AW); at k = 0, r = 1 (t(0) cancels) and f = 0 (C_0 = 0).  A divisor
-    that is exactly zero raises SingularStep."""
-    polys, triples = (list(run.polys), list(run.triples)) if run else ([Poly.const(sc.one, sc)], [])
+    on sc (each step on coefficient lists, by times_linear), continuing run if one is
+    given.  step(k, r, e, f) gives the triple from r = t(k)/t(2k), e = 1/t(2k+1) and
+    f = 1/(t(2k-1) t(2k)), t(m) = m + b1 - 1 (cH, W) or 1 - b4 q^(m-1) (AW); at k = 0,
+    r = 1 (t(0) cancels) and f = 0 (C_0 = 0).  A divisor that is exactly zero raises
+    SingularStep."""
+    polys, triples = (list(run.polys), list(run.triples)) if run else ([Poly([sc.one], sc)], [])
     for k in range(len(polys) - 1, n):
         r, f = (1, 0) if k == 0 else (_quo(t(k), t(2 * k)), _quo(1, t(2 * k - 1) * t(2 * k)))
         a_k, b_k, c_k = step(k, r, _quo(1, t(2 * k + 1)), f)
-        prev = polys[k - 1].scale(c_k) if k else Poly.const(sc.zero, sc)
-        polys.append((Poly([-b_k, sc.one], sc) * polys[k] - prev).scale(_quo(1, a_k)))
+        cs, inv = times_linear(polys[k].coeffs, b_k), _quo(1, a_k)
+        if k:
+            cs[:k] = [x - y * c_k for x, y in zip(cs, polys[k - 1].coeffs)]
+        polys.append(Poly([x * inv for x in cs], sc))
         triples.append((a_k, b_k, c_k))
     return BaseRun(tuple(polys), tuple(triples))
 
@@ -497,7 +500,12 @@ class AskeyWilson(Family):
         return (mp.mpf(0), mp.pi)
 
     def recover_x(self, eta, tie=0):
-        return mp.acos(mp.mpc(eta))
+        """acos(eta), Re x in [0, pi], but where Re x is nearer than tie to an end e (0 or pi)
+        the twin 2e - x with Im x >= 0: a real eta's x does not take the sign of its noise.
+        At tie = 0 it is the principal acos, as arg_of_eta."""
+        x = mp.acos(mp.mpc(eta))
+        end = 0 if abs(mp.re(x)) < tie else mp.pi if abs(mp.re(x) - mp.pi) < tie else None
+        return 2 * end - x if end is not None and mp.im(x) < 0 else x
 
     def arg_of_eta(self, eta):
         """z = e^{i acos eta} = eta + s, s = i sqrt(1 - eta^2), or 1 / (eta - s) where that sum
@@ -562,6 +570,8 @@ def params_from_values(family: str, a_vals, q_val=None, mode: str = "physical",
     rational it spells.  Float parameters are converted at 2 bits + 32, the working
     precision of the top rung of the CLI's precision ladder."""
     qf = None if family != "aw" or q_val is None else fraction_from_decimal(str(q_val))
+    if qf == 0:
+        raise ValueError("AW needs q != 0")
     sc = ExactScalars(qf) if backend == "exact" else MPScalars()
     with workbits(2 * bits + 32):
         a = tuple(sc.from_fraction(fraction_from_decimal(str(re)), fraction_from_decimal(str(im)))

@@ -18,7 +18,7 @@ from .dortho import naive_zero_grid
 from .families import ParamSet
 from .miop import IndexSet, PoleAtSample, apply_htilde, build_miop, get_builder, htilde_frame
 from .numkernel import MPScalars, workbits
-from .polycore import Poly
+from .polycore import Poly, lagrange_numerator
 from .zeros import find_zeros
 
 
@@ -291,7 +291,8 @@ def psi_d_squared(lam: ParamSet, D: IndexSet, bundle, x):
 
 def partial_fraction_integral_check(lam: ParamSet, D: IndexSet, N: int, j: int, k: int,
                                     bits: int = 192) -> dict:
-    """The naive partial-fraction integral: ~0 for D = empty, nonzero otherwise.
+    """The naive partial-fraction integral: ~0 for D = empty, nonzero otherwise.  q_j is
+    prod_{l != j} (eta - eta_l) over the zeros of P_{D,N}, P_{D,N} / (eta - eta_j) up to its lead.
 
     Construction runs at `bits`; the quadrature itself at 110 bits with
     maxdegree 7 (the 1e-8 / 1e-3 split thresholds need ~1e-10 accuracy, and
@@ -303,13 +304,7 @@ def partial_fraction_integral_check(lam: ParamSet, D: IndexSet, N: int, j: int, 
     bundle = build_miop(lam, D, N, bits)
     zs = find_zeros(bundle.P[N], bits, fam)
     sc = lam.scalars
-    pN = bundle.P[N]
-
-    def deflate(idx):
-        q, r = pN.divmod(Poly([-zs.eta[idx], sc.one], sc))
-        return q
-
-    qj, qk = deflate(j), deflate(k)
+    qj, qk = (Poly(lagrange_numerator(zs.eta, idx, sc.one), sc) for idx in (j, k))
     method = "gauss-legendre" if lam.family == "aw" else "tanh-sinh"
 
     def integral(qa, qb):

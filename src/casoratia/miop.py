@@ -371,7 +371,7 @@ class Builder:
             if D != D0:
                 poly = self._extract(_xi_cols(D), D.ell, _xi_cols(D0), self.xi(D0))
             elif D.M1 == 0 or D.M2 == 0:
-                poly = Poly.const(self.sc.one, self.sc)
+                poly = Poly([self.sc.one], self.sc)
             else:
                 poly = self._pairing_bootstrap(D0, _bumped_reference(D.counts))
         self._xi_cache[key] = poly

@@ -494,10 +494,6 @@ class MPScalars(ScalarKernels):
     magnitude = staticmethod(abs)   # the absolute value every gate compares
 
     @staticmethod
-    def conj(x):
-        return mp.conj(x)
-
-    @staticmethod
     def to_mpc(x):
         return mp.mpc(x)
 

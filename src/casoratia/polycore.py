@@ -1,7 +1,8 @@
-"""Dense univariate polynomial algebra and linear algebra over scalar backends.
+"""Dense univariate polynomials and linear algebra over scalar backends.
 
-``Poly`` holds a polynomial in the sinusoidal coordinate eta; the dense
-solvers (determinant, square solve, least squares) act on scalar matrices.
+``Poly`` holds a polynomial in the sinusoidal coordinate eta, without ring arithmetic:
+every product is built on coefficient lists by one step, ``times_linear`` ((v - c) p).
+The dense solvers (determinant, square solve, least squares) act on scalar matrices.
 Coefficients are mpmath complex numbers (``numkernel.MPScalars``) or exact
 Gaussian rationals, with sqrt(q) adjoined for AW (``exact.ExactScalars``).
 The pivot choice and the coefficient height are written here once, on the
@@ -25,12 +26,6 @@ class Poly:
         # made at the first use and kept, as nothing mutates coeffs: the backend's Horner
         # evaluator, the height and the trimmed form
         self._value = self._height = self._trimmed = None
-
-    @classmethod
-    def const(cls, c, scalars):
-        return cls([c], scalars)
-
-    # -- structure -------------------------------------------------------------
 
     @property
     def height(self):
@@ -57,40 +52,6 @@ class Poly:
     def lead(self):
         return self.trim().coeffs[-1]
 
-    # -- arithmetic --------------------------------------------------------------
-
-    def __add__(self, other):
-        sc = self.scalars
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return Poly(out, sc)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.scalars)
-
-    def __mul__(self, other):
-        sc = self.scalars
-        if not isinstance(other, Poly):
-            return Poly([c * other for c in self.coeffs], sc)
-        a, b = self.coeffs, other.coeffs
-        out = [sc.zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if sc.is_zero(ai):
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return Poly(out, sc)
-
-    def scale(self, c):
-        return Poly([x * c for x in self.coeffs], self.scalars)
-
     def __call__(self, v):
         return (self._value or self.evaluator())(v)
 
@@ -105,25 +66,20 @@ class Poly:
             return Poly([self.scalars.zero], self.scalars)
         return Poly([self.coeffs[k] * k for k in range(1, len(self.coeffs))], self.scalars)
 
-    def divmod(self, other: "Poly"):
-        """Polynomial division (quotient, remainder), each trimmed of exact zeros."""
-        sc = self.scalars
-        a = self.trim().coeffs[:]
-        b = other.trim().coeffs
-        if len(b) == 1 and sc.is_zero(b[0]):
-            raise ZeroDivisionError("division by zero polynomial")
-        inv_lead = sc.one / b[-1]
-        q = [sc.zero] * max(1, len(a) - len(b) + 1)
-        while len(a) >= len(b) and not (len(a) == 1 and sc.is_zero(a[0])):
-            k = len(a) - len(b)
-            f = a[-1] * inv_lead
-            q[k] = f
-            for i, bc in enumerate(b):
-                a[k + i] = a[k + i] - f * bc
-            a.pop()
-            if not a:
-                a = [sc.zero]
-        return Poly(q, sc).trim(), Poly(a, sc).trim()
+
+def times_linear(cs, c):
+    """The coefficients of (v - c) p from those cs of p: the one product by a linear factor
+    of the package (base recurrence, exact Newton form, Lagrange numerators)."""
+    return [-(c * cs[0])] + [a - c * b for a, b in zip(cs, cs[1:])] + [cs[-1]]
+
+
+def lagrange_numerator(roots, j: int, one):
+    """The coefficients of prod_{l != j} (v - roots[l]), one the backend's unit."""
+    cs = [one]
+    for l, r in enumerate(roots):
+        if l != j:
+            cs = times_linear(cs, r)
+    return cs
 
 
 def ladder_points(n: int):
@@ -201,11 +157,11 @@ def lstsq_dense(rows, rhs, scalars):
     for i in range(m):
         ri = rows[i]
         for a in range(n):
-            ca = scalars.conj(ri[a])
+            ca = ri[a].conjugate()
             atb[a] = atb[a] + ca * rhs[i]
             for b in range(a, n):
                 ata[a][b] = ata[a][b] + ca * ri[b]
     for a in range(n):
         for b in range(a):
-            ata[a][b] = scalars.conj(ata[b][a])
+            ata[a][b] = ata[b][a].conjugate()
     return solve_dense(ata, atb, scalars)

@@ -373,6 +373,12 @@ def test_prec_below_64_rejected():
      "exists and is not a directory"),
     (["CASORATIA_CACHE={tmp}/w.json", "construct", "--family", "w", "--dI", "2", "--N", "2"],
      "exists and is not a directory"),
+    (["roots", "--params", "{tmp}/aw_q0.json", "--dI", "1", "--N", "2"],
+     "--params: bad parameter values: AW needs q != 0"),
+    (["construct", "--params", "{tmp}/aw_q0.json", "--backend", "exact", "--dI", "1"],
+     "--params: bad parameter values: AW needs q != 0"),
+    (["verify", "--params", "{tmp}/aw_q0_generic.json", "--dI", "1", "--N", "2"],
+     "--params: bad parameter values: AW needs q != 0"),
 ])
 def test_contradictory_flags_are_usage_errors(argv, message, monkeypatch, capsys, tmp_path):
     """Flag values, parameter files and output paths no command can run are usage errors
@@ -386,11 +392,14 @@ def test_contradictory_flags_are_usage_errors(argv, message, monkeypatch, capsys
     for name in ("cmd_verify", "cmd_sweep", "cmd_identities", "cmd_roots", "cmd_construct"):
         monkeypatch.setattr(cli, name, no_work)
     a_vals = [["5/2", "0"], ["11/4", "0"], ["9/4", "1/2"], ["9/4", "-1/2"]]
+    aw_vals = [["1/10", "0"], ["2/15", "0"], ["1/8", "1/16"], ["1/8", "-1/16"]]
     docs = {"w": {"family": "w", "a": a_vals}, "zz": {"family": "zz", "a": a_vals},
             "no_a": {"family": "w"}, "literal": {"family": "w", "a": [["x", "0"]] + a_vals[1:]},
             "two": {"family": "w", "a": a_vals[:2]}, "aw_no_q": {"family": "aw", "a": a_vals},
             "mode": {"family": "w", "a": a_vals, "mode": "bogus"},
-            "generic": {"family": "w", "a": a_vals, "mode": "generic"}}
+            "generic": {"family": "w", "a": a_vals, "mode": "generic"},
+            "aw_q0": {"family": "aw", "a": aw_vals, "q": "0"},
+            "aw_q0_generic": {"family": "aw", "a": aw_vals, "q": "0", "mode": "generic"}}
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     argv = [arg.format(tmp=tmp_path) for arg in argv]

@@ -43,16 +43,17 @@ def test_empty_index_set_is_base():
         ps = [b.P(D, n) for n in range(4)]
         with workbits(192 + 32):   # the builder's working precision
             run = FAMILIES["w"].base_poly(3, lam, b.sc)
-            eta = Poly([b.sc.zero, b.sc.one], b.sc)
             for n, p in enumerate(ps):
                 assert p.coeffs == run.polys[n].coeffs
+
+            def coeff(m, i):
+                return ps[m].coeffs[i] if m >= 0 and i < len(ps[m].coeffs) else b.sc.zero
             for n, (a_n, b_n, c_n) in enumerate(run.triples):
-                rhs = ps[n + 1].scale(a_n) + ps[n].scale(b_n)
-                if n:
-                    rhs = rhs + ps[n - 1].scale(c_n)
-                lhs = eta * ps[n]
-                assert max(abs(x - y) for x, y in zip(lhs.coeffs, rhs.coeffs)) \
-                    <= mp.mpf(2) ** -200 * lhs.height
+                lhs = [b.sc.zero] + ps[n].coeffs            # eta p_n
+                rhs = [a_n * coeff(n + 1, i) + b_n * coeff(n, i) + c_n * coeff(n - 1, i)
+                       for i in range(n + 2)]
+                assert max(abs(x - y) for x, y in zip(lhs, rhs)) \
+                    <= mp.mpf(2) ** -200 * max(map(abs, lhs))
 
 
 @pytest.mark.parametrize("tag", TAGS)
@@ -139,7 +140,8 @@ def test_apply_htilde_on_constants_and_linearity():
         p = bun.P[1]
         r = Poly([sc.from_int(2), sc.one, sc.one], sc)
         al, be = mp.mpc("1.5", "-0.5"), mp.mpc("0.25", "2")
-        combo = p.scale(al) + r.scale(be)
+        pcs = p.coeffs + [sc.zero] * (len(r.coeffs) - len(p.coeffs))
+        combo = Poly([al * x + be * y for x, y in zip(pcs, r.coeffs)], sc)
         lhs = apply_htilde(fr, combo)
         rhs = (al * apply_htilde(fr, p) + be * apply_htilde(fr, r))
         assert abs(lhs - rhs) <= mp.mpf(2) ** -180 * (1 + abs(lhs))

@@ -13,7 +13,8 @@ from casoratia.exact import ExactScalars
 from casoratia.families import FAMILIES, draw_params, params_from_values
 from casoratia.miop import Builder, PrefactorResidue, _shape_invariance_defect, _vanishing
 from casoratia.numkernel import MPScalars, workbits
-from casoratia.polycore import Poly, det_dense, ladder_points, lstsq_dense, pivot_row, solve_dense
+from casoratia.polycore import (Poly, det_dense, lagrange_numerator, ladder_points, lstsq_dense,
+                                pivot_row, solve_dense, times_linear)
 from cofactor_oracle import last_column_cofactors
 
 AW_EXACT = [("1/10", "0"), ("2/15", "0"), ("1/8", "1/16"), ("1/8", "-1/16")]
@@ -74,21 +75,17 @@ def test_backend_interface_and_dense_routines(backend):
         def same_poly(p, r):
             return len(p.coeffs) == len(r.coeffs) and all(map(same, p.coeffs, r.coeffs))
 
-        # Poly arithmetic, evaluation, derivative
-        p, r = poly(1, 2), poly(-3, 1)
-        assert same_poly(p * r, poly(-3, -5, 2))
-        assert same_poly(p + r, poly(-2, 3)) and same_poly(p - r, poly(4, 1))
-        assert same_poly(-p, poly(-1, -2)) and same_poly(p.scale(num(3)), poly(3, 6))
-        assert same(p(num(2)), num(5)) and same_poly((p * r).derivative(), poly(-5, 4))
+        # the linear-factor step, the Lagrange numerator, evaluation, derivative
+        p = poly(1, 2)
+        pr = Poly(times_linear(p.coeffs, num(3)), sc)     # (1 + 2v)(v - 3)
+        assert same_poly(pr, poly(-3, -5, 2))
+        assert same_poly(Poly(lagrange_numerator([num(1), num(3), num(-2)], 1, sc.one), sc),
+                         poly(-2, 1, 1))
+        assert same(p(num(2)), num(5)) and same_poly(pr.derivative(), poly(-5, 4))
         # trim drops exact zeros only, on both backends: a tiny coefficient stays
         assert poly(1, 2, 0, 0).degree == 1 and poly(0, 0).degree == 0
         tiny = poly(1, 2, Fraction(1, 2 ** 190))
         assert tiny.degree == 2 and sc.is_zero(tiny.lead() - num(Fraction(1, 2 ** 190)))
-        # divmod
-        quo, rem = (p * r + poly(7)).divmod(r)
-        assert same_poly(quo, p) and same_poly(rem, poly(7))
-        with pytest.raises(ZeroDivisionError):
-            p.divmod(poly(0))
 
         # pivot choice on the magnitudes: the largest |x| in floats, the first
         # nonzero in exact arithmetic; exact zero factors are skipped on both
@@ -96,7 +93,7 @@ def test_backend_interface_and_dense_routines(backend):
         assert pivot_row(col, 0, sc) == (1 if exact else 2)
         assert pivot_row([[num(0)], [num(0)]], 0, sc) is None
         assert sc.is_zero(num(0)) and not sc.is_zero(num(1))
-        assert same_poly(poly(0, 1) * poly(0, 0, 3), poly(0, 0, 0, 3))
+        assert same_poly(Poly(times_linear(poly(0, 0, 3).coeffs, num(0)), sc), poly(0, 0, 0, 3))
         # dense routines: the first pivot must move a row
         a = [[num(v) for v in row] for row in ([0, 1, 2], [1, 0, 3], [4, -3, 8])]
         assert same(det_dense(a, sc), num(-2))
@@ -156,7 +153,7 @@ def test_backends_expose_the_same_interface():
 
     assert public(MPScalars) == {
         "name", "zero", "one", "i", "from_int", "from_fraction", "is_zero",
-        "magnitude", "conj", "to_mpc", "q_power", "sample_args", "extraction_nodes",
+        "magnitude", "to_mpc", "q_power", "sample_args", "extraction_nodes",
         "interpolator", "horner", "cofactor_row", "affine_ratios", "ladder_frames",
         "htilde_frames", "stencil_residual"}
     assert public(ExactScalars) == public(MPScalars) == public(MPScalars())
@@ -175,6 +172,52 @@ def test_backends_share_one_kernel_set():
         for name in kernels:
             assert name not in vars(backend), (backend.__name__, name)
             assert getattr(backend, name) is vars(ScalarKernels)[name]
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+def test_times_linear_and_lagrange_numerator_expand_the_products(backend):
+    """(v - c) p and prod_{l != j} (v - r_l) equal the products expanded by convolution:
+    exactly on the exact backend, within 2^-(bits - 8) of the height in floats."""
+    bits = 192
+    with workbits(bits):
+        sc = _aw_params(backend).scalars
+
+        def num(k, im=0):
+            return sc.from_fraction(Fraction(k), Fraction(im))
+
+        def expand(factors):
+            out = [sc.one]
+            for f in factors:
+                prod = [sc.zero] * (len(out) + len(f) - 1)
+                for i, a in enumerate(out):
+                    for k, b in enumerate(f):
+                        prod[i + k] = prod[i + k] + a * b
+                out = prod
+            return out
+
+        def check(got, want):
+            assert len(got) == len(want)
+            if backend == "exact":
+                assert got == want
+            else:
+                height = max(map(abs, want))
+                err = max(abs(x - y) for x, y in zip(got, want))
+                assert err <= mp.mpf(2) ** (8 - bits) * height
+
+        p = [num(Fraction(3 * k % 7 - 3, k + 2), Fraction(k % 3 - 1, 5)) for k in range(6)]
+        roots = [num(Fraction(2 * k - 5, 3), Fraction(k % 4 - 2, 7)) for k in range(6)]
+        for c in roots:
+            check(times_linear(p, c), expand([p, [-c, sc.one]]))
+        for j in range(len(roots)):
+            check(lagrange_numerator(roots, j, sc.one),
+                  expand([[-r, sc.one] for l, r in enumerate(roots) if l != j]))
+
+
+def test_poly_has_no_ring_arithmetic():
+    """A Poly keeps its coefficients, height, trim/degree/lead, Horner evaluator and
+    derivative; every product the package multiplies out goes through times_linear."""
+    for name in ("const", "__add__", "__sub__", "__neg__", "__mul__", "scale", "divmod"):
+        assert not hasattr(Poly, name), name
 
 
 def test_construction_path_has_no_backend_name_test():

@@ -78,6 +78,21 @@ def test_wilson_x_of_a_real_negative_eta_ignores_the_noise_sign():
         assert mp.im(FAMILIES["w"].recover_x(mp.mpc(-3.3, -1), tie)) < 0
 
 
+def test_askey_wilson_x_of_a_real_eta_outside_the_interval_ignores_the_noise_sign():
+    """A real eta outside [-1, 1] whose Im eta is rounding noise of either sign gives x with
+    Im x > 0, within the tie of find_zeros at 256 bits: pi + 0.962i at eta = -1.5 and
+    +1.567i at eta = 2.5.  Outside the tie the principal branch stands."""
+    with workbits(288):
+        aw = FAMILIES["aw"]
+        for eta, want in (("-1.5", mp.pi + 1j * mp.acosh(mp.mpf("1.5"))),
+                          ("2.5", 1j * mp.acosh(mp.mpf("2.5")))):
+            tie = mp.mpf(2) ** (-256 // 2) * abs(mp.mpf(eta))
+            for s in (1, -1):
+                x = aw.recover_x(mp.mpc(eta, s * mp.mpf(2) ** -280), tie)
+                assert abs(x - want) <= mp.mpf(2) ** -270
+        assert mp.im(aw.recover_x(mp.mpc("2.5", 1), tie)) < 0
+
+
 @pytest.mark.parametrize("tag", ["ch", "w", "aw"])
 def test_zero_structure_physical(tag):
     """Conjugation closure, physical-interval count and interlacing."""
