@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -482,6 +483,14 @@ def _usage_error(args) -> str | None:
         return "index sets with more than 3 entries (--dI and --dII together) are out of scope"
     if args.command == "roots" and _index_set(args).ell + args.N < 1:
         return "roots needs deg P_{D,N} = ell_D + N >= 1"
+    if args.lam.family == "aw":
+        # a type reflects its pair's a_k to q / a_k; verify takes b' on both type orders
+        types = {"I", "II"} if args.command == "verify" else {t for _, t in D}
+        if args.command == "identities" and (args.chain or args.prefactor_ratio):
+            types |= {args.tprime, args.tprime2}
+        zero = [k for t in sorted(types) for k in args.lam.fam.pairs[t] if args.lam.a[k] == 0]
+        if zero:
+            return f"--params: AW parameter a_{zero[0] + 1} is 0, and {args.command} divides by it"
     if args.command != "identities":
         return None
     if not (args.lemma_eta or args.classical or args.chain or args.prefactor_ratio
@@ -511,8 +520,10 @@ def _usage_error(args) -> str | None:
     return None
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
-    """Each subcommand declares exactly the flags it reads."""
+    """Each subcommand declares exactly the flags it reads.  Made once per process: every
+    default is immutable, so no call can leave state in it for the next."""
     ap = argparse.ArgumentParser(prog="casoratia",
                                  description="multi-indexed cH/W/AW discrete-orthogonality verifier")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -522,8 +533,8 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", choices=FAMILIES)
         p.add_argument("--params", help="JSON parameter file")
         p.add_argument("--mode", choices=MODES, help="default: physical, or the params file's")
-        p.add_argument("--dI", type=_degrees, default=[], help="type-I degrees, e.g. '1,2'")
-        p.add_argument("--dII", type=_degrees, default=[], help="type-II degrees")
+        p.add_argument("--dI", type=_degrees, default=(), help="type-I degrees, e.g. '1,2'")
+        p.add_argument("--dII", type=_degrees, default=(), help="type-II degrees")
         p.add_argument("--N", type=_at_least(0), default=3)
         p.add_argument("--prec", type=_prec, default=DEFAULT_BITS)
         p.add_argument("--seed", type=int, default=1)
@@ -540,8 +551,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--prec", type=_prec, default=DEFAULT_BITS)
     p.add_argument("--out")
     p.add_argument("--jobs", type=_at_least(1), default=1)
-    p.add_argument("--families", type=_names(FAMILIES), default=list(FAMILIES))
-    p.add_argument("--modes", type=_names(MODES), default=list(MODES))
+    p.add_argument("--families", type=_names(FAMILIES), default=tuple(FAMILIES))
+    p.add_argument("--modes", type=_names(MODES), default=tuple(MODES))
     p.add_argument("--draws", type=_at_least(1), default=1)
     p.add_argument("--dmax", type=_at_least(0), default=3)
     p.add_argument("--M", type=int, choices=[1, 2], default=2)

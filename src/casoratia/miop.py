@@ -19,15 +19,14 @@ order of calls.  The nodes and the interpolation are the scalar backend's: 2^k
 roots of unity on a circle in eta with an inverse DFT in floats (each set the
 first half of the next; the coefficients past deg must vanish), the first
 rational points with Newton's divided differences otherwise.
-Xi_D and P_{D,n} take one extraction path, each on the nodes of its own
-degree.  detPoly is linear in its last column, so a node keeps one row per
-(head columns, last kind): the backend's cofactor_row, the cofactors of the
-other columns with the phase and the last column's row weights folded in (on
-floats, in Gaussian floats from the Horner values of the head columns on).  Every
-detPoly value, of every degree of that last column and every n of P_{D,n}, is
-then that row at the last column's polynomial (Builder._kept_value), and an
-extraction value is that times the node's reference ratio
-Xi_{D0}(eta) / detPoly_{D0}.
+Xi_D and P_{D,n} take one extraction path, each on the nodes of its own degree.
+A node keeps each column polynomial's loaded values at its etas, made once
+(Builder._column), and, detPoly being linear in its last column, one row per
+(head columns, last kind): the backend's cofactor_row, the head values' cofactors
+with the phase and the last column's row weights folded in.  Every detPoly value,
+of every degree of that last column and every n of P_{D,n}, is that row at the
+last column's values (Builder._kept_value); an extraction value is that times
+the node's reference ratio Xi_{D0}(eta) / detPoly_{D0}.
 Every build is gated: the degree law (an extracted leading coefficient above
 the fit's noise floor; the class references and base polynomials have theirs
 by construction), the vanishing DFT coefficients, held-out node residuals, the
@@ -47,7 +46,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .families import FAMILIES, ParamSet
-from .numkernel import HELD_OUT, workbits
+from .numkernel import GUARD_BITS, HELD_OUT, workbits
 from .polycore import Poly, ladder_points, solve_dense
 
 HALF = Fraction(1, 2)
@@ -145,17 +144,19 @@ def _bumped_reference(counts) -> IndexSet:
 @dataclass
 class _Node:
     """One extraction node of a class: its sample arg, eta, ladder frame (Builder.frames)
-    and reference value detPoly(ref_cols); the _rows of every value made at it, keyed
-    (head columns, last kind); and, from its first extraction on, the reference ratio
-    Xi_{D0}(eta) / ref.  A class has one reference, Xi_{D0} at lambda for Xi_D and at
-    lambda + delta for P_{D,n} (their kinds differ), so the ratio belongs to the node."""
+    and reference value detPoly(ref_cols); the _column values read at it, keyed (kind,
+    degree), and the _rows of every value made at it, keyed (head columns, last kind);
+    and, from its first extraction on, the reference ratio Xi_{D0}(eta) / ref.  A class
+    has one reference, Xi_{D0} at lambda for Xi_D and at lambda + delta for P_{D,n}
+    (their kinds differ), so the ratio belongs to the node."""
 
     u: object
     eta: object
     frame: tuple
-    ref: object
-    rows: dict
+    ref: object = None
     ratio: object = None
+    values: dict = field(default_factory=dict)
+    rows: dict = field(default_factory=dict)
 
 
 class Builder:
@@ -222,33 +223,44 @@ class Builder:
             ratios.append(([(alpha * c0, alpha * c1)] + rest, []))
         return ratios
 
-    def _row(self, head, kind: str, frame):
-        """The backend's cofactor_row of the head columns at the frame: row(p) is detPoly of
-        head + [(kind, d)] for p the polynomial of (kind, d), every degree d.
+    def _column(self, kind: str, deg: int, node: _Node):
+        """The loaded values of the column polynomial (kind, deg) at the etas of the node's
+        frame: made once (_fill), then kept in the node's values."""
+        key = (kind, deg)
+        if key not in node.values:
+            node.values[key] = self._fill(kind, deg, node.frame)
+        return node.values[key]
 
-        detPoly is linear in its last column: the cofactors of the head block, with the
-        phase and the last column's row weights folded in.
-        """
-        etas, cum = frame
+    def _fill(self, kind: str, deg: int, frame) -> tuple:
+        """The kind's Horner kernel at the frame's etas, at the builder's working bits."""
+        ev, w = self.col_poly(kind, deg).evaluator(), self.bits + 32 + GUARD_BITS
+        return tuple(ev.fixed(x, w) for x in frame[0])
+
+    def _row(self, head, kind: str, node: _Node):
+        """The backend's cofactor_row of the head columns' _column values at the node, the
+        phase and the last column's row weights folded in: detPoly is linear in its last
+        column, so row(vals) is detPoly of head + [(kind, d)] at the node's _column vals of
+        (kind, d), every degree d."""
+        cum = node.frame[1]
         R = len(head) + 1
-        return self.sc.cofactor_row(etas, [(self.col_poly(k, d), cum[k]) for k, d in head],
+        return self.sc.cofactor_row([(self._column(k, d, node), cum[k]) for k, d in head],
                                     cum[kind], (R * (R - 1)) // 2)
 
     def det_values(self, cols, us):
-        """detPoly values at the sample arguments us."""
+        """detPoly values at the sample arguments us, each frame with a store of its own."""
         with workbits(self.bits + 32):
-            return [self._kept_value(cols, fr, {})
-                    for fr in self.frames(us, len(cols), {k for k, _ in cols})]
+            return [self._kept_value(cols, _Node(u, None, fr)) for u, fr in
+                    zip(us, self.frames(us, len(cols), {k for k, _ in cols}))]
 
-    def _kept_value(self, cols, frame, kept: dict):
-        """detPoly(cols) at a frame: the _row of the head columns and last kind of cols,
-        made once and kept in kept (a node's rows), keyed (head columns, last kind), at the
-        last column's polynomial.  Every detPoly value is made here."""
+    def _kept_value(self, cols, node: _Node):
+        """detPoly(cols) at a node: the _row of the head columns and last kind of cols, made
+        once and kept in the node's rows, at its _column of the last column.  Every detPoly
+        value is made here."""
         *head, (kind, deg) = cols
         key = (tuple(head), kind)
-        if key not in kept:
-            kept[key] = self._row(head, kind, frame)
-        return kept[key](self.col_poly(kind, deg))
+        if key not in node.rows:
+            node.rows[key] = self._row(head, kind, node)
+        return node.rows[key](self._column(kind, deg, node))
 
     # .. nodes / fitting .........................................................
 
@@ -272,9 +284,8 @@ class Builder:
                 if new:
                     us, etas = map(list, zip(*map(node, new)))
                     for k, u, eta, fr in zip(new, us, etas, self.frames(us, R, kinds)):
-                        rows = {}
-                        cache[cls, attempt, k] = _Node(u, eta, fr,
-                                                       self._kept_value(ref_cols, fr, rows), rows)
+                        nd = cache[cls, attempt, k] = _Node(u, eta, fr)
+                        nd.ref = self._kept_value(ref_cols, nd)
                 nodes = [cache[cls, attempt, k] for k in ids]
                 ok = not _vanishing(sc, [nd.ref for nd in nodes], self.bits)
                 self._node_sets[key] = ok and (nodes, sc.interpolator(
@@ -323,7 +334,7 @@ class Builder:
         for nd in nodes:
             if nd.ratio is None:
                 nd.ratio = ref_poly(nd.eta) / nd.ref
-        vals = [nd.ratio * self._kept_value(cols, nd.frame, nd.rows) for nd in nodes]
+        vals = [nd.ratio * self._kept_value(cols, nd) for nd in nodes]
         return self._fit_held_out([nd.eta for nd in nodes], vals, coeffs, deg)
 
     # .. class references ..........................................................
@@ -340,7 +351,7 @@ class Builder:
         c0, c1 = _xi_cols(D0), _xi_cols(D1)
         nodes, _ = self._nodes(nunk, D0.M, {k for k, _ in c0 + c1}, c0)
         etas, v0 = [nd.eta for nd in nodes], [nd.ref for nd in nodes]
-        v1 = [self._kept_value(c1, nd.frame, nd.rows) for nd in nodes]
+        v1 = [self._kept_value(c1, nd) for nd in nodes]
         fit = list(zip(etas[:nunk], v1, v0))
         rows = [[b_s * e ** k for k in range(dA + 1)] + [-a_s * e ** k for k in range(dB)]
                 for e, a_s, b_s in fit]

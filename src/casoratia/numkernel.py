@@ -285,16 +285,15 @@ class _Horner:
 
 
 class _Row(NamedTuple):
-    """The evaluator p -> sum_j c_j p(eta_j) of ScalarKernels.cofactor_row: the c_j and the
-    etas as loaded values of the backend sc."""
+    """The evaluator vals -> sum_j c_j vals[j] of ScalarKernels.cofactor_row, vals the last
+    column's loaded values p(eta_j): the c_j as loaded values of the backend sc."""
 
     cs: tuple
-    xs: tuple
     sc: object
 
-    def __call__(self, p):
-        sc, w, ev = self.sc, mp.mp.prec + GUARD_BITS, p.evaluator()
-        return sc._store(sc._dot(self.cs, [ev.fixed(x, w) for x in self.xs], w), w - GUARD_BITS)
+    def __call__(self, vals):
+        sc, w = self.sc, mp.mp.prec + GUARD_BITS
+        return sc._store(sc._dot(self.cs, vals, w), w - GUARD_BITS)
 
 
 class _Affine:
@@ -431,23 +430,18 @@ class ScalarKernels:
             return worst
         return residual
 
-    def cofactor_row(self, etas, head, last_weights, turns: int):
-        """The evaluator p -> detPoly at the frame of etas with the head columns and p as the
-        last column: i^turns det[w_j p_k(eta_j) | v_j p(eta_j)], head the (Poly p_k, row
-        weights w) of each head column and v the last column's row weights, in loaded
-        values: the etas and weights are a ladder frame's (ladder_frames), used as loaded.
-
-        Each head entry is the Horner kernel's value at eta_j (_Horner.fixed) times its
-        weight; their cofactors come from the Laplace recursion (_gcofactors), the phase
-        is a quarter-turn (_turn) and v_j one more product, all at mp.mp.prec + GUARD_BITS
-        bits as current here.  row(p) sums c_j p(eta_j) at the caller's precision and
-        stores once (on floats, rounded to nearest).
-        """
+    def cofactor_row(self, head, last_weights, turns: int):
+        """The evaluator vals -> i^turns det[w_j p_k(eta_j) | v_j vals_j] at a frame (_Row),
+        head the (values p_k(eta_j), row weights w) of each head column and v the last
+        column's row weights, all loaded values (ladder_frames).  Each head entry is value
+        times weight, its cofactors come from the Laplace recursion (_gcofactors), the phase
+        is a quarter-turn (_turn) and v_j one more product, at mp.mp.prec + GUARD_BITS bits
+        as current here; row(vals) sums c_j vals_j at the caller's precision and stores
+        once (on floats, rounded to nearest)."""
         w, mul, turn = mp.mp.prec + GUARD_BITS, self._mul, self._turn
-        cols = [(p.evaluator(), ws) for p, ws in head]
-        block = [[mul(ev.fixed(x, w), ws[j], w) for ev, ws in cols] for j, x in enumerate(etas)]
+        block = [[mul(vals[j], ws[j], w) for vals, ws in head] for j in range(len(last_weights))]
         cs = [mul(turn(c, turns), v, w) for c, v in zip(_gcofactors(self, block, w), last_weights)]
-        return _Row(tuple(cs), tuple(etas), self)
+        return _Row(tuple(cs), self)
 
 
 class MPScalars(ScalarKernels):

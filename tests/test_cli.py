@@ -379,6 +379,14 @@ def test_prec_below_64_rejected():
      "--params: bad parameter values: AW needs q != 0"),
     (["verify", "--params", "{tmp}/aw_q0_generic.json", "--dI", "1", "--N", "2"],
      "--params: bad parameter values: AW needs q != 0"),
+    (["verify", "--params", "{tmp}/aw_a2_0.json", "--dII", "1", "--N", "2"],
+     "--params: AW parameter a_2 is 0, and verify divides by it"),
+    (["roots", "--params", "{tmp}/aw_a2_0.json", "--dI", "1", "--N", "2"],
+     "--params: AW parameter a_2 is 0, and roots divides by it"),
+    (["construct", "--params", "{tmp}/aw_a2_0.json", "--backend", "exact", "--dI", "1"],
+     "--params: AW parameter a_2 is 0, and construct divides by it"),
+    (["identities", "--params", "{tmp}/aw_a2_0.json", "--chain", "--dII", "1", "--N", "2"],
+     "--params: AW parameter a_2 is 0, and identities divides by it"),
 ])
 def test_contradictory_flags_are_usage_errors(argv, message, monkeypatch, capsys, tmp_path):
     """Flag values, parameter files and output paths no command can run are usage errors
@@ -399,7 +407,8 @@ def test_contradictory_flags_are_usage_errors(argv, message, monkeypatch, capsys
             "mode": {"family": "w", "a": a_vals, "mode": "bogus"},
             "generic": {"family": "w", "a": a_vals, "mode": "generic"},
             "aw_q0": {"family": "aw", "a": aw_vals, "q": "0"},
-            "aw_q0_generic": {"family": "aw", "a": aw_vals, "q": "0", "mode": "generic"}}
+            "aw_q0_generic": {"family": "aw", "a": aw_vals, "q": "0", "mode": "generic"},
+            "aw_a2_0": {"family": "aw", "a": [aw_vals[0], ["0", "0"]] + aw_vals[2:], "q": "2/5"}}
     for name, doc in docs.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     argv = [arg.format(tmp=tmp_path) for arg in argv]
@@ -410,6 +419,35 @@ def test_contradictory_flags_are_usage_errors(argv, message, monkeypatch, capsys
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err and err.count("error:") == 1
+
+
+def test_aw_zero_parameter_off_the_built_types_runs(tmp_path):
+    """An AW a_k = 0 in the type-I pair leaves roots and construct of type-II sets, on both
+    backends, to run: only the type-I states reflect it to q / a_k."""
+    from casoratia import cli
+
+    pfile = tmp_path / "aw.json"
+    pfile.write_text(json.dumps({
+        "family": "aw", "q": "2/5",
+        "a": [["1/10", "0"], ["0", "0"], ["1/8", "1/16"], ["1/8", "-1/16"]]}))
+    for argv in (["roots", "--dII", "1", "--N", "2"],
+                 ["construct", "--dII", "1", "--N", "2", "--backend", "exact",
+                  "--cache", str(tmp_path / "cache")]):
+        assert cli.main(argv + ["--params", str(pfile), "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path):
+    """main builds its parser once per process, and a call that leaves --dI out gets an
+    empty type-I list, whatever the call before it gave."""
+    from casoratia import cli
+
+    assert cli.make_parser() is cli.make_parser()
+    docs = []
+    for degrees in (["--dI", "1"], ["--dII", "1"]):
+        out = tmp_path / "r.json"
+        assert cli.main(["roots", "--family", "w", "--N", "2", "--out", str(out)] + degrees) == 0
+        docs.append(json.loads(out.read_text())["manifest"]["D"])
+    assert docs == [[[1, "I"]], [[1, "II"]]]
 
 
 def test_identities_classical_exact(tmp_path):

@@ -13,7 +13,7 @@ from casoratia.miop import (Builder, DegenerateIndexSet, IndexSet, PoleAtSample,
                             PrefactorResidue, apply_htilde, build_miop, eigen_residual,
                             delta_tilde, ell_degree, get_builder, hermiticity_check,
                             h_ratio, htilde_frame, shifted_params)
-from casoratia.numkernel import HELD_OUT, gstore, mpc_parts, workbits
+from casoratia.numkernel import GUARD_BITS, HELD_OUT, gstore, mpc_parts, workbits
 from casoratia.polycore import Poly, det_dense, ladder_points, lstsq_dense
 
 TAGS = ["ch", "w", "aw"]
@@ -324,13 +324,15 @@ def test_rows_match_det_values(backend):
         for D in (IndexSet.make([(1, "I")]), IndexSet.make([(1, "I"), (2, "II")]),
                   IndexSet.make([(0, "I"), (2, "I"), (1, "II")])):
             R = D.M + 1
-            rows = [b._row(miop._xi_cols(D), "P", fr) for fr in b.frames(us, R, {"I", "II", "P"})]
+            nodes = [miop._Node(u, None, fr)
+                     for u, fr in zip(us, b.frames(us, R, {"I", "II", "P"}))]
+            rows = [b._row(miop._xi_cols(D), "P", nd) for nd in nodes]
             for n in range(3):
                 cols = miop._p_cols(D, n)
                 want = b.det_values(cols, us)
                 polys = [b.col_poly(k, d) for k, d in cols]
-                for u, row, w in zip(us, rows, want):
-                    got = row(b.col_poly("P", n))
+                for u, nd, row, w in zip(us, nodes, rows, want):
+                    got = row(b._column("P", n, nd))
                     xs = [fam.shift_arg(u, t, lam) for t in ladder_points(R)]
                     block = [[_row_weight(lam, k, xs[:j]) * p(fam.eta_at(x, lam))
                               for p, (k, _) in zip(polys, cols)] for j, x in enumerate(xs)]
@@ -371,9 +373,9 @@ def test_build_miop_makes_each_row_once(monkeypatch):
     made = []
     row = Builder._row
 
-    def counting(self, head, kind, frame):
-        made.append((id(frame), tuple(head), kind))
-        return row(self, head, kind, frame)
+    def counting(self, head, kind, node):
+        made.append((id(node), tuple(head), kind))
+        return row(self, head, kind, node)
 
     monkeypatch.setattr(Builder, "_row", counting)
     with workbits(288):
@@ -388,6 +390,32 @@ def test_build_miop_makes_each_row_once(monkeypatch):
             build_miop(lam, IndexSet.make(pairs), n_max=n_max, check=False)
             counted = [m for m in made if m[2] in kinds.split()]
             assert counted and len(set(counted)) == len(counted)
+
+
+def test_build_miop_makes_each_column_value_once(monkeypatch):
+    """A fresh builder fills each (node, kind, degree) entry of a node's store once, by one
+    Horner run over the frame's etas, and keeps every fill: the head columns of each row,
+    and the last column of each n and of each index set of a class, read the node's
+    values.  Pure and mixed classes, on the builder and its shift builder, every kind."""
+    made = []
+    fill = Builder._fill
+
+    def counting(self, kind, deg, frame):
+        made.append((id(frame), kind, deg))
+        return fill(self, kind, deg, frame)
+
+    monkeypatch.setattr(Builder, "_fill", counting)
+    monkeypatch.setattr(miop, "_BUILDERS", {})
+    with workbits(288):
+        lam = draw_params("w", "generic", seed=4)
+        for pairs in ([(2, "I")], [(0, "I"), (2, "I")], [(1, "I"), (2, "II")],
+                      [(1, "I"), (0, "II")], [(2, "I"), (1, "II")], [(3, "II")]):
+            build_miop(lam, IndexSet.make(pairs), n_max=3, check=False)
+        b = get_builder(lam)
+        stored = sum(len(nd.values) for bld in (b, b.shift_builder())
+                     for nd in bld._node_cache.values())
+    assert len(made) == len(set(made)) == stored
+    assert {kind for _, kind, _ in made} == {"I", "II", "P"}
 
 
 def _float_or_exact(backend):
@@ -440,11 +468,13 @@ def test_node_sets_nest():
 
 @pytest.mark.parametrize("backend", ["float", "exact"])
 def test_cached_nodes_match_fresh_frames(backend):
-    """Every cached node's frame, reference value, rows and reference ratio are what a
-    fresh frames, det_values, _row and Xi_{D0} give at its sample arg, its eta is the
-    node's, and its frame's etas are the family's eta at the ladder points x + i t gamma of
-    its sample arg: nothing in the cache is stale.  The rows hold the reference's, the
-    extractions' and, at the nodes of the mixed class, the pairing bootstrap's D1's."""
+    """Every cached node's frame, reference value, column values, rows and reference ratio
+    are what a fresh frames, det_values, Horner kernel, _row and Xi_{D0} give at its sample
+    arg, its eta is the node's, and its frame's etas are the family's eta at the ladder
+    points x + i t gamma of its sample arg: nothing in the cache is stale.  The column
+    values are the fresh ones bit for bit on floats, exactly on exact.  The rows hold the
+    reference's, the extractions' and, at the nodes of the mixed class, the pairing
+    bootstrap's D1's."""
     *d1_head, (d1_kind, _) = miop._xi_cols(miop._bumped_reference((1, 1)))
     with workbits(288):
         lam = _float_or_exact(backend)
@@ -453,7 +483,7 @@ def test_cached_nodes_match_fresh_frames(backend):
             b.xi(D)
             b.P(D, 2)
         assert {cls[0] for cls, _, _ in b._node_cache} == {1, 2, 3}
-        rows, d1_rows, ratios = 0, 0, 0
+        rows, d1_rows, ratios, kinds_read = 0, 0, 0, set()
         for (cls, attempt, k), node in list(b._node_cache.items()):
             R, kinds, ref_cols = cls
             (frame,) = b.frames([node.u], R, set(kinds))
@@ -466,10 +496,14 @@ def test_cached_nodes_match_fresh_frames(backend):
                 assert all(abs(gstore(x, 288) - e) <= mp.mpf(2) ** -250 * max(1, abs(e))
                            for x, e in zip(frame[0], ladder))
             assert b.det_values(list(ref_cols), [node.u]) == [node.ref]
+            for (kind, deg), vals in node.values.items():
+                fresh = lam.scalars.horner(b.col_poly(kind, deg).coeffs)
+                assert vals == tuple(fresh.fixed(x, 288 + GUARD_BITS) for x in frame[0])
+                kinds_read.add(kind)
             *head, (kind, _) = ref_cols
             assert (tuple(head), kind) in node.rows
             for (head, kind), row in node.rows.items():
-                assert row == b._row(list(head), kind, frame)
+                assert row == b._row(list(head), kind, miop._Node(node.u, None, frame))
             rows += len(node.rows) - 1
             d1_rows += (tuple(d1_head), d1_kind) in node.rows
             if backend == "exact":
@@ -481,7 +515,7 @@ def test_cached_nodes_match_fresh_frames(backend):
             if node.ratio is not None:
                 assert node.ratio == ref_poly(node.eta) / node.ref
                 ratios += 1
-        assert rows > 0 and d1_rows > 0 and ratios > 0
+        assert rows > 0 and d1_rows > 0 and ratios > 0 and kinds_read == {"I", "II", "P"}
 
 
 @pytest.mark.parametrize("backend", ["float", "exact"])
@@ -512,7 +546,7 @@ def test_extraction_values_are_ratio_times_kept_value(backend, monkeypatch):
         assert {len(cols) for _, cols, *_ in seen} == {2, 3}
         for b_, cols, deg, ref_cols, ref_poly, vals in seen:
             nodes, _ = b_._nodes(deg + 1, len(cols), {k for k, _ in cols + ref_cols}, ref_cols)
-            assert vals == [nd.ratio * b_._kept_value(cols, nd.frame, nd.rows) for nd in nodes]
+            assert vals == [nd.ratio * b_._kept_value(cols, nd) for nd in nodes]
             us = [nd.u for nd in nodes]
             assert vals == [ref_poly(nd.eta) / r * v for nd, r, v in
                             zip(nodes, b_.det_values(ref_cols, us), b_.det_values(cols, us))]
@@ -529,8 +563,8 @@ def _perturb_row(monkeypatch, ref_cols, cols, at, off):
         nodes, coeffs = nodes_(self, fit, R, kinds, ref_cols_)
         if list(ref_cols_) == list(ref_cols):
             nd = nodes[at]
-            row = self._row(head, kind, nd.frame)
-            nd.rows[(tuple(head), kind)] = lambda p: row(p) * off
+            row = self._row(head, kind, nd)
+            nd.rows[(tuple(head), kind)] = lambda vals: row(vals) * off
         return nodes, coeffs
 
     monkeypatch.setattr(Builder, "_nodes", perturbed)

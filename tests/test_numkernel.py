@@ -179,12 +179,21 @@ def test_horner_kernel_rejects_non_finite_values():
 
 def _cofactor_row(sc, etas, head, last, turns):
     """sc.cofactor_row on mpc etas and row weights, loaded as a ladder frame keeps them
-    (MPScalars.ladder_frames)."""
+    (MPScalars.ladder_frames), as the reader p -> the row at the values of the Poly p.  A
+    column's values are the Horner kernel's at the loaded etas, at the precision current
+    where they are taken: the head columns' when the row is made, p's when it is read."""
     from casoratia.numkernel import GUARD_BITS, gload
 
     def load(xs):
         return [gload(x, mp.mp.prec + GUARD_BITS) for x in xs]
-    return sc.cofactor_row(load(etas), [(p, load(ws)) for p, ws in head], load(last), turns)
+
+    def values(p):
+        ev, w = p.evaluator(), mp.mp.prec + GUARD_BITS
+        return [ev.fixed(x, w) for x in xs]
+
+    xs = load(etas)
+    row = sc.cofactor_row([(values(p), load(ws)) for p, ws in head], load(last), turns)
+    return lambda p: row(values(p))
 
 
 def _cofactors_of_row(sc, block):
