@@ -21,7 +21,7 @@ imaginary parts, scaled by a power of two kept with the value, as ``mpmath.libmp
 does underneath each ``mpf`` (Brent & Zimmermann, *Modern Computer Arithmetic*,
 ch. 3), with its product, sum and quotient (gmul, gadd, gdiv, gdot), as in the zero
 grid of dortho; it becomes an mpc (gstore) rounded to nearest at the ambient
-precision, and a gate compares a magnitude (gabs) or a squared one (gbelow).
+precision, and a gate compares a magnitude (gabs) or, exactly, squared ones (gle, gbelow).
 """
 
 from __future__ import annotations
@@ -183,11 +183,19 @@ def gabs(z) -> mp.mpf:
     return mp.make_mpf(from_man_exp(isqrt(re * re + im * im), e, mp.mp.prec, "n"))
 
 
+def gle(a, b) -> bool:
+    """Whether |a| <= |b| for Gaussian floats a and b: exactly, on squares."""
+    if a is None or b is None:
+        return a is None
+    (ar, ai, ae), (br, bi, be) = a, b
+    na, nb, d = ar * ar + ai * ai, br * br + bi * bi, 2 * (ae - be)
+    return na << d <= nb if d >= 0 else na <= nb << -d
+
+
 def gbelow(z, bound) -> bool:
-    """Whether |z| < bound, for a Gaussian float z and an mpf bound >= 0: exactly, on squares."""
+    """Whether |z| < bound, for a Gaussian float z and an mpf bound >= 0: exactly (gle)."""
     _, man, exp, _ = bound._mpf_
-    n, d = (0, 0) if z is None else (z[0] * z[0] + z[1] * z[1], 2 * (z[2] - exp))
-    return n << d < man * man if d >= 0 else n < (man * man) << -d
+    return not gle((man, 0, exp) if man else None, z)
 
 
 def gdot(xs, ys, w: int):

@@ -69,14 +69,16 @@ def test_cache_key_covers_version_and_schema(monkeypatch):
 # Gaussian floats (noise digits moved, by at most 1.2e-79 relative in gram and k; the
 # W zero at eta = -3.3048, real up to a noise-level Im eta whose sign changed, now
 # reports x = +1.818i, the principal branch of a real negative eta, for -1.818i);
+# all three when the working-precision root finder moved onto Gaussian floats (noise
+# digits moved, by at most 1.5e-95 relative in F, k, M and M-tilde and 8.9e-97 in eta);
 # every verdict stands, and a refactor that claims byte-identical reports keeps these
 GOLDEN_REPORTS = [
     (["--family", "ch", "--mode", "physical", "--dI", "1", "--dII", "2"],
-     "4142c8dfde319a2dc4a350434b81b343ed5104afb00c6e6ba317c22227d3fcc8"),
+     "7b4a21dcdde731e69f37f72847d7ca784fa67b5fb2eff640f9c071e8b7d74995"),
     (["--family", "w", "--mode", "physical", "--dI", "1", "--dII", "1"],
-     "d9baa2cd199ec3161bc6eadbd95962e64ba509590697f4afa4eeca6a59167633"),
+     "f8e7ddb6e96684f90bc5d0f5596ed7d9d5f53e7576fe240d3b7f9e322d5dbbfa"),
     (["--family", "aw", "--mode", "generic", "--dI", "1", "--dII", "1"],
-     "f14540f4dc7d6f11d9e6c930ded4dd219c48f2d2a594847824319888d3a1d724"),
+     "d0e13da95b940f2808808b7a4fe03cab9563a106dfed8cf0ca017198fb5afdb0"),
 ]
 
 
@@ -110,9 +112,10 @@ def test_verify_report_is_independent_of_earlier_runs(tmp_path, monkeypatch):
 
 # sha256 of the sweep CSV below, recorded with the same rendering: the one golden on
 # the sweep's own rendering of max_offdiag_rel and conjecture_rel_err (recorded again
-# with the one-loop root finder: both moved by less than 1e-96; and with the zero grid
-# on Gaussian floats: by at most 1e-83)
-GOLDEN_SWEEP = "f479dbefe19de5f28dd4e1287c200b109d7b1f4d06089c648e3c4cb11e254b2d"
+# with the one-loop root finder: both moved by less than 1e-96; with the zero grid
+# on Gaussian floats: by at most 1e-83; and with the root finder on Gaussian floats: by
+# at most 1.4e-94, 1.5e-10 of values near 1e-85)
+GOLDEN_SWEEP = "aa72965ca59e56dd185d9e9ce621a4c0ba28e92526ae1052b5ee2f02cddaab42"
 
 
 def test_golden_sweep_csv():

@@ -1,8 +1,10 @@
 """Root finding: seeds vs oracles, certificates, recovery and zero structure."""
 
 import os
+import random
 import subprocess
 import sys
+from unittest import mock
 
 import mpmath as mp
 import pytest
@@ -12,7 +14,7 @@ import casoratia
 from casoratia import zeros
 from casoratia.families import FAMILIES, draw_params
 from casoratia.miop import IndexSet, build_miop, hermiticity_check
-from casoratia.numkernel import MPScalars, workbits
+from casoratia.numkernel import GUARD_BITS, MPScalars, gstore, workbits
 from casoratia.polycore import Poly
 from casoratia.zeros import find_zeros
 from zero_structure import conjugation_closure_defect, interlace, physical_interval_zeros
@@ -206,7 +208,8 @@ def _double_root_tol(coeffs):
 @given(root_sets())
 def test_find_zeros_matches_oracles(case):
     """find_zeros gives the known roots to 2^-100 of their scale, and agrees with the
-    double companion-matrix eigenvalues (np.roots) and with mpmath's polyroots."""
+    double companion-matrix eigenvalues (np.roots) and with mpmath's polyroots.  Its
+    start circle is built in doubles: the mpmath one is never made."""
     roots, coeffs = case
     with workbits(288):
         scale = max(max(abs(r) for r in roots), mp.mpf(2) ** -12)
@@ -214,7 +217,8 @@ def test_find_zeros_matches_oracles(case):
         def close(w):
             return mp.mpf(2) ** -100 * scale
 
-        zs = find_zeros(_poly(coeffs), 256)
+        with mock.patch.object(zeros, "_start_circle", side_effect=AssertionError("made")):
+            zs = find_zeros(_poly(coeffs), 256)
         assert _matched(zs.eta, roots, close)
         mags = max(abs(c) for c in coeffs)
         seeds = np.roots([complex(c / mags) for c in reversed(coeffs)])
@@ -223,24 +227,25 @@ def test_find_zeros_matches_oracles(case):
         assert _matched([mp.mpc(z) for z in ref], zs.eta, close)
 
 
-def test_seeds_reach_double_accuracy_in_a_cluster():
+def test_seeds_reach_double_accuracy_in_a_cluster(monkeypatch):
     """Three roots 1e-4 apart: Horner's rounding in doubles leaves steps of about 1e-8,
     above the step rule, so the float run of the Aberth loop must stop on the rounding
     bound of p(z), before its sweep cap, to give seeds at double accuracy; that bound
     over |p'| is about 1e-6."""
     roots = [mp.mpf(1), mp.mpf("1.0001"), mp.mpf("1.0002"), mp.mpc(-2, 1), mp.mpc(-2, -1)]
-    calls = []
-    with workbits(288):
-        coeffs = _from_roots(roots)
-        evaluate = zeros._float_horner(coeffs)
+    calls, runs, aberth = [], [], zeros._aberth
 
-        def counted(z):
+    def counted(evaluate, zs, ar, sweeps):
+        def spy(z):
             calls.append(z)
             return evaluate(z)
+        runs.append(aberth(spy, zs, ar, sweeps))
+        return runs[-1]
 
-        start = [complex(z) for z in zeros._start_circle(coeffs)]
-        seeds = zeros._aberth(counted, start, zeros.SEED_STOP, zeros.SEED_MAX_ITER)
-    assert seeds is not None and len(calls) < len(roots) * zeros.SEED_MAX_ITER
+    monkeypatch.setattr(zeros, "_aberth", counted)
+    with workbits(288):
+        seeds = zeros._seeds(_from_roots(roots))
+    assert runs[0][1] and len(calls) < len(roots) * zeros.SEED_MAX_ITER
     assert _matched([mp.mpc(z) for z in seeds], [mp.mpc(r) for r in roots],
                     lambda w: mp.mpf("1e-6"))
 
@@ -249,8 +254,10 @@ def test_roots_beyond_the_double_range():
     """2^-2000 eta^2 + 1 has the roots +-i 2^1000: its leading coefficient scales to 0 in
     doubles, so the float run breaks down and the working-precision run starts from the
     start circle, whose radius 2^1000 only mpmath holds."""
-    with workbits(288):
+    with workbits(288), mock.patch.object(zeros, "_start_circle",
+                                          wraps=zeros._start_circle) as circle:
         zs = find_zeros(_poly([1, 0, mp.mpf(2) ** -2000]), 256)
+        assert circle.call_count == 1
         big = mp.mpf(2) ** 1000
         assert _matched(zs.eta, [mp.mpc(0, -big), mp.mpc(0, big)],
                         lambda w: mp.mpf(2) ** -200 * abs(w))
@@ -310,3 +317,109 @@ def test_arg_of_eta_takes_the_principal_x():
                 with workbits(1200):
                     want = fam.arg_of_x(fam.recover_x(eta))
                 assert abs(got - want) <= mp.mpf(2) ** -270 * abs(want), (tag, eta)
+
+
+def test_a_run_that_ends_on_its_sweep_cap_raises(monkeypatch):
+    """A working-precision run that ends on its sweep cap without meeting the step rule
+    certifies nothing: with one sweep allowed, (eta - 1)(eta - 2)(eta - 3) breaks down at
+    256 bits and again at 512, and then raises."""
+    tried = []
+
+    def spy(bits):
+        tried.append(bits)
+        return workbits(bits)
+
+    monkeypatch.setattr(zeros, "workbits", spy)
+    monkeypatch.setattr(zeros, "MAX_SWEEPS", 1)
+    with workbits(288):
+        with pytest.raises(zeros.MultipleRootSuspected, match="sweep cap"):
+            find_zeros(_poly(_from_roots([mp.mpc(r) for r in (1, 2, 3)])), 256)
+    assert tried == [256 + 32, 512 + 32]
+
+
+def test_exact_rules_match_the_mpf_formulas():
+    """The step, rounding and pair rules of the working run, decided on squared magnitudes
+    of Gaussian floats, give the verdicts of their mpf formulas at 1024 bits: on random
+    values near each boundary, and on values placed at it exactly and one unit past it."""
+    bits, n = 256, 7
+    prec = bits + 32
+    w, rng = prec + GUARD_BITS, random.Random(11)
+
+    def rand(e):
+        """A random Gaussian float of w bits and magnitude in [2^(e-3), 2^(e+3))."""
+        part = lambda: rng.choice((1, -1)) * (rng.getrandbits(w - 1) | 1 << (w - 1))  # noqa: E731
+        return part(), part(), e - w + rng.randint(-2, 2)
+
+    def past(z):
+        """z one unit larger in its real part's magnitude."""
+        return z[0] + (1 if z[0] >= 0 else -1), z[1], z[2]
+
+    def mag(z):
+        """|z| as an mpf at 1024 bits."""
+        return abs(gstore(z, 1024))
+
+    with workbits(1024):
+        def step_rule(step, z):
+            return mag(step) <= mp.mpf(2) ** (24 - bits) * max(mag(z), 1)
+
+        def quiet_rule(v, bound):
+            return mag(v) <= n * mp.mpf(2) ** -prec * mag(bound)
+
+        def pair_rule(d, scale):
+            return mag(d) >= mp.mpf(2) ** (-bits // 4) * mag(scale)
+
+        cases = []   # (rule, exact form, arguments, the verdict, or None where random)
+        for _ in range(300):
+            z, e = rand(rng.randint(-4, 4)), rng.randint(-2, 2)
+            cases.append((step_rule, zeros._small, (rand(z[2] + w + 24 - bits + e), z), None))
+            bound = rng.getrandbits(w), 0, rng.randint(-w - 4, -w + 4)
+            cases.append((quiet_rule, zeros._quiet, (rand(bound[2] + w - prec + e), bound), None))
+            cases.append((pair_rule, zeros._apart, (rand(z[2] + w - bits // 4 + e), z), None))
+            big = rand(6)                  # |big| > 1, so the step bound is 2^(24-bits) |big|
+            at = big[0], big[1], big[2] + 24 - bits
+            cases += [(step_rule, zeros._small, (at, big), True),
+                      (step_rule, zeros._small, ((-at[1], at[0], at[2]), big), True),
+                      (step_rule, zeros._small, (past(at), big), False)]
+            small = rand(-4)               # |small| < 1, so the step bound is 2^(24-bits)
+            at = 1 << w, 0, 24 - bits - w
+            cases += [(step_rule, zeros._small, (at, small), True),
+                      (step_rule, zeros._small, ((0, -at[0], at[2]), small), True),
+                      (step_rule, zeros._small, (past(at), small), False)]
+            m, e = rng.getrandbits(w - 3), rng.randint(-w - 4, -w + 4)
+            bound, at = (5 * m, 0, e), (3 * n * m, 4 * n * m, e - prec)    # |at| = 5 n m 2^e
+            cases += [(quiet_rule, zeros._quiet, (at, bound), True),
+                      (quiet_rule, zeros._quiet, ((0, -5 * n * m, e - prec), bound), True),
+                      (quiet_rule, zeros._quiet, (past(at), bound), False)]
+            scale, at = (3 * m, -4 * m, e), (5 * m, 0, e - bits // 4)
+            cases += [(pair_rule, zeros._apart, (at, scale), True),
+                      (pair_rule, zeros._apart, ((0, 5 * m, at[2]), scale), True),
+                      (pair_rule, zeros._apart, ((5 * m - 1, 0, at[2]), scale), False)]
+        for rule, exact, args, verdict in cases:
+            got = exact(*args, bits) if exact is not zeros._quiet else exact(*args, n, prec)
+            assert got == rule(*args), (exact.__name__, args)
+            assert verdict is None or got == verdict, (exact.__name__, args)
+        assert len({rule(*args) for rule, _, args, verdict in cases if verdict is None}) == 2
+
+
+# the golden verify instances of test_report.py and one deep benchmark instance per family
+ACCURACY_CASES = [("ch", "physical", [(1, "I"), (2, "II")], 2),
+                  ("w", "physical", [(1, "I"), (1, "II")], 2),
+                  ("aw", "generic", [(1, "I"), (1, "II")], 2),
+                  ("ch", "generic", [(1, "I"), (2, "I"), (3, "II")], 5),
+                  ("w", "generic", [(2, "II"), (3, "II"), (4, "II")], 5),
+                  ("aw", "physical", [(2, "I"), (3, "I"), (4, "I")], 4)]
+
+
+@pytest.mark.parametrize("tag, mode, entries, N", ACCURACY_CASES,
+                         ids=[f"{c[0]}-{c[1]}-N{c[3]}" for c in ACCURACY_CASES])
+def test_zeros_agree_with_a_1024_bit_search(tag, mode, entries, N):
+    """The 256-bit zeros of P_{D,N} at seed 1 lie within 2^-250 max(|eta|, 1) of those of a
+    1024-bit search of the same polynomial, and its min pair distance and min |P'| at the
+    zeros within 2^-200 relative (the error is about 2^-288, the rounding of a root)."""
+    with workbits(288):
+        p = build_miop(draw_params(tag, mode, 1), IndexSet.make(entries), N, 256, check=False).P[N]
+        zs, ref = find_zeros(p, 256), find_zeros(p, 1024)
+        assert _matched(zs.eta, ref.eta, lambda w: mp.mpf(2) ** -250 * max(abs(w), 1))
+        for got, want in ((zs.min_pair_distance, ref.min_pair_distance),
+                          (zs.min_deriv_magnitude, ref.min_deriv_magnitude)):
+            assert abs(got - want) <= mp.mpf(2) ** -200 * want
