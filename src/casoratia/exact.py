@@ -192,6 +192,8 @@ class QQi:
 
 # The kernel arithmetic of ExactScalars: QQi operations, None an exact zero that costs none.
 
+_ZERO = _qqi(_F0, _F0)   # an exact zero that takes the q of the other operand
+
 def _xmul(a, b, w: int):
     return None if a is None or b is None else a * b
 
@@ -288,11 +290,14 @@ class ExactScalars(ScalarKernels):
     @staticmethod
     def interpolator(etas):
         """coeffs(vals, deg): the deg + 1 coefficients of the polynomial through the first
-        deg + 1 nodes, exactly: Newton's divided differences d_k, then the Newton form
+        deg + 1 nodes, exactly, the nodes, values and coefficients loaded QQi (None an
+        exact zero): Newton's divided differences d_k, then the Newton form
         d_0 + (v - eta_0)(d_1 + (v - eta_1)(d_2 + ...)) expanded from the inside out
         by times_linear."""
+        etas = [_ZERO if e is None else e for e in etas]
+
         def coeffs(vals, deg):
-            xs, d = etas[:deg + 1], list(vals[:deg + 1])
+            xs, d = etas[:deg + 1], [_ZERO if v is None else v for v in vals[:deg + 1]]
             for k in range(1, deg + 1):
                 for j in range(deg, k - 1, -1):
                     d[j] = (d[j] - d[j - 1]) / (xs[j] - xs[j - k])

@@ -16,21 +16,28 @@ belong to the class (R, column kinds, reference columns), not to D: a
 builder makes each node once, with its sample arg, eta, frame and reference
 value, and every extraction of the class shares it, so no value depends on the
 order of calls.  The nodes and the interpolation are the scalar backend's: 2^k
-roots of unity on a circle in eta with an inverse DFT in floats (each set the
-first half of the next; the coefficients past deg must vanish), the first
-rational points with Newton's divided differences otherwise.
+roots of unity on a circle in eta with a radix-2 inverse FFT on Gaussian floats
+(each set the first half of the next; the coefficients past deg must vanish),
+the first rational points with Newton's divided differences otherwise.
 Xi_D and P_{D,n} take one extraction path, each on the nodes of its own degree.
 A node keeps each column polynomial's loaded values at its etas, made once
 (Builder._column), and, detPoly being linear in its last column, one row per
 (head columns, last kind): the backend's cofactor_row, the head values' cofactors
 with the phase and the last column's row weights folded in.  Every detPoly value,
 of every degree of that last column and every n of P_{D,n}, is that row at the
-last column's values (Builder._kept_value); an extraction value is that times
-the node's reference ratio Xi_{D0}(eta) / detPoly_{D0}.
+last column's values (Builder._kept_value), a loaded value of the backend, and it
+stays loaded up to the fit: an extraction value is one product of it and the
+node's reference ratio Xi_{D0}(eta) / detPoly_{D0}, which the node keeps loaded
+with its eta and reference value, the interpolation takes and gives loaded
+values, and each fitted coefficient is stored once, into its Poly.  Only
+det_values stores a detPoly value.
 Every build is gated: the degree law (an extracted leading coefficient above
 the fit's noise floor; the class references and base polynomials have theirs
-by construction), the vanishing DFT coefficients, held-out node residuals, the
-deformed eigenrelation (on one set of frames for every n) and shape invariance.
+by construction), the vanishing DFT coefficients, held-out node residuals (these
+on magnitudes of loaded values), the deformed eigenrelation (on one set of
+frames for every n) and shape invariance.  A fit that fails its gates although
+every fit value is rounding noise of its row is degenerate, not a failed check:
+the Casoratian vanishes at the nodes.
 The per-point work of the frames, ladder and H~_D alike, is the backend's
 (Gaussian floats on floats): a builder makes one ladder_frames kernel per (R,
 kinds), at its own working precision, a bundle one htilde_frames kernel per working
@@ -148,7 +155,8 @@ class _Node:
     degree), and the _rows of every value made at it, keyed (head columns, last kind);
     and, from its first extraction on, the reference ratio Xi_{D0}(eta) / ref.  A class
     has one reference, Xi_{D0} at lambda for Xi_D and at lambda + delta for P_{D,n}
-    (their kinds differ), so the ratio belongs to the node."""
+    (their kinds differ), so the ratio belongs to the node.  eta, ref and ratio are
+    loaded values of the backend, at the builder's working bits plus GUARD_BITS."""
 
     u: object
     eta: object
@@ -172,6 +180,7 @@ class Builder:
         self.fam = lam.fam
         self.sc = lam.scalars
         self.bits = bits
+        self.w = bits + 32 + GUARD_BITS   # the bits of its loaded values
         self._runs = {}         # 'I' | 'II' | 'P' -> the kind's families.BaseRun
         self._xi_cache = {}     # IndexSet.key -> Poly
         self._p_cache = {}      # (IndexSet.key, n) -> Poly
@@ -233,8 +242,8 @@ class Builder:
 
     def _fill(self, kind: str, deg: int, frame) -> tuple:
         """The kind's Horner kernel at the frame's etas, at the builder's working bits."""
-        ev, w = self.col_poly(kind, deg).evaluator(), self.bits + 32 + GUARD_BITS
-        return tuple(ev.fixed(x, w) for x in frame[0])
+        ev = self.col_poly(kind, deg).evaluator()
+        return tuple(ev.fixed(x, self.w) for x in frame[0])
 
     def _row(self, head, kind: str, node: _Node):
         """The backend's cofactor_row of the head columns' _column values at the node, the
@@ -247,15 +256,16 @@ class Builder:
                                     cum[kind], (R * (R - 1)) // 2)
 
     def det_values(self, cols, us):
-        """detPoly values at the sample arguments us, each frame with a store of its own."""
+        """detPoly values at the sample arguments us, each frame with a store of its own:
+        the one place a detPoly value is stored as a scalar."""
         with workbits(self.bits + 32):
-            return [self._kept_value(cols, _Node(u, None, fr)) for u, fr in
-                    zip(us, self.frames(us, len(cols), {k for k, _ in cols}))]
+            return [self.sc._store(self._kept_value(cols, _Node(u, None, fr)), self.bits + 32)
+                    for u, fr in zip(us, self.frames(us, len(cols), {k for k, _ in cols}))]
 
     def _kept_value(self, cols, node: _Node):
-        """detPoly(cols) at a node: the _row of the head columns and last kind of cols, made
-        once and kept in the node's rows, at its _column of the last column.  Every detPoly
-        value is made here."""
+        """detPoly(cols) at a node, a loaded value: the _row of the head columns and last
+        kind of cols, made once and kept in the node's rows, at its _column of the last
+        column.  Every detPoly value is made here."""
         *head, (kind, deg) = cols
         key = (tuple(head), kind)
         if key not in node.rows:
@@ -284,7 +294,7 @@ class Builder:
                 if new:
                     us, etas = map(list, zip(*map(node, new)))
                     for k, u, eta, fr in zip(new, us, etas, self.frames(us, R, kinds)):
-                        nd = cache[cls, attempt, k] = _Node(u, eta, fr)
+                        nd = cache[cls, attempt, k] = _Node(u, sc._load(eta, self.w), fr)
                         nd.ref = self._kept_value(ref_cols, nd)
                 nodes = [cache[cls, attempt, k] for k in ids]
                 ok = not _vanishing(sc, [nd.ref for nd in nodes], self.bits)
@@ -295,71 +305,107 @@ class Builder:
         raise DegenerateIndexSet(f"reference Casoratian vanished at {ROTATIONS} node rotations")
 
     def _residual_gate(self, what: str, rows, deg: int, height) -> None:
-        """PrefactorResidue unless |pred - val| <= tol max(|val|, height max(1, |eta|)^deg),
-        tol = 2^(48 - bits), for every (eta, pred, val) in rows."""
-        mag, tol = self.sc.magnitude, mp.mpf(2) ** (-self.bits + 48)
-        for e, pred, val in rows:
-            err = mag(pred - val)
-            lim = tol * max(mag(val), height * max(1, mag(e)) ** deg)
+        """PrefactorResidue unless err <= tol max(|val|, height max(1, |eta|)^deg),
+        tol = 2^(48 - bits), for every triple of magnitudes (|eta|, err, |val|) in rows:
+        err is |pred - val| of loaded values (_misfit), or |c_m| |eta_0|^m for a term
+        c_m eta_0^m that must vanish."""
+        tol = mp.mpf(2) ** (-self.bits + 48)
+        for e, err, val in rows:
+            lim = tol * max(val, height * max(1, e) ** deg)
             if err > lim:
                 raise PrefactorResidue(
                     f"{what} residual {mp.nstr(err, 5)} exceeds {mp.nstr(lim, 5)}")
 
+    def _misfit(self, eta, pred, val):
+        """The magnitudes (|eta|, |pred - val|, |val|) of loaded values, as _residual_gate
+        takes them."""
+        sc = self.sc
+        return sc._mag(eta), sc._mag(sc._add(pred, sc._neg(val))), sc._mag(val)
+
     def _fit_held_out(self, etas, vals, coeffs, deg: int) -> Poly:
-        """The eta polynomial of degree deg from the fit nodes.  Gated: its leading
-        coefficient must stand above the fit's noise floor, |c_deg| |eta_0|^deg >
-        2^-bits max_j |v_j| over the fit nodes, 32 bits above the working precision's
-        rounding (else DegenerateIndexSet: the one test of a lost degree); each
-        coefficient c_m past deg that the fit nodes give (the inverse DFT's) must vanish,
-        as c_m eta^m at a fit node, and the HELD_OUT last nodes must agree with the fit."""
-        fit = len(etas) - HELD_OUT
+        """The eta polynomial of degree deg from the fit nodes, on the loaded values of the
+        nodes etas and their values vals; its coefficients are stored once, into the Poly.
+        Gated, each gate on magnitudes (_mag) of loaded values: its leading coefficient
+        must stand above the fit's noise floor, |c_deg| |eta_0|^deg > 2^-bits max_j |v_j|
+        over the fit nodes, 32 bits above the working precision's rounding (else
+        DegenerateIndexSet: the one test of a lost degree); each coefficient c_m past deg
+        that the fit nodes give (the inverse DFT's) must vanish, as |c_m| |eta_0|^m, and
+        the HELD_OUT last nodes must agree with the stored polynomial."""
+        sc, fit = self.sc, len(etas) - HELD_OUT
         cs = coeffs(vals[:fit], deg)
-        mag, node = self.sc.magnitude, etas[0]
-        if mag(cs[deg]) * mag(node) ** deg <= mp.mpf(2) ** -self.bits * max(map(mag, vals[:fit])):
+        mag, node = sc._mag, sc._mag(etas[0])
+        if mag(cs[deg]) * node ** deg <= mp.mpf(2) ** -self.bits * max(map(mag, vals[:fit])):
             raise DegenerateIndexSet(f"leading coefficient of degree {deg} below the noise floor")
-        poly = Poly(cs[:deg + 1], self.sc)
+        height = max(map(mag, cs[:deg + 1]))
         self._residual_gate("extraction coefficient",
-                            [(node, c * node ** m, self.sc.zero)
-                             for m, c in enumerate(cs[deg + 1:], deg + 1)], deg, poly.height)
+                            [(node, mag(c) * node ** m, 0)
+                             for m, c in enumerate(cs[deg + 1:], deg + 1)], deg, height)
+        poly = Poly([sc._store(c, self.bits + 32) for c in cs[:deg + 1]], sc)
+        ev = poly.evaluator()
         self._residual_gate("extraction held-out",
-                            [(e, poly(e), v) for e, v in zip(etas[fit:], vals[fit:])],
-                            deg, poly.height)
+                            [self._misfit(e, ev.fixed(e, self.w), v)
+                             for e, v in zip(etas[fit:], vals[fit:])], deg, height)
         return poly
 
     def _extract(self, cols, deg: int, ref_cols, ref_poly: Poly) -> Poly:
         """The eta polynomial of detPoly(cols) against the class reference detPoly(ref_cols)
         = Xi_{D0} (ref_poly), fitted on the nodes of deg + 1 unknowns: at each node, its
-        ratio Xi_{D0}(eta) / detPoly_{D0} times the node's _kept_value of cols."""
+        ratio Xi_{D0}(eta) / detPoly_{D0} times the node's _kept_value of cols, one
+        product of loaded values.  A fit that fails its coefficient or held-out gate
+        although every fit value is rounding noise of its row (_noise) is a
+        DegenerateIndexSet: the Casoratian vanishes at the nodes."""
         nodes, coeffs = self._nodes(deg + 1, len(cols), {k for k, _ in cols + ref_cols}, ref_cols)
+        sc, w, ev = self.sc, self.w, ref_poly.evaluator()
         for nd in nodes:
             if nd.ratio is None:
-                nd.ratio = ref_poly(nd.eta) / nd.ref
-        vals = [nd.ratio * self._kept_value(cols, nd) for nd in nodes]
-        return self._fit_held_out([nd.eta for nd in nodes], vals, coeffs, deg)
+                nd.ratio = sc._div(ev.fixed(nd.eta, w), nd.ref, w)
+        vals = [sc._mul(nd.ratio, self._kept_value(cols, nd), w) for nd in nodes]
+        try:
+            return self._fit_held_out([nd.eta for nd in nodes], vals, coeffs, deg)
+        except PrefactorResidue:
+            if self._noise(cols, nodes[:len(nodes) - HELD_OUT]):
+                raise DegenerateIndexSet("Casoratian vanishes at the extraction nodes") from None
+            raise
+
+    def _noise(self, cols, nodes) -> bool:
+        """Whether detPoly(cols) lies below 2^-bits sum_j |c_j| |vals_j| of its kept row
+        (numkernel._Row) at every one of the nodes: all of it rounding noise."""
+        *head, (kind, deg) = cols
+        mag, floor = self.sc._mag, mp.mpf(2) ** -self.bits
+        for nd in nodes:
+            row, vals = nd.rows[tuple(head), kind], self._column(kind, deg, nd)
+            scale = sum(mag(c) * mag(v) for c, v in zip(row.cs, vals))
+            if mag(row(vals)) >= floor * scale:
+                return False
+        return True
 
     # .. class references ..........................................................
 
     def _pairing_bootstrap(self, D0: IndexSet, D1: IndexSet) -> Poly:
         """Solve detPoly_{D1} * B(eta) = detPoly_{D0} * A(eta) for monic B = Xi_{D0}.
 
-        The square system of the first nodes is solved directly; every further node,
-        fit or held-out, gates detPoly_{D0} * A against detPoly_{D1} * B.  A node keeps
-        D1's row for the extractions with D1's head columns and last kind."""
+        The square system of the first nodes is solved directly, on their stored etas and
+        values; every further node, fit or held-out, gates detPoly_{D0} * A against
+        detPoly_{D1} * B in loaded values.  A node keeps D1's row for the extractions with
+        D1's head columns and last kind."""
         sc = self.sc
         dB, dA = D0.ell, D1.ell
         nunk = (dA + 1) + dB
         c0, c1 = _xi_cols(D0), _xi_cols(D1)
         nodes, _ = self._nodes(nunk, D0.M, {k for k, _ in c0 + c1}, c0)
-        etas, v0 = [nd.eta for nd in nodes], [nd.ref for nd in nodes]
         v1 = [self._kept_value(c1, nd) for nd in nodes]
-        fit = list(zip(etas[:nunk], v1, v0))
+        fit = [[sc._store(x, self.bits + 32) for x in (nd.eta, a_s, nd.ref)]
+               for nd, a_s in zip(nodes[:nunk], v1)]
         rows = [[b_s * e ** k for k in range(dA + 1)] + [-a_s * e ** k for k in range(dB)]
                 for e, a_s, b_s in fit]
         sol = solve_dense(rows, [a_s * e ** dB for e, a_s, _ in fit], sc)
         xi0 = Poly(list(sol[dA + 1:]) + [sc.one], sc)
-        a_poly = Poly(sol[: dA + 1], sc)
-        self._residual_gate("pairing held-out", [(e, b_s * a_poly(e), a_s * xi0(e)) for e, a_s, b_s
-                                                 in list(zip(etas, v1, v0))[nunk:]], 0, 0)
+        a_ev, xi_ev = Poly(sol[: dA + 1], sc).evaluator(), xi0.evaluator()
+        w, mul = self.w, sc._mul
+        self._residual_gate("pairing held-out", [
+            self._misfit(nd.eta, mul(nd.ref, a_ev.fixed(nd.eta, w), w),
+                         mul(a_s, xi_ev.fixed(nd.eta, w), w))
+            for nd, a_s in zip(nodes[nunk:], v1[nunk:])], 0, 0)
         return xi0
 
     def shift_builder(self) -> "Builder":
@@ -406,8 +452,8 @@ class Builder:
 
 
 def _vanishing(sc, values, bits: int) -> bool:
-    """Whether some value is at most 2^(-bits/2) times the median magnitude."""
-    mags = [sc.magnitude(v) for v in values]
+    """Whether some loaded value is at most 2^(-bits/2) times the median magnitude."""
+    mags = [sc._mag(v) for v in values]
     floor = sorted(mags)[len(mags) // 2] * mp.mpf(2) ** (-bits // 2)
     return any(m <= floor for m in mags)
 

@@ -15,7 +15,9 @@ Casoratian frame, the ratios of affine products that give the etas, potentials a
 row weights of the ladder and H~_D frames, the frames themselves and the residual of
 a difference-operator stencil.  They run on the backend's primitives: a value is
 loaded once and stays loaded from kernel to kernel, None being an exact zero, and is
-stored as a scalar only where a report prints it or a gate compares it.  On floats
+stored as a scalar only where a report prints it or a polynomial keeps it; a gate
+compares magnitudes of loaded values.  The float extraction's inverse FFT
+(MPScalars.interpolator) runs on the same primitives.  On floats
 the loaded type is the Gaussian float: a Python int pair holding the real and
 imaginary parts, scaled by a power of two kept with the value, as ``mpmath.libmp``
 does underneath each ``mpf`` (Brent & Zimmermann, *Modern Computer Arithmetic*,
@@ -294,14 +296,14 @@ class _Horner:
 
 class _Row(NamedTuple):
     """The evaluator vals -> sum_j c_j vals[j] of ScalarKernels.cofactor_row, vals the last
-    column's loaded values p(eta_j): the c_j as loaded values of the backend sc."""
+    column's loaded values p(eta_j): the c_j as loaded values of the backend sc.  A call
+    gives the loaded value, at mp.mp.prec + GUARD_BITS bits as current there."""
 
     cs: tuple
     sc: object
 
     def __call__(self, vals):
-        sc, w = self.sc, mp.mp.prec + GUARD_BITS
-        return sc._store(sc._dot(self.cs, vals, w), w - GUARD_BITS)
+        return self.sc._dot(self.cs, vals, mp.mp.prec + GUARD_BITS)
 
 
 class _Affine:
@@ -535,19 +537,24 @@ class MPScalars(ScalarKernels):
     @staticmethod
     def interpolator(etas):
         """coeffs(vals, deg): the eta coefficients 0..K-1 of the polynomial of degree below
-        K = len(etas) with the values vals at the fit nodes etas of extraction_nodes.
+        K = len(etas) with the values vals at the fit nodes etas of extraction_nodes, all
+        loaded values (Gaussian floats of w = mp.mp.prec + GUARD_BITS bits as current here).
 
-        Node k is eta_0 w^r(k), w = e^{2 pi i / K} and r(k) the log2(K)-bit reversal of
-        k, so c_m = eta_0^{-m} A_m / K with A_m = sum_j x_j w^{-jm} the inverse DFT of
+        Node k is eta_0 o^r(k), o = e^{2 pi i / K} and r(k) the log2(K)-bit reversal of
+        k, so c_m = eta_0^{-m} A_m / K with A_m = sum_j x_j o^{-jm} the inverse DFT of
         x_j = v_r(j): the values come in the bit-reversed order that the iterative
         radix-2 FFT takes (Cooley & Tukey 1965), which needs (K/2) log2(K) products.
+        The twiddles o^-t and the scales eta_0^-m / K are loaded once per node set; each
+        product is cut back to w bits (gmul), so every c_m eta_0^m is within a small
+        multiple of log2(K) 2^-w max_j |v_j| of the exact transform's.
         All K coefficients come back whatever deg is: those past deg must vanish.
         """
-        K = len(etas)
-        twiddles = [mp.expjpi(mp.mpf(-2 * t) / K) for t in range(K // 2)]
-        inv, scale = 1 / etas[0], [mp.mpc(1) / K]
+        K, w = len(etas), mp.mp.prec + GUARD_BITS
+        with workbits(w):
+            twiddles = [gload(mp.expjpi(mp.mpf(-2 * t) / K), w) for t in range(K // 2)]
+        inv, scale = gdiv((1 << w, 0, -w), etas[0], w), [(1, 0, 1 - K.bit_length())]
         for _ in range(K - 1):
-            scale.append(scale[-1] * inv)
+            scale.append(gmul(scale[-1], inv, w))
 
         def coeffs(vals, deg):
             a, half = list(vals), 1
@@ -555,10 +562,10 @@ class MPScalars(ScalarKernels):
                 step = K // (2 * half)
                 for start in range(0, K, 2 * half):
                     for j in range(start, start + half):
-                        t = twiddles[(j - start) * step] * a[j + half]
-                        a[j], a[j + half] = a[j] + t, a[j] - t
+                        t = gmul(twiddles[(j - start) * step], a[j + half], w)
+                        a[j], a[j + half] = gadd(a[j], t), gadd(a[j], gneg(t))
                 half *= 2
-            return [c * s for c, s in zip(a, scale)]
+            return [gmul(c, s, w) for c, s in zip(a, scale)]
         return coeffs
 
     # -- primitives of the kernels: Gaussian floats ------------------------------------

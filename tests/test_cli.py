@@ -178,6 +178,23 @@ def test_singular_recurrence_step_is_degenerate(tmp_path):
     assert "recurrence step divides by zero" in r.stderr
 
 
+def test_casoratian_vanishing_at_the_nodes_is_degenerate(tmp_path):
+    """cH with a1 = a3 = 0 and {1^I}, N = 2: P_{D,2} has an exactly zero lead, and at 288
+    bits every fit value of it is rounding noise of its Casoratian row.  Float roots
+    fails its held-out gate there, which is a degeneracy (exit 3), as the exact
+    construct's lead gate says, never a failed check (exit 2)."""
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps({
+        "family": "ch", "a": [["0", "0"], ["9/4", "1/3"], ["0", "0"], ["9/4", "-1/3"]]}))
+    argv = ["--params", str(pfile), "--dI", "1", "--N", "2", "--out", str(tmp_path / "r.json")]
+    r = run(["roots"] + argv)
+    assert r.returncode == 3, r.stderr
+    assert "Casoratian vanishes at the extraction nodes" in r.stderr
+    r = run(["construct", "--backend", "exact"] + argv)
+    assert r.returncode == 3, r.stderr
+    assert "leading coefficient of degree 3 below the noise floor" in r.stderr
+
+
 def test_sweep_worker_count_independence(tmp_path):
     outs = []
     for jobs in ("1", "2"):

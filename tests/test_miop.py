@@ -13,7 +13,7 @@ from casoratia.miop import (Builder, DegenerateIndexSet, IndexSet, PoleAtSample,
                             PrefactorResidue, apply_htilde, build_miop, eigen_residual,
                             delta_tilde, ell_degree, get_builder, hermiticity_check,
                             h_ratio, htilde_frame, shifted_params)
-from casoratia.numkernel import GUARD_BITS, HELD_OUT, gstore, mpc_parts, workbits
+from casoratia.numkernel import GUARD_BITS, HELD_OUT, MPScalars, gstore, mpc_parts, workbits
 from casoratia.polycore import Poly, det_dense, ladder_points, lstsq_dense
 
 TAGS = ["ch", "w", "aw"]
@@ -332,7 +332,7 @@ def test_rows_match_det_values(backend):
                 want = b.det_values(cols, us)
                 polys = [b.col_poly(k, d) for k, d in cols]
                 for u, nd, row, w in zip(us, nodes, rows, want):
-                    got = row(b._column("P", n, nd))
+                    got = sc._store(row(b._column("P", n, nd)), 256)
                     xs = [fam.shift_arg(u, t, lam) for t in ladder_points(R)]
                     block = [[_row_weight(lam, k, xs[:j]) * p(fam.eta_at(x, lam))
                               for p, (k, _) in zip(polys, cols)] for j, x in enumerate(xs)]
@@ -471,14 +471,15 @@ def test_cached_nodes_match_fresh_frames(backend):
     """Every cached node's frame, reference value, column values, rows and reference ratio
     are what a fresh frames, det_values, Horner kernel, _row and Xi_{D0} give at its sample
     arg, its eta is the node's, and its frame's etas are the family's eta at the ladder
-    points x + i t gamma of its sample arg: nothing in the cache is stale.  The column
-    values are the fresh ones bit for bit on floats, exactly on exact.  The rows hold the
-    reference's, the extractions' and, at the nodes of the mixed class, the pairing
-    bootstrap's D1's."""
+    points x + i t gamma of its sample arg: nothing in the cache is stale.  The node keeps
+    eta, its reference value and its ratio loaded: stored, they are the fresh scalars; the
+    column values and the ratio are the fresh loaded ones bit for bit on floats, exactly on
+    exact.  The rows hold the reference's, the extractions' and, at the nodes of the mixed
+    class, the pairing bootstrap's D1's."""
     *d1_head, (d1_kind, _) = miop._xi_cols(miop._bumped_reference((1, 1)))
     with workbits(288):
         lam = _float_or_exact(backend)
-        b = Builder(lam)
+        sc, b = lam.scalars, Builder(lam)
         for D in (IndexSet.make([(2, "I")]), IndexSet.make([(1, "I"), (2, "II")])):
             b.xi(D)
             b.P(D, 2)
@@ -495,7 +496,7 @@ def test_cached_nodes_match_fresh_frames(backend):
             else:
                 assert all(abs(gstore(x, 288) - e) <= mp.mpf(2) ** -250 * max(1, abs(e))
                            for x, e in zip(frame[0], ladder))
-            assert b.det_values(list(ref_cols), [node.u]) == [node.ref]
+            assert b.det_values(list(ref_cols), [node.u]) == [sc._store(node.ref, 288)]
             for (kind, deg), vals in node.values.items():
                 fresh = lam.scalars.horner(b.col_poly(kind, deg).coeffs)
                 assert vals == tuple(fresh.fixed(x, 288 + GUARD_BITS) for x in frame[0])
@@ -506,24 +507,29 @@ def test_cached_nodes_match_fresh_frames(backend):
                 assert row == b._row(list(head), kind, miop._Node(node.u, None, frame))
             rows += len(node.rows) - 1
             d1_rows += (tuple(d1_head), d1_kind) in node.rows
+            eta = sc._store(node.eta, 288)
             if backend == "exact":
-                assert node.eta == lam.fam.eta_at(node.u, lam)
+                assert eta == lam.fam.eta_at(node.u, lam)
             else:
-                assert abs(lam.fam.eta_at(node.u, lam) - node.eta) <= mp.mpf(2) ** -250
+                assert abs(lam.fam.eta_at(node.u, lam) - eta) <= mp.mpf(2) ** -250
             D0 = IndexSet.make([(d, t) for t, d in ref_cols if t != "P"])
             ref_poly = b.shift_builder().xi(D0) if ref_cols[-1][0] == "P" else b.xi(D0)
             if node.ratio is not None:
-                assert node.ratio == ref_poly(node.eta) / node.ref
+                w = 288 + GUARD_BITS
+                fresh = sc.horner(ref_poly.coeffs)
+                assert node.ratio == sc._div(fresh.fixed(node.eta, w), node.ref, w)
                 ratios += 1
         assert rows > 0 and d1_rows > 0 and ratios > 0 and kinds_read == {"I", "II", "P"}
 
 
 @pytest.mark.parametrize("backend", ["float", "exact"])
 def test_extraction_values_are_ratio_times_kept_value(backend, monkeypatch):
-    """After a mixed build, every value an extraction fits is its node's reference ratio
-    times the node's _kept_value of its columns, and that is Xi_{D0}(eta) / detPoly_{D0}
-    times detPoly from fresh det_values at the node's sample arg: equal exactly on the
-    exact backend, and equal on floats too, being the same operations."""
+    """After a mixed build, every value an extraction fits is one product of loaded values,
+    its node's reference ratio times the node's _kept_value of its columns, and that is
+    Xi_{D0}(eta) / detPoly_{D0} times detPoly from fresh frames and rows at the node's
+    sample arg: equal exactly on the exact backend, and equal on floats too, being the
+    same operations.  Stored, the values are those of det_values: exactly on exact, to
+    2^-250 on floats."""
     extract, fit = Builder._extract, Builder._fit_held_out
     seen = []
 
@@ -546,25 +552,37 @@ def test_extraction_values_are_ratio_times_kept_value(backend, monkeypatch):
         assert {len(cols) for _, cols, *_ in seen} == {2, 3}
         for b_, cols, deg, ref_cols, ref_poly, vals in seen:
             nodes, _ = b_._nodes(deg + 1, len(cols), {k for k, _ in cols + ref_cols}, ref_cols)
-            assert vals == [nd.ratio * b_._kept_value(cols, nd) for nd in nodes]
+            sc, w = b_.sc, 288 + GUARD_BITS
+            mul, div, kept, ev = sc._mul, sc._div, b_._kept_value, sc.horner(ref_poly.coeffs)
+            assert vals == [mul(nd.ratio, kept(cols, nd), w) for nd in nodes]
             us = [nd.u for nd in nodes]
-            assert vals == [ref_poly(nd.eta) / r * v for nd, r, v in
-                            zip(nodes, b_.det_values(ref_cols, us), b_.det_values(cols, us))]
+            fresh = [miop._Node(u, None, fr) for u, fr in
+                     zip(us, b_.frames(us, len(cols), {k for k, _ in cols + ref_cols}))]
+            assert vals == [mul(div(ev.fixed(nd.eta, w), kept(ref_cols, f), w), kept(cols, f), w)
+                            for nd, f in zip(nodes, fresh)]
+            want = [ref_poly(sc._store(nd.eta, 288)) / r * v for nd, r, v in
+                    zip(nodes, b_.det_values(ref_cols, us), b_.det_values(cols, us))]
+            for v, x in zip(vals, want):
+                if backend == "exact":
+                    assert v == x
+                else:
+                    assert abs(sc._store(v, 288) - x) <= mp.mpf(2) ** -250 * abs(x)
 
 
 def _perturb_row(monkeypatch, ref_cols, cols, at, off):
     """Make every solve on the nodes of the class with reference columns ref_cols take the
-    kept row of cols (its head columns and last kind) at nodes[at] with its values times
-    off."""
+    kept row of cols (its head columns and last kind) at nodes[at] with its loaded
+    cofactors, and so its values, times the scalar off."""
     *head, (kind, _) = cols
     nodes_ = Builder._nodes
 
     def perturbed(self, fit, R, kinds, ref_cols_):
         nodes, coeffs = nodes_(self, fit, R, kinds, ref_cols_)
         if list(ref_cols_) == list(ref_cols):
-            nd = nodes[at]
-            row = self._row(head, kind, nd)
-            nd.rows[(tuple(head), kind)] = lambda vals: row(vals) * off
+            nd, sc, w = nodes[at], self.sc, self.w
+            row, loaded = self._row(head, kind, nd), sc._load(off, w)
+            nd.rows[(tuple(head), kind)] = row._replace(cs=tuple(sc._mul(c, loaded, w)
+                                                                 for c in row.cs))
         return nodes, coeffs
 
     monkeypatch.setattr(Builder, "_nodes", perturbed)
@@ -580,7 +598,7 @@ def test_extraction_coefficient_gate_fires(tag, monkeypatch):
         lam = draw_params(tag, "generic", seed=5)
         Builder(lam).xi(D)
         _perturb_row(monkeypatch, miop._xi_cols(miop.reference_index_set(D.counts)),
-                     miop._xi_cols(D), 0, 1 + mp.mpf(2) ** -100)
+                     miop._xi_cols(D), 0, mp.mpc(1 + mp.mpf(2) ** -100))
         with pytest.raises(PrefactorResidue, match="extraction coefficient residual"):
             Builder(lam).xi(D)
 
@@ -588,8 +606,8 @@ def test_extraction_coefficient_gate_fires(tag, monkeypatch):
 @pytest.mark.parametrize("backend", ["float", "exact"])
 @pytest.mark.parametrize("tag", TAGS)
 def test_extraction_lead_gate_fires(tag, backend):
-    """The values of a polynomial of degree deg - 1 at the nodes of deg + 1 unknowns,
-    fitted as degree deg, fail the lead gate: their c_deg is rounding noise in floats,
+    """The loaded values of a polynomial of degree deg - 1 at the loaded nodes of deg + 1
+    unknowns, fitted as degree deg, fail the lead gate: their c_deg is rounding noise in floats,
     at 128, 256 and 512 bits, and exactly 0 on the exact backend.  Fitted as degree
     deg - 1, the same values pass."""
     if backend == "exact":
@@ -604,13 +622,131 @@ def test_extraction_lead_gate_fires(tag, backend):
             for deg in (3, 8, 15, 30):
                 ids, node = sc.extraction_nodes(lam.fam, lam, deg + 1, "lead", 0)
                 etas = [node(k)[1] for k in ids]
+                w = bits + 32 + GUARD_BITS
+                etas = [sc._load(e, w) for e in etas]
                 coeffs = sc.interpolator(etas[:len(ids) - HELD_OUT])
                 p = Poly([sc.from_fraction(Fraction(3 * k % 7 + 1, k + 2), Fraction(k % 3 - 1, 5))
                           for k in range(deg)], sc)
-                vals = [p(e) for e in etas]
+                vals = [p.evaluator().fixed(e, w) for e in etas]
                 with pytest.raises(DegenerateIndexSet, match=f"degree {deg} below the noise floor"):
                     b._fit_held_out(etas, vals, coeffs, deg)
                 assert b._fit_held_out(etas, vals, coeffs, deg - 1).degree == deg - 1
+
+
+def _mpc_gates(bits: int, etas, vals, cs, deg: int):
+    """The lead, coefficient and held-out gates of the extraction as they were written on
+    mpc scalars, before they moved onto loaded values: the first gate that fails on the
+    stored nodes etas, values vals and fit coefficients cs, or None."""
+    fit, node, sc = len(etas) - HELD_OUT, etas[0], MPScalars()
+    if abs(cs[deg]) * abs(node) ** deg <= mp.mpf(2) ** -bits * max(map(abs, vals[:fit])):
+        return "lead"
+    poly = Poly(cs[:deg + 1], sc)
+    tol = mp.mpf(2) ** (-bits + 48)
+
+    def fails(rows):
+        return any(abs(pred - val) > tol * max(abs(val), poly.height * max(1, abs(e)) ** deg)
+                   for e, pred, val in rows)
+    if fails([(node, c * node ** m, sc.zero) for m, c in enumerate(cs[deg + 1:], deg + 1)]):
+        return "coefficient"
+    if fails([(e, poly(e), v) for e, v in zip(etas[fit:], vals[fit:])]):
+        return "held-out"
+    return None
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_loaded_gates_agree_with_the_mpc_formulas(tag):
+    """_fit_held_out's lead, coefficient and held-out gates on loaded values give the verdict
+    of their mpc formulas (_mpc_gates) on the stored nodes, values and coefficients: on 500
+    random fits at 128 and 256 bits (polynomials of degree 0-15 with coefficients of
+    magnitudes 2^+-20, half of them with noise of 2^-300 to 1 relative on a few values),
+    and on 120 fits placed a relative 2^-40 below and above each gate's bound, where each
+    gate fires above its bound (below, for the lead) and not on the other side."""
+    import random
+
+    from casoratia.numkernel import gabs, gadd, gload
+
+    rng = random.Random(f"gates|{tag}")
+    lam = draw_params(tag, "generic", seed=7)
+    sc, fam = lam.scalars, FAMILIES[tag]
+    verdicts = {}
+
+    def gaussian(size=1):
+        z = mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        return z * size / abs(z)
+
+    for trial in range(500 + 120):
+        bits = (128, 256)[trial % 2]
+        w, tol = bits + 32 + GUARD_BITS, mp.mpf(2) ** (-bits + 48)
+        kind = side = None
+        if trial >= 500:
+            kind = ("lead", "coefficient", "held-out")[(trial - 500) // 2 % 3]
+            side = 1 + (-1) ** trial * mp.mpf(2) ** -40   # below the bound, then above
+        with workbits(bits + 32):
+            deg = rng.randrange(16)
+            ids, node = sc.extraction_nodes(fam, lam, deg + 1, f"gates{trial % 7}", 0)
+            etas = [gload(node(k)[1], w) for k in ids]
+            fit, e0 = len(ids) - HELD_OUT, gabs(etas[0])
+            cs = [gaussian(mp.mpf(2) ** rng.randint(-20, 20)) for _ in range(deg + 1)]
+            if kind == "lead" and deg:
+                # |c_deg| |eta_0|^deg at the noise floor of the values of the lower terms
+                low = Poly(cs[:deg], sc).evaluator()
+                floor = mp.mpf(2) ** -bits * max(gabs(low.fixed(e, w)) for e in etas[:fit])
+                cs[deg] = gaussian(floor / e0 ** deg * side)
+            vals = [Poly(cs, sc).evaluator().fixed(e, w) for e in etas]
+            height = max(map(abs, cs))
+            if kind == "coefficient" and deg + 1 < fit:
+                # c_m eta^m past deg with |c_m| |eta_0|^m at tol height max(1, |eta_0|)^deg
+                m = rng.randrange(deg + 1, fit)
+                c = gaussian(tol * height * max(1, e0) ** deg / e0 ** m * side)
+                vals = [gadd(v, gload(c * sc._store(e, bits + 32) ** m, w))
+                        for v, e in zip(vals, etas)]
+            elif kind == "held-out":
+                # one held-out value off by tol max(|val|, height max(1, |eta|)^deg)
+                j = rng.randrange(fit, len(etas))
+                lim = tol * max(gabs(vals[j]), height * max(1, gabs(etas[j])) ** deg)
+                vals[j] = gadd(vals[j], gload(gaussian(lim * side), w))
+            elif kind is None and trial % 4 < 2:
+                for j in rng.sample(range(len(etas)), rng.randint(1, 3)):
+                    size = gabs(vals[j]) * mp.mpf(2) ** -rng.randint(0, 300)
+                    vals[j] = gadd(vals[j], gload(gaussian(size), w))
+            coeffs = sc.interpolator(etas[:fit])
+            try:
+                Builder(lam, bits)._fit_held_out(etas, vals, coeffs, deg)
+                got = None
+            except DegenerateIndexSet:
+                got = "lead"
+            except PrefactorResidue as exc:
+                got = "coefficient" if "coefficient" in str(exc) else "held-out"
+            stored = [[sc._store(x, bits + 32) for x in xs]
+                      for xs in (etas, vals, coeffs(vals[:fit], deg))]
+            assert got == _mpc_gates(bits, *stored, deg), (trial, bits, deg, kind)
+        above = side is not None and side > 1
+        verdicts.setdefault((kind, above), set()).add(got)
+    assert "lead" in verdicts["lead", False] and None in verdicts["lead", True]
+    assert "coefficient" in verdicts["coefficient", True]
+    assert "coefficient" not in verdicts["coefficient", False]
+    assert verdicts["held-out", True] == {"held-out"} and verdicts["held-out", False] == {None}
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_float_extraction_runs_no_mpc_arithmetic(tag, monkeypatch):
+    """Once a class's nodes exist, a float extraction goes from the Casoratian rows to the
+    fitted coefficients and through its gates with no mpc product, quotient, sum or
+    difference: Xi_{3^I} on the nodes that Xi_{2^I} made (both fit 4 nodes)."""
+    def refuse(*_):
+        raise AssertionError("mpc arithmetic in the extraction")
+
+    with workbits(288):
+        lam = draw_params(tag, "generic", seed=5)
+        b = Builder(lam)
+        b.xi(IndexSet.make([(2, "I")]))
+        b.col_poly("I", 3)
+        with monkeypatch.context() as patch:
+            for op in ("__mul__", "__truediv__", "__add__", "__sub__"):
+                patch.setattr(mp.mpc, op, refuse)
+            poly = b.xi(IndexSet.make([(3, "I")]))
+        assert poly.degree == 3
+        assert poly.coeffs == Builder(lam).xi(IndexSet.make([(3, "I")])).coeffs
 
 
 def test_vanishing_reference_takes_the_next_rotation(monkeypatch):
@@ -675,7 +811,7 @@ def test_pairing_held_out_gate_fires(tag, monkeypatch):
     2^-100, through D1's row at that node, fails its gate."""
     D0 = miop.reference_index_set((1, 1))
     with workbits(288):
-        _perturb_last_d1_row(monkeypatch, 1 + mp.mpf(2) ** -100)
+        _perturb_last_d1_row(monkeypatch, mp.mpc(1 + mp.mpf(2) ** -100))
         lam = draw_params(tag, "generic", seed=5)
         with pytest.raises(PrefactorResidue, match="pairing held-out residual"):
             Builder(lam).xi(D0)
@@ -690,7 +826,7 @@ def test_exact_held_out_gate_fires(gate, monkeypatch):
     D = IndexSet.make([(1, "I")]) if gate == "extraction" else miop.reference_index_set((1, 1))
     lam = params_from_values("w", EXACT_PARAMS["w"][0], mode="physical", backend="exact")
     assert Builder(lam).xi(D).degree == D.ell
-    off = 1 + Fraction(1, 10 ** 100)
+    off = lam.scalars.from_fraction(1 + Fraction(1, 10 ** 100))
     if gate == "extraction":
         _perturb_row(monkeypatch, miop._xi_cols(miop.reference_index_set(D.counts)),
                      miop._xi_cols(D), -1, off)

@@ -62,39 +62,63 @@ def test_precision_rerun_consistency():
 
 
 def test_float_inverse_dft_recovers_a_polynomial():
-    """A random degree-15 polynomial comes back from its 16 circle nodes to 2^-(bits-16)."""
+    """The inverse FFT of MPScalars.interpolator on loaded values, for K = 1, 2, 4, ..., 64
+    fit nodes at 128, 256 and 512 bits: a random polynomial of degree K - 1 comes back
+    from its values at the K nodes eta_0 o^r(k) (o = e^{2 pi i / K}, r(k) the bit
+    reversal of k, eta_0 the first extraction node), loaded, to 2^-(bits-16) of its
+    height.  The values are taken at 2 bits + 64 bits, so that only the transform's own
+    rounding counts: rounding the nodes to bits + 32 bits alone moves a degree-63
+    polynomial on the circle |eta| = 2 by about 2^(37-bits) of its height."""
     import random
 
     from casoratia.families import FAMILIES, draw_params
-    from casoratia.numkernel import HELD_OUT, HELD_RADIUS, NODE_RADIUS
+    from casoratia.numkernel import (GUARD_BITS, HELD_OUT, HELD_RADIUS, NODE_RADIUS,
+                                     _van_der_corput, gload, gstore)
     from casoratia.polycore import Poly
 
-    bits = 256
     rng = random.Random(15)
-    with workbits(bits + 32):
+    for bits in (128, 256, 512):
+        w = bits + 32 + GUARD_BITS
+        with workbits(bits + 32):
+            for tag in ("ch", "w", "aw"):
+                lam = draw_params(tag, "generic", seed=5)
+                sc, fam = lam.scalars, FAMILIES[tag]
+                for K in (1, 2, 4, 8, 16, 32, 64):
+                    want = [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(K)]
+                    ids, node = sc.extraction_nodes(fam, lam, K, "dft", 0)
+                    us, etas = zip(*map(node, ids))
+                    # the fit nodes lie on the fit circle, the held-out ones on theirs,
+                    # and the sample args map back onto them
+                    assert len(etas) == K + HELD_OUT
+                    for k, (u, e) in enumerate(zip(us, etas)):
+                        radius = NODE_RADIUS if k < K else HELD_RADIUS
+                        assert abs(abs(e) - radius) <= mp.mpf(2) ** -bits
+                        assert abs(fam.eta_at(u, lam) - e) <= mp.mpf(2) ** -bits
+                    with workbits(2 * bits + 64):
+                        vals = []
+                        for k in range(K):
+                            v = _van_der_corput(k)
+                            x = etas[0] * mp.expjpi(mp.mpf(2 * v.numerator) / v.denominator)
+                            vals.append(gload(mp.polyval(want[::-1], x), w))
+                    got = sc.interpolator([gload(e, w) for e in etas[:K]])(vals, K - 1)
+                    assert len(got) == K and all(type(g) is tuple for g in got)
+                    err = max(abs(gstore(g, bits + 32) - x) for g, x in zip(got, want))
+                    assert err <= mp.mpf(2) ** -(bits - 16) * max(map(abs, want)), (tag, K)
+                # eta^32 is constant on the 16 fit nodes and aliases onto the constant
+                # coefficient; every held-out node still sees it
+                ids, node = sc.extraction_nodes(fam, lam, 16, "dft", 0)
+                etas = [node(k)[1] for k in ids]
+                p = Poly([mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(16)],
+                         sc)
+                bad = [gload(p(e) + e ** 32, w) for e in etas]
+                fitted = sc.interpolator([gload(e, w) for e in etas[:16]])(bad[:16], 15)
+                fitted = Poly([gstore(c, bits + 32) for c in fitted], sc)
+                for e, v in zip(etas[16:], bad[16:]):
+                    assert abs(fitted(e) - gstore(v, bits + 32)) > abs(e) ** 31
+    with workbits(288):
         for tag in ("ch", "w", "aw"):
             lam = draw_params(tag, "generic", seed=5)
             sc, fam = lam.scalars, FAMILIES[tag]
-            want = [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(16)]
-            p = Poly(want, sc)
-            ids, node = sc.extraction_nodes(fam, lam, 16, "dft", 0)
-            us, etas = zip(*map(node, ids))
-            # the fit nodes lie on the fit circle, the held-out ones on theirs, and the
-            # sample args map back onto them
-            assert len(etas) == 16 + HELD_OUT
-            for k, (u, e) in enumerate(zip(us, etas)):
-                radius = NODE_RADIUS if k < 16 else HELD_RADIUS
-                assert abs(abs(e) - radius) <= mp.mpf(2) ** -bits
-                assert abs(fam.eta_at(u, lam) - e) <= mp.mpf(2) ** -bits
-            got = sc.interpolator(etas[:16])([p(e) for e in etas[:16]], 15)
-            err = max(abs(g - w) for g, w in zip(got, want))
-            assert err <= mp.mpf(2) ** -(bits - 16) * max(abs(w) for w in want), tag
-            # eta^32 is constant on the 16 fit nodes and aliases onto the constant
-            # coefficient; every held-out node still sees it
-            bad = [p(e) + e ** 32 for e in etas]
-            fitted = Poly(sc.interpolator(etas[:16])(bad[:16], 15), sc)
-            for e, v in zip(etas[16:], bad[16:]):
-                assert abs(fitted(e) - v) > abs(e) ** 31
             # few fit unknowns: 1, 2, 4 and 4 fit nodes, and all nodes stay apart
             for fit in (1, 2, 3, 4):
                 ids, node = sc.extraction_nodes(fam, lam, fit, "few", 0)
@@ -179,10 +203,11 @@ def test_horner_kernel_rejects_non_finite_values():
 
 def _cofactor_row(sc, etas, head, last, turns):
     """sc.cofactor_row on mpc etas and row weights, loaded as a ladder frame keeps them
-    (MPScalars.ladder_frames), as the reader p -> the row at the values of the Poly p.  A
+    (MPScalars.ladder_frames), as the reader p -> the row at the values of the Poly p, stored
+    at the precision current where it is read.  A
     column's values are the Horner kernel's at the loaded etas, at the precision current
     where they are taken: the head columns' when the row is made, p's when it is read."""
-    from casoratia.numkernel import GUARD_BITS, gload
+    from casoratia.numkernel import GUARD_BITS, gload, gstore
 
     def load(xs):
         return [gload(x, mp.mp.prec + GUARD_BITS) for x in xs]
@@ -193,7 +218,7 @@ def _cofactor_row(sc, etas, head, last, turns):
 
     xs = load(etas)
     row = sc.cofactor_row([(values(p), load(ws)) for p, ws in head], load(last), turns)
-    return lambda p: row(values(p))
+    return lambda p: gstore(row(values(p)), mp.mp.prec)
 
 
 def _cofactors_of_row(sc, block):

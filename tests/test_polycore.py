@@ -12,7 +12,7 @@ import casoratia
 from casoratia.exact import ExactScalars
 from casoratia.families import FAMILIES, draw_params, params_from_values
 from casoratia.miop import Builder, PrefactorResidue, _shape_invariance_defect, _vanishing
-from casoratia.numkernel import MPScalars, workbits
+from casoratia.numkernel import GUARD_BITS, MPScalars, workbits
 from casoratia.polycore import (Poly, det_dense, lagrange_numerator, ladder_points, lstsq_dense,
                                 pivot_row, solve_dense, times_linear)
 from cofactor_oracle import last_column_cofactors
@@ -109,30 +109,41 @@ def test_backend_interface_and_dense_routines(backend):
         # extraction: 5 unknowns get 5 fit nodes exact and 8 (a power of two) in floats,
         # then 4 held-out nodes, all distinct; 1 + 2e + e^2 back from the fit nodes, at
         # degree 2 and as the low coefficients at degree 4, where the inverse DFT also
-        # gives the vanishing coefficients up to 7
+        # gives the vanishing coefficients up to 7; nodes, values and coefficients are
+        # loaded values
+        w = 192 + GUARD_BITS
+
+        def load(x):
+            return sc._load(x, w)
+
+        def stored(xs):
+            return [sc._store(x, 192) for x in xs]
+
         ids, node = sc.extraction_nodes(FAMILIES["aw"], lam, 5, "salt", 0)
         us, etas = zip(*map(node, ids))
         fit = 5 if exact else 8
         assert len(us) == len(etas) == fit + 4
         assert all(not sc.is_zero(e - f) for i, e in enumerate(etas) for f in etas[:i])
-        coeffs = sc.interpolator(etas[:fit])
-        vals = [poly(1, 2, 1)(e) for e in etas[:fit]]
+        coeffs = sc.interpolator([load(e) for e in etas[:fit]])
+        vals = [load(poly(1, 2, 1)(e)) for e in etas[:fit]]
         want = [num(1), num(2), num(1)] + [num(0)] * 5
-        assert len(coeffs(vals, 2)) == (3 if exact else 8) and all(map(same, coeffs(vals, 2), want))
-        assert len(coeffs(vals, 4)) == fit and all(map(same, coeffs(vals, 4), want))
+        assert len(coeffs(vals, 2)) == (3 if exact else 8)
+        assert all(map(same, stored(coeffs(vals, 2)), want))
+        assert len(coeffs(vals, 4)) == fit and all(map(same, stored(coeffs(vals, 4)), want))
         # the gates, each one comparison of magnitudes: height, the node rotation
         # test, the pole test, the held-out residual (tolerance 2^-144 at 192 bits)
         # and the shape defect
         gate = mp.mpf(2) ** -144
         assert poly(0, 0).height == 0 and poly(0, -4).height == (1 if exact else 4)
-        assert _vanishing(sc, [num(1), num(0), num(2), num(3)], 192)
-        assert not _vanishing(sc, [num(1), num(2), num(3)], 192)
+        assert _vanishing(sc, [load(num(k)) for k in (1, 0, 2, 3)], 192)
+        assert not _vanishing(sc, [load(num(k)) for k in (1, 2, 3)], 192)
         assert sc.magnitude(num(0)) < gate <= sc.magnitude(num(1))
         b = Builder(lam, 192)
-        b._residual_gate("extraction held-out", [(num(2), num(5), num(5))], 2, 1)
+        b._residual_gate("extraction held-out", [b._misfit(*map(load, (num(2), num(5), num(5))))],
+                         2, 1)
         with pytest.raises(PrefactorResidue, match="extraction held-out residual"):
-            b._residual_gate("extraction held-out",
-                             [(num(2), num(5), num(Fraction(5001, 1000)))], 2, 1)
+            b._residual_gate("extraction held-out", [
+                b._misfit(*map(load, (num(2), num(5), num(Fraction(5001, 1000)))))], 2, 1)
 
         def defect(p0, xs):
             return _shape_invariance_defect(SimpleNamespace(lam=lam, P={0: p0}, xi_shift=xs))

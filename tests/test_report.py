@@ -71,14 +71,18 @@ def test_cache_key_covers_version_and_schema(monkeypatch):
 # reports x = +1.818i, the principal branch of a real negative eta, for -1.818i);
 # all three when the working-precision root finder moved onto Gaussian floats (noise
 # digits moved, by at most 1.5e-95 relative in F, k, M and M-tilde and 8.9e-97 in eta);
+# all three when the extraction moved onto Gaussian floats from the Casoratian rows to
+# the fitted coefficients (noise digits moved: values above 1e-40 by at most 3.3e-78
+# relative, the AW gram[4][4] = -786.0 by 5.7e-77; noise-level values below 1e-76, the
+# off-diagonal gram entries and pa_defect, by up to twice themselves);
 # every verdict stands, and a refactor that claims byte-identical reports keeps these
 GOLDEN_REPORTS = [
     (["--family", "ch", "--mode", "physical", "--dI", "1", "--dII", "2"],
-     "7b4a21dcdde731e69f37f72847d7ca784fa67b5fb2eff640f9c071e8b7d74995"),
+     "3ef7e73cf59cbf6f1cfafba1962e0f7cdcf4f6474aeb71d3a9a9e82eadac7ffd"),
     (["--family", "w", "--mode", "physical", "--dI", "1", "--dII", "1"],
-     "f8e7ddb6e96684f90bc5d0f5596ed7d9d5f53e7576fe240d3b7f9e322d5dbbfa"),
+     "a37841e685e975b50570cdf46b518a3e61497ca8b8edf2c4616bb3fb2b1cb28f"),
     (["--family", "aw", "--mode", "generic", "--dI", "1", "--dII", "1"],
-     "d0e13da95b940f2808808b7a4fe03cab9563a106dfed8cf0ca017198fb5afdb0"),
+     "a6d5cf542665d85ff54cd6e696d9c1eca196580ccde8e2d0b5e898f996239c00"),
 ]
 
 
@@ -113,9 +117,10 @@ def test_verify_report_is_independent_of_earlier_runs(tmp_path, monkeypatch):
 # sha256 of the sweep CSV below, recorded with the same rendering: the one golden on
 # the sweep's own rendering of max_offdiag_rel and conjecture_rel_err (recorded again
 # with the one-loop root finder: both moved by less than 1e-96; with the zero grid
-# on Gaussian floats: by at most 1e-83; and with the root finder on Gaussian floats: by
-# at most 1.4e-94, 1.5e-10 of values near 1e-85)
-GOLDEN_SWEEP = "aa72965ca59e56dd185d9e9ce621a4c0ba28e92526ae1052b5ee2f02cddaab42"
+# on Gaussian floats: by at most 1e-83; with the root finder on Gaussian floats: by
+# at most 1.4e-94, 1.5e-10 of values near 1e-85; and with the extraction on Gaussian
+# floats: by at most 3.7e-85, of noise values of 1e-86 to 1e-84)
+GOLDEN_SWEEP = "4f8066c8607431bba43036c1a44443384b781de0b2c97bca0b8e85f13894052c"
 
 
 def test_golden_sweep_csv():
