@@ -280,59 +280,59 @@ def cmd_identities(args) -> int:
     out = {"schema_version": 2, "identities": {}}
     ok = True
     with workbits(args.prec + 32):
-        tol = _tolerances(args.prec)
-        if args.lemma_eta:
-            import random
-            rng = random.Random(args.seed)
-            worst = mp.mpf(0)
-            for _ in range(args.samples):
-                a, b, c = (mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3))
-                worst = max(worst, eta_identity_residual(lam.family, a, b, c))
-            out["identities"]["lemma_eta"] = real_str(worst, args.prec)
-            ok = ok and worst <= mp.mpf(2) ** (-args.prec + 20)
-        if args.classical:
-            r = classical_discrete_ortho(lam, args.N, bits=args.prec)
-            out["identities"]["classical"] = {
-                "max_offdiag_rel": real_str(r["max_offdiag_rel"], args.prec),
-                "diag_rel_err": real_str(r["diag_rel_err"], args.prec),
-            }
-            ok = ok and r["max_offdiag_rel"] <= tol["offdiag"] and r["diag_rel_err"] <= tol["conjecture"]
-        if args.chain:
-            D = _index_set(args)
-            dp = (args.dprime, args.tprime)
-            dpp = (args.dprime2, args.tprime2)
-            if lam.scalars.name == "exact":
-                r = chain_identity_exact(lam, D, dp, dpp, args.n)
-                out["identities"]["chain_identity_exact"] = {"exact": r["exact"], "points": r["points"]}
-                ok = ok and r["exact"]
-            else:
-                r = check_chain_identity(lam, D, dp, dpp, args.n, samples=args.samples, bits=args.prec)
-                out["identities"]["chain"] = {
-                    "case": r["case"], "max_residual": real_str(r["max_residual"], args.prec)}
-                ok = ok and r["max_residual"] <= tol["eigen"]
-        if args.prefactor_ratio:
-            D = _index_set(args)
-            us = lam.fam.sample_args(args.samples + 2, lam, "prefactor-cli")
-            worst = mp.mpf(0)
-            for u in us[: args.samples]:
-                r = check_prefactor_ratio_identity(lam, D, (args.dprime, args.tprime),
-                                            (args.dprime2, args.tprime2), u, bits=args.prec)
-                worst = max(worst, r["signed_residual"])
-            out["identities"]["prefactor_ratio"] = real_str(worst, args.prec)
-            ok = ok and worst <= tol["eigen"]
-        if args.quadrature:
-            # negative controls, never failures; the naive one needs N >= 3: at N = 2 its
-            # one Gram entry, sum_j P_{D,0}(eta_j) / P'_{D,2}(eta_j), vanishes identically
-            D, N = _index_set(args), args.N
-            try:
+        try:
+            tol = _tolerances(args.prec)
+            if args.lemma_eta:
+                import random
+                rng = random.Random(args.seed)
+                worst = mp.mpf(0)
+                for _ in range(args.samples):
+                    a, b, c = (mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3))
+                    worst = max(worst, eta_identity_residual(lam.family, a, b, c))
+                out["identities"]["lemma_eta"] = real_str(worst, args.prec)
+                ok = ok and worst <= mp.mpf(2) ** (-args.prec + 20)
+            if args.classical:
+                r = classical_discrete_ortho(lam, args.N, bits=args.prec)
+                out["identities"]["classical"] = {
+                    "max_offdiag_rel": real_str(r["max_offdiag_rel"], args.prec),
+                    "diag_rel_err": real_str(r["diag_rel_err"], args.prec),
+                }
+                ok = ok and r["max_offdiag_rel"] <= tol["offdiag"] and r["diag_rel_err"] <= tol["conjecture"]
+            if args.chain:
+                D = _index_set(args)
+                dp = (args.dprime, args.tprime)
+                dpp = (args.dprime2, args.tprime2)
+                if lam.scalars.name == "exact":
+                    r = chain_identity_exact(lam, D, dp, dpp, args.n)
+                    out["identities"]["chain_identity_exact"] = {"exact": r["exact"], "points": r["points"]}
+                    ok = ok and r["exact"]
+                else:
+                    r = check_chain_identity(lam, D, dp, dpp, args.n, samples=args.samples, bits=args.prec)
+                    out["identities"]["chain"] = {
+                        "case": r["case"], "max_residual": real_str(r["max_residual"], args.prec)}
+                    ok = ok and r["max_residual"] <= tol["eigen"]
+            if args.prefactor_ratio:
+                D = _index_set(args)
+                us = lam.fam.sample_args(args.samples + 2, lam, "prefactor-cli")
+                worst = mp.mpf(0)
+                for u in us[: args.samples]:
+                    r = check_prefactor_ratio_identity(lam, D, (args.dprime, args.tprime),
+                                                (args.dprime2, args.tprime2), u, bits=args.prec)
+                    worst = max(worst, r["signed_residual"])
+                out["identities"]["prefactor_ratio"] = real_str(worst, args.prec)
+                ok = ok and worst <= tol["eigen"]
+            if args.quadrature:
+                # negative controls, never failures; the naive one needs N >= 3: at N = 2 its
+                # one Gram entry, sum_j P_{D,0}(eta_j) / P'_{D,2}(eta_j), vanishes identically
+                D, N = _index_set(args), args.N
                 values = {"naive_weight": naive_weight_demo(lam, D, N, args.prec)} if N >= 3 else {}
                 values["partial_fraction"] = partial_fraction_integral_check(
                     lam, D, N, 0, 1, bits=min(args.prec, 192))["rel"]
-            except (PrefactorResidue, *DEGENERACY_ERRORS) as exc:
-                return _construction_exit(exc)
-            out["controls"] = {k: {"value": real_str(v, args.prec), "threshold": CONTROL_THRESHOLD,
-                                   "fired": bool(v >= mp.mpf(CONTROL_THRESHOLD))}
-                               for k, v in values.items()}
+                out["controls"] = {k: {"value": real_str(v, args.prec), "threshold": CONTROL_THRESHOLD,
+                                       "fired": bool(v >= mp.mpf(CONTROL_THRESHOLD))}
+                                   for k, v in values.items()}
+        except (PrefactorResidue, *DEGENERACY_ERRORS) as exc:
+            return _construction_exit(exc)
     _emit(args, out)
     for name, ctl in out.get("controls", {}).items():
         if not ctl["fired"]:
@@ -342,7 +342,7 @@ def cmd_identities(args) -> int:
 
 
 def _construction_exit(exc) -> int:
-    """The exit code of a failed build (roots, construct, the controls), its reason on stderr."""
+    """The exit code of a failed build (roots, construct, identities), its reason on stderr."""
     if isinstance(exc, PrefactorResidue):
         print(f"construction gate failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

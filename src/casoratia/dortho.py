@@ -6,7 +6,8 @@ the zeros of P_{D,N} (computed by both closed forms and cross-checked), the
 matrices M-tilde and its symmetrized M, and the Gram matrix whose off-diagonal
 decay is the discrete orthogonality relation.  The zero grid runs on the
 Gaussian floats of numkernel, from the H~_D frames at the zeros to the Gram
-dot products; its values become mpc for the report.
+dot products, on one table of values at the points of the zero frames (ZeroGrid);
+its values become mpc for the report.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from itertools import chain
 import mpmath as mp
 
 from .families import ParamSet
-from .miop import (IndexSet, MiopBundle, apply_htilde, build_miop, eigen_residual, get_builder,
-                   htilde_frame)
+from .miop import IndexSet, MiopBundle, apply_htilde, build_miop, get_builder, htilde_frame
 from .numkernel import (GUARD_BITS, gabs, gadd, gbelow, gdiv, gdot, gload, gmul, gneg, gstore,
                         workbits)
 from .polycore import Poly, lagrange_numerator
@@ -123,26 +123,45 @@ def build_pa_basis(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) -> PaBas
         return PaBasis(entries)
 
 
-def pa_difference_equation_defect(basis: PaBasis, frames) -> mp.mpf:
-    """Worst residual of (H~_D P_a)(x_j) = E^P_a P_a(eta_j) over the basis and zero frames."""
-    if not basis.entries:
-        return mp.mpf(0)
-    return eigen_residual(frames, [(e.poly, e.energy) for e in basis.entries],
-                          basis.entries[0].poly.scalars)
+@dataclass
+class ZeroGrid:
+    """The H~_D frames at the zeros of P_N = P_{D,N} and the one table of loaded values
+    there (zero_grid): pN[j] and pa[a][j] of P_N and P_a at frames[j].xs, dpN[j] of P'_N
+    at its x_0, the eta_j that every closed form reads as the zero."""
+    frames: list
+    pN: list
+    dpN: list
+    pa: list
 
 
-def compute_F(bundle: MiopBundle, frames, bits: int = 256):
-    """Weights F_j by the symmetric two-term form, as Gaussian floats, and their worst
-    relative gap to the one-term form (the f_cross_form check).  P'_N is taken once at each
-    frame's eta and P_N once at each of eta_m, eta_p, for both forms."""
+def zero_grid(bundle: MiopBundle, zs: ZeroSet, polys) -> ZeroGrid:
+    """The ZeroGrid of the zeros zs of P_N, polys the P_a: each value once, by Horner."""
     w = mp.mp.prec + GUARD_BITS
     pN = bundle.P[bundle.n_max]
-    ev, dev = pN.evaluator(), pN.derivative().evaluator()
+    frames = [htilde_frame(bundle, bundle.lam.fam.arg_of_eta(e)) for e in zs.eta]
+    dP = pN.derivative().evaluator()
+    rows = [[[ev.fixed(x, w) for x in fr.xs] for fr in frames]
+            for ev in (p.evaluator() for p in [pN, *polys])]
+    return ZeroGrid(frames, rows[0], [dP.fixed(fr.xs[0], w) for fr in frames], rows[1:])
+
+
+def pa_difference_equation_defect(basis: PaBasis, grid: ZeroGrid) -> mp.mpf:
+    """Worst residual of (H~_D P_a)(x_j) = E^P_a P_a(eta_j) over the basis and the zero
+    frames, from the table's values (grid.pa in basis order)."""
+    return max([mp.mpf(0)] + [fr.residual(vals, e.energy) for e, row in zip(basis.entries, grid.pa)
+                              for fr, vals in zip(grid.frames, row)])
+
+
+def compute_F(grid: ZeroGrid, bits: int = 256):
+    """Weights F_j by the symmetric two-term form, as Gaussian floats, and their worst
+    relative gap to the one-term form (the f_cross_form check), from the table's P'_N at
+    each frame's eta and P_N at its eta_m, eta_p."""
+    w = mp.mp.prec + GUARD_BITS
     F, cross_worst = [], mp.mpf(0)
-    for fr in frames:
-        (x0, xm, xp), (_, wm, wp) = fr.xs, fr.ws
-        dpj, tm = dev.fixed(x0, w), gmul(wm, ev.fixed(xm, w), w)
-        two_term = gneg(gdiv(gdot((xm, xp), (tm, gmul(wp, ev.fixed(xp, w), w)), w), dpj, w))
+    for fr, (_, pm, pp), dpj in zip(grid.frames, grid.pN, grid.dpN):
+        (_, xm, xp), (_, wm, wp) = fr.xs, fr.ws
+        tm = gmul(wm, pm, w)
+        two_term = gneg(gdiv(gdot((xm, xp), (tm, gmul(wp, pp, w)), w), dpj, w))
         one_term = gdiv(gmul(gadd(xp, gneg(xm)), tm, w), dpj, w)
         rel = gabs(gadd(two_term, gneg(one_term))) / max(gabs(two_term), gabs(one_term),
                                                           mp.mpf("1e-300"))
@@ -154,16 +173,16 @@ def compute_F(bundle: MiopBundle, frames, bits: int = 256):
     return F, cross_worst
 
 
-def build_M(lam: ParamSet, D: IndexSet, zs: ZeroSet, frames, F, bits: int = 256):
-    """M-tilde per the closed forms, M = G^-1 M-tilde G with g_j = sqrt(F_j) on a branch
-    that a noise-level Im F_j cannot flip: sqrt(F_j) for Re F_j >= 0, else i sqrt(-F_j).
-    F, M-tilde and M are Gaussian floats; a collision, |eta(x_j -+ i gamma) - eta_k| below
-    2^(40-bits) max(|eta|, 1), is decided on squares."""
+def build_M(lam: ParamSet, D: IndexSet, grid: ZeroGrid, F, bits: int = 256):
+    """M-tilde per the closed forms at the frames' etas, M = G^-1 M-tilde G with g_j =
+    sqrt(F_j) on a branch that a noise-level Im F_j cannot flip: sqrt(F_j) for Re F_j >= 0,
+    else i sqrt(-F_j).  F, M-tilde and M are Gaussian floats; a collision, |eta(x_j -+ i
+    gamma) - eta_k| below 2^(40-bits) max(|eta|, 1), is decided on squares."""
     w = mp.mp.prec + GUARD_BITS
-    etas = [gload(e, w) for e in zs.eta]
-    limit = mp.mpf(2) ** (-bits + 40) * max(max(abs(e) for e in zs.eta), mp.mpf(1))
+    etas = [fr.xs[0] for fr in grid.frames]
+    limit = mp.mpf(2) ** (-bits + 40) * max(max(map(gabs, etas)), mp.mpf(1))
     Mt = []
-    for j, fr in enumerate(frames):
+    for j, fr in enumerate(grid.frames):
         (_, xm, xp), row = fr.xs, []
         for k, e in enumerate(etas):
             d1, d2 = gadd(xm, gneg(e)), gadd(xp, gneg(e))
@@ -173,7 +192,7 @@ def build_M(lam: ParamSet, D: IndexSet, zs: ZeroSet, frames, F, bits: int = 256)
         row[j] = gadd(row[j], fr.ws[0])
         Mt.append(row)
     j = _deterministic_index(lam, D, len(etas))
-    diag_defect = _diag_from_definition_defect(lam, zs, frames[j], j, gstore(Mt[j][j], mp.mp.prec))
+    diag_defect = _diag_from_definition_defect(lam, grid.frames, j, gstore(Mt[j][j], mp.mp.prec))
     g = [gload(mp.sqrt(f) if mp.re(f) >= 0 else 1j * mp.sqrt(-f), w)
          for f in (gstore(f, mp.mp.prec) for f in F)]
     inv = [gdiv(gload(1, w), gj, w) for gj in g]
@@ -188,11 +207,13 @@ def _deterministic_index(lam, D, n) -> int:
     return hashlib.sha256((lam.digest() + D.key()).encode()).digest()[0] % n
 
 
-def _diag_from_definition_defect(lam, zs, fr, j, closed_value) -> mp.mpf:
-    """M~_jj from the definition: H~_D applied to the Lagrange numerator at x_j (frame fr)."""
-    sc = lam.scalars
-    lag = Poly(lagrange_numerator(zs.eta, j, sc.one), sc)
-    val = mp.mpc(apply_htilde(fr, lag)) / mp.mpc(lag(zs.eta[j]))
+def _diag_from_definition_defect(lam, frames, j, closed_value) -> mp.mpf:
+    """M~_jj from the definition: H~_D applied to the Lagrange numerator on the frames'
+    etas, at x_j (frames[j])."""
+    sc, fr = lam.scalars, frames[j]
+    lag = Poly(lagrange_numerator([f.eta for f in frames], j, sc.one), sc)
+    pu = lag(fr.eta)
+    val = mp.mpc(apply_htilde(fr, lag, pu)) / mp.mpc(pu)
     return abs(val - closed_value) / max(abs(closed_value), mp.mpf(1))
 
 
@@ -226,17 +247,14 @@ def verify_orthogonality(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) ->
         bundle = build_miop(lam, D, N, bits)
         zs = find_zeros(bundle.P[N], bits, fam)
         basis = build_pa_basis(lam, D, N, bits)
-        frames = [htilde_frame(bundle, fam.arg_of_eta(e)) for e in zs.eta]
-        F, f_cross = compute_F(bundle, frames, bits)
-        Mt, M, sym, diagd = build_M(lam, D, zs, frames, F, bits)
+        grid = zero_grid(bundle, zs, [e.poly for e in basis.entries])
+        F, f_cross = compute_F(grid, bits)
+        Mt, M, sym, diagd = build_M(lam, D, grid, F, bits)
         prec = mp.mp.prec
         w = prec + GUARD_BITS
-        etas = [gload(e, w) for e in zs.eta]
-        dP = bundle.P[N].derivative().evaluator()
-        dpj = [dP.fixed(x, w) for x in etas]
-        vals = [[e.poly.evaluator().fixed(x, w) for x in etas] for e in basis.entries]
+        vals = [[v[0] for v in row] for row in grid.pa]
         cP = gload(bundle.P[N].lead(), w)
-        cP_dp = [gdiv(cP, d, w) for d in dpj]
+        cP_dp = [gdiv(cP, d, w) for d in grid.dpN]
         eigres = []
         for row, entry in zip(vals, basis.entries):
             vt = [gmul(v, c, w) for v, c in zip(row, cP_dp)]
@@ -245,7 +263,7 @@ def verify_orthogonality(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) ->
             eigres.append(max(gabs(gadd(gdot(Mt_j, vt, w), gneg(gmul(ev, vt[j], w))))
                               for j, Mt_j in enumerate(Mt)) / scale)
         one = gload(1, w)
-        gram, offd = zero_grid_gram([gdiv(one, f, w) for f in F], vals, dpj)
+        gram, offd = zero_grid_gram([gdiv(one, f, w) for f in F], vals, grid.dpN)
         rep = OrthoReport(
             family=lam.family, D=D, N=N, precision_bits=bits,
             F=[gstore(f, prec) for f in F], symmetry_defect=sym, diag_defect=diagd,
@@ -260,7 +278,7 @@ def verify_orthogonality(lam: ParamSet, D: IndexSet, N: int, bits: int = 256) ->
         rep.extras["basis"] = basis
         rep.extras["Mtilde"] = [[gstore(m, prec) for m in row] for row in Mt]
         rep.extras["M"] = [[gstore(m, prec) for m in row] for row in M]
-        rep.extras["pa_defect"] = pa_difference_equation_defect(basis, frames)
+        rep.extras["pa_defect"] = pa_difference_equation_defect(basis, grid)
         return rep
 
 

@@ -27,6 +27,7 @@ functional identities; h_n ratios are checked against the recurrence coefficient
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -149,9 +150,10 @@ class Family:
 
     # -- coordinates and potential ------------------------------------------------
     # eta and the potential are ratios (num, den) of products of affine factors
-    # c0 + c1 u of the working variable u, given as lists of (c0, c1): the scalar
-    # backend evaluates them (affine_ratios), and shift_factors takes a factor to a
-    # shifted argument, so a frame of shifted points is one set of factors in u.
+    # c0 + c1 u of the working variable u, given as lists of (c0, c1): the frame kernels
+    # of the scalar backend evaluate them, _at in the backend's scalars, and
+    # shift_factors takes a factor to a shifted argument, so a frame of shifted points
+    # is one set of factors in u.
 
     def eta_factors(self, lam: ParamSet) -> tuple:
         raise NotImplementedError
@@ -167,7 +169,9 @@ class Family:
 
     @staticmethod
     def _at(ratio, u, lam: ParamSet):
-        return lam.scalars.affine_ratios([ratio])(u)[0]
+        num, den = ([c0 + c1 * u for c0, c1 in fs] for fs in ratio)   # num is never empty
+        value = math.prod(num[1:], start=num[0])
+        return value / math.prod(den[1:], start=den[0]) if den else value
 
     def eta_at(self, u, lam: ParamSet):
         return self._at(self.eta_factors(lam), u, lam)

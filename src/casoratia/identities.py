@@ -79,19 +79,18 @@ def classical_discrete_ortho(lam: ParamSet, N: int, bits: int = 256) -> dict:
 
 
 def _chain_pairs(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int, count: int,
-                 bits: int = 256, constant=None):
-    """Yield (lhs, rhs, constant) of a chain identity at the admissible samples.
+                 bits: int = 256):
+    """Yield (lhs, rhs) of a chain identity at the admissible samples.
 
     dprime / dprime2 are (degree, type); `count` candidate points are drawn
     and those at a pole are skipped.  Same types, with D' = D + d' and
     D'' = D + d'':
         lhs = (E_n - Et') (Xi_D' ratio sum over Xi_D'') P_{D'',n},
-        rhs = (H~_{D''} + E_n - Et' - Et'') P_{D',n},
-    and constant is None.  Mixed types, with D3 = D + d' + d'':
+        rhs = (H~_{D''} + E_n - Et' - Et'') P_{D',n}.
+    Mixed types, with D3 = D + d' + d'':
         lhs = C (Xi_D ratio sum over Xi_D3) P_{D3,n},
         rhs = (H~_{D3} + E_n - Et' - Et'') P_{D,n},
-    where C is solved from the first pair when not supplied (the tests hold that
-    solve against the closed form mixed_constant).
+    with C the closed form mixed_constant of D's type counts.
     """
     fam = lam.fam
     b = get_builder(lam, bits)
@@ -105,10 +104,11 @@ def _chain_pairs(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int, count: int
     if tp == tpp:
         D_small = IndexSet.make(list(D.entries) + [(dp, tp)])
         D_big = IndexSet.make(list(D.entries) + [(dpp, tpp)])
+        factor = E_n - ev_p
     else:
-        # constant kappa^{2M+3/2} sqrt(alpha^I alpha^II) in this repo's units
         D_small = D
         D_big = IndexSet.make(list(D.entries) + [(dp, tp), (dpp, tpp)])
+        factor = mixed_constant(lam, D.counts)
     big = build_miop(lam, D_big, n, bits, check=False)
     xi_small = b.xi(D_small)
     p_small = b.P(D_small, n)
@@ -118,43 +118,34 @@ def _chain_pairs(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int, count: int
         try:
             fr = htilde_frame(big, u)
             ratio = xi_small(fr.eta_mh) / fr.xi_mh + xi_small(fr.eta_ph) / fr.xi_ph
-            if tp == tpp:
-                ratio = (E_n - ev_p) * ratio
-            lhs = ratio * p_big(fr.eta)
+            lhs = factor * ratio * p_big(fr.eta)
             pu = p_small(fr.eta)
             rhs = apply_htilde(fr, p_small, pu) + (E_n - ev_p - ev_pp) * pu
         except (PoleAtSample, ZeroDivisionError):
             continue
-        if tp != tpp:
-            if constant is None:
-                constant = rhs / lhs
-            lhs = constant * lhs
-        yield lhs, rhs, constant
+        yield lhs, rhs
 
 
 def check_chain_identity(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int,
-                 samples: int = 10, bits: int = 256, constant=None) -> dict:
+                 samples: int = 10, bits: int = 256) -> dict:
     """Worst relative residual of a chain identity over `samples` admissible points.
 
-    Same types route to the first identity, mixed types to the second, whose
-    constant is solved from the first sample when not supplied (_chain_pairs).
+    Same types route to the first identity, mixed types to the second, with the
+    closed-form constant (_chain_pairs).  PoleAtSample when no point is admissible.
     """
     to = lam.scalars.to_mpc
     worst = mp.mpf(0)
     got = 0
-    for lhs, rhs, constant in _chain_pairs(lam, D, dprime, dprime2, n, samples * 3, bits,
-                                           constant):
+    for lhs, rhs in _chain_pairs(lam, D, dprime, dprime2, n, samples * 3, bits):
         lhs_m, rhs_m = mp.mpc(to(lhs)), mp.mpc(to(rhs))
         worst = max(worst, abs(lhs_m - rhs_m) / (abs(lhs_m) + abs(rhs_m) + 1))
         got += 1
         if got >= samples:
             break
-    if dprime[1] == dprime2[1]:
-        return {"case": "same-type", "max_residual": worst, "samples": got}
     if not got:
-        raise PoleAtSample("no admissible samples for the mixed identity")
-    return {"case": "mixed-type", "max_residual": worst, "constant": constant,
-            "samples": got}
+        raise PoleAtSample("no admissible samples for the chain identity")
+    case = "same-type" if dprime[1] == dprime2[1] else "mixed-type"
+    return {"case": case, "max_residual": worst, "samples": got}
 
 
 def chain_identity_exact(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int) -> dict:
@@ -171,15 +162,13 @@ def chain_identity_exact(lam: ParamSet, D: IndexSet, dprime, dprime2, n: int) ->
     dx = 1 if lam.family == "ch" else 2
     bound = dx * (8 * lmax + 2 * n) + 48
     checked = 0
-    constant = None
-    for lhs, rhs, constant in _chain_pairs(lam, D, dprime, dprime2, n, bound + 40):
+    for lhs, rhs in _chain_pairs(lam, D, dprime, dprime2, n, bound + 40):
         if not (lhs - rhs).is_zero():
             return {"exact": False, "points": checked, "bound": bound}
         checked += 1
         if checked > bound:
             break
-    return {"exact": checked > bound, "points": checked, "bound": bound,
-            "constant": constant}
+    return {"exact": checked > bound, "points": checked, "bound": bound}
 
 
 def mixed_constant(lam: ParamSet, counts):

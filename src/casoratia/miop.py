@@ -41,8 +41,8 @@ the Casoratian vanishes at the nodes.
 The per-point work of the frames, ladder and H~_D alike, is the backend's
 (Gaussian floats on floats): a builder makes one ladder_frames kernel per (R,
 kinds), at its own working precision, a bundle one htilde_frames kernel per working
-precision, both from affine factors (Family.eta_factors, v_factors), and the
-eigen residuals come from one stencil kernel for all frames.
+precision, both from affine factors (Family.eta_factors, v_factors), and an eigen
+residual is the stencil residual of its H~_D frame (_Frame.residual).
 """
 
 from __future__ import annotations
@@ -531,11 +531,14 @@ def apply_htilde(fr, p: Poly, pu=None):
     return fr.apply(p, pu)
 
 
-def eigen_residual(frames, pairs, sc) -> mp.mpf:
+def eigen_residual(frames, pairs) -> mp.mpf:
     """The worst |H~_D p - E p| / (|H~_D p| + |E p| + 1) over the frames and the (p, E)
-    pairs, at each frame's eta: one residual kernel of the backend for them all."""
-    residual = sc.stencil_residual(pairs)
-    return max([mp.mpf(0)] + [residual(fr) for fr in frames])
+    pairs, at each frame's eta: each p by its Horner kernel at the frame's points, into
+    the frame's stencil residual."""
+    w = mp.mp.prec + GUARD_BITS
+    evs = [(p.evaluator(), E) for p, E in pairs]
+    return max([mp.mpf(0)] + [fr.residual([ev.fixed(x, w) for x in fr.xs], E)
+                              for fr in frames for ev, E in evs])
 
 
 # -- bundles and gates ----------------------------------------------------------------
@@ -586,8 +589,7 @@ def build_miop(lam: ParamSet, D: IndexSet, n_max: int = 8, bits: int = 256,
                 continue
         if len(frames) < GATE_SAMPLES // 2:
             raise PoleAtSample("could not find enough pole-free gate samples")
-        worst = eigen_residual(frames, [(p, fam.energy(n, lam)) for n, p in polys.items()],
-                               b.sc)
+        worst = eigen_residual(frames, [(p, fam.energy(n, lam)) for n, p in polys.items()])
         bundle.gates["eigen_residual"] = worst
         if worst > tolerance:
             raise PrefactorResidue(

@@ -11,14 +11,14 @@ comparison of magnitudes against its tolerance, written once for both.
 
 The per-point kernels are written once too, in ScalarKernels, which both backends
 inherit: Horner's rule, the Laplace recursion behind the cofactor rows of a
-Casoratian frame, the ratios of affine products that give the etas, potentials and
-row weights of the ladder and H~_D frames, the frames themselves and the residual of
-a difference-operator stencil.  They run on the backend's primitives: a value is
-loaded once and stays loaded from kernel to kernel, None being an exact zero, and is
-stored as a scalar only where a report prints it or a polynomial keeps it; a gate
-compares magnitudes of loaded values.  The float extraction's inverse FFT
-(MPScalars.interpolator) runs on the same primitives.  On floats
-the loaded type is the Gaussian float: a Python int pair holding the real and
+Casoratian frame, and the ladder and H~_D frames, whose etas, potentials and row
+weights are ratios of affine products (_Affine); an H~_D frame gives the residual of
+its difference-operator stencil (_Frame.residual).  They run on the backend's
+primitives: a value is loaded once and stays loaded from kernel to kernel, None being
+an exact zero, and is stored as a scalar only where a report prints it or a
+polynomial keeps it; a gate compares magnitudes of loaded values.  The float
+extraction's inverse FFT (MPScalars.interpolator) runs on the same primitives.  On
+floats the loaded type is the Gaussian float: a Python int pair holding the real and
 imaginary parts, scaled by a power of two kept with the value, as ``mpmath.libmp``
 does underneath each ``mpf`` (Brent & Zimmermann, *Modern Computer Arithmetic*,
 ch. 3), with its product, sum and quotient (gmul, gadd, gdiv, gdot), as in the zero
@@ -307,8 +307,12 @@ class _Row(NamedTuple):
 
 
 class _Affine:
-    """The evaluator of ScalarKernels.affine_ratios, its constants loaded at w bits: a call
-    gives the values as scalars, fixed as loaded values at a loaded point."""
+    """The ratios [prod_num (c0 + c1 u) / prod_den (c0 + c1 u) for (num, den) in ratios] of
+    the frame kernels, num and den lists of affine factors (c0, c1), their constants loaded
+    once at w bits: fixed gives the values at a loaded point u, each factor and each
+    partial product a loaded value, so on floats every value is within a small multiple
+    of 2^-w per factor of the mpc formula, relative to the product of max(|c0|, |c1 u|)
+    over its factors.  A zero constant costs no operation."""
 
     __slots__ = ("sc", "loaded", "w", "one")
 
@@ -317,10 +321,6 @@ class _Affine:
         self.loaded = [[[(load(c0, w), load(c1, w)) for c0, c1 in fs] for fs in ratio]
                        for ratio in ratios]
         self.sc, self.w, self.one = sc, w, sc._one(w)
-
-    def __call__(self, u):
-        sc = self.sc
-        return [sc._store(z, self.w - GUARD_BITS) for z in self.fixed(sc._load(u, self.w))]
 
     def fixed(self, x):
         w, one, sc, out = self.w, self.one, self.sc, []
@@ -357,6 +357,15 @@ class _Frame(NamedTuple):
         vals.insert(0, ev.fixed(self.xs[0], w) if pu is None else sc._load(pu, w))
         return sc._store(sc._dot(self.ws, vals, w), w - GUARD_BITS)
 
+    def residual(self, vals, E) -> mp.mpf:
+        """|s - E p(x_0)| / (|s| + |E p(x_0)| + 1), s = sum_k w_k p(x_k), of the stencil of
+        H~_D - E at the frame, vals the loaded values p(x_k) at xs and E a scalar, in
+        loaded values of mp.mp.prec + GUARD_BITS bits as current here: only the three
+        magnitudes (_mag) are mpf."""
+        sc, w = self.sc, mp.mp.prec + GUARD_BITS
+        s, ref = sc._dot(self.ws, vals, w), sc._mul(sc._load(E, w), vals[0], w)
+        return sc._mag(sc._add(s, sc._neg(ref))) / (sc._mag(s) + sc._mag(ref) + 1)
+
 
 class ScalarKernels:
     """The per-point kernels of both scalar backends, on the backend's primitives: _load(z,
@@ -369,18 +378,6 @@ class ScalarKernels:
     def horner(self, coeffs):
         """The evaluator v -> sum_k coeffs[k] v^k (_Horner)."""
         return _Horner(self, coeffs)
-
-    def affine_ratios(self, ratios):
-        """The evaluator u -> [prod_num (c0 + c1 u) / prod_den (c0 + c1 u) for (num, den) in
-        ratios], num and den lists of affine factors (c0, c1), at the precision current
-        here (_Affine).
-
-        The constants are loaded once, at w = mp.mp.prec + GUARD_BITS bits; each factor and
-        each partial product is a loaded value, so on floats every value is within a small
-        multiple of 2^-w per factor of the mpc formula, relative to the product of
-        max(|c0|, |c1 u|) over its factors.  A zero constant costs no operation.
-        """
-        return _Affine(self, ratios, mp.mp.prec + GUARD_BITS)
 
     def ladder_frames(self, eta_ratios, weight_ratios):
         """The evaluator u -> (etas, {kind: row weights}) of a ladder frame in loaded values,
@@ -421,24 +418,6 @@ class ScalarKernels:
             w0 = neg(div(dot((wm, wp), (evs.fixed(xm, w), evs.fixed(xp, w)), w), xi0, w))
             return _Frame((x0, xm, xp), (w0, wm, wp), (xmh, xph, xi_mh, xi_ph), self)
         return frame
-
-    def stencil_residual(self, pairs):
-        """The evaluator frame -> the worst |s - E p(x_0)| / (|s| + |E p(x_0)| + 1), s = sum_k
-        w_k p(x_k), over the (Poly p, E) pairs at an H~_D frame's points x_k and weights w_k
-        (_Frame), in loaded values of mp.mp.prec + GUARD_BITS bits as current here: each
-        E loaded once, p(x_k) by _Horner.fixed; only the three magnitudes (_mag) are mpf."""
-        w = mp.mp.prec + GUARD_BITS
-        mul, add, neg, dot, mag = self._mul, self._add, self._neg, self._dot, self._mag
-        loaded = [(p.evaluator(), self._load(E, w)) for p, E in pairs]
-
-        def residual(fr):
-            worst = mp.mpf(0)
-            for ev, E in loaded:
-                vals = [ev.fixed(x, w) for x in fr.xs]
-                s, ref = dot(fr.ws, vals, w), mul(E, vals[0], w)
-                worst = max(worst, mag(add(s, neg(ref))) / (mag(s) + mag(ref) + 1))
-            return worst
-        return residual
 
     def cofactor_row(self, head, last_weights, turns: int):
         """The evaluator vals -> i^turns det[w_j p_k(eta_j) | v_j vals_j] at a frame (_Row),

@@ -195,6 +195,17 @@ def test_casoratian_vanishing_at_the_nodes_is_degenerate(tmp_path):
     assert "leading coefficient of degree 3 below the noise floor" in r.stderr
 
 
+def test_identities_construction_errors_exit_without_a_traceback(tmp_path):
+    """A chain identity whose build is degenerate exits 3 with one line on stderr, as the
+    controls of --quadrature do: AW generic D = {1^I, 2^I, 0^II} with d' = 0^I and
+    d'' = 1^II, whose reference Casoratian vanishes at every node rotation of seed 1."""
+    r = run(["identities", "--family", "aw", "--mode", "generic", "--chain", "--dI", "1,2",
+             "--dII", "0", "--dprime", "0", "--tprime", "I", "--dprime2", "1",
+             "--tprime2", "II", "--out", str(tmp_path / "i.json")])
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("degenerate instance: ") and r.stderr.count("\n") == 1, r.stderr
+
+
 def test_sweep_worker_count_independence(tmp_path):
     outs = []
     for jobs in ("1", "2"):

@@ -9,9 +9,10 @@ from casoratia.conjecture import FormulaSingular, compare, predicted_k, zeta_con
 from casoratia.dortho import PaEntry, derived_index_sets, verify_orthogonality
 from casoratia.exact import QQi
 from casoratia.families import FAMILIES, draw_params, params_from_values
-from casoratia.identities import check_chain_identity, mixed_constant
+from casoratia.identities import mixed_constant
 from casoratia.miop import IndexSet, h_ratio, reference_index_set
 from casoratia.numkernel import workbits
+from chain_oracle import measured_mixed_constant
 
 TAGS = ["ch", "w", "aw"]
 TOL = mp.mpf("1e-20")
@@ -83,13 +84,12 @@ def test_predicted_invariant_under_input_order():
 
 def fitted_zeta(lam, counts):
     """zeta fitted from the measured k_a of the first case-(3) entry on the reference
-    instance of the class, with C solved from the chain identity: the calibration the
+    instance of the class, with C measured on the chain identity: the calibration the
     closed forms replaced, kept as their oracle."""
     D = reference_index_set(counts)
     rep = verify_orthogonality(lam, D, 2)
     m1, m2 = counts[0] - 1, counts[1] - 1
-    C = check_chain_identity(lam, reference_index_set((m1, m2)), (m1, "I"), (m2, "II"), 0,
-                             samples=6)["constant"]
+    C = measured_mixed_constant(lam, reference_index_set((m1, m2)), (m1, "I"), (m2, "II"), 0)
     for a, entry in enumerate(rep.extras["basis"].entries):
         if entry.case == 3:
             # predicted_k with zeta = 1 and the chain-identity C in place of the closed form

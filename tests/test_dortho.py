@@ -11,7 +11,7 @@ import pytest
 import casoratia
 from casoratia.dortho import (PaBasis, build_M, build_pa_basis, compute_F, derived_index_sets,
                               naive_weight_demo, pa_difference_equation_defect,
-                              verify_orthogonality)
+                              verify_orthogonality, zero_grid)
 from casoratia.families import FAMILIES, draw_params
 from casoratia.identities import classical_discrete_ortho
 from casoratia.miop import IndexSet, build_miop, get_builder, htilde_frame
@@ -78,8 +78,7 @@ def test_f_weight_parity_and_conjugation():
                 assert abs(a - b) <= mp.mpf(2) ** -180 * (abs(a) + 1)
             # conjugate zeros carry conjugate weights in physical mode
             zs = find_zeros(bun.P[N], 256, fam)
-            F = [gstore(f, mp.mp.prec) for f in
-                 compute_F(bun, [htilde_frame(bun, fam.arg_of_eta(e)) for e in zs.eta])[0]]
+            F = [gstore(f, mp.mp.prec) for f in compute_F(zero_grid(bun, zs, []))[0]]
             for j, ej in enumerate(zs.eta):
                 tgt = mp.conj(ej)
                 jbar = min(range(len(zs.eta)), key=lambda k: abs(zs.eta[k] - tgt))
@@ -201,14 +200,53 @@ def test_pa_defect_fires_on_a_perturbed_entry(tag):
         bun = build_miop(lam, D, N)
         zs = find_zeros(bun.P[N], 256, lam.fam)
         basis = build_pa_basis(lam, D, N)
-        frames = [htilde_frame(bun, lam.fam.arg_of_eta(e)) for e in zs.eta]
-        assert pa_difference_equation_defect(basis, frames) <= mp.mpf(2) ** -128
+        grid = zero_grid(bun, zs, [e.poly for e in basis.entries])
+        assert pa_difference_equation_defect(basis, grid) <= mp.mpf(2) ** -128
         *rest, last = basis.entries
         cs = list(last.poly.coeffs)
         k = max(range(len(cs)), key=lambda j: abs(cs[j]))
         cs[k] = cs[k] * (1 + mp.mpf(2) ** -100)
         bad = PaBasis(rest + [replace(last, poly=Poly(cs, last.poly.scalars))])
-        assert pa_difference_equation_defect(bad, frames) > mp.mpf(2) ** -128
+        grid = zero_grid(bun, zs, [e.poly for e in bad.entries])
+        assert pa_difference_equation_defect(bad, grid) > mp.mpf(2) ** -128
+
+
+@pytest.mark.parametrize("tag, mode, pairs", [
+    ("ch", "physical", [(1, "I"), (2, "II")]), ("w", "physical", [(1, "I"), (1, "II")]),
+    ("aw", "generic", [(1, "I"), (1, "II")])])
+def test_zero_grid_takes_each_value_once(tag, mode, pairs, monkeypatch):
+    """verify_orthogonality takes every polynomial value on the zero grid once, by Horner
+    kernels at the points of the zero frames: P_N and each P_a once at each frame's
+    three points and nowhere else, P'_N once at each frame's x_0 and nowhere else, from
+    the first zero frame on (every value the zero grid reads refers to those points)."""
+    from casoratia import dortho
+    from casoratia.numkernel import _Horner
+
+    calls, frames = [], []
+    fixed, frame = _Horner.fixed, dortho.htilde_frame
+
+    def counted(self, x, w):
+        if frames:
+            calls.append((self.coeffs, x))
+        return fixed(self, x, w)
+
+    def kept(bundle, u):
+        frames.append(frame(bundle, u))
+        return frames[-1]
+
+    monkeypatch.setattr(_Horner, "fixed", counted)
+    monkeypatch.setattr(dortho, "htilde_frame", kept)
+    N = 2
+    rep = verify_orthogonality(draw_params(tag, mode, seed=1), IndexSet.make(pairs), N)
+    pN = rep.extras["bundle"].P[N]
+    with workbits(288):   # the working bits of verify at its default 256
+        dP = pN.derivative().coeffs
+    assert len(frames) == len(rep.extras["zeros"].eta) == pN.degree
+    for p in [pN] + [e.poly for e in rep.extras["basis"].entries]:
+        assert (sorted(id(x) for cs, x in calls if cs is p.coeffs)
+                == sorted(id(x) for fr in frames for x in fr.xs))
+    assert (sorted(id(x) for cs, x in calls if cs == dP)
+            == sorted(id(fr.xs[0]) for fr in frames))
 
 
 def test_sqrt_branch_of_M_ignores_the_sign_of_noise():
@@ -220,13 +258,13 @@ def test_sqrt_branch_of_M_ignores_the_sign_of_noise():
         D, N = IndexSet.make([(1, "I")]), 2
         bun = build_miop(lam, D, N)
         zs = find_zeros(bun.P[N], 256, lam.fam)
-        frames = [htilde_frame(bun, lam.fam.arg_of_eta(e)) for e in zs.eta]
-        F, _ = compute_F(bun, frames)
+        grid = zero_grid(bun, zs, [])
+        F, _ = compute_F(grid)
         Ms = []
         for sign in (1, -1):
             F[1] = gload(mp.mpc(-256, sign * mp.mpf(2) ** -270), mp.mp.prec + GUARD_BITS)
             Ms.append([[gstore(m, mp.mp.prec) for m in row]
-                       for row in build_M(lam, D, zs, frames, F)[1]])
+                       for row in build_M(lam, D, grid, F)[1]])
         plus, minus = Ms
         scale = max(abs(m) for row in plus for m in row)
         assert max(abs(p - m) for rp, rm in zip(plus, minus) for p, m in zip(rp, rm)) \

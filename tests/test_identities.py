@@ -10,8 +10,7 @@ from casoratia.exact import ExactScalars, QQi
 from casoratia.families import draw_params, params_from_values
 from casoratia.identities import (check_prefactor_ratio_identity, check_eta_identity,
                                   check_chain_identity, classical_discrete_ortho,
-                                  eta_identity_residual, mixed_constant,
-                                  chain_identity_exact)
+                                  eta_identity_residual, chain_identity_exact)
 from casoratia.miop import IndexSet
 from casoratia.numkernel import workbits
 
@@ -54,9 +53,29 @@ def test_chain_identity_same_and_mixed(tag):
                               (IndexSet.make([(1, "I")]), (2, "I"), (0, "II"), 2),
                               (IndexSet.make([(1, "II")]), (0, "I"), (2, "II"), 1),
                               (IndexSet.make([(1, "I"), (0, "II")]), (0, "I"), (2, "II"), 0)):
-            c = mixed_constant(lam, D.counts)
-            r = check_chain_identity(lam, D, dp, dpp, n, samples=8, constant=c)
+            r = check_chain_identity(lam, D, dp, dpp, n, samples=8)
             assert r["max_residual"] <= tol, (D.counts, r["max_residual"])
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_mixed_chain_identity_fails_on_a_wrong_constant(tag, monkeypatch):
+    """The mixed chain identity checks the closed-form C: with mixed_constant returning
+    2C, its float residual is about 1/3 on every family and the exact proof fails at its
+    first point, while the same-type identity, which has no C, still holds."""
+    from casoratia import identities
+
+    closed = identities.mixed_constant
+    monkeypatch.setattr(identities, "mixed_constant", lambda lam, counts: 2 * closed(lam, counts))
+    with workbits(288):
+        lam = draw_params(tag, "physical", seed=3)
+        D = IndexSet.make([(1, "I")])
+        r = check_chain_identity(lam, D, (2, "I"), (1, "II"), 1, samples=4)
+        assert r["case"] == "mixed-type" and r["max_residual"] >= mp.mpf("0.3")
+        r = check_chain_identity(lam, D, (0, "I"), (3, "I"), 1, samples=4)
+        assert r["max_residual"] <= mp.mpf(2) ** -128
+    if tag == "ch":
+        r = chain_identity_exact(exact_params(tag), IndexSet.make([]), (0, "I"), (0, "II"), 1)
+        assert r["exact"] is False and r["points"] == 0
 
 
 def test_chain_identity_invariant_under_reordering():

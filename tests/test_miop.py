@@ -181,7 +181,6 @@ def test_delta_tilde_table_rederived(tag, vtype):
         lam = draw_params(tag, "generic", seed=1009)
         D = IndexSet.make([(1, vtype)])
         bun = build_miop(lam, D, 2, bits=192, check=False)
-        b = get_builder(lam, 192)
         hits = []
         for u in vals:
             for w in vals:
@@ -190,7 +189,7 @@ def test_delta_tilde_table_rederived(tag, vtype):
                 try:
                     worst = max(eigen_residual([htilde_frame(shifted, x)
                                                 for x in fam.sample_args(5, lam, f"dt|{n}")],
-                                               [(p, fam.energy(n, lam))], b.sc)
+                                               [(p, fam.energy(n, lam))])
                                 for n, p in bun.P.items())
                 except PoleAtSample:
                     continue

@@ -388,14 +388,15 @@ def _random_gaussian(rng, bits, lo=-200, hi=200):
 
 
 def test_affine_kernel_matches_mpc_oracle():
-    """affine_ratios against the mpc products of the same factors at 4 x bits: the eta, V
-    and V* factors of cH, W and AW at shifted arguments, and random factors, constants and
-    points of magnitudes 2^+-200, at 256 and 512 bits.  Each value is within 2^(-bits+16)
-    of prod_num (|c0| + |c1 u|) / |den| (1 + prod_den (|c0| + |c1 u|) / |den|)."""
+    """_Affine.fixed, the affine ratios of the frame kernels, stored at bits, against the
+    mpc products of the same factors at 4 x bits: the eta, V and V* factors of cH, W and
+    AW at shifted arguments, and random factors, constants and points of magnitudes
+    2^+-200, at 256 and 512 bits.  Each value is within 2^(-bits+16) of
+    prod_num (|c0| + |c1 u|) / |den| (1 + prod_den (|c0| + |c1 u|) / |den|)."""
     import random
 
     from casoratia.families import FAMILIES, draw_params
-    from casoratia.numkernel import MPScalars
+    from casoratia.numkernel import GUARD_BITS, MPScalars, _Affine, gload, gstore
 
     rng = random.Random(11)
     zero = mp.mpc(0)
@@ -416,11 +417,11 @@ def test_affine_kernel_matches_mpc_oracle():
                                 for _ in range(k % 3)]))
             ratios.append(([(zero, _random_gaussian(rng, bits)),
                             (_random_gaussian(rng, bits), zero)], []))
-            kernel = MPScalars().affine_ratios(ratios)
+            kernel = _Affine(MPScalars(), ratios, bits + GUARD_BITS)
             points = [_random_gaussian(rng, bits, e, e) for e in (-200, -60, 0, 60, 200)]
             points += [mp.mpf("0.75"), mp.expjpi(mp.mpf("0.3")), mp.mpc(0, 2)]
             for u in points:
-                got = kernel(u)
+                got = [gstore(z, bits) for z in kernel.fixed(gload(u, bits + GUARD_BITS))]
                 with workbits(4 * bits):
                     for value, (num, den) in zip(got, ratios):
                         n = [c0 + c1 * u for c0, c1 in num]
@@ -434,10 +435,11 @@ def test_affine_kernel_matches_mpc_oracle():
 
 
 def test_stencil_residual_kernel_matches_mpc_oracle():
-    """stencil_residual against |s - E p(x_0)| / (|s| + |E p(x_0)| + 1), s = sum_k w_k p(x_k),
-    in mpc at 4 x bits, for random polynomials, points, weights and E of magnitudes 2^+-200
-    at 256 and 512 bits, half of them with w_0 set so that s = E p(x_0) up to rounding, as
-    on an eigenpair: within 2^(-bits+16) of the terms' scale over |s| + |E p(x_0)| + 1.
+    """_Frame.residual, at p's Horner values at the frame's points, against
+    |s - E p(x_0)| / (|s| + |E p(x_0)| + 1), s = sum_k w_k p(x_k), in mpc at 4 x bits,
+    for random polynomials, points, weights and E of magnitudes 2^+-200 at 256 and 512
+    bits, half of them with w_0 set so that s = E p(x_0) up to rounding, as on an
+    eigenpair: within 2^(-bits+16) of the terms' scale over |s| + |E p(x_0)| + 1.
     The points and weights are an H~_D frame's, loaded as Gaussian floats."""
     import random
 
@@ -458,7 +460,8 @@ def test_stencil_residual_kernel_matches_mpc_oracle():
                     ws[0] = E - (ws[1] * vals[1] + ws[2] * vals[2]) / vals[0]
                 frame = _Frame(tuple(gload(x, bits + GUARD_BITS) for x in xs),
                                tuple(gload(c, bits + GUARD_BITS) for c in ws), (), sc)
-                got = sc.stencil_residual([(Poly(coeffs, sc), E)])(frame)
+                ev = Poly(coeffs, sc).evaluator()
+                got = frame.residual([ev.fixed(x, bits + GUARD_BITS) for x in frame.xs], E)
                 with workbits(4 * bits):
                     vals = [_mpc_horner(coeffs, x) for x in xs]
                     s = mp.fsum(w * v for w, v in zip(ws, vals))

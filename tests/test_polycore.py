@@ -165,8 +165,7 @@ def test_backends_expose_the_same_interface():
     assert public(MPScalars) == {
         "name", "zero", "one", "i", "from_int", "from_fraction", "is_zero",
         "magnitude", "to_mpc", "q_power", "sample_args", "extraction_nodes",
-        "interpolator", "horner", "cofactor_row", "affine_ratios", "ladder_frames",
-        "htilde_frames", "stencil_residual"}
+        "interpolator", "horner", "cofactor_row", "ladder_frames", "htilde_frames"}
     assert public(ExactScalars) == public(MPScalars) == public(MPScalars())
     assert public(ExactScalars(Fraction(2, 5))) == public(MPScalars) | {"q"}
 
@@ -176,8 +175,7 @@ def test_backends_share_one_kernel_set():
     cofactor_row from numkernel.ScalarKernels and give only their arithmetic."""
     from casoratia.numkernel import ScalarKernels
 
-    kernels = ("horner", "affine_ratios", "ladder_frames", "htilde_frames", "stencil_residual",
-               "cofactor_row")
+    kernels = ("horner", "ladder_frames", "htilde_frames", "cofactor_row")
     for backend in (MPScalars, ExactScalars):
         assert issubclass(backend, ScalarKernels)
         for name in kernels:

@@ -75,14 +75,18 @@ def test_cache_key_covers_version_and_schema(monkeypatch):
 # the fitted coefficients (noise digits moved: values above 1e-40 by at most 3.3e-78
 # relative, the AW gram[4][4] = -786.0 by 5.7e-77; noise-level values below 1e-76, the
 # off-diagonal gram entries and pa_defect, by up to twice themselves);
+# W and AW when every zero-grid value moved onto the points of the zero frames, so that
+# M-tilde, M, the eigen rows and the Gram matrix read eta_j as the frame's own eta
+# (noise digits moved: by at most 2.8e-85 relative in M, M-tilde, gram, k and the
+# conjecture entries, F unchanged; cH, whose frame eta is the zero itself, unchanged);
 # every verdict stands, and a refactor that claims byte-identical reports keeps these
 GOLDEN_REPORTS = [
     (["--family", "ch", "--mode", "physical", "--dI", "1", "--dII", "2"],
      "3ef7e73cf59cbf6f1cfafba1962e0f7cdcf4f6474aeb71d3a9a9e82eadac7ffd"),
     (["--family", "w", "--mode", "physical", "--dI", "1", "--dII", "1"],
-     "a37841e685e975b50570cdf46b518a3e61497ca8b8edf2c4616bb3fb2b1cb28f"),
+     "de4f25b8e3549f91c75adf21e7f8383b1206a731b2e03e747a179866938a0f98"),
     (["--family", "aw", "--mode", "generic", "--dI", "1", "--dII", "1"],
-     "a6d5cf542665d85ff54cd6e696d9c1eca196580ccde8e2d0b5e898f996239c00"),
+     "fe755df89219818e10222b13a5e8bdc8570717d9b3e3dd70e526465c26a9c2f1"),
 ]
 
 
@@ -118,9 +122,10 @@ def test_verify_report_is_independent_of_earlier_runs(tmp_path, monkeypatch):
 # the sweep's own rendering of max_offdiag_rel and conjecture_rel_err (recorded again
 # with the one-loop root finder: both moved by less than 1e-96; with the zero grid
 # on Gaussian floats: by at most 1e-83; with the root finder on Gaussian floats: by
-# at most 1.4e-94, 1.5e-10 of values near 1e-85; and with the extraction on Gaussian
-# floats: by at most 3.7e-85, of noise values of 1e-86 to 1e-84)
-GOLDEN_SWEEP = "4f8066c8607431bba43036c1a44443384b781de0b2c97bca0b8e85f13894052c"
+# at most 1.4e-94, 1.5e-10 of values near 1e-85; with the extraction on Gaussian
+# floats: by at most 3.7e-85, of noise values of 1e-86 to 1e-84; and with the zero grid
+# on the frames' points: by at most 5.8e-87, of noise values of 5e-87 to 5.5e-85)
+GOLDEN_SWEEP = "bc0a86594a3d547fa106b61865333633acab05b803ed9df070a421b9cbb842e9"
 
 
 def test_golden_sweep_csv():
